@@ -23,7 +23,6 @@ from .quotient import (
     RelationPreset,
     build_graded_basis,
     free_preset,
-    graded_basis,
     hilbert_row,
     infinitesimal_artin,
     oriented_artin,

@@ -26,13 +26,13 @@ from .series import (
     Alphabet,
     AlphabetMismatch,
     CapMismatch,
+    ONE,
     TruncatedSeries,
     generator,
-    parse_series,
     word_key,
 )
 
-CACHE_FORMAT = "braidalg-basis v1"
+CACHE_FORMAT = "braidalg-basis v2"
 
 
 class BasisError(ValueError):
@@ -248,9 +248,6 @@ class GradedQuotientBasis:
     def equal_mod_relations(self, a: TruncatedSeries, b: TruncatedSeries) -> bool:
         return self.normal_form(a - b).is_zero()
 
-    def contains_in_ideal(self, s: TruncatedSeries) -> bool:
-        return self.normal_form(s).is_zero()
-
     # -- primitive (Lie) slices ------------------------------------------
 
     def primitive_slice(self, k: int) -> SparseEchelon:
@@ -259,7 +256,8 @@ class GradedQuotientBasis:
         The graded quotient is the enveloping algebra of its Lie quotient, so
         this span is exactly the degree-k primitive part.
         """
-        if k not in self._prim:
+        ech = self._prim.get(k)
+        if ech is None:
             if k > self.cap:
                 raise BasisError(f"basis built only to degree {self.cap}")
             ech = SparseEchelon(key=word_key)
@@ -267,8 +265,10 @@ class GradedQuotientBasis:
                 for w in lyndon_words(self.alphabet.size, k):
                     bracket = lyndon_bracket(self.alphabet, k, w)
                     ech.add(self.table(k).reduce(bracket.slices[k]))
-            self._prim[k] = ech
-        return self._prim[k]
+            # Threads racing here each build an equal slice; all of them
+            # return the one that was published first.
+            ech = self._prim.setdefault(k, ech)
+        return ech
 
     def is_primitive(self, s: TruncatedSeries) -> bool:
         """True iff every homogeneous part of the normal form is a reduced Lie element."""
@@ -297,31 +297,30 @@ def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> Grad
     if cap < 0:
         raise BasisError("cap must be >= 0")
     tables = {}
+    # Computed at the first cache file this call reads or writes, so a call
+    # served wholly from the store never computes it.
+    digest = None
     for k in range(cap + 1):
-        tables[k] = _degree_table(preset, k, cache_dir)
+        ech = _TABLE_STORE.get((preset.key(), k))
+        if ech is None or (cache_dir is not None and not os.path.exists(_cache_path(cache_dir, preset, k))):
+            if cache_dir is not None and digest is None:
+                digest = _relations_digest(preset)
+            if ech is None:
+                ech = _degree_table(preset, k, cache_dir, digest)
+            else:
+                _save_table(cache_dir, preset, k, ech, digest)
+        tables[k] = ech
     return GradedQuotientBasis(preset, cap, tables)
 
 
-# Alias matching the operation vocabulary used around the package.
-graded_basis = build_graded_basis
-
-
-def _degree_table(preset: RelationPreset, k: int, cache_dir) -> SparseEchelon:
-    store_key = (preset.key(), k)
-    ech = _TABLE_STORE.get(store_key)
-    if ech is not None:
-        if cache_dir is not None and not os.path.exists(_cache_path(cache_dir, preset, k)):
-            _save_table(cache_dir, preset, k, ech)
-        return ech
-    if cache_dir is not None:
-        ech = _load_table(cache_dir, preset, k)
-        if ech is not None:
-            _TABLE_STORE[store_key] = ech
-            return ech
-    ech = _compute_degree_table(preset, k)
-    _TABLE_STORE[store_key] = ech
-    if cache_dir is not None:
-        _save_table(cache_dir, preset, k, ech)
+def _degree_table(preset: RelationPreset, k: int, cache_dir, digest) -> SparseEchelon:
+    """Load or build one table absent from the store, and register it there."""
+    ech = _load_table(cache_dir, preset, k, digest) if cache_dir is not None else None
+    if ech is None:
+        ech = _compute_degree_table(preset, k)
+        if cache_dir is not None:
+            _save_table(cache_dir, preset, k, ech, digest)
+    _TABLE_STORE[(preset.key(), k)] = ech
     return ech
 
 
@@ -348,7 +347,17 @@ def _cache_path(cache_dir, preset: RelationPreset, k: int) -> str:
     return os.path.join(str(cache_dir), f"{preset.key()}__deg{k}.basis")
 
 
-def _save_table(cache_dir, preset: RelationPreset, k: int, ech: SparseEchelon):
+def _relations_digest(preset: RelationPreset) -> str:
+    """sha256 of the preset's relation set, so a cache file never outlives a change to it."""
+    # Imported here: hashlib maps OpenSSL, about 4 MB of resident memory that
+    # only a run reading or writing the cache should pay.
+    import hashlib
+
+    texts = sorted(r.text() for r in preset.relations())
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+def _save_table(cache_dir, preset: RelationPreset, k: int, ech: SparseEchelon, digest: str):
     os.makedirs(str(cache_dir), exist_ok=True)
     alph = preset.alphabet
     lines = [
@@ -357,7 +366,10 @@ def _save_table(cache_dir, preset: RelationPreset, k: int, ech: SparseEchelon):
         f"#% degree {k}",
         f"#% alphabet {alph.kind}({alph.n if alph.kind != 'abstract' else ','.join(alph.names)})",
         f"#% rows {ech.rank}",
+        f"#% relations {digest}",
     ]
+    # One row per pivot: "pivot -> replacement", the replacement in the
+    # series grammar.  _read_table accepts exactly this syntax.
     for pivot in sorted(ech.pivots()):
         repl = ech.replacement(pivot)
         series = TruncatedSeries.from_terms(alph, k, repl)
@@ -375,56 +387,139 @@ def _save_table(cache_dir, preset: RelationPreset, k: int, ech: SparseEchelon):
         raise
 
 
-def _load_table(cache_dir, preset: RelationPreset, k: int):
-    """Reload one degree table, or None when absent or stale."""
+class _Rejected(Exception):
+    """A cache file that must be rebuilt; the message says why."""
+
+
+def _load_table(cache_dir, preset: RelationPreset, k: int, digest: str):
+    """Reload one degree table, or None when it must be rebuilt.
+
+    The reason -- missing file, stale header or failed body check -- is
+    logged at DEBUG on the ``braidalg.quotient`` logger.
+    """
     path = _cache_path(cache_dir, preset, k)
-    if not os.path.exists(path):
-        return None
-    alph = preset.alphabet
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0].strip() != f"#% {CACHE_FORMAT}":
-        return None
-    header = {}
-    body = []
-    for line in lines[1:]:
-        if line.startswith("#%"):
-            fields = line[2:].strip().split(None, 1)
-            if len(fields) == 2:
-                header[fields[0]] = fields[1]
-        elif line.strip():
-            body.append(line)
-    if header.get("preset") != preset.key() or header.get("degree") != str(k):
-        return None
-    if header.get("rows") != str(len(body)):
-        return None
     try:
-        ech = SparseEchelon(key=word_key)
-        name_index = {name: g for g, name in enumerate(alph.names)}
-        for line in body:
-            pivot_txt, _, series_txt = line.partition("->")
-            pivot = tuple(name_index[g.strip()] for g in pivot_txt.strip().split("."))
-            if len(pivot) != k or pivot in ech.rows:
-                return None
-            repl = parse_series(series_txt.strip(), alph, k)
-            row = {pivot: Fraction(1)}
-            for word, c in repl.terms():
-                if len(word) != k or word >= pivot:
-                    return None
-                row[word] = -c
-            ech.rows[pivot] = row
-            for col in row:
-                if col != pivot:
-                    ech._occ.setdefault(col, set()).add(pivot)
-        # single-pass reduction needs an inter-reduced table: no stored row
-        # may mention another pivot off-pivot
-        for pivot, row in ech.rows.items():
-            for col in row:
-                if col != pivot and col in ech.rows:
-                    return None
-        return ech
-    except (KeyError, ValueError):
-        return None
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        return _read_table(lines, preset, k, digest)
+    except FileNotFoundError:
+        reason = "missing file"
+    except UnicodeDecodeError:
+        reason = "failed body check: not text"
+    except _Rejected as exc:
+        reason = str(exc)
+    # Imported here: importing logging adds about 10 ms to every run of the
+    # package, and only a rebuild logs.
+    import logging
+
+    logging.getLogger(__name__).debug("rebuilding %s: %s", path, reason)
+    return None
+
+
+def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> SparseEchelon:
+    """Check and parse the lines of a cache file in one pass; raise _Rejected.
+
+    Word names and coefficient texts recur across rows, so each is parsed
+    once per file and its tuple or Fraction shared by every row using it.
+    """
+    if not lines or lines[0] != f"#% {CACHE_FORMAT}":
+        raise _Rejected(f"stale header: format {lines[0] if lines else ''!r}")
+    header = {}
+    start = 1
+    while start < len(lines) and lines[start].startswith("#% "):
+        field, _, value = lines[start][3:].partition(" ")
+        header[field] = value
+        start += 1
+    body = lines[start:]
+    expected = {"preset": preset.key(), "degree": str(k), "rows": str(len(body)), "relations": digest}
+    for field, value in expected.items():
+        if header.get(field) != value:
+            raise _Rejected(f"stale header: {field} {header.get(field)!r}, expected {value!r}")
+
+    index = {name: g for g, name in enumerate(preset.alphabet.names)}
+    words = {}  # word name -> word tuple
+    entries = {}  # negated signed coefficient text -> row entry
+
+    def word_of(name):
+        try:
+            word = tuple(index[g] for g in name.split("."))
+        except KeyError:
+            raise _Rejected(f"failed body check: unknown generator in {name!r}") from None
+        if len(word) != k:
+            raise _Rejected(f"failed body check: {name!r} is not of degree {k}")
+        words[name] = word
+        return word
+
+    def entry_of(key, text):
+        try:
+            c = Fraction(key)
+        except (ValueError, ZeroDivisionError):
+            c = None
+        # _save_table writes each coefficient as str() of a positive Fraction.
+        if not c or str(abs(c)) != text:
+            raise _Rejected(f"failed body check: bad coefficient {text!r}")
+        entries[key] = c
+        return c
+
+    rows = {}
+    occ = {}
+    for line in body:
+        pivot_txt, arrow, repl_txt = line.partition(" -> ")
+        if not arrow:
+            raise _Rejected(f"failed body check: no ' -> ' in {line!r}")
+        pivot = words.get(pivot_txt)
+        if pivot is None:
+            pivot = word_of(pivot_txt)
+        if pivot in rows:
+            raise _Rejected(f"failed body check: duplicate pivot {pivot_txt!r}")
+        row = rows[pivot] = {pivot: ONE}
+        if repl_txt == "0":
+            continue
+        # "-c*w + c*w - c*w": give the first term a sign token of its own,
+        # then read (sign, term) pairs.
+        if repl_txt.startswith("-"):
+            tokens = ("- " + repl_txt[1:]).split(" ")
+        else:
+            tokens = ("+ " + repl_txt).split(" ")
+        if len(tokens) % 2:
+            raise _Rejected(f"failed body check: dangling sign in {line!r}")
+        pairs = iter(tokens)
+        for sign, term in zip(pairs, pairs):
+            coeff_txt, star, name = term.partition("*")
+            if not star:
+                raise _Rejected(f"failed body check: no '*' in term {term!r}")
+            # The row holds pivot - replacement, so each entry is the
+            # term's coefficient negated.
+            if sign == "+":
+                key = "-" + coeff_txt
+            elif sign == "-":
+                key = coeff_txt
+            else:
+                raise _Rejected(f"failed body check: bad sign {sign!r}")
+            c = entries.get(key)
+            if c is None:
+                c = entry_of(key, coeff_txt)
+            word = words.get(name)
+            if word is None:
+                word = word_of(name)
+            if word >= pivot:
+                raise _Rejected(f"failed body check: {name!r} not below pivot {pivot_txt!r}")
+            if word in row:
+                raise _Rejected(f"failed body check: {name!r} repeated in row {pivot_txt!r}")
+            row[word] = c
+            pivots = occ.get(word)
+            if pivots is None:
+                occ[word] = {pivot}
+            else:
+                pivots.add(pivot)
+    # Single-pass reduction needs an inter-reduced table: no stored row may
+    # mention another pivot off-pivot.
+    if not rows.keys().isdisjoint(occ):
+        raise _Rejected("failed body check: a row mentions another pivot")
+    ech = SparseEchelon(key=word_key)
+    ech.rows = rows
+    ech._occ = occ
+    return ech
 
 
 def hilbert_row(preset: RelationPreset, cap: int, cache_dir=None) -> list:

@@ -1,5 +1,8 @@
 import itertools
+import logging
 import os
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -22,7 +25,16 @@ from braidalg import (
     oriented_artin,
     oriented_upper_triangular,
 )
-from braidalg.quotient import _TABLE_STORE, _cache_path
+from braidalg import quotient
+from braidalg.quotient import (
+    _TABLE_STORE,
+    RelationPreset,
+    _cache_path,
+    _compute_degree_table,
+    _load_table,
+    _relations_digest,
+    _save_table,
+)
 
 
 def words_of_degree(alphabet, k):
@@ -299,3 +311,171 @@ class TestDiskCache:
         self._clear_store(preset, 2)
         build_graded_basis(preset, 2, cache_dir=tmp_path)
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+def _clear_store(preset, cap):
+    for k in range(cap + 1):
+        _TABLE_STORE.pop((preset.key(), k), None)
+
+
+def _live(occ):
+    """The column index without the empty sets that back-substitution leaves behind."""
+    return {col: pivots for col, pivots in occ.items() if pivots}
+
+
+class TestCacheLoader:
+    """The v2 cache format: strict row reader, relation digest, rebuild reasons."""
+
+    # The first row of oriented_artin(3)'s degree-2 file.
+    ROW = "v23.v12 -> 1*v12.v13 + 1*v12.v23 - 1*v13.v12"
+
+    @pytest.fixture
+    def preset(self):
+        preset = oriented_artin(3)
+        _clear_store(preset, 2)
+        yield preset
+        _clear_store(preset, 2)
+
+    def _write_and_edit(self, tmp_path, preset, edit):
+        build_graded_basis(preset, 2, cache_dir=tmp_path)
+        path = _cache_path(tmp_path, preset, 2)
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        edit(lines)
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        _clear_store(preset, 2)
+        return path
+
+    @pytest.mark.parametrize("make", [infinitesimal_artin, oriented_artin, oriented_upper_triangular])
+    @pytest.mark.parametrize("n,cap", [(3, 4), (4, 3)])
+    def test_round_trip_equals_fresh_build(self, tmp_path, make, n, cap):
+        preset = make(n)
+        digest = _relations_digest(preset)
+        for k in range(cap + 1):
+            fresh = _compute_degree_table(preset, k)
+            _save_table(tmp_path, preset, k, fresh, digest)
+            loaded = _load_table(tmp_path, preset, k, digest)
+            assert loaded is not None
+            assert loaded.rows == fresh.rows
+            assert loaded._occ == _live(fresh._occ)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param("v23.v12 -> 1*v12.x9 + 1*v12.v23 - 1*v13.v12", id="unknown-generator"),
+            pytest.param("v23.v12 -> 1*v12 + 1*v12.v23 - 1*v13.v12", id="wrong-word-length"),
+            pytest.param("v23.v12 -> 1*v23.v12 + 1*v12.v23 - 1*v13.v12", id="term-not-below-pivot"),
+            pytest.param("v23.v12 -> 0*v12.v13 + 1*v12.v23 - 1*v13.v12", id="zero-coefficient"),
+            pytest.param("v23.v12 -> 1*v12.v13 + 1*v12.v13 - 1*v13.v12", id="repeated-term"),
+            pytest.param("v23.v12 -> 1*v12.v13 ~ 1*v12.v23 - 1*v13.v12", id="bad-sign-token"),
+            pytest.param("v23.v12 -> 1*v12.v13 + 1*v12.v23 -", id="dangling-sign"),
+            pytest.param("v23.v12 -> 1*v12.v13 + 1v12.v23 - 1*v13.v12", id="missing-star"),
+            pytest.param("v23.v12 -> 1.0*v12.v13 + 1*v12.v23 - 1*v13.v12", id="non-canonical-coefficient"),
+            pytest.param("v23.v12 = 1*v12.v13 + 1*v12.v23 - 1*v13.v12", id="missing-arrow"),
+        ],
+    )
+    def test_malformed_row_rejected(self, tmp_path, preset, row):
+        def edit(lines):
+            body = lines.index(self.ROW)
+            lines[body] = row
+
+        self._write_and_edit(tmp_path, preset, edit)
+        assert _load_table(tmp_path, preset, 2, _relations_digest(preset)) is None
+        rebuilt = build_graded_basis(preset, 2, cache_dir=tmp_path)
+        assert rebuilt.dimension(2) == 27
+        assert _load_table(tmp_path, preset, 2, _relations_digest(preset)) is not None
+
+    def test_edited_digest_rebuilt(self, tmp_path, preset):
+        digest = _relations_digest(preset)
+
+        def edit(lines):
+            index = lines.index(f"#% relations {digest}")
+            lines[index] = "#% relations " + "0" * 64
+
+        path = self._write_and_edit(tmp_path, preset, edit)
+        assert _load_table(tmp_path, preset, 2, digest) is None
+        assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
+        assert f"#% relations {digest}" in open(path).read().splitlines()
+
+    def test_version_one_file_rebuilt_and_overwritten(self, tmp_path, preset):
+        def edit(lines):
+            lines[0] = "#% braidalg-basis v1"
+            lines[:] = [line for line in lines if not line.startswith("#% relations")]
+
+        path = self._write_and_edit(tmp_path, preset, edit)
+        assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
+        lines = open(path).read().splitlines()
+        assert lines[0] == "#% braidalg-basis v2"
+        assert f"#% relations {_relations_digest(preset)}" in lines
+
+    def test_changed_relations_not_served_old_table(self, tmp_path, preset, monkeypatch):
+        build_graded_basis(preset, 2, cache_dir=tmp_path)
+        _clear_store(preset, 2)
+        original = RelationPreset.relations
+        monkeypatch.setattr(RelationPreset, "relations", lambda self: original(self)[:-1])
+        # same key(), one relation fewer: degree 2 gains one dimension
+        assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 28
+
+    def test_digest_computed_once_and_only_for_file_access(self, tmp_path, preset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(quotient, "_relations_digest", lambda p: calls.append(p) or _relations_digest(p))
+        build_graded_basis(preset, 2, cache_dir=tmp_path)  # three files written
+        assert len(calls) == 1
+        build_graded_basis(preset, 2, cache_dir=tmp_path)  # store hits, files present
+        build_graded_basis(preset, 2)
+        assert len(calls) == 1
+        _clear_store(preset, 2)
+        build_graded_basis(preset, 2, cache_dir=tmp_path)  # three files read
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "edit,reason",
+        [
+            pytest.param(None, "missing file", id="missing"),
+            pytest.param(lambda lines: lines.__setitem__(2, "#% degree 7"), "stale header: degree", id="stale-header"),
+            pytest.param(
+                lambda lines: lines.__setitem__(-1, lines[-1].replace(" -> ", " => ")),
+                "failed body check",
+                id="failed-body-check",
+            ),
+        ],
+    )
+    def test_rebuild_reason_logged(self, tmp_path, preset, caplog, edit, reason):
+        if edit is None:
+            build_graded_basis(preset, 2, cache_dir=tmp_path)
+            path = _cache_path(tmp_path, preset, 2)
+            os.unlink(path)
+            _clear_store(preset, 2)
+        else:
+            path = self._write_and_edit(tmp_path, preset, edit)
+        with caplog.at_level(logging.DEBUG, logger="braidalg.quotient"):
+            assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
+        messages = [r.getMessage() for r in caplog.records if r.name == "braidalg.quotient"]
+        assert len(messages) == 1
+        assert messages[0].startswith(f"rebuilding {path}: {reason}")
+
+
+class TestPrimitiveSliceThreads:
+    def test_racing_threads_share_one_slice(self):
+        basis = build_graded_basis(oriented_artin(3), 3)  # a fresh basis: no slice built yet
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(i):
+            barrier.wait(timeout=30)
+            results[i] = basis.primitive_slice(3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result is results[0] for result in results)
+        assert basis.primitive_slice(3) is results[0]
