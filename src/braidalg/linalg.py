@@ -1,10 +1,18 @@
-"""Sparse exact row echelon over Fraction, keyed by arbitrary column labels.
+"""Sparse exact row echelon over the rationals, keyed by arbitrary column labels.
 
 The one linear-algebra engine behind quotient bases, primitive-slice
 membership, kernel computations and the associator extension solver.
-Rows are dicts {column: Fraction}; the pivot of a row is its largest
+Rows are dicts {column: coefficient}; the pivot of a row is its largest
 column under the supplied ordering, and the stored table is kept
 inter-reduced so that reduction is a single pass.
+
+Coefficients are exact: ``int`` where a value is an integer, ``Fraction``
+where it is not, and never ``float``.  Every stored row holds its integral
+values as ``int`` and its pivot coefficient as ``1``, so the relation tables,
+which are integral, are built and applied in integer arithmetic.  ``reduce``
+keeps the type of its input: integer vectors reduce to integer vectors
+whenever the rows they meet are integral, and vectors of ``Fraction`` values
+stay ``Fraction``.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ class SparseEchelon:
                 continue
             row = self.rows.get(col)
             if row is None:
-                c2 = out.get(col, ZERO) + c
+                c2 = out.get(col, 0) + c
                 if c2:
                     out[col] = c2
                 else:
@@ -53,7 +61,7 @@ class SparseEchelon:
                 for col2, c2 in row.items():
                     if col2 == col:
                         continue
-                    cv = out.get(col2, ZERO) - c * c2
+                    cv = out.get(col2, 0) - c * c2
                     if cv:
                         out[col2] = cv
                     else:
@@ -67,27 +75,35 @@ class SparseEchelon:
             return None
         pivot = max(rem, key=self.key)
         cp = rem[pivot]
-        row = {col: c / cp for col, c in rem.items()}
+        if cp == 1:
+            row = {col: demote(c) for col, c in rem.items()}
+        elif cp == -1:
+            row = {col: demote(-c) for col, c in rem.items()}
+        else:
+            # Fraction(cp), not cp itself: 1 / int is a float.
+            inv = 1 / Fraction(cp)
+            row = {col: demote(c * inv) for col, c in rem.items()}
         # Back-substitute so existing rows stay free of the new pivot.
-        for q in list(self._occ.get(pivot, ())):
+        occ = self._occ
+        for q in occ.pop(pivot, ()):
             qrow = self.rows[q]
             cq = qrow.pop(pivot)
-            self._occ[pivot].discard(q)
             for col, c in row.items():
                 if col == pivot:
                     continue
-                cv = qrow.get(col, ZERO) - cq * c
+                cv = qrow.get(col, 0) - cq * c
                 if cv:
                     if col not in qrow:
-                        self._occ.setdefault(col, set()).add(q)
-                    qrow[col] = cv
+                        occ.setdefault(col, set()).add(q)
+                    qrow[col] = demote(cv)
                 else:
+                    # Never left empty: col is in the new row, which joins its set below.
                     del qrow[col]
-                    self._occ[col].discard(q)
+                    occ[col].discard(q)
         self.rows[pivot] = row
         for col in row:
             if col != pivot:
-                self._occ.setdefault(col, set()).add(pivot)
+                occ.setdefault(col, set()).add(pivot)
         return pivot
 
     def contains(self, vec: dict) -> bool:
@@ -101,6 +117,13 @@ class SparseEchelon:
 
 def _identity(col):
     return col
+
+
+def demote(c):
+    """The int of an integral Fraction; any other value unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 class _Aux:
@@ -150,7 +173,7 @@ def affine_solve(columns, rhs=None, key=None):
             # Pivot is aux, so every column of the row is aux: a kernel vector.
             coeffs = [ZERO] * nvars
             for col, c in ech.rows[pivot].items():
-                coeffs[col.index] = c
+                coeffs[col.index] = Fraction(c)
             kernel.append(coeffs)
     if rhs is None:
         return None, kernel
@@ -159,5 +182,5 @@ def affine_solve(columns, rhs=None, key=None):
         return None, kernel
     particular = [ZERO] * nvars
     for col, c in rem.items():
-        particular[col.index] = -c
+        particular[col.index] = -Fraction(c)
     return particular, kernel

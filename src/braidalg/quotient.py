@@ -19,14 +19,14 @@ import os
 import tempfile
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, demote
 from .lyndon import lyndon_words, lyndon_bracket
 from .series import (
     Alphabet,
     AlphabetMismatch,
     CapMismatch,
-    ONE,
     TruncatedSeries,
     generator,
     word_key,
@@ -242,7 +242,7 @@ class GradedQuotientBasis:
             raise AlphabetMismatch(f"{s.alphabet!r} vs preset alphabet {self.alphabet!r}")
         if s.cap > self.cap:
             raise CapMismatch(f"series cap {s.cap} exceeds basis cap {self.cap}")
-        slices = tuple(self.table(k).reduce(sl) for k, sl in enumerate(s.slices))
+        slices = tuple(_reduce_rational(self.table(k), sl) for k, sl in enumerate(s.slices))
         return TruncatedSeries(s.alphabet, s.cap, slices)
 
     def equal_mod_relations(self, a: TruncatedSeries, b: TruncatedSeries) -> bool:
@@ -283,9 +283,27 @@ class GradedQuotientBasis:
         return f"GradedQuotientBasis({self.preset.key()}, cap={self.cap})"
 
 
+def _reduce_rational(ech: SparseEchelon, sl: dict) -> dict:
+    """Reduce a slice of rationals in integer arithmetic; the result is in Fraction.
+
+    The slice is scaled by the lcm of its denominators, reduced as an integer
+    vector and divided back, so an integral table does no Fraction arithmetic.
+    """
+    if not sl:
+        return {}
+    denom = lcm(*(c.denominator for c in sl.values()))
+    scaled = {w: c.numerator * (denom // c.denominator) for w, c in sl.items()}
+    return {w: Fraction(c, denom) for w, c in ech.reduce(scaled).items()}
+
+
 # -- construction and registry -------------------------------------------
 
 _TABLE_STORE: dict = {}
+
+# Cache files this process has loaded, written or found current.  A store hit
+# on one of them touches no file; the first store hit on any other checks its
+# header and rewrites the file when it is missing or stale.
+_CACHE_PATHS: set = set()
 
 
 def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> GradedQuotientBasis:
@@ -302,13 +320,19 @@ def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> Grad
     digest = None
     for k in range(cap + 1):
         ech = _TABLE_STORE.get((preset.key(), k))
-        if ech is None or (cache_dir is not None and not os.path.exists(_cache_path(cache_dir, preset, k))):
-            if cache_dir is not None and digest is None:
+        path = None if cache_dir is None else _cache_path(cache_dir, preset, k)
+        if ech is None or (path is not None and path not in _CACHE_PATHS):
+            if path is not None and digest is None:
                 digest = _relations_digest(preset)
             if ech is None:
                 ech = _degree_table(preset, k, cache_dir, digest)
             else:
-                _save_table(cache_dir, preset, k, ech, digest)
+                reason = _stale_reason(path, preset, k, digest)
+                if reason is not None:
+                    _log_debug("rewriting %s: %s", path, reason)
+                    _save_table(cache_dir, preset, k, ech, digest)
+            if path is not None:
+                _CACHE_PATHS.add(path)
         tables[k] = ech
     return GradedQuotientBasis(preset, cap, tables)
 
@@ -329,7 +353,8 @@ def _compute_degree_table(preset: RelationPreset, k: int) -> SparseEchelon:
     rels = preset.relations()
     if k < 2 or not rels:
         return ech
-    rel_slices = [r.slices[2] for r in rels]
+    # The relations are integral: echelonize in int, not Fraction, arithmetic.
+    rel_slices = [{w: demote(c) for w, c in r.slices[2].items()} for r in rels]
     m = preset.alphabet.size
     for a in range(k - 1):
         b = k - 2 - a
@@ -408,19 +433,41 @@ def _load_table(cache_dir, preset: RelationPreset, k: int, digest: str):
         reason = "failed body check: not text"
     except _Rejected as exc:
         reason = str(exc)
-    # Imported here: importing logging adds about 10 ms to every run of the
-    # package, and only a rebuild logs.
-    import logging
-
-    logging.getLogger(__name__).debug("rebuilding %s: %s", path, reason)
+    _log_debug("rebuilding %s: %s", path, reason)
     return None
 
 
-def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> SparseEchelon:
-    """Check and parse the lines of a cache file in one pass; raise _Rejected.
+def _stale_reason(path: str, preset: RelationPreset, k: int, digest: str):
+    """Why the file at path lacks this table's current header, or None if it has it."""
+    try:
+        with open(path) as handle:
+            lines = []
+            for line in handle:
+                if not line.startswith("#% "):
+                    break
+                lines.append(line.rstrip("\n"))
+        _check_header(lines, preset, k, digest)
+    except FileNotFoundError:
+        return "missing file"
+    except UnicodeDecodeError:
+        return "stale header: not text"
+    except _Rejected as exc:
+        return str(exc)
+    return None
 
-    Word names and coefficient texts recur across rows, so each is parsed
-    once per file and its tuple or Fraction shared by every row using it.
+
+def _log_debug(message: str, *args):
+    # Imported here: importing logging adds about 10 ms to every run of the
+    # package, and only a rebuild or a rewrite logs.
+    import logging
+
+    logging.getLogger(__name__).debug(message, *args)
+
+
+def _check_header(lines: list, preset: RelationPreset, k: int, digest: str) -> tuple:
+    """Check the format line and the preset, degree and relations fields; raise _Rejected.
+
+    Returns the fields of the ``#% `` lines and the index of the first line after them.
     """
     if not lines or lines[0] != f"#% {CACHE_FORMAT}":
         raise _Rejected(f"stale header: format {lines[0] if lines else ''!r}")
@@ -430,11 +477,23 @@ def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> Spa
         field, _, value = lines[start][3:].partition(" ")
         header[field] = value
         start += 1
-    body = lines[start:]
-    expected = {"preset": preset.key(), "degree": str(k), "rows": str(len(body)), "relations": digest}
+    expected = {"preset": preset.key(), "degree": str(k), "relations": digest}
     for field, value in expected.items():
         if header.get(field) != value:
             raise _Rejected(f"stale header: {field} {header.get(field)!r}, expected {value!r}")
+    return header, start
+
+
+def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> SparseEchelon:
+    """Check and parse the lines of a cache file in one pass; raise _Rejected.
+
+    Word names and coefficient texts recur across rows, so each is parsed
+    once per file and its tuple, int or Fraction shared by every row using it.
+    """
+    header, start = _check_header(lines, preset, k, digest)
+    body = lines[start:]
+    if header.get("rows") != str(len(body)):
+        raise _Rejected(f"stale header: rows {header.get('rows')!r}, expected {str(len(body))!r}")
 
     index = {name: g for g, name in enumerate(preset.alphabet.names)}
     words = {}  # word name -> word tuple
@@ -458,7 +517,8 @@ def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> Spa
         # _save_table writes each coefficient as str() of a positive Fraction.
         if not c or str(abs(c)) != text:
             raise _Rejected(f"failed body check: bad coefficient {text!r}")
-        entries[key] = c
+        # Integral values as int, as SparseEchelon stores them.
+        c = entries[key] = demote(c)
         return c
 
     rows = {}
@@ -472,7 +532,7 @@ def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> Spa
             pivot = word_of(pivot_txt)
         if pivot in rows:
             raise _Rejected(f"failed body check: duplicate pivot {pivot_txt!r}")
-        row = rows[pivot] = {pivot: ONE}
+        row = rows[pivot] = {pivot: 1}
         if repl_txt == "0":
             continue
         # "-c*w + c*w - c*w": give the first term a sign token of its own,

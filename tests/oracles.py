@@ -134,6 +134,51 @@ def dense_rank(vectors, columns):
     return len(pivots)
 
 
+# -- sparse inter-reduced echelon, every coefficient a Fraction --------------------
+
+
+class FractionEchelon:
+    """Reference sparse echelon: rows {column: Fraction}, pivot = largest column.
+
+    Every value is converted to Fraction on the way in, and every row is
+    scaled by the inverse of its pivot coefficient, so no step depends on
+    which values happen to be integers.
+    """
+
+    def __init__(self, key=None):
+        self.key = key if key is not None else (lambda col: col)
+        self.rows = {}
+
+    def reduce(self, vec):
+        out = {}
+        for col, c in vec.items():
+            c = Fraction(c)
+            row = self.rows.get(col)
+            terms = [(col, c)] if row is None else [(w, -c * r) for w, r in row.items() if w != col]
+            for w, t in terms:
+                out[w] = out.get(w, ZERO) + t
+                if not out[w]:
+                    del out[w]
+        return out
+
+    def add(self, vec):
+        rem = self.reduce(vec)
+        if not rem:
+            return None
+        pivot = max(rem, key=self.key)
+        inv = 1 / rem[pivot]
+        row = {w: c * inv for w, c in rem.items()}
+        for qrow in self.rows.values():
+            cq = qrow.pop(pivot, ZERO)
+            for w, c in row.items():
+                if cq and w != pivot:
+                    qrow[w] = qrow.get(w, ZERO) - cq * c
+                    if not qrow[w]:
+                        del qrow[w]
+        self.rows[pivot] = row
+        return pivot
+
+
 # -- Hilbert series of the chord algebra: product of 1/(1 - j t) ------------------
 
 

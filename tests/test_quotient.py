@@ -318,9 +318,8 @@ def _clear_store(preset, cap):
         _TABLE_STORE.pop((preset.key(), k), None)
 
 
-def _live(occ):
-    """The column index without the empty sets that back-substitution leaves behind."""
-    return {col: pivots for col, pivots in occ.items() if pivots}
+def _types(rows):
+    return {(pivot, col): type(c) for pivot, row in rows.items() for col, c in row.items()}
 
 
 class TestCacheLoader:
@@ -358,7 +357,8 @@ class TestCacheLoader:
             loaded = _load_table(tmp_path, preset, k, digest)
             assert loaded is not None
             assert loaded.rows == fresh.rows
-            assert loaded._occ == _live(fresh._occ)
+            assert _types(loaded.rows) == _types(fresh.rows)
+            assert loaded._occ == fresh._occ
 
     @pytest.mark.parametrize(
         "row",
@@ -454,6 +454,62 @@ class TestCacheLoader:
         messages = [r.getMessage() for r in caplog.records if r.name == "braidalg.quotient"]
         assert len(messages) == 1
         assert messages[0].startswith(f"rebuilding {path}: {reason}")
+
+
+class TestCachePaths:
+    """Store hits touch a cache file at most once per process and path."""
+
+    @pytest.fixture
+    def preset(self):
+        preset = oriented_artin(3)
+        _clear_store(preset, 2)
+        yield preset
+        _clear_store(preset, 2)
+
+    def test_repeated_calls_touch_no_file(self, tmp_path, preset, monkeypatch):
+        build_graded_basis(preset, 2, cache_dir=tmp_path)
+        build_graded_basis(preset, 2, cache_dir=str(tmp_path))
+        calls = []
+        monkeypatch.setattr(quotient.os.path, "exists", lambda *a: calls.append(a))
+        monkeypatch.setattr(quotient.os, "stat", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(quotient, "open", lambda *a, **kw: calls.append(a), raising=False)
+        for _ in range(3):
+            assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
+        assert calls == []
+
+    @pytest.mark.parametrize("stale", ["version-one", "edited-digest", "missing"])
+    def test_first_store_hit_in_new_dir_rewrites_stale_file(self, tmp_path, preset, monkeypatch, stale):
+        build_graded_basis(preset, 2, cache_dir=tmp_path / "first")
+        digest = _relations_digest(preset)
+        second = tmp_path / "second"
+        second.mkdir()
+        for k in range(3):
+            lines = open(_cache_path(tmp_path / "first", preset, k)).read().splitlines()
+            if stale == "version-one":
+                lines = ["#% braidalg-basis v1"] + [line for line in lines[1:] if not line.startswith("#% relations")]
+            elif stale == "edited-digest":
+                lines[lines.index(f"#% relations {digest}")] = "#% relations " + "0" * 64
+            if stale != "missing":
+                with open(_cache_path(second, preset, k), "w") as handle:
+                    handle.write("\n".join(lines) + "\n")
+        computed = []
+        monkeypatch.setattr(quotient, "_compute_degree_table", lambda *a: computed.append(a))
+        build_graded_basis(preset, 2, cache_dir=second)
+        assert computed == []  # every table came from the store
+        for k in range(3):
+            first_text = open(_cache_path(tmp_path / "first", preset, k)).read()
+            assert open(_cache_path(second, preset, k)).read() == first_text
+
+    def test_current_file_in_new_dir_kept(self, tmp_path, preset, monkeypatch):
+        build_graded_basis(preset, 2, cache_dir=tmp_path / "first")
+        (tmp_path / "second").mkdir()
+        for k in range(3):
+            with open(_cache_path(tmp_path / "second", preset, k), "w") as handle:
+                handle.write(open(_cache_path(tmp_path / "first", preset, k)).read())
+        saved = []
+        monkeypatch.setattr(quotient, "_save_table", lambda *a: saved.append(a))
+        build_graded_basis(preset, 2, cache_dir=tmp_path / "second")
+        assert saved == []
 
 
 class TestPrimitiveSliceThreads:
