@@ -29,7 +29,7 @@ from .quotient import (
     oriented_upper_triangular,
     preset_by_name,
 )
-from .sdseries import ContextMismatch, SemidirectSeries, sd_inverse, sd_mul
+from .sdseries import ContextMismatch, SemidirectSeries
 from .words import (
     FreeGroupEndo,
     GroupRingElement,

@@ -242,7 +242,9 @@ class GradedQuotientBasis:
             raise AlphabetMismatch(f"{s.alphabet!r} vs preset alphabet {self.alphabet!r}")
         if s.cap > self.cap:
             raise CapMismatch(f"series cap {s.cap} exceeds basis cap {self.cap}")
-        slices = tuple(_reduce_rational(self.table(k), sl) for k, sl in enumerate(s.slices))
+        slices = tuple(
+            reduce_scaled(self.table(k), *scale_slice(sl)) for k, sl in enumerate(s.slices)
+        )
         return TruncatedSeries(s.alphabet, s.cap, slices)
 
     def equal_mod_relations(self, a: TruncatedSeries, b: TruncatedSeries) -> bool:
@@ -283,17 +285,30 @@ class GradedQuotientBasis:
         return f"GradedQuotientBasis({self.preset.key()}, cap={self.cap})"
 
 
-def _reduce_rational(ech: SparseEchelon, sl: dict) -> dict:
-    """Reduce a slice of rationals in integer arithmetic; the result is in Fraction.
+def scale_slice(sl: dict) -> tuple:
+    """A slice of rationals as ``(den, {word: int})``, den the lcm of its denominators."""
+    if not sl:
+        return 1, {}
+    den = lcm(*(c.denominator for c in sl.values()))
+    return den, {w: c.numerator * (den // c.denominator) for w, c in sl.items()}
 
-    The slice is scaled by the lcm of its denominators, reduced as an integer
-    vector and divided back, so an integral table does no Fraction arithmetic.
+
+def reduce_scaled(ech: SparseEchelon, den: int, sl: dict) -> dict:
+    """Reduce the slice ``{word: c / den}`` given by its integer numerators.
+
+    The reduction runs in integer arithmetic, so an integral table does no
+    Fraction arithmetic; a Fraction is built only for each surviving term.
     """
     if not sl:
         return {}
-    denom = lcm(*(c.denominator for c in sl.values()))
-    scaled = {w: c.numerator * (denom // c.denominator) for w, c in sl.items()}
-    return {w: Fraction(c, denom) for w, c in ech.reduce(scaled).items()}
+    out = {}
+    fractions: dict = {}  # terms of a slice share few distinct values
+    for w, c in ech.reduce(sl).items():
+        f = fractions.get(c)
+        if f is None:
+            f = fractions[c] = Fraction(c, den)
+        out[w] = f
+    return out
 
 
 # -- construction and registry -------------------------------------------

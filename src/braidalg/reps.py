@@ -9,8 +9,10 @@ Three families are evaluated on words:
 * the 3-strand family parametrized by a group-like series Psi normalized in
   degree one, defined on sigma_1 and the fundamental element Delta.
 
-Words are folded through the twisted product in the free algebra and reduced
-to quotient normal form once at the end; the result is identical to reducing
+Each generator image is stored once per (family, n, cap) in scaled-integer
+form (see :mod:`braidalg.sdseries`).  A word is the product of its letters'
+images, folded in integer arithmetic in the free algebra and reduced to
+quotient normal form once at the end; the result is identical to reducing
 eagerly after every product, at a fraction of the cost.
 """
 
@@ -21,12 +23,11 @@ from fractions import Fraction
 
 from .perms import Permutation
 from .quotient import (
-    GradedQuotientBasis,
     build_graded_basis,
     infinitesimal_artin,
     oriented_artin,
 )
-from .sdseries import SemidirectSeries
+from .sdseries import Factor, SemidirectSeries, fold, fold_free
 from .series import (
     CapMismatch,
     ConstantTermError,
@@ -43,31 +44,25 @@ from .words import Token, WeldedWord, WordError, braid_relations, mccool_relatio
 HALF = Fraction(1, 2)
 
 
-def _raw_mul(u: dict, v: dict) -> dict:
-    """Twisted product on raw {permutation: free series} maps."""
-    acc: dict = {}
-    for x, a in u.items():
-        for y, b in v.items():
-            key = x.compose(y)
-            prod = a * b.act(x)
-            cur = acc.get(key)
-            acc[key] = prod if cur is None else cur + prod
-    return {perm: series for perm, series in acc.items() if not series.is_zero()}
-
-
-def _finish(raw: dict, basis: GradedQuotientBasis, cap: int) -> SemidirectSeries:
-    return SemidirectSeries(basis, cap, raw)
-
-
 # -- generator images ----------------------------------------------------------
 
+# (family, n, cap[, parameter series]) -> (alphabet, {token: Factor}).  Each
+# distinct associator adds an entry, so beyond this many the oldest go.
+_IMAGE_CACHE_SIZE = 32
 _IMAGE_CACHE: dict = {}
 
 
+def _cached_images(key, build):
+    entry = _IMAGE_CACHE.get(key)
+    if entry is None:
+        entry = _IMAGE_CACHE[key] = build()
+        for old in list(_IMAGE_CACHE)[:-_IMAGE_CACHE_SIZE]:
+            _IMAGE_CACHE.pop(old, None)
+    return entry
+
+
 def _welded_images(n: int, cap: int):
-    key = ("welded", n, cap)
-    images = _IMAGE_CACHE.get(key)
-    if images is None:
+    def build():
         alph = oriented_artin(n).alphabet
         images = {}
         for i in range(1, n + 1):
@@ -85,19 +80,17 @@ def _welded_images(n: int, cap: int):
             images[Token("sigma", i, 0, -1)] = {
                 si: generator(alph, cap, (i + 1, i)).scale(-1).exp()
             }
-        _IMAGE_CACHE[key] = images
-    return images
+        return alph, {t: Factor(alph, terms) for t, terms in images.items()}
+
+    return _cached_images(("welded", n, cap), build)
 
 
 def eval_welded(w: WeldedWord, cap: int, basis=None, cache_dir=None) -> SemidirectSeries:
     """The representation R_n (x) id evaluated on a welded word."""
     if basis is None:
         basis = build_graded_basis(oriented_artin(w.n), cap, cache_dir)
-    images = _welded_images(w.n, cap)
-    raw = {Permutation.identity(w.n): one(basis.alphabet, cap)}
-    for t in w.letters:
-        raw = _raw_mul(raw, images[t])
-    return _finish(raw, basis, cap)
+    alph, images = _welded_images(w.n, cap)
+    return fold(basis, cap, alph, [images[t] for t in w.letters])
 
 
 def _check_braid_word(w: WeldedWord):
@@ -106,9 +99,7 @@ def _check_braid_word(w: WeldedWord):
 
 
 def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
-    key = ("drinfeld", n, cap, assoc)
-    images = _IMAGE_CACHE.get(key)
-    if images is None:
+    def build():
         if assoc.constant_term != 1:
             raise ConstantTermError("the associator series must have constant term 1")
         if assoc.cap < cap:
@@ -130,10 +121,11 @@ def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
                 # u_i = Phi^-1 exp(t_{i,i+1}/2) (s_i Phi), the series part of
                 # Phi^-1 (exp (x) s_i) Phi.
                 u = phi_xy.inverse() * half_twist * phi_xy.act(si)
-            images[Token("sigma", i, 0, 1)] = {si: u}
-            images[Token("sigma", i, 0, -1)] = {si: u.inverse().act(si)}
-        _IMAGE_CACHE[key] = images
-    return images
+            images[Token("sigma", i, 0, 1)] = Factor(alph, {si: u})
+            images[Token("sigma", i, 0, -1)] = Factor(alph, {si: u.inverse().act(si)})
+        return alph, images
+
+    return _cached_images(("drinfeld", n, cap, assoc), build)
 
 
 def eval_drinfeld(
@@ -143,11 +135,8 @@ def eval_drinfeld(
     _check_braid_word(w)
     if basis is None:
         basis = build_graded_basis(infinitesimal_artin(w.n), cap, cache_dir)
-    images = _drinfeld_images(w.n, cap, assoc)
-    raw = {Permutation.identity(w.n): one(basis.alphabet, cap)}
-    for t in w.letters:
-        raw = _raw_mul(raw, images[t])
-    return _finish(raw, basis, cap)
+    alph, images = _drinfeld_images(w.n, cap, assoc)
+    return fold(basis, cap, alph, [images[t] for t in w.letters])
 
 
 def central_element(cap: int) -> TruncatedSeries:
@@ -171,9 +160,7 @@ def require_normalized_group_like(psi: TruncatedSeries):
 
 
 def _rho3_images(cap: int, psi: TruncatedSeries):
-    key = ("rho3", 3, cap, psi)
-    images = _IMAGE_CACHE.get(key)
-    if images is None:
+    def build():
         require_normalized_group_like(psi)
         if psi.cap < cap:
             raise CapMismatch(f"parameter known to degree {psi.cap} < cap {cap}")
@@ -182,20 +169,22 @@ def _rho3_images(cap: int, psi: TruncatedSeries):
             psi.truncated(cap), generator(alph, cap, (1, 2)), generator(alph, cap, (2, 3))
         )
         s1 = Permutation.transposition(3, 1)
-        rho_s1 = {s1: generator(alph, cap, (1, 2)).scale(HALF).exp()}
-        rho_s1_inv = {s1: generator(alph, cap, (1, 2)).scale(-HALF).exp()}
-        delta = {Permutation.from_one_line("321"): central_element(cap).exp() * phi_t.inverse()}
+        rho_s1 = Factor(alph, {s1: generator(alph, cap, (1, 2)).scale(HALF).exp()})
+        rho_s1_inv = Factor(alph, {s1: generator(alph, cap, (1, 2)).scale(-HALF).exp()})
+        delta = Factor(
+            alph, {Permutation.from_one_line("321"): central_element(cap).exp() * phi_t.inverse()}
+        )
         # sigma_2 = sigma_1^-1 Delta sigma_1^-1 in the two-generator presentation.
-        rho_s2 = _raw_mul(_raw_mul(rho_s1_inv, delta), rho_s1_inv)
-        ((perm2, u2),) = rho_s2.items()
+        ((perm2, u2),) = fold_free(alph, cap, [rho_s1_inv, delta, rho_s1_inv]).items()
         images = {
             Token("sigma", 1, 0, 1): rho_s1,
             Token("sigma", 1, 0, -1): rho_s1_inv,
-            Token("sigma", 2, 0, 1): rho_s2,
-            Token("sigma", 2, 0, -1): {perm2: u2.inverse().act(perm2)},
+            Token("sigma", 2, 0, 1): Factor(alph, {perm2: u2}),
+            Token("sigma", 2, 0, -1): Factor(alph, {perm2: u2.inverse().act(perm2)}),
         }
-        _IMAGE_CACHE[key] = images
-    return images
+        return alph, images
+
+    return _cached_images(("rho3", 3, cap, psi), build)
 
 
 def eval_rho3(
@@ -207,11 +196,8 @@ def eval_rho3(
         raise WordError("the parametrized family lives on 3 strands")
     if basis is None:
         basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
-    images = _rho3_images(cap, psi)
-    raw = {Permutation.identity(3): one(basis.alphabet, cap)}
-    for t in w.letters:
-        raw = _raw_mul(raw, images[t])
-    return _finish(raw, basis, cap)
+    alph, images = _rho3_images(cap, psi)
+    return fold(basis, cap, alph, [images[t] for t in w.letters])
 
 
 def rho3_delta(psi: TruncatedSeries, cap: int, basis=None, cache_dir=None) -> SemidirectSeries:

@@ -144,15 +144,18 @@ class TruncatedSeries:
     """Noncommutative power series truncated at a degree cap.
 
     ``slices[k]`` maps degree-k words to nonzero Fractions.  Do not mutate;
-    use the arithmetic operations, which all return fresh values.
+    use the arithmetic operations, which all return fresh values.  The hash
+    is computed on first use and kept, so a series used as a cache key is
+    hashed once.
     """
 
-    __slots__ = ("alphabet", "cap", "slices")
+    __slots__ = ("alphabet", "cap", "slices", "_hash")
 
     def __init__(self, alphabet: Alphabet, cap: int, slices: tuple):
         self.alphabet = alphabet
         self.cap = cap
         self.slices = slices
+        self._hash = None
 
     # -- construction -------------------------------------------------
 
@@ -411,9 +414,11 @@ class TruncatedSeries:
         )
 
     def __hash__(self):
-        return hash(
-            (self.alphabet, self.cap, tuple(frozenset(sl.items()) for sl in self.slices))
-        )
+        if self._hash is None:
+            self._hash = hash(
+                (self.alphabet, self.cap, tuple(frozenset(sl.items()) for sl in self.slices))
+            )
+        return self._hash
 
     def __repr__(self):
         return f"<series {self.text()} | cap {self.cap} over {self.alphabet!r}>"
@@ -492,7 +497,7 @@ def substitute(f: TruncatedSeries, x: TruncatedSeries, y: TruncatedSeries) -> Tr
 # -- Lie structure -------------------------------------------------------
 
 
-def _bracket_word(word: tuple, letters_first: bool = True) -> dict:
+def _bracket_word(word: tuple) -> dict:
     """Left-normed bracketing [[..[a1,a2],..],ak] of a word, as {word: coeff}."""
     cur = {word[:1]: ONE}
     for g in word[1:]:

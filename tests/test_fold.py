@@ -1,0 +1,281 @@
+"""The scaled-integer fold against an all-Fraction reference fold.
+
+The reference multiplies {permutation: {word: Fraction}} maps with
+``oracles.mini_mul``, relabels strands with its own generator map, and
+reduces once at the end with ``normal_form``.  Generator images are rebuilt
+here from their defining formulas, so only the series arithmetic they use is
+shared with the code under test.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from conftest import ab_commutator, make_rng, psi24, random_series
+from oracles import mini_add, mini_exp, mini_inverse, mini_mul
+
+from braidalg import (
+    AB,
+    Permutation,
+    SemidirectSeries,
+    TruncatedSeries,
+    build_graded_basis,
+    eval_drinfeld,
+    eval_rho3,
+    eval_welded,
+    generator,
+    infinitesimal_artin,
+    one,
+    oriented_artin,
+    substitute,
+    zero,
+)
+from braidalg import reps
+from braidalg.lyndon import lie_basis
+from braidalg.words import WeldedWord, a, s, sigma
+
+HALF = Fraction(1, 2)
+
+
+# -- the reference fold ------------------------------------------------------------
+
+
+def relabel(alph, x, series):
+    """x.series on a {word: coeff} map: v_ij -> v_x(i)x(j), chord pairs sorted."""
+    index = {pair: g for g, pair in enumerate(alph.pairs)}
+    gmap = []
+    for i, j in alph.pairs:
+        pair = (x(i), x(j))
+        if alph.kind == "chord":
+            pair = tuple(sorted(pair))
+        gmap.append(index[pair])
+    return {tuple(gmap[g] for g in w): c for w, c in series.items()}
+
+
+def ref_mul(u, v, alph, cap):
+    out = {}
+    for x, a_x in u.items():
+        for y, b_y in v.items():
+            key = x.compose(y)
+            out[key] = mini_add(out.get(key, {}), mini_mul(a_x, relabel(alph, x, b_y), cap))
+    return {perm: series for perm, series in out.items() if series}
+
+
+def ref_fold(alph, cap, images):
+    acc = {Permutation.identity(alph.n): {(): Fraction(1)}}
+    for image in images:
+        acc = ref_mul(acc, image, alph, cap)
+    return acc
+
+
+def ref_normal_form(basis, cap, raw):
+    terms = {}
+    for perm, series in raw.items():
+        nf = basis.normal_form(TruncatedSeries.from_terms(basis.alphabet, cap, series))
+        if not nf.is_zero():
+            terms[perm] = nf
+    return terms
+
+
+def as_dict(series):
+    return {w: c for sl in series.slices for w, c in sl.items()}
+
+
+def assert_all_fractions(image):
+    for series in image.terms.values():
+        for sl in series.slices:
+            assert all(type(c) is Fraction for c in sl.values()), sl
+
+
+def assert_matches_reference(image, basis, cap, images, letters):
+    want = ref_normal_form(basis, cap, ref_fold(basis.alphabet, cap, [images[t] for t in letters]))
+    assert image.terms == want
+    assert_all_fractions(image)
+
+
+# -- reference generator images ----------------------------------------------------
+
+
+def welded_reference_images(n, cap):
+    alph = oriented_artin(n).alphabet
+    ident = Permutation.identity(n)
+
+    def exp_gen(i, j, sign):
+        return mini_exp({(alph.gen(i, j),): Fraction(sign)}, cap)
+
+    images = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                images[a(i, j)] = {ident: exp_gen(i, j, 1)}
+                images[a(i, j, -1)] = {ident: exp_gen(i, j, -1)}
+    for i in range(1, n):
+        si = Permutation.transposition(n, i)
+        images[s(i)] = {si: {(): Fraction(1)}}
+        images[sigma(i)] = {si: exp_gen(i, i + 1, 1)}
+        images[sigma(i, -1)] = {si: exp_gen(i + 1, i, -1)}
+    return images
+
+
+def drinfeld_reference_images(n, cap, assoc):
+    alph = infinitesimal_artin(n).alphabet
+    images = {}
+    for i in range(1, n):
+        si = Permutation.transposition(n, i)
+        half_twist = mini_exp({(alph.gen(i, i + 1),): HALF}, cap)
+        if i == 1:
+            u = half_twist
+        else:
+            x = sum((generator(alph, cap, (j, i)) for j in range(1, i)), zero(alph, cap))
+            y = generator(alph, cap, (i, i + 1))
+            phi = as_dict(substitute(assoc.truncated(cap), x, y))
+            u = mini_mul(mini_inverse(phi, cap), half_twist, cap)
+            u = mini_mul(u, relabel(alph, si, phi), cap)
+        images[sigma(i)] = {si: u}
+        images[sigma(i, -1)] = {si: relabel(alph, si, mini_inverse(u, cap))}
+    return images
+
+
+def rho3_reference_images(cap, psi):
+    alph = infinitesimal_artin(3).alphabet
+    t12, t23 = generator(alph, cap, (1, 2)), generator(alph, cap, (2, 3))
+    phi_t = as_dict(substitute(psi.truncated(cap), t12, t23))
+    central = {(alph.gen(*pair),): HALF for pair in ((1, 2), (1, 3), (2, 3))}
+    s1 = Permutation.transposition(3, 1)
+    rho_s1 = {s1: mini_exp({(alph.gen(1, 2),): HALF}, cap)}
+    rho_s1_inv = {s1: mini_exp({(alph.gen(1, 2),): -HALF}, cap)}
+    delta = {
+        Permutation.from_one_line("321"): mini_mul(
+            mini_exp(central, cap), mini_inverse(phi_t, cap), cap
+        )
+    }
+    # sigma_2 = sigma_1^-1 Delta sigma_1^-1
+    ((perm2, u2),) = ref_mul(ref_mul(rho_s1_inv, delta, alph, cap), rho_s1_inv, alph, cap).items()
+    return {
+        sigma(1): rho_s1,
+        sigma(1, -1): rho_s1_inv,
+        sigma(2): {perm2: u2},
+        sigma(2, -1): {perm2: relabel(alph, perm2, mini_inverse(u2, cap))},
+    }
+
+
+# -- random inputs ---------------------------------------------------------------------
+
+
+def random_welded_letters(rng, n, length):
+    """Letters with many s(i) and inverses."""
+    letters = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.35:
+            letters.append(s(rng.randrange(1, n)))
+        elif roll < 0.7:
+            i, j = rng.sample(range(1, n + 1), 2)
+            letters.append(a(i, j, rng.choice((1, -1))))
+        else:
+            letters.append(sigma(rng.randrange(1, n), rng.choice((1, -1))))
+    return tuple(letters)
+
+
+def random_braid_letters(rng, n, length):
+    return tuple(sigma(rng.randrange(1, n), rng.choice((1, -1))) for _ in range(length))
+
+
+def random_group_like(rng, cap):
+    """exp of a random Lie element of degrees 2..cap over {A, B}: normalized group-like."""
+    lie = TruncatedSeries.from_terms(AB, cap, {})
+    for degree in range(2, cap + 1):
+        for _, bracket in lie_basis(AB, cap, degree):
+            c = Fraction(rng.choice((-7, -3, -1, 1, 2, 5, 11)), rng.choice((7, 11, 13, 36)))
+            lie = lie + bracket.scale(c)
+    return lie.exp()
+
+
+# -- tests ---------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, cap", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
+def test_welded_fold_matches_reference(n, cap):
+    rng = make_rng(1000 * n + cap)
+    basis = build_graded_basis(oriented_artin(n), cap)
+    images = welded_reference_images(n, cap)
+    samples = [()] + [random_welded_letters(rng, n, rng.randint(1, 9)) for _ in range(20)]
+    for letters in samples:
+        image = eval_welded(WeldedWord(n, letters), cap, basis)
+        assert_matches_reference(image, basis, cap, images, letters)
+
+
+@pytest.mark.parametrize("n, cap", [(3, 4), (3, 5), (4, 3)])
+def test_drinfeld_fold_matches_reference(n, cap):
+    rng = make_rng(2000 * n + cap)
+    basis = build_graded_basis(infinitesimal_artin(n), cap)
+    for assoc in (psi24(cap), random_group_like(rng, cap)):
+        images = drinfeld_reference_images(n, cap, assoc)
+        samples = [()] + [random_braid_letters(rng, n, rng.randint(1, 6)) for _ in range(5)]
+        for letters in samples:
+            image = eval_drinfeld(WeldedWord(n, letters), assoc, cap, basis)
+            assert_matches_reference(image, basis, cap, images, letters)
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5])
+def test_rho3_fold_matches_reference(cap):
+    rng = make_rng(3000 + cap)
+    basis = build_graded_basis(infinitesimal_artin(3), cap)
+    for psi in (psi24(cap), random_group_like(rng, cap)):
+        images = rho3_reference_images(cap, psi)
+        samples = [()] + [random_braid_letters(rng, 3, rng.randint(1, 6)) for _ in range(5)]
+        for letters in samples:
+            image = eval_rho3(WeldedWord(3, letters), psi, cap, basis)
+            assert_matches_reference(image, basis, cap, images, letters)
+
+
+def test_random_group_like_has_nontrivial_denominators():
+    series = random_group_like(make_rng(7), 4)
+    assert any(c.denominator % p == 0 for _, c in series.terms() for p in (7, 11, 13))
+
+
+@pytest.mark.parametrize("kind", ["oriented", "chord"])
+def test_semidirect_product_matches_reference(kind):
+    rng = make_rng(4000 + len(kind))
+    cap = 3
+    preset = oriented_artin(3) if kind == "oriented" else infinitesimal_artin(3)
+    basis = build_graded_basis(preset, cap)
+    alph = basis.alphabet
+    perms = [Permutation.from_one_line(p) for p in ("123", "213", "231", "321")]
+
+    def random_element():
+        chosen = rng.sample(perms, 3)
+        terms = {perm: random_series(rng, alph, cap, nterms=5, denom=9) for perm in chosen}
+        return SemidirectSeries(basis, cap, terms)
+
+    for _ in range(6):
+        u, v = random_element(), random_element()
+        # The reference multiplies the normal forms, as the product does.
+        raw_u = {perm: as_dict(series) for perm, series in u.terms.items()}
+        raw_v = {perm: as_dict(series) for perm, series in v.terms.items()}
+        product = u * v
+        assert product.terms == ref_normal_form(basis, cap, ref_mul(raw_u, raw_v, alph, cap))
+        assert_all_fractions(product)
+
+
+def test_image_cache_is_bounded():
+    cache, size = reps._IMAGE_CACHE, reps._IMAGE_CACHE_SIZE
+    w = WeldedWord(3, (sigma(2), sigma(1, -1)))
+    assocs = [ab_commutator(2).scale(Fraction(1, k)).exp() for k in range(1, size + 6)]
+    for assoc in assocs:
+        eval_drinfeld(w, assoc, 2)
+        assert len(cache) <= size
+    assert ("drinfeld", 3, 2, assocs[-1]) in cache
+    assert ("drinfeld", 3, 2, assocs[0]) not in cache
+    # An evicted image set is rebuilt on demand and gives the same value.
+    basis = build_graded_basis(infinitesimal_artin(3), 2)
+    images = drinfeld_reference_images(3, 2, assocs[0])
+    assert_matches_reference(eval_drinfeld(w, assocs[0], 2), basis, 2, images, w.letters)
+
+
+def test_series_hash_is_computed_once():
+    assoc = psi24(4)
+    eval_drinfeld(WeldedWord(3, (sigma(1),)), assoc, 4)
+    assert assoc._hash is not None
+    assert assoc._hash == hash(psi24(4))
+    assert hash(one(AB, 4)) != hash(assoc)

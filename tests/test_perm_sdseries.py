@@ -14,8 +14,6 @@ from braidalg import (
     one,
     oriented_artin,
     perm_from_transposition_word,
-    sd_inverse,
-    sd_mul,
 )
 
 HALF = Fraction(1, 2)
@@ -139,25 +137,25 @@ class TestInverse:
         cap = 3
         alph = oriented3.alphabet
         u = sd(oriented3, generator(alph, cap, "v12").exp(), "123")
-        assert sd_inverse(u) == sd(oriented3, generator(alph, cap, "v12").scale(-1).exp(), "123")
+        assert u.inverse() == sd(oriented3, generator(alph, cap, "v12").scale(-1).exp(), "123")
 
     def test_transposition_inverse(self, oriented3):
         u = sd(oriented3, one(oriented3.alphabet, 3), "213")
-        assert sd_inverse(u) == u
+        assert u.inverse() == u
 
     def test_twisted_inverse(self, chord3):
         cap = 3
         alph = chord3.alphabet
         u = sd(chord3, generator(alph, cap, "t12").scale(HALF).exp(), "213")
-        inv = sd_inverse(u)
+        inv = u.inverse()
         assert inv == sd(chord3, generator(alph, cap, "t12").scale(-HALF).exp(), "213")
-        assert sd_mul(u, inv) == SemidirectSeries.unit(chord3, cap)
-        assert sd_mul(inv, u) == SemidirectSeries.unit(chord3, cap)
+        assert u * inv == SemidirectSeries.unit(chord3, cap)
+        assert inv * u == SemidirectSeries.unit(chord3, cap)
 
     def test_multi_term_rejected(self, oriented3):
         u = SemidirectSeries.unit(oriented3, 3) + sd(oriented3, one(oriented3.alphabet, 3), "213")
         with pytest.raises(ContextMismatch):
-            sd_inverse(u)
+            u.inverse()
 
 
 class TestProjectionAndOrder:
