@@ -12,6 +12,10 @@ The axioms are transcribed once, here, and nowhere else:
 with Phi_t = Phi(t12, t23); (H1) and (H3) live in the 3-strand chord algebra,
 (P) in the 4-strand one.  Sign conventions for hexagons differ across the
 literature; everything downstream derives from the five lines above.
+
+Semi-associators are built by :func:`extension_steps`, the one extension
+loop (a degree at a time, with one degree of lookback); the bootstrap and the
+CLI's ``extend-associator`` both run it.
 """
 
 from __future__ import annotations
@@ -219,21 +223,28 @@ def extend_semi_associator(phi: TruncatedSeries, cache_dir=None) -> ExtensionSte
                 f"candidate fails ({axiom}) at degree {result.first_failure_degree}"
             )
     degree = d + 1
-    basis3 = build_graded_basis(infinitesimal_artin(3), degree, cache_dir)
     # Group-like lift: zero-pad the logarithm, not the series, so the new
     # degree-(d+1) slice of the candidate is exp(phi)'s before correction.
     lifted = phi.log().lifted(degree).exp()
     basis = lie_basis(AB, degree, degree)
-    base_res = _residual_labels(lifted, degree, basis3)
-    columns = [
-        _label_delta(_residual_labels(lifted + bracket.lifted(degree), degree, basis3), base_res)
-        for _, bracket in basis
-    ]
-    rhs = {label: -c for label, c in base_res.items()}
-    particular, kernel = affine_solve(columns, rhs, key=_label_key)
+    particular, kernel = _solve_top_degree(
+        lifted, (lifted + bracket.lifted(degree) for _, bracket in basis), degree, cache_dir
+    )
     if particular is None:
         raise AssociatorError(f"no Lie correction exists at degree {degree}")
     return ExtensionStep(degree, [w for w, _ in basis], particular, kernel, phi)
+
+
+def _solve_top_degree(base: TruncatedSeries, candidates, degree: int, cache_dir=None):
+    """Solve for the coordinates that cancel base's top-degree AS and H3 residual.
+
+    Column i is that residual's change from base to candidates[i].
+    """
+    basis3 = build_graded_basis(infinitesimal_artin(3), degree, cache_dir)
+    r0 = _residual_labels(base, degree, basis3)
+    columns = [_label_delta(_residual_labels(c, degree, basis3), r0) for c in candidates]
+    rhs = {label: -c for label, c in r0.items()}
+    return affine_solve(columns, rhs, key=_label_key)
 
 
 def _residual_labels(candidate: TruncatedSeries, degree: int, basis3) -> dict:
@@ -269,18 +280,11 @@ def _revised_coordinates(prev: ExtensionStep, cache_dir=None):
     over (previous kernel, next Lie correction) finds a continuable choice.
     """
     degree = prev.degree + 1
-    basis3 = build_graded_basis(infinitesimal_artin(3), degree, cache_dir)
     base_log = prev.base.log().lifted(degree) + prev.correction().lifted(degree)
     base = base_log.exp()
-    r0 = _residual_labels(base, degree, basis3)
-    columns = []
-    for kvec in prev.kernel:
-        cand = (base_log + prev.correction(kvec).lifted(degree)).exp()
-        columns.append(_label_delta(_residual_labels(cand, degree, basis3), r0))
-    for _, bracket in lie_basis(AB, degree, degree):
-        columns.append(_label_delta(_residual_labels(base + bracket, degree, basis3), r0))
-    rhs = {label: -c for label, c in r0.items()}
-    solution, _ = affine_solve(columns, rhs, key=_label_key)
+    candidates = [(base_log + prev.correction(kvec).lifted(degree)).exp() for kvec in prev.kernel]
+    candidates += [base + bracket for _, bracket in lie_basis(AB, degree, degree)]
+    solution, _ = _solve_top_degree(base, candidates, degree, cache_dir)
     if solution is None:
         raise AssociatorError(
             f"no degree-{prev.degree} choice continues to degree {degree} "
@@ -293,24 +297,35 @@ def _revised_coordinates(prev: ExtensionStep, cache_dir=None):
     ]
 
 
-def bootstrap_semi_associator(to_degree: int, cache_dir=None) -> TruncatedSeries:
-    """Particular semi-associator built from 1 by repeated extension.
+def extension_steps(phi: TruncatedSeries, to_degree: int, cache_dir=None):
+    """Extend phi degree by degree to to_degree, with one degree of lookback.
 
-    When the greedy particular solution at some degree turns out not to
-    extend, the previous degree is re-solved jointly with the new one.
+    Yields ``(step, extended, revised)`` per new degree: the ExtensionStep,
+    its particular solution ``step.extended()``, and whether the previous
+    degree's choice was first revised within its solution set because the
+    greedy one did not extend (Bar-Natan's degree-by-degree method).
     """
-    phi = one(AB, 1)
     prev = None
     while phi.cap < to_degree:
+        revised = False
         try:
             step = extend_semi_associator(phi, cache_dir)
         except AssociatorError:
             if prev is None:
                 raise
             phi = prev.extended(_revised_coordinates(prev, cache_dir))
+            revised = True
             step = extend_semi_associator(phi, cache_dir)
         phi = step.extended()
+        yield step, phi, revised
         prev = step
+
+
+def bootstrap_semi_associator(to_degree: int, cache_dir=None) -> TruncatedSeries:
+    """Particular semi-associator built from 1 by :func:`extension_steps`."""
+    phi = one(AB, 1)
+    for _step, phi, _revised in extension_steps(phi, to_degree, cache_dir):
+        pass
     return phi
 
 

@@ -22,19 +22,24 @@ from .series import TruncatedSeries, parse_series
 from .words import GroupRingElement, parse_word
 
 
-def _common_flags(parser):
-    parser.add_argument("--n", type=int, default=3, help="strand count (default 3)")
-    parser.add_argument("--cap", type=int, default=3, help="truncation degree (default 3)")
-    parser.add_argument(
-        "--preset",
-        choices=PRESET_KINDS,
-        default="oriented_artin",
-        help="relation preset for quotient commands",
-    )
+def _flags(parser, n=True, cap=True, preset=False, series=False):
+    """The shared flags a subcommand reads; every subcommand has --cache-dir and --format."""
+    if n:
+        parser.add_argument("--n", type=int, default=3, help="strand count (default 3)")
+    if cap:
+        parser.add_argument("--cap", type=int, default=3, help="truncation degree (default 3)")
+    if preset:
+        parser.add_argument(
+            "--preset",
+            choices=PRESET_KINDS,
+            default="oriented_artin",
+            help="relation preset for quotient commands",
+        )
+    if series:
+        parser.add_argument("--series", help="series in the text grammar")
+        parser.add_argument("--in", dest="infile", help="file holding the series")
     parser.add_argument("--cache-dir", default=None, help="directory for persisted bases")
-    parser.add_argument(
-        "--format", choices=("text", "structured"), default="text", dest="format_"
-    )
+    parser.add_argument("--format", choices=("text", "structured"), default="text", dest="format_")
 
 
 def _emit(args, command, inputs, degrees, values, text_lines):
@@ -59,34 +64,29 @@ def _sd_values(image: SemidirectSeries) -> list:
     return out
 
 
-def _read_series_arg(args, cap) -> TruncatedSeries:
-    if getattr(args, "series", None):
-        text = args.series
-    elif getattr(args, "infile", None):
-        text = _read_series_file(args.infile)
-    else:
-        raise SystemExit("need --series or --in")
-    alphabet = preset_by_name(args.preset, args.n).alphabet
-    return parse_series(text, alphabet, cap)
+# First line of the files extend-associator writes, followed by their degree.
+_DEGREE_HEADER = "# semi-associator to degree "
 
 
-def _read_series_file(path) -> str:
-    with open(path) as handle:
-        lines = [line for line in handle if not line.lstrip().startswith("#")]
-    return " ".join(line.strip() for line in lines if line.strip())
+def _read_series(alphabet, cap, text=None, path=None) -> TruncatedSeries:
+    """The series given as text or in a file, known to max(cap, its longest word).
 
-
-def _read_assoc(args, cap) -> TruncatedSeries:
-    if getattr(args, "assoc", None):
-        text = _read_series_file(args.assoc)
-        return parse_series(text, assoc_mod.AB, max(cap, _assoc_degree_hint(text, cap)))
-    return assoc_mod.bootstrap_semi_associator(cap)
-
-
-def _assoc_degree_hint(text, cap):
-    # A series file may hold terms above the working cap; parse generously.
-    longest = max((chunk.count(".") + 1 for chunk in text.split("*")[1:]), default=0)
-    return max(cap, longest)
+    A file that starts with the degree header is known to the degree it names,
+    and is never lifted above it: commands that need more fail.  Other ``#``
+    lines are comments.
+    """
+    if text is None:
+        if path is None:
+            raise SystemExit("need --series or --in")
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        text = " ".join(
+            line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")
+        )
+        if lines and lines[0].startswith(_DEGREE_HEADER):
+            return parse_series(text, alphabet, int(lines[0][len(_DEGREE_HEADER):]))
+    series = parse_series(text, alphabet)
+    return series.lifted(max(cap, series.cap))
 
 
 def cmd_dim(args):
@@ -106,7 +106,7 @@ def cmd_dim(args):
 def cmd_normal_form(args):
     preset = preset_by_name(args.preset, args.n)
     basis = build_graded_basis(preset, args.cap, args.cache_dir)
-    series = _read_series_arg(args, args.cap)
+    series = _read_series(preset.alphabet, args.cap, args.series, args.infile)
     nf = basis.normal_form(series)
     degrees = sorted(k for k in range(args.cap + 1) if nf.slices[k])
     _emit(
@@ -123,10 +123,13 @@ def cmd_eval(args):
     w = parse_word(args.word, args.n)
     if args.family == "welded":
         image = reps_mod.eval_welded(w, args.cap, cache_dir=args.cache_dir)
-    elif args.family == "drinfeld":
-        image = reps_mod.eval_drinfeld(w, _read_assoc(args, args.cap), args.cap, cache_dir=args.cache_dir)
     else:
-        image = reps_mod.eval_rho3(w, _read_assoc(args, args.cap), args.cap, cache_dir=args.cache_dir)
+        if args.assoc:
+            assoc = _read_series(assoc_mod.AB, args.cap, path=args.assoc)
+        else:
+            assoc = assoc_mod.bootstrap_semi_associator(args.cap)
+        family = reps_mod.eval_drinfeld if args.family == "drinfeld" else reps_mod.eval_rho3
+        image = family(w, assoc, args.cap, cache_dir=args.cache_dir)
     degrees = sorted({k for t in image.terms.values() for k in range(args.cap + 1) if t.slices[k]})
     _emit(
         args,
@@ -139,10 +142,7 @@ def cmd_eval(args):
 
 
 def cmd_check_associator(args):
-    phi_text = _read_series_file(args.infile) if args.infile else args.series
-    if phi_text is None:
-        raise SystemExit("need --series or --in")
-    phi = parse_series(phi_text, assoc_mod.AB, max(args.cap, _assoc_degree_hint(phi_text, args.cap)))
+    phi = _read_series(assoc_mod.AB, args.cap, args.series, args.infile)
     axioms = [ax.strip() for ax in args.axioms.split(",") if ax.strip()]
     values = {}
     lines = []
@@ -168,28 +168,18 @@ def cmd_check_associator(args):
 
 
 def cmd_extend_associator(args):
-    phi_text = _read_series_file(args.from_file)
-    phi = parse_series(phi_text, assoc_mod.AB, _assoc_degree_hint(phi_text, 1))
+    phi = _read_series(assoc_mod.AB, 1, path=args.from_file)
     kernel_dims = {}
     lines = []
-    prev = None
-    while phi.cap < args.to_degree:
-        try:
-            step = assoc_mod.extend_semi_associator(phi, args.cache_dir)
-        except assoc_mod.AssociatorError:
-            if prev is None:
-                raise
-            phi = prev.extended(assoc_mod._revised_coordinates(prev, args.cache_dir))
-            lines.append(f"degree {prev.degree}: revised within the solution set")
-            step = assoc_mod.extend_semi_associator(phi, args.cache_dir)
+    for step, phi, revised in assoc_mod.extension_steps(phi, args.to_degree, args.cache_dir):
+        if revised:
+            lines.append(f"degree {step.degree - 1}: revised within the solution set")
         kernel_dims[step.degree] = step.kernel_dimension
         lines.append(
             f"degree {step.degree}: solution found, kernel dimension {step.kernel_dimension}"
         )
-        phi = step.extended()
-        prev = step
     with open(args.out, "w") as handle:
-        handle.write(f"# semi-associator to degree {phi.cap}\n")
+        handle.write(f"{_DEGREE_HEADER}{phi.cap}\n")
         handle.write(phi.text() + "\n")
     lines.append(f"wrote {args.out}")
     _emit(
@@ -203,10 +193,7 @@ def cmd_extend_associator(args):
 
 
 def cmd_check_yb(args):
-    psi_text = _read_series_file(args.infile) if args.infile else args.series
-    if psi_text is None:
-        raise SystemExit("need --series or --in")
-    psi = parse_series(psi_text, assoc_mod.AB, max(args.cap, _assoc_degree_hint(psi_text, args.cap)))
+    psi = _read_series(assoc_mod.AB, args.cap, args.series, args.infile)
     result = assoc_mod.check_yang_baxter(psi, args.cap, args.cache_dir)
     status = "pass" if result.passed else f"FAIL at degree {result.first_failure_degree}"
     _emit(
@@ -334,17 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dim", help="graded dimensions of a quotient preset")
-    _common_flags(p)
+    _flags(p, preset=True)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("normal-form", help="canonical representative in a quotient")
-    _common_flags(p)
-    p.add_argument("--series", help="series in the text grammar")
-    p.add_argument("--in", dest="infile", help="file holding the series")
+    _flags(p, preset=True, series=True)
     p.set_defaults(func=cmd_normal_form)
 
     p = sub.add_parser("eval", help="evaluate a representation on a word")
-    _common_flags(p)
+    _flags(p)
     p.add_argument("--family", choices=("welded", "drinfeld", "rho3"), required=True)
     p.add_argument("--word", required=True, help="word in the token grammar")
     p.add_argument(
@@ -355,49 +340,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check-associator", help="test the semi-associator axioms")
-    _common_flags(p)
+    _flags(p, n=False, series=True)
     p.add_argument("--axioms", default="AE,AS,H1,H3,P")
-    p.add_argument("--series")
-    p.add_argument("--in", dest="infile")
     p.set_defaults(func=cmd_check_associator)
 
     p = sub.add_parser("extend-associator", help="extend a semi-associator degree by degree")
-    _common_flags(p)
+    _flags(p, n=False, cap=False)
     p.add_argument("--from", dest="from_file", required=True)
     p.add_argument("--to-degree", dest="to_degree", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extend_associator)
 
     p = sub.add_parser("check-yb", help="Yang-Baxter test for the 3-strand family")
-    _common_flags(p)
-    p.add_argument("--series")
-    p.add_argument("--in", dest="infile")
+    _flags(p, n=False, series=True)
     p.set_defaults(func=cmd_check_yb)
 
     p = sub.add_parser("distinguish", help="separate welded words by truncated invariants")
-    _common_flags(p)
+    _flags(p)
     p.add_argument("--w1", required=True)
     p.add_argument("--w2", required=True)
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("vassiliev-degree", help="filtration order of a group-ring element")
-    _common_flags(p)
+    _flags(p)
     p.add_argument("--element", required=True, help="group-ring grammar, e.g. '1*[sig1] - 1*[s1]'")
     p.set_defaults(func=cmd_vassiliev_degree)
 
     p = sub.add_parser("delta-kernel", help="kernel of the chord-to-oriented comparison map")
-    _common_flags(p)
+    _flags(p)
     p.add_argument(
         "--force", action="store_true", help="run even when a slice exceeds the word limit"
     )
     p.set_defaults(func=cmd_delta_kernel)
 
     p = sub.add_parser("hilbert-table", help="dimension table, chord vs oriented")
-    _common_flags(p)
+    _flags(p)
     p.set_defaults(func=cmd_hilbert_table)
 
     p = sub.add_parser("check-splitting", help="permutation factors preserve vanishing order")
-    _common_flags(p)
+    _flags(p)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check_splitting)

@@ -69,14 +69,6 @@ class Permutation:
         return f"Permutation({self.images!r})"
 
 
-def perm_compose(pi: Permutation, tau: Permutation) -> Permutation:
-    return pi.compose(tau)
-
-
-def perm_inverse(pi: Permutation) -> Permutation:
-    return pi.inverse()
-
-
 def perm_from_transposition_word(n: int, indices) -> Permutation:
     """Product s_{i_1} s_{i_2} ... as a composition; the rightmost factor acts first."""
     out = Permutation.identity(n)

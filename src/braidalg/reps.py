@@ -181,6 +181,7 @@ def _rho3_images(cap: int, psi: TruncatedSeries):
             Token("sigma", 1, 0, -1): rho_s1_inv,
             Token("sigma", 2, 0, 1): Factor(alph, {perm2: u2}),
             Token("sigma", 2, 0, -1): Factor(alph, {perm2: u2.inverse().act(perm2)}),
+            "Delta": delta,  # not a letter: the factor rho3_delta folds
         }
         return alph, images
 
@@ -204,15 +205,8 @@ def rho3_delta(psi: TruncatedSeries, cap: int, basis=None, cache_dir=None) -> Se
     """Image of the fundamental element Delta = sigma_1 sigma_2 sigma_1."""
     if basis is None:
         basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
-    require_normalized_group_like(psi)
-    if psi.cap < cap:
-        raise CapMismatch(f"parameter known to degree {psi.cap} < cap {cap}")
-    alph = basis.alphabet
-    phi_t = substitute(
-        psi.truncated(cap), generator(alph, cap, (1, 2)), generator(alph, cap, (2, 3))
-    )
-    series = central_element(cap).exp() * phi_t.inverse()
-    return SemidirectSeries.term(basis, cap, series, Permutation.from_one_line("321"))
+    alph, images = _rho3_images(cap, psi)
+    return fold(basis, cap, alph, [images["Delta"]])
 
 
 # -- family axioms ---------------------------------------------------------------

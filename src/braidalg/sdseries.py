@@ -29,6 +29,7 @@ from .series import (
     TruncatedSeries,
     generator,
     one,
+    parse_series,
     substitute_generators,
     zero,
 )
@@ -229,7 +230,7 @@ class SemidirectSeries:
             body = body.strip()
             if body.startswith("(") and body.endswith(")"):
                 body = body[1:-1]
-            series = TruncatedSeries.parse(body, basis.alphabet, cap)
+            series = parse_series(body, basis.alphabet, cap)
             perm = Permutation.from_one_line(perm_txt.strip())
             cur = terms.get(perm)
             terms[perm] = series if cur is None else cur + series

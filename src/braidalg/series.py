@@ -204,9 +204,6 @@ class TruncatedSeries:
                 return k
         return None
 
-    def support_size(self) -> int:
-        return sum(len(sl) for sl in self.slices)
-
     def terms(self):
         """Yield (word, coefficient) pairs in deglex order."""
         for sl in self.slices:
@@ -398,10 +395,6 @@ class TruncatedSeries:
             out += f" {sign} {body}"
         return out
 
-    @staticmethod
-    def parse(text: str, alphabet: Alphabet, cap: int) -> "TruncatedSeries":
-        return parse_series(text, alphabet, cap)
-
     # -- equality -------------------------------------------------------
 
     def __eq__(self, other):
@@ -559,14 +552,15 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_series(text: str, alphabet: Alphabet, cap: int) -> TruncatedSeries:
+def parse_series(text: str, alphabet: Alphabet, cap: int | None = None) -> TruncatedSeries:
     """Parse the series grammar: ``term (+- term)*``, term = rational ["*" word].
 
     Words are generator names joined by ".".  Inverse of :meth:`TruncatedSeries.text`.
+    Without a cap, the cap is the length of the longest word.
     """
     stripped = text.strip()
     if stripped in ("", "0"):
-        return zero(alphabet, cap)
+        return zero(alphabet, cap or 0)
     terms = []
     pos = 0
     first = True
@@ -587,9 +581,11 @@ def parse_series(text: str, alphabet: Alphabet, cap: int) -> TruncatedSeries:
                 word = tuple(alphabet.index_of(g.strip()) for g in word_txt.split("."))
             except KeyError as exc:
                 raise SeriesError(str(exc)) from None
-        if len(word) > cap:
+        if cap is not None and len(word) > cap:
             raise SeriesError(f"word {word_txt!r} exceeds cap {cap}")
         terms.append((word, coeff))
         pos = m.end()
         first = False
+    if cap is None:
+        cap = max(len(word) for word, _ in terms)
     return TruncatedSeries.from_terms(alphabet, cap, terms)

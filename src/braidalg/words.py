@@ -97,10 +97,6 @@ class WeldedWord:
     def text(self) -> str:
         return " ".join(t.text() for t in self.letters) if self.letters else ""
 
-    @staticmethod
-    def parse(text: str, n: int) -> "WeldedWord":
-        return parse_word(text, n)
-
     def __repr__(self):
         return f"WeldedWord({self.n}, '{self.text()}')"
 

@@ -14,6 +14,7 @@ from braidalg import (
     check_yang_baxter,
     eval_rho3,
     extend_semi_associator,
+    extension_steps,
     generator,
     infinitesimal_artin,
     is_semi_associator,
@@ -134,6 +135,26 @@ class TestExtension:
         step5 = extend_semi_associator(revised)
         assert step5.degree == 5
         assert is_semi_associator(step5.extended(), 5)
+
+    def test_extension_steps_revise_once_on_the_way_to_five(self, semi_associator_deg5):
+        steps = list(extension_steps(one(AB, 1), 5))
+        assert [(s.degree, s.kernel_dimension, revised) for s, _, revised in steps] == [
+            (2, 0, False),
+            (3, 1, False),
+            (4, 1, False),
+            (5, 2, True),
+        ]
+        for step, extended, _ in steps:
+            assert extended == step.extended()
+        assert steps[-1][1] == semi_associator_deg5
+        # the revised degree-4 choice is the base of the degree-5 step
+        assert steps[-1][0].base != steps[2][1]
+        assert steps[-1][0].base.truncated(3) == steps[1][1]
+
+    def test_extension_steps_stop_at_the_target(self):
+        assert list(extension_steps(psi24(3), 3)) == []
+        with pytest.raises(AssociatorError, match=r"\(H3\) at degree 2"):
+            next(extension_steps(one(AB, 2), 3))
 
     def test_bootstrap_to_degree_five(self, semi_associator_deg5):
         assert semi_associator_deg5.cap == 5

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from braidalg import AB, CapMismatch, bootstrap_semi_associator, eval_drinfeld, parse_word
 from braidalg.cli import main
+from braidalg.series import parse_series
 
 
 def run(capsys, *argv):
@@ -162,6 +164,81 @@ class TestAssociatorCommands:
         assert obj["values"]["passed"] is False
         assert obj["values"]["first_failure_degree"] == 2
 
+    def test_extend_revises_dead_end(self, capsys, tmp_path):
+        # the greedy degree-4 choice does not extend; the loop revises it
+        src = tmp_path / "one.txt"
+        src.write_text("1\n")
+        argv = ["extend-associator", "--from", str(src), "--to-degree", "5"]
+        code, out = run(capsys, *argv, "--out", str(tmp_path / "text.txt"))
+        assert code == 0
+        assert out.splitlines() == [
+            "degree 2: solution found, kernel dimension 0",
+            "degree 3: solution found, kernel dimension 1",
+            "degree 4: solution found, kernel dimension 1",
+            "degree 4: revised within the solution set",
+            "degree 5: solution found, kernel dimension 2",
+            f"wrote {tmp_path / 'text.txt'}",
+        ]
+        obj = run_json(capsys, *argv, "--out", str(tmp_path / "structured.txt"))
+        assert obj["degrees"] == [2, 3, 4, 5]
+        assert obj["values"] == {"2": 0, "3": 1, "4": 1, "5": 2}
+
+    def test_extend_file_is_the_bootstrap(self, capsys, tmp_path):
+        src = tmp_path / "one.txt"
+        src.write_text("1\n")
+        out_path = tmp_path / "phi6.txt"
+        code, _ = run(
+            capsys, "extend-associator", "--from", str(src), "--to-degree", "6", "--out", str(out_path)
+        )
+        assert code == 0
+        header, body = out_path.read_text().splitlines()
+        assert header == "# semi-associator to degree 6"
+        assert body == bootstrap_semi_associator(6).text()
+
+
+class TestDegreeHeader:
+    """A file extend-associator writes is known to its header's degree, no further."""
+
+    @pytest.fixture
+    def phi3(self, capsys, tmp_path):
+        src = tmp_path / "one.txt"
+        src.write_text("1\n")
+        path = tmp_path / "phi3.txt"
+        code, _ = run(
+            capsys, "extend-associator", "--from", str(src), "--to-degree", "3", "--out", str(path)
+        )
+        assert code == 0
+        # the degree-3 part is zero, so the longest word has degree 2
+        assert path.read_text() == "# semi-associator to degree 3\n1 + 1/24*A.B - 1/24*B.A\n"
+        return str(path)
+
+    def fails(self, capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        return captured.err
+
+    def test_eval_beyond_header_degree_fails(self, capsys, phi3):
+        argv = ["eval", "--family", "drinfeld", "--n", "3", "--cap", "5", "--word", "sig2"]
+        err = self.fails(capsys, *argv, "--assoc", phi3)
+        assert "associator known to degree 3 < cap 5" in err
+        phi = parse_series("1 + 1/24*A.B - 1/24*B.A", AB, 3)
+        with pytest.raises(CapMismatch, match="known to degree 3 < cap 5"):
+            eval_drinfeld(parse_word("sig2", 3), phi, 5)
+
+    def test_check_yb_beyond_header_degree_fails(self, capsys, phi3):
+        err = self.fails(capsys, "check-yb", "--cap", "5", "--in", phi3)
+        assert "parameter known to degree 3 < cap 5" in err
+        code, out = run(capsys, "check-yb", "--cap", "3", "--in", phi3)
+        assert code == 0 and "yang-baxter: pass" in out
+
+    def test_check_associator_beyond_header_degree_fails(self, capsys, phi3):
+        err = self.fails(capsys, "check-associator", "--cap", "5", "--in", phi3)
+        assert "series known to degree 3 < requested cap 5" in err
+        obj = run_json(capsys, "check-associator", "--cap", "3", "--axioms", "AE,AS,H3", "--in", phi3)
+        assert all(v["passed"] for v in obj["values"].values())
+
 
 class TestInvariantCommands:
     def test_distinguish(self, capsys):
@@ -228,3 +305,20 @@ class TestInfrastructure:
     def test_missing_input_exits(self, capsys):
         with pytest.raises(SystemExit):
             main(["normal-form", "--n", "3", "--cap", "2"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--family", "welded", "--word", "a12", "--preset", "infinitesimal_artin"],
+            ["distinguish", "--w1", "a12", "--w2", "a21", "--preset", "oriented_artin"],
+            ["check-yb", "--series", "1", "--n", "3"],
+            ["check-associator", "--series", "1", "--n", "3"],
+            ["extend-associator", "--from", "one.txt", "--to-degree", "2", "--out", "x", "--cap", "3"],
+            ["extend-associator", "--from", "one.txt", "--to-degree", "2", "--out", "x", "--n", "3"],
+        ],
+    )
+    def test_flag_a_subcommand_does_not_read_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

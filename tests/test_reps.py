@@ -24,6 +24,7 @@ from braidalg import (
     pure_braid_generator,
     random_welded_word,
     rho3_delta,
+    substitute,
     words_equal_in_bp,
 )
 from braidalg.lyndon import lie_basis
@@ -176,6 +177,20 @@ class TestRho3Evaluation:
         basis = build_graded_basis(infinitesimal_artin(3), cap)
         lhs = eval_rho3(parse_word("sig2 sig1 sig2", 3), psi24(cap), cap, basis)
         assert lhs == rho3_delta(psi24(cap), cap, basis)
+
+    @pytest.mark.parametrize("cap", [2, 4])
+    def test_delta_is_exp_t_times_inverse_parameter(self, cap):
+        # Delta -> exp(T) Psi(t12, t23)^-1 (x) 321, written out here from the formula
+        basis = build_graded_basis(infinitesimal_artin(3), cap)
+        t12 = generator(basis.alphabet, cap, "t12")
+        t23 = generator(basis.alphabet, cap, "t23")
+        brackets = [b for _, b in lie_basis(AB, cap, 3)] if cap >= 3 else []
+        log_psi = ab_commutator(cap).scale(Fraction(-3, 7))
+        for b, c in zip(brackets, (Fraction(5, 11), Fraction(1, 13))):
+            log_psi = log_psi + b.scale(c)
+        for psi in (psi24(cap), log_psi.exp()):
+            expected = central_element(cap).exp() * substitute(psi, t12, t23).inverse()
+            assert rho3_delta(psi, cap, basis) == sd(basis, expected, "321")
 
     def test_wrong_strand_count(self):
         with pytest.raises(WordError):
