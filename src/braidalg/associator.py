@@ -52,6 +52,10 @@ class AssociatorError(SeriesError):
     pass
 
 
+class NoCorrectionError(AssociatorError):
+    """The candidate meets the hypotheses, but no Lie correction extends it."""
+
+
 @dataclass
 class AxiomResult:
     axiom: str
@@ -231,7 +235,7 @@ def extend_semi_associator(phi: TruncatedSeries, cache_dir=None) -> ExtensionSte
         lifted, (lifted + bracket.lifted(degree) for _, bracket in basis), degree, cache_dir
     )
     if particular is None:
-        raise AssociatorError(f"no Lie correction exists at degree {degree}")
+        raise NoCorrectionError(f"no Lie correction exists at degree {degree}")
     return ExtensionStep(degree, [w for w, _ in basis], particular, kernel, phi)
 
 
@@ -303,16 +307,21 @@ def extension_steps(phi: TruncatedSeries, to_degree: int, cache_dir=None):
     Yields ``(step, extended, revised)`` per new degree: the ExtensionStep,
     its particular solution ``step.extended()``, and whether the previous
     degree's choice was first revised within its solution set because the
-    greedy one did not extend (Bar-Natan's degree-by-degree method).
+    greedy one did not extend (Bar-Natan's degree-by-degree method).  When
+    phi itself does not extend, its degree's solution set is rebuilt from
+    ``phi.truncated(phi.cap - 1)`` and revised the same way; a phi that
+    fails a hypothesis raises.
     """
     prev = None
     while phi.cap < to_degree:
         revised = False
         try:
             step = extend_semi_associator(phi, cache_dir)
-        except AssociatorError:
+        except NoCorrectionError:
             if prev is None:
-                raise
+                # phi is one point of its top degree's solution set, e.g. read
+                # from a file; rebuild that set from the degree below.
+                prev = extend_semi_associator(phi.truncated(phi.cap - 1), cache_dir)
             phi = prev.extended(_revised_coordinates(prev, cache_dir))
             revised = True
             step = extend_semi_associator(phi, cache_dir)

@@ -23,8 +23,8 @@ from .quotient import (
     infinitesimal_artin,
     oriented_artin,
 )
-from .reps import eval_welded
-from .sdseries import SemidirectSeries
+from .reps import welded_images
+from .sdseries import SemidirectSeries, fold
 from .series import TruncatedSeries, generator, substitute_generators, word_key
 from .words import (
     GroupRingElement,
@@ -38,13 +38,12 @@ from .words import (
 
 
 def eval_group_ring(xi: GroupRingElement, cap: int, basis=None, cache_dir=None) -> SemidirectSeries:
-    """Linear extension of the welded representation to the group ring."""
+    """Linear extension of the welded representation to the group ring, reduced once."""
     if basis is None:
         basis = build_graded_basis(oriented_artin(xi.n), cap, cache_dir)
-    out = SemidirectSeries.zero(basis, cap)
-    for w, c in xi.terms.items():
-        out = out + eval_welded(w, cap, basis).scale(c)
-    return out
+    alph, images = welded_images(xi.n, cap)
+    terms = [(c, [images[t] for t in w.letters]) for w, c in xi.terms.items()]
+    return fold(basis, cap, alph, terms)
 
 
 @dataclass
@@ -83,7 +82,8 @@ def distinguish(w1: WeldedWord, w2: WeldedWord, cap: int, cache_dir=None) -> Dis
     if w1.n != w2.n:
         raise WordError(f"strand mismatch: {w1.n} vs {w2.n}")
     basis = build_graded_basis(oriented_artin(w1.n), cap, cache_dir)
-    diff = eval_welded(w1, cap, basis) - eval_welded(w2, cap, basis)
+    xi = GroupRingElement.from_word(w1) - GroupRingElement.from_word(w2)
+    diff = eval_group_ring(xi, cap, basis)
     return DistinguishReport(cap, diff.min_degree(), words_equal_in_bp(w1, w2))
 
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import os
 import tempfile
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from itertools import combinations, product
 
 from .linalg import SparseEchelon, demote
 from .lyndon import lyndon_words, lyndon_bracket
@@ -29,6 +28,8 @@ from .series import (
     CapMismatch,
     TruncatedSeries,
     generator,
+    to_scaled,
+    unscale_slice,
     word_key,
 )
 
@@ -80,7 +81,7 @@ class RelationPreset:
                             continue
                         rels.append(comm(g(i, j), g(i, k) + g(j, k)))
             # [t_ij, t_kl] for disjoint unordered pairs, each pair-of-pairs once.
-            for i, j, k, l in _disjoint_pairs_once(self.n):
+            for (i, j), (k, l) in _disjoint_pairs(alph):
                 rels.append(comm(g(i, j), g(k, l)))
         elif self.kind in ("oriented_artin", "oriented_upper_triangular"):
             upper = self.kind == "oriented_upper_triangular"
@@ -105,7 +106,7 @@ class RelationPreset:
                             continue
                         rels.append(comm(g(i, j), g(i, k) + g(j, k)))
             # (III) [v_ij, v_kl] over disjoint ordered pairs, each pair-of-pairs once.
-            for i, j, k, l in _disjoint_ordered_pairs_once(self.n):
+            for (i, j), (k, l) in _disjoint_pairs(alph):
                 if upper and not (i > j and k > l):
                     continue
                 rels.append(comm(g(i, j), g(k, l)))
@@ -128,36 +129,9 @@ class RelationPreset:
         return f"RelationPreset({self.key()})"
 
 
-def _disjoint_pairs_once(n):
-    seen = set()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(k + 1, n + 1):
-                    if {i, j} & {k, l}:
-                        continue
-                    sig = frozenset((frozenset((i, j)), frozenset((k, l))))
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                    yield i, j, k, l
-
-
-def _disjoint_ordered_pairs_once(n):
-    seen = set()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if k == l or {i, j} & {k, l}:
-                        continue
-                    sig = frozenset(((i, j), (k, l)))
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                    yield i, j, k, l
+def _disjoint_pairs(alphabet: Alphabet) -> list:
+    """Generator label pairs on disjoint strands, each pair-of-pairs once, in label order."""
+    return [(p, q) for p, q in combinations(alphabet.pairs, 2) if not set(p) & set(q)]
 
 
 def infinitesimal_artin(n: int) -> RelationPreset:
@@ -242,8 +216,9 @@ class GradedQuotientBasis:
             raise AlphabetMismatch(f"{s.alphabet!r} vs preset alphabet {self.alphabet!r}")
         if s.cap > self.cap:
             raise CapMismatch(f"series cap {s.cap} exceeds basis cap {self.cap}")
+        # Reduced in integers; a Fraction is built only per surviving term.
         slices = tuple(
-            reduce_scaled(self.table(k), *scale_slice(sl)) for k, sl in enumerate(s.slices)
+            unscale_slice(den, self.table(k).reduce(sl)) for k, (den, sl) in enumerate(to_scaled(s))
         )
         return TruncatedSeries(s.alphabet, s.cap, slices)
 
@@ -283,32 +258,6 @@ class GradedQuotientBasis:
 
     def __repr__(self):
         return f"GradedQuotientBasis({self.preset.key()}, cap={self.cap})"
-
-
-def scale_slice(sl: dict) -> tuple:
-    """A slice of rationals as ``(den, {word: int})``, den the lcm of its denominators."""
-    if not sl:
-        return 1, {}
-    den = lcm(*(c.denominator for c in sl.values()))
-    return den, {w: c.numerator * (den // c.denominator) for w, c in sl.items()}
-
-
-def reduce_scaled(ech: SparseEchelon, den: int, sl: dict) -> dict:
-    """Reduce the slice ``{word: c / den}`` given by its integer numerators.
-
-    The reduction runs in integer arithmetic, so an integral table does no
-    Fraction arithmetic; a Fraction is built only for each surviving term.
-    """
-    if not sl:
-        return {}
-    out = {}
-    fractions: dict = {}  # terms of a slice share few distinct values
-    for w, c in ech.reduce(sl).items():
-        f = fractions.get(c)
-        if f is None:
-            f = fractions[c] = Fraction(c, den)
-        out[w] = f
-    return out
 
 
 # -- construction and registry -------------------------------------------
@@ -365,8 +314,8 @@ def _degree_table(preset: RelationPreset, k: int, cache_dir, digest) -> SparseEc
 
 def _compute_degree_table(preset: RelationPreset, k: int) -> SparseEchelon:
     ech = SparseEchelon(key=word_key)
-    rels = preset.relations()
-    if k < 2 or not rels:
+    rels = preset.relations() if k >= 2 else []
+    if not rels:
         return ech
     # The relations are integral: echelonize in int, not Fraction, arithmetic.
     rel_slices = [{w: demote(c) for w, c in r.slices[2].items()} for r in rels]

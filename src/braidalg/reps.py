@@ -10,10 +10,11 @@ Three families are evaluated on words:
   degree one, defined on sigma_1 and the fundamental element Delta.
 
 Each generator image is stored once per (family, n, cap) in scaled-integer
-form (see :mod:`braidalg.sdseries`).  A word is the product of its letters'
+form (see :mod:`braidalg.series`).  A word is the product of its letters'
 images, folded in integer arithmetic in the free algebra and reduced to
-quotient normal form once at the end; the result is identical to reducing
-eagerly after every product, at a fraction of the cost.
+quotient normal form once at the end (:func:`braidalg.sdseries.fold`); the
+result is identical to reducing eagerly after every product, at a fraction
+of the cost.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ def _cached_images(key, build):
     return entry
 
 
-def _welded_images(n: int, cap: int):
+def welded_images(n: int, cap: int):
+    """(alphabet, {token: Factor}): the welded family's letter images on n strands."""
+
     def build():
         alph = oriented_artin(n).alphabet
         images = {}
@@ -89,8 +92,8 @@ def eval_welded(w: WeldedWord, cap: int, basis=None, cache_dir=None) -> Semidire
     """The representation R_n (x) id evaluated on a welded word."""
     if basis is None:
         basis = build_graded_basis(oriented_artin(w.n), cap, cache_dir)
-    alph, images = _welded_images(w.n, cap)
-    return fold(basis, cap, alph, [images[t] for t in w.letters])
+    alph, images = welded_images(w.n, cap)
+    return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
 
 
 def _check_braid_word(w: WeldedWord):
@@ -136,7 +139,7 @@ def eval_drinfeld(
     if basis is None:
         basis = build_graded_basis(infinitesimal_artin(w.n), cap, cache_dir)
     alph, images = _drinfeld_images(w.n, cap, assoc)
-    return fold(basis, cap, alph, [images[t] for t in w.letters])
+    return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
 
 
 def central_element(cap: int) -> TruncatedSeries:
@@ -198,7 +201,7 @@ def eval_rho3(
     if basis is None:
         basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
     alph, images = _rho3_images(cap, psi)
-    return fold(basis, cap, alph, [images[t] for t in w.letters])
+    return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
 
 
 def rho3_delta(psi: TruncatedSeries, cap: int, basis=None, cache_dir=None) -> SemidirectSeries:
@@ -206,7 +209,7 @@ def rho3_delta(psi: TruncatedSeries, cap: int, basis=None, cache_dir=None) -> Se
     if basis is None:
         basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
     alph, images = _rho3_images(cap, psi)
-    return fold(basis, cap, alph, [images["Delta"]])
+    return fold(basis, cap, alph, [(1, [images["Delta"]])])
 
 
 # -- family axioms ---------------------------------------------------------------

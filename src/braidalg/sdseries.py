@@ -5,32 +5,37 @@ Elements are finitely supported maps pi -> series with the twisted product
 are kept in quotient normal form eagerly after every product, so equality
 is plain component-wise comparison.
 
-Products are computed in scaled integers: a series is held as one
-``(den, {word: int})`` pair per degree, standing for ``{word: c / den}``.
-The twisted product of such maps runs in integer arithmetic, skips unit
-components, and divides each degree by the gcd of its denominator and
-numerators, so denominators stay small.  :func:`fold` multiplies a sequence
-of :class:`Factor` values this way in the free algebra and reduces the
-integer slices to normal form once at the end; a ``Fraction`` is built only
-for a surviving normal-form term.  ``SemidirectSeries.__mul__`` is the same
-product of two elements; the representations in :mod:`braidalg.reps` fold
-words through :func:`fold`.
+Products run in the scaled-integer kernel of :mod:`braidalg.series`: each
+component is held as one ``(den, {word: int})`` pair per degree.  The twisted
+product skips unit components.  :func:`fold` takes a linear combination of
+products of :class:`Factor` values, folds every product in the free algebra,
+sums the terms in integers and reduces the sum to normal form once at the
+end; a ``Fraction`` is built only for a surviving normal-form term.
+``SemidirectSeries.__mul__`` is the same product of two elements; the
+representations in :mod:`braidalg.reps` and the group-ring evaluation in
+:mod:`braidalg.invariants` go through :func:`fold`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .perms import Permutation
-from .quotient import GradedQuotientBasis, reduce_scaled, scale_slice
+from .quotient import GradedQuotientBasis
 from .series import (
     AlphabetMismatch,
     TruncatedSeries,
+    from_scaled,
     generator,
     one,
     parse_series,
+    scaled_add,
+    scaled_mul,
+    scaled_one,
+    scaled_times,
     substitute_generators,
+    to_scaled,
+    unscale_slice,
     zero,
 )
 
@@ -133,7 +138,7 @@ class SemidirectSeries:
             return NotImplemented
         self._check_context(other)
         alph = self.basis.alphabet
-        acc = {x: _scaled(a) for x, a in self.terms.items()}
+        acc = {x: to_scaled(a) for x, a in self.terms.items()}
         raw = _twisted_mul(acc, Factor(alph, other.terms), self.cap)
         return _normalized(self.basis, self.cap, alph, raw)
 
@@ -252,68 +257,6 @@ class SemidirectSeries:
 # -- the twisted product in scaled integers ---------------------------------------
 
 
-def _scaled(series: TruncatedSeries) -> tuple:
-    return tuple(scale_slice(sl) for sl in series.slices)
-
-
-def _unscaled(alphabet, cap: int, scaled: tuple) -> TruncatedSeries:
-    slices = tuple({w: Fraction(c, den) for w, c in sl.items()} for den, sl in scaled)
-    return TruncatedSeries(alphabet, cap, slices)
-
-
-def _is_unit(scaled: tuple) -> bool:
-    return scaled[0] == (1, {(): 1}) and not any(sl for _, sl in scaled[1:])
-
-
-def _lowest_terms(den: int, sl: dict) -> tuple:
-    """Drop zero terms and divide out gcd(den, *numerators)."""
-    sl = {w: c for w, c in sl.items() if c}
-    g = gcd(den, *sl.values())
-    if g != 1:
-        den //= g
-        sl = {w: c // g for w, c in sl.items()}
-    return den, sl
-
-
-def _scaled_mul(a: tuple, b: tuple, cap: int) -> tuple:
-    """a * b in the free algebra; each degree over the lcm of its den_a * den_b."""
-    out = []
-    for d in range(cap + 1):
-        pairs = [(a[i], b[d - i]) for i in range(d + 1) if a[i][1] and b[d - i][1]]
-        if not pairs:
-            out.append((1, {}))
-            continue
-        den = lcm(*(da * db for (da, _), (db, _) in pairs))
-        tgt: dict = {}
-        get = tgt.get
-        for (da, sa), (db, sb) in pairs:
-            m = den // (da * db)
-            for v, cv in sb.items():
-                cv *= m
-                for u, cu in sa.items():
-                    w = u + v
-                    tgt[w] = get(w, 0) + cu * cv
-        out.append(_lowest_terms(den, tgt))
-    return tuple(out)
-
-
-def _scaled_add(a: tuple, b: tuple) -> tuple:
-    out = []
-    for (da, sa), (db, sb) in zip(a, b):
-        if not sb:
-            out.append((da, sa))
-        elif not sa:
-            out.append((db, sb))
-        else:
-            den = lcm(da, db)
-            ma, mb = den // da, den // db
-            sl = {w: c * ma for w, c in sa.items()}
-            for w, c in sb.items():
-                sl[w] = sl.get(w, 0) + c * mb
-            out.append(_lowest_terms(den, sl))
-    return tuple(out)
-
-
 class Factor:
     """A semidirect element {pi: series} in scaled form, for repeated products.
 
@@ -326,7 +269,7 @@ class Factor:
 
     def __init__(self, alphabet, terms: dict):
         self.alphabet = alphabet
-        self.terms = {perm: _scaled(series) for perm, series in terms.items()}
+        self.terms = {perm: to_scaled(series) for perm, series in terms.items()}
         self._acted: dict = {}
 
     def acted(self, x: Permutation) -> list:
@@ -336,7 +279,7 @@ class Factor:
             gmap = [alph.permuted(g, x) for g in range(alph.size)]
             out = []
             for y, b in self.terms.items():
-                xb = None if _is_unit(b) else tuple(
+                xb = None if b == scaled_one(len(b) - 1) else tuple(
                     (den, {tuple([gmap[g] for g in w]): c for w, c in sl.items()}) for den, sl in b
                 )
                 out.append((x.compose(y), xb))
@@ -350,32 +293,38 @@ def _twisted_mul(acc: dict, factor: Factor, cap: int) -> dict:
     out: dict = {}
     for x, a in acc.items():
         for key, xb in factor.acted(x):
-            prod = a if xb is None else _scaled_mul(a, xb, cap)
+            prod = a if xb is None else scaled_mul(a, xb, cap)
             cur = out.get(key)
-            out[key] = prod if cur is None else _scaled_add(cur, prod)
+            out[key] = prod if cur is None else scaled_add(cur, prod)
     return {perm: s for perm, s in out.items() if any(sl for _, sl in s)}
 
 
-def _fold_scaled(alphabet, cap: int, factors) -> dict:
-    acc = {Permutation.identity(alphabet.n): ((1, {(): 1}),) + ((1, {}),) * cap}
+def _fold_scaled(alphabet, cap: int, factors, c=1) -> dict:
+    """c times the product of the factors in the free algebra, as {pi: scaled series}."""
+    acc = {Permutation.identity(alphabet.n): scaled_times(scaled_one(cap), c)}
     for factor in factors:
         acc = _twisted_mul(acc, factor, cap)
     return acc
 
 
-def fold(basis: GradedQuotientBasis, cap: int, alphabet, factors) -> SemidirectSeries:
-    """The product of the factors, left to right, reduced to normal form once at the end.
+def fold(basis: GradedQuotientBasis, cap: int, alphabet, combination) -> SemidirectSeries:
+    """sum c * (product of factors, left to right) over ``[(c, factors), ...]``, reduced once.
 
-    Reducing once equals reducing after every factor: the relation ideal is
-    two-sided and stable under relabelling strands.
+    Reducing once at the end equals reducing after every factor and every
+    term: the relation ideal is two-sided and stable under relabelling
+    strands, and normal form is linear.
     """
-    return _normalized(basis, cap, alphabet, _fold_scaled(alphabet, cap, factors))
+    total: dict = {}
+    for c, factors in combination:
+        for perm, scaled in _fold_scaled(alphabet, cap, factors, c).items():
+            total[perm] = scaled_add(total[perm], scaled) if perm in total else scaled
+    return _normalized(basis, cap, alphabet, total)
 
 
 def fold_free(alphabet, cap: int, factors) -> dict:
     """The product of the factors in the free algebra, as {pi: series}."""
     return {
-        perm: _unscaled(alphabet, cap, scaled)
+        perm: from_scaled(alphabet, cap, scaled)
         for perm, scaled in _fold_scaled(alphabet, cap, factors).items()
     }
 
@@ -391,7 +340,9 @@ def _normalized(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict) -> Se
             raise ContextMismatch(f"permutation size {perm.n} vs n={target.n}")
         if alphabet != target:
             raise AlphabetMismatch(f"{alphabet!r} vs preset alphabet {target!r}")
-        slices = tuple(reduce_scaled(basis.table(k), den, sl) for k, (den, sl) in enumerate(scaled))
+        slices = tuple(
+            unscale_slice(den, basis.table(k).reduce(sl)) for k, (den, sl) in enumerate(scaled)
+        )
         if any(slices):
             terms[perm] = TruncatedSeries(alphabet, cap, slices)
     return SemidirectSeries(basis, cap, terms, _normalized=True)

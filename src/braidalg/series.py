@@ -6,6 +6,14 @@ representations) is built from these series.  A series lives over a fixed
 ``fractions.Fraction`` coefficients keyed by words (tuples of generator
 indices), sliced per degree for fast truncated multiplication.
 
+Products run in the scaled-integer kernel at the end of this module: a
+series is held as one ``(den, {word: int})`` pair per degree, standing for
+``{word: c / den}``, and multiplied, added and scaled in integer arithmetic.
+``*``, ``exp``, ``log``, ``inverse`` and :func:`substitute_generators`
+convert their inputs once, work in integers and build a ``Fraction`` only
+per result term; :mod:`braidalg.quotient` and :mod:`braidalg.sdseries` use
+the same kernel for reduction and the semidirect fold.
+
 Values are immutable after construction and every operation is pure, so
 series can be shared freely between concurrent workers.
 """
@@ -14,6 +22,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import starmap
+from math import factorial, gcd, lcm
 
 from .perms import Permutation
 
@@ -278,25 +288,8 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compat(other)
-        cap = self.cap
-        out = [dict() for _ in range(cap + 1)]
-        for d1, s1 in enumerate(self.slices):
-            if not s1:
-                continue
-            for d2 in range(cap - d1 + 1):
-                s2 = other.slices[d2]
-                if not s2:
-                    continue
-                tgt = out[d1 + d2]
-                for u, cu in s1.items():
-                    for v, cv in s2.items():
-                        w = u + v
-                        c = tgt.get(w, ZERO) + cu * cv
-                        if c:
-                            tgt[w] = c
-                        else:
-                            del tgt[w]
-        return TruncatedSeries(self.alphabet, cap, tuple(out))
+        product = scaled_mul(to_scaled(self), to_scaled(other), self.cap)
+        return from_scaled(self.alphabet, self.cap, product)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -317,46 +310,33 @@ class TruncatedSeries:
         """exp of a series with zero constant term, truncated at the cap."""
         if self.constant_term:
             raise ConstantTermError("exp requires a zero constant term")
-        result = one(self.alphabet, self.cap)
-        power = result
-        kfact = 1
-        for k in range(1, self.cap + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            kfact *= k
-            result = result + power.scale(Fraction(1, kfact))
-        return result
+        return self._power_series([Fraction(1, factorial(k)) for k in range(self.cap + 1)])
 
     def log(self) -> "TruncatedSeries":
         """log of a series with constant term 1; inverse of exp at the cap."""
         if self.constant_term != 1:
             raise ConstantTermError("log requires constant term 1")
-        h = self - one(self.alphabet, self.cap)
-        result = zero(self.alphabet, self.cap)
-        power = one(self.alphabet, self.cap)
-        for k in range(1, self.cap + 1):
-            power = power * h
-            if power.is_zero():
-                break
-            result = result + power.scale(Fraction((-1) ** (k + 1), k))
-        return result
+        coefficients = [ZERO] + [Fraction((-1) ** (k + 1), k) for k in range(1, self.cap + 1)]
+        return self._power_series(coefficients)
 
     def inverse(self) -> "TruncatedSeries":
         """Two-sided multiplicative inverse; constant term must be nonzero."""
         c = self.constant_term
         if not c:
             raise ConstantTermError("inverse requires a nonzero constant term")
-        h = self.scale(1 / c) - one(self.alphabet, self.cap)
-        result = one(self.alphabet, self.cap)
-        power = result
-        for _ in range(self.cap):
-            power = power * h
-            if power.is_zero():
-                break
-            result = result + power.scale(-1)
-            power = power.scale(-1)
-        return result.scale(1 / c)
+        # (c (1 + h))^-1 = sum_k (-1)^k h^k / c with h = (self - c) / c.
+        return self._power_series([(-1) ** k / c for k in range(self.cap + 1)], 1 / c)
+
+    def _power_series(self, coefficients, x=ONE) -> "TruncatedSeries":
+        """sum_k coefficients[k] h^k with h = x (self - constant term), in scaled integers."""
+        cap = self.cap
+        h = scaled_times(((1, {}),) + to_scaled(self)[1:], x)
+        power = scaled_one(cap)
+        total = scaled_times(power, coefficients[0])
+        for c in coefficients[1:]:
+            power = scaled_mul(power, h, cap)
+            total = scaled_add(total, scaled_times(power, c))
+        return from_scaled(self.alphabet, cap, total)
 
     # -- symmetry -------------------------------------------------------
 
@@ -470,14 +450,16 @@ def substitute_generators(f: TruncatedSeries, images) -> TruncatedSeries:
         raise CapMismatch(
             f"series known only to degree {f.cap}, cannot substitute at cap {target.cap}"
         )
-    result = one(target.alphabet, target.cap).scale(f.constant_term)
-    for deg in range(1, min(f.cap, target.cap) + 1):
+    cap = target.cap
+    scaled = [to_scaled(im) for im in images]
+    result = scaled_times(scaled_one(cap), f.constant_term)
+    for deg in range(1, cap + 1):
         for word, c in f.slices[deg].items():
-            prod = images[word[0]]
+            prod = scaled[word[0]]
             for g in word[1:]:
-                prod = prod * images[g]
-            result = result + prod.scale(c)
-    return result
+                prod = scaled_mul(prod, scaled[g], cap)
+            result = scaled_add(result, scaled_times(prod, c))
+    return from_scaled(target.alphabet, cap, result)
 
 
 def substitute(f: TruncatedSeries, x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
@@ -589,3 +571,105 @@ def parse_series(text: str, alphabet: Alphabet, cap: int | None = None) -> Trunc
     if cap is None:
         cap = max(len(word) for word, _ in terms)
     return TruncatedSeries.from_terms(alphabet, cap, terms)
+
+
+# -- the scaled-integer kernel ---------------------------------------------
+#
+# A scaled series is a tuple with one ``(den, {word: int})`` pair per degree,
+# standing for ``{word: c / den}``.  Every slice an operation returns is in
+# lowest terms: no zero numerators, and gcd(den, *numerators) == 1.
+
+
+def scale_slice(sl: dict) -> tuple:
+    """A slice of rationals as ``(den, {word: int})``, den the lcm of its denominators."""
+    if not sl:
+        return 1, {}
+    den = lcm(*[c.denominator for c in sl.values()])
+    if den == 1:
+        return 1, {w: c.numerator for w, c in sl.items()}
+    return den, {w: c.numerator * (den // c.denominator) for w, c in sl.items()}
+
+
+def unscale_slice(den: int, sl: dict) -> dict:
+    """``{word: c / den}`` as Fractions, one per distinct numerator."""
+    if not sl:
+        return {}
+    out = {}
+    fractions: dict = {}  # terms of a slice share few distinct values
+    for w, c in sl.items():
+        f = fractions.get(c)
+        if f is None:
+            f = fractions[c] = Fraction(c, den)
+        out[w] = f
+    return out
+
+
+def lowest_terms(den: int, sl: dict) -> tuple:
+    """Drop zero terms and divide out gcd(den, *numerators)."""
+    sl = {w: c for w, c in sl.items() if c}
+    g = gcd(den, *sl.values())
+    if g != 1:
+        den //= g
+        sl = {w: c // g for w, c in sl.items()}
+    return den, sl
+
+
+def to_scaled(series: TruncatedSeries) -> tuple:
+    return tuple(map(scale_slice, series.slices))
+
+
+def from_scaled(alphabet: Alphabet, cap: int, scaled: tuple) -> TruncatedSeries:
+    return TruncatedSeries(alphabet, cap, tuple(starmap(unscale_slice, scaled)))
+
+
+def scaled_one(cap: int) -> tuple:
+    return ((1, {(): 1}),) + ((1, {}),) * cap
+
+
+def scaled_mul(a: tuple, b: tuple, cap: int) -> tuple:
+    """a * b in the free algebra; each degree over the lcm of its den_a * den_b."""
+    out = []
+    for d in range(cap + 1):
+        pairs = [(a[i], b[d - i]) for i in range(d + 1) if a[i][1] and b[d - i][1]]
+        if not pairs:
+            out.append((1, {}))
+            continue
+        den = lcm(*(da * db for (da, _), (db, _) in pairs))
+        tgt: dict = {}
+        get = tgt.get
+        for (da, sa), (db, sb) in pairs:
+            m = den // (da * db)
+            for v, cv in sb.items():
+                cv *= m
+                for u, cu in sa.items():
+                    w = u + v
+                    tgt[w] = get(w, 0) + cu * cv
+        out.append(lowest_terms(den, tgt))
+    return tuple(out)
+
+
+def scaled_add(a: tuple, b: tuple) -> tuple:
+    out = []
+    for (da, sa), (db, sb) in zip(a, b):
+        if not sb:
+            out.append((da, sa))
+        elif not sa:
+            out.append((db, sb))
+        else:
+            den = lcm(da, db)
+            ma, mb = den // da, den // db
+            sl = {w: c * ma for w, c in sa.items()}
+            for w, c in sb.items():
+                sl[w] = sl.get(w, 0) + c * mb
+            out.append(lowest_terms(den, sl))
+    return tuple(out)
+
+
+def scaled_times(a: tuple, c) -> tuple:
+    """The scalar multiple c * a, for an int or Fraction c."""
+    p, q = c.numerator, c.denominator
+    if p == q:
+        return a
+    if not p:
+        return ((1, {}),) * len(a)
+    return tuple(lowest_terms(den * q, {w: v * p for w, v in sl.items()}) for den, sl in a)

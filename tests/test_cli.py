@@ -183,6 +183,25 @@ class TestAssociatorCommands:
         assert obj["degrees"] == [2, 3, 4, 5]
         assert obj["values"] == {"2": 0, "3": 1, "4": 1, "5": 2}
 
+    def test_extend_continues_from_an_even_degree_file(self, capsys, tmp_path):
+        # the degree-4 file holds the greedy choice, which does not extend;
+        # its degree-4 solution set is rebuilt from degree 3 and revised
+        src = tmp_path / "one.txt"
+        src.write_text("1\n")
+        phi4, phi46, phi6 = (tmp_path / f"{name}.txt" for name in ("phi4", "phi46", "phi6"))
+        extend = ["extend-associator", "--to-degree"]
+        assert run(capsys, *extend, "4", "--from", str(src), "--out", str(phi4))[0] == 0
+        code, out = run(capsys, *extend, "6", "--from", str(phi4), "--out", str(phi46))
+        assert code == 0
+        assert out.splitlines() == [
+            "degree 4: revised within the solution set",
+            "degree 5: solution found, kernel dimension 2",
+            "degree 6: solution found, kernel dimension 3",
+            f"wrote {phi46}",
+        ]
+        assert run(capsys, *extend, "6", "--from", str(src), "--out", str(phi6))[0] == 0
+        assert phi46.read_text() == phi6.read_text()
+
     def test_extend_file_is_the_bootstrap(self, capsys, tmp_path):
         src = tmp_path / "one.txt"
         src.write_text("1\n")

@@ -14,6 +14,7 @@ from braidalg import (
     delta_map,
     distinguish,
     eval_group_ring,
+    eval_welded,
     generator,
     hilbert_table,
     infinitesimal_artin,
@@ -23,7 +24,7 @@ from braidalg import (
     random_welded_word,
     vassiliev_degree,
 )
-from braidalg.words import a, word
+from braidalg.words import a, mccool_relations, word
 
 
 def sd(basis, series, one_line):
@@ -165,6 +166,34 @@ class TestDistinguish:
         report = distinguish(parse_word("s1", 3), parse_word("", 3), 2)
         assert report.first_difference_degree == 0
         assert not report.oracle_equal
+
+
+class TestGroupRingFold:
+    """One fold of the whole element against one reduced image per word."""
+
+    @pytest.mark.parametrize("n,cap", [(3, 4), (4, 3)])
+    def test_against_per_word_images(self, rng, n, cap):
+        basis = build_graded_basis(oriented_artin(n), cap)
+        relators = [relator for _, relator in mccool_relations(n)]
+        for _ in range(6):
+            words = [random_welded_word(rng, n, rng.randint(0, 6)) for _ in range(3)]
+            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in words]
+            xi = GroupRingElement(n, dict(zip(words, coeffs)))
+            want = SemidirectSeries.zero(basis, cap)
+            for w, c in xi.terms.items():
+                want = want + eval_welded(w, cap, basis).scale(c)
+            assert eval_group_ring(xi, cap, basis) == want
+
+            w1, w2 = words[:2]
+            diff = eval_welded(w1, cap, basis) - eval_welded(w2, cap, basis)
+            assert distinguish(w1, w2, cap).first_difference_degree == diff.min_degree()
+            assert distinguish(w1, w1, cap).first_difference_degree is None
+            # different spellings of one element cancel only after reduction
+            spelled = w1 * rng.choice(relators)
+            assert distinguish(w1, spelled, cap).first_difference_degree is None
+            assert eval_group_ring(
+                GroupRingElement.from_word(w1) - GroupRingElement.from_word(spelled), cap, basis
+            ).is_zero()
 
 
 class TestDeltaMap:

@@ -64,6 +64,21 @@ class TestRelationLists:
                 assert rel.min_degree() == 2
                 assert all(not rel.slices[k] for k in (0, 1))
 
+    @pytest.mark.parametrize(
+        "preset,digest",
+        [
+            (infinitesimal_artin(3), "c17a902d34ccde21d3a289eb274fc84c02c3578030f542253863102286a1ac4e"),
+            (infinitesimal_artin(4), "695eca88cdcecc56ec0280c9f2abc64e5ac1705c473d9aef125d91fd3a33afd8"),
+            (oriented_artin(3), "cdb5944e4d9db71f30d9ebe427572ee12197e0a4a3f4f4a1af9d8838c30ee4d5"),
+            (oriented_artin(4), "de94ffc100504300b9170eb60a06e6cda827232ab6ab8b98b49293852a1e3c6a"),
+            (oriented_upper_triangular(3), "2cd85504a47c20c739061fd79ee375dfc83566885aa1155a87d70ba0ce92b910"),
+            (oriented_upper_triangular(4), "262b713eef1ca1f93da62fd5bb1037a95fff6211327b7ff7fd50027a9704eb84"),
+        ],
+    )
+    def test_relation_digest_pinned(self, preset, digest):
+        # Cache files written before carry these digests and must stay valid.
+        assert _relations_digest(preset) == digest
+
     def test_upper_triangular_is_sublist(self):
         full = {tuple(r.terms()) for r in oriented_artin(4).relations()}
         sub = {tuple(r.terms()) for r in oriented_upper_triangular(4).relations()}

@@ -92,13 +92,28 @@ class TestMul:
             assert (x * y).truncated(2) == x.truncated(2) * y.truncated(2)
 
     def test_mul_against_mini_oracle(self, rng):
-        for _ in range(10):
-            x = random_series(rng, AB, 3)
-            y = random_series(rng, AB, 3)
-            want = oracles.mini_mul(
-                {w: c for w, c in x.terms()}, {w: c for w, c in y.terms()}, 3
-            )
-            assert {w: c for w, c in (x * y).terms()} == want
+        # Also exp, log and inverse, which share the product's scaled-integer
+        # kernel.  Coefficients have denominators up to 6 (up to 12 for
+        # inverse's constant term); caps 0 and 1 are the power series' edges.
+        def terms(s):
+            return dict(s.terms())
+
+        for cap in (0, 1, 2, 3, 4):
+            for _ in range(10):
+                x = random_series(rng, AB, cap)
+                y = random_series(rng, AB, cap)
+                h = random_series(rng, AB, cap, zero_constant=True) if cap else zero(AB, 0)
+                c = Fraction(rng.choice([-7, -1, 1, 3, 5]), rng.choice([1, 4, 12]))
+                g = one(AB, cap) + h
+                u = one(AB, cap).scale(c) + h
+                for got, want in [
+                    (x * y, oracles.mini_mul(terms(x), terms(y), cap)),
+                    (h.exp(), oracles.mini_exp(terms(h), cap)),
+                    (g.log(), oracles.mini_log(terms(g), cap)),
+                    (u.inverse(), oracles.mini_inverse(terms(u), cap)),
+                ]:
+                    assert terms(got) == want
+                    assert all(type(v) is Fraction for v in terms(got).values())
 
 
 class TestExpLog:
