@@ -15,7 +15,12 @@ literature; everything downstream derives from the five lines above.
 
 Semi-associators are built by :func:`extension_steps`, the one extension
 loop (a degree at a time, with one degree of lookback); the bootstrap and the
-CLI's ``extend-associator`` both run it.
+CLI's ``extend-associator`` both run it.  At the new top degree d+1 the
+unknown enters (AS) and (H3) linearly (Bar-Natan's degree-by-degree method):
+adding a perturbation of degree d or d+1 to a candidate with no degree-1 part
+changes the top slice of each residual as much as adding it to 1 does.  So a
+solve evaluates one residual per perturbation at 1, plus the candidate's own,
+and reduces only their top slices.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .series import (
     left_bracketing,
     one,
     substitute,
-    word_key,
     zero,
 )
 from .words import WeldedWord, sigma
@@ -110,41 +114,39 @@ def as_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
     return swap_letters(phi) - phi.inverse()
 
 
-def _hexagon_residual(phi: TruncatedSeries, cap: int, variant: str, basis) -> TruncatedSeries:
+def _hexagon_residual(phi: TruncatedSeries, cap: int, variant: str) -> TruncatedSeries:
+    """rhs - lhs of (H1) or (H3) in the free algebra on the 3-strand chords; not reduced."""
     phi = _prepare(phi, cap)
-    alph = basis.alphabet
+    alph = Alphabet.chord(3)
     t12 = generator(alph, cap, (1, 2))
     t13 = generator(alph, cap, (1, 3))
     t23 = generator(alph, cap, (2, 3))
     phi_t = substitute(phi, t12, t23)
-
-    def perm(txt):
-        return Permutation.from_one_line(txt)
-
     if variant == "H1":
         lhs = (t12 + t13).scale(HALF).exp()
         rhs = (
-            phi_t.act(perm("231")).inverse()
+            phi_t.act(Permutation.from_one_line("231")).inverse()
             * t13.scale(HALF).exp()
-            * phi_t.act(perm("213"))
+            * phi_t.act(Permutation.from_one_line("213"))
             * t12.scale(HALF).exp()
             * phi_t.inverse()
         )
     else:
         lhs = (t13 + t23).scale(HALF).exp()
         rhs = (
-            phi_t.act(perm("312"))
+            phi_t.act(Permutation.from_one_line("312"))
             * t13.scale(HALF).exp()
-            * phi_t.act(perm("132")).inverse()
+            * phi_t.act(Permutation.from_one_line("132")).inverse()
             * t23.scale(HALF).exp()
             * phi_t
         )
-    return basis.normal_form(rhs - lhs)
+    return rhs - lhs
 
 
-def pentagon_residual(phi: TruncatedSeries, cap: int, basis) -> TruncatedSeries:
+def pentagon_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
+    """lhs - rhs of (P) in the free algebra on the 4-strand chords; not reduced."""
     phi = _prepare(phi, cap)
-    alph = basis.alphabet
+    alph = Alphabet.chord(4)
 
     def t(i, j):
         return generator(alph, cap, (i, j))
@@ -155,7 +157,7 @@ def pentagon_residual(phi: TruncatedSeries, cap: int, basis) -> TruncatedSeries:
         * substitute(phi, t(1, 2) + t(1, 3), t(2, 4) + t(3, 4))
         * substitute(phi, t(1, 2), t(2, 3))
     )
-    return basis.normal_form(lhs - rhs)
+    return lhs - rhs
 
 
 def check_axiom(phi: TruncatedSeries, axiom: str, cap: int, cache_dir=None) -> AxiomResult:
@@ -166,10 +168,10 @@ def check_axiom(phi: TruncatedSeries, axiom: str, cap: int, cache_dir=None) -> A
         return _result("AS", cap, as_residual(phi, cap))
     if axiom in ("H1", "H3"):
         basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
-        return _result(axiom, cap, _hexagon_residual(phi, cap, axiom, basis))
+        return _result(axiom, cap, basis.normal_form(_hexagon_residual(phi, cap, axiom)))
     if axiom == "P":
         basis = build_graded_basis(infinitesimal_artin(4), cap, cache_dir)
-        return _result("P", cap, pentagon_residual(phi, cap, basis))
+        return _result("P", cap, basis.normal_form(pentagon_residual(phi, cap)))
     raise AssociatorError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
 
 
@@ -184,13 +186,13 @@ def is_semi_associator(phi: TruncatedSeries, cap: int, cache_dir=None) -> bool:
 class ExtensionStep:
     """Affine solution set of Lie corrections at one degree.
 
-    Solutions are coordinates over the Lyndon bracket basis; the set is
-    particular + span(kernel).  ``correction``/``extended`` realize a chosen
-    coordinate vector as a series.
+    Solutions are coordinates over ``brackets``, the Lyndon bracket basis of
+    the degree; the set is particular + span(kernel).  ``correction`` and
+    ``extended`` realize a chosen coordinate vector as a series.
     """
 
     degree: int
-    lyndon_words: list
+    brackets: list
     particular: list
     kernel: list
     base: TruncatedSeries
@@ -202,7 +204,7 @@ class ExtensionStep:
     def correction(self, coords=None) -> TruncatedSeries:
         coords = self.particular if coords is None else coords
         out = zero(AB, self.degree)
-        for c, (_, bracket) in zip(coords, lie_basis(AB, self.degree, self.degree)):
+        for c, bracket in zip(coords, self.brackets):
             out = out + bracket.scale(c)
         return out
 
@@ -219,76 +221,77 @@ def extend_semi_associator(phi: TruncatedSeries, cache_dir=None) -> ExtensionSte
     fails a hypothesis.  Solvability through any finite degree is expected
     since rational associators exist.
     """
-    d = phi.cap
+    return _extend(phi, _brackets(phi.cap + 1), cache_dir)
+
+
+def _brackets(degree: int) -> list:
+    return [bracket for _, bracket in lie_basis(AB, degree, degree)]
+
+
+def _extend(phi: TruncatedSeries, brackets: list, cache_dir) -> ExtensionStep:
     for axiom in ("AE", "AS", "H3"):
-        result = check_axiom(phi, axiom, d, cache_dir)
+        result = check_axiom(phi, axiom, phi.cap, cache_dir)
         if not result.passed:
             raise AssociatorError(
                 f"candidate fails ({axiom}) at degree {result.first_failure_degree}"
             )
-    degree = d + 1
-    # Group-like lift: zero-pad the logarithm, not the series, so the new
-    # degree-(d+1) slice of the candidate is exp(phi)'s before correction.
+    degree = phi.cap + 1
+    # Group-like lift: zero-pad the logarithm, not the series, so the new top
+    # slice of the candidate is exp(phi)'s before correction.
     lifted = phi.log().lifted(degree).exp()
-    basis = lie_basis(AB, degree, degree)
-    particular, kernel = _solve_top_degree(
-        lifted, (lifted + bracket.lifted(degree) for _, bracket in basis), degree, cache_dir
-    )
+    particular, kernel = _solve_top_degree(lifted, brackets, degree, cache_dir)
     if particular is None:
         raise NoCorrectionError(f"no Lie correction exists at degree {degree}")
-    return ExtensionStep(degree, [w for w, _ in basis], particular, kernel, phi)
+    return ExtensionStep(degree, brackets, particular, kernel, phi)
 
 
-def _solve_top_degree(base: TruncatedSeries, candidates, degree: int, cache_dir=None):
-    """Solve for the coordinates that cancel base's top-degree AS and H3 residual.
-
-    Column i is that residual's change from base to candidates[i].
-    """
+def _solve_top_degree(base: TruncatedSeries, perturbations: list, degree: int, cache_dir=None):
+    """Coordinates x that cancel the top-degree AS and H3 residual of base + sum x_i p_i."""
     basis3 = build_graded_basis(infinitesimal_artin(3), degree, cache_dir)
-    r0 = _residual_labels(base, degree, basis3)
-    columns = [_label_delta(_residual_labels(c, degree, basis3), r0) for c in candidates]
-    rhs = {label: -c for label, c in r0.items()}
-    return affine_solve(columns, rhs, key=_label_key)
+    rhs = {label: -c for label, c in _residual_labels(base, degree, basis3).items()}
+    return affine_solve(_columns(perturbations, degree, basis3), rhs)
+
+
+def _columns(perturbations: list, degree: int, basis3) -> list:
+    """Column i is the top-degree residual of 1 + p_i minus that of 1.
+
+    This is exactly the residual's change from any base to base + p_i.  Each
+    p_i has degree ``degree``, or ``degree - 1`` >= 2, so a top-degree term of
+    a residual takes a p_i from at most one factor, and from the other factors
+    only their parts of degree 0 and 1.  Base has no degree-1 part (AE), so
+    those parts are the same for base and for 1.
+    """
+    unit = one(AB, degree)
+    r1 = _residual_labels(unit, degree, basis3)
+    columns = []
+    for p in perturbations:
+        col = _residual_labels(unit + p, degree, basis3)
+        for label, c in r1.items():
+            col[label] = col.get(label, 0) - c
+        columns.append(col)
+    return columns
 
 
 def _residual_labels(candidate: TruncatedSeries, degree: int, basis3) -> dict:
-    """Top-degree AS and H3 residual coordinates, labelled by (axiom, word)."""
-    vec = {}
-    for w, c in as_residual(candidate, degree).slices[degree].items():
-        vec[("AS", w)] = c
-    for w, c in _hexagon_residual(candidate, degree, "H3", basis3).slices[degree].items():
-        vec[("H3", w)] = c
+    """Top-degree AS and H3 residual, labelled by (axiom, word); only that slice is reduced."""
+    vec = {("AS", w): c for w, c in as_residual(candidate, degree).slices[degree].items()}
+    h3 = _hexagon_residual(candidate, degree, "H3").slices[degree]
+    vec.update((("H3", w), c) for w, c in basis3.reduce_slice(degree, h3).items())
     return vec
 
 
-def _label_delta(col: dict, base: dict) -> dict:
-    for label, c in base.items():
-        c2 = col.get(label, Fraction(0)) - c
-        if c2:
-            col[label] = c2
-        else:
-            col.pop(label, None)
-    return col
-
-
-def _label_key(label):
-    return (label[0], word_key(label[1]))
-
-
-def _revised_coordinates(prev: ExtensionStep, cache_dir=None):
+def _revised_coordinates(prev: ExtensionStep, brackets: list, cache_dir=None):
     """Coordinates in prev's solution set from which one more degree extends.
 
     A truncated solution need not lift: the affine set at one degree can
-    contain dead ends for the next.  The kernel coordinates of the previous
-    step still enter the next degree's residual affinely, so a joint solve
-    over (previous kernel, next Lie correction) finds a continuable choice.
+    contain dead ends for the next.  Prev's kernel directions enter the next
+    degree's residual linearly, as the next degree's brackets do, so one
+    solve over both finds a continuable choice.
     """
     degree = prev.degree + 1
-    base_log = prev.base.log().lifted(degree) + prev.correction().lifted(degree)
-    base = base_log.exp()
-    candidates = [(base_log + prev.correction(kvec).lifted(degree)).exp() for kvec in prev.kernel]
-    candidates += [base + bracket for _, bracket in lie_basis(AB, degree, degree)]
-    solution, _ = _solve_top_degree(base, candidates, degree, cache_dir)
+    base = (prev.base.log().lifted(degree) + prev.correction().lifted(degree)).exp()
+    kernel = [prev.correction(kvec).lifted(degree) for kvec in prev.kernel]
+    solution, _ = _solve_top_degree(base, kernel + brackets, degree, cache_dir)
     if solution is None:
         raise AssociatorError(
             f"no degree-{prev.degree} choice continues to degree {degree} "
@@ -314,17 +317,18 @@ def extension_steps(phi: TruncatedSeries, to_degree: int, cache_dir=None):
     """
     prev = None
     while phi.cap < to_degree:
+        brackets = _brackets(phi.cap + 1)
         revised = False
         try:
-            step = extend_semi_associator(phi, cache_dir)
+            step = _extend(phi, brackets, cache_dir)
         except NoCorrectionError:
             if prev is None:
                 # phi is one point of its top degree's solution set, e.g. read
                 # from a file; rebuild that set from the degree below.
                 prev = extend_semi_associator(phi.truncated(phi.cap - 1), cache_dir)
-            phi = prev.extended(_revised_coordinates(prev, cache_dir))
+            phi = prev.extended(_revised_coordinates(prev, brackets, cache_dir))
             revised = True
-            step = extend_semi_associator(phi, cache_dir)
+            step = _extend(phi, brackets, cache_dir)
         phi = step.extended()
         yield step, phi, revised
         prev = step

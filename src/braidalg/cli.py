@@ -18,7 +18,7 @@ from . import invariants as inv_mod
 from . import reps as reps_mod
 from .quotient import PRESET_KINDS, build_graded_basis, preset_by_name
 from .sdseries import SemidirectSeries
-from .series import TruncatedSeries, parse_series
+from .series import SeriesError, TruncatedSeries, parse_series
 from .words import GroupRingElement, parse_word
 
 
@@ -84,7 +84,10 @@ def _read_series(alphabet, cap, text=None, path=None) -> TruncatedSeries:
             line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")
         )
         if lines and lines[0].startswith(_DEGREE_HEADER):
-            return parse_series(text, alphabet, int(lines[0][len(_DEGREE_HEADER):]))
+            degree = lines[0][len(_DEGREE_HEADER):].strip()
+            if not degree.isdecimal():
+                raise SeriesError(f"{path}: bad degree header {lines[0]!r}")
+            return parse_series(text, alphabet, int(degree))
     series = parse_series(text, alphabet)
     return series.lifted(max(cap, series.cap))
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 from .linalg import SparseEchelon, demote
@@ -28,7 +30,7 @@ from .series import (
     CapMismatch,
     TruncatedSeries,
     generator,
-    to_scaled,
+    scale_slice,
     unscale_slice,
     word_key,
 )
@@ -40,15 +42,13 @@ class BasisError(ValueError):
     """Missing degree, wrong preset, or malformed cache data."""
 
 
+@dataclass(frozen=True, slots=True)
 class RelationPreset:
     """A named family of degree-2 relations over a fixed alphabet."""
 
-    __slots__ = ("kind", "n", "alphabet")
-
-    def __init__(self, kind: str, n: int, alphabet: Alphabet):
-        self.kind = kind
-        self.n = n
-        self.alphabet = alphabet
+    kind: str
+    n: int
+    alphabet: Alphabet
 
     def key(self) -> str:
         if self.kind == "free":
@@ -113,17 +113,6 @@ class RelationPreset:
         elif self.kind != "free":
             raise BasisError(f"unknown preset kind {self.kind!r}")
         return rels
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RelationPreset)
-            and self.kind == other.kind
-            and self.n == other.n
-            and self.alphabet == other.alphabet
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.n, self.alphabet))
 
     def __repr__(self):
         return f"RelationPreset({self.key()})"
@@ -208,7 +197,9 @@ class GradedQuotientBasis:
         return self.alphabet.size**k - self.table(k).rank
 
     def reduce_slice(self, k: int, vec: dict) -> dict:
-        return self.table(k).reduce(vec)
+        """Reduce a degree-k slice of rationals in integers; a Fraction only per surviving term."""
+        den, scaled = scale_slice(vec)
+        return unscale_slice(den, self.table(k).reduce(scaled))
 
     def normal_form(self, s: TruncatedSeries) -> TruncatedSeries:
         """Canonical representative supported on non-pivot words; idempotent."""
@@ -216,10 +207,7 @@ class GradedQuotientBasis:
             raise AlphabetMismatch(f"{s.alphabet!r} vs preset alphabet {self.alphabet!r}")
         if s.cap > self.cap:
             raise CapMismatch(f"series cap {s.cap} exceeds basis cap {self.cap}")
-        # Reduced in integers; a Fraction is built only per surviving term.
-        slices = tuple(
-            unscale_slice(den, self.table(k).reduce(sl)) for k, (den, sl) in enumerate(to_scaled(s))
-        )
+        slices = tuple(self.reduce_slice(k, sl) for k, sl in enumerate(s.slices))
         return TruncatedSeries(s.alphabet, s.cap, slices)
 
     def equal_mod_relations(self, a: TruncatedSeries, b: TruncatedSeries) -> bool:
@@ -279,17 +267,18 @@ def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> Grad
     if cap < 0:
         raise BasisError("cap must be >= 0")
     tables = {}
-    # Computed at the first cache file this call reads or writes, so a call
-    # served wholly from the store never computes it.
+    # Built at the first table this call computes and the first cache file it
+    # reads or writes, so a call served wholly from the store builds neither.
+    relations = cache(preset.relations)
     digest = None
     for k in range(cap + 1):
         ech = _TABLE_STORE.get((preset.key(), k))
         path = None if cache_dir is None else _cache_path(cache_dir, preset, k)
         if ech is None or (path is not None and path not in _CACHE_PATHS):
             if path is not None and digest is None:
-                digest = _relations_digest(preset)
+                digest = _relations_digest(relations())
             if ech is None:
-                ech = _degree_table(preset, k, cache_dir, digest)
+                ech = _degree_table(preset, k, cache_dir, digest, relations)
             else:
                 reason = _stale_reason(path, preset, k, digest)
                 if reason is not None:
@@ -301,24 +290,22 @@ def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> Grad
     return GradedQuotientBasis(preset, cap, tables)
 
 
-def _degree_table(preset: RelationPreset, k: int, cache_dir, digest) -> SparseEchelon:
+def _degree_table(preset: RelationPreset, k: int, cache_dir, digest, relations) -> SparseEchelon:
     """Load or build one table absent from the store, and register it there."""
     ech = _load_table(cache_dir, preset, k, digest) if cache_dir is not None else None
     if ech is None:
-        ech = _compute_degree_table(preset, k)
+        ech = _compute_degree_table(preset, k, relations())
         if cache_dir is not None:
             _save_table(cache_dir, preset, k, ech, digest)
     _TABLE_STORE[(preset.key(), k)] = ech
     return ech
 
 
-def _compute_degree_table(preset: RelationPreset, k: int) -> SparseEchelon:
+def _compute_degree_table(preset: RelationPreset, k: int, relations: list) -> SparseEchelon:
+    """Echelonize u * r * w over the relations r and words u, w of total degree k."""
     ech = SparseEchelon(key=word_key)
-    rels = preset.relations() if k >= 2 else []
-    if not rels:
-        return ech
     # The relations are integral: echelonize in int, not Fraction, arithmetic.
-    rel_slices = [{w: demote(c) for w, c in r.slices[2].items()} for r in rels]
+    rel_slices = [{w: demote(c) for w, c in r.slices[2].items()} for r in relations]
     m = preset.alphabet.size
     for a in range(k - 1):
         b = k - 2 - a
@@ -336,13 +323,13 @@ def _cache_path(cache_dir, preset: RelationPreset, k: int) -> str:
     return os.path.join(str(cache_dir), f"{preset.key()}__deg{k}.basis")
 
 
-def _relations_digest(preset: RelationPreset) -> str:
-    """sha256 of the preset's relation set, so a cache file never outlives a change to it."""
+def _relations_digest(relations: list) -> str:
+    """sha256 of a preset's relation set, so a cache file never outlives a change to it."""
     # Imported here: hashlib maps OpenSSL, about 4 MB of resident memory that
     # only a run reading or writing the cache should pay.
     import hashlib
 
-    texts = sorted(r.text() for r in preset.relations())
+    texts = sorted(r.text() for r in relations)
     return hashlib.sha256("\n".join(texts).encode()).hexdigest()
 
 

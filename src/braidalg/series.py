@@ -553,7 +553,10 @@ def parse_series(text: str, alphabet: Alphabet, cap: int | None = None) -> Trunc
         sign, rat, word_txt = m.group("sign"), m.group("rat"), m.group("word")
         if sign is None and not first:
             raise SeriesError(f"missing +/- before {stripped[pos:pos + 20]!r}")
-        coeff = Fraction(rat.replace(" ", ""))
+        try:
+            coeff = Fraction(rat.replace(" ", ""))
+        except ZeroDivisionError:
+            raise SeriesError(f"zero denominator in {rat!r}") from None
         if sign == "-":
             coeff = -coeff
         if word_txt is None:

@@ -427,7 +427,10 @@ class GroupRingElement:
                 raise WordError(f"bad group-ring syntax near {stripped[pos:pos + 20]!r}")
             if m.group("sign") is None and not first:
                 raise WordError(f"missing +/- near {stripped[pos:pos + 20]!r}")
-            c = Fraction(m.group("rat"))
+            try:
+                c = Fraction(m.group("rat"))
+            except ZeroDivisionError:
+                raise WordError(f"zero denominator in {m.group('rat')!r}") from None
             if m.group("sign") == "-":
                 c = -c
             w = parse_word(m.group("word"), n)

@@ -22,7 +22,7 @@ from braidalg import (
     pure_braid_generator,
     swap_letters,
 )
-from braidalg.associator import _revised_coordinates
+from braidalg.associator import _columns, _revised_coordinates
 from braidalg.linalg import SparseEchelon
 from braidalg.lyndon import lie_basis
 
@@ -131,7 +131,8 @@ class TestExtension:
         greedy = step4.extended()
         with pytest.raises(AssociatorError):
             extend_semi_associator(greedy)
-        revised = step4.extended(_revised_coordinates(step4))
+        brackets5 = [bracket for _, bracket in lie_basis(AB, 5, 5)]
+        revised = step4.extended(_revised_coordinates(step4, brackets5))
         step5 = extend_semi_associator(revised)
         assert step5.degree == 5
         assert is_semi_associator(step5.extended(), 5)
@@ -150,6 +151,44 @@ class TestExtension:
         # the revised degree-4 choice is the base of the degree-5 step
         assert steps[-1][0].base != steps[2][1]
         assert steps[-1][0].base.truncated(3) == steps[1][1]
+
+    def test_linear_columns_equal_full_residual_differences(self):
+        # The solver's columns are residuals of 1 + p with only the top slice
+        # reduced; the full path evaluates and reduces the whole residual of
+        # the perturbed candidate itself.
+        def top(phi, degree):
+            vec = {}
+            for axiom in ("AS", "H3"):
+                residual = check_axiom(phi, axiom, degree).residual
+                vec.update(((axiom, w), c) for w, c in residual.slices[degree].items())
+            return vec
+
+        def change(phi, candidates, degree):
+            r0 = top(phi, degree)
+            columns = []
+            for candidate in candidates:
+                r = top(candidate, degree)
+                diff = {label: r.get(label, 0) - r0.get(label, 0) for label in r0.keys() | r.keys()}
+                columns.append({label: c for label, c in diff.items() if c})
+            return columns
+
+        def nonzero(columns):
+            return [{label: c for label, c in col.items() if c} for col in columns]
+
+        steps = list(extension_steps(one(AB, 1), 6))
+        basis3 = build_graded_basis(infinitesimal_artin(3), 6)
+        for step, _, _ in steps:
+            d = step.degree
+            base = step.base.log().lifted(d).exp()
+            full = change(base, [base + p for p in step.brackets], d)
+            assert nonzero(_columns(step.brackets, d, basis3)) == full
+        prev, (step5, _, revised) = steps[2][0], steps[3]
+        assert step5.degree == 5 and revised
+        base_log = prev.base.log().lifted(5) + prev.correction().lifted(5)
+        kernel = [prev.correction(kvec).lifted(5) for kvec in prev.kernel]
+        full = change(base_log.exp(), [(base_log + k).exp() for k in kernel], 5)
+        assert len(full) == 1 and full[0]
+        assert nonzero(_columns(kernel, 5, basis3)) == full
 
     def test_extension_steps_stop_at_the_target(self):
         assert list(extension_steps(psi24(3), 3)) == []

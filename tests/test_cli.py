@@ -321,6 +321,24 @@ class TestInfrastructure:
         assert code == 1
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normal-form", "--series", "1/0*v12"],
+            ["vassiliev-degree", "--element", "1/0*[a12]"],
+        ],
+    )
+    def test_zero_denominator_is_an_error(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
+
+    def test_bad_degree_header_is_named(self, capsys, tmp_path):
+        path = tmp_path / "phi.txt"
+        path.write_text("# semi-associator to degree x\n1\n")
+        assert main(["check-associator", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: bad degree header '# semi-associator to degree x'\n"
+
     def test_missing_input_exits(self, capsys):
         with pytest.raises(SystemExit):
             main(["normal-form", "--n", "3", "--cap", "2"])

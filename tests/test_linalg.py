@@ -75,7 +75,7 @@ def test_preset_tables_equal_reference():
             preset = make(n)
             m = preset.alphabet.size
             for k in range(top + 1):
-                fresh = _compute_degree_table(preset, k)
+                fresh = _compute_degree_table(preset, k, preset.relations())
                 ref = reference_table(preset, k)
                 assert fresh.rows == ref.rows, (preset, k)
                 assert_exact(row_values(fresh))

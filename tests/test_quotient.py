@@ -77,7 +77,7 @@ class TestRelationLists:
     )
     def test_relation_digest_pinned(self, preset, digest):
         # Cache files written before carry these digests and must stay valid.
-        assert _relations_digest(preset) == digest
+        assert _relations_digest(preset.relations()) == digest
 
     def test_upper_triangular_is_sublist(self):
         full = {tuple(r.terms()) for r in oriented_artin(4).relations()}
@@ -365,9 +365,9 @@ class TestCacheLoader:
     @pytest.mark.parametrize("n,cap", [(3, 4), (4, 3)])
     def test_round_trip_equals_fresh_build(self, tmp_path, make, n, cap):
         preset = make(n)
-        digest = _relations_digest(preset)
+        digest = _relations_digest(preset.relations())
         for k in range(cap + 1):
-            fresh = _compute_degree_table(preset, k)
+            fresh = _compute_degree_table(preset, k, preset.relations())
             _save_table(tmp_path, preset, k, fresh, digest)
             loaded = _load_table(tmp_path, preset, k, digest)
             assert loaded is not None
@@ -396,13 +396,13 @@ class TestCacheLoader:
             lines[body] = row
 
         self._write_and_edit(tmp_path, preset, edit)
-        assert _load_table(tmp_path, preset, 2, _relations_digest(preset)) is None
+        assert _load_table(tmp_path, preset, 2, _relations_digest(preset.relations())) is None
         rebuilt = build_graded_basis(preset, 2, cache_dir=tmp_path)
         assert rebuilt.dimension(2) == 27
-        assert _load_table(tmp_path, preset, 2, _relations_digest(preset)) is not None
+        assert _load_table(tmp_path, preset, 2, _relations_digest(preset.relations())) is not None
 
     def test_edited_digest_rebuilt(self, tmp_path, preset):
-        digest = _relations_digest(preset)
+        digest = _relations_digest(preset.relations())
 
         def edit(lines):
             index = lines.index(f"#% relations {digest}")
@@ -422,7 +422,7 @@ class TestCacheLoader:
         assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
         lines = open(path).read().splitlines()
         assert lines[0] == "#% braidalg-basis v2"
-        assert f"#% relations {_relations_digest(preset)}" in lines
+        assert f"#% relations {_relations_digest(preset.relations())}" in lines
 
     def test_changed_relations_not_served_old_table(self, tmp_path, preset, monkeypatch):
         build_graded_basis(preset, 2, cache_dir=tmp_path)
@@ -431,6 +431,18 @@ class TestCacheLoader:
         monkeypatch.setattr(RelationPreset, "relations", lambda self: original(self)[:-1])
         # same key(), one relation fewer: degree 2 gains one dimension
         assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 28
+
+    def test_relations_built_once_per_call(self, tmp_path, preset, monkeypatch):
+        calls = []
+        original = RelationPreset.relations
+        monkeypatch.setattr(RelationPreset, "relations", lambda self: calls.append(self) or original(self))
+        build_graded_basis(preset, 2, cache_dir=tmp_path)  # three tables built, digest for three files
+        assert len(calls) == 1
+        build_graded_basis(preset, 2, cache_dir=tmp_path)  # store hits, files present
+        assert len(calls) == 1
+        _clear_store(preset, 2)
+        build_graded_basis(preset, 2)  # three tables built again, no files
+        assert len(calls) == 2
 
     def test_digest_computed_once_and_only_for_file_access(self, tmp_path, preset, monkeypatch):
         calls = []
@@ -495,7 +507,7 @@ class TestCachePaths:
     @pytest.mark.parametrize("stale", ["version-one", "edited-digest", "missing"])
     def test_first_store_hit_in_new_dir_rewrites_stale_file(self, tmp_path, preset, monkeypatch, stale):
         build_graded_basis(preset, 2, cache_dir=tmp_path / "first")
-        digest = _relations_digest(preset)
+        digest = _relations_digest(preset.relations())
         second = tmp_path / "second"
         second.mkdir()
         for k in range(3):
