@@ -20,13 +20,17 @@ unknown enters (AS) and (H3) linearly (Bar-Natan's degree-by-degree method):
 adding a perturbation of degree d or d+1 to a candidate with no degree-1 part
 changes the top slice of each residual as much as adding it to 1 does.  So a
 solve evaluates one residual per perturbation at 1, plus the candidate's own,
-and reduces only their top slices.
+and reduces only their top slices.  The columns of a degree's Lie brackets do
+not depend on the candidate, so they are evaluated once per degree and
+process; a degree revised in the lookback adds only the previous degree's
+kernel columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .linalg import affine_solve
 from .lyndon import lie_basis
@@ -114,32 +118,32 @@ def as_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
     return swap_letters(phi) - phi.inverse()
 
 
-def _hexagon_residual(phi: TruncatedSeries, cap: int, variant: str) -> TruncatedSeries:
-    """rhs - lhs of (H1) or (H3) in the free algebra on the 3-strand chords; not reduced."""
-    phi = _prepare(phi, cap)
+@cache
+def _hexagon_constants(cap: int, variant: str) -> tuple:
+    """The three factors of (H1) or (H3) that do not involve Phi: lhs and two exponentials."""
     alph = Alphabet.chord(3)
     t12 = generator(alph, cap, (1, 2))
     t13 = generator(alph, cap, (1, 3))
     t23 = generator(alph, cap, (2, 3))
-    phi_t = substitute(phi, t12, t23)
     if variant == "H1":
-        lhs = (t12 + t13).scale(HALF).exp()
-        rhs = (
-            phi_t.act(Permutation.from_one_line("231")).inverse()
-            * t13.scale(HALF).exp()
-            * phi_t.act(Permutation.from_one_line("213"))
-            * t12.scale(HALF).exp()
-            * phi_t.inverse()
-        )
+        return (t12 + t13).scale(HALF).exp(), t13.scale(HALF).exp(), t12.scale(HALF).exp()
+    return (t13 + t23).scale(HALF).exp(), t13.scale(HALF).exp(), t23.scale(HALF).exp()
+
+
+def _hexagon_residual(phi: TruncatedSeries, cap: int, variant: str) -> TruncatedSeries:
+    """rhs - lhs of (H1) or (H3) in the free algebra on the 3-strand chords; not reduced."""
+    phi = _prepare(phi, cap)
+    alph = Alphabet.chord(3)
+    lhs, exp13, exp_last = _hexagon_constants(cap, variant)
+    phi_t = substitute(phi, generator(alph, cap, (1, 2)), generator(alph, cap, (2, 3)))
+
+    def at(one_line):
+        return phi_t.act(Permutation.from_one_line(one_line))
+
+    if variant == "H1":
+        rhs = at("231").inverse() * exp13 * at("213") * exp_last * phi_t.inverse()
     else:
-        lhs = (t13 + t23).scale(HALF).exp()
-        rhs = (
-            phi_t.act(Permutation.from_one_line("312"))
-            * t13.scale(HALF).exp()
-            * phi_t.act(Permutation.from_one_line("132")).inverse()
-            * t23.scale(HALF).exp()
-            * phi_t
-        )
+        rhs = at("312") * exp13 * at("132").inverse() * exp_last * phi_t
     return rhs - lhs
 
 
@@ -221,14 +225,6 @@ def extend_semi_associator(phi: TruncatedSeries, cache_dir=None) -> ExtensionSte
     fails a hypothesis.  Solvability through any finite degree is expected
     since rational associators exist.
     """
-    return _extend(phi, _brackets(phi.cap + 1), cache_dir)
-
-
-def _brackets(degree: int) -> list:
-    return [bracket for _, bracket in lie_basis(AB, degree, degree)]
-
-
-def _extend(phi: TruncatedSeries, brackets: list, cache_dir) -> ExtensionStep:
     for axiom in ("AE", "AS", "H3"):
         result = check_axiom(phi, axiom, phi.cap, cache_dir)
         if not result.passed:
@@ -236,23 +232,36 @@ def _extend(phi: TruncatedSeries, brackets: list, cache_dir) -> ExtensionStep:
                 f"candidate fails ({axiom}) at degree {result.first_failure_degree}"
             )
     degree = phi.cap + 1
+    brackets, columns = _bracket_columns(degree, cache_dir)
     # Group-like lift: zero-pad the logarithm, not the series, so the new top
     # slice of the candidate is exp(phi)'s before correction.
     lifted = phi.log().lifted(degree).exp()
-    particular, kernel = _solve_top_degree(lifted, brackets, degree, cache_dir)
+    particular, kernel = _solve_top_degree(lifted, columns, degree, cache_dir)
     if particular is None:
         raise NoCorrectionError(f"no Lie correction exists at degree {degree}")
     return ExtensionStep(degree, brackets, particular, kernel, phi)
 
 
-def _solve_top_degree(base: TruncatedSeries, perturbations: list, degree: int, cache_dir=None):
+# degree -> (Lyndon brackets of the degree, their columns).  Neither depends
+# on the candidate being extended, so each degree's are evaluated once.
+_BRACKET_COLUMNS: dict = {}
+
+
+def _bracket_columns(degree: int, cache_dir=None) -> tuple:
+    entry = _BRACKET_COLUMNS.get(degree)
+    if entry is None:
+        brackets = [bracket for _, bracket in lie_basis(AB, degree, degree)]
+        entry = _BRACKET_COLUMNS[degree] = (brackets, _columns(brackets, degree, cache_dir))
+    return entry
+
+
+def _solve_top_degree(base: TruncatedSeries, columns: list, degree: int, cache_dir=None):
     """Coordinates x that cancel the top-degree AS and H3 residual of base + sum x_i p_i."""
-    basis3 = build_graded_basis(infinitesimal_artin(3), degree, cache_dir)
-    rhs = {label: -c for label, c in _residual_labels(base, degree, basis3).items()}
-    return affine_solve(_columns(perturbations, degree, basis3), rhs)
+    rhs = {label: -c for label, c in _residual_labels(base, degree, cache_dir).items()}
+    return affine_solve(columns, rhs)
 
 
-def _columns(perturbations: list, degree: int, basis3) -> list:
+def _columns(perturbations: list, degree: int, cache_dir=None) -> list:
     """Column i is the top-degree residual of 1 + p_i minus that of 1.
 
     This is exactly the residual's change from any base to base + p_i.  Each
@@ -262,25 +271,26 @@ def _columns(perturbations: list, degree: int, basis3) -> list:
     those parts are the same for base and for 1.
     """
     unit = one(AB, degree)
-    r1 = _residual_labels(unit, degree, basis3)
+    r1 = _residual_labels(unit, degree, cache_dir)
     columns = []
     for p in perturbations:
-        col = _residual_labels(unit + p, degree, basis3)
+        col = _residual_labels(unit + p, degree, cache_dir)
         for label, c in r1.items():
             col[label] = col.get(label, 0) - c
         columns.append(col)
     return columns
 
 
-def _residual_labels(candidate: TruncatedSeries, degree: int, basis3) -> dict:
+def _residual_labels(candidate: TruncatedSeries, degree: int, cache_dir=None) -> dict:
     """Top-degree AS and H3 residual, labelled by (axiom, word); only that slice is reduced."""
+    basis3 = build_graded_basis(infinitesimal_artin(3), degree, cache_dir)
     vec = {("AS", w): c for w, c in as_residual(candidate, degree).slices[degree].items()}
     h3 = _hexagon_residual(candidate, degree, "H3").slices[degree]
     vec.update((("H3", w), c) for w, c in basis3.reduce_slice(degree, h3).items())
     return vec
 
 
-def _revised_coordinates(prev: ExtensionStep, brackets: list, cache_dir=None):
+def _revised_coordinates(prev: ExtensionStep, cache_dir=None):
     """Coordinates in prev's solution set from which one more degree extends.
 
     A truncated solution need not lift: the affine set at one degree can
@@ -291,7 +301,8 @@ def _revised_coordinates(prev: ExtensionStep, brackets: list, cache_dir=None):
     degree = prev.degree + 1
     base = (prev.base.log().lifted(degree) + prev.correction().lifted(degree)).exp()
     kernel = [prev.correction(kvec).lifted(degree) for kvec in prev.kernel]
-    solution, _ = _solve_top_degree(base, kernel + brackets, degree, cache_dir)
+    columns = _columns(kernel, degree, cache_dir) + _bracket_columns(degree, cache_dir)[1]
+    solution, _ = _solve_top_degree(base, columns, degree, cache_dir)
     if solution is None:
         raise AssociatorError(
             f"no degree-{prev.degree} choice continues to degree {degree} "
@@ -317,18 +328,17 @@ def extension_steps(phi: TruncatedSeries, to_degree: int, cache_dir=None):
     """
     prev = None
     while phi.cap < to_degree:
-        brackets = _brackets(phi.cap + 1)
         revised = False
         try:
-            step = _extend(phi, brackets, cache_dir)
+            step = extend_semi_associator(phi, cache_dir)
         except NoCorrectionError:
             if prev is None:
                 # phi is one point of its top degree's solution set, e.g. read
                 # from a file; rebuild that set from the degree below.
                 prev = extend_semi_associator(phi.truncated(phi.cap - 1), cache_dir)
-            phi = prev.extended(_revised_coordinates(prev, brackets, cache_dir))
+            phi = prev.extended(_revised_coordinates(prev, cache_dir))
             revised = True
-            step = _extend(phi, brackets, cache_dir)
+            step = extend_semi_associator(phi, cache_dir)
         phi = step.extended()
         yield step, phi, revised
         prev = step
@@ -359,9 +369,8 @@ class YangBaxterResult:
 def check_yang_baxter(psi: TruncatedSeries, cap: int, cache_dir=None) -> YangBaxterResult:
     """Test rho(Delta) = rho(sigma_2) rho(sigma_1) rho(sigma_2) for the 3-strand family."""
     require_normalized_group_like(psi if psi.cap <= cap else psi.truncated(cap))
-    basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
-    lhs = rho3_delta(psi, cap, basis)
-    rhs = eval_rho3(WeldedWord(3, (sigma(2), sigma(1), sigma(2))), psi, cap, basis)
+    lhs = rho3_delta(psi, cap, cache_dir)
+    rhs = eval_rho3(WeldedWord(3, (sigma(2), sigma(1), sigma(2))), psi, cap, cache_dir)
     diff = rhs - lhs
     if diff.is_zero():
         return YangBaxterResult(cap, True, None, None)
@@ -404,18 +413,15 @@ def check_equivalences(psi: TruncatedSeries, cap: int, cache_dir=None) -> Equiva
 
     delta_central = None
     if yb.passed:
-        basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
-        delta = rho3_delta(psi, cap, basis)
+        delta = rho3_delta(psi, cap, cache_dir)
         dsq = delta * delta
         expected = SemidirectSeries.term(
-            basis, cap, central_element(cap).scale(2).exp(), Permutation.identity(3)
+            delta.basis, cap, central_element(cap).scale(2).exp(), Permutation.identity(3)
         )
         delta_central = dsq == expected
 
     compatible = None
     if as_.passed and h3.passed:
         w = WeldedWord(3, (sigma(2),))
-        compatible = eval_rho3(w, psi, cap, cache_dir=cache_dir) == eval_drinfeld(
-            w, psi, cap, cache_dir=cache_dir
-        )
+        compatible = eval_rho3(w, psi, cap, cache_dir) == eval_drinfeld(w, psi, cap, cache_dir)
     return EquivalenceReport(cap, yb, h3, h1, as_, delta_central, compatible)

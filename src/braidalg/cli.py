@@ -16,7 +16,7 @@ import sys
 from . import associator as assoc_mod
 from . import invariants as inv_mod
 from . import reps as reps_mod
-from .quotient import PRESET_KINDS, build_graded_basis, preset_by_name
+from .quotient import PRESET_KINDS, build_graded_basis, hilbert_row, preset_by_name
 from .sdseries import SemidirectSeries
 from .series import SeriesError, TruncatedSeries, parse_series
 from .words import GroupRingElement, parse_word
@@ -94,8 +94,7 @@ def _read_series(alphabet, cap, text=None, path=None) -> TruncatedSeries:
 
 def cmd_dim(args):
     preset = preset_by_name(args.preset, args.n)
-    basis = build_graded_basis(preset, args.cap, args.cache_dir)
-    dims = [basis.dimension(k) for k in range(args.cap + 1)]
+    dims = hilbert_row(preset, args.cap, args.cache_dir)
     _emit(
         args,
         "dim",
@@ -130,7 +129,7 @@ def cmd_eval(args):
         if args.assoc:
             assoc = _read_series(assoc_mod.AB, args.cap, path=args.assoc)
         else:
-            assoc = assoc_mod.bootstrap_semi_associator(args.cap)
+            assoc = assoc_mod.bootstrap_semi_associator(args.cap, args.cache_dir)
         family = reps_mod.eval_drinfeld if args.family == "drinfeld" else reps_mod.eval_rho3
         image = family(w, assoc, args.cap, cache_dir=args.cache_dir)
     degrees = sorted({k for t in image.terms.values() for k in range(args.cap + 1) if t.slices[k]})

@@ -20,6 +20,7 @@ from .linalg import affine_solve
 from .quotient import (
     GradedQuotientBasis,
     build_graded_basis,
+    hilbert_row,
     infinitesimal_artin,
     oriented_artin,
 )
@@ -37,10 +38,9 @@ from .words import (
 )
 
 
-def eval_group_ring(xi: GroupRingElement, cap: int, basis=None, cache_dir=None) -> SemidirectSeries:
+def eval_group_ring(xi: GroupRingElement, cap: int, cache_dir=None) -> SemidirectSeries:
     """Linear extension of the welded representation to the group ring, reduced once."""
-    if basis is None:
-        basis = build_graded_basis(oriented_artin(xi.n), cap, cache_dir)
+    basis = build_graded_basis(oriented_artin(xi.n), cap, cache_dir)
     alph, images = welded_images(xi.n, cap)
     terms = [(c, [images[t] for t in w.letters]) for w, c in xi.terms.items()]
     return fold(basis, cap, alph, terms)
@@ -60,9 +60,9 @@ class FiltrationReport:
         return self.order is None
 
 
-def vassiliev_degree(xi: GroupRingElement, cap: int, basis=None, cache_dir=None) -> FiltrationReport:
+def vassiliev_degree(xi: GroupRingElement, cap: int, cache_dir=None) -> FiltrationReport:
     """Least degree with a nonzero image component across all permutation parts."""
-    image = eval_group_ring(xi, cap, basis, cache_dir)
+    image = eval_group_ring(xi, cap, cache_dir)
     return FiltrationReport(xi, cap, image, image.min_degree())
 
 
@@ -81,9 +81,8 @@ def distinguish(w1: WeldedWord, w2: WeldedWord, cap: int, cache_dir=None) -> Dis
     """First degree where truncated invariants differ, plus the exact verdict."""
     if w1.n != w2.n:
         raise WordError(f"strand mismatch: {w1.n} vs {w2.n}")
-    basis = build_graded_basis(oriented_artin(w1.n), cap, cache_dir)
     xi = GroupRingElement.from_word(w1) - GroupRingElement.from_word(w2)
-    diff = eval_group_ring(xi, cap, basis)
+    diff = eval_group_ring(xi, cap, cache_dir)
     return DistinguishReport(cap, diff.min_degree(), words_equal_in_bp(w1, w2))
 
 
@@ -165,16 +164,14 @@ class HilbertTable:
 
 
 def hilbert_table(n: int, cap: int, cache_dir=None) -> HilbertTable:
-    chord = build_graded_basis(infinitesimal_artin(n), cap, cache_dir)
-    oriented = build_graded_basis(oriented_artin(n), cap, cache_dir)
     factorial = 1
     for i in range(2, n + 1):
         factorial *= i
     return HilbertTable(
         n,
         cap,
-        [chord.dimension(k) for k in range(cap + 1)],
-        [oriented.dimension(k) for k in range(cap + 1)],
+        hilbert_row(infinitesimal_artin(n), cap, cache_dir),
+        hilbert_row(oriented_artin(n), cap, cache_dir),
         factorial,
     )
 
@@ -221,7 +218,6 @@ def check_splitting_identity(n: int, cap: int, samples: int, seed: int = 0, cach
     Samples (c - 1)^k for conjugating words c and compares the order of
     (c - 1)^k s against (c - 1)^k; also pins the order of every a_ij - 1.
     """
-    basis = build_graded_basis(oriented_artin(n), cap, cache_dir)
     rng = random.Random(seed)
     cases = []
     unit = GroupRingElement.one(n)
@@ -230,7 +226,7 @@ def check_splitting_identity(n: int, cap: int, samples: int, seed: int = 0, cach
             if i == j:
                 continue
             elt = GroupRingElement.from_word(WeldedWord(n, (a_token(i, j),))) - unit
-            order = vassiliev_degree(elt, cap, basis).order
+            order = vassiliev_degree(elt, cap, cache_dir).order
             cases.append(SplittingCase(f"a{i}{j} - 1", order, order, order == 1))
     for _ in range(samples):
         c = _random_conjugating_word(rng, n, 3)
@@ -238,8 +234,8 @@ def check_splitting_identity(n: int, cap: int, samples: int, seed: int = 0, cach
         k = rng.randint(1, min(3, cap))
         base = (GroupRingElement.from_word(c) - unit) ** k
         twisted = base * GroupRingElement.from_word(sw)
-        order_plain = vassiliev_degree(base, cap, basis).order
-        order_twisted = vassiliev_degree(twisted, cap, basis).order
+        order_plain = vassiliev_degree(base, cap, cache_dir).order
+        order_twisted = vassiliev_degree(twisted, cap, cache_dir).order
         cases.append(
             SplittingCase(
                 f"(({c.text()}) - 1)^{k} * [{sw.text()}]",

@@ -88,10 +88,9 @@ def welded_images(n: int, cap: int):
     return _cached_images(("welded", n, cap), build)
 
 
-def eval_welded(w: WeldedWord, cap: int, basis=None, cache_dir=None) -> SemidirectSeries:
+def eval_welded(w: WeldedWord, cap: int, cache_dir=None) -> SemidirectSeries:
     """The representation R_n (x) id evaluated on a welded word."""
-    if basis is None:
-        basis = build_graded_basis(oriented_artin(w.n), cap, cache_dir)
+    basis = build_graded_basis(oriented_artin(w.n), cap, cache_dir)
     alph, images = welded_images(w.n, cap)
     return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
 
@@ -132,12 +131,11 @@ def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
 
 
 def eval_drinfeld(
-    w: WeldedWord, assoc: TruncatedSeries, cap: int, basis=None, cache_dir=None
+    w: WeldedWord, assoc: TruncatedSeries, cap: int, cache_dir=None
 ) -> SemidirectSeries:
     """The associator-driven representation of a braid word on n strands."""
     _check_braid_word(w)
-    if basis is None:
-        basis = build_graded_basis(infinitesimal_artin(w.n), cap, cache_dir)
+    basis = build_graded_basis(infinitesimal_artin(w.n), cap, cache_dir)
     alph, images = _drinfeld_images(w.n, cap, assoc)
     return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
 
@@ -191,23 +189,19 @@ def _rho3_images(cap: int, psi: TruncatedSeries):
     return _cached_images(("rho3", 3, cap, psi), build)
 
 
-def eval_rho3(
-    w: WeldedWord, psi: TruncatedSeries, cap: int, basis=None, cache_dir=None
-) -> SemidirectSeries:
+def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int, cache_dir=None) -> SemidirectSeries:
     """The 3-strand family: sigma_1 -> exp(t_12/2) (x) s_1, Delta -> exp(T) Psi_t^-1 (x) 321."""
     _check_braid_word(w)
     if w.n != 3:
         raise WordError("the parametrized family lives on 3 strands")
-    if basis is None:
-        basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
+    basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
     alph, images = _rho3_images(cap, psi)
     return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
 
 
-def rho3_delta(psi: TruncatedSeries, cap: int, basis=None, cache_dir=None) -> SemidirectSeries:
+def rho3_delta(psi: TruncatedSeries, cap: int, cache_dir=None) -> SemidirectSeries:
     """Image of the fundamental element Delta = sigma_1 sigma_2 sigma_1."""
-    if basis is None:
-        basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
+    basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
     alph, images = _rho3_images(cap, psi)
     return fold(basis, cap, alph, [(1, [images["Delta"]])])
 
@@ -261,24 +255,23 @@ def _family_generators(family: str, n: int):
 
 
 def _family_eval(family: str, n: int, cap: int, assoc):
+    """The family's target preset and its evaluator on words."""
     if family == "welded":
-        basis = build_graded_basis(oriented_artin(n), cap)
-        return basis, lambda w: eval_welded(w, cap, basis)
+        return oriented_artin(n), lambda w: eval_welded(w, cap)
     if family == "drinfeld":
-        basis = build_graded_basis(infinitesimal_artin(n), cap)
-        return basis, lambda w: eval_drinfeld(w, assoc, cap, basis)
+        return infinitesimal_artin(n), lambda w: eval_drinfeld(w, assoc, cap)
     if family == "rho3":
         if n != 3:
             raise WordError("the rho3 family requires n = 3")
-        basis = build_graded_basis(infinitesimal_artin(3), cap)
-        return basis, lambda w: eval_rho3(w, assoc, cap, basis)
+        return infinitesimal_artin(3), lambda w: eval_rho3(w, assoc, cap)
     raise WordError(f"unknown family {family!r}")
 
 
 def check_family_axioms(family: str, n: int, cap: int, assoc=None) -> FamilyReport:
     """Verify (E), (Sigma), (S), (N) and relation fidelity at the given cap."""
     report = FamilyReport(family, n, cap)
-    basis, ev = _family_eval(family, n, cap, assoc)
+    preset, ev = _family_eval(family, n, cap, assoc)
+    basis = build_graded_basis(preset, cap)
     gens = _family_generators(family, n)
     images = {t: ev(WeldedWord(n, (t,))) for t, _ in gens}
 

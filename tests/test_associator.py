@@ -8,6 +8,8 @@ from conftest import ab_commutator, psi24
 from braidalg import (
     AB,
     AssociatorError,
+    TruncatedSeries,
+    bootstrap_semi_associator,
     build_graded_basis,
     check_axiom,
     check_equivalences,
@@ -22,6 +24,7 @@ from braidalg import (
     pure_braid_generator,
     swap_letters,
 )
+from braidalg import associator
 from braidalg.associator import _columns, _revised_coordinates
 from braidalg.linalg import SparseEchelon
 from braidalg.lyndon import lie_basis
@@ -131,8 +134,7 @@ class TestExtension:
         greedy = step4.extended()
         with pytest.raises(AssociatorError):
             extend_semi_associator(greedy)
-        brackets5 = [bracket for _, bracket in lie_basis(AB, 5, 5)]
-        revised = step4.extended(_revised_coordinates(step4, brackets5))
+        revised = step4.extended(_revised_coordinates(step4))
         step5 = extend_semi_associator(revised)
         assert step5.degree == 5
         assert is_semi_associator(step5.extended(), 5)
@@ -176,19 +178,52 @@ class TestExtension:
             return [{label: c for label, c in col.items() if c} for col in columns]
 
         steps = list(extension_steps(one(AB, 1), 6))
-        basis3 = build_graded_basis(infinitesimal_artin(3), 6)
         for step, _, _ in steps:
             d = step.degree
             base = step.base.log().lifted(d).exp()
             full = change(base, [base + p for p in step.brackets], d)
-            assert nonzero(_columns(step.brackets, d, basis3)) == full
+            assert nonzero(_columns(step.brackets, d)) == full
         prev, (step5, _, revised) = steps[2][0], steps[3]
         assert step5.degree == 5 and revised
         base_log = prev.base.log().lifted(5) + prev.correction().lifted(5)
         kernel = [prev.correction(kvec).lifted(5) for kvec in prev.kernel]
         full = change(base_log.exp(), [(base_log + k).exp() for k in kernel], 5)
         assert len(full) == 1 and full[0]
-        assert nonzero(_columns(kernel, 5, basis3)) == full
+        assert nonzero(_columns(kernel, 5)) == full
+
+    def test_each_degree_evaluates_its_bracket_columns_once(self, monkeypatch):
+        # Perturbations per degree: the degree's Lyndon brackets once, plus the
+        # previous degree's kernel at the revised degrees 4 and 6.
+        monkeypatch.setattr(associator, "_BRACKET_COLUMNS", {})
+        counts = {}
+        columns = associator._columns
+
+        def counting(perturbations, degree, cache_dir=None):
+            counts[degree] = counts.get(degree, 0) + len(perturbations)
+            return columns(perturbations, degree, cache_dir)
+
+        monkeypatch.setattr(associator, "_columns", counting)
+        bootstrap_semi_associator(7)
+        brackets = {d: len(lie_basis(AB, d, d)) for d in range(2, 8)}
+        assert brackets == {2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18}
+        assert counts == {2: 1, 3: 2, 4: 3, 5: 6 + 1, 6: 9, 7: 18 + 3}
+
+    def test_hexagon_constants_built_once_per_cap(self, monkeypatch):
+        # 375 exp calls before the hexagon's constant exponentials were shared.
+        monkeypatch.setattr(associator, "_BRACKET_COLUMNS", {})
+        associator._hexagon_constants.cache_clear()
+        calls = []
+        exp = TruncatedSeries.exp
+
+        def counting(self):
+            calls.append(self.cap)
+            return exp(self)
+
+        monkeypatch.setattr(TruncatedSeries, "exp", counting)
+        bootstrap_semi_associator(7)
+        # Three per cap for H3 at caps 1..7; the other 18 lift and extend.
+        assert associator._hexagon_constants.cache_info().misses == 7
+        assert len(calls) == 3 * 7 + 18
 
     def test_extension_steps_stop_at_the_target(self):
         assert list(extension_steps(psi24(3), 3)) == []
@@ -271,7 +306,7 @@ class TestSpanningExpansion:
         psi = psi24(cap)
         mu = {}
         for j, i in ((1, 2), (1, 3), (2, 3)):
-            img = eval_rho3(pure_braid_generator(j, i, 3), psi, cap, basis)
+            img = eval_rho3(pure_braid_generator(j, i, 3), psi, cap)
             ((perm, series),) = img.terms.items()
             assert perm.is_identity()
             mu[(j, i)] = series - one(basis.alphabet, cap)

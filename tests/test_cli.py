@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from braidalg import AB, CapMismatch, bootstrap_semi_associator, eval_drinfeld, parse_word
+from braidalg import AB, CapMismatch, bootstrap_semi_associator, eval_drinfeld, parse_word, quotient
 from braidalg.cli import main
 from braidalg.series import parse_series
 
@@ -126,6 +126,28 @@ class TestEval:
         )
         assert obj["values"][0]["perm"] == "132"
         assert obj["values"][0]["terms"]["t23"] == "1/2"
+
+    def test_default_assoc_reads_and_writes_the_cache_dir(self, capsys, tmp_path, monkeypatch):
+        # The bootstrapped semi-associator's chord(3) tables go to --cache-dir,
+        # so a second process (an empty table store) loads every table.
+        argv = ["eval", "--family", "drinfeld", "--n", "4", "--cap", "4", "--word", "sig1 sig2"]
+        argv += ["--cache-dir", str(tmp_path)]
+        code, first = run(capsys, *argv)
+        assert code == 0
+        names = {p.name for p in tmp_path.iterdir()}
+        assert {f"infinitesimal_artin(3)__deg{k}.basis" for k in range(5)} <= names
+        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        monkeypatch.setattr(quotient, "_CACHE_PATHS", set())
+        computed = []
+        compute = quotient._compute_degree_table
+
+        def counting(preset, k, relations):
+            computed.append((preset.key(), k))
+            return compute(preset, k, relations)
+
+        monkeypatch.setattr(quotient, "_compute_degree_table", counting)
+        assert run(capsys, *argv) == (0, first)
+        assert computed == []
 
 
 class TestAssociatorCommands:

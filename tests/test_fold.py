@@ -201,7 +201,7 @@ def test_welded_fold_matches_reference(n, cap):
     images = welded_reference_images(n, cap)
     samples = [()] + [random_welded_letters(rng, n, rng.randint(1, 9)) for _ in range(20)]
     for letters in samples:
-        image = eval_welded(WeldedWord(n, letters), cap, basis)
+        image = eval_welded(WeldedWord(n, letters), cap)
         assert_matches_reference(image, basis, cap, images, letters)
 
 
@@ -213,7 +213,7 @@ def test_drinfeld_fold_matches_reference(n, cap):
         images = drinfeld_reference_images(n, cap, assoc)
         samples = [()] + [random_braid_letters(rng, n, rng.randint(1, 6)) for _ in range(5)]
         for letters in samples:
-            image = eval_drinfeld(WeldedWord(n, letters), assoc, cap, basis)
+            image = eval_drinfeld(WeldedWord(n, letters), assoc, cap)
             assert_matches_reference(image, basis, cap, images, letters)
 
 
@@ -225,7 +225,7 @@ def test_rho3_fold_matches_reference(cap):
         images = rho3_reference_images(cap, psi)
         samples = [()] + [random_braid_letters(rng, 3, rng.randint(1, 6)) for _ in range(5)]
         for letters in samples:
-            image = eval_rho3(WeldedWord(3, letters), psi, cap, basis)
+            image = eval_rho3(WeldedWord(3, letters), psi, cap)
             assert_matches_reference(image, basis, cap, images, letters)
 
 
