@@ -25,14 +25,30 @@ ZERO = Fraction(0)
 class SparseEchelon:
     """Incrementally echelonized span of sparse rational vectors."""
 
-    __slots__ = ("key", "rows", "_occ")
+    __slots__ = ("key", "rows", "_index")
 
-    def __init__(self, key=None):
+    def __init__(self, key=None, rows=None):
         self.key = key if key is not None else _identity
-        # pivot column -> full row, normalized to pivot coefficient 1
-        self.rows: dict = {}
-        # column -> set of pivots whose rows contain it off-pivot
-        self._occ: dict = {}
+        # pivot column -> full row, normalized to pivot coefficient 1; given
+        # rows must already be inter-reduced
+        self.rows: dict = {} if rows is None else rows
+        self._index = None
+
+    @property
+    def _occ(self) -> dict:
+        """Column -> set of pivots whose rows contain it off-pivot.
+
+        Only ``add`` needs it, so it is built on first use: a finished table
+        that is only reduced against never holds this transpose of its rows.
+        """
+        if self._index is None:
+            occ = {}
+            for pivot, row in self.rows.items():
+                for col in row:
+                    if col != pivot:
+                        occ.setdefault(col, set()).add(pivot)
+            self._index = occ
+        return self._index
 
     @property
     def rank(self) -> int:

@@ -2,15 +2,18 @@
 
 The infinitesimal Artin algebra (chord generators t_ij), the oriented Artin
 algebra (ordered generators v_ij) and its upper-triangular variant are all
-realized the same way: per degree k, the slice of the two-sided relation
-ideal is spanned exhaustively by u * r * w over relations r and words u, w,
-then echelonized over exact rationals with deglex pivoting.  Reduction by
-the resulting table yields canonical normal forms, equality tests and
-dimensions of the graded pieces.
+held the same way: per degree k, a table of the slice of the two-sided
+relation ideal in reduced row echelon form over exact rationals, with deglex
+pivoting.  Reduction by the table yields canonical normal forms, equality
+tests and dimensions of the graded pieces.
 
-Degree slices are independent of each other, so distinct degrees of one
-preset may be built concurrently; finished tables are immutable and are
-shared through a process-wide registry plus an optional disk cache.
+The oriented presets, and every preset up to degree 2, echelonize u * r * w
+exhaustively over relations r and words u, w.  The degree-2 rows of the
+chord presets are a Groebner basis of their ideal, so each chord table of
+degree k >= 3 is rewritten from the table of degree k - 1 instead, and is
+the same table.  A chord degree thus needs the one below it; the oriented
+degrees are independent of each other.  Finished tables are immutable and
+are shared through a process-wide registry plus an optional disk cache.
 """
 
 from __future__ import annotations
@@ -186,12 +189,9 @@ class GradedQuotientBasis:
 
     def normal_words(self, k: int) -> list:
         """Deglex-sorted non-pivot words: a basis of the degree-k graded piece."""
-        pivots = set(self.table(k).pivots())
-        return [
-            w
-            for w in sorted(product(range(self.alphabet.size), repeat=k))
-            if w not in pivots
-        ]
+        # product yields the words of one degree in lexicographic, so deglex, order.
+        pivots = self.table(k).rows
+        return [w for w in product(range(self.alphabet.size), repeat=k) if w not in pivots]
 
     def dimension(self, k: int) -> int:
         return self.alphabet.size**k - self.table(k).rank
@@ -259,7 +259,7 @@ _CACHE_PATHS: set = set()
 
 
 def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> GradedQuotientBasis:
-    """Echelonize the ideal slices of a preset through the cap.
+    """The ideal-slice tables of a preset through the cap.
 
     Finished per-degree tables are shared process-wide and, when cache_dir
     is given, persisted to disk and reloaded on later runs.
@@ -302,6 +302,84 @@ def _degree_table(preset: RelationPreset, k: int, cache_dir, digest, relations) 
 
 
 def _compute_degree_table(preset: RelationPreset, k: int, relations: list) -> SparseEchelon:
+    """One degree-k table: rewritten from degree k - 1 for the chord presets, else echelonized."""
+    if preset.kind == "infinitesimal_artin" and k >= 3:
+        return _rewritten_table(preset, k, relations)
+    return _echelon_table(preset, k, relations)
+
+
+def _rewritten_table(preset: RelationPreset, k: int, relations: list) -> SparseEchelon:
+    """The degree-k table of a preset whose degree-2 rows are a Groebner basis.
+
+    The leading words of the chord ideal are the words holding a degree-2
+    pivot pair (tests/test_quotient.py checks Kohno's dimensions against that
+    count), so the degree-k pivots are the words a.v with v a degree-(k-1)
+    pivot or (a, v[0]) a pivot pair.  Each row is pivot - NF(pivot), where
+    NF(a.v) = NF(a.NF(v)) when v is a pivot, and otherwise the pair (a, v[0])
+    is rewritten and its right factor reduced in degree k - 1.  Every word the
+    rewriting reaches is below the pivot, so visiting words in deglex order
+    finds each such word's row already built: the partial table is the memo.
+    The rows are the reduced echelon form of the slice, which is unique, so
+    they equal those of the exhaustive echelon.
+    """
+    below = _TABLE_STORE.get((preset.key(), k - 1))
+    if below is None:
+        below = _compute_degree_table(preset, k - 1, relations)
+    rules = _TABLE_STORE.get((preset.key(), 2))
+    if rules is None:
+        rules = below if k == 3 else _echelon_table(preset, 2, relations)
+    lower = below.rows
+    pair_rows = rules.rows
+    rows = {}
+    for w in product(range(preset.alphabet.size), repeat=k):
+        # The terms (x, c) of -NF(w) before their reduction in degree k.
+        a, v = w[0], w[1:]
+        vrow = lower.get(v)
+        if vrow is not None:
+            # -NF(v) is the off-pivot part of v's row.
+            terms = [((a,) + u, c) for u, c in vrow.items() if u != v]
+        else:
+            rule = pair_rows.get(w[:2])
+            if rule is None:
+                continue  # a normal word
+            terms = []
+            rest = w[2:]
+            for pair, s in rule.items():
+                if pair == w[:2]:
+                    continue
+                b0, b1 = pair
+                x = (b1,) + rest
+                xrow = lower.get(x)
+                if xrow is None:
+                    terms.append(((b0,) + x, s))
+                else:
+                    terms.extend(((b0,) + u, -s * c) for u, c in xrow.items() if u != x)
+        # Reduce the terms in degree k.  Each word x is below w, so it is
+        # normal or its row is built: c * NF(x) is then minus c times the
+        # row's off-pivot part.
+        row = {w: 1}
+        for x, c in terms:
+            xrow = rows.get(x)
+            if xrow is None:
+                cv = row.get(x, 0) + c
+                if cv:
+                    row[x] = cv
+                else:
+                    del row[x]
+            else:
+                for u, cu in xrow.items():
+                    if u == x:
+                        continue
+                    cv = row.get(u, 0) - c * cu
+                    if cv:
+                        row[u] = cv
+                    else:
+                        del row[u]
+        rows[w] = row
+    return SparseEchelon(key=word_key, rows=rows)
+
+
+def _echelon_table(preset: RelationPreset, k: int, relations: list) -> SparseEchelon:
     """Echelonize u * r * w over the relations r and words u, w of total degree k."""
     ech = SparseEchelon(key=word_key)
     # The relations are integral: echelonize in int, not Fraction, arithmetic.
@@ -473,7 +551,7 @@ def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> Spa
         return c
 
     rows = {}
-    occ = {}
+    cols = set()  # the words rows mention off-pivot
     for line in body:
         pivot_txt, arrow, repl_txt = line.partition(" -> ")
         if not arrow:
@@ -518,19 +596,12 @@ def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> Spa
             if word in row:
                 raise _Rejected(f"failed body check: {name!r} repeated in row {pivot_txt!r}")
             row[word] = c
-            pivots = occ.get(word)
-            if pivots is None:
-                occ[word] = {pivot}
-            else:
-                pivots.add(pivot)
+            cols.add(word)
     # Single-pass reduction needs an inter-reduced table: no stored row may
     # mention another pivot off-pivot.
-    if not rows.keys().isdisjoint(occ):
+    if not rows.keys().isdisjoint(cols):
         raise _Rejected("failed body check: a row mentions another pivot")
-    ech = SparseEchelon(key=word_key)
-    ech.rows = rows
-    ech._occ = occ
-    return ech
+    return SparseEchelon(key=word_key, rows=rows)
 
 
 def hilbert_row(preset: RelationPreset, cap: int, cache_dir=None) -> list:

@@ -191,6 +191,22 @@ def product_formula_dims(n, cap):
     return coeffs
 
 
+def avoiding_word_counts(size, forbidden_pairs, cap):
+    """Number of words of each degree 0..cap that contain no forbidden adjacent pair.
+
+    A transfer-matrix count over the graph on the letters with an edge a -> b
+    for every allowed pair (a, b) (the Ufnarovski graph of a quadratic
+    monomial algebra): ending[b] counts the allowed words ending in b.
+    """
+    forbidden = set(forbidden_pairs)
+    counts = [1]
+    ending = [1] * size
+    for _ in range(cap):
+        counts.append(sum(ending))
+        ending = [sum(ending[a] for a in range(size) if (a, b) not in forbidden) for b in range(size)]
+    return counts
+
+
 # -- brute-force degree-2 hexagon solve -------------------------------------------
 #
 # Work over the 3 chord generators indexed 0: t12, 1: t13, 2: t23, at cap 2.

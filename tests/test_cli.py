@@ -148,6 +148,10 @@ class TestEval:
         monkeypatch.setattr(quotient, "_compute_degree_table", counting)
         assert run(capsys, *argv) == (0, first)
         assert computed == []
+        # The hook sees a cold chord build, so the empty list above means something.
+        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        quotient.build_graded_basis(quotient.infinitesimal_artin(3), 4)
+        assert computed == [("infinitesimal_artin(3)", k) for k in range(5)]
 
 
 class TestAssociatorCommands:

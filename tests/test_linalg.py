@@ -111,6 +111,21 @@ def test_non_unit_pivots_fall_back_to_fraction():
             assert all(type(c) in (int, Fraction) for c in out.values())
 
 
+def test_given_rows_index_built_on_first_add():
+    for seed in range(5):
+        rng = random.Random(200 + seed)
+        built = SparseEchelon()
+        for _ in range(30):
+            built.add(random_vector(rng, 40, 5, lambda r: r.randint(-4, 4)))
+        given = SparseEchelon(rows={p: dict(row) for p, row in built.rows.items()})
+        assert given._index is None  # a table that is only reduced against holds no index
+        for _ in range(10):
+            vec = random_vector(rng, 50, 5, lambda r: r.randint(-4, 4))
+            assert given.add(vec) == built.add(vec)
+        assert given.rows == built.rows
+        assert given._occ == built._occ == live_occ(built)
+
+
 def test_fraction_vectors_equal_reference():
     for seed in range(5):
         rng = random.Random(100 + seed)

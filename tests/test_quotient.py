@@ -28,9 +28,11 @@ from braidalg import (
 from braidalg import quotient
 from braidalg.quotient import (
     _TABLE_STORE,
+    GradedQuotientBasis,
     RelationPreset,
     _cache_path,
     _compute_degree_table,
+    _echelon_table,
     _load_table,
     _relations_digest,
     _save_table,
@@ -131,6 +133,70 @@ class TestDimensions:
         for k in range(4):
             assert basis.dimension(k) == 6**k - len(basis.pivot_words(k))
             assert len(basis.normal_words(k)) == basis.dimension(k)
+
+    @pytest.mark.parametrize(
+        "preset,cap",
+        [
+            (infinitesimal_artin(3), 4),
+            (oriented_artin(3), 3),
+            (oriented_upper_triangular(4), 3),
+            (free_preset(Alphabet.abstract("A", "B")), 3),
+        ],
+    )
+    def test_normal_words_are_the_sorted_non_pivots(self, preset, cap):
+        basis = build_graded_basis(preset, cap)
+        for k in range(cap + 1):
+            pivots = set(basis.table(k).pivots())
+            words = sorted(words_of_degree(preset.alphabet, k))
+            assert basis.normal_words(k) == [w for w in words if w not in pivots]
+
+
+class TestChordRewriting:
+    """Chord tables rewritten from the degree below against the exhaustive echelon."""
+
+    @pytest.mark.parametrize("n,cap", [(2, 6), (3, 6), (4, 5), (5, 4)])
+    def test_rewritten_tables_equal_echelon(self, tmp_path, monkeypatch, n, cap):
+        # n = 2 has no relations, so no rewriting rule.
+        preset = infinitesimal_artin(n)
+        relations = preset.relations()
+        digest = _relations_digest(relations)
+        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        basis = build_graded_basis(preset, cap)
+        for k in range(cap + 1):
+            rewritten = basis.table(k)
+            echelon = _echelon_table(preset, k, relations)
+            assert rewritten.rows == echelon.rows, k
+            assert all(type(c) is int for row in rewritten.rows.values() for c in row.values())
+            reference = GradedQuotientBasis(preset, k, {k: echelon})
+            assert basis.normal_words(k) == reference.normal_words(k)
+            _save_table(tmp_path / "rewritten", preset, k, rewritten, digest)
+            _save_table(tmp_path / "echelon", preset, k, echelon, digest)
+            texts = [
+                open(_cache_path(tmp_path / side, preset, k), "rb").read()
+                for side in ("rewritten", "echelon")
+            ]
+            assert texts[0] == texts[1], k
+
+    def test_standalone_table_needs_no_store(self, monkeypatch):
+        preset = infinitesimal_artin(4)
+        relations = preset.relations()
+        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        alone = _compute_degree_table(preset, 5, relations)
+        assert quotient._TABLE_STORE == {}  # the degrees below were built, not registered
+        on_store = build_graded_basis(preset, 5).table(5)
+        assert alone.rows == on_store.rows
+
+    @pytest.mark.parametrize("n,cap", [(3, 10), (4, 10), (5, 10), (6, 10), (7, 4), (8, 4), (9, 4)])
+    def test_degree_two_pivots_are_a_groebner_basis(self, n, cap):
+        # The words avoiding the degree-2 pivot pairs span the quotient, so
+        # their count bounds each dimension from above; equality with Kohno's
+        # product formula is the Groebner basis property that the rewriting
+        # rests on.  Degree 3 already settles it (Bergman's diamond lemma), so
+        # n = 7-9, the rest of the chord alphabets, are counted only to 4.
+        preset = infinitesimal_artin(n)
+        pairs = _echelon_table(preset, 2, preset.relations()).pivots()
+        counts = oracles.avoiding_word_counts(preset.alphabet.size, pairs, cap)
+        assert counts == oracles.product_formula_dims(n, cap)
 
 
 class TestNormalForm:
