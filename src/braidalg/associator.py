@@ -164,23 +164,23 @@ def pentagon_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
     return lhs - rhs
 
 
-def check_axiom(phi: TruncatedSeries, axiom: str, cap: int, cache_dir=None) -> AxiomResult:
+def check_axiom(phi: TruncatedSeries, axiom: str, cap: int) -> AxiomResult:
     """Check one axiom at the cap; failures carry the lowest failing degree."""
     if axiom == "AE":
         return _result("AE", cap, ae_residual(phi, cap))
     if axiom == "AS":
         return _result("AS", cap, as_residual(phi, cap))
     if axiom in ("H1", "H3"):
-        basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
+        basis = build_graded_basis(infinitesimal_artin(3), cap)
         return _result(axiom, cap, basis.normal_form(_hexagon_residual(phi, cap, axiom)))
     if axiom == "P":
-        basis = build_graded_basis(infinitesimal_artin(4), cap, cache_dir)
+        basis = build_graded_basis(infinitesimal_artin(4), cap)
         return _result("P", cap, basis.normal_form(pentagon_residual(phi, cap)))
     raise AssociatorError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
 
 
-def is_semi_associator(phi: TruncatedSeries, cap: int, cache_dir=None) -> bool:
-    return all(check_axiom(phi, ax, cap, cache_dir).passed for ax in ("AE", "AS", "H3"))
+def is_semi_associator(phi: TruncatedSeries, cap: int) -> bool:
+    return all(check_axiom(phi, ax, cap).passed for ax in ("AE", "AS", "H3"))
 
 
 # -- degree-by-degree extension ---------------------------------------------------
@@ -217,7 +217,7 @@ class ExtensionStep:
         return (self.base.log().lifted(self.degree) + self.correction(coords)).exp()
 
 
-def extend_semi_associator(phi: TruncatedSeries, cache_dir=None) -> ExtensionStep:
+def extend_semi_associator(phi: TruncatedSeries) -> ExtensionStep:
     """Extend a semi-associator valid to degree d = phi.cap by one degree.
 
     The unknown is a homogeneous Lie element of degree d+1; (AS) and (H3) at
@@ -226,17 +226,17 @@ def extend_semi_associator(phi: TruncatedSeries, cache_dir=None) -> ExtensionSte
     since rational associators exist.
     """
     for axiom in ("AE", "AS", "H3"):
-        result = check_axiom(phi, axiom, phi.cap, cache_dir)
+        result = check_axiom(phi, axiom, phi.cap)
         if not result.passed:
             raise AssociatorError(
                 f"candidate fails ({axiom}) at degree {result.first_failure_degree}"
             )
     degree = phi.cap + 1
-    brackets, columns = _bracket_columns(degree, cache_dir)
+    brackets, columns = _bracket_columns(degree)
     # Group-like lift: zero-pad the logarithm, not the series, so the new top
     # slice of the candidate is exp(phi)'s before correction.
     lifted = phi.log().lifted(degree).exp()
-    particular, kernel = _solve_top_degree(lifted, columns, degree, cache_dir)
+    particular, kernel = _solve_top_degree(lifted, columns, degree)
     if particular is None:
         raise NoCorrectionError(f"no Lie correction exists at degree {degree}")
     return ExtensionStep(degree, brackets, particular, kernel, phi)
@@ -247,21 +247,21 @@ def extend_semi_associator(phi: TruncatedSeries, cache_dir=None) -> ExtensionSte
 _BRACKET_COLUMNS: dict = {}
 
 
-def _bracket_columns(degree: int, cache_dir=None) -> tuple:
+def _bracket_columns(degree: int) -> tuple:
     entry = _BRACKET_COLUMNS.get(degree)
     if entry is None:
         brackets = [bracket for _, bracket in lie_basis(AB, degree, degree)]
-        entry = _BRACKET_COLUMNS[degree] = (brackets, _columns(brackets, degree, cache_dir))
+        entry = _BRACKET_COLUMNS[degree] = (brackets, _columns(brackets, degree))
     return entry
 
 
-def _solve_top_degree(base: TruncatedSeries, columns: list, degree: int, cache_dir=None):
+def _solve_top_degree(base: TruncatedSeries, columns: list, degree: int):
     """Coordinates x that cancel the top-degree AS and H3 residual of base + sum x_i p_i."""
-    rhs = {label: -c for label, c in _residual_labels(base, degree, cache_dir).items()}
+    rhs = {label: -c for label, c in _residual_labels(base, degree).items()}
     return affine_solve(columns, rhs)
 
 
-def _columns(perturbations: list, degree: int, cache_dir=None) -> list:
+def _columns(perturbations: list, degree: int) -> list:
     """Column i is the top-degree residual of 1 + p_i minus that of 1.
 
     This is exactly the residual's change from any base to base + p_i.  Each
@@ -271,26 +271,26 @@ def _columns(perturbations: list, degree: int, cache_dir=None) -> list:
     those parts are the same for base and for 1.
     """
     unit = one(AB, degree)
-    r1 = _residual_labels(unit, degree, cache_dir)
+    r1 = _residual_labels(unit, degree)
     columns = []
     for p in perturbations:
-        col = _residual_labels(unit + p, degree, cache_dir)
+        col = _residual_labels(unit + p, degree)
         for label, c in r1.items():
             col[label] = col.get(label, 0) - c
         columns.append(col)
     return columns
 
 
-def _residual_labels(candidate: TruncatedSeries, degree: int, cache_dir=None) -> dict:
+def _residual_labels(candidate: TruncatedSeries, degree: int) -> dict:
     """Top-degree AS and H3 residual, labelled by (axiom, word); only that slice is reduced."""
-    basis3 = build_graded_basis(infinitesimal_artin(3), degree, cache_dir)
+    basis3 = build_graded_basis(infinitesimal_artin(3), degree)
     vec = {("AS", w): c for w, c in as_residual(candidate, degree).slices[degree].items()}
     h3 = _hexagon_residual(candidate, degree, "H3").slices[degree]
     vec.update((("H3", w), c) for w, c in basis3.reduce_slice(degree, h3).items())
     return vec
 
 
-def _revised_coordinates(prev: ExtensionStep, cache_dir=None):
+def _revised_coordinates(prev: ExtensionStep):
     """Coordinates in prev's solution set from which one more degree extends.
 
     A truncated solution need not lift: the affine set at one degree can
@@ -301,8 +301,8 @@ def _revised_coordinates(prev: ExtensionStep, cache_dir=None):
     degree = prev.degree + 1
     base = (prev.base.log().lifted(degree) + prev.correction().lifted(degree)).exp()
     kernel = [prev.correction(kvec).lifted(degree) for kvec in prev.kernel]
-    columns = _columns(kernel, degree, cache_dir) + _bracket_columns(degree, cache_dir)[1]
-    solution, _ = _solve_top_degree(base, columns, degree, cache_dir)
+    columns = _columns(kernel, degree) + _bracket_columns(degree)[1]
+    solution, _ = _solve_top_degree(base, columns, degree)
     if solution is None:
         raise AssociatorError(
             f"no degree-{prev.degree} choice continues to degree {degree} "
@@ -315,7 +315,7 @@ def _revised_coordinates(prev: ExtensionStep, cache_dir=None):
     ]
 
 
-def extension_steps(phi: TruncatedSeries, to_degree: int, cache_dir=None):
+def extension_steps(phi: TruncatedSeries, to_degree: int):
     """Extend phi degree by degree to to_degree, with one degree of lookback.
 
     Yields ``(step, extended, revised)`` per new degree: the ExtensionStep,
@@ -330,24 +330,24 @@ def extension_steps(phi: TruncatedSeries, to_degree: int, cache_dir=None):
     while phi.cap < to_degree:
         revised = False
         try:
-            step = extend_semi_associator(phi, cache_dir)
+            step = extend_semi_associator(phi)
         except NoCorrectionError:
             if prev is None:
                 # phi is one point of its top degree's solution set, e.g. read
                 # from a file; rebuild that set from the degree below.
-                prev = extend_semi_associator(phi.truncated(phi.cap - 1), cache_dir)
-            phi = prev.extended(_revised_coordinates(prev, cache_dir))
+                prev = extend_semi_associator(phi.truncated(phi.cap - 1))
+            phi = prev.extended(_revised_coordinates(prev))
             revised = True
-            step = extend_semi_associator(phi, cache_dir)
+            step = extend_semi_associator(phi)
         phi = step.extended()
         yield step, phi, revised
         prev = step
 
 
-def bootstrap_semi_associator(to_degree: int, cache_dir=None) -> TruncatedSeries:
+def bootstrap_semi_associator(to_degree: int) -> TruncatedSeries:
     """Particular semi-associator built from 1 by :func:`extension_steps`."""
     phi = one(AB, 1)
-    for _step, phi, _revised in extension_steps(phi, to_degree, cache_dir):
+    for _step, phi, _revised in extension_steps(phi, to_degree):
         pass
     return phi
 
@@ -366,11 +366,11 @@ class YangBaxterResult:
         return self.passed
 
 
-def check_yang_baxter(psi: TruncatedSeries, cap: int, cache_dir=None) -> YangBaxterResult:
+def check_yang_baxter(psi: TruncatedSeries, cap: int) -> YangBaxterResult:
     """Test rho(Delta) = rho(sigma_2) rho(sigma_1) rho(sigma_2) for the 3-strand family."""
     require_normalized_group_like(psi if psi.cap <= cap else psi.truncated(cap))
-    lhs = rho3_delta(psi, cap, cache_dir)
-    rhs = eval_rho3(WeldedWord(3, (sigma(2), sigma(1), sigma(2))), psi, cap, cache_dir)
+    lhs = rho3_delta(psi, cap)
+    rhs = eval_rho3(WeldedWord(3, (sigma(2), sigma(1), sigma(2))), psi, cap)
     diff = rhs - lhs
     if diff.is_zero():
         return YangBaxterResult(cap, True, None, None)
@@ -405,15 +405,15 @@ class EquivalenceReport:
         return (not self.yb.passed) or self.as_.passed
 
 
-def check_equivalences(psi: TruncatedSeries, cap: int, cache_dir=None) -> EquivalenceReport:
-    yb = check_yang_baxter(psi, cap, cache_dir)
-    h3 = check_axiom(psi, "H3", cap, cache_dir)
-    h1 = check_axiom(psi, "H1", cap, cache_dir)
-    as_ = check_axiom(psi, "AS", cap, cache_dir)
+def check_equivalences(psi: TruncatedSeries, cap: int) -> EquivalenceReport:
+    yb = check_yang_baxter(psi, cap)
+    h3 = check_axiom(psi, "H3", cap)
+    h1 = check_axiom(psi, "H1", cap)
+    as_ = check_axiom(psi, "AS", cap)
 
     delta_central = None
     if yb.passed:
-        delta = rho3_delta(psi, cap, cache_dir)
+        delta = rho3_delta(psi, cap)
         dsq = delta * delta
         expected = SemidirectSeries.term(
             delta.basis, cap, central_element(cap).scale(2).exp(), Permutation.identity(3)
@@ -423,5 +423,5 @@ def check_equivalences(psi: TruncatedSeries, cap: int, cache_dir=None) -> Equiva
     compatible = None
     if as_.passed and h3.passed:
         w = WeldedWord(3, (sigma(2),))
-        compatible = eval_rho3(w, psi, cap, cache_dir) == eval_drinfeld(w, psi, cap, cache_dir)
+        compatible = eval_rho3(w, psi, cap) == eval_drinfeld(w, psi, cap)
     return EquivalenceReport(cap, yb, h3, h1, as_, delta_central, compatible)

@@ -5,6 +5,10 @@ check-yb, distinguish, vassiliev-degree, delta-kernel, hilbert-table,
 check-splitting.  Output is deterministic: fixed word order, rationals in
 lowest terms.  ``--format structured`` emits one JSON object per result
 with the fields {command, inputs, degrees, values}, rationals as strings.
+
+``--cache-dir`` persists the oriented tables, so the subcommands that can
+build one take it.  check-associator, extend-associator and check-yb work in
+the chord algebras alone, whose tables are never persisted, and do not.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from .series import SeriesError, TruncatedSeries, parse_series
 from .words import GroupRingElement, parse_word
 
 
-def _flags(parser, n=True, cap=True, preset=False, series=False):
-    """The shared flags a subcommand reads; every subcommand has --cache-dir and --format."""
+def _flags(parser, n=True, cap=True, preset=False, series=False, cache_dir=True):
+    """The shared flags a subcommand reads; every subcommand has --format."""
     if n:
         parser.add_argument("--n", type=int, default=3, help="strand count (default 3)")
     if cap:
@@ -38,7 +42,10 @@ def _flags(parser, n=True, cap=True, preset=False, series=False):
     if series:
         parser.add_argument("--series", help="series in the text grammar")
         parser.add_argument("--in", dest="infile", help="file holding the series")
-    parser.add_argument("--cache-dir", default=None, help="directory for persisted bases")
+    if cache_dir:
+        parser.add_argument(
+            "--cache-dir", default=None, help="directory for persisted oriented tables"
+        )
     parser.add_argument("--format", choices=("text", "structured"), default="text", dest="format_")
 
 
@@ -129,9 +136,9 @@ def cmd_eval(args):
         if args.assoc:
             assoc = _read_series(assoc_mod.AB, args.cap, path=args.assoc)
         else:
-            assoc = assoc_mod.bootstrap_semi_associator(args.cap, args.cache_dir)
+            assoc = assoc_mod.bootstrap_semi_associator(args.cap)
         family = reps_mod.eval_drinfeld if args.family == "drinfeld" else reps_mod.eval_rho3
-        image = family(w, assoc, args.cap, cache_dir=args.cache_dir)
+        image = family(w, assoc, args.cap)
     degrees = sorted({k for t in image.terms.values() for k in range(args.cap + 1) if t.slices[k]})
     _emit(
         args,
@@ -149,7 +156,7 @@ def cmd_check_associator(args):
     values = {}
     lines = []
     for ax in axioms:
-        result = assoc_mod.check_axiom(phi, ax, args.cap, args.cache_dir)
+        result = assoc_mod.check_axiom(phi, ax, args.cap)
         values[ax] = {
             "passed": result.passed,
             "first_failure_degree": result.first_failure_degree,
@@ -173,7 +180,7 @@ def cmd_extend_associator(args):
     phi = _read_series(assoc_mod.AB, 1, path=args.from_file)
     kernel_dims = {}
     lines = []
-    for step, phi, revised in assoc_mod.extension_steps(phi, args.to_degree, args.cache_dir):
+    for step, phi, revised in assoc_mod.extension_steps(phi, args.to_degree):
         if revised:
             lines.append(f"degree {step.degree - 1}: revised within the solution set")
         kernel_dims[step.degree] = step.kernel_dimension
@@ -196,7 +203,7 @@ def cmd_extend_associator(args):
 
 def cmd_check_yb(args):
     psi = _read_series(assoc_mod.AB, args.cap, args.series, args.infile)
-    result = assoc_mod.check_yang_baxter(psi, args.cap, args.cache_dir)
+    result = assoc_mod.check_yang_baxter(psi, args.cap)
     status = "pass" if result.passed else f"FAIL at degree {result.first_failure_degree}"
     _emit(
         args,
@@ -342,19 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check-associator", help="test the semi-associator axioms")
-    _flags(p, n=False, series=True)
+    _flags(p, n=False, series=True, cache_dir=False)
     p.add_argument("--axioms", default="AE,AS,H1,H3,P")
     p.set_defaults(func=cmd_check_associator)
 
     p = sub.add_parser("extend-associator", help="extend a semi-associator degree by degree")
-    _flags(p, n=False, cap=False)
+    _flags(p, n=False, cap=False, cache_dir=False)
     p.add_argument("--from", dest="from_file", required=True)
     p.add_argument("--to-degree", dest="to_degree", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extend_associator)
 
     p = sub.add_parser("check-yb", help="Yang-Baxter test for the 3-strand family")
-    _flags(p, n=False, series=True)
+    _flags(p, n=False, series=True, cache_dir=False)
     p.set_defaults(func=cmd_check_yb)
 
     p = sub.add_parser("distinguish", help="separate welded words by truncated invariants")

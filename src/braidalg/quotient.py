@@ -13,7 +13,9 @@ chord presets are a Groebner basis of their ideal, so each chord table of
 degree k >= 3 is rewritten from the table of degree k - 1 instead, and is
 the same table.  A chord degree thus needs the one below it; the oriented
 degrees are independent of each other.  Finished tables are immutable and
-are shared through a process-wide registry plus an optional disk cache.
+are shared through a process-wide registry.  The echelonized tables, which
+cost the most to build, can also be persisted to a disk cache; the rewritten
+chord tables never are, since rewriting one is faster than reading its file.
 """
 
 from __future__ import annotations
@@ -252,53 +254,41 @@ class GradedQuotientBasis:
 
 _TABLE_STORE: dict = {}
 
-# Cache files this process has loaded, written or found current.  A store hit
-# on one of them touches no file; the first store hit on any other checks its
-# header and rewrites the file when it is missing or stale.
-_CACHE_PATHS: set = set()
-
 
 def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> GradedQuotientBasis:
     """The ideal-slice tables of a preset through the cap.
 
-    Finished per-degree tables are shared process-wide and, when cache_dir
-    is given, persisted to disk and reloaded on later runs.
+    Finished per-degree tables are shared process-wide: a table the store
+    holds touches no file.  A table absent from it is, when cache_dir is
+    given and the preset's tables are echelonized (all but the chord preset
+    infinitesimal_artin), loaded from its cache file, or built and written
+    there.  Chord tables are never persisted: rewriting one from the degree
+    below is faster than reading its file.
     """
     if cap < 0:
         raise BasisError("cap must be >= 0")
+    if preset.kind == "infinitesimal_artin":
+        cache_dir = None
     tables = {}
     # Built at the first table this call computes and the first cache file it
     # reads or writes, so a call served wholly from the store builds neither.
     relations = cache(preset.relations)
     digest = None
     for k in range(cap + 1):
-        ech = _TABLE_STORE.get((preset.key(), k))
-        path = None if cache_dir is None else _cache_path(cache_dir, preset, k)
-        if ech is None or (path is not None and path not in _CACHE_PATHS):
-            if path is not None and digest is None:
-                digest = _relations_digest(relations())
+        key = (preset.key(), k)
+        ech = _TABLE_STORE.get(key)
+        if ech is None:
+            if cache_dir is not None:
+                if digest is None:
+                    digest = _relations_digest(relations())
+                ech = _load_table(cache_dir, preset, k, digest)
             if ech is None:
-                ech = _degree_table(preset, k, cache_dir, digest, relations)
-            else:
-                reason = _stale_reason(path, preset, k, digest)
-                if reason is not None:
-                    _log_debug("rewriting %s: %s", path, reason)
+                ech = _compute_degree_table(preset, k, relations())
+                if cache_dir is not None:
                     _save_table(cache_dir, preset, k, ech, digest)
-            if path is not None:
-                _CACHE_PATHS.add(path)
+            _TABLE_STORE[key] = ech
         tables[k] = ech
     return GradedQuotientBasis(preset, cap, tables)
-
-
-def _degree_table(preset: RelationPreset, k: int, cache_dir, digest, relations) -> SparseEchelon:
-    """Load or build one table absent from the store, and register it there."""
-    ech = _load_table(cache_dir, preset, k, digest) if cache_dir is not None else None
-    if ech is None:
-        ech = _compute_degree_table(preset, k, relations())
-        if cache_dir is not None:
-            _save_table(cache_dir, preset, k, ech, digest)
-    _TABLE_STORE[(preset.key(), k)] = ech
-    return ech
 
 
 def _compute_degree_table(preset: RelationPreset, k: int, relations: list) -> SparseEchelon:
@@ -414,7 +404,8 @@ def _relations_digest(relations: list) -> str:
 def _save_table(cache_dir, preset: RelationPreset, k: int, ech: SparseEchelon, digest: str):
     os.makedirs(str(cache_dir), exist_ok=True)
     alph = preset.alphabet
-    lines = [
+    name = alph.word_name
+    header = [
         f"#% {CACHE_FORMAT}",
         f"#% preset {preset.key()}",
         f"#% degree {k}",
@@ -422,18 +413,28 @@ def _save_table(cache_dir, preset: RelationPreset, k: int, ech: SparseEchelon, d
         f"#% rows {ech.rank}",
         f"#% relations {digest}",
     ]
-    # One row per pivot: "pivot -> replacement", the replacement in the
-    # series grammar.  _read_table accepts exactly this syntax.
-    for pivot in sorted(ech.pivots()):
-        repl = ech.replacement(pivot)
-        series = TruncatedSeries.from_terms(alph, k, repl)
-        lines.append(f"{alph.word_name(pivot)} -> {series.text()}")
-    payload = "\n".join(lines) + "\n"
     # Atomic write-then-rename: concurrent readers never observe partial files.
     fd, tmp = tempfile.mkstemp(dir=str(cache_dir), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
+            handle.write("\n".join(header) + "\n")
+            # One row per pivot: "pivot -> replacement", the replacement as
+            # TruncatedSeries.text() writes it.  _read_table accepts exactly
+            # this syntax.  The row holds pivot - replacement, so a positive
+            # entry is a "-" term.
+            for pivot, row in sorted(ech.rows.items()):
+                repl = " ".join(
+                    f"{'-' if c > 0 else '+'} {abs(c)!s}*{name(word)}"
+                    for word, c in sorted(row.items())
+                    if word != pivot
+                )
+                if not repl:
+                    repl = "0"
+                elif repl[0] == "+":
+                    repl = repl[2:]
+                else:
+                    repl = "-" + repl[2:]
+                handle.write(f"{name(pivot)} -> {repl}\n")
         os.replace(tmp, _cache_path(cache_dir, preset, k))
     except BaseException:
         if os.path.exists(tmp):
@@ -466,28 +467,9 @@ def _load_table(cache_dir, preset: RelationPreset, k: int, digest: str):
     return None
 
 
-def _stale_reason(path: str, preset: RelationPreset, k: int, digest: str):
-    """Why the file at path lacks this table's current header, or None if it has it."""
-    try:
-        with open(path) as handle:
-            lines = []
-            for line in handle:
-                if not line.startswith("#% "):
-                    break
-                lines.append(line.rstrip("\n"))
-        _check_header(lines, preset, k, digest)
-    except FileNotFoundError:
-        return "missing file"
-    except UnicodeDecodeError:
-        return "stale header: not text"
-    except _Rejected as exc:
-        return str(exc)
-    return None
-
-
 def _log_debug(message: str, *args):
     # Imported here: importing logging adds about 10 ms to every run of the
-    # package, and only a rebuild or a rewrite logs.
+    # package, and only a rebuild logs.
     import logging
 
     logging.getLogger(__name__).debug(message, *args)
@@ -543,7 +525,7 @@ def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> Spa
             c = Fraction(key)
         except (ValueError, ZeroDivisionError):
             c = None
-        # _save_table writes each coefficient as str() of a positive Fraction.
+        # _save_table writes each coefficient as str() of its absolute value.
         if not c or str(abs(c)) != text:
             raise _Rejected(f"failed body check: bad coefficient {text!r}")
         # Integral values as int, as SparseEchelon stores them.

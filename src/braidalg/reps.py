@@ -130,12 +130,10 @@ def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
     return _cached_images(("drinfeld", n, cap, assoc), build)
 
 
-def eval_drinfeld(
-    w: WeldedWord, assoc: TruncatedSeries, cap: int, cache_dir=None
-) -> SemidirectSeries:
+def eval_drinfeld(w: WeldedWord, assoc: TruncatedSeries, cap: int) -> SemidirectSeries:
     """The associator-driven representation of a braid word on n strands."""
     _check_braid_word(w)
-    basis = build_graded_basis(infinitesimal_artin(w.n), cap, cache_dir)
+    basis = build_graded_basis(infinitesimal_artin(w.n), cap)
     alph, images = _drinfeld_images(w.n, cap, assoc)
     return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
 
@@ -189,19 +187,19 @@ def _rho3_images(cap: int, psi: TruncatedSeries):
     return _cached_images(("rho3", 3, cap, psi), build)
 
 
-def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int, cache_dir=None) -> SemidirectSeries:
+def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int) -> SemidirectSeries:
     """The 3-strand family: sigma_1 -> exp(t_12/2) (x) s_1, Delta -> exp(T) Psi_t^-1 (x) 321."""
     _check_braid_word(w)
     if w.n != 3:
         raise WordError("the parametrized family lives on 3 strands")
-    basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
+    basis = build_graded_basis(infinitesimal_artin(3), cap)
     alph, images = _rho3_images(cap, psi)
     return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
 
 
-def rho3_delta(psi: TruncatedSeries, cap: int, cache_dir=None) -> SemidirectSeries:
+def rho3_delta(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
     """Image of the fundamental element Delta = sigma_1 sigma_2 sigma_1."""
-    basis = build_graded_basis(infinitesimal_artin(3), cap, cache_dir)
+    basis = build_graded_basis(infinitesimal_artin(3), cap)
     alph, images = _rho3_images(cap, psi)
     return fold(basis, cap, alph, [(1, [images["Delta"]])])
 

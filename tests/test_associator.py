@@ -198,9 +198,9 @@ class TestExtension:
         counts = {}
         columns = associator._columns
 
-        def counting(perturbations, degree, cache_dir=None):
+        def counting(perturbations, degree):
             counts[degree] = counts.get(degree, 0) + len(perturbations)
-            return columns(perturbations, degree, cache_dir)
+            return columns(perturbations, degree)
 
         monkeypatch.setattr(associator, "_columns", counting)
         bootstrap_semi_associator(7)

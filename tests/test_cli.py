@@ -127,31 +127,23 @@ class TestEval:
         assert obj["values"][0]["perm"] == "132"
         assert obj["values"][0]["terms"]["t23"] == "1/2"
 
-    def test_default_assoc_reads_and_writes_the_cache_dir(self, capsys, tmp_path, monkeypatch):
-        # The bootstrapped semi-associator's chord(3) tables go to --cache-dir,
-        # so a second process (an empty table store) loads every table.
+    def test_drinfeld_cache_dir_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        # Chord tables are never persisted: the bootstrap's chord(3) tables
+        # and the chord(4) tables are built cold and leave the directory empty.
         argv = ["eval", "--family", "drinfeld", "--n", "4", "--cap", "4", "--word", "sig1 sig2"]
-        argv += ["--cache-dir", str(tmp_path)]
-        code, first = run(capsys, *argv)
+        code, plain = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, plain)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_welded_cache_dir_writes_oriented_tables(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        argv = ["eval", "--family", "welded", "--n", "3", "--cap", "3", "--word", "sig1 a12"]
+        code, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0
         names = {p.name for p in tmp_path.iterdir()}
-        assert {f"infinitesimal_artin(3)__deg{k}.basis" for k in range(5)} <= names
-        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
-        monkeypatch.setattr(quotient, "_CACHE_PATHS", set())
-        computed = []
-        compute = quotient._compute_degree_table
-
-        def counting(preset, k, relations):
-            computed.append((preset.key(), k))
-            return compute(preset, k, relations)
-
-        monkeypatch.setattr(quotient, "_compute_degree_table", counting)
-        assert run(capsys, *argv) == (0, first)
-        assert computed == []
-        # The hook sees a cold chord build, so the empty list above means something.
-        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
-        quotient.build_graded_basis(quotient.infinitesimal_artin(3), 4)
-        assert computed == [("infinitesimal_artin(3)", k) for k in range(5)]
+        assert names == {f"oriented_artin(3)__deg{k}.basis" for k in range(4)}
 
 
 class TestAssociatorCommands:
@@ -325,7 +317,9 @@ class TestInvariantCommands:
 
 
 class TestInfrastructure:
-    def test_cache_dir_reused(self, capsys, tmp_path):
+    def test_cache_dir_reused(self, capsys, tmp_path, monkeypatch):
+        # A fresh process: tables the store already holds touch no file.
+        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
         code, _ = run(
             capsys,
             "dim",
@@ -378,6 +372,10 @@ class TestInfrastructure:
             ["check-associator", "--series", "1", "--n", "3"],
             ["extend-associator", "--from", "one.txt", "--to-degree", "2", "--out", "x", "--cap", "3"],
             ["extend-associator", "--from", "one.txt", "--to-degree", "2", "--out", "x", "--n", "3"],
+            # Chord-only subcommands: their tables are never persisted.
+            ["check-associator", "--series", "1", "--cache-dir", "d"],
+            ["extend-associator", "--from", "one.txt", "--to-degree", "2", "--out", "x", "--cache-dir", "d"],
+            ["check-yb", "--series", "1", "--cache-dir", "d"],
         ],
     )
     def test_flag_a_subcommand_does_not_read_is_rejected(self, capsys, argv):

@@ -26,6 +26,7 @@ from braidalg import (
     oriented_upper_triangular,
 )
 from braidalg import quotient
+from braidalg.linalg import SparseEchelon
 from braidalg.quotient import (
     _TABLE_STORE,
     GradedQuotientBasis,
@@ -37,6 +38,7 @@ from braidalg.quotient import (
     _relations_digest,
     _save_table,
 )
+from braidalg.series import word_key
 
 
 def words_of_degree(alphabet, k):
@@ -155,11 +157,10 @@ class TestChordRewriting:
     """Chord tables rewritten from the degree below against the exhaustive echelon."""
 
     @pytest.mark.parametrize("n,cap", [(2, 6), (3, 6), (4, 5), (5, 4)])
-    def test_rewritten_tables_equal_echelon(self, tmp_path, monkeypatch, n, cap):
+    def test_rewritten_tables_equal_echelon(self, monkeypatch, n, cap):
         # n = 2 has no relations, so no rewriting rule.
         preset = infinitesimal_artin(n)
         relations = preset.relations()
-        digest = _relations_digest(relations)
         monkeypatch.setattr(quotient, "_TABLE_STORE", {})
         basis = build_graded_basis(preset, cap)
         for k in range(cap + 1):
@@ -169,13 +170,6 @@ class TestChordRewriting:
             assert all(type(c) is int for row in rewritten.rows.values() for c in row.values())
             reference = GradedQuotientBasis(preset, k, {k: echelon})
             assert basis.normal_words(k) == reference.normal_words(k)
-            _save_table(tmp_path / "rewritten", preset, k, rewritten, digest)
-            _save_table(tmp_path / "echelon", preset, k, echelon, digest)
-            texts = [
-                open(_cache_path(tmp_path / side, preset, k), "rb").read()
-                for side in ("rewritten", "echelon")
-            ]
-            assert texts[0] == texts[1], k
 
     def test_standalone_table_needs_no_store(self, monkeypatch):
         preset = infinitesimal_artin(4)
@@ -316,10 +310,12 @@ class TestDiskCache:
             assert dict(reloaded.table(k).rows) == tables[k]
 
     def test_reloaded_table_reduces_identically(self, tmp_path, rng):
-        preset = infinitesimal_artin(3)
+        preset = oriented_artin(3)
         self._clear_store(preset, 3)
         fresh = build_graded_basis(preset, 3)
+        self._clear_store(preset, 3)  # a table in the store writes no file
         build_graded_basis(preset, 3, cache_dir=tmp_path)
+        assert os.path.exists(_cache_path(tmp_path, preset, 3))
         self._clear_store(preset, 3)
         cached = build_graded_basis(preset, 3, cache_dir=tmp_path)
         for _ in range(5):
@@ -550,7 +546,7 @@ class TestCacheLoader:
 
 
 class TestCachePaths:
-    """Store hits touch a cache file at most once per process and path."""
+    """A store hit touches no file; only a table absent from the store reads or writes one."""
 
     @pytest.fixture
     def preset(self):
@@ -568,30 +564,10 @@ class TestCachePaths:
         monkeypatch.setattr(quotient, "open", lambda *a, **kw: calls.append(a), raising=False)
         for _ in range(3):
             assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
+        # A directory the process has not seen before is no exception.
+        assert build_graded_basis(preset, 2, cache_dir=tmp_path / "second").dimension(2) == 27
         assert calls == []
-
-    @pytest.mark.parametrize("stale", ["version-one", "edited-digest", "missing"])
-    def test_first_store_hit_in_new_dir_rewrites_stale_file(self, tmp_path, preset, monkeypatch, stale):
-        build_graded_basis(preset, 2, cache_dir=tmp_path / "first")
-        digest = _relations_digest(preset.relations())
-        second = tmp_path / "second"
-        second.mkdir()
-        for k in range(3):
-            lines = open(_cache_path(tmp_path / "first", preset, k)).read().splitlines()
-            if stale == "version-one":
-                lines = ["#% braidalg-basis v1"] + [line for line in lines[1:] if not line.startswith("#% relations")]
-            elif stale == "edited-digest":
-                lines[lines.index(f"#% relations {digest}")] = "#% relations " + "0" * 64
-            if stale != "missing":
-                with open(_cache_path(second, preset, k), "w") as handle:
-                    handle.write("\n".join(lines) + "\n")
-        computed = []
-        monkeypatch.setattr(quotient, "_compute_degree_table", lambda *a: computed.append(a))
-        build_graded_basis(preset, 2, cache_dir=second)
-        assert computed == []  # every table came from the store
-        for k in range(3):
-            first_text = open(_cache_path(tmp_path / "first", preset, k)).read()
-            assert open(_cache_path(second, preset, k)).read() == first_text
+        assert "second" not in os.listdir(tmp_path)
 
     def test_current_file_in_new_dir_kept(self, tmp_path, preset, monkeypatch):
         build_graded_basis(preset, 2, cache_dir=tmp_path / "first")
@@ -603,6 +579,71 @@ class TestCachePaths:
         monkeypatch.setattr(quotient, "_save_table", lambda *a: saved.append(a))
         build_graded_basis(preset, 2, cache_dir=tmp_path / "second")
         assert saved == []
+
+
+class TestChordTablesNotPersisted:
+    """Chord tables are rewritten, never read from or written to the disk cache."""
+
+    def test_chord_build_creates_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        basis = build_graded_basis(infinitesimal_artin(3), 4, cache_dir=tmp_path)
+        assert [basis.dimension(k) for k in range(5)] == [1, 3, 7, 15, 31]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_planted_chord_file_never_opened(self, tmp_path, monkeypatch):
+        preset = infinitesimal_artin(3)
+        digest = _relations_digest(preset.relations())
+        fresh = build_graded_basis(preset, 4)
+        for k in range(5):
+            _save_table(tmp_path, preset, k, fresh.table(k), digest)
+        planted = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        calls = []
+        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        monkeypatch.setattr(quotient, "_load_table", lambda *a: calls.append(a))
+        monkeypatch.setattr(quotient, "open", lambda *a, **kw: calls.append(a), raising=False)
+        basis = build_graded_basis(preset, 4, cache_dir=tmp_path)
+        assert calls == []
+        for k in range(5):
+            assert basis.table(k).rows == fresh.table(k).rows
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == planted
+
+
+class TestCacheWriter:
+    """Each written row is the replacement as TruncatedSeries.text() renders it."""
+
+    @staticmethod
+    def _check_rows(tmp_path, preset, k, ech):
+        alph = preset.alphabet
+        _save_table(tmp_path, preset, k, ech, _relations_digest(preset.relations()))
+        lines = open(_cache_path(tmp_path, preset, k)).read().splitlines()
+        body = [line for line in lines if not line.startswith("#% ")]
+        expected = [
+            f"{alph.word_name(pivot)} -> "
+            + TruncatedSeries.from_terms(alph, k, ech.replacement(pivot)).text()
+            for pivot in sorted(ech.pivots())
+        ]
+        assert body == expected, k
+
+    @pytest.mark.parametrize(
+        "preset,cap",
+        [(oriented_artin(3), 4), (oriented_artin(4), 3), (oriented_upper_triangular(4), 4)],
+        ids=["oriented_artin(3)", "oriented_artin(4)", "oriented_upper_triangular(4)"],
+    )
+    def test_rows_written_as_series_text(self, tmp_path, preset, cap):
+        basis = build_graded_basis(preset, cap)
+        for k in range(cap + 1):
+            self._check_rows(tmp_path, preset, k, basis.table(k))
+
+    def test_fraction_and_empty_rows_written_as_series_text(self, tmp_path):
+        # The preset tables hold integers and no pivot-only row; a hand-made
+        # table covers the other branches of the writer.
+        preset = oriented_artin(3)
+        rows = {
+            (5, 4): {(5, 4): 1, (0, 1): Fraction(-1, 2), (2, 3): 3},
+            (4, 4): {(4, 4): 1, (0, 0): Fraction(3, 4), (1, 2): -2},
+            (3, 3): {(3, 3): 1},
+        }
+        self._check_rows(tmp_path, preset, 2, SparseEchelon(key=word_key, rows=rows))
 
 
 class TestPrimitiveSliceThreads:
