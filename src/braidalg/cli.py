@@ -8,7 +8,7 @@ with the fields {command, inputs, degrees, values}, rationals as strings.
 
 ``--cache-dir`` persists the oriented tables, so the subcommands that can
 build one take it.  check-associator, extend-associator and check-yb work in
-the chord algebras alone, whose tables are never persisted, and do not.
+the chord algebras alone, which hold no tables, and do not.
 """
 
 from __future__ import annotations
@@ -151,8 +151,12 @@ def cmd_eval(args):
 
 
 def cmd_check_associator(args):
-    phi = _read_series(assoc_mod.AB, args.cap, args.series, args.infile)
     axioms = [ax.strip() for ax in args.axioms.split(",") if ax.strip()]
+    if not axioms or not set(axioms) <= set(assoc_mod.AXIOMS):
+        raise assoc_mod.AssociatorError(
+            f"--axioms {args.axioms!r}: name one or more of {','.join(assoc_mod.AXIOMS)}"
+        )
+    phi = _read_series(assoc_mod.AB, args.cap, args.series, args.infile)
     values = {}
     lines = []
     for ax in axioms:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .linalg import affine_solve
 from .quotient import (
@@ -164,15 +165,12 @@ class HilbertTable:
 
 
 def hilbert_table(n: int, cap: int, cache_dir=None) -> HilbertTable:
-    factorial = 1
-    for i in range(2, n + 1):
-        factorial *= i
     return HilbertTable(
         n,
         cap,
         hilbert_row(infinitesimal_artin(n), cap, cache_dir),
         hilbert_row(oriented_artin(n), cap, cache_dir),
-        factorial,
+        factorial(n),
     )
 
 

@@ -1,21 +1,18 @@
 """Graded quotients of free algebras by homogeneous degree-2 relations.
 
 The infinitesimal Artin algebra (chord generators t_ij), the oriented Artin
-algebra (ordered generators v_ij) and its upper-triangular variant are all
-held the same way: per degree k, a table of the slice of the two-sided
-relation ideal in reduced row echelon form over exact rationals, with deglex
-pivoting.  Reduction by the table yields canonical normal forms, equality
-tests and dimensions of the graded pieces.
+algebra (ordered generators v_ij) and its upper-triangular variant all have
+the same normal forms: reduction modulo the slice of the two-sided relation
+ideal in reduced row echelon form over exact rationals, with deglex pivoting.
+They yield canonical representatives, equality tests and dimensions of the
+graded pieces; ``GradedQuotientBasis.reduce`` is the one reduction.
 
-The oriented presets, and every preset up to degree 2, echelonize u * r * w
-exhaustively over relations r and words u, w.  The degree-2 rows of the
-chord presets are a Groebner basis of their ideal, so each chord table of
-degree k >= 3 is rewritten from the table of degree k - 1 instead, and is
-the same table.  A chord degree thus needs the one below it; the oriented
-degrees are independent of each other.  Finished tables are immutable and
-are shared through a process-wide registry.  The echelonized tables, which
-cost the most to build, can also be persisted to a disk cache; the rewritten
-chord tables never are, since rewriting one is faster than reading its file.
+The oriented presets hold, per degree k, a table echelonizing u * r * w
+exhaustively over relations r and words u, w.  Finished tables are immutable,
+shared through a process-wide registry and can be persisted to a disk cache.
+The degree-2 rows of the chord presets are a Groebner basis of their ideal,
+so a chord basis holds no table: it rewrites each word it meets by those
+rules alone, and memoizes the word's normal form process-wide.
 """
 
 from __future__ import annotations
@@ -180,11 +177,13 @@ class GradedQuotientBasis:
     def alphabet(self) -> Alphabet:
         return self.preset.alphabet
 
+    def _check(self, k: int):
+        if not 0 <= k <= self.cap:
+            raise BasisError(f"basis for {self.preset.key()} not built at degree {k}")
+
     def table(self, k: int) -> SparseEchelon:
-        try:
-            return self._tables[k]
-        except KeyError:
-            raise BasisError(f"basis for {self.preset.key()} not built at degree {k}") from None
+        self._check(k)
+        return self._tables[k]
 
     def pivot_words(self, k: int):
         return sorted(self.table(k).pivots())
@@ -198,10 +197,14 @@ class GradedQuotientBasis:
     def dimension(self, k: int) -> int:
         return self.alphabet.size**k - self.table(k).rank
 
+    def reduce(self, k: int, vec: dict) -> dict:
+        """Normal form of a degree-k slice; integer slices stay integral."""
+        return self.table(k).reduce(vec)
+
     def reduce_slice(self, k: int, vec: dict) -> dict:
         """Reduce a degree-k slice of rationals in integers; a Fraction only per surviving term."""
         den, scaled = scale_slice(vec)
-        return unscale_slice(den, self.table(k).reduce(scaled))
+        return unscale_slice(den, self.reduce(k, scaled))
 
     def normal_form(self, s: TruncatedSeries) -> TruncatedSeries:
         """Canonical representative supported on non-pivot words; idempotent."""
@@ -231,7 +234,7 @@ class GradedQuotientBasis:
             if k >= 1:
                 for w in lyndon_words(self.alphabet.size, k):
                     bracket = lyndon_bracket(self.alphabet, k, w)
-                    ech.add(self.table(k).reduce(bracket.slices[k]))
+                    ech.add(self.reduce(k, bracket.slices[k]))
             # Threads racing here each build an equal slice; all of them
             # return the one that was published first.
             ech = self._prim.setdefault(k, ech)
@@ -250,25 +253,104 @@ class GradedQuotientBasis:
         return f"GradedQuotientBasis({self.preset.key()}, cap={self.cap})"
 
 
+class _ChordBasis(GradedQuotientBasis):
+    """Chord normal forms from the degree-2 rules and a process-wide word memo; no tables.
+
+    The leading words of the chord ideal are the words holding a degree-2
+    pivot pair (tests/test_quotient.py checks Kohno's dimensions against that
+    count), so rewriting pivot pairs alone reaches every normal form.
+    """
+
+    __slots__ = ("_rules", "_memo")
+
+    def __init__(self, preset: RelationPreset, cap: int):
+        super().__init__(preset, cap, {})
+        state = _CHORD_STATE.get(preset.key())
+        if state is None:
+            ech = _echelon_table(preset, 2, preset.relations())
+            rules = {pair: ech.replacement(pair) for pair in ech.pivots()}
+            # Threads racing here build equal rules; all keep the first published.
+            state = _CHORD_STATE.setdefault(preset.key(), (rules, {}))
+        self._rules, self._memo = state
+
+    def table(self, k: int) -> SparseEchelon:
+        """The degree-k rows pivot - NF(pivot): the reduced echelon form of the ideal slice."""
+        self._check(k)
+        nfs = {w: self._nf(w) for w in product(range(self.alphabet.size), repeat=k)}
+        rows = {w: {w: 1, **{u: -c for u, c in nf.items()}} for w, nf in nfs.items() if w not in nf}
+        return SparseEchelon(key=word_key, rows=rows)
+
+    def normal_words(self, k: int) -> list:
+        """Deglex-sorted words avoiding the pivot pairs: a basis of the degree-k graded piece."""
+        self._check(k)
+        letters = range(self.alphabet.size)
+        words = [()]
+        for _ in range(k):
+            words = [w + (b,) for w in words for b in letters if w[-1:] + (b,) not in self._rules]
+        return words
+
+    def dimension(self, k: int) -> int:
+        return len(self.normal_words(k))
+
+    def reduce(self, k: int, vec: dict) -> dict:
+        """sum c * NF(x) over the terms c * x of a degree-k slice, memoizing each NF(x)."""
+        self._check(k)
+        memo = self._memo
+        out = {}
+        for x, c in vec.items():
+            try:
+                nf = memo[x]
+            except KeyError:
+                nf = self._nf(x)
+            for u, cu in nf.items():
+                cv = out.get(u, 0) + c * cu
+                if cv:
+                    out[u] = cv
+                else:
+                    out.pop(u, None)
+        return out
+
+    def _nf(self, w: tuple) -> dict:
+        """NF(w) as {normal word: coefficient}, memoized; {w: 1} when w is normal.
+
+        NF(a.v) = NF(a.NF(v)).  When v is normal, so is a.v, unless (a, v[0])
+        is a pivot pair, which its rule rewrites.  Every word this reaches is
+        below w in deglex order, so the recursion ends, and the result is the
+        unique reduced form whatever order words are met in.
+        """
+        memo = self._memo
+        if w in memo:
+            return memo[w]
+        # The empty word is normal; a word's form holds the word iff it is normal.
+        tail = self._nf(w[1:]) if w else {w: 1}
+        if w[1:] not in tail:
+            terms = {w[:1] + u: c for u, c in tail.items()}
+        elif w[:2] in self._rules:
+            terms = {pair + w[2:]: c for pair, c in self._rules[w[:2]].items()}
+        else:
+            return memo.setdefault(w, {w: 1})
+        # Threads racing on a word compute equal forms; all keep the first published.
+        return memo.setdefault(w, self.reduce(len(w), terms))
+
+
 # -- construction and registry -------------------------------------------
 
 _TABLE_STORE: dict = {}
+_CHORD_STATE: dict = {}  # chord preset key -> (degree-2 rules, word memo)
 
 
 def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> GradedQuotientBasis:
-    """The ideal-slice tables of a preset through the cap.
+    """The normal forms of a preset through the cap, shared process-wide.
 
-    Finished per-degree tables are shared process-wide: a table the store
-    holds touches no file.  A table absent from it is, when cache_dir is
-    given and the preset's tables are echelonized (all but the chord preset
-    infinitesimal_artin), loaded from its cache file, or built and written
-    there.  Chord tables are never persisted: rewriting one from the degree
-    below is faster than reading its file.
+    A chord (infinitesimal_artin) basis holds its degree-2 rules and word memo
+    and touches no file.  Another preset's table the store holds touches no
+    file either; one absent from it is loaded from cache_dir, when given, or
+    built and written there.
     """
     if cap < 0:
         raise BasisError("cap must be >= 0")
     if preset.kind == "infinitesimal_artin":
-        cache_dir = None
+        return _ChordBasis(preset, cap)
     tables = {}
     # Built at the first table this call computes and the first cache file it
     # reads or writes, so a call served wholly from the store builds neither.
@@ -283,90 +365,12 @@ def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> Grad
                     digest = _relations_digest(relations())
                 ech = _load_table(cache_dir, preset, k, digest)
             if ech is None:
-                ech = _compute_degree_table(preset, k, relations())
+                ech = _echelon_table(preset, k, relations())
                 if cache_dir is not None:
                     _save_table(cache_dir, preset, k, ech, digest)
             _TABLE_STORE[key] = ech
         tables[k] = ech
     return GradedQuotientBasis(preset, cap, tables)
-
-
-def _compute_degree_table(preset: RelationPreset, k: int, relations: list) -> SparseEchelon:
-    """One degree-k table: rewritten from degree k - 1 for the chord presets, else echelonized."""
-    if preset.kind == "infinitesimal_artin" and k >= 3:
-        return _rewritten_table(preset, k, relations)
-    return _echelon_table(preset, k, relations)
-
-
-def _rewritten_table(preset: RelationPreset, k: int, relations: list) -> SparseEchelon:
-    """The degree-k table of a preset whose degree-2 rows are a Groebner basis.
-
-    The leading words of the chord ideal are the words holding a degree-2
-    pivot pair (tests/test_quotient.py checks Kohno's dimensions against that
-    count), so the degree-k pivots are the words a.v with v a degree-(k-1)
-    pivot or (a, v[0]) a pivot pair.  Each row is pivot - NF(pivot), where
-    NF(a.v) = NF(a.NF(v)) when v is a pivot, and otherwise the pair (a, v[0])
-    is rewritten and its right factor reduced in degree k - 1.  Every word the
-    rewriting reaches is below the pivot, so visiting words in deglex order
-    finds each such word's row already built: the partial table is the memo.
-    The rows are the reduced echelon form of the slice, which is unique, so
-    they equal those of the exhaustive echelon.
-    """
-    below = _TABLE_STORE.get((preset.key(), k - 1))
-    if below is None:
-        below = _compute_degree_table(preset, k - 1, relations)
-    rules = _TABLE_STORE.get((preset.key(), 2))
-    if rules is None:
-        rules = below if k == 3 else _echelon_table(preset, 2, relations)
-    lower = below.rows
-    pair_rows = rules.rows
-    rows = {}
-    for w in product(range(preset.alphabet.size), repeat=k):
-        # The terms (x, c) of -NF(w) before their reduction in degree k.
-        a, v = w[0], w[1:]
-        vrow = lower.get(v)
-        if vrow is not None:
-            # -NF(v) is the off-pivot part of v's row.
-            terms = [((a,) + u, c) for u, c in vrow.items() if u != v]
-        else:
-            rule = pair_rows.get(w[:2])
-            if rule is None:
-                continue  # a normal word
-            terms = []
-            rest = w[2:]
-            for pair, s in rule.items():
-                if pair == w[:2]:
-                    continue
-                b0, b1 = pair
-                x = (b1,) + rest
-                xrow = lower.get(x)
-                if xrow is None:
-                    terms.append(((b0,) + x, s))
-                else:
-                    terms.extend(((b0,) + u, -s * c) for u, c in xrow.items() if u != x)
-        # Reduce the terms in degree k.  Each word x is below w, so it is
-        # normal or its row is built: c * NF(x) is then minus c times the
-        # row's off-pivot part.
-        row = {w: 1}
-        for x, c in terms:
-            xrow = rows.get(x)
-            if xrow is None:
-                cv = row.get(x, 0) + c
-                if cv:
-                    row[x] = cv
-                else:
-                    del row[x]
-            else:
-                for u, cu in xrow.items():
-                    if u == x:
-                        continue
-                    cv = row.get(u, 0) - c * cu
-                    if cv:
-                        row[u] = cv
-                    else:
-                        del row[u]
-        rows[w] = row
-    return SparseEchelon(key=word_key, rows=rows)
 
 
 def _echelon_table(preset: RelationPreset, k: int, relations: list) -> SparseEchelon:

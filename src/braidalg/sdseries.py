@@ -341,7 +341,7 @@ def _normalized(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict) -> Se
         if alphabet != target:
             raise AlphabetMismatch(f"{alphabet!r} vs preset alphabet {target!r}")
         slices = tuple(
-            unscale_slice(den, basis.table(k).reduce(sl)) for k, (den, sl) in enumerate(scaled)
+            unscale_slice(den, basis.reduce(k, sl)) for k, (den, sl) in enumerate(scaled)
         )
         if any(slices):
             terms[perm] = TruncatedSeries(alphabet, cap, slices)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .perms import Permutation
 
@@ -213,24 +214,16 @@ class FreeGroupEndo:
         return self.apply_word(range(1, self.n + 1)) == tuple(range(1, self.n + 1))
 
 
-_TOKEN_ENDOS: dict = {}
-
-
+@cache
 def _token_endo(n: int, t: Token) -> FreeGroupEndo:
-    key = (n, t)
-    endo = _TOKEN_ENDOS.get(key)
-    if endo is None:
-        if t.kind == "a":
-            endo = FreeGroupEndo.generator_a(n, t.i, t.j, t.power)
-        elif t.kind == "s":
-            endo = FreeGroupEndo.generator_s(n, t.i)
-        else:
-            # sigma_i = a_{i,i+1} s_i; the inverse reverses and inverts.
-            ai = FreeGroupEndo.generator_a(n, t.i, t.i + 1, t.power)
-            si = FreeGroupEndo.generator_s(n, t.i)
-            endo = ai.compose(si) if t.power == 1 else si.compose(ai)
-        _TOKEN_ENDOS[key] = endo
-    return endo
+    if t.kind == "a":
+        return FreeGroupEndo.generator_a(n, t.i, t.j, t.power)
+    if t.kind == "s":
+        return FreeGroupEndo.generator_s(n, t.i)
+    # sigma_i = a_{i,i+1} s_i; the inverse reverses and inverts.
+    ai = FreeGroupEndo.generator_a(n, t.i, t.i + 1, t.power)
+    si = FreeGroupEndo.generator_s(n, t.i)
+    return ai.compose(si) if t.power == 1 else si.compose(ai)
 
 
 def as_automorphism(w: WeldedWord) -> FreeGroupEndo:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from braidalg import AB, CapMismatch, bootstrap_semi_associator, eval_drinfeld, parse_word, quotient
+from braidalg import associator as assoc_mod
 from braidalg.cli import main
 from braidalg.series import parse_series
 
@@ -154,6 +155,16 @@ class TestAssociatorCommands:
         assert code == 0
         assert "AE: pass" in out and "H3: FAIL at degree 2" in out
         assert "residual" in out
+
+    @pytest.mark.parametrize("axioms", ["", ",", " , ", "AE,XY", "P,H2"])
+    def test_check_rejects_bad_axiom_list_before_any_work(self, capsys, monkeypatch, axioms):
+        calls = []
+        monkeypatch.setattr(assoc_mod, "check_axiom", lambda *a: calls.append(a))
+        code = main(["check-associator", "--cap", "6", "--series", "1", "--axioms", axioms])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert calls == [] and captured.out == ""
+        assert captured.err == f"error: --axioms {axioms!r}: name one or more of AE,AS,H1,H3,P\n"
 
     def test_extend_writes_file_and_checks_pass(self, capsys, tmp_path):
         src = tmp_path / "phi1.txt"

@@ -32,7 +32,6 @@ from braidalg.quotient import (
     GradedQuotientBasis,
     RelationPreset,
     _cache_path,
-    _compute_degree_table,
     _echelon_table,
     _load_table,
     _relations_digest,
@@ -154,7 +153,7 @@ class TestDimensions:
 
 
 class TestChordRewriting:
-    """Chord tables rewritten from the degree below against the exhaustive echelon."""
+    """Chord normal forms rewritten by the degree-2 rules against the exhaustive echelon."""
 
     @pytest.mark.parametrize("n,cap", [(2, 6), (3, 6), (4, 5), (5, 4)])
     def test_rewritten_tables_equal_echelon(self, monkeypatch, n, cap):
@@ -171,14 +170,87 @@ class TestChordRewriting:
             reference = GradedQuotientBasis(preset, k, {k: echelon})
             assert basis.normal_words(k) == reference.normal_words(k)
 
-    def test_standalone_table_needs_no_store(self, monkeypatch):
+    def test_build_echelonizes_degree_two_only_and_stores_no_table(self, monkeypatch, rng):
         preset = infinitesimal_artin(4)
-        relations = preset.relations()
+        degrees = []
+
+        def echelon(p, k, relations):
+            degrees.append(k)
+            return _echelon_table(p, k, relations)
+
         monkeypatch.setattr(quotient, "_TABLE_STORE", {})
-        alone = _compute_degree_table(preset, 5, relations)
-        assert quotient._TABLE_STORE == {}  # the degrees below were built, not registered
-        on_store = build_graded_basis(preset, 5).table(5)
-        assert alone.rows == on_store.rows
+        monkeypatch.setattr(quotient, "_CHORD_STATE", {})
+        monkeypatch.setattr(quotient, "_echelon_table", echelon)
+        for _ in range(2):  # the second build reuses the rules
+            basis = build_graded_basis(preset, 5)
+            basis.normal_form(random_series(rng, preset.alphabet, 5, nterms=20))
+            assert [basis.dimension(k) for k in range(6)] == oracles.product_formula_dims(4, 5)
+            assert basis.table(5).rank == 6**5 - basis.dimension(5)
+        assert degrees == [2]
+        assert quotient._TABLE_STORE == {}
+
+    # The exhaustive echelon of chord(4) in degree 6 takes about 9 s, and of
+    # chord(5) in degree 5 about 7 s, so n = 4 and 5 stop below degree 6.
+    @pytest.mark.parametrize("n,cap", [(3, 6), (4, 5), (5, 4)])
+    def test_normal_forms_equal_echelon_reduction(self, monkeypatch, rng, n, cap):
+        preset = infinitesimal_artin(n)
+        relations = preset.relations()
+        m = preset.alphabet.size
+        monkeypatch.setattr(quotient, "_CHORD_STATE", {})
+        basis = build_graded_basis(preset, cap)
+        for k in range(cap + 1):
+            echelon = _echelon_table(preset, k, relations)
+            for _ in range(10):
+                vec = {tuple(rng.randrange(m) for _ in range(k)): rng.randint(-9, 9) for _ in range(8)}
+                want = echelon.reduce(vec)
+                got = basis.reduce(k, vec)
+                assert got == want, k
+                assert all(type(c) is int for c in got.values())
+                assert basis.reduce_slice(k, vec) == want
+            for _ in range(5):
+                s = random_series(rng, preset.alphabet, k, nterms=12, denom=12)
+                nf = basis.normal_form(s)
+                assert nf.slices[k] == echelon.reduce(s.slices[k]), k
+                assert all(type(c) is Fraction for c in nf.slices[k].values())
+
+    @pytest.mark.parametrize("n,k", [(3, 8), (4, 6)])
+    def test_word_order_does_not_change_normal_forms(self, monkeypatch, n, k):
+        preset = infinitesimal_artin(n)
+        words = words_of_degree(preset.alphabet, k)
+        results = []
+        for order in (words, words[::-1]):
+            monkeypatch.setattr(quotient, "_CHORD_STATE", {})
+            basis = build_graded_basis(preset, k)
+            results.append({w: basis.reduce(k, {w: 1}) for w in order})
+        assert results[0] == results[1]
+
+    def test_racing_threads_get_equal_normal_forms(self, monkeypatch):
+        preset = infinitesimal_artin(3)
+        words = words_of_degree(preset.alphabet, 7)
+        echelon = _echelon_table(preset, 7, preset.relations())
+        monkeypatch.setattr(quotient, "_CHORD_STATE", {})
+        basis = build_graded_basis(preset, 7)
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(i):
+            barrier.wait(timeout=30)
+            order = words[i::4] + words[::-1]  # a quarter each, then all of them backwards
+            results[i] = {w: basis.reduce(7, {w: 1}) for w in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        want = {w: echelon.reduce({w: 1}) for w in words}
+        assert all(result == want for result in results)
 
     @pytest.mark.parametrize("n,cap", [(3, 10), (4, 10), (5, 10), (6, 10), (7, 4), (8, 4), (9, 4)])
     def test_degree_two_pivots_are_a_groebner_basis(self, n, cap):
@@ -429,7 +501,7 @@ class TestCacheLoader:
         preset = make(n)
         digest = _relations_digest(preset.relations())
         for k in range(cap + 1):
-            fresh = _compute_degree_table(preset, k, preset.relations())
+            fresh = _echelon_table(preset, k, preset.relations())
             _save_table(tmp_path, preset, k, fresh, digest)
             loaded = _load_table(tmp_path, preset, k, digest)
             assert loaded is not None
