@@ -6,9 +6,9 @@ check-splitting.  Output is deterministic: fixed word order, rationals in
 lowest terms.  ``--format structured`` emits one JSON object per result
 with the fields {command, inputs, degrees, values}, rationals as strings.
 
-``--cache-dir`` persists the oriented tables, so the subcommands that can
-build one take it.  check-associator, extend-associator and check-yb work in
-the chord algebras alone, which hold no tables, and do not.
+``--cache-dir`` persists each degree's oriented normal forms, so the
+subcommands that reach an oriented algebra take it.  check-associator,
+extend-associator and check-yb work in the chord algebras alone, and do not.
 """
 
 from __future__ import annotations

@@ -2,27 +2,24 @@
 
 The infinitesimal Artin algebra (chord generators t_ij), the oriented Artin
 algebra (ordered generators v_ij) and its upper-triangular variant all have
-the same normal forms: reduction modulo the slice of the two-sided relation
-ideal in reduced row echelon form over exact rationals, with deglex pivoting.
-They yield canonical representatives, equality tests and dimensions of the
-graded pieces; ``GradedQuotientBasis.reduce`` is the one reduction.
-
-The oriented presets hold, per degree k, a table echelonizing u * r * w
-exhaustively over relations r and words u, w.  Finished tables are immutable,
-shared through a process-wide registry and can be persisted to a disk cache.
-The degree-2 rows of the chord presets are a Groebner basis of their ideal,
-so a chord basis holds no table: it rewrites each word it meets by those
-rules alone, and memoizes the word's normal form process-wide.
+the same normal forms: the words avoiding the leading words of the ideal
+under deglex order span each graded piece, and every other word rewrites to
+a combination of them over exact rationals.  ``GradedQuotientBasis.reduce``
+is the one reduction.  The rules come from a truncated Buchberger closure,
+one degree at a time; the chord presets gain none past degree 2.  Each
+preset's rules and word memos are shared process-wide, and the other presets
+can keep each degree's forms in a disk cache.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .linalg import SparseEchelon, demote
 from .lyndon import lyndon_words, lyndon_bracket
@@ -71,47 +68,21 @@ class RelationPreset:
         def g(i, j):
             return generator(alph, cap, (i, j))
 
-        strands = range(1, self.n + 1)
+        triples = list(permutations(range(1, self.n + 1), 3))  # distinct strands, lexicographic
+        pairs = _disjoint_pairs(alph)
         if self.kind == "infinitesimal_artin":
             # [t_ij, t_ik + t_jk] over unordered pairs {i,j}; swapping i,j repeats it.
-            for i in strands:
-                for j in strands:
-                    if j <= i:
-                        continue
-                    for k in strands:
-                        if k in (i, j):
-                            continue
-                        rels.append(comm(g(i, j), g(i, k) + g(j, k)))
+            rels += [comm(g(i, j), g(i, k) + g(j, k)) for i, j, k in triples if i < j]
             # [t_ij, t_kl] for disjoint unordered pairs, each pair-of-pairs once.
-            for (i, j), (k, l) in _disjoint_pairs(alph):
-                rels.append(comm(g(i, j), g(k, l)))
+            rels += [comm(g(i, j), g(k, l)) for (i, j), (k, l) in pairs]
         elif self.kind in ("oriented_artin", "oriented_upper_triangular"):
-            upper = self.kind == "oriented_upper_triangular"
+            full = self.kind == "oriented_artin"
             # (I) [v_ik, v_jk]; antisymmetric in i,j, so take i < j once.
-            for k in strands:
-                for i in strands:
-                    for j in strands:
-                        if i >= j or k in (i, j):
-                            continue
-                        if upper and not (i > k and j > k):
-                            continue
-                        rels.append(comm(g(i, k), g(j, k)))
+            rels += [comm(g(i, k), g(j, k)) for k, i, j in triples if i < j and (full or i > k)]
             # (II) [v_ij, v_ik + v_jk]; genuinely ordered in (i, j).
-            for i in strands:
-                for j in strands:
-                    if i == j:
-                        continue
-                    for k in strands:
-                        if k in (i, j):
-                            continue
-                        if upper and not (i > j > k):
-                            continue
-                        rels.append(comm(g(i, j), g(i, k) + g(j, k)))
+            rels += [comm(g(i, j), g(i, k) + g(j, k)) for i, j, k in triples if full or i > j > k]
             # (III) [v_ij, v_kl] over disjoint ordered pairs, each pair-of-pairs once.
-            for (i, j), (k, l) in _disjoint_pairs(alph):
-                if upper and not (i > j and k > l):
-                    continue
-                rels.append(comm(g(i, j), g(k, l)))
+            rels += [comm(g(i, j), g(k, l)) for (i, j), (k, l) in pairs if full or i > j and k > l]
         elif self.kind != "free":
             raise BasisError(f"unknown preset kind {self.kind!r}")
         return rels
@@ -163,14 +134,19 @@ def preset_by_name(kind: str, n: int) -> RelationPreset:
 
 
 class GradedQuotientBasis:
-    """Echelonized ideal slices of one preset, complete through a degree cap."""
+    """Normal forms of one preset through a degree cap.
 
-    __slots__ = ("preset", "cap", "_tables", "_prim")
+    Every basis of a preset shares the preset's process-wide Groebner rules
+    (leading word -> its normal form) and memos of word normal forms.
+    """
 
-    def __init__(self, preset: RelationPreset, cap: int, tables: dict):
+    __slots__ = ("preset", "cap", "_state", "_rules", "_memos", "_loaded", "_prim")
+
+    def __init__(self, preset: RelationPreset, cap: int, state: _PresetState):
         self.preset = preset
         self.cap = cap
-        self._tables = tables
+        self._state = state
+        self._rules, self._memos, self._loaded = state.rules, state.memos, state.loaded
         self._prim = {}
 
     @property
@@ -182,24 +158,38 @@ class GradedQuotientBasis:
             raise BasisError(f"basis for {self.preset.key()} not built at degree {k}")
 
     def table(self, k: int) -> SparseEchelon:
+        """The degree-k rows pivot - NF(pivot): the reduced echelon form of the ideal slice."""
         self._check(k)
-        return self._tables[k]
+        memo = self._memos[k]
+        nfs = ((w, self._nf(w, memo)) for w in product(range(self.alphabet.size), repeat=k))
+        rows = {w: {w: 1, **{u: -c for u, c in nf.items()}} for w, nf in nfs if w not in nf}
+        return SparseEchelon(key=word_key, rows=rows)
 
     def pivot_words(self, k: int):
         return sorted(self.table(k).pivots())
 
     def normal_words(self, k: int) -> list:
-        """Deglex-sorted non-pivot words: a basis of the degree-k graded piece."""
-        # product yields the words of one degree in lexicographic, so deglex, order.
-        pivots = self.table(k).rows
-        return [w for w in product(range(self.alphabet.size), repeat=k) if w not in pivots]
+        """Deglex-sorted words avoiding every leading word: a basis of the degree-k graded piece."""
+        self._check(k)
+        letters = range(self.alphabet.size)
+        if k in self._loaded:
+            # product yields the words of one degree in lexicographic, so deglex, order.
+            return [w for w in product(letters, repeat=k) if w not in self._memos[k]]
+        # A word whose prefixes avoid the leading words can hold one only as a suffix.
+        rules, lengths = self._rules, self._state.lengths
+        words = [()]
+        for _ in range(k):
+            extended = (w + (b,) for w in words for b in letters)
+            words = [v for v in extended if not any(v[-j:] in rules for j in lengths)]
+        return words
 
     def dimension(self, k: int) -> int:
-        return self.alphabet.size**k - self.table(k).rank
+        return len(self.normal_words(k))
 
     def reduce(self, k: int, vec: dict) -> dict:
-        """Normal form of a degree-k slice; integer slices stay integral."""
-        return self.table(k).reduce(vec)
+        """Normal form of a degree-k slice; integer slices stay integral under integral rules."""
+        self._check(k)
+        return self._reduce(self._memos[k], vec)
 
     def reduce_slice(self, k: int, vec: dict) -> dict:
         """Reduce a degree-k slice of rationals in integers; a Fraction only per surviving term."""
@@ -207,7 +197,7 @@ class GradedQuotientBasis:
         return unscale_slice(den, self.reduce(k, scaled))
 
     def normal_form(self, s: TruncatedSeries) -> TruncatedSeries:
-        """Canonical representative supported on non-pivot words; idempotent."""
+        """Canonical representative supported on normal words; idempotent."""
         if s.alphabet != self.alphabet:
             raise AlphabetMismatch(f"{s.alphabet!r} vs preset alphabet {self.alphabet!r}")
         if s.cap > self.cap:
@@ -217,6 +207,97 @@ class GradedQuotientBasis:
 
     def equal_mod_relations(self, a: TruncatedSeries, b: TruncatedSeries) -> bool:
         return self.normal_form(a - b).is_zero()
+
+    def _reduce(self, memo: dict, vec: dict) -> dict:
+        """sum c * NF(x) over the terms c * x of a slice; memo is the memo of its degree."""
+        out = {}
+        for x, c in vec.items():
+            nf = memo.get(x)
+            if nf is None:
+                nf = self._nf(x, memo)
+            for u, cu in nf.items():
+                cv = out.get(u, 0) + c * cu
+                if cv:
+                    out[u] = cv
+                else:
+                    out.pop(u, None)
+        return out
+
+    def _nf(self, w: tuple, memo: dict) -> dict:
+        """NF(w) as {normal word: coefficient}, memoized in memo; {w: 1} when w is normal.
+
+        NF(a.v) = NF(a.NF(v)).  When v is normal, a leading word in a.v can
+        only be a prefix, which its rule rewrites.  Every word this reaches is
+        below w in deglex order, so the recursion ends, and the result is the
+        unique reduced form whatever order words are met in.  A degree read
+        from the disk cache holds every word that is not normal.
+        """
+        nf = memo.get(w)
+        if nf is not None:
+            return nf
+        if len(w) in self._loaded:
+            return {w: 1}
+        # The empty word is normal; a word's form holds the word iff it is normal.
+        tail = self._nf(w[1:], self._memos[len(w) - 1]) if w else {w: 1}
+        if w[1:] not in tail:
+            terms = {w[:1] + u: c for u, c in tail.items()}
+        else:
+            for j in self._state.lengths:
+                rule = self._rules.get(w[:j])
+                if rule is not None:
+                    terms = {u + w[j:]: c for u, c in rule.items()}
+                    break
+            else:
+                return memo.setdefault(w, {w: 1})
+        # Threads racing on a word compute equal forms; all keep the first published.
+        return memo.setdefault(w, self._reduce(memo, terms))
+
+    def _close(self, top: int, relations):
+        """Extend the rules through degree top by the truncated Buchberger closure.
+
+        The leading words of degree j are the pivots of the degree-j
+        ambiguities, reduced by the rules below j and echelonized; in degree 2
+        the relations stand for them.  With every ambiguity of degree j
+        resolved, the rules are a Groebner basis through degree j (Bergman's
+        diamond lemma).  The leading words of a degree read from the disk
+        cache are its pivots whose two maximal subwords are normal.
+        """
+        state = self._state
+        for j in range(state.closed + 1, top + 1):
+            memo = state.memos.setdefault(j, {})
+            if j in state.loaded:
+                below = state.memos.get(j - 1)
+                new = {w: nf for w, nf in memo.items() if w[1:] in self._nf(w[1:], below)}
+                new = {w: nf for w, nf in new.items() if w[:-1] in self._nf(w[:-1], below)}
+            else:
+                ambiguities = self._ambiguities(j, relations)
+                local = {}  # below the new rules, these are not yet normal forms
+                ech = SparseEchelon(key=word_key)
+                for vec in ambiguities:
+                    ech.add(self._reduce(local, vec))
+                new = {p: ech.replacement(p) for p in ech.pivots()}
+            if new:
+                self._rules.update(new)
+                state.lengths = tuple(sorted({len(w) for w in self._rules}))
+            state.closed = j
+
+    def _ambiguities(self, j: int, relations):
+        """NF(a).v - u.NF(b) over the degree-j words a.v = u.b where leading words a, b overlap."""
+        if j == 2:
+            yield from ({w: demote(c) for w, c in r.slices[2].items()} for r in relations())
+        starting = {}  # proper prefix -> the leading words starting with it
+        for b in self._rules:
+            for i in range(1, len(b)):
+                starting.setdefault(b[:i], []).append(b)
+        for a, nf_a in self._rules.items():
+            for i in range(1, len(a)):
+                for b in starting.get(a[i:], ()):
+                    if i + len(b) == j:
+                        u, v = a[:i], b[len(a) - i :]
+                        vec = {x + v: c for x, c in nf_a.items()}
+                        for x, c in self._rules[b].items():
+                            vec[u + x] = vec.get(u + x, 0) - c
+                        yield vec
 
     # -- primitive (Lie) slices ------------------------------------------
 
@@ -253,139 +334,60 @@ class GradedQuotientBasis:
         return f"GradedQuotientBasis({self.preset.key()}, cap={self.cap})"
 
 
-class _ChordBasis(GradedQuotientBasis):
-    """Chord normal forms from the degree-2 rules and a process-wide word memo; no tables.
-
-    The leading words of the chord ideal are the words holding a degree-2
-    pivot pair (tests/test_quotient.py checks Kohno's dimensions against that
-    count), so rewriting pivot pairs alone reaches every normal form.
-    """
-
-    __slots__ = ("_rules", "_memo")
-
-    def __init__(self, preset: RelationPreset, cap: int):
-        super().__init__(preset, cap, {})
-        state = _CHORD_STATE.get(preset.key())
-        if state is None:
-            ech = _echelon_table(preset, 2, preset.relations())
-            rules = {pair: ech.replacement(pair) for pair in ech.pivots()}
-            # Threads racing here build equal rules; all keep the first published.
-            state = _CHORD_STATE.setdefault(preset.key(), (rules, {}))
-        self._rules, self._memo = state
-
-    def table(self, k: int) -> SparseEchelon:
-        """The degree-k rows pivot - NF(pivot): the reduced echelon form of the ideal slice."""
-        self._check(k)
-        nfs = {w: self._nf(w) for w in product(range(self.alphabet.size), repeat=k)}
-        rows = {w: {w: 1, **{u: -c for u, c in nf.items()}} for w, nf in nfs.items() if w not in nf}
-        return SparseEchelon(key=word_key, rows=rows)
-
-    def normal_words(self, k: int) -> list:
-        """Deglex-sorted words avoiding the pivot pairs: a basis of the degree-k graded piece."""
-        self._check(k)
-        letters = range(self.alphabet.size)
-        words = [()]
-        for _ in range(k):
-            words = [w + (b,) for w in words for b in letters if w[-1:] + (b,) not in self._rules]
-        return words
-
-    def dimension(self, k: int) -> int:
-        return len(self.normal_words(k))
-
-    def reduce(self, k: int, vec: dict) -> dict:
-        """sum c * NF(x) over the terms c * x of a degree-k slice, memoizing each NF(x)."""
-        self._check(k)
-        memo = self._memo
-        out = {}
-        for x, c in vec.items():
-            try:
-                nf = memo[x]
-            except KeyError:
-                nf = self._nf(x)
-            for u, cu in nf.items():
-                cv = out.get(u, 0) + c * cu
-                if cv:
-                    out[u] = cv
-                else:
-                    out.pop(u, None)
-        return out
-
-    def _nf(self, w: tuple) -> dict:
-        """NF(w) as {normal word: coefficient}, memoized; {w: 1} when w is normal.
-
-        NF(a.v) = NF(a.NF(v)).  When v is normal, so is a.v, unless (a, v[0])
-        is a pivot pair, which its rule rewrites.  Every word this reaches is
-        below w in deglex order, so the recursion ends, and the result is the
-        unique reduced form whatever order words are met in.
-        """
-        memo = self._memo
-        if w in memo:
-            return memo[w]
-        # The empty word is normal; a word's form holds the word iff it is normal.
-        tail = self._nf(w[1:]) if w else {w: 1}
-        if w[1:] not in tail:
-            terms = {w[:1] + u: c for u, c in tail.items()}
-        elif w[:2] in self._rules:
-            terms = {pair + w[2:]: c for pair, c in self._rules[w[:2]].items()}
-        else:
-            return memo.setdefault(w, {w: 1})
-        # Threads racing on a word compute equal forms; all keep the first published.
-        return memo.setdefault(w, self.reduce(len(w), terms))
-
-
 # -- construction and registry -------------------------------------------
 
-_TABLE_STORE: dict = {}
-_CHORD_STATE: dict = {}  # chord preset key -> (degree-2 rules, word memo)
+
+class _PresetState:
+    """What the process knows of one preset's ideal; extending it holds the lock."""
+
+    __slots__ = ("rules", "lengths", "closed", "memos", "loaded", "lock")
+
+    def __init__(self):
+        self.rules = {}  # leading word -> its normal form
+        self.lengths = ()  # the lengths of the leading words, ascending
+        self.closed = -1  # the rules are complete through this degree
+        self.memos = {}  # degree -> {word: normal form}
+        self.loaded = set()  # degrees read from the disk cache
+        self.lock = threading.Lock()
+
+    def missing(self, cap: int) -> list:
+        """The degrees through cap neither closed nor loaded."""
+        return [k for k in range(self.closed + 1, cap + 1) if k not in self.loaded]
+
+
+_STATE: dict = {}  # preset key -> _PresetState
 
 
 def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> GradedQuotientBasis:
     """The normal forms of a preset through the cap, shared process-wide.
 
-    A chord (infinitesimal_artin) basis holds its degree-2 rules and word memo
-    and touches no file.  Another preset's table the store holds touches no
-    file either; one absent from it is loaded from cache_dir, when given, or
-    built and written there.
+    A degree the process already knows touches no file.  Another is read
+    from cache_dir, when given, or reached by the closure and written there;
+    chord (infinitesimal_artin) degrees are never read or written.
     """
     if cap < 0:
         raise BasisError("cap must be >= 0")
-    if preset.kind == "infinitesimal_artin":
-        return _ChordBasis(preset, cap)
-    tables = {}
-    # Built at the first table this call computes and the first cache file it
-    # reads or writes, so a call served wholly from the store builds neither.
-    relations = cache(preset.relations)
-    digest = None
-    for k in range(cap + 1):
-        key = (preset.key(), k)
-        ech = _TABLE_STORE.get(key)
-        if ech is None:
-            if cache_dir is not None:
-                if digest is None:
-                    digest = _relations_digest(relations())
-                ech = _load_table(cache_dir, preset, k, digest)
-            if ech is None:
-                ech = _echelon_table(preset, k, relations())
-                if cache_dir is not None:
-                    _save_table(cache_dir, preset, k, ech, digest)
-            _TABLE_STORE[key] = ech
-        tables[k] = ech
-    return GradedQuotientBasis(preset, cap, tables)
-
-
-def _echelon_table(preset: RelationPreset, k: int, relations: list) -> SparseEchelon:
-    """Echelonize u * r * w over the relations r and words u, w of total degree k."""
-    ech = SparseEchelon(key=word_key)
-    # The relations are integral: echelonize in int, not Fraction, arithmetic.
-    rel_slices = [{w: demote(c) for w, c in r.slices[2].items()} for r in relations]
-    m = preset.alphabet.size
-    for a in range(k - 1):
-        b = k - 2 - a
-        for u in product(range(m), repeat=a):
-            for rel in rel_slices:
-                for w in product(range(m), repeat=b):
-                    ech.add({u + rw + w: c for rw, c in rel.items()})
-    return ech
+    state = _STATE.get(preset.key()) or _STATE.setdefault(preset.key(), _PresetState())
+    basis = GradedQuotientBasis(preset, cap, state)
+    if not state.missing(cap):
+        return basis
+    with state.lock:
+        # Built at the first use, so a call that reads no file builds no digest.
+        relations = cache(preset.relations)
+        cached = cache_dir is not None and preset.kind != "infinitesimal_artin"
+        if cached and state.missing(cap):
+            digest = _relations_digest(relations())
+            for k in state.missing(cap):
+                forms = _load_table(cache_dir, preset, k, digest)
+                if forms is not None:
+                    state.memos[k] = forms
+                    state.loaded.add(k)
+        unread = state.missing(cap)
+        if unread:
+            basis._close(unread[-1], relations)
+            for k in unread if cached else ():
+                _save_table(cache_dir, preset, k, basis.table(k), digest)
+    return basis
 
 
 # -- disk cache ------------------------------------------------------------
@@ -451,7 +453,7 @@ class _Rejected(Exception):
 
 
 def _load_table(cache_dir, preset: RelationPreset, k: int, digest: str):
-    """Reload one degree table, or None when it must be rebuilt.
+    """Reload one degree as {pivot: NF(pivot)}, or None when it must be rebuilt.
 
     The reason -- missing file, stale header or failed body check -- is
     logged at DEBUG on the ``braidalg.quotient`` logger.
@@ -499,7 +501,7 @@ def _check_header(lines: list, preset: RelationPreset, k: int, digest: str) -> t
     return header, start
 
 
-def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> SparseEchelon:
+def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> dict:
     """Check and parse the lines of a cache file in one pass; raise _Rejected.
 
     Word names and coefficient texts recur across rows, so each is parsed
@@ -512,7 +514,7 @@ def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> Spa
 
     index = {name: g for g, name in enumerate(preset.alphabet.names)}
     words = {}  # word name -> word tuple
-    entries = {}  # negated signed coefficient text -> row entry
+    entries = {}  # signed coefficient text -> coefficient
 
     def word_of(name):
         try:
@@ -532,12 +534,12 @@ def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> Spa
         # _save_table writes each coefficient as str() of its absolute value.
         if not c or str(abs(c)) != text:
             raise _Rejected(f"failed body check: bad coefficient {text!r}")
-        # Integral values as int, as SparseEchelon stores them.
+        # Integral values as int, as the rules hold them.
         c = entries[key] = demote(c)
         return c
 
-    rows = {}
-    cols = set()  # the words rows mention off-pivot
+    forms = {}
+    cols = set()  # the words the forms mention
     for line in body:
         pivot_txt, arrow, repl_txt = line.partition(" -> ")
         if not arrow:
@@ -545,9 +547,9 @@ def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> Spa
         pivot = words.get(pivot_txt)
         if pivot is None:
             pivot = word_of(pivot_txt)
-        if pivot in rows:
+        if pivot in forms:
             raise _Rejected(f"failed body check: duplicate pivot {pivot_txt!r}")
-        row = rows[pivot] = {pivot: 1}
+        nf = forms[pivot] = {}
         if repl_txt == "0":
             continue
         # "-c*w + c*w - c*w": give the first term a sign token of its own,
@@ -563,12 +565,10 @@ def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> Spa
             coeff_txt, star, name = term.partition("*")
             if not star:
                 raise _Rejected(f"failed body check: no '*' in term {term!r}")
-            # The row holds pivot - replacement, so each entry is the
-            # term's coefficient negated.
             if sign == "+":
-                key = "-" + coeff_txt
-            elif sign == "-":
                 key = coeff_txt
+            elif sign == "-":
+                key = "-" + coeff_txt
             else:
                 raise _Rejected(f"failed body check: bad sign {sign!r}")
             c = entries.get(key)
@@ -579,15 +579,14 @@ def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> Spa
                 word = word_of(name)
             if word >= pivot:
                 raise _Rejected(f"failed body check: {name!r} not below pivot {pivot_txt!r}")
-            if word in row:
+            if word in nf:
                 raise _Rejected(f"failed body check: {name!r} repeated in row {pivot_txt!r}")
-            row[word] = c
+            nf[word] = c
             cols.add(word)
-    # Single-pass reduction needs an inter-reduced table: no stored row may
-    # mention another pivot off-pivot.
-    if not rows.keys().isdisjoint(cols):
+    # A normal form holds only normal words: no row may mention a pivot.
+    if not forms.keys().isdisjoint(cols):
         raise _Rejected("failed body check: a row mentions another pivot")
-    return SparseEchelon(key=word_key, rows=rows)
+    return forms
 
 
 def hilbert_row(preset: RelationPreset, cap: int, cache_dir=None) -> list:

@@ -6,6 +6,8 @@ under test.  Words are tuples of generator indices; vectors are dicts.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 ZERO = Fraction(0)
 
@@ -177,6 +179,52 @@ class FractionEchelon:
                         del qrow[w]
         self.rows[pivot] = row
         return pivot
+
+
+# -- the exhaustive ideal slice: the reference for every preset's normal forms ------
+
+
+def echelon_table(preset, k, relations):
+    """Echelonize u * r * w over the relations r and words u, w of total degree k.
+
+    This spans the degree-k slice of the ideal by brute force, with no
+    rewriting rule.  It runs on the package's SparseEchelon, which
+    tests/test_linalg.py checks against FractionEchelon above.
+    """
+    from braidalg.linalg import SparseEchelon, demote
+    from braidalg.series import word_key
+
+    ech = SparseEchelon(key=word_key)
+    # The relations are integral: echelonize in int, not Fraction, arithmetic.
+    rel_slices = [{w: demote(c) for w, c in r.slices[2].items()} for r in relations]
+    m = preset.alphabet.size
+    for a in range(k - 1):
+        for u in product(range(m), repeat=a):
+            for rel in rel_slices:
+                for w in product(range(m), repeat=k - 2 - a):
+                    ech.add({u + rw + w: c for rw, c in rel.items()})
+    return ech
+
+
+# -- closed-form Hilbert series -----------------------------------------------------
+
+
+def rational_series_dims(numerator, denominator, cap):
+    """Coefficients of numerator(t) / denominator(t) in degrees 0..cap; denominator[0] == 1."""
+    coeffs = []
+    for k in range(cap + 1):
+        c = numerator[k] if k < len(numerator) else 0
+        c -= sum(denominator[i] * coeffs[k - i] for i in range(1, min(k, len(denominator) - 1) + 1))
+        coeffs.append(c)
+    return coeffs
+
+
+def oriented_formula_dims(n, cap):
+    """(1 - n t)^-(n-1) in degrees 0..cap.
+
+    Koszulity of H*(P Sigma_n) predicts these dimensions for oriented_artin(n).
+    """
+    return [comb(k + n - 2, n - 2) * n**k for k in range(cap + 1)]
 
 
 # -- Hilbert series of the chord algebra: product of 1/(1 - j t) ------------------

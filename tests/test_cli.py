@@ -134,12 +134,12 @@ class TestEval:
         argv = ["eval", "--family", "drinfeld", "--n", "4", "--cap", "4", "--word", "sig1 sig2"]
         code, plain = run(capsys, *argv)
         assert code == 0
-        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        monkeypatch.setattr(quotient, "_STATE", {})
         assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, plain)
         assert list(tmp_path.iterdir()) == []
 
     def test_welded_cache_dir_writes_oriented_tables(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        monkeypatch.setattr(quotient, "_STATE", {})
         argv = ["eval", "--family", "welded", "--n", "3", "--cap", "3", "--word", "sig1 a12"]
         code, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0
@@ -330,7 +330,7 @@ class TestInvariantCommands:
 class TestInfrastructure:
     def test_cache_dir_reused(self, capsys, tmp_path, monkeypatch):
         # A fresh process: tables the store already holds touch no file.
-        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        monkeypatch.setattr(quotient, "_STATE", {})
         code, _ = run(
             capsys,
             "dim",

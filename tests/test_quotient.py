@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,17 +28,15 @@ from braidalg import (
 )
 from braidalg import quotient
 from braidalg.linalg import SparseEchelon
+from braidalg.series import word_key
 from braidalg.quotient import (
-    _TABLE_STORE,
     GradedQuotientBasis,
     RelationPreset,
     _cache_path,
-    _echelon_table,
     _load_table,
     _relations_digest,
     _save_table,
 )
-from braidalg.series import word_key
 
 
 def words_of_degree(alphabet, k):
@@ -160,34 +159,50 @@ class TestChordRewriting:
         # n = 2 has no relations, so no rewriting rule.
         preset = infinitesimal_artin(n)
         relations = preset.relations()
-        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        monkeypatch.setattr(quotient, "_STATE", {})
         basis = build_graded_basis(preset, cap)
         for k in range(cap + 1):
             rewritten = basis.table(k)
-            echelon = _echelon_table(preset, k, relations)
+            echelon = oracles.echelon_table(preset, k, relations)
             assert rewritten.rows == echelon.rows, k
             assert all(type(c) is int for row in rewritten.rows.values() for c in row.values())
-            reference = GradedQuotientBasis(preset, k, {k: echelon})
-            assert basis.normal_words(k) == reference.normal_words(k)
+            words = words_of_degree(preset.alphabet, k)
+            assert basis.normal_words(k) == [w for w in words if w not in echelon.rows]
 
     def test_build_echelonizes_degree_two_only_and_stores_no_table(self, monkeypatch, rng):
+        # The closure runs once per preset, and every pivot it finds lies in
+        # degree 2: each chord ambiguity of degree 3 reduces to zero.
         preset = infinitesimal_artin(4)
-        degrees = []
+        closures, pivots = [], []
+        close = GradedQuotientBasis._close
 
-        def echelon(p, k, relations):
-            degrees.append(k)
-            return _echelon_table(p, k, relations)
+        def recording_close(self, top, relations):
+            closures.append(top)
+            return close(self, top, relations)
 
-        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
-        monkeypatch.setattr(quotient, "_CHORD_STATE", {})
-        monkeypatch.setattr(quotient, "_echelon_table", echelon)
+        class RecordingEchelon(SparseEchelon):
+            __slots__ = ()
+
+            def add(self, vec):
+                pivot = super().add(vec)
+                if pivot is not None:
+                    pivots.append(pivot)
+                return pivot
+
+        monkeypatch.setattr(quotient, "_STATE", {})
+        monkeypatch.setattr(GradedQuotientBasis, "_close", recording_close)
+        monkeypatch.setattr(quotient, "SparseEchelon", RecordingEchelon)
         for _ in range(2):  # the second build reuses the rules
             basis = build_graded_basis(preset, 5)
             basis.normal_form(random_series(rng, preset.alphabet, 5, nterms=20))
             assert [basis.dimension(k) for k in range(6)] == oracles.product_formula_dims(4, 5)
             assert basis.table(5).rank == 6**5 - basis.dimension(5)
-        assert degrees == [2]
-        assert quotient._TABLE_STORE == {}
+        assert closures == [5]
+        assert sorted(pivots) == sorted(oracles.echelon_table(preset, 2, preset.relations()).pivots())
+        state = quotient._STATE[preset.key()]
+        assert list(quotient._STATE) == [preset.key()]
+        assert state.rules.keys() == set(pivots)
+        assert state.loaded == set()
 
     # The exhaustive echelon of chord(4) in degree 6 takes about 9 s, and of
     # chord(5) in degree 5 about 7 s, so n = 4 and 5 stop below degree 6.
@@ -196,10 +211,10 @@ class TestChordRewriting:
         preset = infinitesimal_artin(n)
         relations = preset.relations()
         m = preset.alphabet.size
-        monkeypatch.setattr(quotient, "_CHORD_STATE", {})
+        monkeypatch.setattr(quotient, "_STATE", {})
         basis = build_graded_basis(preset, cap)
         for k in range(cap + 1):
-            echelon = _echelon_table(preset, k, relations)
+            echelon = oracles.echelon_table(preset, k, relations)
             for _ in range(10):
                 vec = {tuple(rng.randrange(m) for _ in range(k)): rng.randint(-9, 9) for _ in range(8)}
                 want = echelon.reduce(vec)
@@ -219,24 +234,123 @@ class TestChordRewriting:
         words = words_of_degree(preset.alphabet, k)
         results = []
         for order in (words, words[::-1]):
-            monkeypatch.setattr(quotient, "_CHORD_STATE", {})
+            monkeypatch.setattr(quotient, "_STATE", {})
             basis = build_graded_basis(preset, k)
             results.append({w: basis.reduce(k, {w: 1}) for w in order})
         assert results[0] == results[1]
 
     def test_racing_threads_get_equal_normal_forms(self, monkeypatch):
-        preset = infinitesimal_artin(3)
-        words = words_of_degree(preset.alphabet, 7)
-        echelon = _echelon_table(preset, 7, preset.relations())
-        monkeypatch.setattr(quotient, "_CHORD_STATE", {})
-        basis = build_graded_basis(preset, 7)
+        # The chord rules hold in degree 2; oriented_artin(3) gains rules in
+        # degrees 3, 4 and 5, so its normal forms rewrite longer prefixes.
+        for preset, k in ((infinitesimal_artin(3), 7), (oriented_artin(3), 5)):
+            words = words_of_degree(preset.alphabet, k)
+            echelon = oracles.echelon_table(preset, k, preset.relations())
+            monkeypatch.setattr(quotient, "_STATE", {})
+            basis = build_graded_basis(preset, k)
+            barrier = threading.Barrier(4)
+            results = [None] * 4
+
+            def work(i):
+                barrier.wait(timeout=30)
+                order = words[i::4] + words[::-1]  # a quarter each, then all of them backwards
+                results[i] = {w: basis.reduce(k, {w: 1}) for w in order}
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            want = {w: echelon.reduce({w: 1}) for w in words}
+            assert all(result == want for result in results), preset
+
+    @pytest.mark.parametrize("n,cap", [(3, 10), (4, 10), (5, 10), (6, 10), (7, 4), (8, 4), (9, 4)])
+    def test_degree_two_pivots_are_a_groebner_basis(self, n, cap):
+        # The words avoiding the degree-2 pivot pairs span the quotient, so
+        # their count bounds each dimension from above; equality with Kohno's
+        # product formula is the Groebner basis property that the rewriting
+        # rests on.  Degree 3 already settles it (Bergman's diamond lemma), so
+        # n = 7-9, the rest of the chord alphabets, are counted only to 4.
+        preset = infinitesimal_artin(n)
+        pairs = oracles.echelon_table(preset, 2, preset.relations()).pivots()
+        counts = oracles.avoiding_word_counts(preset.alphabet.size, pairs, cap)
+        assert counts == oracles.product_formula_dims(n, cap)
+
+
+class TestGroebnerClosure:
+    """Rules from the truncated Buchberger closure, against the exhaustive echelon and closed forms."""
+
+    @pytest.mark.parametrize(
+        "preset,counts",
+        [
+            (oriented_artin(3), [9, 5, 6, 9]),
+            (oriented_artin(4), [48, 39, 81]),
+            (oriented_upper_triangular(3), [2, 1, 1, 1]),
+            (oriented_upper_triangular(4), [11, 8, 10]),
+            (infinitesimal_artin(4), [11, 0, 0, 0, 0]),
+        ],
+        ids=lambda v: v.key() if isinstance(v, RelationPreset) else "through-" + str(1 + len(v)),
+    )
+    def test_groebner_elements_per_degree(self, monkeypatch, preset, counts):
+        monkeypatch.setattr(quotient, "_STATE", {})
+        cap = 1 + len(counts)
+        build_graded_basis(preset, cap)
+        rules = quotient._STATE[preset.key()].rules
+        assert [sum(len(w) == k for w in rules) for k in range(2, cap + 1)] == counts
+        # No leading word holds another: the basis is reduced.
+        for w in rules:
+            inner = [w[i:j] for i in range(len(w)) for j in range(i + 2, len(w) + 1) if j - i < len(w)]
+            assert not any(u in rules for u in inner), w
+
+    # chord(4) in degree 6 is the one slow echelon here, 5-8 s on a 2-core VM.
+    @pytest.mark.parametrize(
+        "preset,cap",
+        [
+            (oriented_artin(3), 5),
+            (oriented_artin(4), 4),
+            (oriented_upper_triangular(3), 5),
+            (oriented_upper_triangular(4), 4),
+            (infinitesimal_artin(4), 6),
+            (free_preset(Alphabet.abstract("A", "B", "C")), 4),
+        ],
+        ids=lambda v: v.key() if isinstance(v, RelationPreset) else str(v),
+    )
+    def test_every_normal_form_equals_echelon(self, monkeypatch, preset, cap):
+        # The rows pivot - NF(pivot) over every word that is not normal; a
+        # word without a row is its own normal form.
+        monkeypatch.setattr(quotient, "_STATE", {})
+        basis = build_graded_basis(preset, cap)
+        for k in range(cap + 1):
+            echelon = oracles.echelon_table(preset, k, preset.relations())
+            assert basis.table(k).rows == echelon.rows, k
+            words = words_of_degree(preset.alphabet, k)
+            assert basis.normal_words(k) == [w for w in words if w not in echelon.rows]
+
+    def test_racing_builds_close_once(self, monkeypatch):
+        # Extending a preset's state is check-then-act, so builds take the
+        # preset's lock: one closure, and every thread gets complete rules.
+        preset = oriented_artin(3)
+        echelon = oracles.echelon_table(preset, 5, preset.relations())
+        closures = []
+        close = GradedQuotientBasis._close
+
+        def recording_close(self, top, relations):
+            closures.append(top)
+            return close(self, top, relations)
+
+        monkeypatch.setattr(quotient, "_STATE", {})
+        monkeypatch.setattr(GradedQuotientBasis, "_close", recording_close)
         barrier = threading.Barrier(4)
         results = [None] * 4
 
         def work(i):
             barrier.wait(timeout=30)
-            order = words[i::4] + words[::-1]  # a quarter each, then all of them backwards
-            results[i] = {w: basis.reduce(7, {w: 1}) for w in order}
+            results[i] = build_graded_basis(preset, 5).table(5).rows
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -249,20 +363,31 @@ class TestChordRewriting:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        want = {w: echelon.reduce({w: 1}) for w in words}
-        assert all(result == want for result in results)
+        assert closures == [5]
+        assert all(rows == echelon.rows for rows in results)
 
-    @pytest.mark.parametrize("n,cap", [(3, 10), (4, 10), (5, 10), (6, 10), (7, 4), (8, 4), (9, 4)])
-    def test_degree_two_pivots_are_a_groebner_basis(self, n, cap):
-        # The words avoiding the degree-2 pivot pairs span the quotient, so
-        # their count bounds each dimension from above; equality with Kohno's
-        # product formula is the Groebner basis property that the rewriting
-        # rests on.  Degree 3 already settles it (Bergman's diamond lemma), so
-        # n = 7-9, the rest of the chord alphabets, are counted only to 4.
-        preset = infinitesimal_artin(n)
-        pairs = _echelon_table(preset, 2, preset.relations()).pivots()
-        counts = oracles.avoiding_word_counts(preset.alphabet.size, pairs, cap)
-        assert counts == oracles.product_formula_dims(n, cap)
+    @pytest.mark.parametrize(
+        "preset,cap,dims",
+        [
+            # (1 - n t)^-(n-1)
+            pytest.param(oriented_artin(3), 7, oracles.oriented_formula_dims(3, 7), id="oriented_artin(3)"),
+            pytest.param(oriented_artin(4), 5, oracles.oriented_formula_dims(4, 5), id="oriented_artin(4)"),
+            # 1 / (1 - 6t + 2t^2)
+            pytest.param(
+                oriented_upper_triangular(3),
+                7,
+                oracles.rational_series_dims([1], [1, -6, 2], 7),
+                id="oriented_upper_triangular(3)",
+            ),
+        ],
+    )
+    def test_dimensions_match_closed_forms(self, preset, cap, dims):
+        assert hilbert_row(preset, cap) == dims
+
+    def test_closed_forms_pin_known_rows(self):
+        assert oracles.oriented_formula_dims(3, 7)[7] == 17_496
+        assert oracles.oriented_formula_dims(4, 6)[6] == 114_688
+        assert oracles.rational_series_dims([1], [1, -6, 2], 7)[6:] == [34_552, 195_072]
 
 
 class TestNormalForm:
@@ -364,8 +489,7 @@ class TestSymmetryStability:
 
 class TestDiskCache:
     def _clear_store(self, preset, cap):
-        for k in range(cap + 1):
-            _TABLE_STORE.pop((preset.key(), k), None)
+        quotient._STATE.pop(preset.key(), None)
 
     def test_roundtrip(self, tmp_path):
         preset = oriented_artin(3)
@@ -399,14 +523,14 @@ class TestDiskCache:
         self._clear_store(preset, 2)
         build_graded_basis(preset, 2, cache_dir=tmp_path)
         path = _cache_path(tmp_path, preset, 2)
-        content = open(path).read().replace("preset oriented_artin(3)", "preset other(9)")
+        content = Path(path).read_text().replace("preset oriented_artin(3)", "preset other(9)")
         with open(path, "w") as handle:
             handle.write(content)
         self._clear_store(preset, 2)
         rebuilt = build_graded_basis(preset, 2, cache_dir=tmp_path)
         assert rebuilt.dimension(2) == 27
         # the stale file was overwritten with a valid one
-        assert "preset oriented_artin(3)" in open(path).read()
+        assert "preset oriented_artin(3)" in Path(path).read_text()
 
     def test_corrupt_body_rejected(self, tmp_path):
         preset = oriented_artin(3)
@@ -427,7 +551,7 @@ class TestDiskCache:
         basis = build_graded_basis(preset, 2, cache_dir=tmp_path)
         pivots = basis.pivot_words(2)
         path = _cache_path(tmp_path, preset, 2)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         alph = preset.alphabet
         bad = f"{alph.word_name(pivots[1])} -> 1*{alph.word_name(pivots[0])}"
         body_start = next(i for i, line in enumerate(lines) if not line.startswith("#%"))
@@ -445,7 +569,7 @@ class TestDiskCache:
         self._clear_store(preset, 2)
         basis = build_graded_basis(preset, 2, cache_dir=tmp_path)
         path = _cache_path(tmp_path, preset, 2)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         body_start = next(i for i, line in enumerate(lines) if not line.startswith("#%"))
         lines[body_start] = lines[body_start + 1]
         with open(path, "w") as handle:
@@ -455,6 +579,49 @@ class TestDiskCache:
         assert rebuilt.dimension(2) == 27
         assert dict(rebuilt.table(2).rows) == dict(basis.table(2).rows)
 
+    def test_warm_load_runs_no_closure_and_keeps_the_loaded_forms(self, tmp_path, rng, monkeypatch):
+        preset = oriented_artin(3)
+        series = [random_series(rng, preset.alphabet, 3, nterms=20) for _ in range(5)]
+        self._clear_store(preset, 3)
+        fresh = build_graded_basis(preset, 3, cache_dir=tmp_path)
+        want = [fresh.normal_form(s) for s in series]
+        self._clear_store(preset, 3)
+        loaded = []
+        load = quotient._load_table
+
+        def recording_load(*args):
+            loaded.append(load(*args))
+            return loaded[-1]
+
+        monkeypatch.setattr(quotient, "_load_table", recording_load)
+        monkeypatch.setattr(GradedQuotientBasis, "_close", lambda *a: pytest.fail("closure on a warm load"))
+        warm = build_graded_basis(preset, 3, cache_dir=tmp_path)
+        state = quotient._STATE[preset.key()]
+        assert state.loaded == {0, 1, 2, 3}
+        assert all(state.memos[k] is loaded[k] for k in range(4))
+        sizes = [len(state.memos[k]) for k in range(4)]
+        assert [warm.normal_form(s) for s in series] == want
+        # A word absent from a loaded degree is normal: queries add nothing to its forms.
+        assert [len(state.memos[k]) for k in range(4)] == sizes
+
+    @pytest.mark.parametrize("unreadable", [None, 2], ids=["extend-past-loaded", "lower-degree-missing"])
+    def test_closure_past_loaded_degrees_equals_echelon(self, tmp_path, unreadable):
+        # The rules of a loaded degree come from its forms when the closure
+        # must pass it: a cap raised after a warm load, or a lower file missing.
+        preset = oriented_artin(3)
+        self._clear_store(preset, 4)
+        build_graded_basis(preset, 4, cache_dir=tmp_path)
+        if unreadable is not None:
+            os.unlink(_cache_path(tmp_path, preset, unreadable))
+        self._clear_store(preset, 4)
+        build_graded_basis(preset, 4, cache_dir=tmp_path)
+        basis = build_graded_basis(preset, 5)
+        for k in range(6):
+            assert basis.table(k).rows == oracles.echelon_table(preset, k, preset.relations()).rows, k
+            assert basis.dimension(k) == oracles.oriented_formula_dims(3, 5)[k]
+        rules = quotient._STATE[preset.key()].rules
+        assert [sum(len(w) == k for w in rules) for k in range(2, 6)] == [9, 5, 6, 9]
+
     def test_no_temp_files_left(self, tmp_path):
         preset = oriented_artin(3)
         self._clear_store(preset, 2)
@@ -463,12 +630,11 @@ class TestDiskCache:
 
 
 def _clear_store(preset, cap):
-    for k in range(cap + 1):
-        _TABLE_STORE.pop((preset.key(), k), None)
+    quotient._STATE.pop(preset.key(), None)
 
 
-def _types(rows):
-    return {(pivot, col): type(c) for pivot, row in rows.items() for col, c in row.items()}
+def _types(forms):
+    return {(pivot, word): type(c) for pivot, nf in forms.items() for word, c in nf.items()}
 
 
 class TestCacheLoader:
@@ -501,13 +667,14 @@ class TestCacheLoader:
         preset = make(n)
         digest = _relations_digest(preset.relations())
         for k in range(cap + 1):
-            fresh = _echelon_table(preset, k, preset.relations())
+            fresh = oracles.echelon_table(preset, k, preset.relations())
             _save_table(tmp_path, preset, k, fresh, digest)
             loaded = _load_table(tmp_path, preset, k, digest)
             assert loaded is not None
-            assert loaded.rows == fresh.rows
-            assert _types(loaded.rows) == _types(fresh.rows)
-            assert loaded._occ == fresh._occ
+            # The loader returns each pivot's normal form: the row without its pivot, negated.
+            forms = {pivot: fresh.replacement(pivot) for pivot in fresh.pivots()}
+            assert loaded == forms
+            assert _types(loaded) == _types(forms)
 
     @pytest.mark.parametrize(
         "row",
@@ -545,7 +712,7 @@ class TestCacheLoader:
         path = self._write_and_edit(tmp_path, preset, edit)
         assert _load_table(tmp_path, preset, 2, digest) is None
         assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
-        assert f"#% relations {digest}" in open(path).read().splitlines()
+        assert f"#% relations {digest}" in Path(path).read_text().splitlines()
 
     def test_version_one_file_rebuilt_and_overwritten(self, tmp_path, preset):
         def edit(lines):
@@ -554,7 +721,7 @@ class TestCacheLoader:
 
         path = self._write_and_edit(tmp_path, preset, edit)
         assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "#% braidalg-basis v2"
         assert f"#% relations {_relations_digest(preset.relations())}" in lines
 
@@ -645,8 +812,8 @@ class TestCachePaths:
         build_graded_basis(preset, 2, cache_dir=tmp_path / "first")
         (tmp_path / "second").mkdir()
         for k in range(3):
-            with open(_cache_path(tmp_path / "second", preset, k), "w") as handle:
-                handle.write(open(_cache_path(tmp_path / "first", preset, k)).read())
+            first = Path(_cache_path(tmp_path / "first", preset, k))
+            Path(_cache_path(tmp_path / "second", preset, k)).write_text(first.read_text())
         saved = []
         monkeypatch.setattr(quotient, "_save_table", lambda *a: saved.append(a))
         build_graded_basis(preset, 2, cache_dir=tmp_path / "second")
@@ -657,7 +824,7 @@ class TestChordTablesNotPersisted:
     """Chord tables are rewritten, never read from or written to the disk cache."""
 
     def test_chord_build_creates_no_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        monkeypatch.setattr(quotient, "_STATE", {})
         basis = build_graded_basis(infinitesimal_artin(3), 4, cache_dir=tmp_path)
         assert [basis.dimension(k) for k in range(5)] == [1, 3, 7, 15, 31]
         assert list(tmp_path.iterdir()) == []
@@ -670,7 +837,7 @@ class TestChordTablesNotPersisted:
             _save_table(tmp_path, preset, k, fresh.table(k), digest)
         planted = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         calls = []
-        monkeypatch.setattr(quotient, "_TABLE_STORE", {})
+        monkeypatch.setattr(quotient, "_STATE", {})
         monkeypatch.setattr(quotient, "_load_table", lambda *a: calls.append(a))
         monkeypatch.setattr(quotient, "open", lambda *a, **kw: calls.append(a), raising=False)
         basis = build_graded_basis(preset, 4, cache_dir=tmp_path)
@@ -687,7 +854,7 @@ class TestCacheWriter:
     def _check_rows(tmp_path, preset, k, ech):
         alph = preset.alphabet
         _save_table(tmp_path, preset, k, ech, _relations_digest(preset.relations()))
-        lines = open(_cache_path(tmp_path, preset, k)).read().splitlines()
+        lines = Path(_cache_path(tmp_path, preset, k)).read_text().splitlines()
         body = [line for line in lines if not line.startswith("#% ")]
         expected = [
             f"{alph.word_name(pivot)} -> "
