@@ -78,13 +78,35 @@ class DistinguishReport:
         return self.first_difference_degree is None
 
 
+def _common_prefix_length(x: tuple, y: tuple) -> int:
+    return next((i for i, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
+
+
 def distinguish(w1: WeldedWord, w2: WeldedWord, cap: int, cache_dir=None) -> DistinguishReport:
-    """First degree where truncated invariants differ, plus the exact verdict."""
+    """First degree where truncated invariants differ, plus the exact verdict.
+
+    Only the middles m1, m2 of w1 = P m1 S and w2 = P m2 S are evaluated, P
+    and S the longest common prefix and suffix.  The fold gives img(w) =
+    img(P) img(m) img(S), and img(P), img(S) are single terms g (x) pi with
+    constant term 1.  Multiplying by such a unit on either side, with its
+    relabelling of strands, is invertible and keeps the lowest nonzero
+    degree of the normal form, through any cap: the relation ideal is
+    homogeneous, two-sided and stable under relabelling.  Truncating the
+    fold commutes with the fold, so the difference through degree
+    min(1, cap) (the permutation and linear parts) is evaluated first; if
+    it is nonzero its lowest degree is the answer, and only otherwise is
+    the difference evaluated through the cap.  The oracle sees the full words.
+    """
     if w1.n != w2.n:
         raise WordError(f"strand mismatch: {w1.n} vs {w2.n}")
-    xi = GroupRingElement.from_word(w1) - GroupRingElement.from_word(w2)
-    diff = eval_group_ring(xi, cap, cache_dir)
-    return DistinguishReport(cap, diff.min_degree(), words_equal_in_bp(w1, w2))
+    p = _common_prefix_length(w1.letters, w2.letters)
+    s = _common_prefix_length(w1.letters[p:][::-1], w2.letters[p:][::-1])
+    m1, m2 = (WeldedWord(w.n, w.letters[p : len(w.letters) - s]) for w in (w1, w2))
+    xi = GroupRingElement.from_word(m1) - GroupRingElement.from_word(m2)
+    order = eval_group_ring(xi, min(1, cap), cache_dir).min_degree()
+    if order is None and cap > 1:
+        order = eval_group_ring(xi, cap, cache_dir).min_degree()
+    return DistinguishReport(cap, order, words_equal_in_bp(w1, w2))
 
 
 # -- the chord-to-oriented comparison map ----------------------------------------
@@ -216,6 +238,10 @@ def check_splitting_identity(n: int, cap: int, samples: int, seed: int = 0, cach
     Samples (c - 1)^k for conjugating words c and compares the order of
     (c - 1)^k s against (c - 1)^k; also pins the order of every a_ij - 1.
     """
+    if n < 2:
+        raise ValueError(f"the splitting identity needs n >= 2 strands, got n = {n}")
+    if cap < 1:
+        raise ValueError(f"the a_ij - 1 cases have order 1 and need cap >= 1, got cap = {cap}")
     rng = random.Random(seed)
     cases = []
     unit = GroupRingElement.one(n)

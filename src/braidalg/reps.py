@@ -67,22 +67,24 @@ def welded_images(n: int, cap: int):
 
     def build():
         alph = oriented_artin(n).alphabet
+
+        def exp_v(pair, sign):
+            # At cap 0 no generator is held and exp(+-v) truncates to 1.
+            return generator(alph, cap, pair).scale(sign).exp() if cap else one(alph, 0)
+
         images = {}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                v = generator(alph, cap, (i, j))
-                images[Token("a", i, j, 1)] = {Permutation.identity(n): v.exp()}
-                images[Token("a", i, j, -1)] = {Permutation.identity(n): v.scale(-1).exp()}
+                images[Token("a", i, j, 1)] = {Permutation.identity(n): exp_v((i, j), 1)}
+                images[Token("a", i, j, -1)] = {Permutation.identity(n): exp_v((i, j), -1)}
         for i in range(1, n):
             si = Permutation.transposition(n, i)
             images[Token("s", i)] = {si: one(alph, cap)}
             # sigma_i = a_{i,i+1} s_i, so sigma_i^-1 = s_i a_{i,i+1}^-1.
-            images[Token("sigma", i, 0, 1)] = {si: generator(alph, cap, (i, i + 1)).exp()}
-            images[Token("sigma", i, 0, -1)] = {
-                si: generator(alph, cap, (i + 1, i)).scale(-1).exp()
-            }
+            images[Token("sigma", i, 0, 1)] = {si: exp_v((i, i + 1), 1)}
+            images[Token("sigma", i, 0, -1)] = {si: exp_v((i + 1, i), -1)}
         return alph, {t: Factor(alph, terms) for t, terms in images.items()}
 
     return _cached_images(("welded", n, cap), build)

@@ -320,6 +320,38 @@ class TestInvariantCommands:
         assert obj["values"]["chord"] == ["1", "3", "7", "15"]
         assert obj["values"]["oriented"] == ["1", "6", "27", "108"]
 
+    @pytest.mark.parametrize(
+        "w1,w2,degree", [("s1", "s2", 0), ("a12", "a21", None), ("sig1", "s1", None)]
+    )
+    def test_distinguish_at_cap_zero(self, capsys, w1, w2, degree):
+        obj = run_json(capsys, "distinguish", "--n", "3", "--cap", "0", "--w1", w1, "--w2", w2)
+        assert obj["values"]["first_difference_degree"] == degree
+
+    def test_welded_family_at_cap_zero(self, capsys):
+        obj = run_json(
+            capsys, "eval", "--family", "welded", "--n", "3", "--cap", "0", "--word", "sig1 a12"
+        )
+        assert obj["degrees"] == [0]
+        assert [term["perm"] for term in obj["values"]] == ["213"]
+        obj = run_json(
+            capsys, "vassiliev-degree", "--n", "3", "--cap", "0", "--element", "1*[s1] - 1*[]"
+        )
+        assert obj["values"]["order"] == 0
+
+    @pytest.mark.parametrize(
+        "n,cap,message",
+        [
+            ("1", "2", "the splitting identity needs n >= 2 strands, got n = 1"),
+            ("3", "0", "the a_ij - 1 cases have order 1 and need cap >= 1, got cap = 0"),
+        ],
+    )
+    def test_check_splitting_rejects_bad_sizes(self, capsys, n, cap, message):
+        code = main(["check-splitting", "--n", n, "--cap", cap, "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_check_splitting(self, capsys):
         obj = run_json(
             capsys, "check-splitting", "--n", "3", "--cap", "3", "--samples", "5", "--seed", "3"

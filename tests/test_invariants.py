@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,10 @@ from braidalg import (
     parse_word,
     random_welded_word,
     vassiliev_degree,
+    words_equal_in_bp,
 )
-from braidalg.words import a, mccool_relations, word
+from braidalg import invariants as invariants_mod
+from braidalg.words import WeldedWord, a, braid_relations, mccool_relations, word
 
 
 def sd(basis, series, one_line):
@@ -164,6 +167,95 @@ class TestDistinguish:
         assert report.first_difference_degree == 0
         assert not report.oracle_equal
 
+    @pytest.mark.parametrize(
+        "n,cap,w1,w2,degree,oracle_equal",
+        [
+            (3, 4, "a12 a21", "a21 a12", 2, False),
+            (3, 2, "a12 a21", "a21 a12", 2, False),
+            (3, 4, "a12 a21 a12^-1 a21^-1 a13", "a13 a12 a21 a12^-1 a21^-1", 3, False),
+            (
+                4,
+                4,
+                "sig1 a31 sig2^-1 s3 a42 sig1 a24^-1",
+                "sig1 a31 sig2^-1 a14 a24 a14^-1 a24^-1 s3 a42 sig1 a24^-1",
+                None,
+                True,
+            ),
+            (3, 4, "a12 s1 a31", "a12 s1", 1, False),
+            (3, 4, "a12 s1 sig2", "a12 s1", 0, False),
+            (3, 4, "a12 s1", "a12 s1 a13 a23 a13^-1 a23^-1", None, True),
+            (3, 4, "sig1 a23^-1 s2", "sig1 a23^-1 s2", None, True),
+            (3, 0, "s1", "s2", 0, False),
+            (3, 0, "a12", "a21", None, False),
+        ],
+    )
+    def test_pinned_pairs(self, n, cap, w1, w2, degree, oracle_equal):
+        report = distinguish(parse_word(w1, n), parse_word(w2, n), cap)
+        assert report.first_difference_degree == degree
+        assert report.oracle_equal is oracle_equal
+
+
+def _middle_pairs(rng, n):
+    """Seeded pairs P m1 S, P m2 S: m2 is m1 times a relator, m1 reversed, m1, or unrelated."""
+    relators = [relator for _, relator in mccool_relations(n) + braid_relations(n)]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for kind in ("relator", "reversed", "same", "independent"):
+        for _ in range(10):
+            if kind == "reversed":
+                # Conjugations only: the degree-0 and degree-1 parts agree, so
+                # the fold through the cap settles the pair.
+                length = rng.randint(2, 5)
+                m1 = word(n, *(a(*rng.choice(pairs), rng.choice((1, -1))) for _ in range(length)))
+            else:
+                m1 = random_welded_word(rng, n, rng.randint(0, 5))
+            m2 = {
+                "relator": m1 * rng.choice(relators),
+                "reversed": WeldedWord(n, m1.letters[::-1]),
+                "same": m1,
+                "independent": random_welded_word(rng, n, rng.randint(0, 5)),
+            }[kind]
+            prefix = random_welded_word(rng, n, rng.randint(0, 4))
+            suffix = random_welded_word(rng, n, rng.randint(0, 4))
+            yield kind, prefix * m1 * suffix, prefix * m2 * suffix
+
+
+class TestDistinguishMiddles:
+    """Only the middles are folded, degrees 0-1 first; the full fold is the reference."""
+
+    @pytest.mark.parametrize("n,cap", [(3, c) for c in range(1, 6)] + [(4, c) for c in range(1, 5)])
+    def test_against_full_evaluation(self, n, cap):
+        rng = random.Random(f"distinguish-middles:{n}:{cap}")
+        for kind, w1, w2 in _middle_pairs(rng, n):
+            xi = GroupRingElement.from_word(w1) - GroupRingElement.from_word(w2)
+            full = eval_group_ring(xi, cap).min_degree()
+            report = distinguish(w1, w2, cap)
+            assert report.first_difference_degree == full, (w1, w2)
+            assert report.oracle_equal == words_equal_in_bp(w1, w2)
+            if kind in ("relator", "same"):
+                assert full is None and report.oracle_equal
+            if full is not None:
+                assert not report.oracle_equal
+
+    def test_folds_only_the_middles_and_the_cap_only_when_needed(self, monkeypatch):
+        calls = []
+        fold_all = invariants_mod.eval_group_ring
+
+        def spy(xi, cap, cache_dir=None):
+            calls.append((cap, sorted(w.text() for w in xi.terms)))
+            return fold_all(xi, cap, cache_dir)
+
+        monkeypatch.setattr(invariants_mod, "eval_group_ring", spy)
+        report = distinguish(parse_word("s2 a12 a13 s1", 3), parse_word("s2 a21 a13 s1", 3), 4)
+        assert report.first_difference_degree == 1
+        assert calls == [(1, ["a12", "a21"])]
+        calls.clear()
+        report = distinguish(parse_word("s1 a12 a21 sig2", 3), parse_word("s1 a21 a12 sig2", 3), 4)
+        assert report.first_difference_degree == 2
+        assert calls == [(1, ["a12 a21", "a21 a12"]), (4, ["a12 a21", "a21 a12"])]
+        calls.clear()
+        distinguish(parse_word("a12 a21", 3), parse_word("a21 a12", 3), 1)
+        assert [cap for cap, _ in calls] == [1]
+
 
 class TestGroupRingFold:
     """One fold of the whole element against one reduced image per word."""
@@ -275,6 +367,11 @@ class TestSplittingIdentity:
         assert report.passed
         assert len(report.cases) == 6
         assert all(case.order_plain == 1 for case in report.cases)
+
+    @pytest.mark.parametrize("n,cap,message", [(1, 2, "n = 1"), (0, 3, "n = 0"), (3, 0, "cap = 0")])
+    def test_rejects_bad_sizes_before_any_work(self, n, cap, message):
+        with pytest.raises(ValueError, match=message):
+            check_splitting_identity(n, cap, samples=0)
 
     def test_sampled_cases_pass(self):
         report = check_splitting_identity(3, 4, samples=12, seed=11)
