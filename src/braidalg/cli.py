@@ -6,7 +6,7 @@ check-splitting.  Output is deterministic: fixed word order, rationals in
 lowest terms.  ``--format structured`` emits one JSON object per result
 with the fields {command, inputs, degrees, values}, rationals as strings.
 
-``--cache-dir`` persists each degree's oriented normal forms, so the
+``--cache-dir`` persists each degree's oriented Groebner rules, so the
 subcommands that reach an oriented algebra take it.  check-associator,
 extend-associator and check-yb work in the chord algebras alone, and do not.
 """
@@ -44,7 +44,7 @@ def _flags(parser, n=True, cap=True, preset=False, series=False, cache_dir=True)
         parser.add_argument("--in", dest="infile", help="file holding the series")
     if cache_dir:
         parser.add_argument(
-            "--cache-dir", default=None, help="directory for persisted oriented tables"
+            "--cache-dir", default=None, help="directory for persisted oriented Groebner rules"
         )
     parser.add_argument("--format", choices=("text", "structured"), default="text", dest="format_")
 

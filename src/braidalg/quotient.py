@@ -5,10 +5,11 @@ algebra (ordered generators v_ij) and its upper-triangular variant all have
 the same normal forms: the words avoiding the leading words of the ideal
 under deglex order span each graded piece, and every other word rewrites to
 a combination of them over exact rationals.  ``GradedQuotientBasis.reduce``
-is the one reduction.  The rules come from a truncated Buchberger closure,
-one degree at a time; the chord presets gain none past degree 2.  Each
-preset's rules and word memos are shared process-wide, and the other presets
-can keep each degree's forms in a disk cache.
+is the one reduction.  The rules (leading word -> its normal form) come from
+a truncated Buchberger closure, one degree at a time; the chord presets gain
+none past degree 2.  Each preset's rules and word memos are shared
+process-wide.  The other presets can keep each degree's rules in a disk
+cache; loading them leaves the process as closing that degree would.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
 
@@ -27,14 +27,16 @@ from .series import (
     Alphabet,
     AlphabetMismatch,
     CapMismatch,
+    SeriesError,
     TruncatedSeries,
     generator,
+    parse_series,
     scale_slice,
     unscale_slice,
     word_key,
 )
 
-CACHE_FORMAT = "braidalg-basis v2"
+CACHE_FORMAT = "braidalg-rules v3"
 
 
 class BasisError(ValueError):
@@ -140,13 +142,13 @@ class GradedQuotientBasis:
     (leading word -> its normal form) and memos of word normal forms.
     """
 
-    __slots__ = ("preset", "cap", "_state", "_rules", "_memos", "_loaded", "_prim")
+    __slots__ = ("preset", "cap", "_state", "_rules", "_memos", "_prim")
 
     def __init__(self, preset: RelationPreset, cap: int, state: _PresetState):
         self.preset = preset
         self.cap = cap
         self._state = state
-        self._rules, self._memos, self._loaded = state.rules, state.memos, state.loaded
+        self._rules, self._memos = state.rules, state.memos
         self._prim = {}
 
     @property
@@ -172,9 +174,6 @@ class GradedQuotientBasis:
         """Deglex-sorted words avoiding every leading word: a basis of the degree-k graded piece."""
         self._check(k)
         letters = range(self.alphabet.size)
-        if k in self._loaded:
-            # product yields the words of one degree in lexicographic, so deglex, order.
-            return [w for w in product(letters, repeat=k) if w not in self._memos[k]]
         # A word whose prefixes avoid the leading words can hold one only as a suffix.
         rules, lengths = self._rules, self._state.lengths
         words = [()]
@@ -229,14 +228,11 @@ class GradedQuotientBasis:
         NF(a.v) = NF(a.NF(v)).  When v is normal, a leading word in a.v can
         only be a prefix, which its rule rewrites.  Every word this reaches is
         below w in deglex order, so the recursion ends, and the result is the
-        unique reduced form whatever order words are met in.  A degree read
-        from the disk cache holds every word that is not normal.
+        unique reduced form whatever order words are met in.
         """
         nf = memo.get(w)
         if nf is not None:
             return nf
-        if len(w) in self._loaded:
-            return {w: 1}
         # The empty word is normal; a word's form holds the word iff it is normal.
         tail = self._nf(w[1:], self._memos[len(w) - 1]) if w else {w: 1}
         if w[1:] not in tail:
@@ -252,34 +248,20 @@ class GradedQuotientBasis:
         # Threads racing on a word compute equal forms; all keep the first published.
         return memo.setdefault(w, self._reduce(memo, terms))
 
-    def _close(self, top: int, relations):
-        """Extend the rules through degree top by the truncated Buchberger closure.
+    def _close(self, j: int, relations) -> dict:
+        """The rules of degree j by the truncated Buchberger closure, those below j complete.
 
         The leading words of degree j are the pivots of the degree-j
         ambiguities, reduced by the rules below j and echelonized; in degree 2
         the relations stand for them.  With every ambiguity of degree j
         resolved, the rules are a Groebner basis through degree j (Bergman's
-        diamond lemma).  The leading words of a degree read from the disk
-        cache are its pivots whose two maximal subwords are normal.
+        diamond lemma).
         """
-        state = self._state
-        for j in range(state.closed + 1, top + 1):
-            memo = state.memos.setdefault(j, {})
-            if j in state.loaded:
-                below = state.memos.get(j - 1)
-                new = {w: nf for w, nf in memo.items() if w[1:] in self._nf(w[1:], below)}
-                new = {w: nf for w, nf in new.items() if w[:-1] in self._nf(w[:-1], below)}
-            else:
-                ambiguities = self._ambiguities(j, relations)
-                local = {}  # below the new rules, these are not yet normal forms
-                ech = SparseEchelon(key=word_key)
-                for vec in ambiguities:
-                    ech.add(self._reduce(local, vec))
-                new = {p: ech.replacement(p) for p in ech.pivots()}
-            if new:
-                self._rules.update(new)
-                state.lengths = tuple(sorted({len(w) for w in self._rules}))
-            state.closed = j
+        local = {}  # below the new rules, these are not yet normal forms
+        ech = SparseEchelon(key=word_key)
+        for vec in self._ambiguities(j, relations):
+            ech.add(self._reduce(local, vec))
+        return {p: ech.replacement(p) for p in ech.pivots()}
 
     def _ambiguities(self, j: int, relations):
         """NF(a).v - u.NF(b) over the degree-j words a.v = u.b where leading words a, b overlap."""
@@ -340,19 +322,22 @@ class GradedQuotientBasis:
 class _PresetState:
     """What the process knows of one preset's ideal; extending it holds the lock."""
 
-    __slots__ = ("rules", "lengths", "closed", "memos", "loaded", "lock")
+    __slots__ = ("rules", "lengths", "closed", "memos", "lock")
 
     def __init__(self):
         self.rules = {}  # leading word -> its normal form
         self.lengths = ()  # the lengths of the leading words, ascending
         self.closed = -1  # the rules are complete through this degree
         self.memos = {}  # degree -> {word: normal form}
-        self.loaded = set()  # degrees read from the disk cache
         self.lock = threading.Lock()
 
-    def missing(self, cap: int) -> list:
-        """The degrees through cap neither closed nor loaded."""
-        return [k for k in range(self.closed + 1, cap + 1) if k not in self.loaded]
+    def extend(self, j: int, new: dict):
+        """Add the rules of degree j, which complete the rules through degree j."""
+        self.memos[j] = {}
+        if new:
+            self.rules.update(new)
+            self.lengths = tuple(sorted({len(w) for w in self.rules}))
+        self.closed = j
 
 
 _STATE: dict = {}  # preset key -> _PresetState
@@ -361,32 +346,29 @@ _STATE: dict = {}  # preset key -> _PresetState
 def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> GradedQuotientBasis:
     """The normal forms of a preset through the cap, shared process-wide.
 
-    A degree the process already knows touches no file.  Another is read
-    from cache_dir, when given, or reached by the closure and written there;
-    chord (infinitesimal_artin) degrees are never read or written.
+    A degree the process already knows touches no file.  Another degree's
+    rules are read from cache_dir, when given, or reached by the closure and
+    written there; chord (infinitesimal_artin) degrees are never read or
+    written.
     """
     if cap < 0:
         raise BasisError("cap must be >= 0")
     state = _STATE.get(preset.key()) or _STATE.setdefault(preset.key(), _PresetState())
     basis = GradedQuotientBasis(preset, cap, state)
-    if not state.missing(cap):
+    if state.closed >= cap:
         return basis
     with state.lock:
-        # Built at the first use, so a call that reads no file builds no digest.
+        # Built at most once per call, and only for a digest or a closure in degree 2.
         relations = cache(preset.relations)
         cached = cache_dir is not None and preset.kind != "infinitesimal_artin"
-        if cached and state.missing(cap):
-            digest = _relations_digest(relations())
-            for k in state.missing(cap):
-                forms = _load_table(cache_dir, preset, k, digest)
-                if forms is not None:
-                    state.memos[k] = forms
-                    state.loaded.add(k)
-        unread = state.missing(cap)
-        if unread:
-            basis._close(unread[-1], relations)
-            for k in unread if cached else ():
-                _save_table(cache_dir, preset, k, basis.table(k), digest)
+        digest = _relations_digest(relations()) if cached and state.closed < cap else None
+        for k in range(state.closed + 1, cap + 1):
+            new = _load_rules(cache_dir, preset, k, digest, state) if cached else None
+            if new is None:
+                new = basis._close(k, relations)
+                if cached:
+                    _save_rules(cache_dir, preset, k, new, digest)
+            state.extend(k, new)
     return basis
 
 
@@ -407,16 +389,15 @@ def _relations_digest(relations: list) -> str:
     return hashlib.sha256("\n".join(texts).encode()).hexdigest()
 
 
-def _save_table(cache_dir, preset: RelationPreset, k: int, ech: SparseEchelon, digest: str):
+def _save_rules(cache_dir, preset: RelationPreset, k: int, rules: dict, digest: str):
     os.makedirs(str(cache_dir), exist_ok=True)
     alph = preset.alphabet
-    name = alph.word_name
     header = [
         f"#% {CACHE_FORMAT}",
         f"#% preset {preset.key()}",
         f"#% degree {k}",
         f"#% alphabet {alph.kind}({alph.n if alph.kind != 'abstract' else ','.join(alph.names)})",
-        f"#% rows {ech.rank}",
+        f"#% rows {len(rules)}",
         f"#% relations {digest}",
     ]
     # Atomic write-then-rename: concurrent readers never observe partial files.
@@ -424,23 +405,11 @@ def _save_table(cache_dir, preset: RelationPreset, k: int, ech: SparseEchelon, d
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write("\n".join(header) + "\n")
-            # One row per pivot: "pivot -> replacement", the replacement as
-            # TruncatedSeries.text() writes it.  _read_table accepts exactly
-            # this syntax.  The row holds pivot - replacement, so a positive
-            # entry is a "-" term.
-            for pivot, row in sorted(ech.rows.items()):
-                repl = " ".join(
-                    f"{'-' if c > 0 else '+'} {abs(c)!s}*{name(word)}"
-                    for word, c in sorted(row.items())
-                    if word != pivot
-                )
-                if not repl:
-                    repl = "0"
-                elif repl[0] == "+":
-                    repl = repl[2:]
-                else:
-                    repl = "-" + repl[2:]
-                handle.write(f"{name(pivot)} -> {repl}\n")
+            # One row per rule, "leading word -> its normal form", the form as
+            # TruncatedSeries.text() writes it; _read_rules accepts only that.
+            for w in sorted(rules):
+                nf = TruncatedSeries.from_terms(alph, k, rules[w]).text()
+                handle.write(f"{alph.word_name(w)} -> {nf}\n")
         os.replace(tmp, _cache_path(cache_dir, preset, k))
     except BaseException:
         if os.path.exists(tmp):
@@ -452,8 +421,8 @@ class _Rejected(Exception):
     """A cache file that must be rebuilt; the message says why."""
 
 
-def _load_table(cache_dir, preset: RelationPreset, k: int, digest: str):
-    """Reload one degree as {pivot: NF(pivot)}, or None when it must be rebuilt.
+def _load_rules(cache_dir, preset: RelationPreset, k: int, digest: str, state: _PresetState):
+    """The rules of degree k, given those below it, or None when they must be rebuilt.
 
     The reason -- missing file, stale header or failed body check -- is
     logged at DEBUG on the ``braidalg.quotient`` logger.
@@ -462,7 +431,7 @@ def _load_table(cache_dir, preset: RelationPreset, k: int, digest: str):
     try:
         with open(path) as handle:
             lines = handle.read().splitlines()
-        return _read_table(lines, preset, k, digest)
+        return _read_rules(lines, preset, k, digest, state)
     except FileNotFoundError:
         reason = "missing file"
     except UnicodeDecodeError:
@@ -501,92 +470,49 @@ def _check_header(lines: list, preset: RelationPreset, k: int, digest: str) -> t
     return header, start
 
 
-def _read_table(lines: list, preset: RelationPreset, k: int, digest: str) -> dict:
-    """Check and parse the lines of a cache file in one pass; raise _Rejected.
+def _read_rules(lines: list, preset: RelationPreset, k: int, digest: str, state) -> dict:
+    """Check and parse the lines of a cache file; raise _Rejected.
 
-    Word names and coefficient texts recur across rows, so each is parsed
-    once per file and its tuple, int or Fraction shared by every row using it.
+    Each row must read back to the text it was written as, and the rules
+    must be reduced given those below degree k: no term, and no maximal
+    proper subword of a leading word, holds a leading word.
     """
     header, start = _check_header(lines, preset, k, digest)
     body = lines[start:]
     if header.get("rows") != str(len(body)):
         raise _Rejected(f"stale header: rows {header.get('rows')!r}, expected {str(len(body))!r}")
-
-    index = {name: g for g, name in enumerate(preset.alphabet.names)}
-    words = {}  # word name -> word tuple
-    entries = {}  # signed coefficient text -> coefficient
-
-    def word_of(name):
-        try:
-            word = tuple(index[g] for g in name.split("."))
-        except KeyError:
-            raise _Rejected(f"failed body check: unknown generator in {name!r}") from None
-        if len(word) != k:
-            raise _Rejected(f"failed body check: {name!r} is not of degree {k}")
-        words[name] = word
-        return word
-
-    def entry_of(key, text):
-        try:
-            c = Fraction(key)
-        except (ValueError, ZeroDivisionError):
-            c = None
-        # _save_table writes each coefficient as str() of its absolute value.
-        if not c or str(abs(c)) != text:
-            raise _Rejected(f"failed body check: bad coefficient {text!r}")
-        # Integral values as int, as the rules hold them.
-        c = entries[key] = demote(c)
-        return c
-
-    forms = {}
-    cols = set()  # the words the forms mention
+    alph = preset.alphabet
+    rules = {}
     for line in body:
-        pivot_txt, arrow, repl_txt = line.partition(" -> ")
+        lead_txt, arrow, nf_txt = line.partition(" -> ")
         if not arrow:
             raise _Rejected(f"failed body check: no ' -> ' in {line!r}")
-        pivot = words.get(pivot_txt)
-        if pivot is None:
-            pivot = word_of(pivot_txt)
-        if pivot in forms:
-            raise _Rejected(f"failed body check: duplicate pivot {pivot_txt!r}")
-        nf = forms[pivot] = {}
-        if repl_txt == "0":
-            continue
-        # "-c*w + c*w - c*w": give the first term a sign token of its own,
-        # then read (sign, term) pairs.
-        if repl_txt.startswith("-"):
-            tokens = ("- " + repl_txt[1:]).split(" ")
-        else:
-            tokens = ("+ " + repl_txt).split(" ")
-        if len(tokens) % 2:
-            raise _Rejected(f"failed body check: dangling sign in {line!r}")
-        pairs = iter(tokens)
-        for sign, term in zip(pairs, pairs):
-            coeff_txt, star, name = term.partition("*")
-            if not star:
-                raise _Rejected(f"failed body check: no '*' in term {term!r}")
-            if sign == "+":
-                key = coeff_txt
-            elif sign == "-":
-                key = "-" + coeff_txt
-            else:
-                raise _Rejected(f"failed body check: bad sign {sign!r}")
-            c = entries.get(key)
-            if c is None:
-                c = entry_of(key, coeff_txt)
-            word = words.get(name)
-            if word is None:
-                word = word_of(name)
-            if word >= pivot:
-                raise _Rejected(f"failed body check: {name!r} not below pivot {pivot_txt!r}")
-            if word in nf:
-                raise _Rejected(f"failed body check: {name!r} repeated in row {pivot_txt!r}")
-            nf[word] = c
-            cols.add(word)
-    # A normal form holds only normal words: no row may mention a pivot.
-    if not forms.keys().isdisjoint(cols):
-        raise _Rejected("failed body check: a row mentions another pivot")
-    return forms
+        try:
+            lead = tuple(alph.index_of(g) for g in lead_txt.split("."))
+            nf = parse_series(nf_txt, alph, k)
+        except (KeyError, SeriesError):
+            raise _Rejected(f"failed body check: unreadable row {line!r}") from None
+        if nf.text() != nf_txt:
+            raise _Rejected(f"failed body check: {nf_txt!r} is not as written")
+        if len(lead) != k or any(nf.slices[:k]):
+            raise _Rejected(f"failed body check: {line!r} is not of degree {k}")
+        if lead in rules:
+            raise _Rejected(f"failed body check: duplicate leading word {lead_txt!r}")
+        if any(u >= lead for u in nf.slices[k]):
+            raise _Rejected(f"failed body check: a term of {lead_txt!r} is not below it")
+        # Integral values as int, as the closure leaves them.
+        rules[lead] = {u: demote(c) for u, c in nf.slices[k].items()}
+    below, lengths = state.rules, state.lengths
+    for lead, nf in rules.items():
+        if any(_holds_leading_word(v, below, lengths) for v in (lead[1:], lead[:-1])):
+            raise _Rejected(f"failed body check: {alph.word_name(lead)!r} is not reduced")
+        if any(u in rules or _holds_leading_word(u, below, lengths) for u in nf):
+            raise _Rejected(f"failed body check: a term of {alph.word_name(lead)!r} is not normal")
+    return rules
+
+
+def _holds_leading_word(u: tuple, rules: dict, lengths: tuple) -> bool:
+    return any(u[i : i + j] in rules for j in lengths for i in range(len(u) - j + 1))
 
 
 def hilbert_row(preset: RelationPreset, cap: int, cache_dir=None) -> list:

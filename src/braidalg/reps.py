@@ -62,6 +62,11 @@ def _cached_images(key, build):
     return entry
 
 
+def _generator(alph, cap: int, pair) -> TruncatedSeries:
+    """The generator of a strand pair; at cap 0, which holds none, 0 (so its exp is 1)."""
+    return generator(alph, cap, pair) if cap else zero(alph, 0)
+
+
 def welded_images(n: int, cap: int):
     """(alphabet, {token: Factor}): the welded family's letter images on n strands."""
 
@@ -69,8 +74,7 @@ def welded_images(n: int, cap: int):
         alph = oriented_artin(n).alphabet
 
         def exp_v(pair, sign):
-            # At cap 0 no generator is held and exp(+-v) truncates to 1.
-            return generator(alph, cap, pair).scale(sign).exp() if cap else one(alph, 0)
+            return _generator(alph, cap, pair).scale(sign).exp()
 
         images = {}
         for i in range(1, n + 1):
@@ -113,14 +117,14 @@ def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
         images = {}
         for i in range(1, n):
             si = Permutation.transposition(n, i)
-            half_twist = generator(alph, cap, (i, i + 1)).scale(HALF).exp()
+            half_twist = _generator(alph, cap, (i, i + 1)).scale(HALF).exp()
             if i == 1:
                 u = half_twist
             else:
                 x = zero(alph, cap)
                 for j in range(1, i):
-                    x = x + generator(alph, cap, (j, i))
-                y = generator(alph, cap, (i, i + 1))
+                    x = x + _generator(alph, cap, (j, i))
+                y = _generator(alph, cap, (i, i + 1))
                 phi_xy = substitute(phi.truncated(cap), x, y)
                 # u_i = Phi^-1 exp(t_{i,i+1}/2) (s_i Phi), the series part of
                 # Phi^-1 (exp (x) s_i) Phi.
@@ -145,7 +149,7 @@ def central_element(cap: int) -> TruncatedSeries:
     alph = infinitesimal_artin(3).alphabet
     out = zero(alph, cap)
     for pair in ((1, 2), (1, 3), (2, 3)):
-        out = out + generator(alph, cap, pair)
+        out = out + _generator(alph, cap, pair)
     return out.scale(HALF)
 
 
@@ -167,11 +171,11 @@ def _rho3_images(cap: int, psi: TruncatedSeries):
             raise CapMismatch(f"parameter known to degree {psi.cap} < cap {cap}")
         alph = infinitesimal_artin(3).alphabet
         phi_t = substitute(
-            psi.truncated(cap), generator(alph, cap, (1, 2)), generator(alph, cap, (2, 3))
+            psi.truncated(cap), _generator(alph, cap, (1, 2)), _generator(alph, cap, (2, 3))
         )
         s1 = Permutation.transposition(3, 1)
-        rho_s1 = Factor(alph, {s1: generator(alph, cap, (1, 2)).scale(HALF).exp()})
-        rho_s1_inv = Factor(alph, {s1: generator(alph, cap, (1, 2)).scale(-HALF).exp()})
+        rho_s1 = Factor(alph, {s1: _generator(alph, cap, (1, 2)).scale(HALF).exp()})
+        rho_s1_inv = Factor(alph, {s1: _generator(alph, cap, (1, 2)).scale(-HALF).exp()})
         delta = Factor(
             alph, {Permutation.from_one_line("321"): central_element(cap).exp() * phi_t.inverse()}
         )

@@ -339,6 +339,16 @@ class TestInvariantCommands:
         assert obj["values"]["order"] == 0
 
     @pytest.mark.parametrize(
+        "family,assoc", [("drinfeld", False), ("drinfeld", True), ("rho3", True)]
+    )
+    def test_associator_families_at_cap_zero(self, capsys, tmp_path, family, assoc):
+        argv = ["eval", "--family", family, "--n", "3", "--cap", "0", "--word", "sig1"]
+        if assoc:
+            (tmp_path / "one.txt").write_text("1\n")
+            argv += ["--assoc", str(tmp_path / "one.txt")]
+        assert run(capsys, *argv) == (0, "(1) ⊗ 213\n")
+
+    @pytest.mark.parametrize(
         "n,cap,message",
         [
             ("1", "2", "the splitting identity needs n >= 2 strands, got n = 1"),

@@ -33,9 +33,9 @@ from braidalg.quotient import (
     GradedQuotientBasis,
     RelationPreset,
     _cache_path,
-    _load_table,
+    _load_rules,
     _relations_digest,
-    _save_table,
+    _save_rules,
 )
 
 
@@ -170,15 +170,15 @@ class TestChordRewriting:
             assert basis.normal_words(k) == [w for w in words if w not in echelon.rows]
 
     def test_build_echelonizes_degree_two_only_and_stores_no_table(self, monkeypatch, rng):
-        # The closure runs once per preset, and every pivot it finds lies in
+        # The closure runs once per degree, and every pivot it finds lies in
         # degree 2: each chord ambiguity of degree 3 reduces to zero.
         preset = infinitesimal_artin(4)
         closures, pivots = [], []
         close = GradedQuotientBasis._close
 
-        def recording_close(self, top, relations):
-            closures.append(top)
-            return close(self, top, relations)
+        def recording_close(self, j, relations):
+            closures.append(j)
+            return close(self, j, relations)
 
         class RecordingEchelon(SparseEchelon):
             __slots__ = ()
@@ -197,12 +197,11 @@ class TestChordRewriting:
             basis.normal_form(random_series(rng, preset.alphabet, 5, nterms=20))
             assert [basis.dimension(k) for k in range(6)] == oracles.product_formula_dims(4, 5)
             assert basis.table(5).rank == 6**5 - basis.dimension(5)
-        assert closures == [5]
+        assert closures == list(range(6))
         assert sorted(pivots) == sorted(oracles.echelon_table(preset, 2, preset.relations()).pivots())
         state = quotient._STATE[preset.key()]
         assert list(quotient._STATE) == [preset.key()]
         assert state.rules.keys() == set(pivots)
-        assert state.loaded == set()
 
     # The exhaustive echelon of chord(4) in degree 6 takes about 9 s, and of
     # chord(5) in degree 5 about 7 s, so n = 4 and 5 stop below degree 6.
@@ -333,15 +332,16 @@ class TestGroebnerClosure:
 
     def test_racing_builds_close_once(self, monkeypatch):
         # Extending a preset's state is check-then-act, so builds take the
-        # preset's lock: one closure, and every thread gets complete rules.
+        # preset's lock: one closure per degree, and every thread gets
+        # complete rules.
         preset = oriented_artin(3)
         echelon = oracles.echelon_table(preset, 5, preset.relations())
         closures = []
         close = GradedQuotientBasis._close
 
-        def recording_close(self, top, relations):
-            closures.append(top)
-            return close(self, top, relations)
+        def recording_close(self, j, relations):
+            closures.append(j)
+            return close(self, j, relations)
 
         monkeypatch.setattr(quotient, "_STATE", {})
         monkeypatch.setattr(GradedQuotientBasis, "_close", recording_close)
@@ -363,7 +363,7 @@ class TestGroebnerClosure:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert closures == [5]
+        assert closures == list(range(6))
         assert all(rows == echelon.rows for rows in results)
 
     @pytest.mark.parametrize(
@@ -544,8 +544,8 @@ class TestDiskCache:
         assert rebuilt.dimension(2) == 27
 
     def test_structurally_invalid_rows_rejected(self, tmp_path):
-        # a row whose replacement mentions another pivot would silently break
-        # single-pass reduction; the loader must rebuild instead
+        # a row whose normal form mentions a leading word would silently break
+        # the one-pass rewriting; the loader must rebuild instead
         preset = oriented_artin(3)
         self._clear_store(preset, 2)
         basis = build_graded_basis(preset, 2, cache_dir=tmp_path)
@@ -579,35 +579,28 @@ class TestDiskCache:
         assert rebuilt.dimension(2) == 27
         assert dict(rebuilt.table(2).rows) == dict(basis.table(2).rows)
 
-    def test_warm_load_runs_no_closure_and_keeps_the_loaded_forms(self, tmp_path, rng, monkeypatch):
+    def test_warm_load_runs_no_closure_and_starts_with_empty_memos(self, tmp_path, rng, monkeypatch):
         preset = oriented_artin(3)
         series = [random_series(rng, preset.alphabet, 3, nterms=20) for _ in range(5)]
         self._clear_store(preset, 3)
         fresh = build_graded_basis(preset, 3, cache_dir=tmp_path)
         want = [fresh.normal_form(s) for s in series]
+        rules = dict(quotient._STATE[preset.key()].rules)
         self._clear_store(preset, 3)
-        loaded = []
-        load = quotient._load_table
-
-        def recording_load(*args):
-            loaded.append(load(*args))
-            return loaded[-1]
-
-        monkeypatch.setattr(quotient, "_load_table", recording_load)
         monkeypatch.setattr(GradedQuotientBasis, "_close", lambda *a: pytest.fail("closure on a warm load"))
         warm = build_graded_basis(preset, 3, cache_dir=tmp_path)
+        # Loading leaves the state as the closure does: the rules, and an empty memo per degree.
         state = quotient._STATE[preset.key()]
-        assert state.loaded == {0, 1, 2, 3}
-        assert all(state.memos[k] is loaded[k] for k in range(4))
-        sizes = [len(state.memos[k]) for k in range(4)]
+        assert state.closed == 3
+        assert state.rules == rules
+        assert _types(state.rules) == _types(rules)
+        assert state.memos == {k: {} for k in range(4)}
         assert [warm.normal_form(s) for s in series] == want
-        # A word absent from a loaded degree is normal: queries add nothing to its forms.
-        assert [len(state.memos[k]) for k in range(4)] == sizes
 
     @pytest.mark.parametrize("unreadable", [None, 2], ids=["extend-past-loaded", "lower-degree-missing"])
     def test_closure_past_loaded_degrees_equals_echelon(self, tmp_path, unreadable):
-        # The rules of a loaded degree come from its forms when the closure
-        # must pass it: a cap raised after a warm load, or a lower file missing.
+        # The closure continues from loaded rules: a cap raised after a warm
+        # load, or a lower file missing and the degrees above it loaded.
         preset = oriented_artin(3)
         self._clear_store(preset, 4)
         build_graded_basis(preset, 4, cache_dir=tmp_path)
@@ -622,6 +615,53 @@ class TestDiskCache:
         rules = quotient._STATE[preset.key()].rules
         assert [sum(len(w) == k for w in rules) for k in range(2, 6)] == [9, 5, 6, 9]
 
+    def test_missing_middle_degree_closed_alone(self, tmp_path, monkeypatch):
+        preset = oriented_artin(3)
+        self._clear_store(preset, 4)
+        build_graded_basis(preset, 4, cache_dir=tmp_path)
+        rules = dict(quotient._STATE[preset.key()].rules)
+        top = Path(_cache_path(tmp_path, preset, 4)).read_bytes()
+        os.unlink(_cache_path(tmp_path, preset, 3))
+        self._clear_store(preset, 4)
+        closures, loads = [], []
+        close, load = GradedQuotientBasis._close, quotient._load_rules
+
+        def recording_close(self, j, relations):
+            closures.append(j)
+            return close(self, j, relations)
+
+        def recording_load(cache_dir, preset, k, digest, state):
+            new = load(cache_dir, preset, k, digest, state)
+            loads.append((k, new is not None))
+            return new
+
+        monkeypatch.setattr(GradedQuotientBasis, "_close", recording_close)
+        monkeypatch.setattr(quotient, "_load_rules", recording_load)
+        basis = build_graded_basis(preset, 4, cache_dir=tmp_path)
+        assert closures == [3]
+        assert loads == [(0, True), (1, True), (2, True), (3, False), (4, True)]
+        assert quotient._STATE[preset.key()].rules == rules
+        assert os.path.exists(_cache_path(tmp_path, preset, 3))
+        assert Path(_cache_path(tmp_path, preset, 4)).read_bytes() == top
+        assert [basis.dimension(k) for k in range(5)] == oracles.oriented_formula_dims(3, 4)
+
+    @pytest.mark.parametrize(
+        "preset,cap",
+        [(oriented_artin(3), 5), (oriented_artin(4), 4), (oriented_upper_triangular(4), 4)],
+        ids=["oriented_artin(3)", "oriented_artin(4)", "oriented_upper_triangular(4)"],
+    )
+    def test_warm_load_normal_forms_equal_echelon(self, tmp_path, monkeypatch, preset, cap):
+        monkeypatch.setattr(quotient, "_STATE", {})
+        build_graded_basis(preset, cap, cache_dir=tmp_path)
+        monkeypatch.setattr(quotient, "_STATE", {})
+        monkeypatch.setattr(GradedQuotientBasis, "_close", lambda *a: pytest.fail("closure on a warm load"))
+        basis = build_graded_basis(preset, cap, cache_dir=tmp_path)
+        for k in range(cap + 1):
+            echelon = oracles.echelon_table(preset, k, preset.relations())
+            assert basis.table(k).rows == echelon.rows, k
+            words = words_of_degree(preset.alphabet, k)
+            assert basis.normal_words(k) == [w for w in words if w not in echelon.rows]
+
     def test_no_temp_files_left(self, tmp_path):
         preset = oriented_artin(3)
         self._clear_store(preset, 2)
@@ -633,12 +673,22 @@ def _clear_store(preset, cap):
     quotient._STATE.pop(preset.key(), None)
 
 
-def _types(forms):
-    return {(pivot, word): type(c) for pivot, nf in forms.items() for word, c in nf.items()}
+def _types(rules):
+    return {(lead, word): type(c) for lead, nf in rules.items() for word, c in nf.items()}
+
+
+def _load_degree_two(tmp_path, preset):
+    # No rule lies below degree 2, so the reader is given a fresh state.
+    digest = _relations_digest(preset.relations())
+    return _load_rules(tmp_path, preset, 2, digest, quotient._PresetState())
+
+
+def _degree(rules, k):
+    return {w: nf for w, nf in rules.items() if len(w) == k}
 
 
 class TestCacheLoader:
-    """The v2 cache format: strict row reader, relation digest, rebuild reasons."""
+    """The v3 cache format: strict row reader, relation digest, rebuild reasons."""
 
     # The first row of oriented_artin(3)'s degree-2 file.
     ROW = "v23.v12 -> 1*v12.v13 + 1*v12.v23 - 1*v13.v12"
@@ -664,17 +714,25 @@ class TestCacheLoader:
     @pytest.mark.parametrize("make", [infinitesimal_artin, oriented_artin, oriented_upper_triangular])
     @pytest.mark.parametrize("n,cap", [(3, 4), (4, 3)])
     def test_round_trip_equals_fresh_build(self, tmp_path, make, n, cap):
+        # A degree's rules are the echelon's pivots whose maximal proper
+        # subwords are normal, each with its replacement.
         preset = make(n)
         digest = _relations_digest(preset.relations())
+        state = quotient._PresetState()
+        below = set()  # the pivots of the degree below
         for k in range(cap + 1):
             fresh = oracles.echelon_table(preset, k, preset.relations())
-            _save_table(tmp_path, preset, k, fresh, digest)
-            loaded = _load_table(tmp_path, preset, k, digest)
-            assert loaded is not None
-            # The loader returns each pivot's normal form: the row without its pivot, negated.
-            forms = {pivot: fresh.replacement(pivot) for pivot in fresh.pivots()}
-            assert loaded == forms
-            assert _types(loaded) == _types(forms)
+            rules = {
+                p: fresh.replacement(p)
+                for p in fresh.pivots()
+                if p[1:] not in below and p[:-1] not in below
+            }
+            _save_rules(tmp_path, preset, k, rules, digest)
+            loaded = _load_rules(tmp_path, preset, k, digest, state)
+            assert loaded == rules
+            assert _types(loaded) == _types(rules)
+            state.extend(k, loaded)
+            below = set(fresh.pivots())
 
     @pytest.mark.parametrize(
         "row",
@@ -697,10 +755,10 @@ class TestCacheLoader:
             lines[body] = row
 
         self._write_and_edit(tmp_path, preset, edit)
-        assert _load_table(tmp_path, preset, 2, _relations_digest(preset.relations())) is None
+        assert _load_degree_two(tmp_path, preset) is None
         rebuilt = build_graded_basis(preset, 2, cache_dir=tmp_path)
         assert rebuilt.dimension(2) == 27
-        assert _load_table(tmp_path, preset, 2, _relations_digest(preset.relations())) is not None
+        assert _load_degree_two(tmp_path, preset) is not None
 
     def test_edited_digest_rebuilt(self, tmp_path, preset):
         digest = _relations_digest(preset.relations())
@@ -710,7 +768,7 @@ class TestCacheLoader:
             lines[index] = "#% relations " + "0" * 64
 
         path = self._write_and_edit(tmp_path, preset, edit)
-        assert _load_table(tmp_path, preset, 2, digest) is None
+        assert _load_degree_two(tmp_path, preset) is None
         assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
         assert f"#% relations {digest}" in Path(path).read_text().splitlines()
 
@@ -722,8 +780,63 @@ class TestCacheLoader:
         path = self._write_and_edit(tmp_path, preset, edit)
         assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
         lines = Path(path).read_text().splitlines()
-        assert lines[0] == "#% braidalg-basis v2"
+        assert lines[0] == "#% braidalg-rules v3"
         assert f"#% relations {_relations_digest(preset.relations())}" in lines
+
+    def test_version_two_file_rejected_as_stale_and_overwritten(self, tmp_path, preset, caplog):
+        # A v2 file held every pivot of its degree under the same header fields.
+        alph = preset.alphabet
+        fresh = oracles.echelon_table(preset, 3, preset.relations())
+        header = [
+            "#% braidalg-basis v2",
+            f"#% preset {preset.key()}",
+            "#% degree 3",
+            "#% alphabet oriented(3)",
+            f"#% rows {fresh.rank}",
+            f"#% relations {_relations_digest(preset.relations())}",
+        ]
+        rows = [
+            f"{alph.word_name(p)} -> " + TruncatedSeries.from_terms(alph, 3, fresh.replacement(p)).text()
+            for p in sorted(fresh.pivots())
+        ]
+        path = _cache_path(tmp_path, preset, 3)
+        Path(path).write_text("\n".join(header + rows) + "\n")
+        with caplog.at_level(logging.DEBUG, logger="braidalg.quotient"):
+            assert build_graded_basis(preset, 3, cache_dir=tmp_path).dimension(3) == 108
+        messages = [r.getMessage() for r in caplog.records if r.name == "braidalg.quotient"]
+        assert f"rebuilding {path}: stale header: format '#% braidalg-basis v2'" in messages
+        lines = Path(path).read_text().splitlines()
+        assert lines[0] == "#% braidalg-rules v3"
+        # 5 of the 108 pivots are leading words.
+        assert (fresh.rank, len(lines) - len(header)) == (108, 5)
+        assert "#% rows 5" in lines
+
+    @pytest.mark.parametrize("holder", ["term", "leading-word"])
+    def test_unreduced_rules_rejected(self, tmp_path, preset, caplog, holder):
+        # Rules that read back as written but hold a leading word below them
+        # would break the one-pass rewriting: a term holding one is not
+        # normal, and a word whose proper subword is one is no leading word.
+        basis = build_graded_basis(preset, 3, cache_dir=tmp_path)
+        rules = quotient._STATE[preset.key()].rules
+        degree_three = _degree(rules, 3)
+        u = min(_degree(rules, 2)) + (0,)  # a degree-2 leading word, then a letter
+        if holder == "term":
+            lead = max(degree_three)
+            assert u < lead and u not in degree_three[lead]
+            degree_three[lead] = {**degree_three[lead], u: 1}
+            reason = "is not normal"
+        else:
+            degree_three[u] = basis.reduce(3, {u: 1})
+            reason = "is not reduced"
+        path = _cache_path(tmp_path, preset, 3)
+        _save_rules(tmp_path, preset, 3, degree_three, _relations_digest(preset.relations()))
+        _clear_store(preset, 3)
+        with caplog.at_level(logging.DEBUG, logger="braidalg.quotient"):
+            assert build_graded_basis(preset, 3, cache_dir=tmp_path).dimension(3) == 108
+        messages = [r.getMessage() for r in caplog.records if r.name == "braidalg.quotient"]
+        assert len(messages) == 1
+        assert messages[0].startswith(f"rebuilding {path}: failed body check")
+        assert messages[0].endswith(reason)
 
     def test_changed_relations_not_served_old_table(self, tmp_path, preset, monkeypatch):
         build_graded_basis(preset, 2, cache_dir=tmp_path)
@@ -815,7 +928,7 @@ class TestCachePaths:
             first = Path(_cache_path(tmp_path / "first", preset, k))
             Path(_cache_path(tmp_path / "second", preset, k)).write_text(first.read_text())
         saved = []
-        monkeypatch.setattr(quotient, "_save_table", lambda *a: saved.append(a))
+        monkeypatch.setattr(quotient, "_save_rules", lambda *a: saved.append(a))
         build_graded_basis(preset, 2, cache_dir=tmp_path / "second")
         assert saved == []
 
@@ -833,12 +946,13 @@ class TestChordTablesNotPersisted:
         preset = infinitesimal_artin(3)
         digest = _relations_digest(preset.relations())
         fresh = build_graded_basis(preset, 4)
+        rules = quotient._STATE[preset.key()].rules
         for k in range(5):
-            _save_table(tmp_path, preset, k, fresh.table(k), digest)
+            _save_rules(tmp_path, preset, k, _degree(rules, k), digest)
         planted = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         calls = []
         monkeypatch.setattr(quotient, "_STATE", {})
-        monkeypatch.setattr(quotient, "_load_table", lambda *a: calls.append(a))
+        monkeypatch.setattr(quotient, "_load_rules", lambda *a: calls.append(a))
         monkeypatch.setattr(quotient, "open", lambda *a, **kw: calls.append(a), raising=False)
         basis = build_graded_basis(preset, 4, cache_dir=tmp_path)
         assert calls == []
@@ -848,20 +962,20 @@ class TestChordTablesNotPersisted:
 
 
 class TestCacheWriter:
-    """Each written row is the replacement as TruncatedSeries.text() renders it."""
+    """Each written row is a leading word and its normal form as TruncatedSeries.text() renders it."""
 
     @staticmethod
-    def _check_rows(tmp_path, preset, k, ech):
+    def _check_rows(tmp_path, preset, k, rules):
         alph = preset.alphabet
-        _save_table(tmp_path, preset, k, ech, _relations_digest(preset.relations()))
+        _save_rules(tmp_path, preset, k, rules, _relations_digest(preset.relations()))
         lines = Path(_cache_path(tmp_path, preset, k)).read_text().splitlines()
         body = [line for line in lines if not line.startswith("#% ")]
         expected = [
-            f"{alph.word_name(pivot)} -> "
-            + TruncatedSeries.from_terms(alph, k, ech.replacement(pivot)).text()
-            for pivot in sorted(ech.pivots())
+            f"{alph.word_name(w)} -> " + TruncatedSeries.from_terms(alph, k, rules[w]).text()
+            for w in sorted(rules)
         ]
         assert body == expected, k
+        assert f"#% rows {len(rules)}" in lines
 
     @pytest.mark.parametrize(
         "preset,cap",
@@ -869,20 +983,24 @@ class TestCacheWriter:
         ids=["oriented_artin(3)", "oriented_artin(4)", "oriented_upper_triangular(4)"],
     )
     def test_rows_written_as_series_text(self, tmp_path, preset, cap):
-        basis = build_graded_basis(preset, cap)
+        build_graded_basis(preset, cap)
+        rules = quotient._STATE[preset.key()].rules
         for k in range(cap + 1):
-            self._check_rows(tmp_path, preset, k, basis.table(k))
+            self._check_rows(tmp_path, preset, k, _degree(rules, k))
 
     def test_fraction_and_empty_rows_written_as_series_text(self, tmp_path):
-        # The preset tables hold integers and no pivot-only row; a hand-made
-        # table covers the other branches of the writer.
+        # The preset rules hold integers and no zero form; hand-made rules
+        # cover the writer's other branches, and read back as written.
         preset = oriented_artin(3)
-        rows = {
-            (5, 4): {(5, 4): 1, (0, 1): Fraction(-1, 2), (2, 3): 3},
-            (4, 4): {(4, 4): 1, (0, 0): Fraction(3, 4), (1, 2): -2},
-            (3, 3): {(3, 3): 1},
+        rules = {
+            (5, 4): {(0, 1): Fraction(-1, 2), (2, 3): 3},
+            (4, 4): {(0, 0): Fraction(3, 4), (1, 2): -2},
+            (3, 3): {},
         }
-        self._check_rows(tmp_path, preset, 2, SparseEchelon(key=word_key, rows=rows))
+        self._check_rows(tmp_path, preset, 2, rules)
+        loaded = _load_degree_two(tmp_path, preset)
+        assert loaded == rules
+        assert _types(loaded) == _types(rules)
 
 
 class TestPrimitiveSliceThreads:

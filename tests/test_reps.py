@@ -205,6 +205,20 @@ class TestRho3Evaluation:
             eval_rho3(word(3, sigma(1)), bad, 2)
 
 
+class TestCapZero:
+    """At cap 0 no generator is held: every image is 1 (x) its permutation."""
+
+    def test_drinfeld_images(self):
+        basis = build_graded_basis(infinitesimal_artin(4), 0)
+        img = eval_drinfeld(parse_word("sig1 sig3", 4), psi24(2), 0)
+        assert img == sd(basis, one(basis.alphabet, 0), "2143")
+
+    def test_rho3_images(self):
+        basis = build_graded_basis(infinitesimal_artin(3), 0)
+        assert eval_rho3(word(3, sigma(1)), psi24(2), 0) == sd(basis, one(basis.alphabet, 0), "213")
+        assert rho3_delta(psi24(2), 0) == sd(basis, one(basis.alphabet, 0), "321")
+
+
 class TestFamilyAxioms:
     def test_welded_family_passes(self):
         report = check_family_axioms("welded", 3, 3)
