@@ -242,17 +242,11 @@ def extend_semi_associator(phi: TruncatedSeries) -> ExtensionStep:
     return ExtensionStep(degree, brackets, particular, kernel, phi)
 
 
-# degree -> (Lyndon brackets of the degree, their columns).  Neither depends
-# on the candidate being extended, so each degree's are evaluated once.
-_BRACKET_COLUMNS: dict = {}
-
-
+@cache
 def _bracket_columns(degree: int) -> tuple:
-    entry = _BRACKET_COLUMNS.get(degree)
-    if entry is None:
-        brackets = [bracket for _, bracket in lie_basis(AB, degree, degree)]
-        entry = _BRACKET_COLUMNS[degree] = (brackets, _columns(brackets, degree))
-    return entry
+    """The degree's Lyndon brackets and their columns, which no candidate changes."""
+    brackets = [bracket for _, bracket in lie_basis(AB, degree, degree)]
+    return brackets, _columns(brackets, degree)
 
 
 def _solve_top_degree(base: TruncatedSeries, columns: list, degree: int):

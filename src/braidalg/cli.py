@@ -255,6 +255,8 @@ def cmd_vassiliev_degree(args):
 
 
 def cmd_delta_kernel(args):
+    if args.cap < 0:
+        raise SeriesError("cap must be >= 0")
     degrees = list(range(1, args.cap + 1))
     values = {}
     lines = []

@@ -167,9 +167,6 @@ class GradedQuotientBasis:
         rows = {w: {w: 1, **{u: -c for u, c in nf.items()}} for w, nf in nfs if w not in nf}
         return SparseEchelon(key=word_key, rows=rows)
 
-    def pivot_words(self, k: int):
-        return sorted(self.table(k).pivots())
-
     def normal_words(self, k: int) -> list:
         """Deglex-sorted words avoiding every leading word: a basis of the degree-k graded piece."""
         self._check(k)

@@ -9,8 +9,10 @@ Three families are evaluated on words:
 * the 3-strand family parametrized by a group-like series Psi normalized in
   degree one, defined on sigma_1 and the fundamental element Delta.
 
-Each generator image is stored once per (family, n, cap) in scaled-integer
-form (see :mod:`braidalg.series`).  A word is the product of its letters'
+Each family's generator images are built once per (n, cap) and parameter
+series, and kept by a ``functools`` cache, in scaled-integer form (see
+:mod:`braidalg.series`); the associator families keep the images of their
+32 most recent parameter series.  A word is the product of its letters'
 images, folded in integer arithmetic in the free algebra and reduced to
 quotient normal form once at the end (:func:`braidalg.sdseries.fold`); the
 result is identical to reducing eagerly after every product, at a fraction
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, lru_cache
 
 from .perms import Permutation
 from .quotient import (
@@ -47,51 +50,34 @@ HALF = Fraction(1, 2)
 
 # -- generator images ----------------------------------------------------------
 
-# (family, n, cap[, parameter series]) -> (alphabet, {token: Factor}).  Each
-# distinct associator adds an entry, so beyond this many the oldest go.
-_IMAGE_CACHE_SIZE = 32
-_IMAGE_CACHE: dict = {}
-
-
-def _cached_images(key, build):
-    entry = _IMAGE_CACHE.get(key)
-    if entry is None:
-        entry = _IMAGE_CACHE[key] = build()
-        for old in list(_IMAGE_CACHE)[:-_IMAGE_CACHE_SIZE]:
-            _IMAGE_CACHE.pop(old, None)
-    return entry
-
 
 def _generator(alph, cap: int, pair) -> TruncatedSeries:
     """The generator of a strand pair; at cap 0, which holds none, 0 (so its exp is 1)."""
     return generator(alph, cap, pair) if cap else zero(alph, 0)
 
 
+@cache
 def welded_images(n: int, cap: int):
     """(alphabet, {token: Factor}): the welded family's letter images on n strands."""
+    alph = oriented_artin(n).alphabet
 
-    def build():
-        alph = oriented_artin(n).alphabet
+    def exp_v(pair, sign):
+        return _generator(alph, cap, pair).scale(sign).exp()
 
-        def exp_v(pair, sign):
-            return _generator(alph, cap, pair).scale(sign).exp()
-
-        images = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                images[Token("a", i, j, 1)] = {Permutation.identity(n): exp_v((i, j), 1)}
-                images[Token("a", i, j, -1)] = {Permutation.identity(n): exp_v((i, j), -1)}
-        for i in range(1, n):
-            si = Permutation.transposition(n, i)
-            images[Token("s", i)] = {si: one(alph, cap)}
-            # sigma_i = a_{i,i+1} s_i, so sigma_i^-1 = s_i a_{i,i+1}^-1.
-            images[Token("sigma", i, 0, 1)] = {si: exp_v((i, i + 1), 1)}
-            images[Token("sigma", i, 0, -1)] = {si: exp_v((i + 1, i), -1)}
-        return alph, {t: Factor(alph, terms) for t, terms in images.items()}
-
-    return _cached_images(("welded", n, cap), build)
+    images = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            images[Token("a", i, j, 1)] = {Permutation.identity(n): exp_v((i, j), 1)}
+            images[Token("a", i, j, -1)] = {Permutation.identity(n): exp_v((i, j), -1)}
+    for i in range(1, n):
+        si = Permutation.transposition(n, i)
+        images[Token("s", i)] = {si: one(alph, cap)}
+        # sigma_i = a_{i,i+1} s_i, so sigma_i^-1 = s_i a_{i,i+1}^-1.
+        images[Token("sigma", i, 0, 1)] = {si: exp_v((i, i + 1), 1)}
+        images[Token("sigma", i, 0, -1)] = {si: exp_v((i + 1, i), -1)}
+    return alph, {t: Factor(alph, terms) for t, terms in images.items()}
 
 
 def eval_welded(w: WeldedWord, cap: int, cache_dir=None) -> SemidirectSeries:
@@ -106,34 +92,31 @@ def _check_braid_word(w: WeldedWord):
         raise WordError("this family is defined on sigma-only words")
 
 
+@lru_cache(maxsize=32)
 def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
-    def build():
-        if assoc.constant_term != 1:
-            raise ConstantTermError("the associator series must have constant term 1")
-        if assoc.cap < cap:
-            raise CapMismatch(f"associator known to degree {assoc.cap} < cap {cap}")
-        alph = infinitesimal_artin(n).alphabet
-        phi = assoc
-        images = {}
-        for i in range(1, n):
-            si = Permutation.transposition(n, i)
-            half_twist = _generator(alph, cap, (i, i + 1)).scale(HALF).exp()
-            if i == 1:
-                u = half_twist
-            else:
-                x = zero(alph, cap)
-                for j in range(1, i):
-                    x = x + _generator(alph, cap, (j, i))
-                y = _generator(alph, cap, (i, i + 1))
-                phi_xy = substitute(phi.truncated(cap), x, y)
-                # u_i = Phi^-1 exp(t_{i,i+1}/2) (s_i Phi), the series part of
-                # Phi^-1 (exp (x) s_i) Phi.
-                u = phi_xy.inverse() * half_twist * phi_xy.act(si)
-            images[Token("sigma", i, 0, 1)] = Factor(alph, {si: u})
-            images[Token("sigma", i, 0, -1)] = Factor(alph, {si: u.inverse().act(si)})
-        return alph, images
-
-    return _cached_images(("drinfeld", n, cap, assoc), build)
+    if assoc.constant_term != 1:
+        raise ConstantTermError("the associator series must have constant term 1")
+    if assoc.cap < cap:
+        raise CapMismatch(f"associator known to degree {assoc.cap} < cap {cap}")
+    alph = infinitesimal_artin(n).alphabet
+    images = {}
+    for i in range(1, n):
+        si = Permutation.transposition(n, i)
+        half_twist = _generator(alph, cap, (i, i + 1)).scale(HALF).exp()
+        if i == 1:
+            u = half_twist
+        else:
+            x = zero(alph, cap)
+            for j in range(1, i):
+                x = x + _generator(alph, cap, (j, i))
+            y = _generator(alph, cap, (i, i + 1))
+            phi_xy = substitute(assoc.truncated(cap), x, y)
+            # u_i = Phi^-1 exp(t_{i,i+1}/2) (s_i Phi), the series part of
+            # Phi^-1 (exp (x) s_i) Phi.
+            u = phi_xy.inverse() * half_twist * phi_xy.act(si)
+        images[Token("sigma", i, 0, 1)] = Factor(alph, {si: u})
+        images[Token("sigma", i, 0, -1)] = Factor(alph, {si: u.inverse().act(si)})
+    return alph, images
 
 
 def eval_drinfeld(w: WeldedWord, assoc: TruncatedSeries, cap: int) -> SemidirectSeries:
@@ -164,33 +147,31 @@ def require_normalized_group_like(psi: TruncatedSeries):
         raise ConstantTermError("need a group-like series (primitive logarithm)")
 
 
+@lru_cache(maxsize=32)
 def _rho3_images(cap: int, psi: TruncatedSeries):
-    def build():
-        require_normalized_group_like(psi)
-        if psi.cap < cap:
-            raise CapMismatch(f"parameter known to degree {psi.cap} < cap {cap}")
-        alph = infinitesimal_artin(3).alphabet
-        phi_t = substitute(
-            psi.truncated(cap), _generator(alph, cap, (1, 2)), _generator(alph, cap, (2, 3))
-        )
-        s1 = Permutation.transposition(3, 1)
-        rho_s1 = Factor(alph, {s1: _generator(alph, cap, (1, 2)).scale(HALF).exp()})
-        rho_s1_inv = Factor(alph, {s1: _generator(alph, cap, (1, 2)).scale(-HALF).exp()})
-        delta = Factor(
-            alph, {Permutation.from_one_line("321"): central_element(cap).exp() * phi_t.inverse()}
-        )
-        # sigma_2 = sigma_1^-1 Delta sigma_1^-1 in the two-generator presentation.
-        ((perm2, u2),) = fold_free(alph, cap, [rho_s1_inv, delta, rho_s1_inv]).items()
-        images = {
-            Token("sigma", 1, 0, 1): rho_s1,
-            Token("sigma", 1, 0, -1): rho_s1_inv,
-            Token("sigma", 2, 0, 1): Factor(alph, {perm2: u2}),
-            Token("sigma", 2, 0, -1): Factor(alph, {perm2: u2.inverse().act(perm2)}),
-            "Delta": delta,  # not a letter: the factor rho3_delta folds
-        }
-        return alph, images
-
-    return _cached_images(("rho3", 3, cap, psi), build)
+    require_normalized_group_like(psi)
+    if psi.cap < cap:
+        raise CapMismatch(f"parameter known to degree {psi.cap} < cap {cap}")
+    alph = infinitesimal_artin(3).alphabet
+    phi_t = substitute(
+        psi.truncated(cap), _generator(alph, cap, (1, 2)), _generator(alph, cap, (2, 3))
+    )
+    s1 = Permutation.transposition(3, 1)
+    rho_s1 = Factor(alph, {s1: _generator(alph, cap, (1, 2)).scale(HALF).exp()})
+    rho_s1_inv = Factor(alph, {s1: _generator(alph, cap, (1, 2)).scale(-HALF).exp()})
+    delta = Factor(
+        alph, {Permutation.from_one_line("321"): central_element(cap).exp() * phi_t.inverse()}
+    )
+    # sigma_2 = sigma_1^-1 Delta sigma_1^-1 in the two-generator presentation.
+    ((perm2, u2),) = fold_free(alph, cap, [rho_s1_inv, delta, rho_s1_inv]).items()
+    images = {
+        Token("sigma", 1, 0, 1): rho_s1,
+        Token("sigma", 1, 0, -1): rho_s1_inv,
+        Token("sigma", 2, 0, 1): Factor(alph, {perm2: u2}),
+        Token("sigma", 2, 0, -1): Factor(alph, {perm2: u2.inverse().act(perm2)}),
+        "Delta": delta,  # not a letter: the factor rho3_delta folds
+    }
+    return alph, images
 
 
 def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int) -> SemidirectSeries:
@@ -300,25 +281,16 @@ def check_family_axioms(family: str, n: int, cap: int, assoc=None) -> FamilyRepo
             failures.append(f"{t.text()}: permutation part != {expected.one_line()}")
     report.checks["Sigma"] = CheckOutcome(not failures, "; ".join(failures))
 
-    # (S): images over n-1 strands embed to the images over n strands.
-    if family == "rho3":
-        # The 2-strand member is the unique normalized representation
-        # sigma_1 -> exp(t_12/2) (x) s_1; its embedding must match.
-        basis2 = build_graded_basis(infinitesimal_artin(2), cap)
-        small = SemidirectSeries.term(
-            basis2,
-            cap,
-            generator(basis2.alphabet, cap, (1, 2)).scale(HALF).exp(),
-            Permutation.transposition(2, 1),
-        )
-        ok = small.stabilize(basis) == images[Token("sigma", 1, 0, 1)]
-        report.checks["S"] = CheckOutcome(ok, "" if ok else "2-strand restriction differs")
-    elif n <= 2:
+    # (S): images over n-1 strands embed to the images over n strands.  The
+    # 3-strand family's 2-strand member is the Drinfeld family's, whose only
+    # image is sigma_1 -> exp(t_12/2) (x) s_1.
+    if n <= 2:
         report.checks["S"] = CheckOutcome(True, "no smaller family member")
     else:
-        _, ev_small = _family_eval(family, n - 1, cap, assoc)
+        small_family = "drinfeld" if family == "rho3" else family
+        _, ev_small = _family_eval(small_family, n - 1, cap, assoc)
         failures = []
-        for t, _ in _family_generators(family, n - 1):
+        for t, _ in _family_generators(small_family, n - 1):
             small = ev_small(WeldedWord(n - 1, (t,)))
             if small.stabilize(basis) != images[t]:
                 failures.append(t.text())

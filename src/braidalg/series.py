@@ -230,7 +230,9 @@ class TruncatedSeries:
         return TruncatedSeries(self.alphabet, self.cap, slices)
 
     def truncated(self, new_cap: int) -> "TruncatedSeries":
-        """Drop all terms above new_cap; requires new_cap <= cap."""
+        """Drop all terms above new_cap; requires 0 <= new_cap <= cap."""
+        if new_cap < 0:
+            raise SeriesError("cap must be >= 0")
         if new_cap > self.cap:
             raise CapMismatch(f"cannot raise cap {self.cap} to {new_cap}")
         return TruncatedSeries(self.alphabet, new_cap, tuple(dict(sl) for sl in self.slices[: new_cap + 1]))
@@ -344,36 +346,16 @@ class TruncatedSeries:
         """Relabel strands: t_ij -> t_(pi i)(pi j), v_ij -> v_(pi i)(pi j)."""
         alphabet = self.alphabet
         gmap = [alphabet.permuted(g, perm) for g in range(alphabet.size)]
-        slices = []
-        for sl in self.slices:
-            new = {}
-            for w, c in sl.items():
-                w2 = tuple(gmap[g] for g in w)
-                c2 = new.get(w2, ZERO) + c
-                if c2:
-                    new[w2] = c2
-                else:
-                    del new[w2]
-            slices.append(new)
+        # gmap is one-to-one, so no two words collide.
+        slices = ({tuple(gmap[g] for g in w): c for w, c in sl.items()} for sl in self.slices)
         return TruncatedSeries(alphabet, self.cap, tuple(slices))
 
     # -- text form ------------------------------------------------------
 
     def text(self) -> str:
         """Render in the series grammar, e.g. ``1 + 1/24*t12.t23 - 1/24*t23.t12``."""
-        parts = []
-        for word, c in self.terms():
-            body = str(c if c > 0 else -c)
-            if word:
-                body += "*" + self.alphabet.word_name(word)
-            parts.append(("-" if c < 0 else "+", body))
-        if not parts:
-            return "0"
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        name = self.alphabet.word_name
+        return signed_sum_text((c, "*" + name(word) if word else "") for word, c in self.terms())
 
     # -- equality -------------------------------------------------------
 
@@ -526,7 +508,52 @@ def is_lie_element(s: TruncatedSeries) -> bool:
     return all(lie_components(s).values())
 
 
-# -- parsing --------------------------------------------------------------
+# -- the signed-sum grammar ------------------------------------------------------
+#
+# Series and group-ring elements are written ``c*x + c*x - c*x``: a rational
+# coefficient per term, each term after the first led by its sign.
+
+
+def signed_sum_text(terms) -> str:
+    """Join ``(coefficient, tail)`` pairs as ``c*x + c*x - c*x``; ``"0"`` when there are none.
+
+    A term prints as the absolute value of its nonzero coefficient followed by
+    its tail, e.g. ``"*t12.t23"``, or ``""`` for a constant.
+    """
+    out = ""
+    for c, tail in terms:
+        body = str(abs(c)) + tail
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            out = "-" + body if c < 0 else body
+    return out or "0"
+
+
+def signed_sum_terms(text: str, term_re, error, grammar: str):
+    """Yield ``(coefficient, match)`` per term of ``term (+- term)*``; ``""`` and ``"0"`` have none.
+
+    term_re matches one term from its optional sign on, with the groups
+    ``sign`` and ``rat``; syntax errors raise ``error`` naming the grammar.
+    """
+    stripped = text.strip()
+    if stripped in ("", "0"):
+        return
+    pos = 0
+    while pos < len(stripped):
+        m = term_re.match(stripped, pos)
+        if not m or m.end() == pos:
+            raise error(f"bad {grammar} syntax near {stripped[pos:pos + 20]!r}")
+        if m.group("sign") is None and pos:
+            raise error(f"missing +/- before {stripped[pos:pos + 20]!r}")
+        rat = m.group("rat")
+        try:
+            coeff = Fraction(rat.replace(" ", ""))
+        except ZeroDivisionError:
+            raise error(f"zero denominator in {rat!r}") from None
+        yield (-coeff if m.group("sign") == "-" else coeff), m
+        pos = m.end()
+
 
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?P<rat>\d+(?:\s*/\s*\d+)?)"
@@ -540,25 +567,9 @@ def parse_series(text: str, alphabet: Alphabet, cap: int | None = None) -> Trunc
     Words are generator names joined by ".".  Inverse of :meth:`TruncatedSeries.text`.
     Without a cap, the cap is the length of the longest word.
     """
-    stripped = text.strip()
-    if stripped in ("", "0"):
-        return zero(alphabet, cap or 0)
     terms = []
-    pos = 0
-    first = True
-    while pos < len(stripped):
-        m = _TERM_RE.match(stripped, pos)
-        if not m or m.end() == pos:
-            raise SeriesError(f"bad series syntax near {stripped[pos:pos + 20]!r}")
-        sign, rat, word_txt = m.group("sign"), m.group("rat"), m.group("word")
-        if sign is None and not first:
-            raise SeriesError(f"missing +/- before {stripped[pos:pos + 20]!r}")
-        try:
-            coeff = Fraction(rat.replace(" ", ""))
-        except ZeroDivisionError:
-            raise SeriesError(f"zero denominator in {rat!r}") from None
-        if sign == "-":
-            coeff = -coeff
+    for coeff, m in signed_sum_terms(text, _TERM_RE, SeriesError, "series"):
+        word_txt = m.group("word")
         if word_txt is None:
             word = ()
         else:
@@ -569,10 +580,8 @@ def parse_series(text: str, alphabet: Alphabet, cap: int | None = None) -> Trunc
         if cap is not None and len(word) > cap:
             raise SeriesError(f"word {word_txt!r} exceeds cap {cap}")
         terms.append((word, coeff))
-        pos = m.end()
-        first = False
     if cap is None:
-        cap = max(len(word) for word, _ in terms)
+        cap = max((len(word) for word, _ in terms), default=0)
     return TruncatedSeries.from_terms(alphabet, cap, terms)
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cache
 
 from .perms import Permutation
+from .series import signed_sum_terms, signed_sum_text
 
 
 class WordError(ValueError):
@@ -320,6 +321,11 @@ def equivariance_relations(n: int) -> list:
 # -- group ring ----------------------------------------------------------------
 
 
+_RING_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?P<rat>\d+(?:/\d+)?)\s*\*\s*\[(?P<word>[^\]]*)\]"
+)
+
+
 class GroupRingElement:
     """Rational combination of welded words, each kept in its given spelling."""
 
@@ -389,47 +395,16 @@ class GroupRingElement:
         )
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w.letters), w.text())):
-            c = self.terms[w]
-            body = f"{c if c > 0 else -c}*[{w.text()}]"
-            parts.append(("-" if c < 0 else "+", body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        order = sorted(self.terms, key=lambda w: (len(w.letters), w.text()))
+        return signed_sum_text((self.terms[w], f"*[{w.text()}]") for w in order)
 
     @staticmethod
     def parse(text: str, n: int) -> "GroupRingElement":
         """Grammar: ``rational * [word] (+- rational * [word])*``, [] = identity."""
-        stripped = text.strip()
-        if stripped in ("", "0"):
-            return GroupRingElement(n, {})
-        pattern = re.compile(
-            r"\s*(?P<sign>[+-])?\s*(?P<rat>\d+(?:/\d+)?)\s*\*\s*\[(?P<word>[^\]]*)\]"
-        )
         terms: dict = {}
-        pos = 0
-        first = True
-        while pos < len(stripped):
-            m = pattern.match(stripped, pos)
-            if not m or m.end() == pos:
-                raise WordError(f"bad group-ring syntax near {stripped[pos:pos + 20]!r}")
-            if m.group("sign") is None and not first:
-                raise WordError(f"missing +/- near {stripped[pos:pos + 20]!r}")
-            try:
-                c = Fraction(m.group("rat"))
-            except ZeroDivisionError:
-                raise WordError(f"zero denominator in {m.group('rat')!r}") from None
-            if m.group("sign") == "-":
-                c = -c
+        for c, m in signed_sum_terms(text, _RING_TERM_RE, WordError, "group-ring"):
             w = parse_word(m.group("word"), n)
             terms[w] = terms.get(w, Fraction(0)) + c
-            pos = m.end()
-            first = False
         return GroupRingElement(n, terms)
 
     def __repr__(self):

@@ -363,3 +363,40 @@ def hexagon_degree2_coefficient():
         else:
             assert not a, "inconsistent slice"
     return ratio
+
+
+# -- reference text formatters ---------------------------------------------------
+#
+# The series and group-ring printers as two separate loops, each joining its
+# own signed terms.
+
+
+def reference_series_text(series):
+    parts = []
+    for word, c in series.terms():
+        body = str(c if c > 0 else -c)
+        if word:
+            body += "*" + series.alphabet.word_name(word)
+        parts.append(("-" if c < 0 else "+", body))
+    if not parts:
+        return "0"
+    sign0, body0 = parts[0]
+    out = ("-" if sign0 == "-" else "") + body0
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def reference_group_ring_text(element):
+    if not element.terms:
+        return "0"
+    parts = []
+    for w in sorted(element.terms, key=lambda w: (len(w.letters), w.text())):
+        c = element.terms[w]
+        body = f"{c if c > 0 else -c}*[{w.text()}]"
+        parts.append(("-" if c < 0 else "+", body))
+    sign0, body0 = parts[0]
+    out = ("-" if sign0 == "-" else "") + body0
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out

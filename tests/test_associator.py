@@ -194,7 +194,7 @@ class TestExtension:
     def test_each_degree_evaluates_its_bracket_columns_once(self, monkeypatch):
         # Perturbations per degree: the degree's Lyndon brackets once, plus the
         # previous degree's kernel at the revised degrees 4 and 6.
-        monkeypatch.setattr(associator, "_BRACKET_COLUMNS", {})
+        associator._bracket_columns.cache_clear()
         counts = {}
         columns = associator._columns
 
@@ -210,7 +210,7 @@ class TestExtension:
 
     def test_hexagon_constants_built_once_per_cap(self, monkeypatch):
         # 375 exp calls before the hexagon's constant exponentials were shared.
-        monkeypatch.setattr(associator, "_BRACKET_COLUMNS", {})
+        associator._bracket_columns.cache_clear()
         associator._hexagon_constants.cache_clear()
         calls = []
         exp = TruncatedSeries.exp

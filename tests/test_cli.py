@@ -405,6 +405,20 @@ class TestInfrastructure:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-associator", "--series", "1", "--cap", "-1"],
+            ["check-yb", "--series", "1", "--cap", "-1"],
+            ["delta-kernel", "--cap", "-1"],
+        ],
+    )
+    def test_negative_cap_is_an_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cap must be >= 0\n"
+
     def test_bad_degree_header_is_named(self, capsys, tmp_path):
         path = tmp_path / "phi.txt"
         path.write_text("# semi-associator to degree x\n1\n")

@@ -259,18 +259,24 @@ def test_semidirect_product_matches_reference(kind):
 
 
 def test_image_cache_is_bounded():
-    cache, size = reps._IMAGE_CACHE, reps._IMAGE_CACHE_SIZE
+    cache = reps._drinfeld_images
+    size = cache.cache_info().maxsize
+    assert size == reps._rho3_images.cache_info().maxsize == 32
+    cache.cache_clear()
     w = WeldedWord(3, (sigma(2), sigma(1, -1)))
     assocs = [ab_commutator(2).scale(Fraction(1, k)).exp() for k in range(1, size + 6)]
-    for assoc in assocs:
+    for built, assoc in enumerate(assocs, start=1):
         eval_drinfeld(w, assoc, 2)
-        assert len(cache) <= size
-    assert ("drinfeld", 3, 2, assocs[-1]) in cache
-    assert ("drinfeld", 3, 2, assocs[0]) not in cache
+        assert cache.cache_info().currsize == min(built, size)
+    assert cache.cache_info().misses == len(assocs)
+    # The newest image set is kept; the oldest was evicted.
+    eval_drinfeld(w, assocs[-1], 2)
+    assert cache.cache_info().hits == 1
     # An evicted image set is rebuilt on demand and gives the same value.
     basis = build_graded_basis(infinitesimal_artin(3), 2)
     images = drinfeld_reference_images(3, 2, assocs[0])
     assert_matches_reference(eval_drinfeld(w, assocs[0], 2), basis, 2, images, w.letters)
+    assert cache.cache_info().misses == len(assocs) + 1
 
 
 def test_series_hash_is_computed_once():

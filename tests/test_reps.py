@@ -235,6 +235,23 @@ class TestFamilyAxioms:
         report = check_family_axioms("rho3", 3, 3, psi24(3))
         assert report.passed, dict(report.checks)
 
+    def test_rho3_with_an_altered_sigma1_fails_stabilization(self, monkeypatch):
+        from braidalg import reps
+        from braidalg.sdseries import Factor
+
+        build = reps._rho3_images
+
+        def altered(cap, psi):
+            alph, images = build(cap, psi)
+            twist = generator(alph, cap, (1, 2)).exp()
+            images = {**images, sigma(1): Factor(alph, {Permutation.transposition(3, 1): twist})}
+            return alph, images
+
+        monkeypatch.setattr(reps, "_rho3_images", altered)
+        report = check_family_axioms("rho3", 3, 3, psi24(3))
+        assert not report.checks["S"].passed
+        assert report.checks["S"].details == "stabilization fails: sig1"
+
     def test_report_lines_format(self):
         report = check_family_axioms("welded", 2, 2)
         lines = list(report.lines())
@@ -244,10 +261,22 @@ class TestFamilyAxioms:
 
 class TestMemoization:
     def test_images_cached_per_family(self):
-        from braidalg.reps import _IMAGE_CACHE
+        from braidalg.reps import _drinfeld_images, welded_images
 
+        welded_images.cache_clear()
         eval_welded(word(3, a(1, 2)), 2)
-        assert ("welded", 3, 2) in _IMAGE_CACHE
         first = eval_welded(word(3, a(1, 2), a(2, 1)), 2)
         second = eval_welded(word(3, a(1, 2), a(2, 1)), 2)
         assert first == second
+        # One build for (3, 2); the two later words reuse it.
+        info = welded_images.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        eval_welded(word(3, a(1, 2)), 3)
+        assert welded_images.cache_info().misses == 2
+        # The Drinfeld family keeps its own images, one build per series.
+        _drinfeld_images.cache_clear()
+        for _ in range(2):
+            eval_drinfeld(word(3, sigma(2)), psi24(2), 2)
+        info = _drinfeld_images.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert welded_images.cache_info().misses == 2

@@ -91,6 +91,12 @@ class TestMul:
             y = random_series(rng, AB, 4)
             assert (x * y).truncated(2) == x.truncated(2) * y.truncated(2)
 
+    def test_truncation_rejects_a_negative_cap(self):
+        x = one(AB, 2)
+        assert x.truncated(0) == one(AB, 0)
+        with pytest.raises(SeriesError, match="^cap must be >= 0$"):
+            x.truncated(-1)
+
     def test_mul_against_mini_oracle(self, rng):
         # Also exp, log and inverse, which share the product's scaled-integer
         # kernel.  Coefficients have denominators up to 6 (up to 12 for
@@ -252,13 +258,14 @@ class TestPermutationAction:
     def test_group_action(self, rng):
         import itertools
 
-        alph = Alphabet.oriented(3)
         perms = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
-        for _ in range(5):
-            x = random_series(rng, alph, 3)
-            for p in perms:
-                for q in perms:
-                    assert x.act(q).act(p) == x.act(p.compose(q))
+        for alph in (Alphabet.chord(3), Alphabet.oriented(3)):
+            for _ in range(5):
+                x = random_series(rng, alph, 3)
+                assert x.act(Permutation.identity(3)) == x
+                for p in perms:
+                    for q in perms:
+                        assert x.act(q).act(p) == x.act(p.compose(q))
 
     def test_algebra_automorphism(self, rng):
         alph = Alphabet.oriented(3)
