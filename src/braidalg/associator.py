@@ -15,15 +15,32 @@ literature; everything downstream derives from the five lines above.
 
 Semi-associators are built by :func:`extension_steps`, the one extension
 loop (a degree at a time, with one degree of lookback); the bootstrap and the
-CLI's ``extend-associator`` both run it.  At the new top degree d+1 the
+CLI's ``extend-associator`` both run it.  At the new top degree d the
 unknown enters (AS) and (H3) linearly (Bar-Natan's degree-by-degree method):
-adding a perturbation of degree d or d+1 to a candidate with no degree-1 part
-changes the top slice of each residual as much as adding it to 1 does.  So a
-solve evaluates one residual per perturbation at 1, plus the candidate's own,
-and reduces only their top slices.  The columns of a degree's Lie brackets do
-not depend on the candidate, so they are evaluated once per degree and
-process; a degree revised in the lookback adds only the previous degree's
-kernel columns.
+adding a perturbation p of degree d or d-1 >= 2 to a candidate with no
+degree-1 part changes the top slice of each residual as much as adding it to
+1 does, since a degree-d term takes p from at most one factor and only the
+parts of degree 0 and 1 from the others, which the candidate shares with 1.
+So a solve evaluates the candidate's own residual, and per perturbation the
+derivative at 1 of the top slice, read off the axioms above.  Write
+q = p(t12, t23), a = 312.q and b = 132.q.  Near 1, Phi^-1 = 1 - p, so
+
+  (AS)  swap(p) + p      for p of degree d, and 0 for p of degree d-1;
+
+(H3)'s right-hand side is (1 + a) exp(t13/2) (1 - b) exp(t23/2) (1 + q), and
+its left-hand side does not involve Phi, so
+
+  (H3)  a - b + q        for p of degree d, where only the exponentials'
+                         constant terms reach degree d, and
+        (a (t13+t23) - t13 b - b t23 + (t13+t23) q) / 2
+                         for p of degree d-1, where only their degree-1
+                         parts t13/2 and t23/2 do.
+
+Only the (H3) column is reduced, once, in the chord algebra.  The columns of
+a degree's Lie brackets do not depend on the candidate, so they are built
+once per degree and process; a degree revised in the lookback adds only the
+previous degree's kernel columns.  The solve itself is
+:func:`braidalg.linalg.affine_solve`, in integers.
 """
 
 from __future__ import annotations
@@ -256,21 +273,32 @@ def _solve_top_degree(base: TruncatedSeries, columns: list, degree: int):
 
 
 def _columns(perturbations: list, degree: int) -> list:
-    """Column i is the top-degree residual of 1 + p_i minus that of 1.
+    """Column i is the derivative at 1 of the top-degree (AS) and (H3) residual along p_i.
 
-    This is exactly the residual's change from any base to base + p_i.  Each
-    p_i has degree ``degree``, or ``degree - 1`` >= 2, so a top-degree term of
-    a residual takes a p_i from at most one factor, and from the other factors
-    only their parts of degree 0 and 1.  Base has no degree-1 part (AE), so
-    those parts are the same for base and for 1.
+    Each p_i has degree ``degree``, or ``degree - 1`` >= 2; the module
+    docstring derives both cases from the axioms.  Only the (H3) part is
+    reduced, once, in the chord algebra.
     """
-    unit = one(AB, degree)
-    r1 = _residual_labels(unit, degree)
+    alph = Alphabet.chord(3)
+    basis3 = build_graded_basis(infinitesimal_artin(3), degree)
+    t13, t23 = generator(alph, degree, (1, 3)), generator(alph, degree, (2, 3))
+    g312, g132 = Permutation.from_one_line("312"), Permutation.from_one_line("132")
+    chords = (alph.gen(1, 2), alph.gen(2, 3))
     columns = []
     for p in perturbations:
-        col = _residual_labels(unit + p, degree)
-        for label, c in r1.items():
-            col[label] = col.get(label, 0) - c
+        # q = p(t12, t23) only renames the letters of p: no product is needed.
+        slices = ({tuple(chords[g] for g in w): c for w, c in sl.items()} for sl in p.slices)
+        q = TruncatedSeries(alph, degree, tuple(slices))
+        a, b = q.act(g312), q.act(g132)
+        if p.slices[degree]:
+            col = {("AS", w): c for w, c in (swap_letters(p) + p).slices[degree].items()}
+            h3 = a - b + q
+        else:
+            col = {}
+            t = t13 + t23
+            h3 = (a * t - t13 * b - b * t23 + t * q).scale(HALF)
+        h3 = basis3.reduce_slice(degree, h3.slices[degree])
+        col.update((("H3", w), c) for w, c in h3.items())
         columns.append(col)
     return columns
 

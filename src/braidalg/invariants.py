@@ -27,7 +27,7 @@ from .quotient import (
 )
 from .reps import welded_images
 from .sdseries import SemidirectSeries, fold
-from .series import TruncatedSeries, generator, substitute_generators, word_key
+from .series import TruncatedSeries, generator, substitute_generators
 from .words import (
     GroupRingElement,
     WeldedWord,
@@ -157,7 +157,7 @@ def delta_kernel(n: int, k: int, cache_dir=None, force=False) -> DeltaKernelRepo
     for w in domain_words:
         src = TruncatedSeries.from_terms(chord_basis.alphabet, k, {w: Fraction(1)})
         columns.append(delta_map(src, oriented_basis).slices[k])
-    _, kernel = affine_solve(columns, None, key=word_key)
+    _, kernel = affine_solve(columns)
     kernel_basis = []
     for coeffs in kernel:
         vec = {w: c for w, c in zip(domain_words, coeffs) if c}

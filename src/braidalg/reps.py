@@ -35,6 +35,7 @@ from .sdseries import Factor, SemidirectSeries, fold, fold_free
 from .series import (
     CapMismatch,
     ConstantTermError,
+    SeriesError,
     TruncatedSeries,
     generator,
     is_lie_element,
@@ -54,6 +55,12 @@ HALF = Fraction(1, 2)
 def _generator(alph, cap: int, pair) -> TruncatedSeries:
     """The generator of a strand pair; at cap 0, which holds none, 0 (so its exp is 1)."""
     return generator(alph, cap, pair) if cap else zero(alph, 0)
+
+
+def _require_assoc(family: str, assoc):
+    """The associator families are undefined without their parameter series."""
+    if assoc is None:
+        raise SeriesError(f"the {family} family needs an associator series; none was given")
 
 
 @cache
@@ -121,6 +128,7 @@ def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
 
 def eval_drinfeld(w: WeldedWord, assoc: TruncatedSeries, cap: int) -> SemidirectSeries:
     """The associator-driven representation of a braid word on n strands."""
+    _require_assoc("drinfeld", assoc)
     _check_braid_word(w)
     basis = build_graded_basis(infinitesimal_artin(w.n), cap)
     alph, images = _drinfeld_images(w.n, cap, assoc)
@@ -176,6 +184,7 @@ def _rho3_images(cap: int, psi: TruncatedSeries):
 
 def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int) -> SemidirectSeries:
     """The 3-strand family: sigma_1 -> exp(t_12/2) (x) s_1, Delta -> exp(T) Psi_t^-1 (x) 321."""
+    _require_assoc("rho3", psi)
     _check_braid_word(w)
     if w.n != 3:
         raise WordError("the parametrized family lives on 3 strands")
@@ -186,6 +195,7 @@ def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int) -> SemidirectSeries
 
 def rho3_delta(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
     """Image of the fundamental element Delta = sigma_1 sigma_2 sigma_1."""
+    _require_assoc("rho3", psi)
     basis = build_graded_basis(infinitesimal_artin(3), cap)
     alph, images = _rho3_images(cap, psi)
     return fold(basis, cap, alph, [(1, [images["Delta"]])])
@@ -244,8 +254,10 @@ def _family_eval(family: str, n: int, cap: int, assoc):
     if family == "welded":
         return oriented_artin(n), lambda w: eval_welded(w, cap)
     if family == "drinfeld":
+        _require_assoc(family, assoc)
         return infinitesimal_artin(n), lambda w: eval_drinfeld(w, assoc, cap)
     if family == "rho3":
+        _require_assoc(family, assoc)
         if n != 3:
             raise WordError("the rho3 family requires n = 3")
         return infinitesimal_artin(3), lambda w: eval_rho3(w, assoc, cap)
@@ -305,13 +317,13 @@ def check_family_axioms(family: str, n: int, cap: int, assoc=None) -> FamilyRepo
         alph = basis.alphabet
         if family == "welded":
             if t.kind == "a":
-                want = one(alph, low.cap) + generator(alph, low.cap, (t.i, t.j))
+                want = one(alph, low.cap) + _generator(alph, low.cap, (t.i, t.j))
             elif t.kind == "s":
                 want = one(alph, low.cap)
             else:
-                want = one(alph, low.cap) + generator(alph, low.cap, (t.i, t.i + 1))
+                want = one(alph, low.cap) + _generator(alph, low.cap, (t.i, t.i + 1))
         else:
-            want = one(alph, low.cap) + generator(alph, low.cap, (t.i, t.i + 1)).scale(HALF)
+            want = one(alph, low.cap) + _generator(alph, low.cap, (t.i, t.i + 1)).scale(HALF)
         if low != basis.normal_form(want):
             failures.append(t.text())
     report.checks["N"] = CheckOutcome(not failures, "; ".join(failures))

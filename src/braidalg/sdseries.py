@@ -191,7 +191,10 @@ class SemidirectSeries:
         src, dst = self.basis.alphabet, target_basis.alphabet
         if src.kind != dst.kind or dst.n < src.n:
             raise ContextMismatch(f"cannot embed {src!r} into {dst!r}")
-        images = [generator(dst, self.cap, pair) for pair in src.pairs]
+        # At cap 0 no generator is held: each one truncates to 0.
+        images = [
+            generator(dst, self.cap, pair) if self.cap else zero(dst, 0) for pair in src.pairs
+        ]
         terms = {}
         for perm, series in self.terms.items():
             terms[perm.extend(dst.n)] = substitute_generators(series, images)

@@ -576,7 +576,7 @@ def parse_series(text: str, alphabet: Alphabet, cap: int | None = None) -> Trunc
             try:
                 word = tuple(alphabet.index_of(g.strip()) for g in word_txt.split("."))
             except KeyError as exc:
-                raise SeriesError(str(exc)) from None
+                raise SeriesError(exc.args[0]) from None
         if cap is not None and len(word) > cap:
             raise SeriesError(f"word {word_txt!r} exceeds cap {cap}")
         terms.append((word, coeff))

@@ -181,6 +181,47 @@ class FractionEchelon:
         return pivot
 
 
+def reference_affine_solve(columns, rhs=None, key=None):
+    """Solve sum_i x_i columns[i] = rhs on FractionEchelon, tracking each column in an aux column.
+
+    Column i enters as columns[i] + aux_i, with the aux columns below every
+    label (pass ``key`` when labels are not directly comparable).  A row
+    whose pivot is an aux column holds only aux columns: a kernel relation.
+    The rhs reduces to aux columns only when it is reachable, and then to
+    minus the particular solution.  Returns ``(particular, kernel)`` like
+    ``braidalg.linalg.affine_solve``.
+    """
+    label_key = key if key is not None else (lambda col: col)
+    aux = object()
+
+    def mixed_key(col):
+        if isinstance(col, tuple) and len(col) == 2 and col[0] is aux:
+            return (0, col[1])
+        return (1, label_key(col))
+
+    ech = FractionEchelon(key=mixed_key)
+    n = len(columns)
+    kernel = []
+    for i, column in enumerate(columns):
+        vec = {label: c for label, c in column.items() if c}
+        vec[(aux, i)] = Fraction(1)
+        pivot = ech.add(vec)
+        if mixed_key(pivot)[0] == 0:
+            coeffs = [ZERO] * n
+            for (_, j), c in ech.rows[pivot].items():
+                coeffs[j] = c
+            kernel.append(coeffs)
+    if rhs is None:
+        return None, kernel
+    rem = ech.reduce({label: c for label, c in rhs.items() if c})
+    if any(mixed_key(label)[0] == 1 for label in rem):
+        return None, kernel
+    particular = [ZERO] * n
+    for (_, j), c in rem.items():
+        particular[j] = -c
+    return particular, kernel
+
+
 # -- the exhaustive ideal slice: the reference for every preset's normal forms ------
 
 

@@ -75,8 +75,8 @@ def test_texts_with_spaces_and_unreduced_rationals_parse():
         ("1 - 2*A 3", "missing +/- before ' 3'"),
         ("1/0*A", "zero denominator in '1/0'"),
         ("- 3/0", "zero denominator in '3/0'"),
-        ("1*C", "\"unknown generator 'C' in Alphabet.abstract('A', 'B')\""),
-        ("1 * A . C", "\"unknown generator 'C' in Alphabet.abstract('A', 'B')\""),
+        ("1*C", "unknown generator 'C' in Alphabet.abstract('A', 'B')"),
+        ("1 * A . C", "unknown generator 'C' in Alphabet.abstract('A', 'B')"),
         ("1*A.A.A", "word 'A.A.A' exceeds cap 2"),
         ("*A", "bad series syntax near '*A'"),
         ("1 +", "bad series syntax near ' +'"),

@@ -1,7 +1,9 @@
-"""Differential tests of the integer-first SparseEchelon against an all-Fraction reference.
+"""Differential tests of the exact linear algebra against all-Fraction references.
 
-The reference, ``oracles.FractionEchelon``, converts every value to Fraction,
-so it cannot share a mistake with the int/Fraction bookkeeping under test.
+The references, ``oracles.FractionEchelon`` and the aux-column solve
+``oracles.reference_affine_solve`` built on it, convert every value to
+Fraction, so they cannot share a mistake with the integer arithmetic under
+test.
 The tests take no fixtures and import no pytest, so the module also runs
 as a script on an interpreter without pytest:
 
@@ -12,16 +14,20 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from oracles import FractionEchelon
+from oracles import FractionEchelon, reference_affine_solve
 
 from braidalg import (
+    AB,
     TruncatedSeries,
     build_graded_basis,
+    extension_steps,
     infinitesimal_artin,
+    one,
     oriented_artin,
     oriented_upper_triangular,
 )
-from braidalg.linalg import SparseEchelon, affine_solve
+from braidalg import associator
+from braidalg.linalg import SparseEchelon, affine_solve, primes
 from braidalg.series import word_key
 
 PRESETS = (infinitesimal_artin, oriented_artin, oriented_upper_triangular)
@@ -190,6 +196,93 @@ def test_affine_solve_returns_fractions():
                 for w, c in col.items():
                     image[w] = image.get(w, 0) + xi * c
             assert {w: c for w, c in image.items() if c} == {w: c for w, c in target.items() if c}
+
+
+def assert_solves_like_reference(columns, rhs=None):
+    got = affine_solve(columns, rhs)
+    assert got == reference_affine_solve(columns, rhs)
+    particular, kernel = got
+    for vector in ([] if particular is None else [particular]) + kernel:
+        assert len(vector) == len(columns)
+        assert all(type(c) is Fraction for c in vector)
+    return got
+
+
+def combination(coeffs, columns):
+    out = {}
+    for x, col in zip(coeffs, columns):
+        for label, c in col.items():
+            out[label] = out.get(label, 0) + x * c
+    return out
+
+
+def test_affine_solve_equals_reference_on_seeded_systems():
+    def integral(r):
+        return r.randint(-9, 9)
+
+    def rational(r):
+        return Fraction(r.randint(-9, 9), r.randint(1, 12))
+
+    for seed in range(12):
+        rng = random.Random(300 + seed)
+        coeff = integral if seed % 2 else rational
+        nlabels = rng.randint(3, 12)
+        ncols = rng.randint(1, 10)
+        columns = [random_vector(rng, nlabels, rng.randint(1, 5), coeff) for _ in range(ncols)]
+        # Rank deficiency: combinations of earlier columns, interleaved.
+        for _ in range(3):
+            at = rng.randrange(1, len(columns) + 1)
+            xs = [rational(rng) for _ in columns[:at]]
+            columns.insert(at, combination(xs, columns[:at]))
+        reachable = combination([rational(rng) for _ in columns], columns)
+        # A label no column holds makes the rhs unreachable.
+        unreachable = {**reachable, nlabels: Fraction(1, 3)}
+        for rhs in (None, reachable, unreachable, {}):
+            particular, kernel = assert_solves_like_reference(columns, rhs)
+            assert len(kernel) >= 3
+            assert (particular is None) == (rhs is None or rhs is unreachable)
+    # Zero columns are their own kernel vectors; no columns leave only the rhs.
+    assert_solves_like_reference([{}, {0: 2}, {1: 0}, {0: 1}], {0: 4})
+    assert affine_solve([{}, {1: 0}], {}) == ([0, 0], [[1, 0], [0, 1]])
+    assert affine_solve([], {}) == ([], [])
+    assert affine_solve([], {0: 1}) == (None, [])
+    assert affine_solve([]) == (None, [])
+
+
+def test_affine_solve_equals_reference_on_extension_systems():
+    systems = []
+
+    def recording(columns, rhs=None):
+        systems.append((columns, rhs))
+        return affine_solve(columns, rhs)
+
+    associator.affine_solve = recording
+    try:
+        for _ in extension_steps(one(AB, 1), 8):
+            pass
+    finally:
+        associator.affine_solve = affine_solve
+    # One solve per degree, and two more at each revised degree, 5 and 7.
+    assert len(systems) == 7 + 2 * 2
+    for columns, rhs in systems:
+        assert_solves_like_reference(columns, rhs)
+
+
+def test_affine_solve_survives_an_unlucky_prime():
+    p = next(primes())
+    # Independent over Q with determinant p: dependent modulo the first prime.
+    columns = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
+    assert assert_solves_like_reference(columns, {0: 2, 1: 2 + p}) == ([1, 1], [])
+    assert assert_solves_like_reference(columns) == (None, [])
+    # Mod p column 1 vanishes and column 2 looks independent; over Q column 2
+    # is column 1 over p.
+    columns = [{0: 1}, {1: p}, {1: 1}]
+    assert assert_solves_like_reference(columns, {0: 1, 1: 1}) == (
+        [1, Fraction(1, p), 0],
+        [[0, Fraction(-1, p), 1]],
+    )
+    # In the span mod p, but not over Q.
+    assert assert_solves_like_reference([{0: 1}], {0: 1, 1: p}) == (None, [])
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from braidalg import (
     ConstantTermError,
     Permutation,
     SemidirectSeries,
+    SeriesError,
     WordError,
     build_graded_basis,
     central_element,
@@ -218,6 +219,14 @@ class TestCapZero:
         assert eval_rho3(word(3, sigma(1)), psi24(2), 0) == sd(basis, one(basis.alphabet, 0), "213")
         assert rho3_delta(psi24(2), 0) == sd(basis, one(basis.alphabet, 0), "321")
 
+    @pytest.mark.parametrize(
+        "family, n", [("welded", 3), ("drinfeld", 3), ("rho3", 3), ("drinfeld", 4)]
+    )
+    def test_family_axioms(self, family, n):
+        # (N) expects 1 at cap 0: the degree-1 term truncates away.
+        report = check_family_axioms(family, n, 0, None if family == "welded" else psi24(2))
+        assert report.passed, dict(report.checks)
+
 
 class TestFamilyAxioms:
     def test_welded_family_passes(self):
@@ -251,6 +260,24 @@ class TestFamilyAxioms:
         report = check_family_axioms("rho3", 3, 3, psi24(3))
         assert not report.checks["S"].passed
         assert report.checks["S"].details == "stabilization fails: sig1"
+
+    @pytest.mark.parametrize("family", ["drinfeld", "rho3"])
+    def test_missing_associator_is_named(self, family, monkeypatch):
+        from braidalg import reps
+
+        def no_work(*args):
+            raise AssertionError("built a basis before checking the associator")
+
+        monkeypatch.setattr(reps, "build_graded_basis", no_work)
+        message = f"^the {family} family needs an associator series; none was given$"
+        with pytest.raises(SeriesError, match=message):
+            check_family_axioms(family, 3, 2)
+        evaluate = eval_drinfeld if family == "drinfeld" else eval_rho3
+        with pytest.raises(SeriesError, match=message):
+            evaluate(word(3, sigma(1)), None, 2)
+        if family == "rho3":
+            with pytest.raises(SeriesError, match=message):
+                rho3_delta(None, 2)
 
     def test_report_lines_format(self):
         report = check_family_axioms("welded", 2, 2)
