@@ -22,8 +22,9 @@ degree-1 part changes the top slice of each residual as much as adding it to
 1 does, since a degree-d term takes p from at most one factor and only the
 parts of degree 0 and 1 from the others, which the candidate shares with 1.
 So a solve evaluates the candidate's own residual, and per perturbation the
-derivative at 1 of the top slice, read off the axioms above.  Write
-q = p(t12, t23), a = 312.q and b = 132.q.  Near 1, Phi^-1 = 1 - p, so
+derivative at 1 of the top slice, read off the axioms above.
+
+Write q = p(t12, t23), a = 312.q and b = 132.q.  Near 1, Phi^-1 = 1 - p, so
 
   (AS)  swap(p) + p      for p of degree d, and 0 for p of degree d-1;
 
@@ -41,6 +42,18 @@ a degree's Lie brackets do not depend on the candidate, so they are built
 once per degree and process; a degree revised in the lookback adds only the
 previous degree's kernel columns.  The solve itself is
 :func:`braidalg.linalg.affine_solve`, in integers.
+
+The hypotheses (AE), (AS) and (H3) are checked once, on the series
+:func:`extension_steps` starts from (:func:`extend_semi_associator` checks
+its argument too).  Every candidate built after that meets them by
+construction: it is exp of a Lie series, each solve is checked exactly, and
+a solve changes only the top slices.  The (AS) part of a solve's right-hand
+side is zero, so only the candidate's (H3) residual is evaluated.  A
+candidate is exp(phi) with phi a Lie series that has no slice in the top
+degree d.  Below d, (AS) holds, and swap is an algebra map, so
+exp(swap(phi)) = swap(exp(phi)) = exp(phi)^-1 = exp(-phi) there, and
+swap(phi) + phi = 0 below d.  With no degree-d slice that holds through d:
+swap(exp(phi)) = exp(-phi) = exp(phi)^-1 exactly.
 """
 
 from __future__ import annotations
@@ -53,7 +66,7 @@ from .linalg import affine_solve
 from .lyndon import lie_basis
 from .perms import Permutation
 from .quotient import build_graded_basis, infinitesimal_artin
-from .reps import central_element, eval_drinfeld, eval_rho3, require_normalized_group_like, rho3_delta
+from .reps import central_element, eval_drinfeld, eval_rho3, rho3_delta, rho3_yang_baxter_defect
 from .sdseries import SemidirectSeries
 from .series import (
     Alphabet,
@@ -61,6 +74,7 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     generator,
+    generator_or_zero,
     left_bracketing,
     one,
     substitute,
@@ -139,9 +153,9 @@ def as_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
 def _hexagon_constants(cap: int, variant: str) -> tuple:
     """The three factors of (H1) or (H3) that do not involve Phi: lhs and two exponentials."""
     alph = Alphabet.chord(3)
-    t12 = generator(alph, cap, (1, 2))
-    t13 = generator(alph, cap, (1, 3))
-    t23 = generator(alph, cap, (2, 3))
+    t12 = generator_or_zero(alph, cap, (1, 2))
+    t13 = generator_or_zero(alph, cap, (1, 3))
+    t23 = generator_or_zero(alph, cap, (2, 3))
     if variant == "H1":
         return (t12 + t13).scale(HALF).exp(), t13.scale(HALF).exp(), t12.scale(HALF).exp()
     return (t13 + t23).scale(HALF).exp(), t13.scale(HALF).exp(), t23.scale(HALF).exp()
@@ -152,7 +166,8 @@ def _hexagon_residual(phi: TruncatedSeries, cap: int, variant: str) -> Truncated
     phi = _prepare(phi, cap)
     alph = Alphabet.chord(3)
     lhs, exp13, exp_last = _hexagon_constants(cap, variant)
-    phi_t = substitute(phi, generator(alph, cap, (1, 2)), generator(alph, cap, (2, 3)))
+    t12, t23 = generator_or_zero(alph, cap, (1, 2)), generator_or_zero(alph, cap, (2, 3))
+    phi_t = substitute(phi, t12, t23)
 
     def at(one_line):
         return phi_t.act(Permutation.from_one_line(one_line))
@@ -170,7 +185,7 @@ def pentagon_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
     alph = Alphabet.chord(4)
 
     def t(i, j):
-        return generator(alph, cap, (i, j))
+        return generator_or_zero(alph, cap, (i, j))
 
     lhs = substitute(phi, t(1, 2), t(2, 3) + t(2, 4)) * substitute(phi, t(1, 3) + t(2, 3), t(3, 4))
     rhs = (
@@ -242,12 +257,22 @@ def extend_semi_associator(phi: TruncatedSeries) -> ExtensionStep:
     fails a hypothesis.  Solvability through any finite degree is expected
     since rational associators exist.
     """
+    _require_hypotheses(phi)
+    return _extend(phi)
+
+
+def _require_hypotheses(phi: TruncatedSeries):
+    """Raise naming the axiom and degree unless phi meets (AE), (AS) and (H3) at its cap."""
     for axiom in ("AE", "AS", "H3"):
         result = check_axiom(phi, axiom, phi.cap)
         if not result.passed:
             raise AssociatorError(
                 f"candidate fails ({axiom}) at degree {result.first_failure_degree}"
             )
+
+
+def _extend(phi: TruncatedSeries) -> ExtensionStep:
+    """:func:`extend_semi_associator` for a phi known to meet the hypotheses."""
     degree = phi.cap + 1
     brackets, columns = _bracket_columns(degree)
     # Group-like lift: zero-pad the logarithm, not the series, so the new top
@@ -267,7 +292,11 @@ def _bracket_columns(degree: int) -> tuple:
 
 
 def _solve_top_degree(base: TruncatedSeries, columns: list, degree: int):
-    """Coordinates x that cancel the top-degree AS and H3 residual of base + sum x_i p_i."""
+    """Coordinates x that cancel the top-degree AS and H3 residual of base + sum x_i p_i.
+
+    base's own (AS) residual is zero (module docstring), so only its (H3)
+    residual enters the right-hand side.
+    """
     rhs = {label: -c for label, c in _residual_labels(base, degree).items()}
     return affine_solve(columns, rhs)
 
@@ -281,14 +310,11 @@ def _columns(perturbations: list, degree: int) -> list:
     """
     alph = Alphabet.chord(3)
     basis3 = build_graded_basis(infinitesimal_artin(3), degree)
-    t13, t23 = generator(alph, degree, (1, 3)), generator(alph, degree, (2, 3))
+    t12, t13, t23 = (generator(alph, degree, pair) for pair in ((1, 2), (1, 3), (2, 3)))
     g312, g132 = Permutation.from_one_line("312"), Permutation.from_one_line("132")
-    chords = (alph.gen(1, 2), alph.gen(2, 3))
     columns = []
     for p in perturbations:
-        # q = p(t12, t23) only renames the letters of p: no product is needed.
-        slices = ({tuple(chords[g] for g in w): c for w, c in sl.items()} for sl in p.slices)
-        q = TruncatedSeries(alph, degree, tuple(slices))
+        q = substitute(p, t12, t23)
         a, b = q.act(g312), q.act(g132)
         if p.slices[degree]:
             col = {("AS", w): c for w, c in (swap_letters(p) + p).slices[degree].items()}
@@ -304,12 +330,10 @@ def _columns(perturbations: list, degree: int) -> list:
 
 
 def _residual_labels(candidate: TruncatedSeries, degree: int) -> dict:
-    """Top-degree AS and H3 residual, labelled by (axiom, word); only that slice is reduced."""
+    """Top-degree H3 residual, labelled by ("H3", word); only that slice is reduced."""
     basis3 = build_graded_basis(infinitesimal_artin(3), degree)
-    vec = {("AS", w): c for w, c in as_residual(candidate, degree).slices[degree].items()}
     h3 = _hexagon_residual(candidate, degree, "H3").slices[degree]
-    vec.update((("H3", w), c) for w, c in basis3.reduce_slice(degree, h3).items())
-    return vec
+    return {("H3", w): c for w, c in basis3.reduce_slice(degree, h3).items()}
 
 
 def _revised_coordinates(prev: ExtensionStep):
@@ -345,22 +369,25 @@ def extension_steps(phi: TruncatedSeries, to_degree: int):
     degree's choice was first revised within its solution set because the
     greedy one did not extend (Bar-Natan's degree-by-degree method).  When
     phi itself does not extend, its degree's solution set is rebuilt from
-    ``phi.truncated(phi.cap - 1)`` and revised the same way; a phi that
-    fails a hypothesis raises.
+    ``phi.truncated(phi.cap - 1)`` and revised the same way.  phi itself
+    must meet the hypotheses, checked once, or it raises; every candidate
+    built from it meets them by construction (module docstring).
     """
+    if phi.cap < to_degree:
+        _require_hypotheses(phi)
     prev = None
     while phi.cap < to_degree:
         revised = False
         try:
-            step = extend_semi_associator(phi)
+            step = _extend(phi)
         except NoCorrectionError:
             if prev is None:
                 # phi is one point of its top degree's solution set, e.g. read
                 # from a file; rebuild that set from the degree below.
-                prev = extend_semi_associator(phi.truncated(phi.cap - 1))
+                prev = _extend(phi.truncated(phi.cap - 1))
             phi = prev.extended(_revised_coordinates(prev))
             revised = True
-            step = extend_semi_associator(phi)
+            step = _extend(phi)
         phi = step.extended()
         yield step, phi, revised
         prev = step
@@ -389,11 +416,12 @@ class YangBaxterResult:
 
 
 def check_yang_baxter(psi: TruncatedSeries, cap: int) -> YangBaxterResult:
-    """Test rho(Delta) = rho(sigma_2) rho(sigma_1) rho(sigma_2) for the 3-strand family."""
-    require_normalized_group_like(psi if psi.cap <= cap else psi.truncated(cap))
-    lhs = rho3_delta(psi, cap)
-    rhs = eval_rho3(WeldedWord(3, (sigma(2), sigma(1), sigma(2))), psi, cap)
-    diff = rhs - lhs
+    """Test rho(Delta) = rho(sigma_2) rho(sigma_1) rho(sigma_2) for the 3-strand family.
+
+    The difference is one fold (:func:`braidalg.reps.rho3_yang_baxter_defect`),
+    and the family's precondition on psi is checked once, by its images.
+    """
+    diff = rho3_yang_baxter_defect(psi, cap)
     if diff.is_zero():
         return YangBaxterResult(cap, True, None, None)
     return YangBaxterResult(cap, False, diff.min_degree(), diff)

@@ -182,6 +182,10 @@ def cmd_check_associator(args):
 
 def cmd_extend_associator(args):
     phi = _read_series(assoc_mod.AB, 1, path=args.from_file)
+    if args.to_degree < phi.cap:
+        raise assoc_mod.AssociatorError(
+            f"--to-degree {args.to_degree} is below the degree {phi.cap} of {args.from_file}"
+        )
     kernel_dims = {}
     lines = []
     for step, phi, revised in assoc_mod.extension_steps(phi, args.to_degree):

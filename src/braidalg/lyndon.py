@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .series import Alphabet, TruncatedSeries, generator
+from .series import Alphabet, TruncatedSeries
 
 
 def lyndon_words(m: int, k: int) -> list:
@@ -28,19 +28,26 @@ def standard_factorization(w: tuple) -> tuple:
     return w[: len(w) - len(v)], v
 
 
-def lyndon_bracket(alphabet: Alphabet, cap: int, w: tuple) -> TruncatedSeries:
-    """The bracketing of a Lyndon word, recursively [b(u), b(v)], as a series."""
+def bracket_terms(w: tuple) -> dict:
+    """The bracketing of a Lyndon word, recursively [b(u), b(v)], as {word: int}."""
     if len(w) == 1:
-        return generator(alphabet, cap, w[0])
+        return {w: 1}
     u, v = standard_factorization(w)
-    bu = lyndon_bracket(alphabet, cap, u)
-    bv = lyndon_bracket(alphabet, cap, v)
-    return bu * bv - bv * bu
+    bu, bv = bracket_terms(u), bracket_terms(v)
+    out = {x + y: cx * cy for x, cx in bu.items() for y, cy in bv.items()}
+    for y, cy in bv.items():
+        for x, cx in bu.items():
+            c = out.get(y + x, 0) - cx * cy
+            if c:
+                out[y + x] = c
+            else:
+                del out[y + x]
+    return out
 
 
 def lie_basis(alphabet: Alphabet, cap: int, degree: int) -> list:
     """(word, bracket series) pairs for the free-Lie basis in one degree."""
     return [
-        (w, lyndon_bracket(alphabet, cap, w))
+        (w, TruncatedSeries.from_terms(alphabet, cap, bracket_terms(w)))
         for w in lyndon_words(alphabet.size, degree)
     ]

@@ -22,7 +22,7 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 from .linalg import SparseEchelon, demote
-from .lyndon import lyndon_words, lyndon_bracket
+from .lyndon import bracket_terms, lyndon_words
 from .series import (
     Alphabet,
     AlphabetMismatch,
@@ -293,8 +293,7 @@ class GradedQuotientBasis:
             ech = SparseEchelon(key=word_key)
             if k >= 1:
                 for w in lyndon_words(self.alphabet.size, k):
-                    bracket = lyndon_bracket(self.alphabet, k, w)
-                    ech.add(self.reduce(k, bracket.slices[k]))
+                    ech.add(self.reduce(k, bracket_terms(w)))
             # Threads racing here each build an equal slice; all of them
             # return the one that was published first.
             ech = self._prim.setdefault(k, ech)

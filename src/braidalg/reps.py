@@ -37,7 +37,7 @@ from .series import (
     ConstantTermError,
     SeriesError,
     TruncatedSeries,
-    generator,
+    generator_or_zero,
     is_lie_element,
     one,
     substitute,
@@ -52,11 +52,6 @@ HALF = Fraction(1, 2)
 # -- generator images ----------------------------------------------------------
 
 
-def _generator(alph, cap: int, pair) -> TruncatedSeries:
-    """The generator of a strand pair; at cap 0, which holds none, 0 (so its exp is 1)."""
-    return generator(alph, cap, pair) if cap else zero(alph, 0)
-
-
 def _require_assoc(family: str, assoc):
     """The associator families are undefined without their parameter series."""
     if assoc is None:
@@ -69,7 +64,7 @@ def welded_images(n: int, cap: int):
     alph = oriented_artin(n).alphabet
 
     def exp_v(pair, sign):
-        return _generator(alph, cap, pair).scale(sign).exp()
+        return generator_or_zero(alph, cap, pair).scale(sign).exp()
 
     images = {}
     for i in range(1, n + 1):
@@ -109,14 +104,14 @@ def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
     images = {}
     for i in range(1, n):
         si = Permutation.transposition(n, i)
-        half_twist = _generator(alph, cap, (i, i + 1)).scale(HALF).exp()
+        half_twist = generator_or_zero(alph, cap, (i, i + 1)).scale(HALF).exp()
         if i == 1:
             u = half_twist
         else:
             x = zero(alph, cap)
             for j in range(1, i):
-                x = x + _generator(alph, cap, (j, i))
-            y = _generator(alph, cap, (i, i + 1))
+                x = x + generator_or_zero(alph, cap, (j, i))
+            y = generator_or_zero(alph, cap, (i, i + 1))
             phi_xy = substitute(assoc.truncated(cap), x, y)
             # u_i = Phi^-1 exp(t_{i,i+1}/2) (s_i Phi), the series part of
             # Phi^-1 (exp (x) s_i) Phi.
@@ -140,7 +135,7 @@ def central_element(cap: int) -> TruncatedSeries:
     alph = infinitesimal_artin(3).alphabet
     out = zero(alph, cap)
     for pair in ((1, 2), (1, 3), (2, 3)):
-        out = out + _generator(alph, cap, pair)
+        out = out + generator_or_zero(alph, cap, pair)
     return out.scale(HALF)
 
 
@@ -157,16 +152,17 @@ def require_normalized_group_like(psi: TruncatedSeries):
 
 @lru_cache(maxsize=32)
 def _rho3_images(cap: int, psi: TruncatedSeries):
-    require_normalized_group_like(psi)
     if psi.cap < cap:
         raise CapMismatch(f"parameter known to degree {psi.cap} < cap {cap}")
+    psi = psi.truncated(cap)
+    require_normalized_group_like(psi)
     alph = infinitesimal_artin(3).alphabet
     phi_t = substitute(
-        psi.truncated(cap), _generator(alph, cap, (1, 2)), _generator(alph, cap, (2, 3))
+        psi, generator_or_zero(alph, cap, (1, 2)), generator_or_zero(alph, cap, (2, 3))
     )
     s1 = Permutation.transposition(3, 1)
-    rho_s1 = Factor(alph, {s1: _generator(alph, cap, (1, 2)).scale(HALF).exp()})
-    rho_s1_inv = Factor(alph, {s1: _generator(alph, cap, (1, 2)).scale(-HALF).exp()})
+    rho_s1 = Factor(alph, {s1: generator_or_zero(alph, cap, (1, 2)).scale(HALF).exp()})
+    rho_s1_inv = Factor(alph, {s1: generator_or_zero(alph, cap, (1, 2)).scale(-HALF).exp()})
     delta = Factor(
         alph, {Permutation.from_one_line("321"): central_element(cap).exp() * phi_t.inverse()}
     )
@@ -199,6 +195,15 @@ def rho3_delta(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
     basis = build_graded_basis(infinitesimal_artin(3), cap)
     alph, images = _rho3_images(cap, psi)
     return fold(basis, cap, alph, [(1, [images["Delta"]])])
+
+
+def rho3_yang_baxter_defect(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
+    """rho(sigma_2 sigma_1 sigma_2) - rho(Delta), folded as one combination and reduced once."""
+    _require_assoc("rho3", psi)
+    basis = build_graded_basis(infinitesimal_artin(3), cap)
+    alph, images = _rho3_images(cap, psi)
+    s1, s2 = images[Token("sigma", 1, 0, 1)], images[Token("sigma", 2, 0, 1)]
+    return fold(basis, cap, alph, [(1, [s2, s1, s2]), (-1, [images["Delta"]])])
 
 
 # -- family axioms ---------------------------------------------------------------
@@ -317,13 +322,13 @@ def check_family_axioms(family: str, n: int, cap: int, assoc=None) -> FamilyRepo
         alph = basis.alphabet
         if family == "welded":
             if t.kind == "a":
-                want = one(alph, low.cap) + _generator(alph, low.cap, (t.i, t.j))
+                want = one(alph, low.cap) + generator_or_zero(alph, low.cap, (t.i, t.j))
             elif t.kind == "s":
                 want = one(alph, low.cap)
             else:
-                want = one(alph, low.cap) + _generator(alph, low.cap, (t.i, t.i + 1))
+                want = one(alph, low.cap) + generator_or_zero(alph, low.cap, (t.i, t.i + 1))
         else:
-            want = one(alph, low.cap) + _generator(alph, low.cap, (t.i, t.i + 1)).scale(HALF)
+            want = one(alph, low.cap) + generator_or_zero(alph, low.cap, (t.i, t.i + 1)).scale(HALF)
         if low != basis.normal_form(want):
             failures.append(t.text())
     report.checks["N"] = CheckOutcome(not failures, "; ".join(failures))

@@ -26,7 +26,7 @@ from .series import (
     AlphabetMismatch,
     TruncatedSeries,
     from_scaled,
-    generator,
+    generator_or_zero,
     one,
     parse_series,
     scaled_add,
@@ -191,10 +191,7 @@ class SemidirectSeries:
         src, dst = self.basis.alphabet, target_basis.alphabet
         if src.kind != dst.kind or dst.n < src.n:
             raise ContextMismatch(f"cannot embed {src!r} into {dst!r}")
-        # At cap 0 no generator is held: each one truncates to 0.
-        images = [
-            generator(dst, self.cap, pair) if self.cap else zero(dst, 0) for pair in src.pairs
-        ]
+        images = [generator_or_zero(dst, self.cap, pair) for pair in src.pairs]
         terms = {}
         for perm, series in self.terms.items():
             terms[perm.extend(dst.n)] = substitute_generators(series, images)

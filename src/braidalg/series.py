@@ -408,44 +408,76 @@ def generator(alphabet: Alphabet, cap: int, key) -> TruncatedSeries:
     return TruncatedSeries.from_terms(alphabet, cap, {(g,): ONE})
 
 
+def generator_or_zero(alphabet: Alphabet, cap: int, key) -> TruncatedSeries:
+    """The generator at caps >= 1; at cap 0, which holds none, 0 (so its exp is 1)."""
+    return generator(alphabet, cap, key) if cap else zero(alphabet, 0)
+
+
 # -- substitution --------------------------------------------------------
 
 
 def substitute_generators(f: TruncatedSeries, images) -> TruncatedSeries:
-    """Algebra map sending generator g of f to images[g]; truncates at the images' cap.
+    """Linear substitution: the algebra map sending generator g of f to images[g].
 
-    All images must share one alphabet and cap and have zero constant term;
-    f must be known at least to that cap so no unknown terms are silently
-    dropped.  The constant term of f passes through.
+    Every image must be linear, homogeneous of degree 1: a constant term
+    raises ConstantTermError and a term of degree 2 or more raises
+    SeriesError naming the image.  All images share one alphabet and cap, the
+    cap of the result; f must be known at least to that cap so no unknown
+    terms are silently dropped.  The constant term of f passes through.
+
+    A word's image is a product of linear forms, expanded from its prefix's
+    image in integers: the images are put over one denominator D, and degree
+    k of the result is sum_w n_w N_w / (den_k D^k), with n_w / den_k the
+    coefficients of f and N_w the expanded numerators.  One Fraction is built
+    per surviving term.
     """
     images = list(images)
-    if len(images) != f.alphabet.size:
-        raise AlphabetMismatch(
-            f"need {f.alphabet.size} images for {f.alphabet!r}, got {len(images)}"
-        )
+    alphabet = f.alphabet
+    if len(images) != alphabet.size:
+        raise AlphabetMismatch(f"need {alphabet.size} images for {alphabet!r}, got {len(images)}")
     target = images[0]
-    for im in images:
+    for g, im in enumerate(images):
         target._check_compat(im)
         if im.constant_term:
             raise ConstantTermError("substitution images must have zero constant term")
+        k = next((k for k in range(2, im.cap + 1) if im.slices[k]), None)
+        if k is not None:
+            raise SeriesError(
+                f"the image of {alphabet.names[g]} has a term of degree {k}; "
+                "substitution images must be linear"
+            )
     if f.cap < target.cap:
         raise CapMismatch(
             f"series known only to degree {f.cap}, cannot substitute at cap {target.cap}"
         )
     cap = target.cap
-    scaled = [to_scaled(im) for im in images]
-    result = scaled_times(scaled_one(cap), f.constant_term)
-    for deg in range(1, cap + 1):
-        for word, c in f.slices[deg].items():
-            prod = scaled[word[0]]
-            for g in word[1:]:
-                prod = scaled_mul(prod, scaled[g], cap)
-            result = scaled_add(result, scaled_times(prod, c))
-    return from_scaled(target.alphabet, cap, result)
+    firsts = [im.slices[1] if cap else {} for im in images]
+    den_images = lcm(*(c.denominator for first in firsts for c in first.values()))
+    linear = [
+        [(w[0], c.numerator * (den_images // c.denominator)) for w, c in first.items()]
+        for first in firsts
+    ]
+    slices = [{(): f.constant_term} if f.constant_term else {}]
+    # prefix of f's words -> the numerators of its image, one prefix length at a time
+    level = {(): {(): 1}}
+    for k in range(1, cap + 1):
+        prefixes = {w[:k] for d in range(k, cap + 1) for w in f.slices[d]}
+        level = {
+            w: {u + (h,): cu * ch for u, cu in level[w[:-1]].items() for h, ch in linear[w[-1]]}
+            for w in prefixes
+        }
+        den, sl = scale_slice(f.slices[k])
+        total: dict = {}
+        get = total.get
+        for w, n in sl.items():
+            for u, cu in level[w].items():
+                total[u] = get(u, 0) + n * cu
+        slices.append(unscale_slice(*lowest_terms(den * den_images**k, total)))
+    return TruncatedSeries(target.alphabet, cap, tuple(slices))
 
 
 def substitute(f: TruncatedSeries, x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    """Evaluate a two-variable series, e.g. Phi(A, B) at x, y."""
+    """Evaluate a two-variable series at linear x, y, e.g. Phi(A, B) at t12, t23."""
     if f.alphabet.kind != "abstract" or f.alphabet.size != 2:
         raise AlphabetMismatch("substitute expects a series over a 2-letter abstract alphabet")
     return substitute_generators(f, (x, y))

@@ -89,6 +89,21 @@ def mini_inverse(g, cap):
     return mini_scale(out, 1 / c0)
 
 
+def reference_substitute(f, images, cap):
+    """Letter-by-letter product substitution: sum c * images[w1] ... images[wk], to the cap.
+
+    f and the images are dicts word -> Fraction; the images may be any series
+    with zero constant term, not only linear ones.
+    """
+    out = {}
+    for word, c in f.items():
+        prod = {(): Fraction(1)}
+        for g in word:
+            prod = mini_mul(prod, images[g], cap)
+        out = mini_add(out, mini_scale(prod, c))
+    return out
+
+
 # -- dense exact Gauss over an explicit column list ------------------------------
 
 

@@ -22,12 +22,14 @@ from braidalg import (
     is_semi_associator,
     one,
     pure_braid_generator,
+    rho3_delta,
     swap_letters,
 )
 from braidalg import associator
-from braidalg.associator import _columns, _revised_coordinates
+from braidalg.associator import _columns, _revised_coordinates, as_residual
 from braidalg.linalg import SparseEchelon
 from braidalg.lyndon import lie_basis
+from braidalg.words import WeldedWord, sigma
 
 
 def lie3(a_coeff, b_coeff, cap=3):
@@ -225,6 +227,38 @@ class TestExtension:
         assert associator._hexagon_constants.cache_info().misses == 7
         assert len(calls) == 3 * 7 + 18
 
+    def test_extension_steps_check_the_input_once(self, monkeypatch):
+        calls = []
+        check = associator.check_axiom
+
+        def counting(phi, axiom, cap):
+            calls.append((axiom, cap))
+            return check(phi, axiom, cap)
+
+        monkeypatch.setattr(associator, "check_axiom", counting)
+        assert len(list(extension_steps(one(AB, 1), 6))) == 5
+        assert calls == [("AE", 1), ("AS", 1), ("H3", 1)]
+
+    def test_every_candidate_meets_the_hypotheses(self):
+        # Each candidate solved for, the lifted base of a step or the lookback
+        # base of a revision, has zero (AS) residual at its degree; every
+        # extended series passes (AE), (AS) and (H3).
+        revisions = 0
+        prev = None
+        for step, extended, revised in extension_steps(one(AB, 1), 8):
+            d = step.degree
+            candidates = [step.base.log().lifted(d).exp()]
+            if revised:
+                revisions += 1
+                log = prev.base.log().lifted(d) + prev.correction().lifted(d)
+                candidates.append(log.exp())
+            for candidate in candidates:
+                assert as_residual(candidate, candidate.cap).is_zero()
+            for axiom in ("AE", "AS", "H3"):
+                assert check_axiom(extended, axiom, d).passed, (axiom, d)
+            prev = step
+        assert revisions == 2
+
     def test_extension_steps_stop_at_the_target(self):
         assert list(extension_steps(psi24(3), 3)) == []
         with pytest.raises(AssociatorError, match=r"\(H3\) at degree 2"):
@@ -252,6 +286,21 @@ class TestYangBaxter:
 
     def test_bootstrap_passes_at_cap_five(self, semi_associator_deg5):
         assert check_yang_baxter(semi_associator_deg5, 5).passed
+
+    def test_one_fold_equals_the_two_fold_difference(self, semi_associator_deg5):
+        # rho(s2 s1 s2) and rho(Delta) evaluated and reduced separately.
+        word = WeldedWord(3, (sigma(2), sigma(1), sigma(2)))
+        cases = [(semi_associator_deg5, 5), (psi24(3), 2), (psi24(3), 3), (one(AB, 3), 3)]
+        cases += [((ab_commutator(3).scale(Fraction(1, 24)) + lie3(1, 2)).exp(), 3)]
+        verdicts = []
+        for psi, cap in cases:
+            result = check_yang_baxter(psi, cap)
+            diff = eval_rho3(word, psi, cap) - rho3_delta(psi, cap)
+            assert result.passed == diff.is_zero()
+            assert result.residual == (None if result.passed else diff)
+            assert result.first_failure_degree == diff.min_degree()
+            verdicts.append(result.passed)
+        assert verdicts == [True, True, True, False, False]
 
 
 class TestEquivalences:
@@ -295,6 +344,22 @@ class TestEquivalences:
         report = check_equivalences(psi, 4)
         assert report.yb.passed
         assert report.delta_squared_central
+
+
+class TestCapZero:
+    @pytest.mark.parametrize("axiom", ["AE", "AS", "H1", "H3", "P"])
+    def test_every_axiom_holds_at_cap_zero(self, axiom):
+        # Both sides of every axiom are 1 at cap 0, whatever the series.
+        for phi in (one(AB, 0), one(AB, 2), psi24(3), one(AB, 2) + ab_commutator(2)):
+            result = check_axiom(phi, axiom, 0)
+            assert result.passed and result.first_failure_degree is None
+            assert result.residual.cap == 0 and result.residual.is_zero()
+
+    def test_equivalences_at_cap_zero(self):
+        report = check_equivalences(psi24(2), 0)
+        assert report.yb.passed and report.h1.passed and report.h3.passed and report.as_.passed
+        assert report.yb_iff_h3 and report.h1_iff_h3 and report.yb_implies_as
+        assert report.delta_squared_central and report.drinfeld_compatible
 
 
 class TestSpanningExpansion:

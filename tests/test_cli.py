@@ -188,6 +188,15 @@ class TestAssociatorCommands:
         assert code == 0
         assert "yang-baxter: pass" in out
 
+    @pytest.mark.parametrize("series", ["1", "1 + 1*A.B", "1 + 1/24*A.B - 1/24*B.A"])
+    def test_every_axiom_passes_at_cap_zero(self, capsys, series):
+        argv = ["check-associator", "--axioms", "AE,AS,H1,H3,P", "--cap", "0", "--series", series]
+        obj = run_json(capsys, *argv)
+        assert obj["degrees"] == [0]
+        assert list(obj["values"]) == ["AE", "AS", "H1", "H3", "P"]
+        for value in obj["values"].values():
+            assert value == {"passed": True, "first_failure_degree": None, "residual": "0"}
+
     def test_check_yb_failure(self, capsys):
         obj = run_json(capsys, "check-yb", "--cap", "2", "--series", "1")
         assert obj["values"]["passed"] is False
@@ -280,6 +289,25 @@ class TestDegreeHeader:
         assert "parameter known to degree 3 < cap 5" in err
         code, out = run(capsys, "check-yb", "--cap", "3", "--in", phi3)
         assert code == 0 and "yang-baxter: pass" in out
+
+    @pytest.mark.parametrize("to_degree", ["2", "0", "-2"])
+    def test_extend_below_the_input_degree_fails_before_any_work(
+        self, capsys, tmp_path, monkeypatch, phi3, to_degree
+    ):
+        calls = []
+        monkeypatch.setattr(assoc_mod, "extension_steps", lambda *a: calls.append(a))
+        out_path = tmp_path / "lower.txt"
+        argv = ["extend-associator", "--from", phi3, "--to-degree", to_degree]
+        err = self.fails(capsys, *argv, "--out", str(out_path))
+        assert err == f"error: --to-degree {to_degree} is below the degree 3 of {phi3}\n"
+        assert calls == [] and not out_path.exists()
+
+    def test_extend_to_the_input_degree_rewrites_it(self, capsys, tmp_path, phi3):
+        out_path = tmp_path / "same.txt"
+        argv = ["extend-associator", "--from", phi3, "--to-degree", "3", "--out", str(out_path)]
+        code, out = run(capsys, *argv)
+        assert code == 0 and out == f"wrote {out_path}\n"
+        assert out_path.read_text() == open(phi3).read()
 
     def test_check_associator_beyond_header_degree_fails(self, capsys, phi3):
         err = self.fails(capsys, "check-associator", "--cap", "5", "--in", phi3)

@@ -13,6 +13,7 @@ from braidalg import (
     ConstantTermError,
     Permutation,
     SeriesError,
+    TruncatedSeries,
     generator,
     is_lie_element,
     lie_components,
@@ -23,7 +24,7 @@ from braidalg import (
     zero,
 )
 from braidalg.linalg import affine_solve
-from braidalg.lyndon import lie_basis
+from braidalg.lyndon import bracket_terms, lie_basis, lyndon_words, standard_factorization
 
 
 def A(cap):
@@ -237,6 +238,37 @@ class TestSubstitute:
         with pytest.raises(CapMismatch):
             substitute(A(2), generator(chord, 3, "t12"), generator(chord, 3, "t23"))
 
+    def test_nonlinear_image_is_named(self):
+        chord = Alphabet.chord(3)
+        t12, t23 = generator(chord, 3, "t12"), generator(chord, 3, "t23")
+        with pytest.raises(SeriesError, match=r"image of B has a term of degree 2"):
+            substitute(A(3), t12, t23 + t12 * t23)
+        with pytest.raises(SeriesError, match=r"image of A has a term of degree 3"):
+            substitute(A(3), t12 + t12 * t23 * t12, t23)
+
+    @pytest.mark.parametrize("source", [AB, Alphabet.abstract("X", "Y", "Z")])
+    def test_matches_product_reference(self, rng, source):
+        # Images of 1-3 terms with rational coefficients, caps 0-5; the
+        # reference multiplies the images letter by letter.
+        target = Alphabet.chord(4)
+        for cap in range(6):
+            for _ in range(6):
+                f = random_series(rng, source, cap, nterms=8)
+                images = []
+                for _ in range(source.size):
+                    terms = {}
+                    if cap:
+                        for _ in range(rng.randint(1, 3)):
+                            num = rng.choice([-1, 1]) * rng.randint(1, 6)
+                            terms[(rng.randrange(target.size),)] = Fraction(num, rng.randint(1, 6))
+                    images.append(TruncatedSeries.from_terms(target, cap, terms))
+                got = substitute_generators(f, images)
+                want = oracles.reference_substitute(
+                    dict(f.terms()), [dict(im.terms()) for im in images], cap
+                )
+                assert dict(got.terms()) == want
+                assert got.cap == cap and got.alphabet == target
+
 
 class TestPermutationAction:
     def test_chord_symmetry(self):
@@ -359,3 +391,32 @@ class TestEquality:
         s = generator(small, 3, "t12").exp()
         images = [generator(big, 3, pair) for pair in small.pairs]
         assert substitute_generators(s, images) == generator(big, 3, "t12").exp()
+
+
+class TestLyndonBrackets:
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_word_dicts_equal_series_commutators(self, size):
+        # Through degree 7: each bracket [b(u), b(v)] built as a series
+        # commutator, one cap per degree, against its {word: int} dict.
+        alphabet = Alphabet.abstract(*"XYZ"[:size])
+        for degree in range(1, 8):
+            memo = {}
+
+            def commutator(w):
+                if w not in memo:
+                    if len(w) == 1:
+                        memo[w] = generator(alphabet, degree, w[0])
+                    else:
+                        bu, bv = map(commutator, standard_factorization(w))
+                        memo[w] = bu * bv - bv * bu
+                return memo[w]
+
+            words = lyndon_words(size, degree)
+            assert words
+            for w in words:
+                terms = bracket_terms(w)
+                assert all(type(c) is int for c in terms.values())
+                assert terms == commutator(w).slices[degree]
+            assert [b for _, b in lie_basis(alphabet, degree, degree)] == [
+                commutator(w) for w in words
+            ]
