@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta-kernel", help="kernel of the chord-to-oriented comparison map")
     _flags(p)
     p.add_argument(
-        "--force", action="store_true", help="run even when a slice exceeds the word limit"
+        "--force", action="store_true", help="run even when the images exceed the term limit"
     )
     p.set_defaults(func=cmd_delta_kernel)
 

@@ -168,7 +168,10 @@ class GradedQuotientBasis:
         return SparseEchelon(key=word_key, rows=rows)
 
     def normal_words(self, k: int) -> list:
-        """Deglex-sorted words avoiding every leading word: a basis of the degree-k graded piece."""
+        """Deglex-sorted words avoiding every leading word: a basis of the degree-k graded piece.
+
+        Counting them needs no list: see ``dimension``.
+        """
         self._check(k)
         letters = range(self.alphabet.size)
         # A word whose prefixes avoid the leading words can hold one only as a suffix.
@@ -180,7 +183,42 @@ class GradedQuotientBasis:
         return words
 
     def dimension(self, k: int) -> int:
-        return len(self.normal_words(k))
+        return self._counts(k)[k]
+
+    def _counts(self, k: int) -> list:
+        """The numbers of normal words in degrees 0..k, counted on the leading words' prefixes.
+
+        A word's state is its longest suffix that is a proper prefix of a
+        leading word of degree <= k; the empty word always is one.  A leading
+        word inside w.b ends at b, so its part before b is a suffix of w's
+        state p: w.b is normal iff w is and no suffix of p.b is a leading
+        word, and then w.b's state is the longest suffix of p.b that is a
+        state (Ufnarovskij's graph of obstructions).  Counting per state,
+        each degree costs states x letters, not the size of the degree.
+        """
+        self._check(k)
+        leads = {w for w in list(self._rules) if len(w) <= k}  # rules of higher degrees may be known
+        states = sorted({()} | {w[:i] for w in leads for i in range(1, len(w))}, key=len)
+        index = {p: i for i, p in enumerate(states)}  # the empty word is state 0
+        moves = []  # per state, the state reached by each allowed letter
+        for p in states:
+            targets = []
+            for b in range(self.alphabet.size):
+                v = p + (b,)
+                if not any(v[i:] in leads for i in range(len(v))):
+                    targets.append(next(index[v[i:]] for i in range(len(v) + 1) if v[i:] in index))
+            moves.append(targets)
+        counts = [1] + [0] * (len(states) - 1)
+        row = [1]
+        for _ in range(k):
+            nxt = [0] * len(states)
+            for c, targets in zip(counts, moves):
+                if c:
+                    for t in targets:
+                        nxt[t] += c
+            counts = nxt
+            row.append(sum(counts))
+        return row
 
     def reduce(self, k: int, vec: dict) -> dict:
         """Normal form of a degree-k slice; integer slices stay integral under integral rules."""
@@ -513,5 +551,4 @@ def _holds_leading_word(u: tuple, rules: dict, lengths: tuple) -> bool:
 
 def hilbert_row(preset: RelationPreset, cap: int, cache_dir=None) -> list:
     """Dimensions of the graded pieces in degrees 0..cap."""
-    basis = build_graded_basis(preset, cap, cache_dir)
-    return [basis.dimension(k) for k in range(cap + 1)]
+    return build_graded_basis(preset, cap, cache_dir)._counts(cap)

@@ -12,7 +12,9 @@ Three families are evaluated on words:
 Each family's generator images are built once per (n, cap) and parameter
 series, and kept by a ``functools`` cache, in scaled-integer form (see
 :mod:`braidalg.series`); the associator families keep the images of their
-32 most recent parameter series.  A word is the product of its letters'
+32 most recent parameter series.  The 3-strand family's image of
+sigma_2^-1, an inverse at the full cap, is built only for a word that
+holds sigma_2^-1.  A word is the product of its letters'
 images, folded in integer arithmetic in the free algebra and reduced to
 quotient normal form once at the end (:func:`braidalg.sdseries.fold`); the
 result is identical to reducing eagerly after every product, at a fraction
@@ -37,6 +39,7 @@ from .series import (
     ConstantTermError,
     SeriesError,
     TruncatedSeries,
+    from_scaled,
     generator_or_zero,
     is_lie_element,
     one,
@@ -172,10 +175,21 @@ def _rho3_images(cap: int, psi: TruncatedSeries):
         Token("sigma", 1, 0, 1): rho_s1,
         Token("sigma", 1, 0, -1): rho_s1_inv,
         Token("sigma", 2, 0, 1): Factor(alph, {perm2: u2}),
-        Token("sigma", 2, 0, -1): Factor(alph, {perm2: u2.inverse().act(perm2)}),
         "Delta": delta,  # not a letter: the factor rho3_delta folds
     }
     return alph, images
+
+
+_SIGMA2_INV = sigma_token(2, -1)
+
+
+@lru_cache(maxsize=32)
+def _rho3_sigma2_inverse(cap: int, psi: TruncatedSeries) -> Factor:
+    """rho(sigma_2^-1), an inverse at the full cap: built only for words that hold sigma_2^-1."""
+    alph, images = _rho3_images(cap, psi)
+    ((perm2, u2),) = images[Token("sigma", 2, 0, 1)].terms.items()
+    u2 = from_scaled(alph, cap, u2)
+    return Factor(alph, {perm2: u2.inverse().act(perm2)})
 
 
 def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int) -> SemidirectSeries:
@@ -186,6 +200,8 @@ def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int) -> SemidirectSeries
         raise WordError("the parametrized family lives on 3 strands")
     basis = build_graded_basis(infinitesimal_artin(3), cap)
     alph, images = _rho3_images(cap, psi)
+    if _SIGMA2_INV in w.letters:
+        images = {**images, _SIGMA2_INV: _rho3_sigma2_inverse(cap, psi)}
     return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
 
 

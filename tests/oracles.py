@@ -104,6 +104,20 @@ def reference_substitute(f, images, cap):
     return out
 
 
+def reference_delta_map(s, target):
+    """t_ij -> v_ij + v_ji by substituting two-term images, then the target's normal form.
+
+    s is a chord TruncatedSeries and target an oriented GradedQuotientBasis.
+    """
+    from braidalg.series import generator, substitute_generators
+
+    images = [
+        generator(target.alphabet, s.cap, (i, j)) + generator(target.alphabet, s.cap, (j, i))
+        for (i, j) in s.alphabet.pairs
+    ]
+    return target.normal_form(substitute_generators(s, images))
+
+
 # -- dense exact Gauss over an explicit column list ------------------------------
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from conftest import random_series
 
 from braidalg import (
@@ -27,7 +28,9 @@ from braidalg import (
     words_equal_in_bp,
 )
 from braidalg import invariants as invariants_mod
-from braidalg.words import WeldedWord, a, braid_relations, mccool_relations, word
+from braidalg.linalg import affine_solve
+from braidalg.series import CapMismatch, TruncatedSeries
+from braidalg.words import WeldedWord, WordError, a, braid_relations, mccool_relations, word
 
 
 def sd(basis, series, one_line):
@@ -330,10 +333,61 @@ class TestDeltaMap:
         assert report.domain_dimension == 15
 
     def test_oversized_probe_is_opt_in(self):
+        # n=4 at degree 5 has 966 * 2^5 = 30,912 image terms, over the limit
         with pytest.raises(Exception, match="force=True"):
-            delta_kernel(5, 4)
-        # n=4 at degree 3 stays inside the limit (12^3 words)
+            delta_kernel(4, 5)
+        # n=4 at degree 3 stays inside the limit (90 * 2^3 terms)
         assert delta_kernel(4, 3).kernel_dimension == 0
+
+    def test_largest_slice_inside_the_limit_runs_without_force(self):
+        # 1701 * 2^4 = 27,216 image terms
+        assert 1701 * 2**4 <= invariants_mod.KERNEL_TERM_LIMIT
+        report = delta_kernel(5, 4)
+        assert (report.domain_dimension, report.kernel_dimension) == (1701, 0)
+
+    @pytest.mark.parametrize("n, k, terms", [(4, 5, 30_912), (3, 7, 32_640)])
+    def test_slices_over_the_limit_need_force(self, n, k, terms, monkeypatch):
+        assert terms > invariants_mod.KERNEL_TERM_LIMIT
+
+        def no_oriented_basis(preset, *args):
+            assert preset.kind == "infinitesimal_artin", "built the oriented basis"
+            return build_graded_basis(preset, *args)
+
+        monkeypatch.setattr(invariants_mod, "build_graded_basis", no_oriented_basis)
+        with pytest.raises(WordError, match=f"have {terms} terms .*force=True"):
+            delta_kernel(n, k)
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4) for k in range(4)])
+    def test_kernel_columns_are_delta_images(self, n, k, monkeypatch):
+        seen = []
+
+        def recording_solve(columns, rhs=None):
+            seen.append(columns)
+            return affine_solve(columns, rhs)
+
+        monkeypatch.setattr(invariants_mod, "affine_solve", recording_solve)
+        delta_kernel(n, k)
+        chord = build_graded_basis(infinitesimal_artin(n), k)
+        oriented = build_graded_basis(oriented_artin(n), k)
+        words = chord.normal_words(k)
+        expected = [
+            delta_map(TruncatedSeries.from_terms(chord.alphabet, k, {w: 1}), oriented).slices[k]
+            for w in words
+        ]
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("n, cap", [(3, 4), (4, 3)])
+    def test_matches_the_substitution_reference(self, n, cap, rng):
+        oriented = build_graded_basis(oriented_artin(n), cap)
+        chord = infinitesimal_artin(n).alphabet
+        for _ in range(8):
+            x = random_series(rng, chord, cap, nterms=10, denom=7)
+            assert delta_map(x, oriented) == oracles.reference_delta_map(x, oriented)
+
+    def test_cap_above_the_target_is_rejected(self):
+        oriented = build_graded_basis(oriented_artin(3), 2)
+        with pytest.raises(CapMismatch):
+            delta_map(generator(infinitesimal_artin(3).alphabet, 3, "t12"), oriented)
 
 
 class TestHilbertTable:

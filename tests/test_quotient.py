@@ -151,6 +151,44 @@ class TestDimensions:
             assert basis.normal_words(k) == [w for w in words if w not in pivots]
 
 
+class TestCountedDimensions:
+    """dimension and hilbert_row count on the leading words; normal_words lists the words."""
+
+    @pytest.mark.parametrize(
+        "preset,cap",
+        [(quotient.preset_by_name(kind, 3), 6) for kind in quotient.PRESET_KINDS]
+        + [(quotient.preset_by_name(kind, 4), 4) for kind in quotient.PRESET_KINDS]
+        # no rules: the empty word is the only state
+        + [(free_preset(Alphabet.abstract("P", "Q", "R", "S")), 5)],
+        ids=repr,
+    )
+    def test_counts_equal_the_lists(self, preset, cap):
+        basis = build_graded_basis(preset, cap)
+        listed = [len(basis.normal_words(k)) for k in range(cap + 1)]
+        assert hilbert_row(preset, cap) == listed
+        assert [basis.dimension(k) for k in range(cap + 1)] == listed
+
+    def test_degrees_below_longer_rules(self):
+        preset = oriented_artin(3)
+        build_graded_basis(preset, 6)
+        basis = build_graded_basis(preset, 3)
+        # Rules of degree 4 and up are known to the process but do not count in degree <= 3.
+        assert max(len(w) for w in basis._rules) >= 6
+        for k in range(4):
+            assert basis.dimension(k) == len(basis.normal_words(k))
+        assert hilbert_row(preset, 3) == [1, 6, 27, 108]
+
+    def test_dimension_lists_no_word(self, monkeypatch):
+        basis = build_graded_basis(oriented_upper_triangular(4), 5)
+
+        def no_listing(self, k):
+            raise AssertionError("listed the normal words")
+
+        monkeypatch.setattr(GradedQuotientBasis, "normal_words", no_listing)
+        assert basis.dimension(5) == 179_616
+        assert hilbert_row(oriented_upper_triangular(4), 5)[5] == 179_616
+
+
 class TestChordRewriting:
     """Chord normal forms rewritten by the degree-2 rules against the exhaustive echelon."""
 
@@ -379,6 +417,13 @@ class TestGroebnerClosure:
                 oracles.rational_series_dims([1], [1, -6, 2], 7),
                 id="oriented_upper_triangular(3)",
             ),
+            # 1 / (1 - 12t + 11t^2 - 6t^3)
+            pytest.param(
+                oriented_upper_triangular(4),
+                6,
+                oracles.rational_series_dims([1], [1, -12, 11, -6], 6),
+                id="oriented_upper_triangular(4)",
+            ),
         ],
     )
     def test_dimensions_match_closed_forms(self, preset, cap, dims):
@@ -388,6 +433,9 @@ class TestGroebnerClosure:
         assert oracles.oriented_formula_dims(3, 7)[7] == 17_496
         assert oracles.oriented_formula_dims(4, 6)[6] == 114_688
         assert oracles.rational_series_dims([1], [1, -6, 2], 7)[6:] == [34_552, 195_072]
+        assert oracles.rational_series_dims([1], [1, -12, 11, -6], 7) == [
+            1, 12, 133, 1470, 16_249, 179_616, 1_985_473, 21_947_394
+        ]
 
 
 class TestNormalForm:

@@ -191,6 +191,22 @@ class TestRho3Evaluation:
             expected = central_element(cap).exp() * substitute(psi, t12, t23).inverse()
             assert rho3_delta(psi, cap) == sd(basis, expected, "321")
 
+    def test_sigma2_inverse_is_built_only_for_words_that_hold_it(self):
+        from braidalg import reps
+
+        cap = 4
+        basis = build_graded_basis(infinitesimal_artin(3), cap)
+        reps._rho3_sigma2_inverse.cache_clear()
+        reps.rho3_yang_baxter_defect(psi24(cap), cap)
+        eval_rho3(parse_word("sig1 sig2 sig1^-1", 3), psi24(cap), cap)
+        assert reps._rho3_sigma2_inverse.cache_info().currsize == 0
+        for _ in range(2):
+            img = eval_rho3(parse_word("sig2 sig1 sig2^-1 sig2", 3), psi24(cap), cap)
+            assert img == eval_rho3(parse_word("sig2 sig1", 3), psi24(cap), cap)
+        info = reps._rho3_sigma2_inverse.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert eval_rho3(parse_word("sig2^-1 sig2", 3), psi24(cap), cap) == SemidirectSeries.unit(basis, cap)
+
     def test_wrong_strand_count(self):
         with pytest.raises(WordError):
             eval_rho3(word(4, sigma(1)), one(AB, 2), 2)
