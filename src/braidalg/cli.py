@@ -1,10 +1,10 @@
 """Command-line surface for the workbench.
 
-Subcommands: dim, normal-form, eval, check-associator, extend-associator,
-check-yb, distinguish, vassiliev-degree, delta-kernel, hilbert-table,
-check-splitting.  Output is deterministic: fixed word order, rationals in
-lowest terms.  ``--format structured`` emits one JSON object per result
-with the fields {command, inputs, degrees, values}, rationals as strings.
+``COMMANDS`` maps each subcommand to its help line, its arguments and its
+handler; a run builds the parser of its own subcommand only.  Output is
+deterministic: fixed word order, rationals in lowest terms.  ``--format
+structured`` emits one JSON object per result with the fields {command,
+inputs, degrees, values}, rationals as strings.
 
 ``--cache-dir`` persists each degree's oriented Groebner rules, so the
 subcommands that reach an oriented algebra take it.  check-associator,
@@ -24,29 +24,6 @@ from .quotient import PRESET_KINDS, build_graded_basis, hilbert_row, preset_by_n
 from .sdseries import SemidirectSeries
 from .series import SeriesError, TruncatedSeries, parse_series
 from .words import GroupRingElement, parse_word
-
-
-def _flags(parser, n=True, cap=True, preset=False, series=False, cache_dir=True):
-    """The shared flags a subcommand reads; every subcommand has --format."""
-    if n:
-        parser.add_argument("--n", type=int, default=3, help="strand count (default 3)")
-    if cap:
-        parser.add_argument("--cap", type=int, default=3, help="truncation degree (default 3)")
-    if preset:
-        parser.add_argument(
-            "--preset",
-            choices=PRESET_KINDS,
-            default="oriented_artin",
-            help="relation preset for quotient commands",
-        )
-    if series:
-        parser.add_argument("--series", help="series in the text grammar")
-        parser.add_argument("--in", dest="infile", help="file holding the series")
-    if cache_dir:
-        parser.add_argument(
-            "--cache-dir", default=None, help="directory for persisted oriented Groebner rules"
-        )
-    parser.add_argument("--format", choices=("text", "structured"), default="text", dest="format_")
 
 
 def _emit(args, command, inputs, degrees, values, text_lines):
@@ -84,7 +61,7 @@ def _read_series(alphabet, cap, text=None, path=None) -> TruncatedSeries:
     """
     if text is None:
         if path is None:
-            raise SystemExit("need --series or --in")
+            raise ValueError("need --series or --in")
         with open(path) as handle:
             lines = handle.read().splitlines()
         text = " ".join(
@@ -332,84 +309,148 @@ def cmd_check_splitting(args):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="braidalg",
-        description="Exact computations in braid and welded-braid algebras over Q.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _arg(*flags, **keywords):
+    """One argument: its option strings and ``add_argument`` keywords."""
+    return flags, keywords
 
-    p = sub.add_parser("dim", help="graded dimensions of a quotient preset")
-    _flags(p, preset=True)
-    p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("normal-form", help="canonical representative in a quotient")
-    _flags(p, preset=True, series=True)
-    p.set_defaults(func=cmd_normal_form)
+class _OneOf(tuple):
+    """Arguments of which a run may give at most one."""
 
-    p = sub.add_parser("eval", help="evaluate a representation on a word")
-    _flags(p)
-    p.add_argument("--family", choices=("welded", "drinfeld", "rho3"), required=True)
-    p.add_argument("--word", required=True, help="word in the token grammar")
-    p.add_argument(
-        "--assoc",
-        help="series file for the associator-driven families "
-        "(default: the bootstrapped semi-associator at the working cap)",
-    )
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("check-associator", help="test the semi-associator axioms")
-    _flags(p, n=False, series=True, cache_dir=False)
-    p.add_argument("--axioms", default="AE,AS,H1,H3,P")
-    p.set_defaults(func=cmd_check_associator)
+def _flags(n=True, cap=True, preset=False, series=False, cache_dir=True) -> tuple:
+    """The shared flags a subcommand reads; every subcommand has --format."""
+    flags = []
+    if n:
+        flags.append(_arg("--n", type=int, default=3, help="strand count (default 3)"))
+    if cap:
+        flags.append(_arg("--cap", type=int, default=3, help="truncation degree (default 3)"))
+    if preset:
+        flags.append(_arg(
+            "--preset",
+            choices=PRESET_KINDS,
+            default="oriented_artin",
+            help="relation preset for quotient commands",
+        ))
+    if series:
+        flags.append(_OneOf((
+            _arg("--series", help="series in the text grammar"),
+            _arg("--in", dest="infile", help="file holding the series"),
+        )))
+    if cache_dir:
+        flags.append(_arg(
+            "--cache-dir", default=None, help="directory for persisted oriented Groebner rules"
+        ))
+    flags.append(_arg("--format", choices=("text", "structured"), default="text", dest="format_"))
+    return tuple(flags)
 
-    p = sub.add_parser("extend-associator", help="extend a semi-associator degree by degree")
-    _flags(p, n=False, cap=False, cache_dir=False)
-    p.add_argument("--from", dest="from_file", required=True)
-    p.add_argument("--to-degree", dest="to_degree", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_extend_associator)
 
-    p = sub.add_parser("check-yb", help="Yang-Baxter test for the 3-strand family")
-    _flags(p, n=False, series=True, cache_dir=False)
-    p.set_defaults(func=cmd_check_yb)
+# Every subcommand: name -> (help line, arguments, handler).  A run builds the
+# parser of its own command only.
+COMMANDS = {
+    "dim": ("graded dimensions of a quotient preset", _flags(preset=True), cmd_dim),
+    "normal-form": (
+        "canonical representative in a quotient",
+        _flags(preset=True, series=True),
+        cmd_normal_form,
+    ),
+    "eval": (
+        "evaluate a representation on a word",
+        _flags() + (
+            _arg("--family", choices=("welded", "drinfeld", "rho3"), required=True),
+            _arg("--word", required=True, help="word in the token grammar"),
+            _arg(
+                "--assoc",
+                help="series file for the associator-driven families "
+                "(default: the bootstrapped semi-associator at the working cap)",
+            ),
+        ),
+        cmd_eval,
+    ),
+    "check-associator": (
+        "test the semi-associator axioms",
+        _flags(n=False, series=True, cache_dir=False)
+        + (_arg("--axioms", default="AE,AS,H1,H3,P"),),
+        cmd_check_associator,
+    ),
+    "extend-associator": (
+        "extend a semi-associator degree by degree",
+        _flags(n=False, cap=False, cache_dir=False) + (
+            _arg("--from", dest="from_file", required=True),
+            _arg("--to-degree", dest="to_degree", type=int, required=True),
+            _arg("--out", required=True),
+        ),
+        cmd_extend_associator,
+    ),
+    "check-yb": (
+        "Yang-Baxter test for the 3-strand family",
+        _flags(n=False, series=True, cache_dir=False),
+        cmd_check_yb,
+    ),
+    "distinguish": (
+        "separate welded words by truncated invariants",
+        _flags() + (_arg("--w1", required=True), _arg("--w2", required=True)),
+        cmd_distinguish,
+    ),
+    "vassiliev-degree": (
+        "filtration order of a group-ring element",
+        _flags() + (
+            _arg("--element", required=True, help="group-ring grammar, e.g. '1*[sig1] - 1*[s1]'"),
+        ),
+        cmd_vassiliev_degree,
+    ),
+    "delta-kernel": (
+        "kernel of the chord-to-oriented comparison map",
+        _flags() + (
+            _arg(
+                "--force",
+                action="store_true",
+                help="run even when the images exceed the term limit",
+            ),
+        ),
+        cmd_delta_kernel,
+    ),
+    "hilbert-table": ("dimension table, chord vs oriented", _flags(), cmd_hilbert_table),
+    "check-splitting": (
+        "permutation factors preserve vanishing order",
+        _flags() + (_arg("--samples", type=int, default=20), _arg("--seed", type=int, default=0)),
+        cmd_check_splitting,
+    ),
+}
 
-    p = sub.add_parser("distinguish", help="separate welded words by truncated invariants")
-    _flags(p)
-    p.add_argument("--w1", required=True)
-    p.add_argument("--w2", required=True)
-    p.set_defaults(func=cmd_distinguish)
 
-    p = sub.add_parser("vassiliev-degree", help="filtration order of a group-ring element")
-    _flags(p)
-    p.add_argument("--element", required=True, help="group-ring grammar, e.g. '1*[sig1] - 1*[s1]'")
-    p.set_defaults(func=cmd_vassiliev_degree)
-
-    p = sub.add_parser("delta-kernel", help="kernel of the chord-to-oriented comparison map")
-    _flags(p)
-    p.add_argument(
-        "--force", action="store_true", help="run even when the images exceed the term limit"
-    )
-    p.set_defaults(func=cmd_delta_kernel)
-
-    p = sub.add_parser("hilbert-table", help="dimension table, chord vs oriented")
-    _flags(p)
-    p.set_defaults(func=cmd_hilbert_table)
-
-    p = sub.add_parser("check-splitting", help="permutation factors preserve vanishing order")
-    _flags(p)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check_splitting)
-
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    help_line, arguments, _ = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"braidalg {name}", description=help_line)
+    for argument in arguments:
+        if isinstance(argument, _OneOf):
+            group = parser.add_mutually_exclusive_group()
+            for flags, keywords in argument:
+                group.add_argument(*flags, **keywords)
+        else:
+            flags, keywords = argument
+            parser.add_argument(*flags, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    width = max(map(len, COMMANDS))
+    top = argparse.ArgumentParser(
+        prog="braidalg",
+        description="Exact computations in braid and welded-braid algebras over Q.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<{width}}  {help_line}" for name, (help_line, _, _) in COMMANDS.items()
+        ) + "\n\nrun 'braidalg <command> --help' for a command's options",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    top.add_argument(
+        "command", choices=COMMANDS, metavar="command", help="one of the commands below"
+    )
+    name = top.parse_args(argv[:1]).command
+    args = _command_parser(name).parse_args(argv[1:])
     try:
-        args.func(args)
+        COMMANDS[name][2](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -265,6 +265,8 @@ def check_splitting_identity(n: int, cap: int, samples: int, seed: int = 0, cach
         raise ValueError(f"the splitting identity needs n >= 2 strands, got n = {n}")
     if cap < 1:
         raise ValueError(f"the a_ij - 1 cases have order 1 and need cap >= 1, got cap = {cap}")
+    if samples < 0:
+        raise ValueError(f"the splitting identity needs samples >= 0, got samples = {samples}")
     rng = random.Random(seed)
     cases = []
     unit = GroupRingElement.one(n)

@@ -15,6 +15,7 @@ cache; loading them leaves the process as closing that degree would.
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -459,7 +460,8 @@ def _load_rules(cache_dir, preset: RelationPreset, k: int, digest: str, state: _
     """The rules of degree k, given those below it, or None when they must be rebuilt.
 
     The reason -- missing file, stale header or failed body check -- is
-    logged at DEBUG on the ``braidalg.quotient`` logger.
+    logged at DEBUG on the ``braidalg.quotient`` logger when the process has
+    imported ``logging``.
     """
     path = _cache_path(cache_dir, preset, k)
     try:
@@ -477,11 +479,12 @@ def _load_rules(cache_dir, preset: RelationPreset, k: int, digest: str, state: _
 
 
 def _log_debug(message: str, *args):
-    # Imported here: importing logging adds about 10 ms to every run of the
-    # package, and only a rebuild logs.
-    import logging
-
-    logging.getLogger(__name__).debug(message, *args)
+    # Only code that has imported logging can have set a level or a handler
+    # that sees the record, so a run that has not pays nothing: importing
+    # logging costs about 8 ms.
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(message, *args)
 
 
 def _check_header(lines: list, preset: RelationPreset, k: int, digest: str) -> tuple:

@@ -1,9 +1,16 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import braidalg
+
 from braidalg import AB, CapMismatch, bootstrap_semi_associator, eval_drinfeld, parse_word, quotient
 from braidalg import associator as assoc_mod
+from braidalg import cli
 from braidalg.cli import main
 from braidalg.series import parse_series
 
@@ -390,6 +397,13 @@ class TestInvariantCommands:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_check_splitting_rejects_negative_samples(self, capsys):
+        code = main(["check-splitting", "--n", "3", "--cap", "2", "--samples", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: the splitting identity needs samples >= 0, got samples = -1\n"
+
     def test_check_splitting(self, capsys):
         obj = run_json(
             capsys, "check-splitting", "--n", "3", "--cap", "3", "--samples", "5", "--seed", "3"
@@ -455,8 +469,25 @@ class TestInfrastructure:
         assert err == f"error: {path}: bad degree header '# semi-associator to degree x'\n"
 
     def test_missing_input_exits(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["normal-form", "--n", "3", "--cap", "2"])
+        assert main(["normal-form", "--n", "3", "--cap", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need --series or --in\n"
+
+    @pytest.mark.parametrize("command", ["check-associator", "check-yb"])
+    def test_series_without_input_is_an_error(self, capsys, command):
+        assert main([command]) == 1
+        assert capsys.readouterr().err == "error: need --series or --in\n"
+
+    @pytest.mark.parametrize("command", ["normal-form", "check-associator", "check-yb"])
+    def test_series_and_input_together_are_rejected(self, capsys, tmp_path, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(cli, "_read_series", lambda *a: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--series", "1", "--in", str(tmp_path / "phi.txt")])
+        assert exc.value.code == 2
+        assert calls == []
+        assert "argument --in: not allowed with argument --series" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -478,3 +509,101 @@ class TestInfrastructure:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Option strings of each command, in order, as the per-command parsers had
+# them when every command was a subparser of one parser.
+PINNED_OPTIONS = {
+    "dim": ["-h", "--help", "--n", "--cap", "--preset", "--cache-dir", "--format"],
+    "normal-form": [
+        "-h", "--help", "--n", "--cap", "--preset", "--series", "--in", "--cache-dir", "--format"
+    ],
+    "eval": [
+        "-h", "--help", "--n", "--cap", "--cache-dir", "--format", "--family", "--word", "--assoc"
+    ],
+    "check-associator": ["-h", "--help", "--cap", "--series", "--in", "--format", "--axioms"],
+    "extend-associator": ["-h", "--help", "--format", "--from", "--to-degree", "--out"],
+    "check-yb": ["-h", "--help", "--cap", "--series", "--in", "--format"],
+    "distinguish": ["-h", "--help", "--n", "--cap", "--cache-dir", "--format", "--w1", "--w2"],
+    "vassiliev-degree": ["-h", "--help", "--n", "--cap", "--cache-dir", "--format", "--element"],
+    "delta-kernel": ["-h", "--help", "--n", "--cap", "--cache-dir", "--format", "--force"],
+    "hilbert-table": ["-h", "--help", "--n", "--cap", "--cache-dir", "--format"],
+    "check-splitting": [
+        "-h", "--help", "--n", "--cap", "--cache-dir", "--format", "--samples", "--seed"
+    ],
+}
+
+
+class TestParser:
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        for name, (help_line, _, _) in cli.COMMANDS.items():
+            assert [name, *help_line.split()] in lines
+
+    @pytest.mark.parametrize("command", sorted(PINNED_OPTIONS))
+    def test_command_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: braidalg {command} ")
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--n", "3", "dim"]])
+    def test_missing_or_unknown_command_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: braidalg ")
+
+    def test_option_strings_are_pinned(self):
+        assert list(cli.COMMANDS) == list(PINNED_OPTIONS)
+        for name, options in PINNED_OPTIONS.items():
+            parser = cli._command_parser(name)
+            assert [s for action in parser._actions for s in action.option_strings] == options
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dim", "--preset", "infinitesimal_artin", "--n", "3", "--cap", "2"],
+            ["check-yb", "--cap", "2", "--series", "1"],
+            ["check-splitting", "--samples", "-1"],
+        ],
+    )
+    def test_a_run_builds_at_most_two_parsers(self, capsys, monkeypatch, argv):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        main(argv)
+        assert built == ["braidalg", f"braidalg {argv[0]}"]
+
+
+def test_a_cold_cache_run_does_not_import_logging(tmp_path):
+    # Nothing in a fresh process that has not imported logging can see a
+    # DEBUG record, so rebuilding a cache file must not import it.
+    src = os.path.dirname(os.path.dirname(braidalg.__file__))
+    script = (
+        "import sys\n"
+        "from braidalg import cli\n"
+        "argv = ['dim', '--preset', 'oriented_artin', '--n', '3', '--cap', '3']\n"
+        "assert cli.main(argv + ['--cache-dir', sys.argv[1]]) == 0\n"
+        "print('logging' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "oriented_artin(3) dimensions, degrees 0..3: [1, 6, 27, 108]",
+        "False",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"oriented_artin(3)__deg{k}.basis" for k in range(4)
+    ]

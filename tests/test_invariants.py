@@ -427,6 +427,11 @@ class TestSplittingIdentity:
         with pytest.raises(ValueError, match=message):
             check_splitting_identity(n, cap, samples=0)
 
+    def test_rejects_negative_samples_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(invariants_mod, "vassiliev_degree", lambda *a: pytest.fail("work was done"))
+        with pytest.raises(ValueError, match="samples = -1"):
+            check_splitting_identity(3, 3, samples=-1)
+
     def test_sampled_cases_pass(self):
         report = check_splitting_identity(3, 4, samples=12, seed=11)
         assert report.passed
