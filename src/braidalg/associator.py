@@ -12,6 +12,10 @@ The axioms are transcribed once, here, and nowhere else:
 with Phi_t = Phi(t12, t23); (H1) and (H3) live in the 3-strand chord algebra,
 (P) in the 4-strand one.  Sign conventions for hexagons differ across the
 literature; everything downstream derives from the five lines above.
+The (AE) residual is the degree-1 part of log Phi plus its Lie defect,
+:func:`braidalg.series.lie_defect`: the one Dynkin test, which also decides
+``is_lie_element``, the 3-strand family's precondition and
+``GradedQuotientBasis.is_primitive``.
 
 Semi-associators are built by :func:`extension_steps`, the one extension
 loop (a degree at a time, with one degree of lookback); the bootstrap and the
@@ -75,7 +79,7 @@ from .series import (
     TruncatedSeries,
     generator,
     generator_or_zero,
-    left_bracketing,
+    lie_defect,
     one,
     substitute,
     zero,
@@ -133,15 +137,9 @@ def _prepare(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
 
 
 def ae_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
-    """Defect of exponential type: degree-1 part of log plus its non-Lie parts."""
-    phi = _prepare(phi, cap)
-    logphi = phi.log()
-    residual = logphi.homogeneous_part(1) if cap >= 1 else zero(AB, cap)
-    bracketed = left_bracketing(logphi)
-    for k in range(2, cap + 1):
-        defect = logphi.homogeneous_part(k) - bracketed.homogeneous_part(k).scale(Fraction(1, k))
-        residual = residual + defect
-    return residual
+    """Defect of exponential type: degree-1 part of log plus its Lie defect."""
+    logphi = _prepare(phi, cap).log()
+    return logphi.homogeneous_part(1) + lie_defect(logphi)
 
 
 def as_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:

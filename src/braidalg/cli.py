@@ -447,6 +447,8 @@ def main(argv=None) -> int:
     top.add_argument(
         "command", choices=COMMANDS, metavar="command", help="one of the commands below"
     )
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        top.error(f"the command comes first: braidalg <command> [options]; {argv[0]!r} is an option")
     name = top.parse_args(argv[:1]).command
     args = _command_parser(name).parse_args(argv[1:])
     try:

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals: a sparse echelon and an affine solver.
 
-``SparseEchelon`` is the engine behind quotient bases and primitive-slice
-membership.  Rows are dicts {column: coefficient}; the pivot of a row is its
-largest column under the supplied ordering, and the stored table is kept
-inter-reduced so that reduction is a single pass.
+``SparseEchelon`` is the engine behind the quotient rules' Buchberger
+closure and the tests' exhaustive reference slices.  Rows are dicts
+{column: coefficient}; the pivot of a row is its largest column under the
+supplied ordering, and the stored table is kept inter-reduced so that
+reduction is a single pass.
 
 Coefficients are exact: ``int`` where a value is an integer, ``Fraction``
 where it is not, and never ``float``.  Every stored row holds its integral
@@ -147,9 +148,6 @@ class SparseEchelon:
             if col != pivot:
                 occ.setdefault(col, set()).add(pivot)
         return pivot
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
 
     def replacement(self, pivot) -> dict:
         """Reduced form of a pivot column: pivot = sum of strictly smaller terms."""

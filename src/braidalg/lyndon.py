@@ -11,7 +11,8 @@ def lyndon_words(m: int, k: int) -> list:
     """All Lyndon words of length k over the ordered alphabet {0..m-1}.
 
     A word is Lyndon when it is strictly smaller than all of its proper
-    rotations; brute force is fine at the sizes used here (m <= 12, k <= 6).
+    rotations.  This checks all m**k words, which suits its one caller,
+    ``lie_basis`` over {A, B}.
     """
     if k == 1:
         return [(g,) for g in range(m)]

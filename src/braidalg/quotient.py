@@ -23,7 +23,6 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 from .linalg import SparseEchelon, demote
-from .lyndon import bracket_terms, lyndon_words
 from .series import (
     Alphabet,
     AlphabetMismatch,
@@ -31,6 +30,7 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     generator,
+    lie_defect,
     parse_series,
     scale_slice,
     unscale_slice,
@@ -143,14 +143,13 @@ class GradedQuotientBasis:
     (leading word -> its normal form) and memos of word normal forms.
     """
 
-    __slots__ = ("preset", "cap", "_state", "_rules", "_memos", "_prim")
+    __slots__ = ("preset", "cap", "_state", "_rules", "_memos")
 
     def __init__(self, preset: RelationPreset, cap: int, state: _PresetState):
         self.preset = preset
         self.cap = cap
         self._state = state
         self._rules, self._memos = state.rules, state.memos
-        self._prim = {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -317,35 +316,21 @@ class GradedQuotientBasis:
                             vec[u + x] = vec.get(u + x, 0) - c
                         yield vec
 
-    # -- primitive (Lie) slices ------------------------------------------
-
-    def primitive_slice(self, k: int) -> SparseEchelon:
-        """Span of the reduced free-Lie bracketings in degree k.
-
-        The graded quotient is the enveloping algebra of its Lie quotient, so
-        this span is exactly the degree-k primitive part.
-        """
-        ech = self._prim.get(k)
-        if ech is None:
-            if k > self.cap:
-                raise BasisError(f"basis built only to degree {self.cap}")
-            ech = SparseEchelon(key=word_key)
-            if k >= 1:
-                for w in lyndon_words(self.alphabet.size, k):
-                    ech.add(self.reduce(k, bracket_terms(w)))
-            # Threads racing here each build an equal slice; all of them
-            # return the one that was published first.
-            ech = self._prim.setdefault(k, ech)
-        return ech
-
     def is_primitive(self, s: TruncatedSeries) -> bool:
-        """True iff every homogeneous part of the normal form is a reduced Lie element."""
-        nf = self.normal_form(s)
-        if nf.constant_term:
-            return False
-        return all(
-            self.primitive_slice(k).contains(nf.slices[k]) for k in range(1, nf.cap + 1)
-        )
+        """True iff s maps to a primitive (Lie) element of the quotient U = T(V)/I.
+
+        Every preset's relations are commutators of generators, which are
+        primitive, so the ideal I they generate is a Hopf ideal and the
+        projection pi: T(V) -> U is a map of graded connected cocommutative
+        Hopf algebras.  The Dynkin operator D = S * N, the convolution of
+        the antipode with the degree operator, is the left-normed bracketing
+        on words; it commutes with Hopf maps (Patras-Reutenauer, Adv. Appl.
+        Math. 28, 2002), and in such a Hopf algebra a homogeneous y of
+        degree k is primitive iff D y = k y.  So pi(s) is primitive iff
+        s has no constant term and pi(lie_defect(s)) = 0, which holds also
+        for the ideal elements that are not Lie in the free algebra.
+        """
+        return not s.constant_term and self.normal_form(lie_defect(s)).is_zero()
 
     def __repr__(self):
         return f"GradedQuotientBasis({self.preset.key()}, cap={self.cap})"

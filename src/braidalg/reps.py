@@ -41,7 +41,7 @@ from .series import (
     TruncatedSeries,
     from_scaled,
     generator_or_zero,
-    is_lie_element,
+    lie_defect,
     one,
     substitute,
     zero,
@@ -143,13 +143,17 @@ def central_element(cap: int) -> TruncatedSeries:
 
 
 def require_normalized_group_like(psi: TruncatedSeries):
-    """Group-like with trivial degree-1 part: the 3-strand family's precondition."""
+    """Group-like with trivial degree-1 part: the 3-strand family's precondition.
+
+    These are the two parts of the (AE) residual: the degree-1 part of
+    log Psi and its Lie defect.
+    """
     if psi.constant_term != 1:
         raise ConstantTermError("need constant term 1")
     logpsi = psi.log()
     if psi.cap >= 1 and logpsi.slices[1]:
         raise ConstantTermError("need a trivial degree-1 part (log Psi = 0 mod degree 2)")
-    if not is_lie_element(logpsi):
+    if not lie_defect(logpsi).is_zero():
         raise ConstantTermError("need a group-like series (primitive logarithm)")
 
 

@@ -487,57 +487,47 @@ def substitute(f: TruncatedSeries, x: TruncatedSeries, y: TruncatedSeries) -> Tr
 
 
 def _bracket_word(word: tuple) -> dict:
-    """Left-normed bracketing [[..[a1,a2],..],ak] of a word, as {word: coeff}."""
-    cur = {word[:1]: ONE}
+    """Left-normed bracketing [[..[a1,a2],..],ak] of a word, as {word: int}."""
+    cur = {word[:1]: 1}
     for g in word[1:]:
-        nxt = {}
+        nxt = {w + (g,): c for w, c in cur.items()}
         for w, c in cur.items():
-            for w2, c2 in ((w + (g,), c), ((g,) + w, -c)):
-                cv = nxt.get(w2, ZERO) + c2
-                if cv:
-                    nxt[w2] = cv
-                else:
-                    del nxt[w2]
+            w2 = (g,) + w
+            cv = nxt.get(w2, 0) - c
+            if cv:
+                nxt[w2] = cv
+            else:
+                del nxt[w2]
         cur = nxt
     return cur
 
 
-def left_bracketing(s: TruncatedSeries) -> TruncatedSeries:
-    """Dynkin map: word-wise left-normed bracketing, extended linearly."""
-    if s.constant_term:
-        raise ConstantTermError("the Dynkin map needs a zero constant term")
-    slices = [dict() for _ in range(s.cap + 1)]
-    for k in range(1, s.cap + 1):
-        tgt = slices[k]
-        for word, c in s.slices[k].items():
-            for w, cb in _bracket_word(word).items():
-                cv = tgt.get(w, ZERO) + c * cb
-                if cv:
-                    tgt[w] = cv
-                else:
-                    del tgt[w]
-    return TruncatedSeries(s.alphabet, s.cap, tuple(slices))
+def lie_defect(s: TruncatedSeries) -> TruncatedSeries:
+    """(k s_k - D s_k) / k in each degree k >= 1, with D the Dynkin map.
 
-
-def lie_components(s: TruncatedSeries) -> dict:
-    """Per-degree Dynkin verdicts: degree k holds iff bracketing gives k times the slice.
-
-    A homogeneous component passes exactly when it lies in the free Lie
-    algebra on the alphabet; zero components pass vacuously.
+    D is the left-normed bracketing of each word, extended linearly.  A
+    homogeneous x of degree k is a Lie element iff D x = k x
+    (Dynkin-Specht-Wever), so the defect is zero exactly when s is a Lie
+    series.  Each degree is bracketed in integers over the slice's common
+    denominator; one Fraction is built per surviving term.
     """
     if s.constant_term:
         raise ConstantTermError("Lie detection needs a zero constant term")
-    bracketed = left_bracketing(s)
-    verdicts = {}
+    slices = [{}]
     for k in range(1, s.cap + 1):
-        want = {w: k * c for w, c in s.slices[k].items()}
-        verdicts[k] = bracketed.slices[k] == want
-    return verdicts
+        den, sl = scale_slice(s.slices[k])
+        total = {w: k * c for w, c in sl.items()}
+        get = total.get
+        for w, c in sl.items():
+            for u, cu in _bracket_word(w).items():
+                total[u] = get(u, 0) - c * cu
+        slices.append(unscale_slice(*lowest_terms(den * k, total)))
+    return TruncatedSeries(s.alphabet, s.cap, tuple(slices))
 
 
 def is_lie_element(s: TruncatedSeries) -> bool:
     """True iff every homogeneous component is a free-Lie element."""
-    return all(lie_components(s).values())
+    return lie_defect(s).is_zero()
 
 
 # -- the signed-sum grammar ------------------------------------------------------

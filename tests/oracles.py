@@ -6,6 +6,7 @@ under test.  Words are tuples of generator indices; vectors are dicts.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb
 
@@ -116,6 +117,62 @@ def reference_delta_map(s, target):
         for (i, j) in s.alphabet.pairs
     ]
     return target.normal_form(substitute_generators(s, images))
+
+
+# -- Lie elements: the per-degree Dynkin formula and the Lyndon span ------------------
+
+
+def left_normed_bracket(word):
+    """[[..[a1, a2], ..], ak] as {word: Fraction}, by commutators of mini products."""
+    out = {word[:1]: Fraction(1)}
+    for g in word[1:]:
+        letter = {(g,): Fraction(1)}
+        right, left = mini_mul(out, letter, len(word)), mini_mul(letter, out, len(word))
+        out = mini_add(right, mini_scale(left, -1))
+    return out
+
+
+def per_degree_ae_residual(phi, cap):
+    """The (AE) residual degree by degree: log_1 + sum over k >= 2 of log_k - D(log_k) / k.
+
+    phi is a dict word -> Fraction with constant term 1; terms above the cap
+    are dropped.  D is the left-normed bracketing of each word.
+    """
+    log = mini_log({w: c for w, c in phi.items() if len(w) <= cap}, cap)
+    out = {w: c for w, c in log.items() if len(w) == 1}
+    for w, c in log.items():
+        if len(w) >= 2:
+            out = mini_add(out, {w: c})
+            out = mini_add(out, mini_scale(left_normed_bracket(w), -c / len(w)))
+    return out
+
+
+@cache
+def lyndon_slice(preset, k):
+    """The span of the reduced Lyndon bracketings in degree k of a preset's quotient.
+
+    The quotient is the enveloping algebra of its Lie quotient, so this span
+    is its degree-k primitive part.  Brute force: the Lyndon words are found
+    among all size**k words, and each bracket is reduced and echelonized.
+    """
+    from braidalg.linalg import SparseEchelon
+    from braidalg.lyndon import bracket_terms, lyndon_words
+    from braidalg.quotient import build_graded_basis
+    from braidalg.series import word_key
+
+    basis = build_graded_basis(preset, k)
+    ech = SparseEchelon(key=word_key)
+    for w in lyndon_words(preset.alphabet.size, k):
+        ech.add(basis.reduce(k, bracket_terms(w)))
+    return ech
+
+
+def in_lyndon_span(basis, s):
+    """Whether s maps to a primitive element: each part of NF(s) in its degree's Lyndon span."""
+    nf = basis.normal_form(s)
+    if nf.constant_term:
+        return False
+    return all(not lyndon_slice(basis.preset, k).reduce(nf.slices[k]) for k in range(1, nf.cap + 1))
 
 
 # -- dense exact Gauss over an explicit column list ------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import ab_commutator, psi24
+from conftest import ab_commutator, psi24, random_series
 
 from braidalg import (
     AB,
@@ -26,7 +26,7 @@ from braidalg import (
     swap_letters,
 )
 from braidalg import associator
-from braidalg.associator import _columns, _revised_coordinates, as_residual
+from braidalg.associator import _columns, _revised_coordinates, ae_residual, as_residual
 from braidalg.linalg import SparseEchelon
 from braidalg.lyndon import lie_basis
 from braidalg.words import WeldedWord, sigma
@@ -360,6 +360,23 @@ class TestCapZero:
         assert report.yb.passed and report.h1.passed and report.h3.passed and report.as_.passed
         assert report.yb_iff_h3 and report.h1_iff_h3 and report.yb_implies_as
         assert report.delta_squared_central and report.drinfeld_compatible
+
+
+class TestAEResidualAgainstPerDegreeFormula:
+    @pytest.mark.parametrize("cap", range(7))
+    def test_random_series(self, rng, cap):
+        # exp of a random Lie series with a degree-1 part, then a random perturbation
+        for _ in range(8):
+            ell = TruncatedSeries.from_terms(AB, cap + 1, {})
+            for k in range(1, cap + 2):
+                for _, bracket in lie_basis(AB, cap + 1, k):
+                    if rng.random() < 0.5:
+                        ell = ell + bracket.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+            phi = ell.exp()
+            if rng.random() < 0.75:
+                phi = phi + random_series(rng, AB, cap + 1, nterms=3, zero_constant=True)
+            want = oracles.per_degree_ae_residual(dict(phi.terms()), cap)
+            assert ae_residual(phi, cap) == TruncatedSeries.from_terms(AB, cap, want)
 
 
 class TestSpanningExpansion:

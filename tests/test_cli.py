@@ -557,6 +557,15 @@ class TestParser:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: braidalg ")
 
+    @pytest.mark.parametrize("argv", [["--n", "3", "dim"], ["--cap", "2"], ["--format"]])
+    def test_an_option_before_the_command_is_named(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: braidalg ")
+        assert "the command comes first" in err and repr(argv[0]) in err
+
     def test_option_strings_are_pinned(self):
         assert list(cli.COMMANDS) == list(PINNED_OPTIONS)
         for name, options in PINNED_OPTIONS.items():

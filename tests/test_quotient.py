@@ -22,6 +22,7 @@ from braidalg import (
     generator,
     hilbert_row,
     infinitesimal_artin,
+    is_lie_element,
     one,
     oriented_artin,
     oriented_upper_triangular,
@@ -1051,26 +1052,75 @@ class TestCacheWriter:
         assert _types(loaded) == _types(rules)
 
 
-class TestPrimitiveSliceThreads:
-    def test_racing_threads_share_one_slice(self):
-        basis = build_graded_basis(oriented_artin(3), 3)  # a fresh basis: no slice built yet
-        barrier = threading.Barrier(4)
-        results = [None] * 4
+def _commutator(a, b):
+    return a * b - b * a
 
-        def work(i):
-            barrier.wait(timeout=30)
-            results[i] = basis.primitive_slice(3)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert all(result is results[0] for result in results)
-        assert basis.primitive_slice(3) is results[0]
+def _random_lie_monomial(rng, alphabet, cap, k):
+    """A bracket of k random generators, bracketed at random."""
+    if k == 1:
+        return generator(alphabet, cap, rng.randrange(alphabet.size))
+    i = rng.randint(1, k - 1)
+    left = _random_lie_monomial(rng, alphabet, cap, i)
+    return _commutator(left, _random_lie_monomial(rng, alphabet, cap, k - i))
+
+
+def _random_word(rng, alphabet, cap, k):
+    word = tuple(rng.randrange(alphabet.size) for _ in range(k))
+    return TruncatedSeries.from_terms(alphabet, cap, {word: 1})
+
+
+def _random_coefficient(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+
+class TestIsPrimitiveAgainstLyndonSpan:
+    """is_primitive, one Dynkin test on normal forms, against the Lyndon span of each degree."""
+
+    @pytest.mark.parametrize(
+        "preset,cap",
+        [
+            (infinitesimal_artin(3), 4),
+            (oriented_artin(3), 4),
+            (oriented_upper_triangular(3), 4),
+            (infinitesimal_artin(4), 3),
+            (oriented_artin(4), 3),
+            (oriented_upper_triangular(4), 3),
+            (free_preset(Alphabet.abstract("A", "B", "C")), 4),
+        ],
+        ids=lambda p: p.key() if isinstance(p, RelationPreset) else str(p),
+    )
+    def test_agrees_with_the_lyndon_span(self, rng, preset, cap):
+        basis = build_graded_basis(preset, cap)
+        alph = preset.alphabet
+        relations = [r.lifted(cap) for r in preset.relations()]
+
+        def lie():
+            out = TruncatedSeries.from_terms(alph, cap, {})
+            for _ in range(3):
+                k = rng.randint(1, cap)
+                out = out + _random_lie_monomial(rng, alph, cap, k).scale(_random_coefficient(rng))
+            return out
+
+        def ideal():
+            # u.r.w for a relation r: zero in the quotient, not Lie in the free algebra
+            a = rng.randint(0, cap - 2)
+            u = _random_word(rng, alph, cap, a)
+            w = _random_word(rng, alph, cap, rng.randint(0, cap - 2 - a))
+            return (u * rng.choice(relations) * w).scale(_random_coefficient(rng))
+
+        elements = [one(alph, cap), TruncatedSeries.from_terms(alph, cap, {})]
+        for _ in range(10):
+            ell = lie()
+            elements.append(ell)
+            if relations:
+                elements.append(ell + ideal())
+                elements.append(ell + ideal() + ideal())
+            word = _random_word(rng, alph, cap, rng.randint(2, cap))
+            elements.append(ell + word.scale(_random_coefficient(rng)))
+            elements.append(random_series(rng, alph, cap, zero_constant=True))
+        verdicts = [basis.is_primitive(x) for x in elements]
+        assert verdicts == [oracles.in_lyndon_span(basis, x) for x in elements]
+        assert True in verdicts and False in verdicts
+        quotient_only = [x for x, v in zip(elements, verdicts) if v and not is_lie_element(x)]
+        assert len(quotient_only) >= (10 if relations else 0)
