@@ -28,24 +28,60 @@ parts of degree 0 and 1 from the others, which the candidate shares with 1.
 So a solve evaluates the candidate's own residual, and per perturbation the
 derivative at 1 of the top slice, read off the axioms above.
 
-Write q = p(t12, t23), a = 312.q and b = 132.q.  Near 1, Phi^-1 = 1 - p, so
+The hexagons are evaluated in the free algebra F(A, B), not in chord(3).
+c = t12 + t13 + t23 is central in chord(3), and chord(3) = Q[c] (x) F(t12, t23)
+(Drinfeld, Leningrad Math. J. 2, 1991; Bar-Natan, Selecta Math. 4, 1998):
+t12 -> A, t23 -> B and t13 -> c - A - B.  When Phi passes (AE), log Phi is a
+sum of brackets, from which a central summand of an argument drops out, so
+each Phi factor lives in F(A, B): 312.Phi_t = Phi(t13, t12) = Phi(-A-B, A),
+132.Phi_t = Phi(-A-B, B), 231.Phi_t = Phi(B, -A-B), 213.Phi_t = Phi(A, -A-B).
+Each exponential splits off exp(c/2) or nothing: exp(t13/2) =
+exp(c/2) exp(-(A+B)/2), and the left-hand sides are exp(c/2) exp(-A/2) for
+(H3) and exp(c/2) exp(-B/2) for (H1).  Since exp(c/2) is central, each
+hexagon residual is exp(c/2) r(t12, t23), with r the residual in F(A, B) of
+
+  (H1)  exp(-B/2) = Phi(B,-A-B)^-1 exp(-(A+B)/2) Phi(A,-A-B) exp(A/2) Phi(A,B)^-1;
+  (H3)  exp(-A/2) = Phi(-A-B,A) exp(-(A+B)/2) Phi(-A-B,B)^-1 exp(B/2) Phi(A,B).
+
+:func:`check_axiom` evaluates r: r = 0 settles the verdict with no
+reduction, and otherwise it reports the chord(3) normal form of
+exp(c/2) r(t12, t23), the one the chord product would give.  A series that
+fails (AE) is evaluated over the chords and reduced.
+
+In the solve write q = p(A, B), a = p(-A-B, A) and b = p(-A-B, B), the
+images of p under 312 and 132 with c dropped.  Near 1, Phi^-1 = 1 - p, so
 
   (AS)  swap(p) + p      for p of degree d, and 0 for p of degree d-1;
 
-(H3)'s right-hand side is (1 + a) exp(t13/2) (1 - b) exp(t23/2) (1 + q), and
-its left-hand side does not involve Phi, so
+(H3)'s right-hand side is (1 + a) exp(-(A+B)/2) (1 - b) exp(B/2) (1 + q),
+and its left-hand side does not involve Phi, so
 
   (H3)  a - b + q        for p of degree d, where only the exponentials'
                          constant terms reach degree d, and
-        (a (t13+t23) - t13 b - b t23 + (t13+t23) q) / 2
+        (-a A + (A+B) b - b B - A q) / 2
                          for p of degree d-1, where only their degree-1
-                         parts t13/2 and t23/2 do.
+                         parts -(A+B)/2 and B/2 do.
 
-Only the (H3) column is reduced, once, in the chord algebra.  The columns of
-a degree's Lie brackets do not depend on the candidate, so they are built
-once per degree and process; a degree revised in the lookback adds only the
-previous degree's kernel columns.  The solve itself is
-:func:`braidalg.linalg.affine_solve`, in integers.
+Over the chords the second column has one more term, c (a - b + q) / 2.
+A perturbation of degree d-1 is a kernel vector of the degree below, whose
+column a - b + q is zero, so that term vanishes.
+
+Only Lyndon rows are kept.  Every top slice in the solve is a Lie element:
+the candidate's (H3) residual, which vanishes below d, so that its top
+slice is that of the group-like lhs^-1 rhs minus 1; a degree-d column,
+the image of the Lie element p under algebra maps that send generators to
+Lie elements; swap(p) + p; and a lookback column, which with
+a - b + q = 0 is ([A+B, b] - [A, q]) / 2.  A Lie element of degree d is
+determined by its coefficients on the Lyndon words, since the bracketing of
+a Lyndon word w is w plus words greater than w (Reutenauer, *Free Lie
+Algebras*, 1993, Thm 5.1).  So the rows kept, and the embedding
+F(A, B) -> chord(3), are one-to-one on the slices solved over: the linear
+relations among the columns and the right-hand side, and so the solution
+:func:`braidalg.linalg.affine_solve` returns, are those of the chord(3)
+solve.  No slice is reduced.  The columns of a degree's Lie brackets do not
+depend on the candidate, so they are built once per degree and process; a
+degree revised in the lookback adds only the previous degree's kernel
+columns.
 
 The hypotheses (AE), (AS) and (H3) are checked once, on the series
 :func:`extension_steps` starts from (:func:`extend_semi_associator` checks
@@ -67,7 +103,7 @@ from fractions import Fraction
 from functools import cache
 
 from .linalg import affine_solve
-from .lyndon import lie_basis
+from .lyndon import lie_basis, lyndon_words
 from .perms import Permutation
 from .quotient import build_graded_basis, infinitesimal_artin
 from .reps import central_element, eval_drinfeld, eval_rho3, rho3_delta, rho3_yang_baxter_defect
@@ -77,7 +113,6 @@ from .series import (
     ConstantTermError,
     SeriesError,
     TruncatedSeries,
-    generator,
     generator_or_zero,
     lie_defect,
     one,
@@ -147,34 +182,61 @@ def as_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
     return swap_letters(phi) - phi.inverse()
 
 
+def _strands(cap: int, free: bool) -> tuple:
+    """t12, t13, t23 over the 3-strand chords, or their images A, -A-B, B in F(A, B)."""
+    if not free:
+        alph = Alphabet.chord(3)
+        return tuple(generator_or_zero(alph, cap, pair) for pair in ((1, 2), (1, 3), (2, 3)))
+    a, b = generator_or_zero(AB, cap, 0), generator_or_zero(AB, cap, 1)
+    return a, -(a + b), b
+
+
 @cache
-def _hexagon_constants(cap: int, variant: str) -> tuple:
+def _hexagon_constants(cap: int, variant: str, free: bool) -> tuple:
     """The three factors of (H1) or (H3) that do not involve Phi: lhs and two exponentials."""
-    alph = Alphabet.chord(3)
-    t12 = generator_or_zero(alph, cap, (1, 2))
-    t13 = generator_or_zero(alph, cap, (1, 3))
-    t23 = generator_or_zero(alph, cap, (2, 3))
+    t12, t13, t23 = _strands(cap, free)
     if variant == "H1":
         return (t12 + t13).scale(HALF).exp(), t13.scale(HALF).exp(), t12.scale(HALF).exp()
     return (t13 + t23).scale(HALF).exp(), t13.scale(HALF).exp(), t23.scale(HALF).exp()
 
 
-def _hexagon_residual(phi: TruncatedSeries, cap: int, variant: str) -> TruncatedSeries:
-    """rhs - lhs of (H1) or (H3) in the free algebra on the 3-strand chords; not reduced."""
+def _hexagon_residual(phi: TruncatedSeries, cap: int, variant: str, free=False) -> TruncatedSeries:
+    """rhs - lhs of (H1) or (H3): over the 3-strand chords, not reduced, or in F(A, B).
+
+    With ``free`` the residual is the one in F(A, B) whose product with
+    exp(c/2) is the chord(3) residual; this needs phi to pass (AE) (module
+    docstring).
+    """
     phi = _prepare(phi, cap)
-    alph = Alphabet.chord(3)
-    lhs, exp13, exp_last = _hexagon_constants(cap, variant)
-    t12, t23 = generator_or_zero(alph, cap, (1, 2)), generator_or_zero(alph, cap, (2, 3))
-    phi_t = substitute(phi, t12, t23)
+    lhs, exp13, exp_last = _hexagon_constants(cap, variant, free)
+    t12, t13, t23 = _strands(cap, free)
 
-    def at(one_line):
-        return phi_t.act(Permutation.from_one_line(one_line))
+    def at(x, y):
+        return substitute(phi, x, y)
 
+    phi_t = phi if free else at(t12, t23)
     if variant == "H1":
-        rhs = at("231").inverse() * exp13 * at("213") * exp_last * phi_t.inverse()
+        rhs = at(t23, t13).inverse() * exp13 * at(t12, t13) * exp_last * phi_t.inverse()
     else:
-        rhs = at("312") * exp13 * at("132").inverse() * exp_last * phi_t
+        rhs = at(t13, t12) * exp13 * at(t13, t23).inverse() * exp_last * phi_t
     return rhs - lhs
+
+
+def _hexagon_normal_form(phi: TruncatedSeries, cap: int, variant: str) -> TruncatedSeries:
+    """The chord(3) normal form of the (H1) or (H3) residual.
+
+    When phi passes (AE) the residual is exp(c/2) r(t12, t23) with r its
+    residual in F(A, B), so a zero r settles the verdict with no reduction.
+    """
+    if ae_residual(phi, cap).is_zero():
+        r = _hexagon_residual(phi, cap, variant, free=True)
+        if r.is_zero():
+            return zero(Alphabet.chord(3), cap)
+        t12, t13, t23 = _strands(cap, free=False)
+        residual = (t12 + t13 + t23).scale(HALF).exp() * substitute(r, t12, t23)
+    else:
+        residual = _hexagon_residual(phi, cap, variant)
+    return build_graded_basis(infinitesimal_artin(3), cap).normal_form(residual)
 
 
 def pentagon_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
@@ -201,8 +263,7 @@ def check_axiom(phi: TruncatedSeries, axiom: str, cap: int) -> AxiomResult:
     if axiom == "AS":
         return _result("AS", cap, as_residual(phi, cap))
     if axiom in ("H1", "H3"):
-        basis = build_graded_basis(infinitesimal_artin(3), cap)
-        return _result(axiom, cap, basis.normal_form(_hexagon_residual(phi, cap, axiom)))
+        return _result(axiom, cap, _hexagon_normal_form(phi, cap, axiom))
     if axiom == "P":
         basis = build_graded_basis(infinitesimal_artin(4), cap)
         return _result("P", cap, basis.normal_form(pentagon_residual(phi, cap)))
@@ -221,8 +282,10 @@ class ExtensionStep:
     """Affine solution set of Lie corrections at one degree.
 
     Solutions are coordinates over ``brackets``, the Lyndon bracket basis of
-    the degree; the set is particular + span(kernel).  ``correction`` and
-    ``extended`` realize a chosen coordinate vector as a series.
+    the degree; the set is particular + span(kernel).  ``log`` is log(base)
+    lifted to the degree and ``candidate`` its exp, the group-like lift of
+    ``base`` before correction.  ``correction`` and ``extended`` realize a
+    chosen coordinate vector as a series.
     """
 
     degree: int
@@ -230,6 +293,8 @@ class ExtensionStep:
     particular: list
     kernel: list
     base: TruncatedSeries
+    log: TruncatedSeries
+    candidate: TruncatedSeries
 
     @property
     def kernel_dimension(self) -> int:
@@ -243,8 +308,12 @@ class ExtensionStep:
         return out
 
     def extended(self, coords=None) -> TruncatedSeries:
-        """exp(lifted log + correction): the chosen solution as a group-like series."""
-        return (self.base.log().lifted(self.degree) + self.correction(coords)).exp()
+        """exp(log + correction), the chosen solution as a group-like series.
+
+        The correction is homogeneous of the top degree, so at the cap this
+        is candidate + correction exactly.
+        """
+        return self.candidate + self.correction(coords)
 
 
 def extend_semi_associator(phi: TruncatedSeries) -> ExtensionStep:
@@ -256,7 +325,7 @@ def extend_semi_associator(phi: TruncatedSeries) -> ExtensionStep:
     since rational associators exist.
     """
     _require_hypotheses(phi)
-    return _extend(phi)
+    return _extend(phi, phi.log())
 
 
 def _require_hypotheses(phi: TruncatedSeries):
@@ -269,17 +338,18 @@ def _require_hypotheses(phi: TruncatedSeries):
             )
 
 
-def _extend(phi: TruncatedSeries) -> ExtensionStep:
-    """:func:`extend_semi_associator` for a phi known to meet the hypotheses."""
+def _extend(phi: TruncatedSeries, log: TruncatedSeries) -> ExtensionStep:
+    """:func:`extend_semi_associator` for a phi known to meet the hypotheses, log = log phi."""
     degree = phi.cap + 1
     brackets, columns = _bracket_columns(degree)
     # Group-like lift: zero-pad the logarithm, not the series, so the new top
     # slice of the candidate is exp(phi)'s before correction.
-    lifted = phi.log().lifted(degree).exp()
-    particular, kernel = _solve_top_degree(lifted, columns, degree)
+    log = log.lifted(degree)
+    candidate = log.exp()
+    particular, kernel = _solve_top_degree(candidate, columns, degree)
     if particular is None:
         raise NoCorrectionError(f"no Lie correction exists at degree {degree}")
-    return ExtensionStep(degree, brackets, particular, kernel, phi)
+    return ExtensionStep(degree, brackets, particular, kernel, phi, log, candidate)
 
 
 @cache
@@ -299,39 +369,49 @@ def _solve_top_degree(base: TruncatedSeries, columns: list, degree: int):
     return affine_solve(columns, rhs)
 
 
+@cache
+def _lyndon_set(degree: int) -> frozenset:
+    return frozenset(lyndon_words(2, degree))
+
+
+def _lyndon_rows(axiom: str, sl: dict, degree: int) -> dict:
+    """A Lie slice's coefficients on the Lyndon words, which determine it; labelled by axiom."""
+    lyndon = _lyndon_set(degree)
+    return {(axiom, w): c for w, c in sl.items() if w in lyndon}
+
+
+def _hexagon_column(p: TruncatedSeries, degree: int) -> dict:
+    """The top slice in F(A, B) of the derivative at 1 of the (H3) residual along p."""
+    A, minus_ab, B = _strands(degree, free=True)
+    a, b = substitute(p, minus_ab, A), substitute(p, minus_ab, B)
+    if p.slices[degree]:
+        h3 = a - b + p
+    else:
+        h3 = (a * -A - minus_ab * b - b * B - A * p).scale(HALF)
+    return h3.slices[degree]
+
+
 def _columns(perturbations: list, degree: int) -> list:
     """Column i is the derivative at 1 of the top-degree (AS) and (H3) residual along p_i.
 
-    Each p_i has degree ``degree``, or ``degree - 1`` >= 2; the module
-    docstring derives both cases from the axioms.  Only the (H3) part is
-    reduced, once, in the chord algebra.
+    Each p_i has degree ``degree``, or ``degree - 1`` >= 2 and then lies in
+    the previous degree's kernel; the module docstring derives both cases
+    from the axioms, in F(A, B), and why the Lyndon rows suffice.
     """
-    alph = Alphabet.chord(3)
-    basis3 = build_graded_basis(infinitesimal_artin(3), degree)
-    t12, t13, t23 = (generator(alph, degree, pair) for pair in ((1, 2), (1, 3), (2, 3)))
-    g312, g132 = Permutation.from_one_line("312"), Permutation.from_one_line("132")
     columns = []
     for p in perturbations:
-        q = substitute(p, t12, t23)
-        a, b = q.act(g312), q.act(g132)
+        col = {}
         if p.slices[degree]:
-            col = {("AS", w): c for w, c in (swap_letters(p) + p).slices[degree].items()}
-            h3 = a - b + q
-        else:
-            col = {}
-            t = t13 + t23
-            h3 = (a * t - t13 * b - b * t23 + t * q).scale(HALF)
-        h3 = basis3.reduce_slice(degree, h3.slices[degree])
-        col.update((("H3", w), c) for w, c in h3.items())
+            col = _lyndon_rows("AS", (swap_letters(p) + p).slices[degree], degree)
+        col.update(_lyndon_rows("H3", _hexagon_column(p, degree), degree))
         columns.append(col)
     return columns
 
 
 def _residual_labels(candidate: TruncatedSeries, degree: int) -> dict:
-    """Top-degree H3 residual, labelled by ("H3", word); only that slice is reduced."""
-    basis3 = build_graded_basis(infinitesimal_artin(3), degree)
-    h3 = _hexagon_residual(candidate, degree, "H3").slices[degree]
-    return {("H3", w): c for w, c in basis3.reduce_slice(degree, h3).items()}
+    """Top-degree (H3) residual in F(A, B) on its Lyndon rows, labelled ("H3", word)."""
+    h3 = _hexagon_residual(candidate, degree, "H3", free=True).slices[degree]
+    return _lyndon_rows("H3", h3, degree)
 
 
 def _revised_coordinates(prev: ExtensionStep):
@@ -343,7 +423,7 @@ def _revised_coordinates(prev: ExtensionStep):
     solve over both finds a continuable choice.
     """
     degree = prev.degree + 1
-    base = (prev.base.log().lifted(degree) + prev.correction().lifted(degree)).exp()
+    base = (prev.log + prev.correction()).lifted(degree).exp()
     kernel = [prev.correction(kvec).lifted(degree) for kvec in prev.kernel]
     columns = _columns(kernel, degree) + _bracket_columns(degree)[1]
     solution, _ = _solve_top_degree(base, columns, degree)
@@ -369,24 +449,27 @@ def extension_steps(phi: TruncatedSeries, to_degree: int):
     phi itself does not extend, its degree's solution set is rebuilt from
     ``phi.truncated(phi.cap - 1)`` and revised the same way.  phi itself
     must meet the hypotheses, checked once, or it raises; every candidate
-    built from it meets them by construction (module docstring).
+    built from it meets them by construction (module docstring).  log phi is
+    taken once and carried: each step's is its log plus its correction.
     """
     if phi.cap < to_degree:
         _require_hypotheses(phi)
+        log = phi.log()
     prev = None
     while phi.cap < to_degree:
         revised = False
         try:
-            step = _extend(phi)
+            step = _extend(phi, log)
         except NoCorrectionError:
             if prev is None:
                 # phi is one point of its top degree's solution set, e.g. read
                 # from a file; rebuild that set from the degree below.
-                prev = _extend(phi.truncated(phi.cap - 1))
-            phi = prev.extended(_revised_coordinates(prev))
+                prev = _extend(phi.truncated(phi.cap - 1), log.truncated(phi.cap - 1))
+            coords = _revised_coordinates(prev)
+            phi, log = prev.extended(coords), prev.log + prev.correction(coords)
             revised = True
-            step = _extend(phi)
-        phi = step.extended()
+            step = _extend(phi, log)
+        phi, log = step.extended(), step.log + step.correction()
         yield step, phi, revised
         prev = step
 

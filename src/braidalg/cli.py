@@ -128,7 +128,8 @@ def cmd_eval(args):
 
 
 def cmd_check_associator(args):
-    axioms = [ax.strip() for ax in args.axioms.split(",") if ax.strip()]
+    # A repeated name is checked and reported once, where it first appears.
+    axioms = list(dict.fromkeys(ax.strip() for ax in args.axioms.split(",") if ax.strip()))
     if not axioms or not set(axioms) <= set(assoc_mod.AXIOMS):
         raise assoc_mod.AssociatorError(
             f"--axioms {args.axioms!r}: name one or more of {','.join(assoc_mod.AXIOMS)}"

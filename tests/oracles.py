@@ -492,6 +492,82 @@ def hexagon_degree2_coefficient():
     return ratio
 
 
+# -- the hexagon in chord(3): the reference for the F(A, B) evaluation ------------
+#
+# The (H1)/(H3) residual and the extension's (H3) rows as the associator built
+# them before it worked in F(A, B): every product in the free algebra on t12,
+# t13, t23, and each top slice reduced in chord(3), over its normal words.
+
+
+def chord_hexagon_residual(phi, cap, variant):
+    """rhs - lhs of (H1) or (H3) over the 3-strand chords, not reduced."""
+    from braidalg.perms import Permutation
+    from braidalg.series import Alphabet, generator_or_zero, substitute
+
+    phi = phi.truncated(cap)
+    alph = Alphabet.chord(3)
+    half = Fraction(1, 2)
+    t12, t13, t23 = (generator_or_zero(alph, cap, pair) for pair in ((1, 2), (1, 3), (2, 3)))
+    phi_t = substitute(phi, t12, t23)
+
+    def at(one_line):
+        return phi_t.act(Permutation.from_one_line(one_line))
+
+    if variant == "H1":
+        lhs = (t12 + t13).scale(half).exp()
+        rhs = at("231").inverse() * t13.scale(half).exp() * at("213")
+        rhs = rhs * t12.scale(half).exp() * phi_t.inverse()
+    else:
+        lhs = (t13 + t23).scale(half).exp()
+        rhs = at("312") * t13.scale(half).exp() * at("132").inverse()
+        rhs = rhs * t23.scale(half).exp() * phi_t
+    return rhs - lhs
+
+
+def chord_hexagon_normal_form(phi, cap, variant):
+    from braidalg.quotient import build_graded_basis, infinitesimal_artin
+
+    basis = build_graded_basis(infinitesimal_artin(3), cap)
+    return basis.normal_form(chord_hexagon_residual(phi, cap, variant))
+
+
+def chord_columns(perturbations, degree):
+    """The extension's columns over all (AS) words and the chord(3) normal words of (H3)."""
+    from braidalg.associator import swap_letters
+    from braidalg.perms import Permutation
+    from braidalg.quotient import build_graded_basis, infinitesimal_artin
+    from braidalg.series import Alphabet, generator, substitute
+
+    alph = Alphabet.chord(3)
+    basis3 = build_graded_basis(infinitesimal_artin(3), degree)
+    t12, t13, t23 = (generator(alph, degree, pair) for pair in ((1, 2), (1, 3), (2, 3)))
+    g312, g132 = Permutation.from_one_line("312"), Permutation.from_one_line("132")
+    columns = []
+    for p in perturbations:
+        q = substitute(p, t12, t23)
+        a, b = q.act(g312), q.act(g132)
+        if p.slices[degree]:
+            col = {("AS", w): c for w, c in (swap_letters(p) + p).slices[degree].items()}
+            h3 = a - b + q
+        else:
+            col = {}
+            t = t13 + t23
+            h3 = (a * t - t13 * b - b * t23 + t * q).scale(Fraction(1, 2))
+        h3 = basis3.reduce_slice(degree, h3.slices[degree])
+        col.update((("H3", w), c) for w, c in h3.items())
+        columns.append(col)
+    return columns
+
+
+def chord_residual_labels(candidate, degree):
+    """The candidate's top-degree (H3) residual reduced in chord(3), labelled ("H3", word)."""
+    from braidalg.quotient import build_graded_basis, infinitesimal_artin
+
+    basis3 = build_graded_basis(infinitesimal_artin(3), degree)
+    h3 = chord_hexagon_residual(candidate, degree, "H3").slices[degree]
+    return {("H3", w): c for w, c in basis3.reduce_slice(degree, h3).items()}
+
+
 # -- reference text formatters ---------------------------------------------------
 #
 # The series and group-ring printers as two separate loops, each joining its

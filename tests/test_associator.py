@@ -28,7 +28,8 @@ from braidalg import (
 from braidalg import associator
 from braidalg.associator import _columns, _revised_coordinates, ae_residual, as_residual
 from braidalg.linalg import SparseEchelon
-from braidalg.lyndon import lie_basis
+from braidalg.lyndon import lie_basis, lyndon_words
+from braidalg.series import Alphabet, lie_defect, parse_series, substitute
 from braidalg.words import WeldedWord, sigma
 
 
@@ -157,41 +158,46 @@ class TestExtension:
         assert steps[-1][0].base.truncated(3) == steps[1][1]
 
     def test_linear_columns_equal_full_residual_differences(self):
-        # The solver's columns are residuals of 1 + p with only the top slice
-        # reduced; the full path evaluates and reduces the whole residual of
-        # the perturbed candidate itself.
+        # The solver's columns are residuals of 1 + p in F(A, B), top slice
+        # only, on the Lyndon rows; the full path evaluates the whole (AS)
+        # residual and the whole (H3) residual in F(A, B) of the perturbed
+        # candidate itself.  Each full difference is a Lie element, so its
+        # Lyndon rows determine it.
         def top(phi, degree):
-            vec = {}
-            for axiom in ("AS", "H3"):
-                residual = check_axiom(phi, axiom, degree).residual
-                vec.update(((axiom, w), c) for w, c in residual.slices[degree].items())
-            return vec
+            h3 = associator._hexagon_residual(phi, degree, "H3", free=True)
+            return {
+                "AS": as_residual(phi, degree).homogeneous_part(degree),
+                "H3": h3.homogeneous_part(degree),
+            }
 
         def change(phi, candidates, degree):
+            lyndon = set(lyndon_words(2, degree))
             r0 = top(phi, degree)
             columns = []
             for candidate in candidates:
                 r = top(candidate, degree)
-                diff = {label: r.get(label, 0) - r0.get(label, 0) for label in r0.keys() | r.keys()}
-                columns.append({label: c for label, c in diff.items() if c})
+                col = {}
+                for axiom in ("AS", "H3"):
+                    diff = r[axiom] - r0[axiom]
+                    assert lie_defect(diff).is_zero()
+                    sl = diff.slices[degree]
+                    col.update(((axiom, w), c) for w, c in sl.items() if w in lyndon)
+                columns.append(col)
             return columns
-
-        def nonzero(columns):
-            return [{label: c for label, c in col.items() if c} for col in columns]
 
         steps = list(extension_steps(one(AB, 1), 6))
         for step, _, _ in steps:
             d = step.degree
             base = step.base.log().lifted(d).exp()
             full = change(base, [base + p for p in step.brackets], d)
-            assert nonzero(_columns(step.brackets, d)) == full
+            assert _columns(step.brackets, d) == full
         prev, (step5, _, revised) = steps[2][0], steps[3]
         assert step5.degree == 5 and revised
         base_log = prev.base.log().lifted(5) + prev.correction().lifted(5)
         kernel = [prev.correction(kvec).lifted(5) for kvec in prev.kernel]
         full = change(base_log.exp(), [(base_log + k).exp() for k in kernel], 5)
         assert len(full) == 1 and full[0]
-        assert nonzero(_columns(kernel, 5)) == full
+        assert _columns(kernel, 5) == full
 
     def test_each_degree_evaluates_its_bracket_columns_once(self, monkeypatch):
         # Perturbations per degree: the degree's Lyndon brackets once, plus the
@@ -223,9 +229,11 @@ class TestExtension:
 
         monkeypatch.setattr(TruncatedSeries, "exp", counting)
         bootstrap_semi_associator(7)
-        # Three per cap for H3 at caps 1..7; the other 18 lift and extend.
+        # Three per cap for H3 in F(A, B) at caps 1..7; one lift per step, six,
+        # and two per revision at degrees 5 and 7: the greedy lift that finds
+        # no correction and the lookback's base.
         assert associator._hexagon_constants.cache_info().misses == 7
-        assert len(calls) == 3 * 7 + 18
+        assert len(calls) == 3 * 7 + 6 + 2 * 2
 
     def test_extension_steps_check_the_input_once(self, monkeypatch):
         calls = []
@@ -268,6 +276,173 @@ class TestExtension:
         assert semi_associator_deg5.cap == 5
         assert is_semi_associator(semi_associator_deg5, 5)
         assert semi_associator_deg5.truncated(2) == psi24(2)
+
+
+def _record_extension(to_degree, columns, residual_labels):
+    """extension_steps from 1 with the given column and residual functions.
+
+    Returns the steps as (degree, particular, kernel, revised) and every
+    call of those functions as (kind, argument, degree, result).
+    """
+    calls = []
+
+    def recording_columns(perturbations, degree):
+        result = columns(perturbations, degree)
+        calls.extend(("column", p, degree, col) for p, col in zip(perturbations, result))
+        return result
+
+    def recording_residual(candidate, degree):
+        result = residual_labels(candidate, degree)
+        calls.append(("residual", candidate, degree, result))
+        return result
+
+    associator._bracket_columns.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(associator, "_columns", recording_columns)
+            mp.setattr(associator, "_residual_labels", recording_residual)
+            steps = [
+                (step.degree, step.particular, step.kernel, revised)
+                for step, _, revised in extension_steps(one(AB, 1), to_degree)
+            ]
+    finally:
+        associator._bracket_columns.cache_clear()
+    return steps, calls
+
+
+@pytest.fixture(scope="module")
+def chord_extension():
+    """The extension through degree 9 on the chord(3) rows of the oracles."""
+    return _record_extension(9, oracles.chord_columns, oracles.chord_residual_labels)
+
+
+def _embedded_and_reduced(sl, degree):
+    """A top slice over {A, B} at t12, t23, reduced in chord(3)."""
+    alph = Alphabet.chord(3)
+    t12, t23 = generator(alph, degree, "t12"), generator(alph, degree, "t23")
+    image = substitute(TruncatedSeries.from_terms(AB, degree, sl), t12, t23)
+    basis = build_graded_basis(infinitesimal_artin(3), degree)
+    return basis.reduce_slice(degree, image.slices[degree])
+
+
+def _part(col, axiom):
+    return {w: c for (ax, w), c in col.items() if ax == axiom}
+
+
+class TestHexagonInFreeAlgebra:
+    def test_extension_equals_the_chord_reference_through_degree_nine(self, chord_extension):
+        steps, _ = _record_extension(9, associator._columns, associator._residual_labels)
+        reference, _ = chord_extension
+        assert steps == reference
+        assert [(d, len(kernel), revised) for d, _, kernel, revised in steps] == [
+            (2, 0, False), (3, 1, False), (4, 1, False), (5, 2, True),
+            (6, 3, False), (7, 6, True), (8, 10, False), (9, 19, True),
+        ]
+
+    def test_columns_are_lie_and_embed_to_the_chord_columns(self, chord_extension):
+        _, calls = chord_extension
+        lookback = set()
+        for kind, p, degree, want in calls:
+            if kind != "column":
+                continue
+            h3 = associator._hexagon_column(p, degree)
+            assert lie_defect(TruncatedSeries.from_terms(AB, degree, h3)).is_zero()
+            assert _embedded_and_reduced(h3, degree) == _part(want, "H3")
+            (col,) = associator._columns([p], degree)
+            lyndon = set(lyndon_words(2, degree))
+            assert _part(col, "AS") == {w: c for w, c in _part(want, "AS").items() if w in lyndon}
+            assert _part(col, "H3") == {w: c for w, c in h3.items() if w in lyndon}
+            if not p.slices[degree]:
+                lookback.add(degree)
+        # the previous degree's kernel at the revised degrees 4, 6 and 8
+        assert lookback == {5, 7, 9}
+
+    def test_residuals_are_lie_and_embed_to_the_chord_residuals(self, chord_extension):
+        _, calls = chord_extension
+        degrees = []
+        for kind, candidate, degree, want in calls:
+            if kind != "residual":
+                continue
+            r = associator._hexagon_residual(candidate, degree, "H3", free=True)
+            assert r.min_degree() in (degree, None)
+            assert lie_defect(r).is_zero()
+            assert _embedded_and_reduced(r.slices[degree], degree) == _part(want, "H3")
+            lyndon = set(lyndon_words(2, degree))
+            assert associator._residual_labels(candidate, degree) == {
+                ("H3", w): c for w, c in r.slices[degree].items() if w in lyndon
+            }
+            degrees.append(degree)
+        # one solve per step and per revision, two residuals at each revision
+        assert degrees == [2, 3, 4, 5, 5, 5, 6, 7, 7, 7, 8, 9, 9, 9]
+
+    def test_every_extended_series_is_exp_of_log_plus_correction(self):
+        for step, extended, _ in extension_steps(one(AB, 1), 8):
+            d = step.degree
+            assert step.log == step.base.log().lifted(d)
+            assert step.candidate == step.log.exp()
+            assert extended == (step.log + step.correction()).exp()
+            for kvec in step.kernel:
+                assert step.extended(kvec) == (step.log + step.correction(kvec)).exp()
+
+
+def _exp_lie_series(rng, cap):
+    """exp of a random Lie series with no degree-1 part: it passes (AE)."""
+    ell = TruncatedSeries.from_terms(AB, cap, {})
+    for k in range(2, cap + 1):
+        for _, bracket in lie_basis(AB, cap, k):
+            if rng.random() < 0.6:
+                ell = ell + bracket.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    return ell.exp()
+
+
+class TestHexagonVerdicts:
+    def _assert_as_chord(self, phi, cap):
+        for axiom in ("H1", "H3"):
+            result = check_axiom(phi, axiom, cap)
+            want = oracles.chord_hexagon_normal_form(phi, cap, axiom)
+            assert result.residual.text() == want.text(), (axiom, phi.text())
+            assert result.residual == want
+            assert result.passed == want.is_zero()
+            assert result.first_failure_degree == want.min_degree()
+
+    @pytest.mark.parametrize("cap", range(6))
+    def test_exp_lie_series_match_the_chord_path(self, rng, cap):
+        # 1 fails both hexagons at degree 2, psi24 passes them through degree 2
+        for _ in range(4):
+            self._assert_as_chord(_exp_lie_series(rng, cap), cap)
+        self._assert_as_chord(one(AB, cap), cap)
+        self._assert_as_chord(psi24(max(cap, 2)), cap)
+
+    def test_semi_associators_pass_and_their_perturbations_fail(self, semi_associator_deg5):
+        self._assert_as_chord(semi_associator_deg5, 5)
+        self._assert_as_chord(psi24(2), 2)
+        perturbed = (semi_associator_deg5.log() + lie3(1, 2, 5).scale(Fraction(1, 7))).exp()
+        self._assert_as_chord(perturbed, 5)
+        assert not check_axiom(perturbed, "H3", 5).passed
+        assert not check_axiom(perturbed, "H1", 5).passed
+
+    @pytest.mark.parametrize("text", ["1 + 1*A.B", "1 + 1*A", "1 + 1*A + 1/2*A.A", "1 - 1/3*B.A.B"])
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4])
+    def test_series_that_fail_ae_keep_the_chord_product(self, text, cap):
+        phi = parse_series(text, AB, 4)
+        if cap >= 3:
+            assert not check_axiom(phi, "AE", cap).passed
+        self._assert_as_chord(phi, cap)
+
+    def test_a_passing_series_builds_no_chord_product(self, monkeypatch, semi_associator_deg5):
+        calls = []
+        residual = associator._hexagon_residual
+
+        def recording(phi, cap, variant, free=False):
+            calls.append(free)
+            return residual(phi, cap, variant, free)
+
+        monkeypatch.setattr(associator, "_hexagon_residual", recording)
+        for axiom in ("H1", "H3"):
+            assert check_axiom(semi_associator_deg5, axiom, 5).passed
+        assert calls == [True, True]
+        check_axiom(parse_series("1 + 1*A.B", AB, 3), "H3", 3)
+        assert calls == [True, True, False]
 
 
 class TestYangBaxter:

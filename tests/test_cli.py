@@ -173,6 +173,19 @@ class TestAssociatorCommands:
         assert calls == [] and captured.out == ""
         assert captured.err == f"error: --axioms {axioms!r}: name one or more of AE,AS,H1,H3,P\n"
 
+    def test_repeated_axioms_are_checked_once(self, capsys):
+        argv = ["check-associator", "--cap", "2", "--series", "1", "--axioms", "H3,AE,H3,AE"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == [
+            "H3: FAIL at degree 2",
+            "  residual: 1/8*t12.t13 - 1/8*t13.t12",
+            "AE: pass",
+        ]
+        obj = run_json(capsys, *argv)
+        assert obj["inputs"]["axioms"] == ["H3", "AE"]
+        assert sorted(obj["values"]) == ["AE", "H3"]
+
     def test_extend_writes_file_and_checks_pass(self, capsys, tmp_path):
         src = tmp_path / "phi1.txt"
         src.write_text("1\n")
