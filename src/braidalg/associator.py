@@ -46,7 +46,35 @@ hexagon residual is exp(c/2) r(t12, t23), with r the residual in F(A, B) of
 :func:`check_axiom` evaluates r: r = 0 settles the verdict with no
 reduction, and otherwise it reports the chord(3) normal form of
 exp(c/2) r(t12, t23), the one the chord product would give.  A series that
-fails (AE) is evaluated over the chords and reduced.
+fails (AE) is evaluated over the chords and reduced.  The (AE) residual is
+kept for the last series and cap, so a run that checks (AE) and both
+hexagons on one series takes its log once.
+
+The braid relation of the 3-strand family reduces the same way.  There
+sigma_1 -> exp(t12/2) (x) s1 and Delta -> exp(c/2) Psi_t^-1 (x) 321, with Psi
+group-like and no degree-1 part (the family's precondition), and
+sigma_2 = sigma_1^-1 Delta sigma_1^-1.  A permutation pi acts on a series by
+t_ij -> t_pi(i)pi(j), and (u (x) g)(v (x) h) = u (g.v) (x) gh.  s1 sends
+Psi(t12, t23) to Psi(t12, t13), and s1 321 sends t12 to t13, so
+
+  rho(sigma_2) = exp(-t12/2) exp(c/2) Psi(t12,t13)^-1 exp(-t13/2) (x) s2,
+
+and s2 sends t12 to t13 while s2 s1 sends (t12, t13, t23) to (t13, t23, t12):
+
+  rho(sigma_2 sigma_1 sigma_2) = exp(c) exp(-t12/2) Psi(t12,t13)^-1 exp(-t13/2)
+                                 Psi(t13,t23)^-1 exp(-t23/2) (x) 321.
+
+With t13 = c - A - B the Psi factors become Psi(A,-A-B)^-1 and
+Psi(-A-B,B)^-1 as above, and exp(-t13/2) = exp(-c/2) exp((A+B)/2).  So
+rho(sigma_2 sigma_1 sigma_2) - rho(Delta) = exp(c/2) r(t12, t23) (x) 321, with
+r the residual in F(A, B) of
+
+  (YB)  Psi(A,B)^-1 = exp(-A/2) Psi(A,-A-B)^-1 exp((A+B)/2) Psi(-A-B,B)^-1 exp(-B/2).
+
+exp(c/2) is a unit of chord(3), so the defect vanishes through the cap iff
+r does, and both first fail in the same degree.  :func:`check_yang_baxter`
+evaluates r: r = 0 is a pass with no chord(3) work, and only a failing Psi is
+folded over the chords for the reported defect.
 
 In the solve write q = p(A, B), a = p(-A-B, A) and b = p(-A-B, B), the
 images of p under 312 and 132 with c dropped.  Near 1, Phi^-1 = 1 - p, so
@@ -100,13 +128,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from itertools import product
+from math import lcm
 
 from .linalg import affine_solve
 from .lyndon import lie_basis, lyndon_words
 from .perms import Permutation
 from .quotient import build_graded_basis, infinitesimal_artin
-from .reps import central_element, eval_drinfeld, eval_rho3, rho3_delta, rho3_yang_baxter_defect
+from .reps import (
+    central_element,
+    eval_drinfeld,
+    eval_rho3,
+    rho3_delta,
+    rho3_parameter,
+    rho3_yang_baxter_defect,
+)
 from .sdseries import SemidirectSeries
 from .series import (
     Alphabet,
@@ -115,8 +152,10 @@ from .series import (
     TruncatedSeries,
     generator_or_zero,
     lie_defect,
+    lowest_terms,
     one,
     substitute,
+    unscale_slice,
     zero,
 )
 from .words import WeldedWord, sigma
@@ -171,8 +210,13 @@ def _prepare(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
     return phi.truncated(cap)
 
 
+@lru_cache(maxsize=1)
 def ae_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
-    """Defect of exponential type: degree-1 part of log plus its Lie defect."""
+    """Defect of exponential type: degree-1 part of log plus its Lie defect.
+
+    Kept for the last series and cap: the (AE) check and each hexagon's
+    verdict on the same series (:func:`_hexagon_normal_form`) share one log.
+    """
     logphi = _prepare(phi, cap).log()
     return logphi.homogeneous_part(1) + lie_defect(logphi)
 
@@ -380,15 +424,41 @@ def _lyndon_rows(axiom: str, sl: dict, degree: int) -> dict:
     return {(axiom, w): c for w, c in sl.items() if w in lyndon}
 
 
-def _hexagon_column(p: TruncatedSeries, degree: int) -> dict:
-    """The top slice in F(A, B) of the derivative at 1 of the (H3) residual along p."""
+def _hexagon_column(p: TruncatedSeries, degree: int, words=None) -> dict:
+    """The top slice in F(A, B) of the derivative at 1 of the (H3) residual along p.
+
+    Only its coefficients on ``words`` (by default every word of the degree)
+    are formed, each a signed sum of coefficients of a = p(-A-B, A),
+    b = p(-A-B, B) and q = p added in integers over one denominator.
+    """
     A, minus_ab, B = _strands(degree, free=True)
-    a, b = substitute(p, minus_ab, A), substitute(p, minus_ab, B)
-    if p.slices[degree]:
-        h3 = a - b + p
+    top = degree if p.slices[degree] else degree - 1
+    a, b = (substitute(p, minus_ab, x).slices[top] for x in (A, B))
+    q = p.slices[top]
+    if top == degree:
+        half = 1
+
+        def reads(w):  # a - b + q
+            return (a, w, 1), (b, w, -1), (q, w, 1)
+
     else:
-        h3 = (a * -A - minus_ab * b - b * B - A * p).scale(HALF)
-    return h3.slices[degree]
+        half = 2
+
+        def reads(w):  # -a A + (A+B) b - b B - A q, on the prefix and suffix of w
+            out = [(b, w[1:], 1), (a if w[-1] == 0 else b, w[:-1], -1)]
+            if w[0] == 0:
+                out.append((q, w[1:], -1))
+            return out
+
+    if words is None:
+        words = product(range(2), repeat=degree)
+    rows = {w: [(sign, sl[u]) for sl, u, sign in reads(w) if u in sl] for w in words}
+    den = lcm(*(c.denominator for row in rows.values() for _, c in row))
+    numerators = {
+        w: sum(sign * c.numerator * (den // c.denominator) for sign, c in row)
+        for w, row in rows.items()
+    }
+    return unscale_slice(*lowest_terms(den * half, numerators))
 
 
 def _columns(perturbations: list, degree: int) -> list:
@@ -403,7 +473,8 @@ def _columns(perturbations: list, degree: int) -> list:
         col = {}
         if p.slices[degree]:
             col = _lyndon_rows("AS", (swap_letters(p) + p).slices[degree], degree)
-        col.update(_lyndon_rows("H3", _hexagon_column(p, degree), degree))
+        h3 = _hexagon_column(p, degree, _lyndon_set(degree))
+        col.update({("H3", w): c for w, c in h3.items()})
         columns.append(col)
     return columns
 
@@ -496,15 +567,41 @@ class YangBaxterResult:
         return self.passed
 
 
+def _yang_baxter_residual(psi: TruncatedSeries, cap: int) -> TruncatedSeries:
+    """The (YB) residual r in F(A, B) (module docstring).
+
+    rho(sigma_2 sigma_1 sigma_2) - rho(Delta) = exp(c/2) r(t12, t23) (x) 321
+    when psi meets the family's precondition at the cap.
+    """
+    t12, t13, t23 = _strands(cap, free=True)
+    inverse = psi.inverse()
+
+    def at(x, y):
+        return substitute(inverse, x, y)
+
+    def half_twist_inverse(t):
+        return t.scale(-HALF).exp()
+
+    lhs = (
+        half_twist_inverse(t12) * at(t12, t13) * half_twist_inverse(t13)
+        * at(t13, t23) * half_twist_inverse(t23)
+    )
+    return lhs - at(t12, t23)
+
+
 def check_yang_baxter(psi: TruncatedSeries, cap: int) -> YangBaxterResult:
     """Test rho(Delta) = rho(sigma_2) rho(sigma_1) rho(sigma_2) for the 3-strand family.
 
-    The difference is one fold (:func:`braidalg.reps.rho3_yang_baxter_defect`),
-    and the family's precondition on psi is checked once, by its images.
+    The family's refusals come first, as :func:`braidalg.reps.rho3_parameter`
+    orders them.  The difference is exp(c/2) r(t12, t23) (x) 321 with r a
+    residual in F(A, B) (module docstring), so r = 0 settles a pass with no
+    chord(3) work.  Only a failing psi is folded in chord(3), by
+    :func:`braidalg.reps.rho3_yang_baxter_defect`, for the reported residual
+    and its lowest degree.
     """
-    diff = rho3_yang_baxter_defect(psi, cap)
-    if diff.is_zero():
+    if _yang_baxter_residual(rho3_parameter(psi, cap), cap).is_zero():
         return YangBaxterResult(cap, True, None, None)
+    diff = rho3_yang_baxter_defect(psi, cap)
     return YangBaxterResult(cap, False, diff.min_degree(), diff)
 
 

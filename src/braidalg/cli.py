@@ -8,7 +8,8 @@ inputs, degrees, values}, rationals as strings.
 
 ``--cache-dir`` persists each degree's oriented Groebner rules, so the
 subcommands that reach an oriented algebra take it.  check-associator,
-extend-associator and check-yb work in the chord algebras alone, and do not.
+extend-associator and check-yb work in the free algebra on A, B and in the
+chord algebras, and do not.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from functools import cache, lru_cache
 
 from .perms import Permutation
 from .quotient import (
+    BasisError,
     build_graded_basis,
     infinitesimal_artin,
     oriented_artin,
@@ -157,12 +158,25 @@ def require_normalized_group_like(psi: TruncatedSeries):
         raise ConstantTermError("need a group-like series (primitive logarithm)")
 
 
-@lru_cache(maxsize=32)
-def _rho3_images(cap: int, psi: TruncatedSeries):
+def rho3_parameter(psi: TruncatedSeries, cap: int) -> TruncatedSeries:
+    """psi truncated to the cap, once the 3-strand family accepts it there.
+
+    The refusals, in order: no series, a negative cap, a series known below
+    the cap, then :func:`require_normalized_group_like` at the cap.
+    """
+    _require_assoc("rho3", psi)
+    if cap < 0:
+        raise BasisError("cap must be >= 0")
     if psi.cap < cap:
         raise CapMismatch(f"parameter known to degree {psi.cap} < cap {cap}")
     psi = psi.truncated(cap)
     require_normalized_group_like(psi)
+    return psi
+
+
+@lru_cache(maxsize=32)
+def _rho3_images(cap: int, psi: TruncatedSeries):
+    psi = rho3_parameter(psi, cap)
     alph = infinitesimal_artin(3).alphabet
     phi_t = substitute(
         psi, generator_or_zero(alph, cap, (1, 2)), generator_or_zero(alph, cap, (2, 3))
@@ -218,7 +232,13 @@ def rho3_delta(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
 
 
 def rho3_yang_baxter_defect(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
-    """rho(sigma_2 sigma_1 sigma_2) - rho(Delta), folded as one combination and reduced once."""
+    """rho(sigma_2 sigma_1 sigma_2) - rho(Delta), folded as one combination and reduced once.
+
+    The chord(3) reference for the braid relation.  Its verdict is decided
+    in the free algebra on two letters by
+    :func:`braidalg.associator.check_yang_baxter`, which folds here only for a
+    psi that fails, to report this defect and its lowest degree.
+    """
     _require_assoc("rho3", psi)
     basis = build_graded_basis(infinitesimal_artin(3), cap)
     alph, images = _rho3_images(cap, psi)

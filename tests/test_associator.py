@@ -25,11 +25,24 @@ from braidalg import (
     rho3_delta,
     swap_letters,
 )
-from braidalg import associator
+from braidalg import associator, reps
+from braidalg.perms import Permutation
+from braidalg.quotient import BasisError
+from braidalg.sdseries import SemidirectSeries
 from braidalg.associator import _columns, _revised_coordinates, ae_residual, as_residual
 from braidalg.linalg import SparseEchelon
 from braidalg.lyndon import lie_basis, lyndon_words
-from braidalg.series import Alphabet, lie_defect, parse_series, substitute
+from braidalg.series import (
+    AlphabetMismatch,
+    Alphabet,
+    CapMismatch,
+    ConstantTermError,
+    SeriesError,
+    generator_or_zero,
+    lie_defect,
+    parse_series,
+    substitute,
+)
 from braidalg.words import WeldedWord, sigma
 
 
@@ -476,6 +489,97 @@ class TestYangBaxter:
             assert result.first_failure_degree == diff.min_degree()
             verdicts.append(result.passed)
         assert verdicts == [True, True, True, False, False]
+
+
+@pytest.fixture(scope="module")
+def semi_associator_deg7():
+    return bootstrap_semi_associator(7)
+
+
+_YB_WORD = WeldedWord(3, (sigma(2), sigma(1), sigma(2)))
+
+
+class TestYangBaxterInFreeAlgebra:
+    """check_yang_baxter decides in F(A, B); the chord(3) folds are the references."""
+
+    def _assert_as_chord(self, psi, cap):
+        """The defect is exp(c/2) r(t12, t23) (x) 321, and the verdict is the references'."""
+        r = associator._yang_baxter_residual(psi.truncated(cap), cap)
+        defect = reps.rho3_yang_baxter_defect(psi, cap)
+        assert defect == eval_rho3(_YB_WORD, psi, cap) - rho3_delta(psi, cap)
+        basis = build_graded_basis(infinitesimal_artin(3), cap)
+        t12, t23 = (generator_or_zero(basis.alphabet, cap, pair) for pair in ((1, 2), (2, 3)))
+        embedded = reps.central_element(cap).exp() * substitute(r, t12, t23)
+        delta = Permutation.from_one_line("321")
+        assert defect == SemidirectSeries.term(basis, cap, embedded, delta)
+        assert defect.min_degree() == r.min_degree()
+        result = check_yang_baxter(psi, cap)
+        assert result.passed == defect.is_zero() == r.is_zero()
+        assert result.first_failure_degree == defect.min_degree()
+        assert result.residual == (None if result.passed else defect)
+        return result.passed
+
+    @pytest.mark.parametrize("cap", range(8))
+    def test_exp_lie_series_and_psi24(self, rng, cap):
+        for _ in range(3):
+            self._assert_as_chord(_exp_lie_series(rng, cap), cap)
+        # psi24 passes through degree 3 and fails above
+        assert self._assert_as_chord(psi24(max(cap, 2)), cap) == (cap <= 3)
+
+    @pytest.mark.parametrize("cap", range(8))
+    def test_bootstrap_passes_and_its_perturbations_fail(self, rng, semi_associator_deg7, cap):
+        assert self._assert_as_chord(semi_associator_deg7, cap)
+        for k in range(2, cap + 1):
+            bracket = lie_basis(AB, 7, k)[-1][1]
+            scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+            perturbed = (semi_associator_deg7.log() + bracket.scale(scale)).exp()
+            assert not self._assert_as_chord(perturbed, cap)
+            assert check_yang_baxter(perturbed, cap).first_failure_degree == k
+
+    def test_a_two_letter_alphabet_other_than_ab(self):
+        xy = Alphabet.abstract("X", "Y")
+        for psi, cap in ((psi24(3), 3), (psi24(4), 4), (one(AB, 2), 2)):
+            renamed = TruncatedSeries(xy, psi.cap, psi.slices)
+            result = check_yang_baxter(renamed, cap)
+            assert result.passed == check_yang_baxter(psi, cap).passed
+            want = None if result.passed else reps.rho3_yang_baxter_defect(renamed, cap)
+            assert result.residual == want
+
+    def test_a_passing_parameter_folds_nothing(self, monkeypatch, semi_associator_deg7):
+        def refuse(*args, **kwargs):
+            raise AssertionError("chord(3) work on a passing parameter")
+
+        for name in ("fold", "fold_free", "build_graded_basis", "_rho3_images"):
+            monkeypatch.setattr(reps, name, refuse)
+        monkeypatch.setattr(associator, "rho3_yang_baxter_defect", refuse)
+        for cap in range(8):
+            assert check_yang_baxter(semi_associator_deg7, cap).passed
+        assert check_yang_baxter(psi24(3), 3).passed
+
+    @pytest.mark.parametrize(
+        "psi, cap, error, message",
+        [
+            (None, 3, SeriesError, "the rho3 family needs an associator series; none was given"),
+            (None, -1, SeriesError, "the rho3 family needs an associator series; none was given"),
+            (psi24(2), -1, BasisError, "cap must be >= 0"),
+            (parse_series("1 + 1*A.B", AB, 3), -1, BasisError, "cap must be >= 0"),
+            (psi24(2), 3, CapMismatch, "parameter known to degree 2 < cap 3"),
+            (parse_series("2", AB, 3), 0, ConstantTermError, "need constant term 1"),
+            (parse_series("1 + 1*A", AB, 3), 3, ConstantTermError,
+             "need a trivial degree-1 part (log Psi = 0 mod degree 2)"),
+            (parse_series("1 + 1*A.B", AB, 3), 3, ConstantTermError,
+             "need a group-like series (primitive logarithm)"),
+            (one(Alphabet.chord(3), 3), 3, AlphabetMismatch,
+             "substitute expects a series over a 2-letter abstract alphabet"),
+            (one(Alphabet.abstract("A", "B", "C"), 3), 0, AlphabetMismatch,
+             "substitute expects a series over a 2-letter abstract alphabet"),
+        ],
+    )
+    def test_refusals_are_the_folds(self, psi, cap, error, message):
+        for check in (check_yang_baxter, reps.rho3_yang_baxter_defect):
+            with pytest.raises(error) as info:
+                check(psi, cap)
+            assert type(info.value) is error and str(info.value) == message
 
 
 class TestEquivalences:

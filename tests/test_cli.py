@@ -186,6 +186,22 @@ class TestAssociatorCommands:
         assert obj["inputs"]["axioms"] == ["H3", "AE"]
         assert sorted(obj["values"]) == ["AE", "H3"]
 
+    def test_the_ae_residual_is_taken_once_per_run(self, capsys, monkeypatch, tmp_path):
+        # (AE) and each hexagon's verdict share one log and one Dynkin test
+        logs, defects = [], []
+        log, lie_defect = braidalg.TruncatedSeries.log, assoc_mod.lie_defect
+        monkeypatch.setattr(braidalg.TruncatedSeries, "log", lambda s: logs.append(s) or log(s))
+        monkeypatch.setattr(assoc_mod, "lie_defect", lambda s: defects.append(s) or lie_defect(s))
+        phi = tmp_path / "phi.txt"
+        phi.write_text(bootstrap_semi_associator(4).text() + "\n")
+        for source in (["--in", str(phi)], ["--series", "1 + 1*A.B"]):
+            assoc_mod.ae_residual.cache_clear()
+            logs.clear(), defects.clear()
+            argv = ["check-associator", "--axioms", "AE,AS,H1,H3", "--cap", "4", *source]
+            code, out = run(capsys, *argv)
+            assert code == 0 and out.startswith("AE: ")
+            assert len(logs) == len(defects) == 1
+
     def test_extend_writes_file_and_checks_pass(self, capsys, tmp_path):
         src = tmp_path / "phi1.txt"
         src.write_text("1\n")
