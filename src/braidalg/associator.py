@@ -3,7 +3,7 @@
 The axioms are transcribed once, here, and nowhere else:
 
   (AE)  Phi = exp(phi) with phi a Lie series with no degree-1 part;
-  (AS)  swapping A and B sends Phi to Phi^-1;
+  (AS)  Phi(t23,t12) = Phi(t12,t23)^-1: swapping A and B sends Phi to Phi^-1;
   (H1)  exp((t12+t13)/2) = (231.Phi_t)^-1 exp(t13/2) (213.Phi_t) exp(t12/2) Phi_t^-1;
   (H3)  exp((t13+t23)/2) = (312.Phi_t) exp(t13/2) (132.Phi_t)^-1 exp(t23/2) Phi_t;
   (P)   Phi(t12,t23+t24) Phi(t13+t23,t34)
@@ -11,7 +11,10 @@ The axioms are transcribed once, here, and nowhere else:
 
 with Phi_t = Phi(t12, t23); (H1) and (H3) live in the 3-strand chord algebra,
 (P) in the 4-strand one.  Sign conventions for hexagons differ across the
-literature; everything downstream derives from the five lines above.
+literature; everything downstream derives from the five lines above.  In
+code they, and (YB) below, are one table, ``_TERMS``: each residual a signed
+sum of products of factors Phi(x, y)^+-1 and exp(x), x and y sums of
+strands.  Every residual and every column of the solve is read off it.
 The (AE) residual is the degree-1 part of log Phi plus its Lie defect,
 :func:`braidalg.series.lie_defect`: the one Dynkin test, which also decides
 ``is_lie_element``, the 3-strand family's precondition and
@@ -73,26 +76,28 @@ r the residual in F(A, B) of
 
 exp(c/2) is a unit of chord(3), so the defect vanishes through the cap iff
 r does, and both first fail in the same degree.  :func:`check_yang_baxter`
-evaluates r: r = 0 is a pass with no chord(3) work, and only a failing Psi is
-folded over the chords for the reported defect.
+evaluates r: r = 0 is a pass with no chord(3) work, and a failing Psi
+reports the chord(3) normal form of exp(c/2) r(t12, t23) (x) 321, reduced
+as the hexagons' residuals are.
 
-In the solve write q = p(A, B), a = p(-A-B, A) and b = p(-A-B, B), the
-images of p under 312 and 132 with c dropped.  Near 1, Phi^-1 = 1 - p, so
+The solve reads its columns off the same products, to first order.  Near
+1, Phi(x, y)^k = 1 + k p(x, y), so along p a signed product moves by the
+sum over its Phi factors of sign k E p(x, y) E', E and E' the exp factors
+on either side.  In degree d a p of degree d meets only their constant
+terms, giving sum sign k p(x, y), and a p of degree d-1 only their
+degree-1 parts, giving sum sign k (l p(x, y) + p(x, y) r), l and r the
+sums of the exponents left and right of the factor.  With q = p(A, B),
+a = p(-A-B, A) and b = p(-A-B, B), the images of p under 312 and 132 with
+c dropped, the columns are
 
   (AS)  swap(p) + p      for p of degree d, and 0 for p of degree d-1;
+  (H3)  a - b + q        for p of degree d, and
+        (-a A + (A+B) b - b B - A q) / 2   for p of degree d-1.
 
-(H3)'s right-hand side is (1 + a) exp(-(A+B)/2) (1 - b) exp(B/2) (1 + q),
-and its left-hand side does not involve Phi, so
-
-  (H3)  a - b + q        for p of degree d, where only the exponentials'
-                         constant terms reach degree d, and
-        (-a A + (A+B) b - b B - A q) / 2
-                         for p of degree d-1, where only their degree-1
-                         parts -(A+B)/2 and B/2 do.
-
-Over the chords the second column has one more term, c (a - b + q) / 2.
-A perturbation of degree d-1 is a kernel vector of the degree below, whose
-column a - b + q is zero, so that term vanishes.
+Over the chords the exponents keep c, and the second (H3) column has one
+more term, c (a - b + q) / 2.  A perturbation of degree d-1 is a kernel
+vector of the degree below, whose column a - b + q is zero, so that term
+vanishes.
 
 Only Lyndon rows are kept.  Every top slice in the solve is a Lie element:
 the candidate's (H3) residual, which vanishes below d, so that its top
@@ -129,7 +134,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import product
 from math import lcm
 
 from .linalg import affine_solve
@@ -142,7 +146,6 @@ from .reps import (
     eval_rho3,
     rho3_delta,
     rho3_parameter,
-    rho3_yang_baxter_defect,
 )
 from .sdseries import SemidirectSeries
 from .series import (
@@ -215,102 +218,119 @@ def ae_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
     """Defect of exponential type: degree-1 part of log plus its Lie defect.
 
     Kept for the last series and cap: the (AE) check and each hexagon's
-    verdict on the same series (:func:`_hexagon_normal_form`) share one log.
+    verdict on the same series (:func:`check_axiom`) share one log.
     """
     logphi = _prepare(phi, cap).log()
     return logphi.homogeneous_part(1) + lie_defect(logphi)
 
 
-def as_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
-    phi = _prepare(phi, cap)
-    return swap_letters(phi) - phi.inverse()
-
-
-def _strands(cap: int, free: bool) -> tuple:
-    """t12, t13, t23 over the 3-strand chords, or their images A, -A-B, B in F(A, B)."""
-    if not free:
-        alph = Alphabet.chord(3)
-        return tuple(generator_or_zero(alph, cap, pair) for pair in ((1, 2), (1, 3), (2, 3)))
-    a, b = generator_or_zero(AB, cap, 0), generator_or_zero(AB, cap, 1)
-    return a, -(a + b), b
+# Each axiom as a signed sum of products, the one transcription of the five
+# lines above (and of (YB) below): a factor ("Phi", x, y, k) is Phi(x, y)^k
+# with k = +-1, and ("exp", x, s) is exp(s x); x and y are sums of strands,
+# "13+23" for t13 + t23.  (P) lives on 4 strands, the others on 3.
+_TERMS = {
+    "AS": ((1, (("Phi", "23", "12", 1),)), (-1, (("Phi", "12", "23", -1),))),
+    "H1": (
+        (1, (("Phi", "23", "13", -1), ("exp", "13", HALF), ("Phi", "12", "13", 1),
+             ("exp", "12", HALF), ("Phi", "12", "23", -1))),
+        (-1, (("exp", "12+13", HALF),)),
+    ),
+    "H3": (
+        (1, (("Phi", "13", "12", 1), ("exp", "13", HALF), ("Phi", "13", "23", -1),
+             ("exp", "23", HALF), ("Phi", "12", "23", 1))),
+        (-1, (("exp", "13+23", HALF),)),
+    ),
+    "P": (
+        (1, (("Phi", "12", "23+24", 1), ("Phi", "13+23", "34", 1))),
+        (-1, (("Phi", "23", "34", 1), ("Phi", "12+13", "24+34", 1), ("Phi", "12", "23", 1))),
+    ),
+    "YB": (
+        (1, (("exp", "12", -HALF), ("Phi", "12", "13", -1), ("exp", "13", -HALF),
+             ("Phi", "13", "23", -1), ("exp", "23", -HALF))),
+        (-1, (("Phi", "12", "23", -1),)),
+    ),
+}
 
 
 @cache
-def _hexagon_constants(cap: int, variant: str, free: bool) -> tuple:
-    """The three factors of (H1) or (H3) that do not involve Phi: lhs and two exponentials."""
-    t12, t13, t23 = _strands(cap, free)
-    if variant == "H1":
-        return (t12 + t13).scale(HALF).exp(), t13.scale(HALF).exp(), t12.scale(HALF).exp()
-    return (t13 + t23).scale(HALF).exp(), t13.scale(HALF).exp(), t23.scale(HALF).exp()
+def _strands(n: int, cap: int, free: bool) -> dict:
+    """t_ij by its label "ij": over the n-strand chords, or t12, t13, t23 as A, -A-B, B."""
+    if free:
+        a, b = generator_or_zero(AB, cap, 0), generator_or_zero(AB, cap, 1)
+        return {"12": a, "13": -(a + b), "23": b}
+    alph = Alphabet.chord(n)
+    return {f"{i}{j}": generator_or_zero(alph, cap, (i, j)) for i, j in alph.pairs}
 
 
-def _hexagon_residual(phi: TruncatedSeries, cap: int, variant: str, free=False) -> TruncatedSeries:
-    """rhs - lhs of (H1) or (H3): over the 3-strand chords, not reduced, or in F(A, B).
+def _linear(x: str, strands: dict) -> TruncatedSeries:
+    """The sum of strands written x, e.g. "13+23"."""
+    first, *rest = x.split("+")
+    return sum((strands[label] for label in rest), strands[first])
 
-    With ``free`` the residual is the one in F(A, B) whose product with
-    exp(c/2) is the chord(3) residual; this needs phi to pass (AE) (module
-    docstring).
+
+@cache
+def _exp_factor(x: str, s: Fraction, n: int, cap: int, free: bool) -> TruncatedSeries:
+    """exp(s x), a factor that does not involve Phi: built once per cap."""
+    return _linear(x, _strands(n, cap, free)).scale(s).exp()
+
+
+def _residual(axiom: str, phi: TruncatedSeries, free=False) -> TruncatedSeries:
+    """The axiom's residual at phi's cap: over the chords, not reduced, or in F(A, B).
+
+    With ``free`` a 3-strand residual is the one in F(A, B) whose product
+    with exp(c/2) is the chord(3) residual; this needs phi to pass (AE)
+    (module docstring).  Each Phi(x, y)^-1 is phi^-1, inverted once, at x, y.
     """
-    phi = _prepare(phi, cap)
-    lhs, exp13, exp_last = _hexagon_constants(cap, variant, free)
-    t12, t13, t23 = _strands(cap, free)
-
-    def at(x, y):
-        return substitute(phi, x, y)
-
-    phi_t = phi if free else at(t12, t23)
-    if variant == "H1":
-        rhs = at(t23, t13).inverse() * exp13 * at(t12, t13) * exp_last * phi_t.inverse()
-    else:
-        rhs = at(t13, t12) * exp13 * at(t13, t23).inverse() * exp_last * phi_t
-    return rhs - lhs
-
-
-def _hexagon_normal_form(phi: TruncatedSeries, cap: int, variant: str) -> TruncatedSeries:
-    """The chord(3) normal form of the (H1) or (H3) residual.
-
-    When phi passes (AE) the residual is exp(c/2) r(t12, t23) with r its
-    residual in F(A, B), so a zero r settles the verdict with no reduction.
-    """
-    if ae_residual(phi, cap).is_zero():
-        r = _hexagon_residual(phi, cap, variant, free=True)
-        if r.is_zero():
-            return zero(Alphabet.chord(3), cap)
-        t12, t13, t23 = _strands(cap, free=False)
-        residual = (t12 + t13 + t23).scale(HALF).exp() * substitute(r, t12, t23)
-    else:
-        residual = _hexagon_residual(phi, cap, variant)
-    return build_graded_basis(infinitesimal_artin(3), cap).normal_form(residual)
+    n, cap = (4 if axiom == "P" else 3), phi.cap
+    strands = _strands(n, cap, free)
+    powers = {1: phi}
+    total = None
+    for sign, factors in _TERMS[axiom]:
+        product = None
+        for factor in factors:
+            if factor[0] == "exp":
+                value = _exp_factor(*factor[1:], n, cap, free)
+            else:
+                _, x, y, k = factor
+                if k not in powers:
+                    powers[k] = phi.inverse()
+                value = substitute(powers[k], _linear(x, strands), _linear(y, strands))
+            product = value if product is None else product * value
+        product = product.scale(sign)
+        total = product if total is None else total + product
+    return total
 
 
-def pentagon_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
-    """lhs - rhs of (P) in the free algebra on the 4-strand chords; not reduced."""
-    phi = _prepare(phi, cap)
-    alph = Alphabet.chord(4)
-
-    def t(i, j):
-        return generator_or_zero(alph, cap, (i, j))
-
-    lhs = substitute(phi, t(1, 2), t(2, 3) + t(2, 4)) * substitute(phi, t(1, 3) + t(2, 3), t(3, 4))
-    rhs = (
-        substitute(phi, t(2, 3), t(3, 4))
-        * substitute(phi, t(1, 2) + t(1, 3), t(2, 4) + t(3, 4))
-        * substitute(phi, t(1, 2), t(2, 3))
-    )
-    return lhs - rhs
+def _chord3_normal_form(r: TruncatedSeries, cap: int) -> TruncatedSeries:
+    """The chord(3) normal form of exp(c/2) r(t12, t23), r in F(A, B); r = 0 reduces nothing."""
+    if r.is_zero():
+        return zero(Alphabet.chord(3), cap)
+    t = _strands(3, cap, False)
+    embedded = _linear("12+13+23", t).scale(HALF).exp() * substitute(r, t["12"], t["23"])
+    return build_graded_basis(infinitesimal_artin(3), cap).normal_form(embedded)
 
 
 def check_axiom(phi: TruncatedSeries, axiom: str, cap: int) -> AxiomResult:
-    """Check one axiom at the cap; failures carry the lowest failing degree."""
+    """Check one axiom at the cap; failures carry the lowest failing degree.
+
+    (AS) is evaluated in F(A, B).  A hexagon is too when phi passes (AE), and
+    then r = 0 settles the verdict with no reduction; otherwise, and for
+    (P), the residual is evaluated over the chords and reduced.
+    """
     if axiom == "AE":
         return _result("AE", cap, ae_residual(phi, cap))
     if axiom == "AS":
-        return _result("AS", cap, as_residual(phi, cap))
+        return _result("AS", cap, _residual("AS", _prepare(phi, cap), free=True))
     if axiom in ("H1", "H3"):
-        return _result(axiom, cap, _hexagon_normal_form(phi, cap, axiom))
+        if ae_residual(phi, cap).is_zero():
+            residual = _chord3_normal_form(_residual(axiom, _prepare(phi, cap), free=True), cap)
+        else:
+            basis = build_graded_basis(infinitesimal_artin(3), cap)
+            residual = basis.normal_form(_residual(axiom, _prepare(phi, cap)))
+        return _result(axiom, cap, residual)
     if axiom == "P":
         basis = build_graded_basis(infinitesimal_artin(4), cap)
-        return _result("P", cap, basis.normal_form(pentagon_residual(phi, cap)))
+        return _result("P", cap, basis.normal_form(_residual("P", _prepare(phi, cap))))
     raise AssociatorError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
 
 
@@ -424,65 +444,75 @@ def _lyndon_rows(axiom: str, sl: dict, degree: int) -> dict:
     return {(axiom, w): c for w, c in sl.items() if w in lyndon}
 
 
-def _hexagon_column(p: TruncatedSeries, degree: int, words=None) -> dict:
-    """The top slice in F(A, B) of the derivative at 1 of the (H3) residual along p.
+@cache
+def _first_order_terms(axiom: str) -> tuple:
+    """Per Phi factor of the axiom: (sign times k, x, y, left, right).
 
-    Only its coefficients on ``words`` (by default every word of the degree)
-    are formed, each a signed sum of coefficients of a = p(-A-B, A),
-    b = p(-A-B, B) and q = p added in integers over one denominator.
+    left and right are the sums, in F(A, B), of the exponents of the exp
+    factors on either side of it in its product, as {(letter,): coefficient}.
     """
-    A, minus_ab, B = _strands(degree, free=True)
+    strands = _strands(3, 1, True)
+    terms = []
+    for sign, factors in _TERMS[axiom]:
+        exponents = [
+            _linear(f[1], strands).scale(f[2]) if f[0] == "exp" else zero(AB, 1) for f in factors
+        ]
+        for j, factor in enumerate(factors):
+            if factor[0] == "Phi":
+                left = sum(exponents[:j], zero(AB, 1)).slices[1]
+                right = sum(exponents[j + 1:], zero(AB, 1)).slices[1]
+                terms.append((sign * factor[3], factor[1], factor[2], left, right))
+    return tuple(terms)
+
+
+def _column(p: TruncatedSeries, degree: int) -> dict:
+    """The top slices of the (AS) and (H3) residuals' derivatives at 1 along p, on the Lyndon rows.
+
+    p has degree ``degree``, or ``degree - 1`` >= 2 and then lies in the
+    previous degree's kernel.  Each image p(x, y) is substituted once, and
+    only the coefficients read are added, in integers over one denominator.
+    """
     top = degree if p.slices[degree] else degree - 1
-    a, b = (substitute(p, minus_ab, x).slices[top] for x in (A, B))
-    q = p.slices[top]
-    if top == degree:
-        half = 1
-
-        def reads(w):  # a - b + q
-            return (a, w, 1), (b, w, -1), (q, w, 1)
-
-    else:
-        half = 2
-
-        def reads(w):  # -a A + (A+B) b - b B - A q, on the prefix and suffix of w
-            out = [(b, w[1:], 1), (a if w[-1] == 0 else b, w[:-1], -1)]
-            if w[0] == 0:
-                out.append((q, w[1:], -1))
-            return out
-
-    if words is None:
-        words = product(range(2), repeat=degree)
-    rows = {w: [(sign, sl[u]) for sl, u, sign in reads(w) if u in sl] for w in words}
-    den = lcm(*(c.denominator for row in rows.values() for _, c in row))
-    numerators = {
-        w: sum(sign * c.numerator * (den // c.denominator) for sign, c in row)
-        for w, row in rows.items()
-    }
-    return unscale_slice(*lowest_terms(den * half, numerators))
+    strands = _strands(3, degree, True)
+    images, column = {}, {}
+    for axiom in ("AS", "H3"):
+        rows = {w: [] for w in _lyndon_set(degree)}
+        for s, x, y, left, right in _first_order_terms(axiom):
+            if top < degree and not (left or right):
+                continue
+            if (x, y) not in images:
+                images[x, y] = substitute(p, _linear(x, strands), _linear(y, strands)).slices[top]
+            image = images[x, y]
+            for w, row in rows.items():
+                if top == degree:
+                    reads = ((s, w),)
+                else:  # l p(x, y) + p(x, y) r, read off the first and last letters
+                    l, r = left.get(w[:1], 0), right.get(w[-1:], 0)
+                    reads = ((s * l, w[1:]), (s * r, w[:-1]))
+                row.extend((m, image[u]) for m, u in reads if m and u in image)
+        den = lcm(*(m.denominator * c.denominator for row in rows.values() for m, c in row))
+        numerators = {
+            w: sum(m.numerator * c.numerator * (den // (m.denominator * c.denominator))
+                   for m, c in row)
+            for w, row in rows.items()
+        }
+        top_slice = unscale_slice(*lowest_terms(den, numerators))
+        column.update(((axiom, w), c) for w, c in top_slice.items())
+    return column
 
 
 def _columns(perturbations: list, degree: int) -> list:
     """Column i is the derivative at 1 of the top-degree (AS) and (H3) residual along p_i.
 
-    Each p_i has degree ``degree``, or ``degree - 1`` >= 2 and then lies in
-    the previous degree's kernel; the module docstring derives both cases
-    from the axioms, in F(A, B), and why the Lyndon rows suffice.
+    The module docstring derives it from the axioms' products, in F(A, B),
+    and why the Lyndon rows suffice.
     """
-    columns = []
-    for p in perturbations:
-        col = {}
-        if p.slices[degree]:
-            col = _lyndon_rows("AS", (swap_letters(p) + p).slices[degree], degree)
-        h3 = _hexagon_column(p, degree, _lyndon_set(degree))
-        col.update({("H3", w): c for w, c in h3.items()})
-        columns.append(col)
-    return columns
+    return [_column(p, degree) for p in perturbations]
 
 
 def _residual_labels(candidate: TruncatedSeries, degree: int) -> dict:
     """Top-degree (H3) residual in F(A, B) on its Lyndon rows, labelled ("H3", word)."""
-    h3 = _hexagon_residual(candidate, degree, "H3", free=True).slices[degree]
-    return _lyndon_rows("H3", h3, degree)
+    return _lyndon_rows("H3", _residual("H3", candidate, free=True).slices[degree], degree)
 
 
 def _revised_coordinates(prev: ExtensionStep):
@@ -567,41 +597,20 @@ class YangBaxterResult:
         return self.passed
 
 
-def _yang_baxter_residual(psi: TruncatedSeries, cap: int) -> TruncatedSeries:
-    """The (YB) residual r in F(A, B) (module docstring).
-
-    rho(sigma_2 sigma_1 sigma_2) - rho(Delta) = exp(c/2) r(t12, t23) (x) 321
-    when psi meets the family's precondition at the cap.
-    """
-    t12, t13, t23 = _strands(cap, free=True)
-    inverse = psi.inverse()
-
-    def at(x, y):
-        return substitute(inverse, x, y)
-
-    def half_twist_inverse(t):
-        return t.scale(-HALF).exp()
-
-    lhs = (
-        half_twist_inverse(t12) * at(t12, t13) * half_twist_inverse(t13)
-        * at(t13, t23) * half_twist_inverse(t23)
-    )
-    return lhs - at(t12, t23)
-
-
 def check_yang_baxter(psi: TruncatedSeries, cap: int) -> YangBaxterResult:
     """Test rho(Delta) = rho(sigma_2) rho(sigma_1) rho(sigma_2) for the 3-strand family.
 
     The family's refusals come first, as :func:`braidalg.reps.rho3_parameter`
-    orders them.  The difference is exp(c/2) r(t12, t23) (x) 321 with r a
-    residual in F(A, B) (module docstring), so r = 0 settles a pass with no
-    chord(3) work.  Only a failing psi is folded in chord(3), by
-    :func:`braidalg.reps.rho3_yang_baxter_defect`, for the reported residual
-    and its lowest degree.
+    orders them.  The difference is exp(c/2) r(t12, t23) (x) 321 with r the
+    (YB) residual in F(A, B) (module docstring), so r = 0 settles a pass with
+    no chord(3) work, and a failing residual is that product's normal form.
     """
-    if _yang_baxter_residual(rho3_parameter(psi, cap), cap).is_zero():
+    r = _residual("YB", rho3_parameter(psi, cap), free=True)
+    if r.is_zero():
         return YangBaxterResult(cap, True, None, None)
-    diff = rho3_yang_baxter_defect(psi, cap)
+    basis = build_graded_basis(infinitesimal_artin(3), cap)
+    delta = Permutation.from_one_line("321")
+    diff = SemidirectSeries.term(basis, cap, _chord3_normal_form(r, cap), delta)
     return YangBaxterResult(cap, False, diff.min_degree(), diff)
 
 

@@ -46,6 +46,8 @@ from itertools import count
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
+from .series import scale_slice
+
 ZERO = Fraction(0)
 
 
@@ -200,12 +202,6 @@ def primes():
     return map(_prime, count())
 
 
-def _integral(vec: dict) -> tuple:
-    """A sparse rational vector as (den, {label: int}), den the lcm of its denominators."""
-    den = lcm(*[c.denominator for c in vec.values()])
-    return den, {label: c.numerator * (den // c.denominator) for label, c in vec.items()}
-
-
 def _reduce_mod(vec: dict, pivots: list, p: int) -> dict:
     """vec mod p minus its combination of the pivot columns, in the order they were found."""
     vec = {label: c % p for label, c in vec.items()}
@@ -325,9 +321,9 @@ def affine_solve(columns, rhs=None):
     column i, e_i minus the combination of earlier independent columns that
     equals column i (see the module docstring).
     """
-    scaled = [_integral(col) for col in columns]
+    scaled = [scale_slice(col) for col in columns]
     ints = [col for _, col in scaled]
-    den_b, b = _integral(rhs) if rhs is not None else (1, None)
+    den_b, b = scale_slice(rhs) if rhs is not None else (1, None)
     labels = dict.fromkeys(label for col in ints + [b or {}] for label in col)
     for p in primes():
         pivots, independent, dependent = _rank_profile(ints, p)

@@ -12,13 +12,14 @@ Three families are evaluated on words:
 Each family's generator images are built once per (n, cap) and parameter
 series, and kept by a ``functools`` cache, in scaled-integer form (see
 :mod:`braidalg.series`); the associator families keep the images of their
-32 most recent parameter series.  The 3-strand family's image of
-sigma_2^-1, an inverse at the full cap, is built only for a word that
-holds sigma_2^-1.  A word is the product of its letters'
-images, folded in integer arithmetic in the free algebra and reduced to
-quotient normal form once at the end (:func:`braidalg.sdseries.fold`); the
-result is identical to reducing eagerly after every product, at a fraction
-of the cost.
+32 most recent parameter series.  No inverse letter's image is a series
+inverted at the full cap: the Drinfeld family's sigma_i^-1 reuses the
+Phi^-1 of sigma_i's image, and the 3-strand family's sigma_2^-1 is folded
+as sigma_1 Delta^-1 sigma_1, where Delta^-1 needs no inverse.  A word is
+the product of its letters' images, folded in integer arithmetic in the
+free algebra and reduced to quotient normal form once at the end
+(:func:`braidalg.sdseries.fold`); the result is identical to reducing
+eagerly after every product, at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .series import (
     ConstantTermError,
     SeriesError,
     TruncatedSeries,
-    from_scaled,
     generator_or_zero,
     lie_defect,
     one,
@@ -108,20 +108,20 @@ def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
     images = {}
     for i in range(1, n):
         si = Permutation.transposition(n, i)
-        half_twist = generator_or_zero(alph, cap, (i, i + 1)).scale(HALF).exp()
-        if i == 1:
-            u = half_twist
-        else:
+        t = generator_or_zero(alph, cap, (i, i + 1))
+        u, u_inv = t.scale(HALF).exp(), t.scale(-HALF).exp()
+        if i > 1:
             x = zero(alph, cap)
             for j in range(1, i):
                 x = x + generator_or_zero(alph, cap, (j, i))
-            y = generator_or_zero(alph, cap, (i, i + 1))
-            phi_xy = substitute(assoc.truncated(cap), x, y)
+            phi_xy = substitute(assoc.truncated(cap), x, t)
             # u_i = Phi^-1 exp(t_{i,i+1}/2) (s_i Phi), the series part of
-            # Phi^-1 (exp (x) s_i) Phi.
-            u = phi_xy.inverse() * half_twist * phi_xy.act(si)
+            # Phi^-1 (exp (x) s_i) Phi; s_i fixes t_{i,i+1}, so sigma_i^-1 is
+            # Phi^-1 (exp(-t_{i,i+1}/2) (x) s_i) Phi.
+            phi_inv, phi_si = phi_xy.inverse(), phi_xy.act(si)
+            u, u_inv = phi_inv * u * phi_si, phi_inv * u_inv * phi_si
         images[Token("sigma", i, 0, 1)] = Factor(alph, {si: u})
-        images[Token("sigma", i, 0, -1)] = Factor(alph, {si: u.inverse().act(si)})
+        images[Token("sigma", i, 0, -1)] = Factor(alph, {si: u_inv})
     return alph, images
 
 
@@ -181,33 +181,30 @@ def _rho3_images(cap: int, psi: TruncatedSeries):
     phi_t = substitute(
         psi, generator_or_zero(alph, cap, (1, 2)), generator_or_zero(alph, cap, (2, 3))
     )
-    s1 = Permutation.transposition(3, 1)
+    s1, w0 = Permutation.transposition(3, 1), Permutation.from_one_line("321")
     rho_s1 = Factor(alph, {s1: generator_or_zero(alph, cap, (1, 2)).scale(HALF).exp()})
     rho_s1_inv = Factor(alph, {s1: generator_or_zero(alph, cap, (1, 2)).scale(-HALF).exp()})
-    delta = Factor(
-        alph, {Permutation.from_one_line("321"): central_element(cap).exp() * phi_t.inverse()}
-    )
+    delta = Factor(alph, {w0: central_element(cap).exp() * phi_t.inverse()})
     # sigma_2 = sigma_1^-1 Delta sigma_1^-1 in the two-generator presentation.
     ((perm2, u2),) = fold_free(alph, cap, [rho_s1_inv, delta, rho_s1_inv]).items()
+    # sigma_2^-1 = sigma_1 Delta^-1 sigma_1, with Delta^-1 = (321.Psi_t) exp(-T) (x) 321
+    # and 321.Psi_t = Psi(t23, t12).  exp(-T) is central, so it joins the first
+    # sigma_1: exp(t12/2) exp(-T) = exp(-(t13+t23)/2).  No factor is inverted.
+    t13_t23 = generator_or_zero(alph, cap, (1, 3)) + generator_or_zero(alph, cap, (2, 3))
+    sigma2_inv = (
+        Factor(alph, {s1: t13_t23.scale(-HALF).exp()}),
+        Factor(alph, {w0: phi_t.act(w0)}),
+        rho_s1,
+    )
+    # Each letter's image is the factors folded in its place.
     images = {
-        Token("sigma", 1, 0, 1): rho_s1,
-        Token("sigma", 1, 0, -1): rho_s1_inv,
-        Token("sigma", 2, 0, 1): Factor(alph, {perm2: u2}),
-        "Delta": delta,  # not a letter: the factor rho3_delta folds
+        Token("sigma", 1, 0, 1): (rho_s1,),
+        Token("sigma", 1, 0, -1): (rho_s1_inv,),
+        Token("sigma", 2, 0, 1): (Factor(alph, {perm2: u2}),),
+        Token("sigma", 2, 0, -1): sigma2_inv,
+        "Delta": (delta,),  # not a letter: the factor rho3_delta folds
     }
     return alph, images
-
-
-_SIGMA2_INV = sigma_token(2, -1)
-
-
-@lru_cache(maxsize=32)
-def _rho3_sigma2_inverse(cap: int, psi: TruncatedSeries) -> Factor:
-    """rho(sigma_2^-1), an inverse at the full cap: built only for words that hold sigma_2^-1."""
-    alph, images = _rho3_images(cap, psi)
-    ((perm2, u2),) = images[Token("sigma", 2, 0, 1)].terms.items()
-    u2 = from_scaled(alph, cap, u2)
-    return Factor(alph, {perm2: u2.inverse().act(perm2)})
 
 
 def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int) -> SemidirectSeries:
@@ -218,9 +215,7 @@ def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int) -> SemidirectSeries
         raise WordError("the parametrized family lives on 3 strands")
     basis = build_graded_basis(infinitesimal_artin(3), cap)
     alph, images = _rho3_images(cap, psi)
-    if _SIGMA2_INV in w.letters:
-        images = {**images, _SIGMA2_INV: _rho3_sigma2_inverse(cap, psi)}
-    return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
+    return fold(basis, cap, alph, [(1, [f for t in w.letters for f in images[t]])])
 
 
 def rho3_delta(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
@@ -228,22 +223,7 @@ def rho3_delta(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
     _require_assoc("rho3", psi)
     basis = build_graded_basis(infinitesimal_artin(3), cap)
     alph, images = _rho3_images(cap, psi)
-    return fold(basis, cap, alph, [(1, [images["Delta"]])])
-
-
-def rho3_yang_baxter_defect(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
-    """rho(sigma_2 sigma_1 sigma_2) - rho(Delta), folded as one combination and reduced once.
-
-    The chord(3) reference for the braid relation.  Its verdict is decided
-    in the free algebra on two letters by
-    :func:`braidalg.associator.check_yang_baxter`, which folds here only for a
-    psi that fails, to report this defect and its lowest degree.
-    """
-    _require_assoc("rho3", psi)
-    basis = build_graded_basis(infinitesimal_artin(3), cap)
-    alph, images = _rho3_images(cap, psi)
-    s1, s2 = images[Token("sigma", 1, 0, 1)], images[Token("sigma", 2, 0, 1)]
-    return fold(basis, cap, alph, [(1, [s2, s1, s2]), (-1, [images["Delta"]])])
+    return fold(basis, cap, alph, [(1, list(images["Delta"]))])
 
 
 # -- family axioms ---------------------------------------------------------------

@@ -429,7 +429,9 @@ def substitute_generators(f: TruncatedSeries, images) -> TruncatedSeries:
     image in integers: the images are put over one denominator D, and degree
     k of the result is sum_w n_w N_w / (den_k D^k), with n_w / den_k the
     coefficients of f and N_w the expanded numerators.  One Fraction is built
-    per surviving term.
+    per surviving term.  Only proper prefixes' images are kept: a word's own
+    image is added into its slice as it is expanded, and a degree with no
+    terms is skipped.
     """
     images = list(images)
     alphabet = f.alphabet
@@ -458,21 +460,26 @@ def substitute_generators(f: TruncatedSeries, images) -> TruncatedSeries:
         for first in firsts
     ]
     slices = [{(): f.constant_term} if f.constant_term else {}]
-    # prefix of f's words -> the numerators of its image, one prefix length at a time
+    # proper prefix of f's words -> the numerators of its image, one length at a time
     level = {(): {(): 1}}
     for k in range(1, cap + 1):
-        prefixes = {w[:k] for d in range(k, cap + 1) for w in f.slices[d]}
+        total: dict = {}
+        if f.slices[k]:
+            den, sl = scale_slice(f.slices[k])
+            get = total.get
+            for w, n in sl.items():
+                last = linear[w[-1]]
+                for u, cu in level[w[:-1]].items():
+                    for h, ch in last:
+                        v = u + (h,)
+                        total[v] = get(v, 0) + n * cu * ch
+            total = unscale_slice(*lowest_terms(den * den_images**k, total))
+        slices.append(total)
+        prefixes = {w[:k] for d in range(k + 1, cap + 1) for w in f.slices[d]}
         level = {
             w: {u + (h,): cu * ch for u, cu in level[w[:-1]].items() for h, ch in linear[w[-1]]}
             for w in prefixes
         }
-        den, sl = scale_slice(f.slices[k])
-        total: dict = {}
-        get = total.get
-        for w, n in sl.items():
-            for u, cu in level[w].items():
-                total[u] = get(u, 0) + n * cu
-        slices.append(unscale_slice(*lowest_terms(den * den_images**k, total)))
     return TruncatedSeries(target.alphabet, cap, tuple(slices))
 
 

@@ -2,13 +2,29 @@
 
 Tiny pieces of arithmetic are deliberately reimplemented here with plain
 dicts and lists so that expected values are not produced by the code paths
-under test.  Words are tuples of generator indices; vectors are dicts.
+under test.  Words are tuples of generator indices; vectors are dicts.  The
+exception is the section of hand-transcribed axioms below, which builds on
+the package's own series arithmetic.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb
+from math import comb, lcm
+
+from braidalg.associator import AB, HALF, _lyndon_rows, _lyndon_set, _prepare, swap_letters
+from braidalg.quotient import build_graded_basis, infinitesimal_artin
+from braidalg.reps import _require_assoc, _rho3_images, fold
+from braidalg.sdseries import SemidirectSeries
+from braidalg.series import (
+    Alphabet,
+    TruncatedSeries,
+    generator_or_zero,
+    lowest_terms,
+    substitute,
+    unscale_slice,
+)
+from braidalg.words import Token
 
 ZERO = Fraction(0)
 
@@ -603,3 +619,168 @@ def reference_group_ring_text(element):
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
+
+# -- the axioms as transcribed by hand ----------------------------------------------
+#
+# The residuals and solver columns of braidalg.associator, and the reference
+# Yang-Baxter fold of braidalg.reps, as they were before each axiom was
+# written once as a signed sum of products: copied unchanged, each axiom
+# derived on its own.  The one table's residuals and first-order columns
+# must equal them.  They are differential references for the transcription
+# only: they share substitute, inverse, _prepare, _lyndon_rows, the 3-strand
+# images and fold with the package, so a fault there moves both sides alike.
+# Substitution is checked on its own against reference_substitute
+# (test_series.TestSubstitute).
+
+
+def as_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
+    phi = _prepare(phi, cap)
+    return swap_letters(phi) - phi.inverse()
+
+
+def _strands(cap: int, free: bool) -> tuple:
+    """t12, t13, t23 over the 3-strand chords, or their images A, -A-B, B in F(A, B)."""
+    if not free:
+        alph = Alphabet.chord(3)
+        return tuple(generator_or_zero(alph, cap, pair) for pair in ((1, 2), (1, 3), (2, 3)))
+    a, b = generator_or_zero(AB, cap, 0), generator_or_zero(AB, cap, 1)
+    return a, -(a + b), b
+
+
+@cache
+def _hexagon_constants(cap: int, variant: str, free: bool) -> tuple:
+    """The three factors of (H1) or (H3) that do not involve Phi: lhs and two exponentials."""
+    t12, t13, t23 = _strands(cap, free)
+    if variant == "H1":
+        return (t12 + t13).scale(HALF).exp(), t13.scale(HALF).exp(), t12.scale(HALF).exp()
+    return (t13 + t23).scale(HALF).exp(), t13.scale(HALF).exp(), t23.scale(HALF).exp()
+
+
+def _hexagon_residual(phi: TruncatedSeries, cap: int, variant: str, free=False) -> TruncatedSeries:
+    """rhs - lhs of (H1) or (H3): over the 3-strand chords, not reduced, or in F(A, B).
+
+    With ``free`` the residual is the one in F(A, B) whose product with
+    exp(c/2) is the chord(3) residual; this needs phi to pass (AE) (module
+    docstring).
+    """
+    phi = _prepare(phi, cap)
+    lhs, exp13, exp_last = _hexagon_constants(cap, variant, free)
+    t12, t13, t23 = _strands(cap, free)
+
+    def at(x, y):
+        return substitute(phi, x, y)
+
+    phi_t = phi if free else at(t12, t23)
+    if variant == "H1":
+        rhs = at(t23, t13).inverse() * exp13 * at(t12, t13) * exp_last * phi_t.inverse()
+    else:
+        rhs = at(t13, t12) * exp13 * at(t13, t23).inverse() * exp_last * phi_t
+    return rhs - lhs
+
+
+def pentagon_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
+    """lhs - rhs of (P) in the free algebra on the 4-strand chords; not reduced."""
+    phi = _prepare(phi, cap)
+    alph = Alphabet.chord(4)
+
+    def t(i, j):
+        return generator_or_zero(alph, cap, (i, j))
+
+    lhs = substitute(phi, t(1, 2), t(2, 3) + t(2, 4)) * substitute(phi, t(1, 3) + t(2, 3), t(3, 4))
+    rhs = (
+        substitute(phi, t(2, 3), t(3, 4))
+        * substitute(phi, t(1, 2) + t(1, 3), t(2, 4) + t(3, 4))
+        * substitute(phi, t(1, 2), t(2, 3))
+    )
+    return lhs - rhs
+
+
+def _hexagon_column(p: TruncatedSeries, degree: int, words=None) -> dict:
+    """The top slice in F(A, B) of the derivative at 1 of the (H3) residual along p.
+
+    Only its coefficients on ``words`` (by default every word of the degree)
+    are formed, each a signed sum of coefficients of a = p(-A-B, A),
+    b = p(-A-B, B) and q = p added in integers over one denominator.
+    """
+    A, minus_ab, B = _strands(degree, free=True)
+    top = degree if p.slices[degree] else degree - 1
+    a, b = (substitute(p, minus_ab, x).slices[top] for x in (A, B))
+    q = p.slices[top]
+    if top == degree:
+        half = 1
+
+        def reads(w):  # a - b + q
+            return (a, w, 1), (b, w, -1), (q, w, 1)
+
+    else:
+        half = 2
+
+        def reads(w):  # -a A + (A+B) b - b B - A q, on the prefix and suffix of w
+            out = [(b, w[1:], 1), (a if w[-1] == 0 else b, w[:-1], -1)]
+            if w[0] == 0:
+                out.append((q, w[1:], -1))
+            return out
+
+    if words is None:
+        words = product(range(2), repeat=degree)
+    rows = {w: [(sign, sl[u]) for sl, u, sign in reads(w) if u in sl] for w in words}
+    den = lcm(*(c.denominator for row in rows.values() for _, c in row))
+    numerators = {
+        w: sum(sign * c.numerator * (den // c.denominator) for sign, c in row)
+        for w, row in rows.items()
+    }
+    return unscale_slice(*lowest_terms(den * half, numerators))
+
+
+def _columns(perturbations: list, degree: int) -> list:
+    """Column i is the derivative at 1 of the top-degree (AS) and (H3) residual along p_i.
+
+    Each p_i has degree ``degree``, or ``degree - 1`` >= 2 and then lies in
+    the previous degree's kernel; the module docstring derives both cases
+    from the axioms, in F(A, B), and why the Lyndon rows suffice.
+    """
+    columns = []
+    for p in perturbations:
+        col = {}
+        if p.slices[degree]:
+            col = _lyndon_rows("AS", (swap_letters(p) + p).slices[degree], degree)
+        h3 = _hexagon_column(p, degree, _lyndon_set(degree))
+        col.update({("H3", w): c for w, c in h3.items()})
+        columns.append(col)
+    return columns
+
+
+def _yang_baxter_residual(psi: TruncatedSeries, cap: int) -> TruncatedSeries:
+    """The (YB) residual r in F(A, B) (module docstring).
+
+    rho(sigma_2 sigma_1 sigma_2) - rho(Delta) = exp(c/2) r(t12, t23) (x) 321
+    when psi meets the family's precondition at the cap.
+    """
+    t12, t13, t23 = _strands(cap, free=True)
+    inverse = psi.inverse()
+
+    def at(x, y):
+        return substitute(inverse, x, y)
+
+    def half_twist_inverse(t):
+        return t.scale(-HALF).exp()
+
+    lhs = (
+        half_twist_inverse(t12) * at(t12, t13) * half_twist_inverse(t13)
+        * at(t13, t23) * half_twist_inverse(t23)
+    )
+    return lhs - at(t12, t23)
+
+
+def rho3_yang_baxter_defect(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
+    """rho(sigma_2 sigma_1 sigma_2) - rho(Delta), folded as one combination and reduced once.
+
+    The chord(3) reference for the braid relation, once in braidalg.reps:
+    :func:`braidalg.associator.check_yang_baxter` decides it in the free
+    algebra on two letters and must report this defect for a psi that fails.
+    """
+    _require_assoc("rho3", psi)
+    basis = build_graded_basis(infinitesimal_artin(3), cap)
+    alph, images = _rho3_images(cap, psi)
+    (s1,), (s2,) = images[Token("sigma", 1, 0, 1)], images[Token("sigma", 2, 0, 1)]
+    return fold(basis, cap, alph, [(1, [s2, s1, s2]), (-1, list(images["Delta"]))])

@@ -29,7 +29,7 @@ from braidalg import associator, reps
 from braidalg.perms import Permutation
 from braidalg.quotient import BasisError
 from braidalg.sdseries import SemidirectSeries
-from braidalg.associator import _columns, _revised_coordinates, ae_residual, as_residual
+from braidalg.associator import _columns, _residual, _revised_coordinates, ae_residual
 from braidalg.linalg import SparseEchelon
 from braidalg.lyndon import lie_basis, lyndon_words
 from braidalg.series import (
@@ -177,10 +177,9 @@ class TestExtension:
         # candidate itself.  Each full difference is a Lie element, so its
         # Lyndon rows determine it.
         def top(phi, degree):
-            h3 = associator._hexagon_residual(phi, degree, "H3", free=True)
             return {
-                "AS": as_residual(phi, degree).homogeneous_part(degree),
-                "H3": h3.homogeneous_part(degree),
+                axiom: _residual(axiom, phi, free=True).homogeneous_part(degree)
+                for axiom in ("AS", "H3")
             }
 
         def change(phi, candidates, degree):
@@ -232,7 +231,7 @@ class TestExtension:
     def test_hexagon_constants_built_once_per_cap(self, monkeypatch):
         # 375 exp calls before the hexagon's constant exponentials were shared.
         associator._bracket_columns.cache_clear()
-        associator._hexagon_constants.cache_clear()
+        associator._exp_factor.cache_clear()
         calls = []
         exp = TruncatedSeries.exp
 
@@ -245,7 +244,7 @@ class TestExtension:
         # Three per cap for H3 in F(A, B) at caps 1..7; one lift per step, six,
         # and two per revision at degrees 5 and 7: the greedy lift that finds
         # no correction and the lookback's base.
-        assert associator._hexagon_constants.cache_info().misses == 7
+        assert associator._exp_factor.cache_info().misses == 3 * 7
         assert len(calls) == 3 * 7 + 6 + 2 * 2
 
     def test_extension_steps_check_the_input_once(self, monkeypatch):
@@ -274,7 +273,7 @@ class TestExtension:
                 log = prev.base.log().lifted(d) + prev.correction().lifted(d)
                 candidates.append(log.exp())
             for candidate in candidates:
-                assert as_residual(candidate, candidate.cap).is_zero()
+                assert _residual("AS", candidate, free=True).is_zero()
             for axiom in ("AE", "AS", "H3"):
                 assert check_axiom(extended, axiom, d).passed, (axiom, d)
             prev = step
@@ -358,7 +357,7 @@ class TestHexagonInFreeAlgebra:
         for kind, p, degree, want in calls:
             if kind != "column":
                 continue
-            h3 = associator._hexagon_column(p, degree)
+            h3 = oracles._hexagon_column(p, degree)
             assert lie_defect(TruncatedSeries.from_terms(AB, degree, h3)).is_zero()
             assert _embedded_and_reduced(h3, degree) == _part(want, "H3")
             (col,) = associator._columns([p], degree)
@@ -376,7 +375,7 @@ class TestHexagonInFreeAlgebra:
         for kind, candidate, degree, want in calls:
             if kind != "residual":
                 continue
-            r = associator._hexagon_residual(candidate, degree, "H3", free=True)
+            r = _residual("H3", candidate, free=True)
             assert r.min_degree() in (degree, None)
             assert lie_defect(r).is_zero()
             assert _embedded_and_reduced(r.slices[degree], degree) == _part(want, "H3")
@@ -444,13 +443,13 @@ class TestHexagonVerdicts:
 
     def test_a_passing_series_builds_no_chord_product(self, monkeypatch, semi_associator_deg5):
         calls = []
-        residual = associator._hexagon_residual
+        residual = associator._residual
 
-        def recording(phi, cap, variant, free=False):
+        def recording(axiom, phi, free=False):
             calls.append(free)
-            return residual(phi, cap, variant, free)
+            return residual(axiom, phi, free)
 
-        monkeypatch.setattr(associator, "_hexagon_residual", recording)
+        monkeypatch.setattr(associator, "_residual", recording)
         for axiom in ("H1", "H3"):
             assert check_axiom(semi_associator_deg5, axiom, 5).passed
         assert calls == [True, True]
@@ -504,8 +503,8 @@ class TestYangBaxterInFreeAlgebra:
 
     def _assert_as_chord(self, psi, cap):
         """The defect is exp(c/2) r(t12, t23) (x) 321, and the verdict is the references'."""
-        r = associator._yang_baxter_residual(psi.truncated(cap), cap)
-        defect = reps.rho3_yang_baxter_defect(psi, cap)
+        r = _residual("YB", psi.truncated(cap), free=True)
+        defect = oracles.rho3_yang_baxter_defect(psi, cap)
         assert defect == eval_rho3(_YB_WORD, psi, cap) - rho3_delta(psi, cap)
         basis = build_graded_basis(infinitesimal_artin(3), cap)
         t12, t23 = (generator_or_zero(basis.alphabet, cap, pair) for pair in ((1, 2), (2, 3)))
@@ -542,7 +541,7 @@ class TestYangBaxterInFreeAlgebra:
             renamed = TruncatedSeries(xy, psi.cap, psi.slices)
             result = check_yang_baxter(renamed, cap)
             assert result.passed == check_yang_baxter(psi, cap).passed
-            want = None if result.passed else reps.rho3_yang_baxter_defect(renamed, cap)
+            want = None if result.passed else oracles.rho3_yang_baxter_defect(renamed, cap)
             assert result.residual == want
 
     def test_a_passing_parameter_folds_nothing(self, monkeypatch, semi_associator_deg7):
@@ -551,7 +550,7 @@ class TestYangBaxterInFreeAlgebra:
 
         for name in ("fold", "fold_free", "build_graded_basis", "_rho3_images"):
             monkeypatch.setattr(reps, name, refuse)
-        monkeypatch.setattr(associator, "rho3_yang_baxter_defect", refuse)
+        monkeypatch.setattr(associator, "build_graded_basis", refuse)
         for cap in range(8):
             assert check_yang_baxter(semi_associator_deg7, cap).passed
         assert check_yang_baxter(psi24(3), 3).passed
@@ -576,7 +575,7 @@ class TestYangBaxterInFreeAlgebra:
         ],
     )
     def test_refusals_are_the_folds(self, psi, cap, error, message):
-        for check in (check_yang_baxter, reps.rho3_yang_baxter_defect):
+        for check in (check_yang_baxter, oracles.rho3_yang_baxter_defect):
             with pytest.raises(error) as info:
                 check(psi, cap)
             assert type(info.value) is error and str(info.value) == message
@@ -690,3 +689,43 @@ class TestSpanningExpansion:
             ech.add(flatten(basis.normal_form(p)))
         total_dim = sum(basis.dimension(k) for k in range(cap + 1))
         assert ech.rank == total_dim == 1 + 3 + 7 + 15
+
+
+class TestOneTranscription:
+    """The one table's residuals and columns against the hand transcriptions in the oracles."""
+
+    @pytest.mark.parametrize("cap", range(8))
+    def test_residuals_equal_the_hand_transcriptions(self, rng, semi_associator_deg7, cap):
+        # exp-Lie series pass (AE); 1 + A.B and 1 + A fail it, so their
+        # F(A, B) hexagon residuals are formulas only, compared all the same.
+        series = [_exp_lie_series(rng, cap) for _ in range(2)]
+        series += [parse_series(text, AB, 7) for text in ("1 + 1*A.B", "1 + 1*A")]
+        series.append(semi_associator_deg7)
+        for phi in series:
+            prepared = associator._prepare(phi, cap)
+            assert _residual("AS", prepared, free=True) == oracles.as_residual(phi, cap)
+            for axiom in ("H1", "H3"):
+                for free in (False, True):
+                    want = oracles._hexagon_residual(phi, cap, axiom, free)
+                    assert _residual(axiom, prepared, free) == want, (axiom, free)
+            want = oracles._yang_baxter_residual(prepared, cap)
+            assert _residual("YB", prepared, free=True) == want
+            if cap <= 5 or phi is semi_associator_deg7:
+                assert _residual("P", prepared) == oracles.pentagon_residual(phi, cap)
+
+    def test_columns_equal_the_hand_derived_columns_through_degree_nine(self, chord_extension):
+        # The perturbations and candidates the extension solves with through
+        # degree 9: every Lyndon bracket, and the kernel vectors of the
+        # lookback at degrees 5, 7 and 9.
+        _, calls = chord_extension
+        lookback, brackets = set(), set()
+        for kind, p, degree, _ in calls:
+            if kind == "column":
+                assert _columns([p], degree) == oracles._columns([p], degree)
+                (lookback if not p.slices[degree] else brackets).add(degree)
+            else:
+                r = oracles._hexagon_residual(p, degree, "H3", free=True)
+                want = associator._lyndon_rows("H3", r.slices[degree], degree)
+                assert associator._residual_labels(p, degree) == want
+        assert lookback == {5, 7, 9}
+        assert brackets == set(range(2, 10))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from braidalg import (
     SemidirectSeries,
     SeriesError,
     WordError,
+    bootstrap_semi_associator,
     build_graded_basis,
     central_element,
     check_family_axioms,
@@ -29,7 +31,7 @@ from braidalg import (
     words_equal_in_bp,
 )
 from braidalg.lyndon import lie_basis
-from braidalg.series import zero
+from braidalg.series import from_scaled, zero
 from braidalg.words import a, s, sigma, word
 
 HALF = Fraction(1, 2)
@@ -191,20 +193,11 @@ class TestRho3Evaluation:
             expected = central_element(cap).exp() * substitute(psi, t12, t23).inverse()
             assert rho3_delta(psi, cap) == sd(basis, expected, "321")
 
-    def test_sigma2_inverse_is_built_only_for_words_that_hold_it(self):
-        from braidalg import reps
-
+    def test_sigma2_inverse_cancels_sigma2(self):
         cap = 4
         basis = build_graded_basis(infinitesimal_artin(3), cap)
-        reps._rho3_sigma2_inverse.cache_clear()
-        reps.rho3_yang_baxter_defect(psi24(cap), cap)
-        eval_rho3(parse_word("sig1 sig2 sig1^-1", 3), psi24(cap), cap)
-        assert reps._rho3_sigma2_inverse.cache_info().currsize == 0
-        for _ in range(2):
-            img = eval_rho3(parse_word("sig2 sig1 sig2^-1 sig2", 3), psi24(cap), cap)
-            assert img == eval_rho3(parse_word("sig2 sig1", 3), psi24(cap), cap)
-        info = reps._rho3_sigma2_inverse.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        img = eval_rho3(parse_word("sig2 sig1 sig2^-1 sig2", 3), psi24(cap), cap)
+        assert img == eval_rho3(parse_word("sig2 sig1", 3), psi24(cap), cap)
         assert eval_rho3(parse_word("sig2^-1 sig2", 3), psi24(cap), cap) == SemidirectSeries.unit(basis, cap)
 
     def test_wrong_strand_count(self):
@@ -269,7 +262,7 @@ class TestFamilyAxioms:
         def altered(cap, psi):
             alph, images = build(cap, psi)
             twist = generator(alph, cap, (1, 2)).exp()
-            images = {**images, sigma(1): Factor(alph, {Permutation.transposition(3, 1): twist})}
+            images = {**images, sigma(1): (Factor(alph, {Permutation.transposition(3, 1): twist}),)}
             return alph, images
 
         monkeypatch.setattr(reps, "_rho3_images", altered)
@@ -323,3 +316,42 @@ class TestMemoization:
         info = _drinfeld_images.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert welded_images.cache_info().misses == 2
+
+
+class TestInverseLetterImages:
+    """Inverse letters' images against u^-1 acted on by the letter's permutation."""
+
+    @staticmethod
+    def _inverted(factor, alph, cap):
+        ((perm, u),) = factor.terms.items()
+        return perm, from_scaled(alph, cap, u).inverse().act(perm)
+
+    @staticmethod
+    def _image(factor, alph, cap):
+        ((perm, u),) = factor.terms.items()
+        return perm, from_scaled(alph, cap, u)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_drinfeld(self, semi_associator_deg5, n):
+        from braidalg import reps
+
+        for cap in range(6):
+            alph, images = reps._drinfeld_images(n, cap, semi_associator_deg5)
+            for i in range(1, n):
+                want = self._inverted(images[sigma(i)], alph, cap)
+                assert self._image(images[sigma(i, -1)], alph, cap) == want
+
+    def test_rho3(self):
+        from braidalg import reps
+
+        phi6 = bootstrap_semi_associator(6)
+        for cap, psi in product(range(7), (psi24(6), phi6)):
+            alph, images = reps._rho3_images(cap, psi)
+            (s1,), (s1_inv,), (s2,) = images[sigma(1)], images[sigma(1, -1)], images[sigma(2)]
+            assert self._image(s1_inv, alph, cap) == self._inverted(s1, alph, cap)
+            # sigma_2^-1 is three factors, folded in place of the letter and
+            # equal to the inverse in chord(3), not in the free algebra
+            basis = build_graded_basis(infinitesimal_artin(3), cap)
+            perm, u = self._inverted(s2, alph, cap)
+            want = SemidirectSeries.term(basis, cap, u, perm)
+            assert eval_rho3(word(3, sigma(2, -1)), psi, cap) == want
