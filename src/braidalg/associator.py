@@ -114,7 +114,21 @@ relations among the columns and the right-hand side, and so the solution
 solve.  No slice is reduced.  The columns of a degree's Lie brackets do not
 depend on the candidate, so they are built once per degree and process; a
 degree revised in the lookback adds only the previous degree's kernel
-columns.
+columns, and its step is read off that one solve (:func:`_revised_step`).
+
+The columns substitute nothing.  An algebra map sigma sends a bracket to a
+bracket, sigma([u, v]) = [sigma u, sigma v], so the image of the bracketing
+b(w) of a Lyndon word w = uv, split by its standard factorization, is the
+commutator of the images of b(u) and b(v), shorter Lyndon brackets:
+:func:`braidalg.lyndon.bracket_image` builds them in integers and keeps
+them, per map.  A degree-d column reads only the Lyndon rows of its images,
+and the coefficient of a word L of length d in [s, t], with s and t
+homogeneous of degrees |u| and |v|, is s[L[:|u|]] t[L[|u|:]] -
+t[L[:|v|]] s[L[|v|:]]; so those rows are read off the factors' images, and
+no image of degree d is formed.  A lookback perturbation is a kernel vector,
+given by its coordinates over the previous degree's Lyndon brackets; its
+images are the same combination of theirs, and so, the column being linear
+in p, is its column.
 
 The hypotheses (AE), (AS) and (H3) are checked once, on the series
 :func:`extension_steps` starts from (:func:`extend_semi_associator` checks
@@ -137,7 +151,7 @@ from functools import cache, lru_cache
 from math import lcm
 
 from .linalg import affine_solve
-from .lyndon import lie_basis, lyndon_words
+from .lyndon import bracket_image, lie_basis, lyndon_words, standard_factorization
 from .perms import Permutation
 from .quotient import build_graded_basis, infinitesimal_artin
 from .reps import (
@@ -157,6 +171,7 @@ from .series import (
     lie_defect,
     lowest_terms,
     one,
+    scale_slice,
     substitute,
     unscale_slice,
     zero,
@@ -173,7 +188,15 @@ class AssociatorError(SeriesError):
 
 
 class NoCorrectionError(AssociatorError):
-    """The candidate meets the hypotheses, but no Lie correction extends it."""
+    """The candidate meets the hypotheses, but no Lie correction extends it.
+
+    ``kernel`` is the kernel of the degree's bracket columns, which does not
+    depend on the candidate.
+    """
+
+    def __init__(self, message: str, kernel: list):
+        super().__init__(message)
+        self.kernel = kernel
 
 
 @dataclass
@@ -279,7 +302,8 @@ def _residual(axiom: str, phi: TruncatedSeries, free=False) -> TruncatedSeries:
 
     With ``free`` a 3-strand residual is the one in F(A, B) whose product
     with exp(c/2) is the chord(3) residual; this needs phi to pass (AE)
-    (module docstring).  Each Phi(x, y)^-1 is phi^-1, inverted once, at x, y.
+    (module docstring).  Each Phi(x, y)^-1 is phi^-1, inverted once, at x, y;
+    in F(A, B) the factor Phi(A, B)^k is that power of phi itself.
     """
     n, cap = (4 if axiom == "P" else 3), phi.cap
     strands = _strands(n, cap, free)
@@ -294,7 +318,10 @@ def _residual(axiom: str, phi: TruncatedSeries, free=False) -> TruncatedSeries:
                 _, x, y, k = factor
                 if k not in powers:
                     powers[k] = phi.inverse()
-                value = substitute(powers[k], _linear(x, strands), _linear(y, strands))
+                if free and (x, y) == ("12", "23") and phi.alphabet == AB:
+                    value = powers[k]  # Phi(A, B)^k itself
+                else:
+                    value = substitute(powers[k], _linear(x, strands), _linear(y, strands))
             product = value if product is None else product * value
         product = product.scale(sign)
         total = product if total is None else total + product
@@ -412,15 +439,15 @@ def _extend(phi: TruncatedSeries, log: TruncatedSeries) -> ExtensionStep:
     candidate = log.exp()
     particular, kernel = _solve_top_degree(candidate, columns, degree)
     if particular is None:
-        raise NoCorrectionError(f"no Lie correction exists at degree {degree}")
+        raise NoCorrectionError(f"no Lie correction exists at degree {degree}", kernel)
     return ExtensionStep(degree, brackets, particular, kernel, phi, log, candidate)
 
 
 @cache
 def _bracket_columns(degree: int) -> tuple:
     """The degree's Lyndon brackets and their columns, which no candidate changes."""
-    brackets = [bracket for _, bracket in lie_basis(AB, degree, degree)]
-    return brackets, _columns(brackets, degree)
+    basis = lie_basis(AB, degree, degree)
+    return [bracket for _, bracket in basis], _columns([{w: 1} for w, _ in basis], degree)
 
 
 def _solve_top_degree(base: TruncatedSeries, columns: list, degree: int):
@@ -434,8 +461,9 @@ def _solve_top_degree(base: TruncatedSeries, columns: list, degree: int):
 
 
 @cache
-def _lyndon_set(degree: int) -> frozenset:
-    return frozenset(lyndon_words(2, degree))
+def _lyndon_set(degree: int) -> dict:
+    """The degree's Lyndon words in order, as the keys of a dict."""
+    return dict.fromkeys(lyndon_words(2, degree))
 
 
 def _lyndon_rows(axiom: str, sl: dict, degree: int) -> dict:
@@ -446,10 +474,11 @@ def _lyndon_rows(axiom: str, sl: dict, degree: int) -> dict:
 
 @cache
 def _first_order_terms(axiom: str) -> tuple:
-    """Per Phi factor of the axiom: (sign times k, x, y, left, right).
+    """Per Phi factor of the axiom: (sign times k, x, y, left, right), and their denominator.
 
     left and right are the sums, in F(A, B), of the exponents of the exp
-    factors on either side of it in its product, as {(letter,): coefficient}.
+    factors on either side of it in its product, as {(letter,): numerator}
+    over the one denominator returned second.
     """
     strands = _strands(3, 1, True)
     terms = []
@@ -462,52 +491,103 @@ def _first_order_terms(axiom: str) -> tuple:
                 left = sum(exponents[:j], zero(AB, 1)).slices[1]
                 right = sum(exponents[j + 1:], zero(AB, 1)).slices[1]
                 terms.append((sign * factor[3], factor[1], factor[2], left, right))
-    return tuple(terms)
+    den = lcm(*(c.denominator for term in terms for side in term[3:] for c in side.values()))
+    return tuple(
+        (s, x, y, *({w: int(c * den) for w, c in side.items()} for side in (left, right)))
+        for s, x, y, left, right in terms
+    ), den
 
 
-def _column(p: TruncatedSeries, degree: int) -> dict:
-    """The top slices of the (AS) and (H3) residuals' derivatives at 1 along p, on the Lyndon rows.
+@cache
+def _letters(x: str, y: str) -> tuple:
+    """The images of A and B under A, B -> x, y, sums of strands in F(A, B), as linear forms."""
+    strands = _strands(3, 1, True)
+    return tuple(
+        tuple((w[0], int(c)) for w, c in _linear(z, strands).slices[1].items()) for z in (x, y)
+    )
 
-    p has degree ``degree``, or ``degree - 1`` >= 2 and then lies in the
-    previous degree's kernel.  Each image p(x, y) is substituted once, and
-    only the coefficients read are added, in integers over one denominator.
+
+def _lyndon_image(w: tuple, letters: tuple, lyndon: dict) -> dict:
+    """The image of b(w) under the letters' map on the Lyndon words of its degree.
+
+    It is read off the images of its factors: the coefficient of L in
+    [s, t], s and t the images of b(u) and b(v) for w = uv the standard
+    factorization, is s[L[:|u|]] t[L[|u|:]] - t[L[:|v|]] s[L[|v|:]].  The
+    image itself is not formed.
     """
-    top = degree if p.slices[degree] else degree - 1
-    strands = _strands(3, degree, True)
-    images, column = {}, {}
+    u, v = standard_factorization(w)
+    bu, bv = bracket_image(u, letters), bracket_image(v, letters)
+    k, j = len(u), len(v)
+    out = {}
+    for word in lyndon:
+        n = bu.get(word[:k], 0) * bv.get(word[k:], 0) - bv.get(word[:j], 0) * bu.get(word[j:], 0)
+        if n:
+            out[word] = n
+    return out
+
+
+def _bracket_column(w: tuple, degree: int) -> tuple:
+    """The column of the Lyndon bracket b(w) in integers, as (denominator, {label: numerator}).
+
+    w has length ``degree``, or ``degree - 1`` >= 2 for a lookback.  Each
+    image b(w)(x, y) is the bracket's cached image (module docstring); in
+    degree d only its Lyndon rows are formed.
+    """
+    top = len(w)
+    lyndon = _lyndon_set(degree)
+    images, parts = {}, []
     for axiom in ("AS", "H3"):
-        rows = {w: [] for w in _lyndon_set(degree)}
-        for s, x, y, left, right in _first_order_terms(axiom):
-            if top < degree and not (left or right):
-                continue
-            if (x, y) not in images:
-                images[x, y] = substitute(p, _linear(x, strands), _linear(y, strands)).slices[top]
-            image = images[x, y]
-            for w, row in rows.items():
-                if top == degree:
-                    reads = ((s, w),)
-                else:  # l p(x, y) + p(x, y) r, read off the first and last letters
-                    l, r = left.get(w[:1], 0), right.get(w[-1:], 0)
-                    reads = ((s * l, w[1:]), (s * r, w[:-1]))
-                row.extend((m, image[u]) for m, u in reads if m and u in image)
-        den = lcm(*(m.denominator * c.denominator for row in rows.values() for m, c in row))
-        numerators = {
-            w: sum(m.numerator * c.numerator * (den // (m.denominator * c.denominator))
-                   for m, c in row)
-            for w, row in rows.items()
-        }
-        top_slice = unscale_slice(*lowest_terms(den, numerators))
-        column.update(((axiom, w), c) for w, c in top_slice.items())
-    return column
+        terms, den = _first_order_terms(axiom)
+        rows = dict.fromkeys(lyndon, 0)
+        for s, x, y, left, right in terms:
+            if top == degree:
+                if (x, y) not in images:
+                    images[x, y] = _lyndon_image(w, _letters(x, y), lyndon)
+                for word, n in images[x, y].items():
+                    rows[word] += s * n
+            elif left or right:  # l p(x, y) + p(x, y) r, read off the first and last letters
+                image = bracket_image(w, _letters(x, y))
+                for word in rows:
+                    l, r = left.get(word[:1], 0), right.get(word[-1:], 0)
+                    rows[word] += s * (l * image.get(word[1:], 0) + r * image.get(word[:-1], 0))
+        parts.append((axiom, 1 if top == degree else den, rows))
+    common = lcm(*(den for _, den, _ in parts))
+    return common, {
+        (axiom, word): n * (common // den)
+        for axiom, den, rows in parts
+        for word, n in rows.items()
+        if n
+    }
 
 
 def _columns(perturbations: list, degree: int) -> list:
     """Column i is the derivative at 1 of the top-degree (AS) and (H3) residual along p_i.
 
-    The module docstring derives it from the axioms' products, in F(A, B),
-    and why the Lyndon rows suffice.
+    p_i is given by its coordinates {Lyndon word: c} over the Lyndon
+    brackets of degree ``degree``, or of ``degree - 1`` >= 2, and then it
+    lies in the previous degree's kernel.  A column is linear in p, so it is
+    the same combination of its brackets' columns, each built once and
+    added in integers over one denominator.  The module docstring derives
+    the columns from the axioms' products, in F(A, B), and why the Lyndon
+    rows suffice.
     """
-    return [_column(p, degree) for p in perturbations]
+    brackets, columns = {}, []
+    for coords in perturbations:
+        den, coords = scale_slice(coords)
+        for w in coords:
+            if w not in brackets:
+                brackets[w] = _bracket_column(w, degree)
+        common = lcm(*(brackets[w][0] for w in coords))
+        total: dict = {}
+        for w, c in coords.items():
+            bracket_den, column = brackets[w]
+            c *= common // bracket_den
+            for label, n in column.items():
+                total[label] = total.get(label, 0) + c * n
+        # Rows in the order of the labels, AS then H3, each in Lyndon order:
+        # the solver's pivots follow it, and it keeps their fill-in small.
+        columns.append(unscale_slice(*lowest_terms(den * common, dict(sorted(total.items())))))
+    return columns
 
 
 def _residual_labels(candidate: TruncatedSeries, degree: int) -> dict:
@@ -515,29 +595,42 @@ def _residual_labels(candidate: TruncatedSeries, degree: int) -> dict:
     return _lyndon_rows("H3", _residual("H3", candidate, free=True).slices[degree], degree)
 
 
-def _revised_coordinates(prev: ExtensionStep):
-    """Coordinates in prev's solution set from which one more degree extends.
+def _revised_step(prev: ExtensionStep, kernel: list) -> ExtensionStep:
+    """The next degree's step from the point of prev's solution set that extends.
 
     A truncated solution need not lift: the affine set at one degree can
     contain dead ends for the next.  Prev's kernel directions enter the next
     degree's residual linearly, as the next degree's brackets do, so one
-    solve over both finds a continuable choice.
+    solve over both finds a continuable choice.  A kernel direction p of
+    degree d-1 moves the candidate by exactly p at degree d (module
+    docstring), so the solve's bracket coordinates solve the next degree for
+    the revised candidate too.  The solve's solution is supported on columns
+    independent of all columns before them, and such a bracket column is
+    independent of the brackets before it: so the bracket coordinates are
+    the particular solution :func:`_extend` would find, and the step needs
+    no second solve.  ``kernel`` is the bracket columns' kernel, which no
+    candidate changes.
     """
     degree = prev.degree + 1
     base = (prev.log + prev.correction()).lifted(degree).exp()
-    kernel = [prev.correction(kvec).lifted(degree) for kvec in prev.kernel]
-    columns = _columns(kernel, degree) + _bracket_columns(degree)[1]
-    solution, _ = _solve_top_degree(base, columns, degree)
+    words = lyndon_words(2, prev.degree)
+    lookback = [{w: c for w, c in zip(words, kvec) if c} for kvec in prev.kernel]
+    brackets, columns = _bracket_columns(degree)
+    solution, _ = _solve_top_degree(base, _columns(lookback, degree) + columns, degree)
     if solution is None:
         raise AssociatorError(
             f"no degree-{prev.degree} choice continues to degree {degree} "
             "within one degree of lookback"
         )
-    tcoords = solution[: len(prev.kernel)]
-    return [
+    tcoords, particular = solution[: len(prev.kernel)], solution[len(prev.kernel):]
+    coords = [
         p + sum(t * kvec[i] for t, kvec in zip(tcoords, prev.kernel))
         for i, p in enumerate(prev.particular)
     ]
+    log = (prev.log + prev.correction(coords)).lifted(degree)
+    return ExtensionStep(
+        degree, brackets, particular, kernel, prev.extended(coords), log, log.exp()
+    )
 
 
 def extension_steps(phi: TruncatedSeries, to_degree: int):
@@ -561,15 +654,13 @@ def extension_steps(phi: TruncatedSeries, to_degree: int):
         revised = False
         try:
             step = _extend(phi, log)
-        except NoCorrectionError:
+        except NoCorrectionError as failure:
             if prev is None:
                 # phi is one point of its top degree's solution set, e.g. read
                 # from a file; rebuild that set from the degree below.
                 prev = _extend(phi.truncated(phi.cap - 1), log.truncated(phi.cap - 1))
-            coords = _revised_coordinates(prev)
-            phi, log = prev.extended(coords), prev.log + prev.correction(coords)
+            step = _revised_step(prev, failure.kernel)
             revised = True
-            step = _extend(phi, log)
         phi, log = step.extended(), step.log + step.correction()
         yield step, phi, revised
         prev = step

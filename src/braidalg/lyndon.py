@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 from .series import Alphabet, TruncatedSeries
@@ -11,8 +12,7 @@ def lyndon_words(m: int, k: int) -> list:
     """All Lyndon words of length k over the ordered alphabet {0..m-1}.
 
     A word is Lyndon when it is strictly smaller than all of its proper
-    rotations.  This checks all m**k words, which suits its one caller,
-    ``lie_basis`` over {A, B}.
+    rotations.  This checks all m**k words.
     """
     if k == 1:
         return [(g,) for g in range(m)]
@@ -29,12 +29,21 @@ def standard_factorization(w: tuple) -> tuple:
     return w[: len(w) - len(v)], v
 
 
-def bracket_terms(w: tuple) -> dict:
-    """The bracketing of a Lyndon word, recursively [b(u), b(v)], as {word: int}."""
+@cache
+def bracket_image(w: tuple, letters: tuple) -> dict:
+    """The image of the bracketing of a Lyndon word under a linear algebra map, as {word: int}.
+
+    ``letters[g]`` is the image of letter g, a linear form ((h, c), ...)
+    with nonzero integer c, sum c h.  An algebra map sends a bracket to a
+    bracket, sigma([b(u), b(v)]) = [sigma b(u), sigma b(v)] for w = uv the
+    standard factorization, so the image is the commutator of the cached
+    images of u and v.  Every image is kept for the life of the process;
+    the dicts returned are shared and must not be changed.
+    """
     if len(w) == 1:
-        return {w: 1}
+        return {(h,): c for h, c in letters[w[0]]}
     u, v = standard_factorization(w)
-    bu, bv = bracket_terms(u), bracket_terms(v)
+    bu, bv = bracket_image(u, letters), bracket_image(v, letters)
     out = {x + y: cx * cy for x, cx in bu.items() for y, cy in bv.items()}
     for y, cy in bv.items():
         for x, cx in bu.items():
@@ -44,6 +53,11 @@ def bracket_terms(w: tuple) -> dict:
             else:
                 del out[y + x]
     return out
+
+
+def bracket_terms(w: tuple) -> dict:
+    """The bracketing of a Lyndon word, recursively [b(u), b(v)], as {word: int}."""
+    return bracket_image(w, tuple(((g, 1),) for g in range(max(w) + 1)))
 
 
 def lie_basis(alphabet: Alphabet, cap: int, degree: int) -> list:

@@ -25,13 +25,19 @@ from braidalg import (
     rho3_delta,
     swap_letters,
 )
-from braidalg import associator, reps
+from braidalg import associator, reps, series
 from braidalg.perms import Permutation
 from braidalg.quotient import BasisError
 from braidalg.sdseries import SemidirectSeries
-from braidalg.associator import _columns, _residual, _revised_coordinates, ae_residual
+from braidalg.associator import (
+    NoCorrectionError,
+    _columns,
+    _residual,
+    _revised_step,
+    ae_residual,
+)
 from braidalg.linalg import SparseEchelon
-from braidalg.lyndon import lie_basis, lyndon_words
+from braidalg.lyndon import bracket_image, bracket_terms, lie_basis, lyndon_words
 from braidalg.series import (
     AlphabetMismatch,
     Alphabet,
@@ -42,6 +48,7 @@ from braidalg.series import (
     lie_defect,
     parse_series,
     substitute,
+    zero,
 )
 from braidalg.words import WeldedWord, sigma
 
@@ -148,11 +155,13 @@ class TestExtension:
         phi = psi24(3)
         step4 = extend_semi_associator(phi)
         greedy = step4.extended()
-        with pytest.raises(AssociatorError):
+        with pytest.raises(NoCorrectionError) as failure:
             extend_semi_associator(greedy)
-        revised = step4.extended(_revised_coordinates(step4))
-        step5 = extend_semi_associator(revised)
-        assert step5.degree == 5
+        step5 = _revised_step(step4, failure.value.kernel)
+        assert step5.degree == 5 and step5.base != greedy
+        # the lookback's bracket coordinates are the particular solution of a
+        # solve from the revised series
+        assert step5 == extend_semi_associator(step5.base)
         assert is_semi_associator(step5.extended(), 5)
 
     def test_extension_steps_revise_once_on_the_way_to_five(self, semi_associator_deg5):
@@ -202,14 +211,14 @@ class TestExtension:
             d = step.degree
             base = step.base.log().lifted(d).exp()
             full = change(base, [base + p for p in step.brackets], d)
-            assert _columns(step.brackets, d) == full
+            assert _columns([{w: 1} for w in lyndon_words(2, d)], d) == full
         prev, (step5, _, revised) = steps[2][0], steps[3]
         assert step5.degree == 5 and revised
         base_log = prev.base.log().lifted(5) + prev.correction().lifted(5)
         kernel = [prev.correction(kvec).lifted(5) for kvec in prev.kernel]
         full = change(base_log.exp(), [(base_log + k).exp() for k in kernel], 5)
         assert len(full) == 1 and full[0]
-        assert _columns(kernel, 5) == full
+        assert _columns([_coordinates(4, kvec) for kvec in prev.kernel], 5) == full
 
     def test_each_degree_evaluates_its_bracket_columns_once(self, monkeypatch):
         # Perturbations per degree: the degree's Lyndon brackets once, plus the
@@ -227,6 +236,44 @@ class TestExtension:
         brackets = {d: len(lie_basis(AB, d, d)) for d in range(2, 8)}
         assert brackets == {2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18}
         assert counts == {2: 1, 3: 2, 4: 3, 5: 6 + 1, 6: 9, 7: 18 + 3}
+
+    def test_columns_substitute_nothing(self, monkeypatch):
+        # Bracket and lookback columns through degree 8 come from the cached
+        # images of shorter brackets; only the candidates' residuals substitute.
+        associator._bracket_columns.cache_clear()
+        bracket_image.cache_clear()
+        depth, inside, outside, lookback = [0], [], [], set()
+        substitute_generators = series.substitute_generators
+
+        def counting(f, images):
+            (inside if depth[0] else outside).append(f.cap)
+            return substitute_generators(f, images)
+
+        def within(function):
+            def wrapped(*args):
+                depth[0] += 1
+                try:
+                    return function(*args)
+                finally:
+                    depth[0] -= 1
+
+            return wrapped
+
+        bracket_columns, columns = associator._bracket_columns, within(associator._columns)
+
+        def recording(perturbations, degree):
+            lookback.update(degree for coords in perturbations if len(next(iter(coords))) < degree)
+            return columns(perturbations, degree)
+
+        monkeypatch.setattr(series, "substitute_generators", counting)
+        monkeypatch.setattr(associator, "_bracket_columns", within(bracket_columns))
+        monkeypatch.setattr(associator, "_columns", recording)
+        try:
+            assert len(list(extension_steps(one(AB, 1), 8))) == 7
+        finally:
+            bracket_columns.cache_clear()
+        assert lookback == {5, 7}
+        assert inside == [] and outside
 
     def test_hexagon_constants_built_once_per_cap(self, monkeypatch):
         # 375 exp calls before the hexagon's constant exponentials were shared.
@@ -274,6 +321,9 @@ class TestExtension:
                 candidates.append(log.exp())
             for candidate in candidates:
                 assert _residual("AS", candidate, free=True).is_zero()
+            if revised:
+                # the step read off the lookback's solve is the one solved afresh
+                assert step == extend_semi_associator(step.base)
             for axiom in ("AE", "AS", "H3"):
                 assert check_axiom(extended, axiom, d).passed, (axiom, d)
             prev = step
@@ -290,17 +340,41 @@ class TestExtension:
         assert semi_associator_deg5.truncated(2) == psi24(2)
 
 
+def _coordinates(degree, vector):
+    """A coordinate vector over the degree's Lyndon brackets as {Lyndon word: c}."""
+    return {w: c for w, c in zip(lyndon_words(2, degree), vector) if c}
+
+
+def _perturbation(coords, degree):
+    """The Lie element with coordinates {Lyndon word: c}, as a series at cap degree."""
+    out = zero(AB, degree)
+    for w, c in coords.items():
+        out = out + TruncatedSeries.from_terms(AB, degree, bracket_terms(w)).scale(c)
+    return out
+
+
+def _on_series(columns):
+    """A column function of series perturbations, called with coordinates."""
+    return lambda perturbations, degree: columns(
+        [_perturbation(coords, degree) for coords in perturbations], degree
+    )
+
+
 def _record_extension(to_degree, columns, residual_labels):
     """extension_steps from 1 with the given column and residual functions.
 
-    Returns the steps as (degree, particular, kernel, revised) and every
-    call of those functions as (kind, argument, degree, result).
+    ``columns`` takes the perturbations' coordinates, as
+    ``associator._columns`` does.  Returns the steps as (degree, particular,
+    kernel, revised) and every call of those functions as (kind, argument,
+    degree, result), a column's argument its coordinates.
     """
     calls = []
 
     def recording_columns(perturbations, degree):
         result = columns(perturbations, degree)
-        calls.extend(("column", p, degree, col) for p, col in zip(perturbations, result))
+        calls.extend(
+            ("column", coords, degree, col) for coords, col in zip(perturbations, result)
+        )
         return result
 
     def recording_residual(candidate, degree):
@@ -325,7 +399,7 @@ def _record_extension(to_degree, columns, residual_labels):
 @pytest.fixture(scope="module")
 def chord_extension():
     """The extension through degree 9 on the chord(3) rows of the oracles."""
-    return _record_extension(9, oracles.chord_columns, oracles.chord_residual_labels)
+    return _record_extension(9, _on_series(oracles.chord_columns), oracles.chord_residual_labels)
 
 
 def _embedded_and_reduced(sl, degree):
@@ -354,13 +428,14 @@ class TestHexagonInFreeAlgebra:
     def test_columns_are_lie_and_embed_to_the_chord_columns(self, chord_extension):
         _, calls = chord_extension
         lookback = set()
-        for kind, p, degree, want in calls:
+        for kind, coords, degree, want in calls:
             if kind != "column":
                 continue
+            p = _perturbation(coords, degree)
             h3 = oracles._hexagon_column(p, degree)
             assert lie_defect(TruncatedSeries.from_terms(AB, degree, h3)).is_zero()
             assert _embedded_and_reduced(h3, degree) == _part(want, "H3")
-            (col,) = associator._columns([p], degree)
+            (col,) = associator._columns([coords], degree)
             lyndon = set(lyndon_words(2, degree))
             assert _part(col, "AS") == {w: c for w, c in _part(want, "AS").items() if w in lyndon}
             assert _part(col, "H3") == {w: c for w, c in h3.items() if w in lyndon}
@@ -384,8 +459,9 @@ class TestHexagonInFreeAlgebra:
                 ("H3", w): c for w, c in r.slices[degree].items() if w in lyndon
             }
             degrees.append(degree)
-        # one solve per step and per revision, two residuals at each revision
-        assert degrees == [2, 3, 4, 5, 5, 5, 6, 7, 7, 7, 8, 9, 9, 9]
+        # one solve per step, and at each revision the lookback's: the revised
+        # step takes its solution from the lookback's with no solve of its own
+        assert degrees == [2, 3, 4, 5, 5, 6, 7, 7, 8, 9, 9]
 
     def test_every_extended_series_is_exp_of_log_plus_correction(self):
         for step, extended, _ in extension_steps(one(AB, 1), 8):
@@ -719,13 +795,14 @@ class TestOneTranscription:
         # lookback at degrees 5, 7 and 9.
         _, calls = chord_extension
         lookback, brackets = set(), set()
-        for kind, p, degree, _ in calls:
+        for kind, arg, degree, _ in calls:
             if kind == "column":
-                assert _columns([p], degree) == oracles._columns([p], degree)
+                p = _perturbation(arg, degree)
+                assert _columns([arg], degree) == oracles._columns([p], degree)
                 (lookback if not p.slices[degree] else brackets).add(degree)
             else:
-                r = oracles._hexagon_residual(p, degree, "H3", free=True)
+                r = oracles._hexagon_residual(arg, degree, "H3", free=True)
                 want = associator._lyndon_rows("H3", r.slices[degree], degree)
-                assert associator._residual_labels(p, degree) == want
+                assert associator._residual_labels(arg, degree) == want
         assert lookback == {5, 7, 9}
         assert brackets == set(range(2, 10))

@@ -262,8 +262,8 @@ def test_affine_solve_equals_reference_on_extension_systems():
             pass
     finally:
         associator.affine_solve = affine_solve
-    # One solve per degree, and two more at each revised degree, 5 and 7.
-    assert len(systems) == 7 + 2 * 2
+    # One solve per degree, and the lookback's at each revised degree, 5 and 7.
+    assert len(systems) == 7 + 2
     for columns, rhs in systems:
         assert_solves_like_reference(columns, rhs)
 

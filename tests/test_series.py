@@ -23,8 +23,15 @@ from braidalg import (
     substitute_generators,
     zero,
 )
+from braidalg import associator
 from braidalg.linalg import affine_solve
-from braidalg.lyndon import bracket_terms, lie_basis, lyndon_words, standard_factorization
+from braidalg.lyndon import (
+    bracket_image,
+    bracket_terms,
+    lie_basis,
+    lyndon_words,
+    standard_factorization,
+)
 
 
 def A(cap):
@@ -420,3 +427,32 @@ class TestLyndonBrackets:
             assert [b for _, b in lie_basis(alphabet, degree, degree)] == [
                 commutator(w) for w in words
             ]
+
+    def test_images_equal_substituted_brackets(self):
+        # The maps A, B -> (A, B), (B, A), (-A-B, A) and (-A-B, B) of the
+        # extension's columns: the recursion's image of every Lyndon bracket
+        # through degree 8 against the substituted bracket's top slice.
+        minus_ab = ((0, -1), (1, -1))
+        maps = [
+            (((0, 1),), ((1, 1),)),
+            (((1, 1),), ((0, 1),)),
+            (minus_ab, ((0, 1),)),
+            (minus_ab, ((1, 1),)),
+        ]
+        used = {
+            associator._letters(x, y)
+            for axiom in ("AS", "H3")
+            for _, x, y, _, _ in associator._first_order_terms(axiom)[0]
+        }
+        assert used == set(maps)
+        for degree in range(1, 9):
+
+            def linear(form):
+                return sum((generator(AB, degree, h).scale(c) for h, c in form), zero(AB, degree))
+
+            for w, bracket in lie_basis(AB, degree, degree):
+                for letters in maps:
+                    image = bracket_image(w, letters)
+                    assert all(type(c) is int for c in image.values())
+                    x, y = map(linear, letters)
+                    assert image == substitute(bracket, x, y).slices[degree], (w, letters)
