@@ -707,7 +707,10 @@ def check_yang_baxter(psi: TruncatedSeries, cap: int) -> YangBaxterResult:
 
 @dataclass
 class EquivalenceReport:
-    """Cross-checks between the Yang-Baxter equation and the axioms."""
+    """Cross-checks between the Yang-Baxter equation and the axioms, at one cap.
+
+    The tests check ``yb_implies_as``, YB implies AS, at cap 3 only, on degree-3 perturbations.
+    """
 
     cap: int
     yb: YangBaxterResult

@@ -21,7 +21,7 @@ import sys
 from . import associator as assoc_mod
 from . import invariants as inv_mod
 from . import reps as reps_mod
-from .quotient import PRESET_KINDS, build_graded_basis, hilbert_row, preset_by_name
+from .quotient import PRESET_KINDS, atomic_write, build_graded_basis, hilbert_row, preset_by_name
 from .sdseries import SemidirectSeries
 from .series import SeriesError, TruncatedSeries, parse_series
 from .words import GroupRingElement, parse_word
@@ -174,9 +174,7 @@ def cmd_extend_associator(args):
         lines.append(
             f"degree {step.degree}: solution found, kernel dimension {step.kernel_dimension}"
         )
-    with open(args.out, "w") as handle:
-        handle.write(f"{_DEGREE_HEADER}{phi.cap}\n")
-        handle.write(phi.text() + "\n")
+    atomic_write(args.out, f"{_DEGREE_HEADER}{phi.cap}\n{phi.text()}\n")
     lines.append(f"wrote {args.out}")
     _emit(
         args,
@@ -244,7 +242,7 @@ def cmd_delta_kernel(args):
     values = {}
     lines = []
     for k in degrees:
-        report = inv_mod.delta_kernel(args.n, k, args.cache_dir, force=args.force)
+        report = inv_mod.delta_kernel(args.n, k, args.cache_dir)
         values[str(k)] = {
             "kernel_dimension": report.kernel_dimension,
             "domain_dimension": report.domain_dimension,
@@ -402,15 +400,7 @@ COMMANDS = {
         cmd_vassiliev_degree,
     ),
     "delta-kernel": (
-        "kernel of the chord-to-oriented comparison map",
-        _flags() + (
-            _arg(
-                "--force",
-                action="store_true",
-                help="run even when the images exceed the term limit",
-            ),
-        ),
-        cmd_delta_kernel,
+        "kernel of the chord-to-oriented comparison map", _flags(), cmd_delta_kernel
     ),
     "hilbert-table": ("dimension table, chord vs oriented", _flags(), cmd_hilbert_table),
     "check-splitting": (

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 from math import factorial
 
 from .linalg import affine_solve
+from .lyndon import commutator, lyndon_words, standard_factorization
 from .quotient import (
     GradedQuotientBasis,
     build_graded_basis,
@@ -26,7 +29,7 @@ from .quotient import (
 )
 from .reps import welded_images
 from .sdseries import SemidirectSeries, fold
-from .series import Alphabet, CapMismatch, TruncatedSeries, scale_slice, unscale_slice
+from .series import CapMismatch, TruncatedSeries, scale_slice, unscale_slice
 from .words import (
     GroupRingElement,
     WeldedWord,
@@ -111,35 +114,18 @@ def distinguish(w1: WeldedWord, w2: WeldedWord, cap: int, cache_dir=None) -> Dis
 # -- the chord-to-oriented comparison map ----------------------------------------
 
 
-def _delta_letters(chord: Alphabet, oriented: Alphabet) -> list:
-    """Per chord letter t_ij, the oriented letters v_ij and v_ji of its image."""
-    return [(oriented.gen(i, j), oriented.gen(j, i)) for i, j in chord.pairs]
-
-
-def _delta_words(w: tuple, letters: list) -> list:
-    """The 2^k oriented words of the image of a chord word, each with coefficient 1.
-
-    Chord words that differ in some letter have disjoint images, since
-    v_ij, v_ji are the images of t_ij alone.
-    """
-    words = [()]
-    for g in w:
-        words = [u + (x,) for u in words for x in letters[g]]
-    return words
-
-
 def delta_map(s: TruncatedSeries, target: GradedQuotientBasis) -> TruncatedSeries:
-    """t_ij -> v_ij + v_ji on words, reduced in the oriented quotient."""
+    """t_ij -> v_ij + v_ji: each chord word to its 2^k oriented words, reduced in the quotient."""
     alph = s.alphabet
     if alph.kind != "chord" or target.alphabet.kind != "oriented" or alph.n != target.alphabet.n:
         raise WordError("delta maps a chord series into the oriented quotient of the same n")
     if s.cap > target.cap:
         raise CapMismatch(f"series cap {s.cap} exceeds basis cap {target.cap}")
-    letters = _delta_letters(alph, target.alphabet)
+    letters = [(target.alphabet.gen(i, j), target.alphabet.gen(j, i)) for i, j in alph.pairs]
     slices = []
     for k, sl in enumerate(s.slices):
         den, scaled = scale_slice(sl)
-        image = {u: c for w, c in scaled.items() for u in _delta_words(w, letters)}
+        image = {u: c for w, c in scaled.items() for u in product(*(letters[g] for g in w))}
         slices.append(unscale_slice(den, target.reduce(k, image)))
     return TruncatedSeries(target.alphabet, s.cap, tuple(slices))
 
@@ -150,42 +136,54 @@ class DeltaKernelReport:
     degree: int
     domain_dimension: int
     kernel_dimension: int
-    kernel_basis: list  # chord-algebra series spanning the kernel
 
     @property
     def injective(self) -> bool:
         return self.kernel_dimension == 0
 
 
-# The kernel reduces 2^k image terms per domain word, d_k * 2^k in all, and
-# solves over the d_k columns.  Past this many terms it is a deliberate
-# choice, not a default: pass force=True to run it anyway.  On a 2-core
-# machine every (n, k) inside the limit took at most about 1 s and 40 MB
-# (n = 5, k = 4 has 27,216 terms); n = 3, k = 7, with 32,640, took 19 s.
-KERNEL_TERM_LIMIT = 30_000
+@cache
+def _bracket_image(n: int, top: int, word: tuple) -> dict:
+    """delta of the Lyndon bracket of a word in t_1top, ..., t_(top-1)top (letter g: t_(g+1)top).
+
+    It is the reduced commutator of its standard factors' reduced images.
+    """
+    oriented = build_graded_basis(oriented_artin(n), len(word))  # delta_kernel built it
+    if len(word) == 1:
+        i = word[0] + 1
+        return {(oriented.alphabet.gen(i, top),): 1, (oriented.alphabet.gen(top, i),): 1}
+    u, v = standard_factorization(word)
+    bracket = commutator(_bracket_image(n, top, u), _bracket_image(n, top, v))
+    return oriented.reduce_slice(len(word), bracket)
 
 
-def delta_kernel(n: int, k: int, cache_dir=None, force=False) -> DeltaKernelReport:
-    """Exact kernel of the induced map on degree-k graded pieces."""
-    chord_basis = build_graded_basis(infinitesimal_artin(n), k, cache_dir)
-    image_terms = chord_basis.dimension(k) * 2**k
-    if image_terms > KERNEL_TERM_LIMIT and not force:
-        raise WordError(
-            f"degree-{k} images on {n} strands have {image_terms} terms "
-            f"(> {KERNEL_TERM_LIMIT}); pass force=True to run it anyway"
-        )
-    oriented_basis = build_graded_basis(oriented_artin(n), k, cache_dir)
-    domain_words = chord_basis.normal_words(k)
-    letters = _delta_letters(chord_basis.alphabet, oriented_basis.alphabet)
-    columns = [
-        oriented_basis.reduce(k, dict.fromkeys(_delta_words(w, letters), 1)) for w in domain_words
-    ]
-    _, kernel = affine_solve(columns)
-    kernel_basis = []
-    for coeffs in kernel:
-        vec = {w: c for w, c in zip(domain_words, coeffs) if c}
-        kernel_basis.append(TruncatedSeries.from_terms(chord_basis.alphabet, k, vec))
-    return DeltaKernelReport(n, k, len(domain_words), len(kernel), kernel_basis)
+@cache
+def _image_rank(n: int, d: int) -> int:
+    """dim delta(t_n)_d from the Lyndon basis of t_n = F(t_1n, ..., t_(n-1)n) x| t_(n-1)."""
+    columns = [_bracket_image(n, t, w) for t in range(2, n + 1) for w in lyndon_words(t - 1, d)]
+    return len(columns) - len(affine_solve(columns)[1])
+
+
+def _pbw_dimension(ranks: list, k: int) -> int:
+    """[t^k] prod_d (1 - t^d)^(-ranks[d - 1]): dim U(L)_k, L a Lie algebra of those ranks."""
+    coeffs = [1] + [0] * k
+    for d, r in enumerate(ranks, 1):
+        for _ in range(r):
+            for j in range(d, k + 1):
+                coeffs[j] += coeffs[j - d]
+    return coeffs[k]
+
+
+def delta_kernel(n: int, k: int, cache_dir=None) -> DeltaKernelReport:
+    """Exact kernel dimension of delta on degree k: dim chord(n)_k - dim U(delta(t_n))_k.
+
+    delta = U(f) for the Lie map f: t_n -> o_n (Milnor-Moore), so its image is
+    U(f(t_n)), of dimension [t^k] prod_d (1 - t^d)^(-dim f(t_n)_d) by PBW.
+    """
+    domain = build_graded_basis(infinitesimal_artin(n), k, cache_dir).dimension(k)
+    build_graded_basis(oriented_artin(n), k, cache_dir)
+    image = _pbw_dimension([_image_rank(n, d) for d in range(1, k + 1)], k)
+    return DeltaKernelReport(n, k, domain, domain - image)
 
 
 # -- dimension tables ---------------------------------------------------------------

@@ -43,10 +43,14 @@ def bracket_image(w: tuple, letters: tuple) -> dict:
     if len(w) == 1:
         return {(h,): c for h, c in letters[w[0]]}
     u, v = standard_factorization(w)
-    bu, bv = bracket_image(u, letters), bracket_image(v, letters)
-    out = {x + y: cx * cy for x, cx in bu.items() for y, cy in bv.items()}
-    for y, cy in bv.items():
-        for x, cx in bu.items():
+    return commutator(bracket_image(u, letters), bracket_image(v, letters))
+
+
+def commutator(a: dict, b: dict) -> dict:
+    """ab - ba for homogeneous a, b given as {word: coefficient}, with no zero terms."""
+    out = {x + y: cx * cy for x, cx in a.items() for y, cy in b.items()}
+    for y, cy in b.items():
+        for x, cx in a.items():
             c = out.get(y + x, 0) - cx * cy
             if c:
                 out[y + x] = c

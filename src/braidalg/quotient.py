@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import sys
-import tempfile
 import threading
 from dataclasses import dataclass
 from functools import cache
@@ -412,7 +411,7 @@ def _relations_digest(relations: list) -> str:
 def _save_rules(cache_dir, preset: RelationPreset, k: int, rules: dict, digest: str):
     os.makedirs(str(cache_dir), exist_ok=True)
     alph = preset.alphabet
-    header = [
+    lines = [
         f"#% {CACHE_FORMAT}",
         f"#% preset {preset.key()}",
         f"#% degree {k}",
@@ -420,21 +419,24 @@ def _save_rules(cache_dir, preset: RelationPreset, k: int, rules: dict, digest: 
         f"#% rows {len(rules)}",
         f"#% relations {digest}",
     ]
-    # Atomic write-then-rename: concurrent readers never observe partial files.
-    fd, tmp = tempfile.mkstemp(dir=str(cache_dir), suffix=".tmp")
+    # One row per rule, "leading word -> its normal form", the form as
+    # TruncatedSeries.text() writes it; _read_rules accepts only that.
+    for w in sorted(rules):
+        nf = TruncatedSeries.from_terms(alph, k, rules[w]).text()
+        lines.append(f"{alph.word_name(w)} -> {nf}")
+    atomic_write(_cache_path(cache_dir, preset, k), "\n".join(lines) + "\n")
+
+
+def atomic_write(path, text: str):
+    """Write a new file beside path and rename it: readers never see a partial file."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write("\n".join(header) + "\n")
-            # One row per rule, "leading word -> its normal form", the form as
-            # TruncatedSeries.text() writes it; _read_rules accepts only that.
-            for w in sorted(rules):
-                nf = TruncatedSeries.from_terms(alph, k, rules[w]).text()
-                handle.write(f"{alph.word_name(w)} -> {nf}\n")
-        os.replace(tmp, _cache_path(cache_dir, preset, k))
-    except BaseException:
+        with open(tmp, "x") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 class _Rejected(Exception):

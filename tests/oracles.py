@@ -13,7 +13,8 @@ from itertools import product
 from math import comb, lcm
 
 from braidalg.associator import AB, HALF, _lyndon_rows, _lyndon_set, _prepare, swap_letters
-from braidalg.quotient import build_graded_basis, infinitesimal_artin
+from braidalg.linalg import affine_solve
+from braidalg.quotient import build_graded_basis, infinitesimal_artin, oriented_artin
 from braidalg.reps import _require_assoc, _rho3_images, fold
 from braidalg.sdseries import SemidirectSeries
 from braidalg.series import (
@@ -133,6 +134,25 @@ def reference_delta_map(s, target):
         for (i, j) in s.alphabet.pairs
     ]
     return target.normal_form(substitute_generators(s, images))
+
+
+def reference_delta_kernel(n, k):
+    """(dim chord(n)_k, dim of the kernel of delta on it), from every normal word's image.
+
+    Each chord normal word maps to the sum of its 2^k oriented words, reduced
+    in the oriented quotient; the kernel is that of the d_k image columns.
+    """
+    chord_basis = build_graded_basis(infinitesimal_artin(n), k)
+    oriented_basis = build_graded_basis(oriented_artin(n), k)
+    gen = oriented_basis.alphabet.gen
+    letters = [(gen(i, j), gen(j, i)) for i, j in chord_basis.alphabet.pairs]
+    domain_words = chord_basis.normal_words(k)
+    columns = [
+        oriented_basis.reduce(k, dict.fromkeys(product(*(letters[g] for g in w)), 1))
+        for w in domain_words
+    ]
+    _, kernel = affine_solve(columns)
+    return len(domain_words), len(kernel)
 
 
 # -- Lie elements: the per-degree Dynkin formula and the Lyndon span ------------------

@@ -142,7 +142,8 @@ def test_criterion_5_yang_baxter_hexagon_equivalence():
     report(
         5,
         f"YB verdict = H3 verdict on 24 randomized degree-3 perturbations "
-        f"({passing} pass, {failing} fail); YB implies AS and Delta^2 = exp(2T)",
+        f"({passing} pass, {failing} fail); YB implies AS, checked at cap 3 only, on these "
+        f"degree-3 perturbations; Delta^2 = exp(2T)",
     )
 
 

@@ -659,8 +659,8 @@ class TestYangBaxterInFreeAlgebra:
 
 class TestEquivalences:
     def test_randomized_degree_three_perturbations(self, rng):
-        # YB and H3 verdicts agree exactly; YB implies AS; H1 matches H3
-        # whenever AS holds
+        # YB and H3 verdicts agree exactly; YB implies AS, checked at cap 3
+        # only, on these degree-3 perturbations; H1 matches H3 whenever AS holds
         seen_pass = seen_fail = 0
         for k in range(12):
             if k % 3 == 0:

@@ -12,7 +12,7 @@ from braidalg import AB, CapMismatch, bootstrap_semi_associator, eval_drinfeld, 
 from braidalg import associator as assoc_mod
 from braidalg import cli
 from braidalg.cli import main
-from braidalg.series import parse_series
+from braidalg.series import TruncatedSeries, parse_series
 
 
 def run(capsys, *argv):
@@ -275,6 +275,30 @@ class TestAssociatorCommands:
         ]
         assert run(capsys, *extend, "6", "--from", str(src), "--out", str(phi6))[0] == 0
         assert phi46.read_text() == phi6.read_text()
+
+    @pytest.mark.parametrize("existing", [None, "an older file\n"])
+    @pytest.mark.parametrize("failing", [(TruncatedSeries, "text"), (os, "replace")])
+    def test_extend_that_fails_while_writing_leaves_no_partial_file(
+        self, capsys, tmp_path, monkeypatch, existing, failing
+    ):
+        src = tmp_path / "one.txt"
+        src.write_text("1\n")
+        out_path = tmp_path / "phi3.txt"
+        if existing is not None:
+            out_path.write_text(existing)
+
+        def fail(*args):
+            raise OSError("write failed")
+
+        monkeypatch.setattr(*failing, fail)
+        argv = ["extend-associator", "--from", str(src), "--to-degree", "3", "--out", str(out_path)]
+        code = main(argv)
+        assert code == 1 and capsys.readouterr().err == "error: write failed\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["one.txt"] + ([] if existing is None else ["phi3.txt"])
+        )
+        if existing is not None:
+            assert out_path.read_text() == existing
 
     def test_extend_file_is_the_bootstrap(self, capsys, tmp_path):
         src = tmp_path / "one.txt"
@@ -555,7 +579,7 @@ PINNED_OPTIONS = {
     "check-yb": ["-h", "--help", "--cap", "--series", "--in", "--format"],
     "distinguish": ["-h", "--help", "--n", "--cap", "--cache-dir", "--format", "--w1", "--w2"],
     "vassiliev-degree": ["-h", "--help", "--n", "--cap", "--cache-dir", "--format", "--element"],
-    "delta-kernel": ["-h", "--help", "--n", "--cap", "--cache-dir", "--format", "--force"],
+    "delta-kernel": ["-h", "--help", "--n", "--cap", "--cache-dir", "--format"],
     "hilbert-table": ["-h", "--help", "--n", "--cap", "--cache-dir", "--format"],
     "check-splitting": [
         "-h", "--help", "--n", "--cap", "--cache-dir", "--format", "--samples", "--seed"

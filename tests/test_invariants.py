@@ -29,8 +29,9 @@ from braidalg import (
 )
 from braidalg import invariants as invariants_mod
 from braidalg.linalg import affine_solve
+from braidalg.lyndon import bracket_image, lyndon_words
 from braidalg.series import CapMismatch, TruncatedSeries
-from braidalg.words import WeldedWord, WordError, a, braid_relations, mccool_relations, word
+from braidalg.words import WeldedWord, a, braid_relations, mccool_relations, word
 
 
 def sd(basis, series, one_line):
@@ -322,7 +323,6 @@ class TestDeltaMap:
         report = delta_kernel(3, k)
         assert report.kernel_dimension == 0
         assert report.injective
-        assert report.kernel_basis == []
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_two_strand_kernel_trivial(self, k):
@@ -332,33 +332,21 @@ class TestDeltaMap:
         report = delta_kernel(3, 3)
         assert report.domain_dimension == 15
 
-    def test_oversized_probe_is_opt_in(self):
-        # n=4 at degree 5 has 966 * 2^5 = 30,912 image terms, over the limit
-        with pytest.raises(Exception, match="force=True"):
-            delta_kernel(4, 5)
-        # n=4 at degree 3 stays inside the limit (90 * 2^3 terms)
-        assert delta_kernel(4, 3).kernel_dimension == 0
+    # Every (n, k) with d_k * 2^k <= 30,000 image terms, d_k = dim chord(n)_k:
+    # the slices the reference's word-by-word expansion reaches cheaply.
+    @pytest.mark.parametrize(
+        "n, k",
+        [(2, k) for k in range(15)]
+        + [(3, k) for k in range(7)]
+        + [(n, k) for n in (4, 5) for k in range(5)],
+    )
+    def test_matches_the_normal_word_reference(self, n, k):
+        report = delta_kernel(n, k)
+        expected = oracles.reference_delta_kernel(n, k)
+        assert (report.domain_dimension, report.kernel_dimension) == expected
 
-    def test_largest_slice_inside_the_limit_runs_without_force(self):
-        # 1701 * 2^4 = 27,216 image terms
-        assert 1701 * 2**4 <= invariants_mod.KERNEL_TERM_LIMIT
-        report = delta_kernel(5, 4)
-        assert (report.domain_dimension, report.kernel_dimension) == (1701, 0)
-
-    @pytest.mark.parametrize("n, k, terms", [(4, 5, 30_912), (3, 7, 32_640)])
-    def test_slices_over_the_limit_need_force(self, n, k, terms, monkeypatch):
-        assert terms > invariants_mod.KERNEL_TERM_LIMIT
-
-        def no_oriented_basis(preset, *args):
-            assert preset.kind == "infinitesimal_artin", "built the oriented basis"
-            return build_graded_basis(preset, *args)
-
-        monkeypatch.setattr(invariants_mod, "build_graded_basis", no_oriented_basis)
-        with pytest.raises(WordError, match=f"have {terms} terms .*force=True"):
-            delta_kernel(n, k)
-
-    @pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4) for k in range(4)])
-    def test_kernel_columns_are_delta_images(self, n, k, monkeypatch):
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4) for k in range(1, 5)])
+    def test_kernel_columns_are_delta_images_of_lie_brackets(self, n, k, monkeypatch):
         seen = []
 
         def recording_solve(columns, rhs=None):
@@ -366,15 +354,38 @@ class TestDeltaMap:
             return affine_solve(columns, rhs)
 
         monkeypatch.setattr(invariants_mod, "affine_solve", recording_solve)
+        monkeypatch.setattr(invariants_mod, "_image_rank", invariants_mod._image_rank.__wrapped__)
         delta_kernel(n, k)
-        chord = build_graded_basis(infinitesimal_artin(n), k)
+        chord = infinitesimal_artin(n).alphabet
         oriented = build_graded_basis(oriented_artin(n), k)
-        words = chord.normal_words(k)
-        expected = [
-            delta_map(TruncatedSeries.from_terms(chord.alphabet, k, {w: 1}), oriented).slices[k]
-            for w in words
-        ]
-        assert seen == [expected]
+        expected = []
+        for d in range(1, k + 1):
+            columns = []
+            for top in range(2, n + 1):
+                letters = tuple(((chord.gen(i, top), 1),) for i in range(1, top))
+                for w in lyndon_words(top - 1, d):
+                    bracket = TruncatedSeries.from_terms(chord, d, bracket_image(w, letters))
+                    columns.append(delta_map(bracket, oriented).slices[d])
+            expected.append(columns)
+        assert seen == expected
+
+    @pytest.mark.parametrize("cap", range(7))
+    def test_pbw_counts_the_closed_forms(self, cap):
+        # Witt dimensions of the free Lie algebra on m letters give m^k ...
+        for m in (1, 2, 3):
+            witt = [len(lyndon_words(m, d)) for d in range(1, cap + 1)]
+            assert [invariants_mod._pbw_dimension(witt[:k], k) for k in range(cap + 1)] == [
+                m**k for k in range(cap + 1)
+            ]
+        # ... and the basis of t_n over top = 2..n gives Kohno's product formula
+        for n in range(2, 7):
+            ranks = [
+                sum(len(lyndon_words(top - 1, d)) for top in range(2, n + 1))
+                for d in range(1, cap + 1)
+            ]
+            assert [invariants_mod._pbw_dimension(ranks[:k], k) for k in range(cap + 1)] == (
+                oracles.product_formula_dims(n, cap)
+            )
 
     @pytest.mark.parametrize("n, cap", [(3, 4), (4, 3)])
     def test_matches_the_substitution_reference(self, n, cap, rng):
