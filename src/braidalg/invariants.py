@@ -294,7 +294,7 @@ def check_splitting_identity(n: int, cap: int, samples: int, seed: int = 0, cach
     return SplittingReport(n, cap, cases)
 
 
-# -- random words (shared by property tests and the CLI) -------------------------------
+# -- random words (exported; the property tests draw from them) -----------------------
 
 
 def random_welded_word(rng: random.Random, n: int, length: int) -> WeldedWord:

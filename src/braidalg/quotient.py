@@ -166,21 +166,6 @@ class GradedQuotientBasis:
         rows = {w: {w: 1, **{u: -c for u, c in nf.items()}} for w, nf in nfs if w not in nf}
         return SparseEchelon(key=word_key, rows=rows)
 
-    def normal_words(self, k: int) -> list:
-        """Deglex-sorted words avoiding every leading word: a basis of the degree-k graded piece.
-
-        Counting them needs no list: see ``dimension``.
-        """
-        self._check(k)
-        letters = range(self.alphabet.size)
-        # A word whose prefixes avoid the leading words can hold one only as a suffix.
-        rules, lengths = self._rules, self._state.lengths
-        words = [()]
-        for _ in range(k):
-            extended = (w + (b,) for w in words for b in letters)
-            words = [v for v in extended if not any(v[-j:] in rules for j in lengths)]
-        return words
-
     def dimension(self, k: int) -> int:
         return self._counts(k)[k]
 

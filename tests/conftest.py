@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from braidalg import AB, TruncatedSeries, generator
+from braidalg import AB, TruncatedSeries, generator, parse_series
+
+PSI5_PATH = Path(__file__).parent / "fixtures" / "psi5.txt"
 
 
 def make_rng(seed):
@@ -42,3 +45,10 @@ def semi_associator_deg5():
     from braidalg import bootstrap_semi_associator
 
     return bootstrap_semi_associator(5)
+
+
+@pytest.fixture(scope="session")
+def psi5():
+    """Psi5 (tests/fixtures/psi5.txt): passes (YB) through degree 5, but not (AS)."""
+    lines = PSI5_PATH.read_text().splitlines()
+    return parse_series(" ".join(line for line in lines if not line.startswith("#")), AB)

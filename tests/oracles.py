@@ -136,6 +136,19 @@ def reference_delta_map(s, target):
     return target.normal_form(substitute_generators(s, images))
 
 
+def normal_words(basis, k):
+    """Deglex-sorted degree-k words whose normal form is themselves: a basis of the graded piece.
+
+    A prefix of a normal word is normal, so each degree extends the normal
+    words of the one below by every letter.
+    """
+    words = [()]
+    for d in range(1, k + 1):
+        extended = (w + (b,) for w in words for b in range(basis.alphabet.size))
+        words = [v for v in extended if basis.reduce(d, {v: 1}) == {v: 1}]
+    return words
+
+
 def reference_delta_kernel(n, k):
     """(dim chord(n)_k, dim of the kernel of delta on it), from every normal word's image.
 
@@ -146,7 +159,7 @@ def reference_delta_kernel(n, k):
     oriented_basis = build_graded_basis(oriented_artin(n), k)
     gen = oriented_basis.alphabet.gen
     letters = [(gen(i, j), gen(j, i)) for i, j in chord_basis.alphabet.pairs]
-    domain_words = chord_basis.normal_words(k)
+    domain_words = normal_words(chord_basis, k)
     columns = [
         oriented_basis.reduce(k, dict.fromkeys(product(*(letters[g] for g in w)), 1))
         for w in domain_words

@@ -8,6 +8,7 @@ from conftest import ab_commutator, psi24, random_series
 from braidalg import (
     AB,
     AssociatorError,
+    AxiomResult,
     TruncatedSeries,
     bootstrap_semi_associator,
     build_graded_basis,
@@ -210,7 +211,7 @@ class TestExtension:
         for step, _, _ in steps:
             d = step.degree
             base = step.base.log().lifted(d).exp()
-            full = change(base, [base + p for p in step.brackets], d)
+            full = change(base, [base + p for _, p in lie_basis(AB, d, d)], d)
             assert _columns([{w: 1} for w in lyndon_words(2, d)], d) == full
         prev, (step5, _, revised) = steps[2][0], steps[3]
         assert step5.degree == 5 and revised
@@ -472,6 +473,20 @@ class TestHexagonInFreeAlgebra:
             for kvec in step.kernel:
                 assert step.extended(kvec) == (step.log + step.correction(kvec)).exp()
 
+    def test_correction_is_the_combination_of_lie_basis_brackets(self, rng):
+        # coordinates are over lyndon_words(2, degree), so e_i gives the i-th bracket
+        for step, _, _ in extension_steps(one(AB, 1), 8):
+            d = step.degree
+            basis = lie_basis(AB, d, d)
+            assert [w for w, _ in basis] == lyndon_words(2, d)
+            for i, (_, bracket) in enumerate(basis):
+                unit = [Fraction(int(j == i)) for j in range(len(basis))]
+                assert step.correction(unit) == bracket
+            coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in basis]
+            for vec in [step.particular, coords, [Fraction(0)] * len(basis)] + step.kernel:
+                want = sum((b.scale(c) for c, (_, b) in zip(vec, basis)), zero(AB, d))
+                assert step.correction(vec) == want
+
 
 def _exp_lie_series(rng, cap):
     """exp of a random Lie series with no degree-1 part: it passes (AE)."""
@@ -549,6 +564,13 @@ class TestYangBaxter:
 
     def test_bootstrap_passes_at_cap_five(self, semi_associator_deg5):
         assert check_yang_baxter(semi_associator_deg5, 5).passed
+
+    def test_verdict_is_a_yb_axiom_result(self):
+        for psi, cap, passed in ((psi24(3), 3, True), (one(AB, 3), 3, False)):
+            result = check_yang_baxter(psi, cap)
+            assert type(result) is AxiomResult
+            assert (result.axiom, result.cap, result.passed) == ("YB", cap, passed)
+            assert (result.residual is None) == passed
 
     def test_one_fold_equals_the_two_fold_difference(self, semi_associator_deg5):
         # rho(s2 s1 s2) and rho(Delta) evaluated and reduced separately.
@@ -698,6 +720,27 @@ class TestEquivalences:
         report = check_equivalences(psi, 4)
         assert report.yb.passed
         assert report.delta_squared_central
+
+
+class TestPsi5:
+    """Psi5 passes (YB) through degree 5 and is not a semi-associator (tests/fixtures/psi5.txt)."""
+
+    def test_yang_baxter_passes_and_the_fold_agrees(self, psi5):
+        assert psi5.cap == 5
+        assert check_yang_baxter(psi5, 5).passed
+        assert oracles.rho3_yang_baxter_defect(psi5, 5).is_zero()
+
+    def test_axiom_verdicts(self, psi5):
+        verdicts = {ax: check_axiom(psi5, ax, 5) for ax in ("AE", "AS", "H1", "H3")}
+        assert verdicts["AE"].passed and verdicts["H3"].passed
+        for axiom in ("AS", "H1"):
+            assert not verdicts[axiom].passed and verdicts[axiom].first_failure_degree == 5
+
+    def test_equivalence_report(self, psi5):
+        report = check_equivalences(psi5, 5)
+        assert report.yb_implies_as is False
+        assert report.delta_squared_central is False
+        assert report.drinfeld_compatible is None
 
 
 class TestCapZero:

@@ -238,6 +238,16 @@ class TestAssociatorCommands:
         assert obj["values"]["passed"] is False
         assert obj["values"]["first_failure_degree"] == 2
 
+    def test_psi5_verdict_lines(self, capsys):
+        psi5 = os.path.join(os.path.dirname(__file__), "fixtures", "psi5.txt")
+        code, out = run(capsys, "check-yb", "--cap", "5", "--in", psi5)
+        assert code == 0 and out.splitlines() == ["yang-baxter: pass"]
+        argv = ["check-associator", "--axioms", "AE,AS,H1,H3", "--cap", "5", "--in", psi5]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        verdicts = [line for line in out.splitlines() if not line.startswith("  residual: ")]
+        assert verdicts == ["AE: pass", "AS: FAIL at degree 5", "H1: FAIL at degree 5", "H3: pass"]
+
     def test_extend_revises_dead_end(self, capsys, tmp_path):
         # the greedy degree-4 choice does not extend; the loop revises it
         src = tmp_path / "one.txt"
