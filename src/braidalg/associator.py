@@ -145,7 +145,6 @@ swap(exp(phi)) = exp(-phi) = exp(phi)^-1 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import lcm
@@ -199,15 +198,24 @@ class NoCorrectionError(AssociatorError):
         self.kernel = kernel
 
 
-@dataclass
 class AxiomResult:
     """One axiom's verdict at a cap; for "YB" the residual is the chord(3) (x) 321 defect, None on a pass."""
 
-    axiom: str
-    cap: int
-    passed: bool
-    first_failure_degree: int | None
-    residual: TruncatedSeries | SemidirectSeries | None
+    __slots__ = ("axiom", "cap", "passed", "first_failure_degree", "residual")
+
+    def __init__(
+        self,
+        axiom: str,
+        cap: int,
+        passed: bool,
+        first_failure_degree: int | None,
+        residual: TruncatedSeries | SemidirectSeries | None,
+    ):
+        self.axiom = axiom
+        self.cap = cap
+        self.passed = passed
+        self.first_failure_degree = first_failure_degree
+        self.residual = residual
 
     def __bool__(self):
         return self.passed
@@ -370,7 +378,6 @@ def is_semi_associator(phi: TruncatedSeries, cap: int) -> bool:
 # -- degree-by-degree extension ---------------------------------------------------
 
 
-@dataclass
 class ExtensionStep:
     """Affine solution set of Lie corrections at one degree.
 
@@ -381,12 +388,36 @@ class ExtensionStep:
     ``extended`` realize a chosen coordinate vector as a series.
     """
 
-    degree: int
-    particular: list
-    kernel: list
-    base: TruncatedSeries
-    log: TruncatedSeries
-    candidate: TruncatedSeries
+    __slots__ = ("degree", "particular", "kernel", "base", "log", "candidate")
+
+    def __init__(
+        self,
+        degree: int,
+        particular: list,
+        kernel: list,
+        base: TruncatedSeries,
+        log: TruncatedSeries,
+        candidate: TruncatedSeries,
+    ):
+        self.degree = degree
+        self.particular = particular
+        self.kernel = kernel
+        self.base = base
+        self.log = log
+        self.candidate = candidate
+
+    def __eq__(self, other):
+        """Field by field: a step read off a lookback's solve equals the one solved afresh."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.degree == other.degree
+            and self.particular == other.particular
+            and self.kernel == other.kernel
+            and self.base == other.base
+            and self.log == other.log
+            and self.candidate == other.candidate
+        )
 
     @property
     def kernel_dimension(self) -> int:
@@ -697,20 +728,31 @@ def check_yang_baxter(psi: TruncatedSeries, cap: int) -> AxiomResult:
     return AxiomResult("YB", cap, False, diff.min_degree(), diff)
 
 
-@dataclass
 class EquivalenceReport:
     """Cross-checks between the Yang-Baxter equation and the axioms, at one cap.
 
     The tests check ``yb_implies_as``, YB implies AS, at cap 3 only, on degree-3 perturbations.
     """
 
-    cap: int
-    yb: AxiomResult
-    h3: AxiomResult
-    h1: AxiomResult
-    as_: AxiomResult
-    delta_squared_central: bool | None
-    drinfeld_compatible: bool | None
+    __slots__ = ("cap", "yb", "h3", "h1", "as_", "delta_squared_central", "drinfeld_compatible")
+
+    def __init__(
+        self,
+        cap: int,
+        yb: AxiomResult,
+        h3: AxiomResult,
+        h1: AxiomResult,
+        as_: AxiomResult,
+        delta_squared_central: bool | None,
+        drinfeld_compatible: bool | None,
+    ):
+        self.cap = cap
+        self.yb = yb
+        self.h3 = h3
+        self.h1 = h1
+        self.as_ = as_
+        self.delta_squared_central = delta_squared_central
+        self.drinfeld_compatible = drinfeld_compatible
 
     @property
     def yb_iff_h3(self) -> bool:

@@ -13,7 +13,6 @@ through the map t_ij -> v_ij + v_ji, and tabulates dimensions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import factorial
@@ -49,14 +48,16 @@ def eval_group_ring(xi: GroupRingElement, cap: int, cache_dir=None) -> Semidirec
     return fold(basis, cap, alph, terms)
 
 
-@dataclass
 class FiltrationReport:
     """An element, its image, and its vanishing order (None = above the cap)."""
 
-    element: GroupRingElement
-    cap: int
-    image: SemidirectSeries
-    order: int | None
+    __slots__ = ("element", "cap", "image", "order")
+
+    def __init__(self, element: GroupRingElement, cap: int, image: SemidirectSeries, order: int | None):
+        self.element = element
+        self.cap = cap
+        self.image = image
+        self.order = order
 
     @property
     def above_cap(self) -> bool:
@@ -69,11 +70,13 @@ def vassiliev_degree(xi: GroupRingElement, cap: int, cache_dir=None) -> Filtrati
     return FiltrationReport(xi, cap, image, image.min_degree())
 
 
-@dataclass
 class DistinguishReport:
-    cap: int
-    first_difference_degree: int | None  # None = images equal to the cap
-    oracle_equal: bool
+    __slots__ = ("cap", "first_difference_degree", "oracle_equal")
+
+    def __init__(self, cap: int, first_difference_degree: int | None, oracle_equal: bool):
+        self.cap = cap
+        self.first_difference_degree = first_difference_degree  # None = images equal to the cap
+        self.oracle_equal = oracle_equal
 
     @property
     def images_equal_to_cap(self) -> bool:
@@ -130,12 +133,14 @@ def delta_map(s: TruncatedSeries, target: GradedQuotientBasis) -> TruncatedSerie
     return TruncatedSeries(target.alphabet, s.cap, tuple(slices))
 
 
-@dataclass
 class DeltaKernelReport:
-    n: int
-    degree: int
-    domain_dimension: int
-    kernel_dimension: int
+    __slots__ = ("n", "degree", "domain_dimension", "kernel_dimension")
+
+    def __init__(self, n: int, degree: int, domain_dimension: int, kernel_dimension: int):
+        self.n = n
+        self.degree = degree
+        self.domain_dimension = domain_dimension
+        self.kernel_dimension = kernel_dimension
 
     @property
     def injective(self) -> bool:
@@ -189,15 +194,17 @@ def delta_kernel(n: int, k: int, cache_dir=None) -> DeltaKernelReport:
 # -- dimension tables ---------------------------------------------------------------
 
 
-@dataclass
 class HilbertTable:
     """Side-by-side graded dimensions for one strand count."""
 
-    n: int
-    cap: int
-    chord_dims: list
-    oriented_dims: list
-    weight_factor: int  # n!, the group-algebra dimension
+    __slots__ = ("n", "cap", "chord_dims", "oriented_dims", "weight_factor")
+
+    def __init__(self, n: int, cap: int, chord_dims: list, oriented_dims: list, weight_factor: int):
+        self.n = n
+        self.cap = cap
+        self.chord_dims = chord_dims
+        self.oriented_dims = oriented_dims
+        self.weight_factor = weight_factor  # n!, the group-algebra dimension
 
     def rows(self):
         yield ("degree", list(range(self.cap + 1)))
@@ -220,19 +227,23 @@ def hilbert_table(n: int, cap: int, cache_dir=None) -> HilbertTable:
 # -- the splitting identity ----------------------------------------------------------
 
 
-@dataclass
 class SplittingCase:
-    description: str
-    order_plain: int | None
-    order_twisted: int | None
-    passed: bool
+    __slots__ = ("description", "order_plain", "order_twisted", "passed")
+
+    def __init__(self, description: str, order_plain: int | None, order_twisted: int | None, passed: bool):
+        self.description = description
+        self.order_plain = order_plain
+        self.order_twisted = order_twisted
+        self.passed = passed
 
 
-@dataclass
 class SplittingReport:
-    n: int
-    cap: int
-    cases: list
+    __slots__ = ("n", "cap", "cases")
+
+    def __init__(self, n: int, cap: int, cases: list):
+        self.n = n
+        self.cap = cap
+        self.cases = cases
 
     @property
     def passed(self) -> bool:

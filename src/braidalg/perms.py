@@ -2,18 +2,59 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+# Sets a slot of an immutable value, past its __setattr__; only __init__ calls it.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, order=True)
 class Permutation:
-    """A bijection of {1..n}, stored as the tuple (pi(1), ..., pi(n))."""
+    """A bijection of {1..n}, stored as the tuple (pi(1), ..., pi(n)).
 
-    images: tuple[int, ...]
+    Immutable; equal, hashed and ordered as its field tuple ``(images,)``.
+    """
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images!r}")
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
+        _set(self, "images", images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Permutation, (self.images,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash((self.images,))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images < other.images
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images <= other.images
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images > other.images
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images >= other.images
 
     @property
     def n(self) -> int:

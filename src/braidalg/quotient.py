@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
 
@@ -43,13 +42,39 @@ class BasisError(ValueError):
     """Missing degree, wrong preset, or malformed cache data."""
 
 
-@dataclass(frozen=True, slots=True)
-class RelationPreset:
-    """A named family of degree-2 relations over a fixed alphabet."""
+# Sets a slot of an immutable value, past its __setattr__; only __init__ calls it.
+_set = object.__setattr__
 
-    kind: str
-    n: int
-    alphabet: Alphabet
+
+class RelationPreset:
+    """A named family of degree-2 relations over a fixed alphabet.
+
+    Immutable; equal and hashed as its field tuple ``(kind, n, alphabet)``.
+    """
+
+    __slots__ = ("kind", "n", "alphabet")
+
+    def __init__(self, kind: str, n: int, alphabet: Alphabet):
+        _set(self, "kind", kind)
+        _set(self, "n", n)
+        _set(self, "alphabet", alphabet)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (RelationPreset, (self.kind, self.n, self.alphabet))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.n == other.n and self.alphabet == other.alphabet
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.alphabet))
 
     def key(self) -> str:
         if self.kind == "free":

@@ -24,7 +24,6 @@ eagerly after every product, at a fraction of the cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 
@@ -229,20 +228,24 @@ def rho3_delta(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
 # -- family axioms ---------------------------------------------------------------
 
 
-@dataclass
 class CheckOutcome:
-    passed: bool
-    details: str = ""
+    __slots__ = ("passed", "details")
+
+    def __init__(self, passed: bool, details: str = ""):
+        self.passed = passed
+        self.details = details
 
 
-@dataclass
 class FamilyReport:
     """Named verdicts for (E), (Sigma), (S), (N) and relation fidelity."""
 
-    family: str
-    n: int
-    cap: int
-    checks: dict = field(default_factory=dict)
+    __slots__ = ("family", "n", "cap", "checks")
+
+    def __init__(self, family: str, n: int, cap: int, checks: dict | None = None):
+        self.family = family
+        self.n = n
+        self.cap = cap
+        self.checks = {} if checks is None else checks
 
     @property
     def passed(self) -> bool:

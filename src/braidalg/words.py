@@ -10,7 +10,6 @@ exact equality oracle for the group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -22,26 +21,82 @@ class WordError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+# Sets a slot of an immutable value, past its __setattr__; only __init__ calls it.
+_set = object.__setattr__
+
+
 class Token:
-    """One letter of a welded word: a(i,j)^e, s(i) or sigma(i)^e with e = +-1."""
+    """One letter of a welded word: a(i,j)^e, s(i) or sigma(i)^e with e = +-1.
 
-    kind: str  # "a" | "s" | "sigma"
-    i: int
-    j: int = 0
-    power: int = 1
+    ``kind`` is "a", "s" or "sigma"; only "a" has a second label ``j``.
+    Immutable; equal, hashed and ordered as its field tuple ``(kind, i, j, power)``.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("a", "s", "sigma"):
-            raise WordError(f"unknown token kind {self.kind!r}")
-        if self.power not in (1, -1):
+    __slots__ = ("kind", "i", "j", "power")
+
+    def __init__(self, kind: str, i: int, j: int = 0, power: int = 1):
+        if kind not in ("a", "s", "sigma"):
+            raise WordError(f"unknown token kind {kind!r}")
+        if power not in (1, -1):
             raise WordError("token powers must be expanded to +-1")
-        if self.kind == "s" and self.power != 1:
+        if kind == "s" and power != 1:
             raise WordError("s(i) is its own inverse; use power 1")
-        if self.kind == "a" and (self.i == self.j or self.i < 1 or self.j < 1):
-            raise WordError(f"a({self.i},{self.j}) needs distinct positive labels")
-        if self.kind in ("s", "sigma") and self.i < 1:
-            raise WordError(f"{self.kind}({self.i}) needs a positive index")
+        if kind == "a" and (i == j or i < 1 or j < 1):
+            raise WordError(f"a({i},{j}) needs distinct positive labels")
+        if kind != "a":
+            if i < 1:
+                raise WordError(f"{kind}({i}) needs a positive index")
+            if j != 0:
+                raise WordError(f"bad token: {kind}({i}) takes no second label, got {j}")
+        _set(self, "kind", kind)
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "power", power)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Token, (self.kind, self.i, self.j, self.power))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self.i == other.i
+            and self.j == other.j
+            and self.power == other.power
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.i, self.j, self.power))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.i, self.j, self.power) < (other.kind, other.i, other.j, other.power)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.i, self.j, self.power) <= (other.kind, other.i, other.j, other.power)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.i, self.j, self.power) > (other.kind, other.i, other.j, other.power)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.i, self.j, self.power) >= (other.kind, other.i, other.j, other.power)
+
+    def __repr__(self):
+        return f"Token({self.kind!r}, {self.i}, {self.j}, {self.power})"
 
     def inverse(self) -> "Token":
         if self.kind == "s":
@@ -70,20 +125,40 @@ def sigma(i: int, power: int = 1) -> Token:
     return Token("sigma", i, 0, power)
 
 
-@dataclass(frozen=True)
 class WeldedWord:
-    """A word in the generators of the braid-permutation group on n strands."""
+    """A word in the generators of the braid-permutation group on n strands.
 
-    n: int
-    letters: tuple
+    Immutable; equal and hashed as its field tuple ``(n, letters)``.
+    """
 
-    def __post_init__(self):
-        for t in self.letters:
+    __slots__ = ("n", "letters")
+
+    def __init__(self, n: int, letters: tuple):
+        for t in letters:
             if t.kind == "a":
-                if not (1 <= t.i <= self.n and 1 <= t.j <= self.n):
-                    raise WordError(f"token {t.text()} out of range for n={self.n}")
-            elif not 1 <= t.i < self.n:
-                raise WordError(f"token {t.text()} out of range for n={self.n}")
+                if not (1 <= t.i <= n and 1 <= t.j <= n):
+                    raise WordError(f"token {t.text()} out of range for n={n}")
+            elif not 1 <= t.i < n:
+                raise WordError(f"token {t.text()} out of range for n={n}")
+        _set(self, "n", n)
+        _set(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (WeldedWord, (self.n, self.letters))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.n, self.letters))
 
     def __mul__(self, other: "WeldedWord") -> "WeldedWord":
         if self.n != other.n:
@@ -156,12 +231,37 @@ def _free_reduce(seq) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class FreeGroupEndo:
-    """Images of the free-group generators; letters are +-(1..n), reduced."""
+    """Images of the free-group generators; letters are +-(1..n), reduced.
 
-    n: int
-    images: tuple
+    Immutable; equal and hashed as its field tuple ``(n, images)``.
+    """
+
+    __slots__ = ("n", "images")
+
+    def __init__(self, n: int, images: tuple):
+        _set(self, "n", n)
+        _set(self, "images", images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (FreeGroupEndo, (self.n, self.images))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.images == other.images
+
+    def __hash__(self):
+        return hash((self.n, self.images))
+
+    def __repr__(self):
+        return f"FreeGroupEndo({self.n}, {self.images!r})"
 
     @staticmethod
     def identity(n: int) -> "FreeGroupEndo":

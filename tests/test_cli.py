@@ -656,6 +656,17 @@ class TestParser:
         assert built == ["braidalg", f"braidalg {argv[0]}"]
 
 
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # The package declares no dataclass: @dataclass imports inspect and execs
+    # its generated methods in every process, which no bytecode cache saves.
+    src = os.path.dirname(os.path.dirname(braidalg.__file__))
+    script = "import sys, braidalg, braidalg.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]"]
+
+
 def test_a_cold_cache_run_does_not_import_logging(tmp_path):
     # Nothing in a fresh process that has not imported logging can see a
     # DEBUG record, so rebuilding a cache file must not import it.

@@ -1,3 +1,6 @@
+import copy
+import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -51,6 +54,35 @@ class TestPermutations:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             Permutation.identity(2).compose(Permutation.identity(3))
+
+    def test_equal_values_hash_equal_and_never_equal_their_field_tuple(self):
+        pi, rho = Permutation.from_one_line("2431"), Permutation((2, 4, 3, 1))
+        assert pi is not rho and pi == rho and not pi != rho and hash(pi) == hash(rho)
+        assert pi != Permutation.identity(4) and len({pi, rho, Permutation.identity(4)}) == 2
+        assert pi != pi.images and pi != (pi.images,) and (pi.images,) != pi
+        assert copy.copy(pi) == pi and pickle.loads(pickle.dumps(pi)) == pi
+
+    def test_images_cannot_be_assigned_or_deleted(self):
+        pi = Permutation.from_one_line("21")
+        with pytest.raises(AttributeError):
+            pi.images = (1, 2)
+        with pytest.raises(AttributeError):
+            del pi.images
+        assert pi.images == (2, 1)
+
+    def test_permutations_order_as_their_field_tuples(self):
+        perms = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
+        perms += [Permutation((1, 2)), Permutation((2, 1)), Permutation.identity(4)]
+        shuffled = perms[4:] + perms[:4]
+        key = lambda p: (p.images,)  # noqa: E731
+        assert sorted(shuffled) == sorted(shuffled, key=key)
+        assert min(shuffled) == min(shuffled, key=key) and max(shuffled) == max(shuffled, key=key)
+        for x, y in itertools.product(perms, repeat=2):
+            assert (x < y, x <= y, x > y, x >= y) == (
+                key(x) < key(y), key(x) <= key(y), key(x) > key(y), key(x) >= key(y)
+            )
+        with pytest.raises(TypeError):
+            perms[0] < (perms[1].images,)
 
 
 @pytest.fixture(scope="module")

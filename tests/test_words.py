@@ -1,9 +1,16 @@
+import copy
+import itertools
+import pickle
+
 import pytest
 
 from braidalg import (
+    FamilyReport,
     FreeGroupEndo,
     GroupRingElement,
     Permutation,
+    RelationPreset,
+    Token,
     WeldedWord,
     WordError,
     as_automorphism,
@@ -11,6 +18,8 @@ from braidalg import (
     equivariance_relations,
     mccool_relations,
     parse_word,
+    infinitesimal_artin,
+    oriented_artin,
     pure_braid_generator,
     words_equal_in_bp,
 )
@@ -126,6 +135,15 @@ class TestWordGrammar:
             with pytest.raises(WordError):
                 parse_word(text, 3)
 
+    def test_s_and_sigma_take_no_second_label(self):
+        for kind in ("s", "sigma"):
+            with pytest.raises(WordError, match="bad token"):
+                Token(kind, 1, 2)
+        # A second label would print as s1 yet be another term than s1.
+        s1 = GroupRingElement.from_word(WeldedWord(3, (Token("s", 1),)))
+        with pytest.raises(WordError, match="bad token"):
+            s1 - GroupRingElement.from_word(WeldedWord(3, (Token("s", 1, 2),)))
+
     def test_out_of_range(self):
         with pytest.raises(WordError):
             parse_word("a14", 3)
@@ -135,6 +153,76 @@ class TestWordGrammar:
     def test_word_inverse(self):
         w = parse_word("a12 sig1 s1", 3)
         assert as_automorphism(w * w.inverse()) == FreeGroupEndo.identity(3)
+
+
+_FIELDS = {
+    Token: ("kind", "i", "j", "power"),
+    WeldedWord: ("n", "letters"),
+    FreeGroupEndo: ("n", "images"),
+    RelationPreset: ("kind", "n", "alphabet"),
+}
+
+
+def _fields(value) -> tuple:
+    return tuple(getattr(value, name) for name in _FIELDS[type(value)])
+
+
+class TestValueTypes:
+    """Tokens, words, endomorphisms and presets are immutable values."""
+
+    def values(self):
+        """Pairs of equal values built separately, and one unequal value of each type."""
+        w = parse_word("a12 sig1^-1 s2", 3)
+        return [
+            (Token("a", 1, 2, -1), Token("a", 1, 2, -1), Token("a", 2, 1, -1)),
+            (w, parse_word(w.text(), 3), w.inverse()),
+            (as_automorphism(w), as_automorphism(parse_word(w.text(), 3)), FreeGroupEndo.identity(3)),
+            (oriented_artin(3), oriented_artin(3), infinitesimal_artin(3)),
+        ]
+
+    def test_equal_values_hash_equal_and_never_equal_their_field_tuple(self):
+        for x, y, other in self.values():
+            assert x is not y and x == y and not x != y and hash(x) == hash(y)
+            assert x != other and len({x, y, other}) == 2
+            assert x != _fields(x) and _fields(x) != x
+            assert (x,) != (_fields(x),)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for x, _, other in self.values():
+            for name, value in zip(_FIELDS[type(x)], _fields(other)):
+                with pytest.raises(AttributeError):
+                    setattr(x, name, value)
+                with pytest.raises(AttributeError):
+                    delattr(x, name)
+            assert _fields(x) != _fields(other)
+
+    def test_copies_and_pickles_are_equal(self):
+        for x, _, _ in self.values():
+            assert copy.copy(x) == x and copy.deepcopy(x) == x
+            assert pickle.loads(pickle.dumps(x)) == x
+
+    def test_tokens_order_as_their_field_tuples(self):
+        tokens = [
+            Token("a", 1, 2), Token("a", 1, 2, -1), Token("a", 2, 1), Token("a", 1, 3),
+            Token("s", 1), Token("s", 2), Token("sigma", 1), Token("sigma", 1, 0, -1),
+        ]
+        key = _fields
+        shuffled = tokens[3:] + tokens[:3]
+        assert sorted(shuffled) == sorted(shuffled, key=key)
+        assert min(shuffled) == min(shuffled, key=key) and max(shuffled) == max(shuffled, key=key)
+        for x, y in itertools.product(tokens, repeat=2):
+            assert (x < y, x <= y, x > y, x >= y) == (
+                key(x) < key(y), key(x) <= key(y), key(x) > key(y), key(x) >= key(y)
+            )
+        with pytest.raises(TypeError):
+            tokens[0] < _fields(tokens[1])
+
+    def test_family_reports_never_share_checks(self):
+        first, second = FamilyReport("welded", 3, 2), FamilyReport("welded", 3, 2)
+        first.checks["E"] = True
+        assert first.checks is not second.checks and second.checks == {}
+        given = {}
+        assert FamilyReport("welded", 3, 2, given).checks is given
 
 
 class TestGroupRing:
