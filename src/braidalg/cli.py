@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import associator as assoc_mod
@@ -160,6 +161,12 @@ def cmd_check_associator(args):
 
 
 def cmd_extend_associator(args):
+    # The file is written last, after an extension that can take seconds.
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {args.out}: {folder} is not a directory")
+    if os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out} is a directory")
     phi = _read_series(assoc_mod.AB, 1, path=args.from_file)
     if args.to_degree < phi.cap:
         raise assoc_mod.AssociatorError(

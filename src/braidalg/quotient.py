@@ -27,10 +27,10 @@ from .series import (
     CapMismatch,
     SeriesError,
     TruncatedSeries,
-    generator,
     lie_defect,
     parse_series,
     scale_slice,
+    signed_sum_text,
     unscale_slice,
     word_key,
 )
@@ -84,35 +84,41 @@ class RelationPreset:
         return f"{self.kind}({self.n})"
 
     def relations(self) -> list:
-        """The defining degree-2 relation series, generated exhaustively."""
-        cap = 2
-        alph = self.alphabet
-        rels = []
+        """The defining degree-2 relations, generated exhaustively, as cap-2 series.
 
-        def comm(a, b):
-            return a * b - b * a
-
-        def g(i, j):
-            return generator(alph, cap, (i, j))
-
+        Each is a commutator [a, b1 + ... + bm] of distinct generators, written
+        straight from its words: the terms a.b with coefficient 1, then the
+        terms b.a with coefficient -1, as Fractions.  The list and each
+        relation's text are what the product a * b - b * a would give, so the
+        digest of a preset's relations, which cache files carry, does not
+        depend on how they are built.
+        """
+        g = self.alphabet.gen
         triples = list(permutations(range(1, self.n + 1), 3))  # distinct strands, lexicographic
-        pairs = _disjoint_pairs(alph)
+        pairs = _disjoint_pairs(self.alphabet)
+        brackets = []  # (a, (b1, ..., bm)) per relation [a, b1 + ... + bm]
         if self.kind == "infinitesimal_artin":
             # [t_ij, t_ik + t_jk] over unordered pairs {i,j}; swapping i,j repeats it.
-            rels += [comm(g(i, j), g(i, k) + g(j, k)) for i, j, k in triples if i < j]
+            brackets += [(g(i, j), (g(i, k), g(j, k))) for i, j, k in triples if i < j]
             # [t_ij, t_kl] for disjoint unordered pairs, each pair-of-pairs once.
-            rels += [comm(g(i, j), g(k, l)) for (i, j), (k, l) in pairs]
+            brackets += [(g(i, j), (g(k, l),)) for (i, j), (k, l) in pairs]
         elif self.kind in ("oriented_artin", "oriented_upper_triangular"):
             full = self.kind == "oriented_artin"
             # (I) [v_ik, v_jk]; antisymmetric in i,j, so take i < j once.
-            rels += [comm(g(i, k), g(j, k)) for k, i, j in triples if i < j and (full or i > k)]
+            brackets += [(g(i, k), (g(j, k),)) for k, i, j in triples if i < j and (full or i > k)]
             # (II) [v_ij, v_ik + v_jk]; genuinely ordered in (i, j).
-            rels += [comm(g(i, j), g(i, k) + g(j, k)) for i, j, k in triples if full or i > j > k]
+            brackets += [(g(i, j), (g(i, k), g(j, k))) for i, j, k in triples if full or i > j > k]
             # (III) [v_ij, v_kl] over disjoint ordered pairs, each pair-of-pairs once.
-            rels += [comm(g(i, j), g(k, l)) for (i, j), (k, l) in pairs if full or i > j and k > l]
+            brackets += [(g(i, j), (g(k, l),)) for (i, j), (k, l) in pairs if full or i > j and k > l]
         elif self.kind != "free":
             raise BasisError(f"unknown preset kind {self.kind!r}")
-        return rels
+        return [self._commutator(a, bs) for a, bs in brackets]
+
+    def _commutator(self, a: int, bs: tuple) -> TruncatedSeries:
+        """[a, b1 + ... + bm] for distinct generators: no two of its words coincide."""
+        sl = {(a, b): 1 for b in bs}
+        sl.update({(b, a): -1 for b in bs})
+        return TruncatedSeries(self.alphabet, 2, ({}, {}, unscale_slice(1, sl)))
 
     def __repr__(self):
         return f"RelationPreset({self.key()})"
@@ -429,21 +435,29 @@ def _save_rules(cache_dir, preset: RelationPreset, k: int, rules: dict, digest: 
         f"#% rows {len(rules)}",
         f"#% relations {digest}",
     ]
-    # One row per rule, "leading word -> its normal form", the form as
-    # TruncatedSeries.text() writes it; _read_rules accepts only that.
+    # One row per rule, "leading word -> its normal form", the form in deglex
+    # order as TruncatedSeries.text() writes it; _read_rules accepts only that.
+    name = alph.word_name
     for w in sorted(rules):
-        nf = TruncatedSeries.from_terms(alph, k, rules[w]).text()
-        lines.append(f"{alph.word_name(w)} -> {nf}")
+        nf = rules[w]
+        lines.append(f"{name(w)} -> {signed_sum_text((nf[u], '*' + name(u)) for u in sorted(nf))}")
     atomic_write(_cache_path(cache_dir, preset, k), "\n".join(lines) + "\n")
 
 
 def atomic_write(path, text: str):
-    """Write a new file beside path and rename it: readers never see a partial file."""
+    """Write a new file beside path and rename it: readers never see a partial file.
+
+    A failure on the new file is reported against path, which the caller named.
+    """
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x") as handle:
             handle.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

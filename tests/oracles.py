@@ -3,23 +3,30 @@
 Tiny pieces of arithmetic are deliberately reimplemented here with plain
 dicts and lists so that expected values are not produced by the code paths
 under test.  Words are tuples of generator indices; vectors are dicts.  The
-exception is the section of hand-transcribed axioms below, which builds on
-the package's own series arithmetic.
+exceptions build on the package's own series arithmetic: the relations as
+products of generators, and the section of hand-transcribed axioms below.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from math import comb, lcm
 
 from braidalg.associator import AB, HALF, _lyndon_rows, _lyndon_set, _prepare, swap_letters
 from braidalg.linalg import affine_solve
-from braidalg.quotient import build_graded_basis, infinitesimal_artin, oriented_artin
+from braidalg.quotient import (
+    BasisError,
+    _disjoint_pairs,
+    build_graded_basis,
+    infinitesimal_artin,
+    oriented_artin,
+)
 from braidalg.reps import _require_assoc, _rho3_images, fold
 from braidalg.sdseries import SemidirectSeries
 from braidalg.series import (
     Alphabet,
     TruncatedSeries,
+    generator,
     generator_or_zero,
     lowest_terms,
     substitute,
@@ -358,6 +365,38 @@ def reference_affine_solve(columns, rhs=None, key=None):
 
 
 # -- the exhaustive ideal slice: the reference for every preset's normal forms ------
+
+
+def reference_relations(preset):
+    """A preset's degree-2 relations as series products a * b - b * a of generators."""
+    cap = 2
+    alph = preset.alphabet
+    rels = []
+
+    def comm(a, b):
+        return a * b - b * a
+
+    def g(i, j):
+        return generator(alph, cap, (i, j))
+
+    triples = list(permutations(range(1, preset.n + 1), 3))  # distinct strands, lexicographic
+    pairs = _disjoint_pairs(alph)
+    if preset.kind == "infinitesimal_artin":
+        # [t_ij, t_ik + t_jk] over unordered pairs {i,j}; swapping i,j repeats it.
+        rels += [comm(g(i, j), g(i, k) + g(j, k)) for i, j, k in triples if i < j]
+        # [t_ij, t_kl] for disjoint unordered pairs, each pair-of-pairs once.
+        rels += [comm(g(i, j), g(k, l)) for (i, j), (k, l) in pairs]
+    elif preset.kind in ("oriented_artin", "oriented_upper_triangular"):
+        full = preset.kind == "oriented_artin"
+        # (I) [v_ik, v_jk]; antisymmetric in i,j, so take i < j once.
+        rels += [comm(g(i, k), g(j, k)) for k, i, j in triples if i < j and (full or i > k)]
+        # (II) [v_ij, v_ik + v_jk]; genuinely ordered in (i, j).
+        rels += [comm(g(i, j), g(i, k) + g(j, k)) for i, j, k in triples if full or i > j > k]
+        # (III) [v_ij, v_kl] over disjoint ordered pairs, each pair-of-pairs once.
+        rels += [comm(g(i, j), g(k, l)) for (i, j), (k, l) in pairs if full or i > j and k > l]
+    elif preset.kind != "free":
+        raise BasisError(f"unknown preset kind {preset.kind!r}")
+    return rels
 
 
 def echelon_table(preset, k, relations):

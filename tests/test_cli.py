@@ -310,6 +310,34 @@ class TestAssociatorCommands:
         if existing is not None:
             assert out_path.read_text() == existing
 
+    @pytest.mark.parametrize(
+        "out,reason",
+        [
+            ("missing/phi3.txt", ": {tmp}/missing is not a directory"),
+            ("one.txt/phi3.txt", ": {tmp}/one.txt is not a directory"),
+            ("folder", " is a directory"),
+        ],
+        ids=["no-folder", "under-a-file", "a-folder"],
+    )
+    def test_extend_refuses_an_unwritable_out_before_extending(
+        self, capsys, tmp_path, monkeypatch, out, reason
+    ):
+        src = tmp_path / "one.txt"
+        src.write_text("1\n")
+        (tmp_path / "folder").mkdir()
+
+        def fail(*args):
+            pytest.fail("extended before refusing --out")
+
+        monkeypatch.setattr(assoc_mod, "extension_steps", fail)
+        out_path = tmp_path / out
+        argv = ["extend-associator", "--from", str(src), "--to-degree", "3", "--out", str(out_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out_path}{reason.format(tmp=tmp_path)}\n"
+        assert ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "one.txt"]
+
     def test_extend_file_is_the_bootstrap(self, capsys, tmp_path):
         src = tmp_path / "one.txt"
         src.write_text("1\n")

@@ -87,6 +87,46 @@ class TestRelationLists:
         sub = {tuple(r.terms()) for r in oriented_upper_triangular(4).relations()}
         assert sub <= full
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("kind", quotient.PRESET_KINDS)
+    def test_relations_equal_the_series_products(self, kind, n):
+        # Written from their words, the relations are the products they stand for.
+        preset = quotient.preset_by_name(kind, n)
+        rels, reference = preset.relations(), oracles.reference_relations(preset)
+        assert rels == reference  # the same order, caps and slices
+        assert [list(r.slices[2]) for r in rels] == [list(r.slices[2]) for r in reference]
+        assert [r.text() for r in rels] == [r.text() for r in reference]
+        assert _relations_digest(rels) == _relations_digest(reference)
+        assert all(type(c) is Fraction for r in rels for sl in r.slices for c in sl.values())
+
+    def test_relations_and_cache_rows_take_no_series_arithmetic(self, tmp_path, monkeypatch):
+        presets = (infinitesimal_artin(4), oriented_artin(4), oriented_upper_triangular(4))
+        preset = oriented_artin(4)
+        build_graded_basis(preset, 3)
+        rules = quotient._STATE[preset.key()].rules
+        calls = {"mul": 0, "from_terms": 0}
+        mul, from_terms = TruncatedSeries.__mul__, TruncatedSeries.from_terms
+
+        def counting_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        def counting_from_terms(*args):
+            calls["from_terms"] += 1
+            return from_terms(*args)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+        monkeypatch.setattr(TruncatedSeries, "from_terms", staticmethod(counting_from_terms))
+        digests = {p: _relations_digest(p.relations()) for p in presets}
+        assert calls == {"mul": 0, "from_terms": 0}
+        for k in range(4):
+            _save_rules(tmp_path, preset, k, _degree(rules, k), digests[preset])
+        assert calls == {"mul": 0, "from_terms": 0}
+        assert len(os.listdir(tmp_path)) == 4
+        # Both patches are live: the product the relations stand for goes through them.
+        oracles.reference_relations(preset)
+        assert calls["mul"] == 2 * 48 and calls["from_terms"] > 0
+
 
 class TestDimensions:
     def test_oriented_two_strands_free(self):
@@ -1045,6 +1085,17 @@ class TestCacheWriter:
         loaded = _load_degree_two(tmp_path, preset)
         assert loaded == rules
         assert _types(loaded) == _types(rules)
+
+    @pytest.mark.parametrize("target", ["missing/rules.basis", "folder"], ids=["no-folder", "a-folder"])
+    def test_failed_write_names_the_target(self, tmp_path, target):
+        # Opening the new file fails in a missing folder; renaming it over a folder fails.
+        (tmp_path / "folder").mkdir()
+        path = tmp_path / target
+        with pytest.raises(OSError) as info:
+            quotient.atomic_write(path, "text\n")
+        assert info.value.filename == str(path)
+        assert str(path) in str(info.value) and ".tmp" not in str(info.value)
+        assert sorted(os.listdir(tmp_path)) == ["folder"] and not os.listdir(tmp_path / "folder")
 
 
 def _commutator(a, b):
