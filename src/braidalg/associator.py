@@ -771,6 +771,27 @@ class EquivalenceReport:
 
 
 def check_equivalences(psi: TruncatedSeries, cap: int) -> EquivalenceReport:
+    """The (YB), (H3), (H1) and (AS) verdicts at one cap, and what (YB) gives with them.
+
+    The linear half of "(YB) iff (AS) and (H3)" holds in every degree.  The
+    columns' substitutions permute A, B and C = -A - B: p(B, A) is (AB),
+    p(C, A) the 3-cycle (A C B), p(C, B) is (AC) and p(A, C) is (BC).  So S3
+    acts on each degree L_d of the free Lie algebra, and along a Lie p of
+    degree d the first-order columns are elements of Q[S3]: (AS) is
+    1 + (AB), (H3) is 1 + (A C B) - (AC), and (YB) is 1 - (BC) - (AC).  In
+    the isotypic parts of L_d:
+
+    - trivial part: (YB) acts as -1 and (AS) as 2, so neither kernel meets it;
+    - sign part: (YB) acts as 3 and (H3) as 3, so neither kernel meets it;
+    - standard part: (AB) + (BC) + (AC) acts as 0, so (YB) acts as
+      1 + (AB), as (AS) does, and (H3) vanishes where (AS) does.
+
+    So both kernels are the (AB)-anti-invariant line in each copy of the
+    standard representation, one subspace, whose dimension is that
+    multiplicity.  The tests check the equality of the two kernels for
+    d = 2..10.  The nonlinear statement at a finite cap is another matter:
+    Psi5 passes (YB) and (H3) at cap 5 but fails (AS) at degree 5.
+    """
     yb = check_yang_baxter(psi, cap)
     h3 = check_axiom(psi, "H3", cap)
     h1 = check_axiom(psi, "H1", cap)

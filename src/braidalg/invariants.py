@@ -256,7 +256,7 @@ def _random_conjugating_word(rng: random.Random, n: int, max_len: int) -> Welded
     for _ in range(rng.randint(1, max_len)):
         i, j = rng.choice(pairs)
         letters.append(a_token(i, j, rng.choice((1, -1))))
-    return WeldedWord(n, tuple(letters))
+    return WeldedWord(n, letters)
 
 
 def _random_permutation_word(rng: random.Random, n: int, max_len: int) -> WeldedWord:
@@ -320,4 +320,4 @@ def random_welded_word(rng: random.Random, n: int, length: int) -> WeldedWord:
             letters.append(s_token(rng.randint(1, n - 1)))
         else:
             letters.append(sigma_token(rng.randint(1, n - 1), rng.choice((1, -1))))
-    return WeldedWord(n, tuple(letters))
+    return WeldedWord(n, letters)

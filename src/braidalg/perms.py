@@ -2,59 +2,24 @@
 
 from __future__ import annotations
 
-# Sets a slot of an immutable value, past its __setattr__; only __init__ calls it.
-_set = object.__setattr__
+from .value import OrderedValue
 
 
-class Permutation:
+class Permutation(OrderedValue):
     """A bijection of {1..n}, stored as the tuple (pi(1), ..., pi(n)).
 
     Immutable; equal, hashed and ordered as its field tuple ``(images,)``.
+    The images may come as any iterable, and are stored as a tuple.
     """
 
     __slots__ = ("images",)
 
-    def __init__(self, images: tuple[int, ...]):
+    def __init__(self, images):
+        images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
-        _set(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (Permutation, (self.images,))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash((self.images,))
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images < other.images
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images <= other.images
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images > other.images
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images >= other.images
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_key", (images,))
 
     @property
     def n(self) -> int:
@@ -62,7 +27,7 @@ class Permutation:
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
+        return Permutation(range(1, n + 1))
 
     @staticmethod
     def transposition(n: int, i: int) -> "Permutation":
@@ -71,11 +36,11 @@ class Permutation:
             raise ValueError(f"s_{i} requires 1 <= i < n = {n}")
         images = list(range(1, n + 1))
         images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation(tuple(images))
+        return Permutation(images)
 
     @staticmethod
     def from_one_line(text: str) -> "Permutation":
-        return Permutation(tuple(int(c) for c in text.strip()))
+        return Permutation(int(c) for c in text.strip())
 
     def one_line(self) -> str:
         if self.n > 9:
@@ -89,13 +54,13 @@ class Permutation:
         """self after other: (self.compose(other))(i) = self(other(i))."""
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
+        return Permutation(self.images[j - 1] for j in other.images)
 
     def inverse(self) -> "Permutation":
         images = [0] * self.n
         for i, img in enumerate(self.images, start=1):
             images[img - 1] = i
-        return Permutation(tuple(images))
+        return Permutation(images)
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))

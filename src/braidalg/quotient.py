@@ -34,6 +34,7 @@ from .series import (
     unscale_slice,
     word_key,
 )
+from .value import Value
 
 CACHE_FORMAT = "braidalg-rules v3"
 
@@ -42,11 +43,7 @@ class BasisError(ValueError):
     """Missing degree, wrong preset, or malformed cache data."""
 
 
-# Sets a slot of an immutable value, past its __setattr__; only __init__ calls it.
-_set = object.__setattr__
-
-
-class RelationPreset:
+class RelationPreset(Value):
     """A named family of degree-2 relations over a fixed alphabet.
 
     Immutable; equal and hashed as its field tuple ``(kind, n, alphabet)``.
@@ -55,26 +52,10 @@ class RelationPreset:
     __slots__ = ("kind", "n", "alphabet")
 
     def __init__(self, kind: str, n: int, alphabet: Alphabet):
-        _set(self, "kind", kind)
-        _set(self, "n", n)
-        _set(self, "alphabet", alphabet)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (RelationPreset, (self.kind, self.n, self.alphabet))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.n == other.n and self.alphabet == other.alphabet
-
-    def __hash__(self):
-        return hash((self.kind, self.n, self.alphabet))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "_key", (kind, n, alphabet))
 
     def key(self) -> str:
         if self.kind == "free":

@@ -15,17 +15,14 @@ from functools import cache
 
 from .perms import Permutation
 from .series import signed_sum_terms, signed_sum_text
+from .value import OrderedValue, Value
 
 
 class WordError(ValueError):
     pass
 
 
-# Sets a slot of an immutable value, past its __setattr__; only __init__ calls it.
-_set = object.__setattr__
-
-
-class Token:
+class Token(OrderedValue):
     """One letter of a welded word: a(i,j)^e, s(i) or sigma(i)^e with e = +-1.
 
     ``kind`` is "a", "s" or "sigma"; only "a" has a second label ``j``.
@@ -48,52 +45,11 @@ class Token:
                 raise WordError(f"{kind}({i}) needs a positive index")
             if j != 0:
                 raise WordError(f"bad token: {kind}({i}) takes no second label, got {j}")
-        _set(self, "kind", kind)
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "power", power)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (Token, (self.kind, self.i, self.j, self.power))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.i == other.i
-            and self.j == other.j
-            and self.power == other.power
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.i, self.j, self.power))
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.i, self.j, self.power) < (other.kind, other.i, other.j, other.power)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.i, self.j, self.power) <= (other.kind, other.i, other.j, other.power)
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.i, self.j, self.power) > (other.kind, other.i, other.j, other.power)
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.i, self.j, self.power) >= (other.kind, other.i, other.j, other.power)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "_key", (kind, i, j, power))
 
     def __repr__(self):
         return f"Token({self.kind!r}, {self.i}, {self.j}, {self.power})"
@@ -125,40 +81,26 @@ def sigma(i: int, power: int = 1) -> Token:
     return Token("sigma", i, 0, power)
 
 
-class WeldedWord:
+class WeldedWord(Value):
     """A word in the generators of the braid-permutation group on n strands.
 
-    Immutable; equal and hashed as its field tuple ``(n, letters)``.
+    Immutable; equal and hashed as its field tuple ``(n, letters)``.  The
+    letters may come as any iterable, and are stored as a tuple.
     """
 
     __slots__ = ("n", "letters")
 
-    def __init__(self, n: int, letters: tuple):
+    def __init__(self, n: int, letters):
+        letters = tuple(letters)
         for t in letters:
             if t.kind == "a":
                 if not (1 <= t.i <= n and 1 <= t.j <= n):
                     raise WordError(f"token {t.text()} out of range for n={n}")
             elif not 1 <= t.i < n:
                 raise WordError(f"token {t.text()} out of range for n={n}")
-        _set(self, "n", n)
-        _set(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (WeldedWord, (self.n, self.letters))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.letters == other.letters
-
-    def __hash__(self):
-        return hash((self.n, self.letters))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_key", (n, letters))
 
     def __mul__(self, other: "WeldedWord") -> "WeldedWord":
         if self.n != other.n:
@@ -166,7 +108,7 @@ class WeldedWord:
         return WeldedWord(self.n, self.letters + other.letters)
 
     def inverse(self) -> "WeldedWord":
-        return WeldedWord(self.n, tuple(t.inverse() for t in reversed(self.letters)))
+        return WeldedWord(self.n, (t.inverse() for t in reversed(self.letters)))
 
     def is_braid_word(self) -> bool:
         return all(t.kind == "sigma" for t in self.letters)
@@ -179,7 +121,7 @@ class WeldedWord:
 
 
 def word(n: int, *letters) -> WeldedWord:
-    return WeldedWord(n, tuple(letters))
+    return WeldedWord(n, letters)
 
 
 _TOKEN_RE = re.compile(r"(a|sig|s)(\d)(\d)?(?:\^(-?\d+))?\Z")
@@ -215,7 +157,7 @@ def parse_word(text: str, n: int) -> WeldedWord:
             continue
         letter = base if power > 0 else base.inverse()
         letters.extend([letter] * abs(power))
-    return WeldedWord(n, tuple(letters))
+    return WeldedWord(n, letters)
 
 
 # -- free group automorphisms ------------------------------------------------
@@ -231,7 +173,7 @@ def _free_reduce(seq) -> tuple:
     return tuple(out)
 
 
-class FreeGroupEndo:
+class FreeGroupEndo(Value):
     """Images of the free-group generators; letters are +-(1..n), reduced.
 
     Immutable; equal and hashed as its field tuple ``(n, images)``.
@@ -240,25 +182,9 @@ class FreeGroupEndo:
     __slots__ = ("n", "images")
 
     def __init__(self, n: int, images: tuple):
-        _set(self, "n", n)
-        _set(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (FreeGroupEndo, (self.n, self.images))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.images == other.images
-
-    def __hash__(self):
-        return hash((self.n, self.images))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_key", (n, images))
 
     def __repr__(self):
         return f"FreeGroupEndo({self.n}, {self.images!r})"
@@ -308,7 +234,7 @@ class FreeGroupEndo:
             if len(nonzero) != 1 or set(nonzero.values()) != {1}:
                 raise WordError(f"image of x_{idx} is not a conjugate of a generator")
             images.append(next(iter(nonzero)))
-        return Permutation(tuple(images))
+        return Permutation(images)
 
     def fixes_product_of_generators(self) -> bool:
         """Whether x_1 x_2 ... x_n is fixed (Artin's characterization of braids)."""
@@ -348,7 +274,7 @@ def pure_braid_generator(j: int, i: int, n: int) -> WeldedWord:
         raise WordError(f"need 1 <= j < i <= n, got j={j}, i={i}, n={n}")
     conj = [sigma(k) for k in range(i - 1, j, -1)]
     body = [sigma(j), sigma(j)]
-    return WeldedWord(n, tuple(conj + body + [t.inverse() for t in reversed(conj)]))
+    return WeldedWord(n, conj + body + [t.inverse() for t in reversed(conj)])
 
 
 # -- defining relations -------------------------------------------------------

@@ -454,6 +454,47 @@ def product_formula_dims(n, cap):
     return coeffs
 
 
+# -- the semi-associator kernel: an S3 multiplicity in the free Lie algebra ------
+
+
+def _mobius(k):
+    mu, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if k > 1 else mu
+
+
+def _free_lie_character(d, trace):
+    """chi_d(g) = (1/d) sum_{k | d} mu(k) tr(g^k)^(d/k), the character of L_d at g.
+
+    ``trace(k)`` is tr(g^k) on the degree-1 part; trace(1) ** d summed this
+    way is Witt's dimension formula when g is the identity.
+    """
+    total = sum(_mobius(k) * trace(k) ** (d // k) for k in range(1, d + 1) if d % k == 0)
+    assert total % d == 0
+    return total // d
+
+
+def standard_multiplicity(d):
+    """How often S3's standard representation occurs in degree d of the free Lie algebra on A, B.
+
+    S3 permutes A, B and C = -A - B, so it acts on span(A, B) as its standard
+    representation: trace 2 on the identity, -1 on a 3-cycle, 0 on a
+    transposition.  The transpositions drop out of the inner product, which
+    leaves (dim L_d - chi_d(3-cycle)) / 3.  The kernel of the extension's
+    degree-d (AS)/(H3) columns has this dimension.
+    """
+    dim = _free_lie_character(d, lambda k: 2)
+    rotation = _free_lie_character(d, lambda k: 2 if k % 3 == 0 else -1)
+    assert (dim - rotation) % 3 == 0
+    return (dim - rotation) // 3
+
+
 def avoiding_word_counts(size, forbidden_pairs, cap):
     """Number of words of each degree 0..cap that contain no forbidden adjacent pair.
 

@@ -37,7 +37,7 @@ from braidalg.associator import (
     _revised_step,
     ae_residual,
 )
-from braidalg.linalg import SparseEchelon
+from braidalg.linalg import SparseEchelon, affine_solve
 from braidalg.lyndon import bracket_image, bracket_terms, lie_basis, lyndon_words
 from braidalg.series import (
     AlphabetMismatch,
@@ -496,6 +496,42 @@ def _exp_lie_series(rng, cap):
             if rng.random() < 0.6:
                 ell = ell + bracket.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
     return ell.exp()
+
+
+class TestKernelIsAnS3Multiplicity:
+    """The degree-d kernel is the multiplicity of S3's standard representation in L_d."""
+
+    def test_the_closed_form_gives_the_measured_and_pinned_dimensions(self):
+        # degrees 11 and 12 are the ones CI pins; 13 and 14 are predictions
+        assert [oracles.standard_multiplicity(d) for d in range(2, 15)] == [
+            0, 1, 1, 2, 3, 6, 10, 19, 33, 62, 112, 210, 387
+        ]
+
+    def test_extension_from_one_has_the_closed_form_kernels_through_degree_ten(self):
+        dims = [step.kernel_dimension for step, _, _ in extension_steps(one(AB, 1), 10)]
+        assert dims == [oracles.standard_multiplicity(d) for d in range(2, 11)]
+        assert dims == [0, 1, 1, 2, 3, 6, 10, 19, 33]
+
+    def test_the_yb_columns_have_the_kernel_of_the_as_h3_columns(self):
+        # The linear half of "YB iff AS and H3": per degree, the first-order
+        # (YB) residual along the Lyndon brackets vanishes on exactly the
+        # subspace where the (AS)/(H3) columns do (check_equivalences).
+        terms, _ = associator._first_order_terms("YB")
+        for d in range(2, 11):
+            lyndon = associator._lyndon_set(d)
+            yb_columns = []
+            for w in lyndon:
+                column = {}
+                for s, x, y, _, _ in terms:
+                    image = associator._lyndon_image(w, associator._letters(x, y), lyndon)
+                    for word, n in image.items():
+                        column[word] = column.get(word, 0) + s * n
+                yb_columns.append({word: Fraction(n) for word, n in column.items() if n})
+            _, yb_kernel = affine_solve(yb_columns)
+            _, kernel = affine_solve(associator._bracket_columns(d))
+            both = [dict(enumerate(v)) for v in yb_kernel + kernel]
+            assert len(yb_kernel) == len(kernel) == oracles.standard_multiplicity(d), d
+            assert oracles.dense_rank(both, range(len(lyndon))) == len(kernel), d
 
 
 class TestHexagonVerdicts:

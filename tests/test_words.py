@@ -1,6 +1,8 @@
 import copy
+import importlib
 import itertools
 import pickle
+import pkgutil
 
 import pytest
 
@@ -23,6 +25,8 @@ from braidalg import (
     pure_braid_generator,
     words_equal_in_bp,
 )
+import braidalg
+from braidalg.value import OrderedValue, Value
 from braidalg.words import a, s, sigma, word
 
 
@@ -156,6 +160,7 @@ class TestWordGrammar:
 
 
 _FIELDS = {
+    Permutation: ("images",),
     Token: ("kind", "i", "j", "power"),
     WeldedWord: ("n", "letters"),
     FreeGroupEndo: ("n", "images"),
@@ -168,12 +173,13 @@ def _fields(value) -> tuple:
 
 
 class TestValueTypes:
-    """Tokens, words, endomorphisms and presets are immutable values."""
+    """Permutations, tokens, words, endomorphisms and presets are immutable values."""
 
     def values(self):
         """Pairs of equal values built separately, and one unequal value of each type."""
         w = parse_word("a12 sig1^-1 s2", 3)
         return [
+            (Permutation((2, 3, 1)), Permutation.from_one_line("231"), Permutation.identity(3)),
             (Token("a", 1, 2, -1), Token("a", 1, 2, -1), Token("a", 2, 1, -1)),
             (w, parse_word(w.text(), 3), w.inverse()),
             (as_automorphism(w), as_automorphism(parse_word(w.text(), 3)), FreeGroupEndo.identity(3)),
@@ -186,6 +192,48 @@ class TestValueTypes:
             assert x != other and len({x, y, other}) == 2
             assert x != _fields(x) and _fields(x) != x
             assert (x,) != (_fields(x),)
+
+    def test_values_hash_as_their_field_tuple(self):
+        for x, y, other in self.values():
+            for value in (x, y, other):
+                assert value._key == _fields(value) and hash(value) == hash(_fields(value))
+
+    def test_the_value_types_are_exactly_the_subclasses_of_the_base(self):
+        for module in pkgutil.iter_modules(braidalg.__path__):
+            importlib.import_module(f"braidalg.{module.name}")
+        found, todo = set(), [Value]
+        while todo:
+            for cls in todo.pop().__subclasses__():
+                if cls.__module__.startswith("braidalg.") and cls not in found:
+                    found.add(cls)
+                    todo.append(cls)
+        assert found - {OrderedValue} == set(_FIELDS)
+        assert set(OrderedValue.__subclasses__()) == {Permutation, Token}
+        for cls, fields in _FIELDS.items():
+            assert cls.__slots__ == fields
+
+    def test_only_permutations_and_tokens_are_ordered(self):
+        for x, y, other in self.values():
+            if type(x) in (Permutation, Token):
+                assert (x < other) != (other < x) and x <= y and x >= y
+                continue
+            for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+                assert getattr(type(x), op) is getattr(object, op)
+            with pytest.raises(TypeError):
+                x < other
+            with pytest.raises(TypeError):
+                x <= y
+
+    def test_lists_and_generators_give_the_values_tuples_give(self):
+        for pi in (Permutation([2, 3, 1]), Permutation(i for i in (2, 3, 1))):
+            assert pi.images == (2, 3, 1) and pi == Permutation((2, 3, 1))
+            assert hash(pi) == hash(Permutation((2, 3, 1)))
+        with pytest.raises(ValueError):
+            Permutation(i for i in (1, 1))
+        for w in (WeldedWord(2, [Token("s", 1)]), WeldedWord(2, (t for t in [s(1)]))):
+            assert w.letters == (s(1),) and w == word(2, s(1)) and hash(w) == hash(word(2, s(1)))
+        with pytest.raises(WordError):
+            WeldedWord(2, [s(2)])
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         for x, _, other in self.values():
