@@ -15,6 +15,10 @@ literature; everything downstream derives from the five lines above.  In
 code they, and (YB) below, are one table, ``_TERMS``: each residual a signed
 sum of products of factors Phi(x, y)^+-1 and exp(x), x and y sums of
 strands.  Every residual and every column of the solve is read off it.
+A residual is evaluated in the scaled-integer kernel of
+:mod:`braidalg.series`: Phi and Phi^-1 are converted once, each exp(s x)
+is the closed form sum_k s^k x^k / k! of a linear x, built once per cap,
+and one series is built at the end.
 The (AE) residual is the degree-1 part of log Phi plus its Lie defect,
 :func:`braidalg.series.lie_defect`: the one Dynkin test, which also decides
 ``is_lie_element``, the 3-strand family's precondition and
@@ -166,12 +170,20 @@ from .series import (
     ConstantTermError,
     SeriesError,
     TruncatedSeries,
+    from_scaled,
     generator_or_zero,
     lie_defect,
+    linear_forms,
     lowest_terms,
     one,
+    require_two_variables,
     scale_slice,
-    substitute,
+    scaled_add,
+    scaled_exp_linear,
+    scaled_mul,
+    scaled_substitute,
+    scaled_times,
+    to_scaled,
     unscale_slice,
     zero,
 )
@@ -302,9 +314,22 @@ def _linear(x: str, strands: dict) -> TruncatedSeries:
 
 
 @cache
-def _exp_factor(x: str, s: Fraction, n: int, cap: int, free: bool) -> TruncatedSeries:
-    """exp(s x), a factor that does not involve Phi: built once per cap."""
-    return _linear(x, _strands(n, cap, free)).scale(s).exp()
+def _forms(xs: tuple, n: int, free: bool) -> tuple:
+    """The sums of strands xs as linear forms over one denominator, as :func:`linear_forms` gives.
+
+    Every strand has coefficients +-1, so the denominator is 1, and the forms
+    of (x, y) are the letters of the map A, B -> x, y that
+    :func:`braidalg.lyndon.bracket_image` takes.
+    """
+    strands = _strands(n, 1, free)
+    return linear_forms([_linear(x, strands).slices[1] for x in xs])
+
+
+@cache
+def _exp_factor(x: str, s: Fraction, n: int, cap: int, free: bool) -> tuple:
+    """exp(s x), a factor that does not involve Phi: in closed form and scaled, built once per cap."""
+    den, (form,) = _forms((x,), n, free)
+    return scaled_exp_linear(form, den, s, cap)
 
 
 def _residual(axiom: str, phi: TruncatedSeries, free=False) -> TruncatedSeries:
@@ -313,11 +338,13 @@ def _residual(axiom: str, phi: TruncatedSeries, free=False) -> TruncatedSeries:
     With ``free`` a 3-strand residual is the one in F(A, B) whose product
     with exp(c/2) is the chord(3) residual; this needs phi to pass (AE)
     (module docstring).  Each Phi(x, y)^-1 is phi^-1, inverted once, at x, y;
-    in F(A, B) the factor Phi(A, B)^k is that power of phi itself.
+    in F(A, B) the factor Phi(A, B)^k is that power of phi itself.  phi and
+    phi^-1 are scaled once, and every substitution, product, sign and sum
+    stays in the scaled-integer kernel until the one series returned.
     """
+    require_two_variables(phi)
     n, cap = (4 if axiom == "P" else 3), phi.cap
-    strands = _strands(n, cap, free)
-    powers = {1: phi}
+    powers = {1: to_scaled(phi)}
     total = None
     for sign, factors in _TERMS[axiom]:
         product = None
@@ -327,24 +354,29 @@ def _residual(axiom: str, phi: TruncatedSeries, free=False) -> TruncatedSeries:
             else:
                 _, x, y, k = factor
                 if k not in powers:
-                    powers[k] = phi.inverse()
+                    powers[k] = to_scaled(phi.inverse())
                 if free and (x, y) == ("12", "23") and phi.alphabet == AB:
                     value = powers[k]  # Phi(A, B)^k itself
                 else:
-                    value = substitute(powers[k], _linear(x, strands), _linear(y, strands))
-            product = value if product is None else product * value
-        product = product.scale(sign)
-        total = product if total is None else total + product
-    return total
+                    den, forms = _forms((x, y), n, free)
+                    value = scaled_substitute(powers[k], forms, den, cap)
+            product = value if product is None else scaled_mul(product, value, cap)
+        product = scaled_times(product, sign)
+        total = product if total is None else scaled_add(total, product)
+    return from_scaled(AB if free else Alphabet.chord(n), cap, total)
 
 
 def _chord3_normal_form(r: TruncatedSeries, cap: int) -> TruncatedSeries:
     """The chord(3) normal form of exp(c/2) r(t12, t23), r in F(A, B); r = 0 reduces nothing."""
     if r.is_zero():
         return zero(Alphabet.chord(3), cap)
-    t = _strands(3, cap, False)
-    embedded = _linear("12+13+23", t).scale(HALF).exp() * substitute(r, t["12"], t["23"])
-    return build_graded_basis(infinitesimal_artin(3), cap).normal_form(embedded)
+    den, (c,) = _forms(("12+13+23",), 3, False)
+    den_ab, forms = _forms(("12", "23"), 3, False)
+    embedded = scaled_mul(
+        scaled_exp_linear(c, den, HALF, cap), scaled_substitute(to_scaled(r), forms, den_ab, cap), cap
+    )
+    basis = build_graded_basis(infinitesimal_artin(3), cap)
+    return basis.normal_form(from_scaled(Alphabet.chord(3), cap, embedded))
 
 
 def check_axiom(phi: TruncatedSeries, axiom: str, cap: int) -> AxiomResult:
@@ -534,15 +566,6 @@ def _first_order_terms(axiom: str) -> tuple:
     ), den
 
 
-@cache
-def _letters(x: str, y: str) -> tuple:
-    """The images of A and B under A, B -> x, y, sums of strands in F(A, B), as linear forms."""
-    strands = _strands(3, 1, True)
-    return tuple(
-        tuple((w[0], int(c)) for w, c in _linear(z, strands).slices[1].items()) for z in (x, y)
-    )
-
-
 def _lyndon_image(w: tuple, letters: tuple, lyndon: dict) -> dict:
     """The image of b(w) under the letters' map on the Lyndon words of its degree.
 
@@ -578,11 +601,11 @@ def _bracket_column(w: tuple, degree: int) -> tuple:
         for s, x, y, left, right in terms:
             if top == degree:
                 if (x, y) not in images:
-                    images[x, y] = _lyndon_image(w, _letters(x, y), lyndon)
+                    images[x, y] = _lyndon_image(w, _forms((x, y), 3, True)[1], lyndon)
                 for word, n in images[x, y].items():
                     rows[word] += s * n
             elif left or right:  # l p(x, y) + p(x, y) r, read off the first and last letters
-                image = bracket_image(w, _letters(x, y))
+                image = bracket_image(w, _forms((x, y), 3, True)[1])
                 for word in rows:
                     l, r = left.get(word[:1], 0), right.get(word[-1:], 0)
                     rows[word] += s * (l * image.get(word[1:], 0) + r * image.get(word[:-1], 0))

@@ -12,7 +12,11 @@ series is held as one ``(den, {word: int})`` pair per degree, standing for
 ``*``, ``exp``, ``log``, ``inverse`` and :func:`substitute_generators`
 convert their inputs once, work in integers and build a ``Fraction`` only
 per result term; :mod:`braidalg.quotient` and :mod:`braidalg.sdseries` use
-the same kernel for reduction and the semidirect fold.
+the same kernel for reduction and the semidirect fold.  A chain of
+operations stays in it: :func:`scaled_substitute` is the substitution's
+core and :func:`scaled_exp_linear` the closed form of exp(s x) for a
+linear x, so :mod:`braidalg.associator` converts once in and once out per
+residual.
 
 Values are immutable after construction and every operation is pure, so
 series can be shared freely between concurrent workers.
@@ -424,14 +428,7 @@ def substitute_generators(f: TruncatedSeries, images) -> TruncatedSeries:
     SeriesError naming the image.  All images share one alphabet and cap, the
     cap of the result; f must be known at least to that cap so no unknown
     terms are silently dropped.  The constant term of f passes through.
-
-    A word's image is a product of linear forms, expanded from its prefix's
-    image in integers: the images are put over one denominator D, and degree
-    k of the result is sum_w n_w N_w / (den_k D^k), with n_w / den_k the
-    coefficients of f and N_w the expanded numerators.  One Fraction is built
-    per surviving term.  Only proper prefixes' images are kept: a word's own
-    image is added into its slice as it is expanded, and a degree with no
-    terms is skipped.
+    The substitution itself is :func:`scaled_substitute`.
     """
     images = list(images)
     alphabet = f.alphabet
@@ -453,41 +450,21 @@ def substitute_generators(f: TruncatedSeries, images) -> TruncatedSeries:
             f"series known only to degree {f.cap}, cannot substitute at cap {target.cap}"
         )
     cap = target.cap
-    firsts = [im.slices[1] if cap else {} for im in images]
-    den_images = lcm(*(c.denominator for first in firsts for c in first.values()))
-    linear = [
-        [(w[0], c.numerator * (den_images // c.denominator)) for w, c in first.items()]
-        for first in firsts
-    ]
-    slices = [{(): f.constant_term} if f.constant_term else {}]
-    # proper prefix of f's words -> the numerators of its image, one length at a time
-    level = {(): {(): 1}}
-    for k in range(1, cap + 1):
-        total: dict = {}
-        if f.slices[k]:
-            den, sl = scale_slice(f.slices[k])
-            get = total.get
-            for w, n in sl.items():
-                last = linear[w[-1]]
-                for u, cu in level[w[:-1]].items():
-                    for h, ch in last:
-                        v = u + (h,)
-                        total[v] = get(v, 0) + n * cu * ch
-            total = unscale_slice(*lowest_terms(den * den_images**k, total))
-        slices.append(total)
-        prefixes = {w[:k] for d in range(k + 1, cap + 1) for w in f.slices[d]}
-        level = {
-            w: {u + (h,): cu * ch for u, cu in level[w[:-1]].items() for h, ch in linear[w[-1]]}
-            for w in prefixes
-        }
-    return TruncatedSeries(target.alphabet, cap, tuple(slices))
+    den, forms = linear_forms([im.slices[1] if cap else {} for im in images])
+    scaled = tuple(map(scale_slice, f.slices[: cap + 1]))
+    return from_scaled(target.alphabet, cap, scaled_substitute(scaled, forms, den, cap))
 
 
 def substitute(f: TruncatedSeries, x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     """Evaluate a two-variable series at linear x, y, e.g. Phi(A, B) at t12, t23."""
+    require_two_variables(f)
+    return substitute_generators(f, (x, y))
+
+
+def require_two_variables(f: TruncatedSeries):
+    """Raise unless f lives over a 2-letter abstract alphabet, as :func:`substitute` needs."""
     if f.alphabet.kind != "abstract" or f.alphabet.size != 2:
         raise AlphabetMismatch("substitute expects a series over a 2-letter abstract alphabet")
-    return substitute_generators(f, (x, y))
 
 
 # -- Lie structure -------------------------------------------------------
@@ -714,3 +691,70 @@ def scaled_times(a: tuple, c) -> tuple:
     if not p:
         return ((1, {}),) * len(a)
     return tuple(lowest_terms(den * q, {w: v * p for w, v in sl.items()}) for den, sl in a)
+
+
+def linear_forms(firsts) -> tuple:
+    """Degree-1 slices of Fractions over one denominator D: ``(D, forms)``.
+
+    ``forms[i]`` is slice i's terms as a tuple of ``(letter, numerator)``
+    pairs, the form standing for sum numerator * letter / D.
+    """
+    den = lcm(*(c.denominator for first in firsts for c in first.values()))
+    return den, tuple(
+        tuple((w[0], c.numerator * (den // c.denominator)) for w, c in first.items())
+        for first in firsts
+    )
+
+
+def scaled_substitute(f: tuple, forms: tuple, den_forms: int, cap: int) -> tuple:
+    """The algebra map sending generator g of the scaled series f to forms[g] / den_forms.
+
+    f holds at least cap + 1 degrees; its constant term passes through.  A
+    word's image is a product of linear forms, expanded from its prefix's
+    image in integers: degree k of the result is sum_w n_w N_w / (den_k D^k),
+    with n_w / den_k the coefficients of f, D = den_forms and N_w the
+    expanded numerators.  Only proper prefixes' images are kept: a word's own
+    image is added into its slice as it is expanded, and a degree with no
+    terms is skipped.
+    """
+    slices = [f[0]]
+    # proper prefix of f's words -> the numerators of its image, one length at a time
+    level = {(): {(): 1}}
+    for k in range(1, cap + 1):
+        den, sl = f[k]
+        if sl:
+            total: dict = {}
+            get = total.get
+            for w, n in sl.items():
+                last = forms[w[-1]]
+                for u, cu in level[w[:-1]].items():
+                    for h, ch in last:
+                        v = u + (h,)
+                        total[v] = get(v, 0) + n * cu * ch
+            slices.append(lowest_terms(den * den_forms**k, total))
+        else:
+            slices.append((1, {}))
+        prefixes = {w[:k] for d in range(k + 1, cap + 1) for w in f[d][1]}
+        level = {
+            w: {u + (h,): cu * ch for u, cu in level[w[:-1]].items() for h, ch in forms[w[-1]]}
+            for w in prefixes
+        }
+    return tuple(slices)
+
+
+def scaled_exp_linear(form: tuple, den: int, s, cap: int) -> tuple:
+    """exp(s x) in closed form for the linear x = sum n_g g / den, form = ((g, n_g), ...).
+
+    Degree k is s^k x^k / k!, and x^k is the sum over the words of length k
+    of the products of their letters' numerators, over den^k: with
+    s = p / q each degree is one integer slice over k! (q den)^k, and no
+    series is multiplied.  s is an int or a Fraction.
+    """
+    p, q = s.numerator, s.denominator
+    scaled_form = [(g, n * p) for g, n in form]
+    out = [(1, {(): 1})]
+    level = {(): 1}
+    for k in range(1, cap + 1):
+        level = {u + (g,): cu * n for g, n in scaled_form for u, cu in level.items()}
+        out.append(lowest_terms(factorial(k) * (q * den) ** k, level))
+    return tuple(out)

@@ -173,15 +173,26 @@ def _free_reduce(seq) -> tuple:
     return tuple(out)
 
 
+def _apply_word(images, letters) -> tuple:
+    """The image of a free-group word under x_i -> images[i - 1], freely reduced."""
+    out = []
+    for g in letters:
+        out.extend(images[g - 1] if g > 0 else [-h for h in reversed(images[-g - 1])])
+    return _free_reduce(out)
+
+
 class FreeGroupEndo(Value):
     """Images of the free-group generators; letters are +-(1..n), reduced.
 
-    Immutable; equal and hashed as its field tuple ``(n, images)``.
+    Immutable; ``images`` is stored as a tuple of tuples, so any sequences of
+    the same letters give the same value.  Equal and hashed as its field
+    tuple ``(n, images)``.
     """
 
     __slots__ = ("n", "images")
 
-    def __init__(self, n: int, images: tuple):
+    def __init__(self, n: int, images):
+        images = tuple(map(tuple, images))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_key", (n, images))
@@ -211,11 +222,7 @@ class FreeGroupEndo(Value):
 
     def apply_word(self, letters) -> tuple:
         """Image of a free-group word, freely reduced."""
-        out = []
-        for g in letters:
-            img = self.images[g - 1] if g > 0 else tuple(-h for h in reversed(self.images[-g - 1]))
-            out.extend(img)
-        return _free_reduce(out)
+        return _apply_word(self.images, letters)
 
     def compose(self, other: "FreeGroupEndo") -> "FreeGroupEndo":
         """(self . other)(x) = self(other(x))."""
@@ -241,7 +248,6 @@ class FreeGroupEndo(Value):
         return self.apply_word(range(1, self.n + 1)) == tuple(range(1, self.n + 1))
 
 
-@cache
 def _token_endo(n: int, t: Token) -> FreeGroupEndo:
     if t.kind == "a":
         return FreeGroupEndo.generator_a(n, t.i, t.j, t.power)
@@ -253,12 +259,27 @@ def _token_endo(n: int, t: Token) -> FreeGroupEndo:
     return ai.compose(si) if t.power == 1 else si.compose(ai)
 
 
+@cache
+def _token_moves(n: int, t: Token) -> tuple:
+    """The generators a letter moves, as (index, image) pairs; it fixes the others."""
+    return tuple(
+        (k, img) for k, img in enumerate(_token_endo(n, t).images) if img != (k + 1,)
+    )
+
+
 def as_automorphism(w: WeldedWord) -> FreeGroupEndo:
-    """Evaluate a welded word in Aut(F_n); the group product is composition."""
-    endo = FreeGroupEndo.identity(w.n)
+    """Evaluate a welded word in Aut(F_n); the group product is composition.
+
+    Composing with a letter's endomorphism changes only the images of the
+    generators it moves, so only those are recomputed, and one
+    FreeGroupEndo is built per word.
+    """
+    images = [(k,) for k in range(1, w.n + 1)]
     for t in w.letters:
-        endo = endo.compose(_token_endo(w.n, t))
-    return endo
+        moved = [(k, _apply_word(images, img)) for k, img in _token_moves(w.n, t)]
+        for k, img in moved:
+            images[k] = img
+    return FreeGroupEndo(w.n, images)
 
 
 def words_equal_in_bp(w1: WeldedWord, w2: WeldedWord) -> bool:

@@ -32,7 +32,7 @@ from braidalg.series import (
     substitute,
     unscale_slice,
 )
-from braidalg.words import Token
+from braidalg.words import FreeGroupEndo, Token
 
 ZERO = Fraction(0)
 
@@ -173,6 +173,28 @@ def reference_delta_kernel(n, k):
     ]
     _, kernel = affine_solve(columns)
     return len(domain_words), len(kernel)
+
+
+# -- welded words in Aut(F_n): one composition per letter -------------------------
+
+
+def _letter_endo(n, t):
+    """a(i,j): x_i -> x_j^-1 x_i x_j; s(i) swaps x_i, x_i+1; sigma(i) = a(i,i+1) s(i)."""
+    if t.kind == "a":
+        return FreeGroupEndo.generator_a(n, t.i, t.j, t.power)
+    if t.kind == "s":
+        return FreeGroupEndo.generator_s(n, t.i)
+    ai = FreeGroupEndo.generator_a(n, t.i, t.i + 1, t.power)
+    si = FreeGroupEndo.generator_s(n, t.i)
+    return ai.compose(si) if t.power == 1 else si.compose(ai)
+
+
+def as_automorphism(w):
+    """The welded word as a composite of its letters' endomorphisms, every image recomputed per letter."""
+    endo = FreeGroupEndo.identity(w.n)
+    for t in w.letters:
+        endo = endo.compose(_letter_endo(w.n, t))
+    return endo
 
 
 # -- Lie elements: the per-degree Dynkin formula and the Lyndon span ------------------

@@ -244,11 +244,11 @@ class TestExtension:
         associator._bracket_columns.cache_clear()
         bracket_image.cache_clear()
         depth, inside, outside, lookback = [0], [], [], set()
-        substitute_generators = series.substitute_generators
+        scaled_substitute = series.scaled_substitute
 
-        def counting(f, images):
-            (inside if depth[0] else outside).append(f.cap)
-            return substitute_generators(f, images)
+        def counting(f, forms, den, cap):
+            (inside if depth[0] else outside).append(cap)
+            return scaled_substitute(f, forms, den, cap)
 
         def within(function):
             def wrapped(*args):
@@ -266,7 +266,8 @@ class TestExtension:
             lookback.update(degree for coords in perturbations if len(next(iter(coords))) < degree)
             return columns(perturbations, degree)
 
-        monkeypatch.setattr(series, "substitute_generators", counting)
+        monkeypatch.setattr(series, "scaled_substitute", counting)
+        monkeypatch.setattr(associator, "scaled_substitute", counting)
         monkeypatch.setattr(associator, "_bracket_columns", within(bracket_columns))
         monkeypatch.setattr(associator, "_columns", recording)
         try:
@@ -274,26 +275,38 @@ class TestExtension:
         finally:
             bracket_columns.cache_clear()
         assert lookback == {5, 7}
-        assert inside == [] and outside
+        # One substitution into (AS) and two into (H3) for the input's check at
+        # cap 1, then two per (H3) residual in F(A, B), where Phi(A, B) is phi
+        # itself: one solve per degree 2..8 and a second at the revised 5 and 7.
+        assert inside == []
+        assert outside == [1, 1, 1] + [d for d in range(2, 9) for _ in range(4 if d in (5, 7) else 2)]
 
     def test_hexagon_constants_built_once_per_cap(self, monkeypatch):
-        # 375 exp calls before the hexagon's constant exponentials were shared.
+        # 375 exp calls before the hexagon's constant exponentials were shared,
+        # and 31 before they were built in closed form.
         associator._bracket_columns.cache_clear()
         associator._exp_factor.cache_clear()
-        calls = []
-        exp = TruncatedSeries.exp
+        calls, closed = [], []
+        exp, exp_linear = TruncatedSeries.exp, series.scaled_exp_linear
 
         def counting(self):
             calls.append(self.cap)
             return exp(self)
 
+        def counting_linear(form, den, s, cap):
+            closed.append(cap)
+            return exp_linear(form, den, s, cap)
+
         monkeypatch.setattr(TruncatedSeries, "exp", counting)
+        monkeypatch.setattr(associator, "scaled_exp_linear", counting_linear)
         bootstrap_semi_associator(7)
-        # Three per cap for H3 in F(A, B) at caps 1..7; one lift per step, six,
-        # and two per revision at degrees 5 and 7: the greedy lift that finds
-        # no correction and the lookback's base.
+        # Three closed forms per cap for H3 in F(A, B) at caps 1..7.  The
+        # general exp lifts: one per step, six, and two per revision at
+        # degrees 5 and 7, the greedy lift that finds no correction and the
+        # lookback's base.
         assert associator._exp_factor.cache_info().misses == 3 * 7
-        assert len(calls) == 3 * 7 + 6 + 2 * 2
+        assert sorted(closed) == [cap for cap in range(1, 8) for _ in range(3)]
+        assert len(calls) == 6 + 2 * 2
 
     def test_extension_steps_check_the_input_once(self, monkeypatch):
         calls = []
@@ -523,7 +536,7 @@ class TestKernelIsAnS3Multiplicity:
             for w in lyndon:
                 column = {}
                 for s, x, y, _, _ in terms:
-                    image = associator._lyndon_image(w, associator._letters(x, y), lyndon)
+                    image = associator._lyndon_image(w, associator._forms((x, y), 3, True)[1], lyndon)
                     for word, n in image.items():
                         column[word] = column.get(word, 0) + s * n
                 yb_columns.append({word: Fraction(n) for word, n in column.items() if n})
@@ -850,12 +863,15 @@ class TestOneTranscription:
     """The one table's residuals and columns against the hand transcriptions in the oracles."""
 
     @pytest.mark.parametrize("cap", range(8))
-    def test_residuals_equal_the_hand_transcriptions(self, rng, semi_associator_deg7, cap):
+    def test_residuals_equal_the_hand_transcriptions(self, rng, semi_associator_deg7, psi5, cap):
         # exp-Lie series pass (AE); 1 + A.B and 1 + A fail it, so their
         # F(A, B) hexagon residuals are formulas only, compared all the same.
+        # Psi5, known to degree 5, passes (AE) and fails (AS), (H1) and (P).
         series = [_exp_lie_series(rng, cap) for _ in range(2)]
         series += [parse_series(text, AB, 7) for text in ("1 + 1*A.B", "1 + 1*A")]
         series.append(semi_associator_deg7)
+        if cap <= psi5.cap:
+            series.append(psi5)
         for phi in series:
             prepared = associator._prepare(phi, cap)
             assert _residual("AS", prepared, free=True) == oracles.as_residual(phi, cap)

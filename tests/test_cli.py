@@ -248,6 +248,19 @@ class TestAssociatorCommands:
         verdicts = [line for line in out.splitlines() if not line.startswith("  residual: ")]
         assert verdicts == ["AE: pass", "AS: FAIL at degree 5", "H1: FAIL at degree 5", "H3: pass"]
 
+    def test_psi5_texts_match_the_pinned_files(self, capsys):
+        # The failing residuals' full texts, pinned in tests/fixtures and
+        # compared with cmp in CI too.
+        fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+        psi5 = os.path.join(fixtures, "psi5.txt")
+        for pinned, argv in (
+            ("psi5-axioms5.txt", ["check-associator", "--axioms", "AE,AS,H1,H3,P", "--cap", "5"]),
+            ("psi5-yb5.txt", ["check-yb", "--cap", "5"]),
+        ):
+            code, out = run(capsys, *argv, "--in", psi5)
+            with open(os.path.join(fixtures, pinned), encoding="utf-8") as handle:
+                assert code == 0 and out == handle.read(), pinned
+
     def test_extend_revises_dead_end(self, capsys, tmp_path):
         # the greedy degree-4 choice does not extend; the loop revises it
         src = tmp_path / "one.txt"

@@ -24,6 +24,7 @@ from braidalg import (
     zero,
 )
 from braidalg import associator
+from braidalg.series import from_scaled, linear_forms, scaled_exp_linear
 from braidalg.linalg import affine_solve
 from braidalg.lyndon import (
     bracket_image,
@@ -161,6 +162,24 @@ class TestExpLog:
                 assert x.exp().log() == x
                 g = one(AB, cap) + random_series(rng, AB, cap, zero_constant=True)
                 assert g.log().exp() == g
+
+    @pytest.mark.parametrize("alphabet", [Alphabet.chord(3), Alphabet.chord(4), AB])
+    def test_closed_form_of_a_linear_exponent(self, rng, alphabet):
+        # exp(s x) for linear x of 1-3 letters with rational coefficients, by
+        # the closed form s^k x^k / k!, against the general exp and mini_exp.
+        for cap in range(9):
+            for s in (1, -1, Fraction(1, 2), Fraction(-1, 2)):
+                for _ in range(2):
+                    letters = rng.sample(range(alphabet.size), rng.randint(1, min(3, alphabet.size)))
+                    x = {
+                        (g,): Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+                        for g in letters
+                    }
+                    den, (form,) = linear_forms([x])
+                    got = from_scaled(alphabet, cap, scaled_exp_linear(form, den, s, cap))
+                    linear = TruncatedSeries.from_terms(alphabet, cap, x if cap else {})
+                    assert got == linear.scale(s).exp()
+                    assert dict(got.terms()) == oracles.mini_exp(oracles.mini_scale(x, s), cap)
 
     def test_preconditions(self):
         with pytest.raises(ConstantTermError):
@@ -440,7 +459,7 @@ class TestLyndonBrackets:
             (minus_ab, ((1, 1),)),
         ]
         used = {
-            associator._letters(x, y)
+            associator._forms((x, y), 3, True)[1]
             for axiom in ("AS", "H3")
             for _, x, y, _, _ in associator._first_order_terms(axiom)[0]
         }

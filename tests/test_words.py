@@ -6,6 +6,7 @@ import pkgutil
 
 import pytest
 
+import oracles
 from braidalg import (
     FamilyReport,
     FreeGroupEndo,
@@ -26,6 +27,7 @@ from braidalg import (
     words_equal_in_bp,
 )
 import braidalg
+from braidalg.invariants import random_welded_word
 from braidalg.value import OrderedValue, Value
 from braidalg.words import a, s, sigma, word
 
@@ -159,6 +161,17 @@ class TestWordGrammar:
         assert as_automorphism(w * w.inverse()) == FreeGroupEndo.identity(3)
 
 
+class TestAsAutomorphism:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_equals_the_per_letter_composition(self, n, rng):
+        # Only the images a letter moves are recomputed; the oracle composes
+        # every image with every letter.
+        for length in (0, 1, 2, 5, 12, 30):
+            for _ in range(8):
+                w = random_welded_word(rng, n, length)
+                assert as_automorphism(w) == oracles.as_automorphism(w), w.text()
+
+
 _FIELDS = {
     Permutation: ("images",),
     Token: ("kind", "i", "j", "power"),
@@ -234,6 +247,10 @@ class TestValueTypes:
             assert w.letters == (s(1),) and w == word(2, s(1)) and hash(w) == hash(word(2, s(1)))
         with pytest.raises(WordError):
             WeldedWord(2, [s(2)])
+        identity = FreeGroupEndo.identity(2)
+        for images in ([(1,), (2,)], [[1], [2]], (img for img in [[1], (2,)])):
+            e = FreeGroupEndo(2, images)
+            assert e.images == ((1,), (2,)) and e == identity and hash(e) == hash(identity)
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         for x, _, other in self.values():
