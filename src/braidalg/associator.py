@@ -16,9 +16,9 @@ code they, and (YB) below, are one table, ``_TERMS``: each residual a signed
 sum of products of factors Phi(x, y)^+-1 and exp(x), x and y sums of
 strands.  Every residual and every column of the solve is read off it.
 A residual is evaluated in the scaled-integer kernel of
-:mod:`braidalg.series`: Phi and Phi^-1 are converted once, each exp(s x)
-is the closed form sum_k s^k x^k / k! of a linear x, built once per cap,
-and one series is built at the end.
+:mod:`braidalg.series`, on the stored degrees of Phi and Phi^-1; each
+exp(s x) is the closed form sum_k s^k x^k / k! of a linear x, built once
+per cap.
 The (AE) residual is the degree-1 part of log Phi plus its Lie defect,
 :func:`braidalg.series.lie_defect`: the one Dynkin test, which also decides
 ``is_lie_element``, the 3-strand family's precondition and
@@ -170,12 +170,12 @@ from .series import (
     ConstantTermError,
     SeriesError,
     TruncatedSeries,
-    from_scaled,
     generator_or_zero,
     lie_defect,
     linear_forms,
     lowest_terms,
     one,
+    relabel,
     require_two_variables,
     scale_slice,
     scaled_add,
@@ -183,7 +183,6 @@ from .series import (
     scaled_mul,
     scaled_substitute,
     scaled_times,
-    to_scaled,
     unscale_slice,
     zero,
 )
@@ -237,10 +236,7 @@ def swap_letters(phi: TruncatedSeries) -> TruncatedSeries:
     """The involution A <-> B of the two-variable algebra."""
     if phi.alphabet != AB:
         raise AssociatorError("expected a series over {A, B}")
-    slices = []
-    for sl in phi.slices:
-        slices.append({tuple(1 - g for g in w): c for w, c in sl.items()})
-    return TruncatedSeries(AB, phi.cap, tuple(slices))
+    return TruncatedSeries(AB, phi.cap, relabel(phi.scaled, (1, 0)))
 
 
 def _result(axiom: str, cap: int, residual: TruncatedSeries) -> AxiomResult:
@@ -322,7 +318,7 @@ def _forms(xs: tuple, n: int, free: bool) -> tuple:
     :func:`braidalg.lyndon.bracket_image` takes.
     """
     strands = _strands(n, 1, free)
-    return linear_forms([_linear(x, strands).slices[1] for x in xs])
+    return linear_forms([_linear(x, strands).scaled[1] for x in xs])
 
 
 @cache
@@ -338,13 +334,12 @@ def _residual(axiom: str, phi: TruncatedSeries, free=False) -> TruncatedSeries:
     With ``free`` a 3-strand residual is the one in F(A, B) whose product
     with exp(c/2) is the chord(3) residual; this needs phi to pass (AE)
     (module docstring).  Each Phi(x, y)^-1 is phi^-1, inverted once, at x, y;
-    in F(A, B) the factor Phi(A, B)^k is that power of phi itself.  phi and
-    phi^-1 are scaled once, and every substitution, product, sign and sum
-    stays in the scaled-integer kernel until the one series returned.
+    in F(A, B) the factor Phi(A, B)^k is that power of phi itself.  Every
+    substitution, product, sign and sum runs in the scaled-integer kernel.
     """
     require_two_variables(phi)
     n, cap = (4 if axiom == "P" else 3), phi.cap
-    powers = {1: to_scaled(phi)}
+    powers = {1: phi.scaled}
     total = None
     for sign, factors in _TERMS[axiom]:
         product = None
@@ -354,7 +349,7 @@ def _residual(axiom: str, phi: TruncatedSeries, free=False) -> TruncatedSeries:
             else:
                 _, x, y, k = factor
                 if k not in powers:
-                    powers[k] = to_scaled(phi.inverse())
+                    powers[k] = phi.inverse().scaled
                 if free and (x, y) == ("12", "23") and phi.alphabet == AB:
                     value = powers[k]  # Phi(A, B)^k itself
                 else:
@@ -363,7 +358,7 @@ def _residual(axiom: str, phi: TruncatedSeries, free=False) -> TruncatedSeries:
             product = value if product is None else scaled_mul(product, value, cap)
         product = scaled_times(product, sign)
         total = product if total is None else scaled_add(total, product)
-    return from_scaled(AB if free else Alphabet.chord(n), cap, total)
+    return TruncatedSeries(AB if free else Alphabet.chord(n), cap, total)
 
 
 def _chord3_normal_form(r: TruncatedSeries, cap: int) -> TruncatedSeries:
@@ -373,10 +368,10 @@ def _chord3_normal_form(r: TruncatedSeries, cap: int) -> TruncatedSeries:
     den, (c,) = _forms(("12+13+23",), 3, False)
     den_ab, forms = _forms(("12", "23"), 3, False)
     embedded = scaled_mul(
-        scaled_exp_linear(c, den, HALF, cap), scaled_substitute(to_scaled(r), forms, den_ab, cap), cap
+        scaled_exp_linear(c, den, HALF, cap), scaled_substitute(r.scaled, forms, den_ab, cap), cap
     )
     basis = build_graded_basis(infinitesimal_artin(3), cap)
-    return basis.normal_form(from_scaled(Alphabet.chord(3), cap, embedded))
+    return basis.normal_form(TruncatedSeries(Alphabet.chord(3), cap, embedded))
 
 
 def check_axiom(phi: TruncatedSeries, axiom: str, cap: int) -> AxiomResult:
@@ -464,8 +459,7 @@ class ExtensionStep:
             if c:
                 for word, n in bracket_terms(w).items():
                     total[word] = total.get(word, 0) + c * n
-        top = unscale_slice(*lowest_terms(den, total))
-        return TruncatedSeries(AB, self.degree, tuple({} for _ in range(self.degree)) + (top,))
+        return TruncatedSeries(AB, self.degree, ((1, {}),) * self.degree + (lowest_terms(den, total),))
 
     def extended(self, coords=None) -> TruncatedSeries:
         """exp(log + correction), the chosen solution as a group-like series.
@@ -489,7 +483,16 @@ def extend_semi_associator(phi: TruncatedSeries) -> ExtensionStep:
 
 
 def _require_hypotheses(phi: TruncatedSeries):
-    """Raise naming the axiom and degree unless phi meets (AE), (AS) and (H3) at its cap."""
+    """Raise naming the axiom and degree unless phi meets (AE), (AS) and (H3) at its cap.
+
+    A series known only to degree 0 is refused first: the extension's
+    columns start in degree 2, above the degree-1 normalization of (AE).
+    """
+    if phi.cap < 1:
+        raise AssociatorError(
+            "candidate known only to degree 0: extend a series known to degree 1, "
+            "where (AE) normalizes it to have no degree-1 part (e.g. 1)"
+        )
     for axiom in ("AE", "AS", "H3"):
         result = check_axiom(phi, axiom, phi.cap)
         if not result.passed:
@@ -556,12 +559,12 @@ def _first_order_terms(axiom: str) -> tuple:
         ]
         for j, factor in enumerate(factors):
             if factor[0] == "Phi":
-                left = sum(exponents[:j], zero(AB, 1)).slices[1]
-                right = sum(exponents[j + 1:], zero(AB, 1)).slices[1]
+                left = sum(exponents[:j], zero(AB, 1)).scaled[1]
+                right = sum(exponents[j + 1:], zero(AB, 1)).scaled[1]
                 terms.append((sign * factor[3], factor[1], factor[2], left, right))
-    den = lcm(*(c.denominator for term in terms for side in term[3:] for c in side.values()))
+    den = lcm(*(d for term in terms for d, _ in term[3:]))
     return tuple(
-        (s, x, y, *({w: int(c * den) for w, c in side.items()} for side in (left, right)))
+        (s, x, y, *({w: n * (den // d) for w, n in side.items()} for d, side in (left, right)))
         for s, x, y, left, right in terms
     ), den
 
@@ -651,7 +654,7 @@ def _columns(perturbations: list, degree: int) -> list:
 
 def _residual_labels(candidate: TruncatedSeries, degree: int) -> dict:
     """Top-degree (H3) residual in F(A, B) on its Lyndon rows, labelled ("H3", word)."""
-    return _lyndon_rows("H3", _residual("H3", candidate, free=True).slices[degree], degree)
+    return _lyndon_rows("H3", _residual("H3", candidate, free=True).degree_slice(degree), degree)
 
 
 def _revised_step(prev: ExtensionStep, kernel: list) -> ExtensionStep:

@@ -96,7 +96,7 @@ def cmd_normal_form(args):
     basis = build_graded_basis(preset, args.cap, args.cache_dir)
     series = _read_series(preset.alphabet, args.cap, args.series, args.infile)
     nf = basis.normal_form(series)
-    degrees = sorted(k for k in range(args.cap + 1) if nf.slices[k])
+    degrees = sorted(k for k in range(args.cap + 1) if nf.scaled[k][1])
     _emit(
         args,
         "normal-form",
@@ -118,7 +118,7 @@ def cmd_eval(args):
             assoc = assoc_mod.bootstrap_semi_associator(args.cap)
         family = reps_mod.eval_drinfeld if args.family == "drinfeld" else reps_mod.eval_rho3
         image = family(w, assoc, args.cap)
-    degrees = sorted({k for t in image.terms.values() for k in range(args.cap + 1) if t.slices[k]})
+    degrees = sorted({k for t in image.terms.values() for k in range(args.cap + 1) if t.scaled[k][1]})
     _emit(
         args,
         "eval",

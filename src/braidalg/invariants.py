@@ -28,7 +28,7 @@ from .quotient import (
 )
 from .reps import welded_images
 from .sdseries import SemidirectSeries, fold
-from .series import CapMismatch, TruncatedSeries, scale_slice, unscale_slice
+from .series import CapMismatch, TruncatedSeries
 from .words import (
     GroupRingElement,
     WeldedWord,
@@ -126,10 +126,9 @@ def delta_map(s: TruncatedSeries, target: GradedQuotientBasis) -> TruncatedSerie
         raise CapMismatch(f"series cap {s.cap} exceeds basis cap {target.cap}")
     letters = [(target.alphabet.gen(i, j), target.alphabet.gen(j, i)) for i, j in alph.pairs]
     slices = []
-    for k, sl in enumerate(s.slices):
-        den, scaled = scale_slice(sl)
-        image = {u: c for w, c in scaled.items() for u in product(*(letters[g] for g in w))}
-        slices.append(unscale_slice(den, target.reduce(k, image)))
+    for k, (den, sl) in enumerate(s.scaled):
+        image = {u: c for w, c in sl.items() for u in product(*(letters[g] for g in w))}
+        slices.append(target.reduce_slice(k, (den, image)))
     return TruncatedSeries(target.alphabet, s.cap, tuple(slices))
 
 
@@ -148,24 +147,29 @@ class DeltaKernelReport:
 
 
 @cache
-def _bracket_image(n: int, top: int, word: tuple) -> dict:
+def _bracket_image(n: int, top: int, word: tuple) -> tuple:
     """delta of the Lyndon bracket of a word in t_1top, ..., t_(top-1)top (letter g: t_(g+1)top).
 
-    It is the reduced commutator of its standard factors' reduced images.
+    It is the reduced commutator of its standard factors' reduced images, as
+    a scaled slice ``(den, {word: int})``.
     """
     oriented = build_graded_basis(oriented_artin(n), len(word))  # delta_kernel built it
     if len(word) == 1:
         i = word[0] + 1
-        return {(oriented.alphabet.gen(i, top),): 1, (oriented.alphabet.gen(top, i),): 1}
+        return 1, {(oriented.alphabet.gen(i, top),): 1, (oriented.alphabet.gen(top, i),): 1}
     u, v = standard_factorization(word)
-    bracket = commutator(_bracket_image(n, top, u), _bracket_image(n, top, v))
-    return oriented.reduce_slice(len(word), bracket)
+    (den_u, image_u), (den_v, image_v) = _bracket_image(n, top, u), _bracket_image(n, top, v)
+    return oriented.reduce_slice(len(word), (den_u * den_v, commutator(image_u, image_v)))
 
 
 @cache
 def _image_rank(n: int, d: int) -> int:
-    """dim delta(t_n)_d from the Lyndon basis of t_n = F(t_1n, ..., t_(n-1)n) x| t_(n-1)."""
-    columns = [_bracket_image(n, t, w) for t in range(2, n + 1) for w in lyndon_words(t - 1, d)]
+    """dim delta(t_n)_d from the Lyndon basis of t_n = F(t_1n, ..., t_(n-1)n) x| t_(n-1).
+
+    Each image's numerators stand for it: a column scaled by a nonzero
+    number leaves the rank unchanged.
+    """
+    columns = [_bracket_image(n, t, w)[1] for t in range(2, n + 1) for w in lyndon_words(t - 1, d)]
     return len(columns) - len(affine_solve(columns)[1])
 
 

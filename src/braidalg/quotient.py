@@ -28,10 +28,10 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     lie_defect,
+    lowest_terms,
     parse_series,
     scale_slice,
     signed_sum_text,
-    unscale_slice,
     word_key,
 )
 from .value import Value
@@ -69,7 +69,7 @@ class RelationPreset(Value):
 
         Each is a commutator [a, b1 + ... + bm] of distinct generators, written
         straight from its words: the terms a.b with coefficient 1, then the
-        terms b.a with coefficient -1, as Fractions.  The list and each
+        terms b.a with coefficient -1, over denominator 1.  The list and each
         relation's text are what the product a * b - b * a would give, so the
         digest of a preset's relations, which cache files carry, does not
         depend on how they are built.
@@ -99,7 +99,7 @@ class RelationPreset(Value):
         """[a, b1 + ... + bm] for distinct generators: no two of its words coincide."""
         sl = {(a, b): 1 for b in bs}
         sl.update({(b, a): -1 for b in bs})
-        return TruncatedSeries(self.alphabet, 2, ({}, {}, unscale_slice(1, sl)))
+        return TruncatedSeries(self.alphabet, 2, ((1, {}), (1, {}), (1, sl)))
 
     def __repr__(self):
         return f"RelationPreset({self.key()})"
@@ -221,10 +221,15 @@ class GradedQuotientBasis:
         self._check(k)
         return self._reduce(self._memos[k], vec)
 
-    def reduce_slice(self, k: int, vec: dict) -> dict:
-        """Reduce a degree-k slice of rationals in integers; a Fraction only per surviving term."""
-        den, scaled = scale_slice(vec)
-        return unscale_slice(den, self.reduce(k, scaled))
+    def reduce_slice(self, k: int, pair: tuple) -> tuple:
+        """Normal form of a scaled degree-k slice ``(den, {word: int})``, in lowest terms.
+
+        Rules with Fraction coefficients leave Fraction values, whose
+        denominators move into den.
+        """
+        den, sl = pair
+        m, sl = scale_slice(self.reduce(k, sl))
+        return lowest_terms(den * m, sl)
 
     def normal_form(self, s: TruncatedSeries) -> TruncatedSeries:
         """Canonical representative supported on normal words; idempotent."""
@@ -232,7 +237,7 @@ class GradedQuotientBasis:
             raise AlphabetMismatch(f"{s.alphabet!r} vs preset alphabet {self.alphabet!r}")
         if s.cap > self.cap:
             raise CapMismatch(f"series cap {s.cap} exceeds basis cap {self.cap}")
-        slices = tuple(self.reduce_slice(k, sl) for k, sl in enumerate(s.slices))
+        slices = tuple(self.reduce_slice(k, pair) for k, pair in enumerate(s.scaled))
         return TruncatedSeries(s.alphabet, s.cap, slices)
 
     def equal_mod_relations(self, a: TruncatedSeries, b: TruncatedSeries) -> bool:
@@ -296,8 +301,8 @@ class GradedQuotientBasis:
 
     def _ambiguities(self, j: int, relations):
         """NF(a).v - u.NF(b) over the degree-j words a.v = u.b where leading words a, b overlap."""
-        if j == 2:
-            yield from ({w: demote(c) for w, c in r.slices[2].items()} for r in relations())
+        if j == 2:  # each relation's degree 2, over denominator 1
+            yield from (r.scaled[2][1] for r in relations())
         starting = {}  # proper prefix -> the leading words starting with it
         for b in self._rules:
             for i in range(1, len(b)):
@@ -523,14 +528,14 @@ def _read_rules(lines: list, preset: RelationPreset, k: int, digest: str, state)
             raise _Rejected(f"failed body check: unreadable row {line!r}") from None
         if nf.text() != nf_txt:
             raise _Rejected(f"failed body check: {nf_txt!r} is not as written")
-        if len(lead) != k or any(nf.slices[:k]):
+        if len(lead) != k or any(sl for _, sl in nf.scaled[:k]):
             raise _Rejected(f"failed body check: {line!r} is not of degree {k}")
         if lead in rules:
             raise _Rejected(f"failed body check: duplicate leading word {lead_txt!r}")
-        if any(u >= lead for u in nf.slices[k]):
+        if any(u >= lead for u in nf.scaled[k][1]):
             raise _Rejected(f"failed body check: a term of {lead_txt!r} is not below it")
         # Integral values as int, as the closure leaves them.
-        rules[lead] = {u: demote(c) for u, c in nf.slices[k].items()}
+        rules[lead] = {u: demote(c) for u, c in nf.degree_slice(k).items()}
     below, lengths = state.rules, state.lengths
     for lead, nf in rules.items():
         if any(_holds_leading_word(v, below, lengths) for v in (lead[1:], lead[:-1])):

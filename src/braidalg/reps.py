@@ -151,7 +151,7 @@ def require_normalized_group_like(psi: TruncatedSeries):
     if psi.constant_term != 1:
         raise ConstantTermError("need constant term 1")
     logpsi = psi.log()
-    if psi.cap >= 1 and logpsi.slices[1]:
+    if psi.cap >= 1 and logpsi.scaled[1][1]:
         raise ConstantTermError("need a trivial degree-1 part (log Psi = 0 mod degree 2)")
     if not lie_defect(logpsi).is_zero():
         raise ConstantTermError("need a group-like series (primitive logarithm)")

@@ -5,37 +5,33 @@ Elements are finitely supported maps pi -> series with the twisted product
 are kept in quotient normal form eagerly after every product, so equality
 is plain component-wise comparison.
 
-Products run in the scaled-integer kernel of :mod:`braidalg.series`: each
-component is held as one ``(den, {word: int})`` pair per degree.  The twisted
-product skips unit components.  :func:`fold` takes a linear combination of
-products of :class:`Factor` values, folds every product in the free algebra,
-sums the terms in integers and reduces the sum to normal form once at the
-end; a ``Fraction`` is built only for a surviving normal-form term.
-``SemidirectSeries.__mul__`` is the same product of two elements; the
-representations in :mod:`braidalg.reps` and the group-ring evaluation in
-:mod:`braidalg.invariants` go through :func:`fold`.
+Products run in the scaled-integer kernel of :mod:`braidalg.series` on the
+components' stored ``(den, {word: int})`` pairs, with no conversion.  The
+twisted product skips unit components.  :func:`fold` takes a linear
+combination of products of :class:`Factor` values, folds every product in
+the free algebra, sums the terms in integers and reduces the sum to normal
+form once at the end.  ``SemidirectSeries.__mul__`` is the same product of
+two elements; the representations in :mod:`braidalg.reps` and the
+group-ring evaluation in :mod:`braidalg.invariants` go through :func:`fold`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .perms import Permutation
 from .quotient import GradedQuotientBasis
 from .series import (
     AlphabetMismatch,
     TruncatedSeries,
-    from_scaled,
     generator_or_zero,
     one,
     parse_series,
+    rational,
+    relabel,
     scaled_add,
     scaled_mul,
     scaled_one,
     scaled_times,
     substitute_generators,
-    to_scaled,
-    unscale_slice,
     zero,
 )
 
@@ -122,8 +118,8 @@ class SemidirectSeries:
         return self + other.scale(-1)
 
     def scale(self, c) -> "SemidirectSeries":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
+        """c times the element, for an int or a Fraction c; a float raises TypeError."""
+        if not rational(c):
             return SemidirectSeries.zero(self.basis, self.cap)
         return SemidirectSeries(
             self.basis,
@@ -138,7 +134,7 @@ class SemidirectSeries:
             return NotImplemented
         self._check_context(other)
         alph = self.basis.alphabet
-        acc = {x: to_scaled(a) for x, a in self.terms.items()}
+        acc = {x: a.scaled for x, a in self.terms.items()}
         raw = _twisted_mul(acc, Factor(alph, other.terms), self.cap)
         return _normalized(self.basis, self.cap, alph, raw)
 
@@ -167,9 +163,8 @@ class SemidirectSeries:
         """{permutation: {word: coeff}} at one degree, zero slices dropped."""
         out = {}
         for perm, series in self.terms.items():
-            sl = series.slices[k]
-            if sl:
-                out[perm] = dict(sl)
+            if series.scaled[k][1]:
+                out[perm] = series.degree_slice(k)
         return out
 
     def project_permutations(self) -> dict:
@@ -258,7 +253,7 @@ class SemidirectSeries:
 
 
 class Factor:
-    """A semidirect element {pi: series} in scaled form, for repeated products.
+    """A semidirect element {pi: series} as scaled series, for repeated products.
 
     ``acted(x)`` lists, for every term y -> b, the product permutation xy and
     the relabelled series x.b, or None where x.b is the unit; it is computed
@@ -269,7 +264,7 @@ class Factor:
 
     def __init__(self, alphabet, terms: dict):
         self.alphabet = alphabet
-        self.terms = {perm: to_scaled(series) for perm, series in terms.items()}
+        self.terms = {perm: series.scaled for perm, series in terms.items()}
         self._acted: dict = {}
 
     def acted(self, x: Permutation) -> list:
@@ -279,9 +274,7 @@ class Factor:
             gmap = [alph.permuted(g, x) for g in range(alph.size)]
             out = []
             for y, b in self.terms.items():
-                xb = None if b == scaled_one(len(b) - 1) else tuple(
-                    (den, {tuple([gmap[g] for g in w]): c for w, c in sl.items()}) for den, sl in b
-                )
+                xb = None if b == scaled_one(len(b) - 1) else relabel(b, gmap)
                 out.append((x.compose(y), xb))
             # Threads racing here compute equal lists; the first one published wins.
             out = self._acted.setdefault(x, out)
@@ -324,13 +317,13 @@ def fold(basis: GradedQuotientBasis, cap: int, alphabet, combination) -> Semidir
 def fold_free(alphabet, cap: int, factors) -> dict:
     """The product of the factors in the free algebra, as {pi: series}."""
     return {
-        perm: from_scaled(alphabet, cap, scaled)
+        perm: TruncatedSeries(alphabet, cap, scaled)
         for perm, scaled in _fold_scaled(alphabet, cap, factors).items()
     }
 
 
 def _normalized(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict) -> SemidirectSeries:
-    """Reduce {pi: scaled series} over the basis; Fractions only for surviving terms."""
+    """Reduce {pi: scaled series} over the basis to an element."""
     if cap > basis.cap:
         raise ContextMismatch(f"cap {cap} exceeds basis cap {basis.cap}")
     target = basis.alphabet
@@ -340,9 +333,7 @@ def _normalized(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict) -> Se
             raise ContextMismatch(f"permutation size {perm.n} vs n={target.n}")
         if alphabet != target:
             raise AlphabetMismatch(f"{alphabet!r} vs preset alphabet {target!r}")
-        slices = tuple(
-            unscale_slice(den, basis.reduce(k, sl)) for k, (den, sl) in enumerate(scaled)
-        )
-        if any(slices):
+        slices = tuple(basis.reduce_slice(k, pair) for k, pair in enumerate(scaled))
+        if any(sl for _, sl in slices):
             terms[perm] = TruncatedSeries(alphabet, cap, slices)
     return SemidirectSeries(basis, cap, terms, _normalized=True)

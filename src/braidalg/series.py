@@ -2,21 +2,19 @@
 
 Every value downstream (quotient algebras, semidirect products, braid
 representations) is built from these series.  A series lives over a fixed
-:class:`Alphabet`, is truncated at an explicit degree cap, and stores exact
-``fractions.Fraction`` coefficients keyed by words (tuples of generator
-indices), sliced per degree for fast truncated multiplication.
+:class:`Alphabet`, is truncated at an explicit degree cap, and holds each
+degree as one ``(den, {word: int})`` pair in lowest terms, standing for
+``{word: c / den}`` with words tuples of generator indices.
 
-Products run in the scaled-integer kernel at the end of this module: a
-series is held as one ``(den, {word: int})`` pair per degree, standing for
-``{word: c / den}``, and multiplied, added and scaled in integer arithmetic.
-``*``, ``exp``, ``log``, ``inverse`` and :func:`substitute_generators`
-convert their inputs once, work in integers and build a ``Fraction`` only
-per result term; :mod:`braidalg.quotient` and :mod:`braidalg.sdseries` use
-the same kernel for reduction and the semidirect fold.  A chain of
-operations stays in it: :func:`scaled_substitute` is the substitution's
-core and :func:`scaled_exp_linear` the closed form of exp(s x) for a
-linear x, so :mod:`braidalg.associator` converts once in and once out per
-residual.
+That pair is the one stored form.  ``+``, ``scale``, ``*``, ``exp``,
+``log``, ``inverse``, ``act``, :func:`substitute_generators` and
+:func:`lie_defect` all run in the scaled-integer kernel at the end of this
+module, in integer arithmetic, and so do the quotient reduction of
+:mod:`braidalg.quotient`, the semidirect fold of :mod:`braidalg.sdseries`
+and the axiom residuals of :mod:`braidalg.associator`.  A ``Fraction`` is
+built only where a value leaves a series: ``constant_term``,
+``coefficient``, ``terms``, ``degree_slice`` and ``text``.  A coefficient
+enters as an int or a Fraction; a float, a binary fraction, is refused.
 
 Values are immutable after construction and every operation is pure, so
 series can be shared freely between concurrent workers.
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import starmap
 from math import factorial, gcd, lcm
 
 from .perms import Permutation
@@ -157,25 +154,30 @@ def word_key(word: tuple) -> tuple:
 class TruncatedSeries:
     """Noncommutative power series truncated at a degree cap.
 
-    ``slices[k]`` maps degree-k words to nonzero Fractions.  Do not mutate;
-    use the arithmetic operations, which all return fresh values.  The hash
-    is computed on first use and kept, so a series used as a cache key is
-    hashed once.
+    ``scaled[k]`` is degree k as one ``(den, {word: int})`` pair in lowest
+    terms, standing for ``{word: c / den}``: den > 0, no zero numerator and
+    gcd(den, *numerators) == 1.  The form is unique, so ``==`` and the hash
+    read the pairs.  Do not mutate; use the arithmetic operations, which all
+    return fresh values.  The hash is computed on first use and kept, so a
+    series used as a cache key is hashed once.
     """
 
-    __slots__ = ("alphabet", "cap", "slices", "_hash")
+    __slots__ = ("alphabet", "cap", "scaled", "_hash")
 
-    def __init__(self, alphabet: Alphabet, cap: int, slices: tuple):
+    def __init__(self, alphabet: Alphabet, cap: int, scaled: tuple):
         self.alphabet = alphabet
         self.cap = cap
-        self.slices = slices
+        self.scaled = scaled
         self._hash = None
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def from_terms(alphabet: Alphabet, cap: int, terms) -> "TruncatedSeries":
-        """Build a series from {word: coefficient}; zero coefficients are dropped."""
+        """Build a series from {word: coefficient}; zero coefficients are dropped.
+
+        A coefficient is an int or a Fraction; a float raises TypeError.
+        """
         if cap < 0:
             raise SeriesError("cap must be >= 0")
         size = alphabet.size
@@ -187,51 +189,52 @@ class TruncatedSeries:
                 raise SeriesError(f"word of degree {len(word)} exceeds cap {cap}")
             if any(not 0 <= g < size for g in word):
                 raise SeriesError(f"word {word!r} has letters outside the alphabet")
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             sl = slices[len(word)]
-            c = sl.get(word, ZERO) + c
-            if c:
-                sl[word] = c
-            else:
-                sl.pop(word, None)
-        return TruncatedSeries(alphabet, cap, tuple(slices))
+            c = rational(coeff)
+            sl[word] = sl[word] + c if word in sl else c
+        return TruncatedSeries(alphabet, cap, tuple(lowest_terms(*scale_slice(sl)) for sl in slices))
 
     # -- inspection ---------------------------------------------------
 
     @property
     def constant_term(self) -> Fraction:
-        return self.slices[0].get((), ZERO)
+        den, sl = self.scaled[0]
+        return Fraction(sl[()], den) if sl else ZERO
 
     def coefficient(self, word) -> Fraction:
         word = tuple(word)
         if len(word) > self.cap:
             raise SeriesError(f"word of degree {len(word)} exceeds cap {self.cap}")
-        return self.slices[len(word)].get(word, ZERO)
+        den, sl = self.scaled[len(word)]
+        c = sl.get(word)
+        return Fraction(c, den) if c else ZERO
 
     def is_zero(self) -> bool:
-        return not any(self.slices)
+        return not any(sl for _, sl in self.scaled)
 
     def min_degree(self):
         """Lowest degree with a nonzero term, or None for the zero series."""
-        for k, sl in enumerate(self.slices):
+        for k, (_, sl) in enumerate(self.scaled):
             if sl:
                 return k
         return None
 
     def terms(self):
         """Yield (word, coefficient) pairs in deglex order."""
-        for sl in self.slices:
+        for pair in self.scaled:
+            sl = unscale_slice(*pair)
             for word in sorted(sl):
                 yield word, sl[word]
 
     def degree_slice(self, k: int) -> dict:
+        """Degree k as {word: Fraction}."""
         if not 0 <= k <= self.cap:
             raise SeriesError(f"degree {k} outside 0..{self.cap}")
-        return dict(self.slices[k])
+        return unscale_slice(*self.scaled[k])
 
     def homogeneous_part(self, k: int) -> "TruncatedSeries":
-        slices = tuple(dict(sl) if d == k else {} for d, sl in enumerate(self.slices))
-        return TruncatedSeries(self.alphabet, self.cap, slices)
+        scaled = tuple(pair if d == k else (1, {}) for d, pair in enumerate(self.scaled))
+        return TruncatedSeries(self.alphabet, self.cap, scaled)
 
     def truncated(self, new_cap: int) -> "TruncatedSeries":
         """Drop all terms above new_cap; requires 0 <= new_cap <= cap."""
@@ -239,14 +242,13 @@ class TruncatedSeries:
             raise SeriesError("cap must be >= 0")
         if new_cap > self.cap:
             raise CapMismatch(f"cannot raise cap {self.cap} to {new_cap}")
-        return TruncatedSeries(self.alphabet, new_cap, tuple(dict(sl) for sl in self.slices[: new_cap + 1]))
+        return TruncatedSeries(self.alphabet, new_cap, self.scaled[: new_cap + 1])
 
     def lifted(self, new_cap: int) -> "TruncatedSeries":
         """The same coefficients viewed at a higher cap (upper terms unknown-as-zero)."""
         if new_cap < self.cap:
             raise CapMismatch(f"cannot lower cap {self.cap} to {new_cap} (use truncated)")
-        slices = [dict(sl) for sl in self.slices] + [dict() for _ in range(new_cap - self.cap)]
-        return TruncatedSeries(self.alphabet, new_cap, tuple(slices))
+        return TruncatedSeries(self.alphabet, new_cap, self.scaled + ((1, {}),) * (new_cap - self.cap))
 
     # -- ring structure ------------------------------------------------
 
@@ -260,17 +262,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compat(other)
-        slices = []
-        for a, b in zip(self.slices, other.slices):
-            sl = dict(a)
-            for w, c in b.items():
-                c2 = sl.get(w, ZERO) + c
-                if c2:
-                    sl[w] = c2
-                else:
-                    sl.pop(w, None)
-            slices.append(sl)
-        return TruncatedSeries(self.alphabet, self.cap, tuple(slices))
+        return TruncatedSeries(self.alphabet, self.cap, scaled_add(self.scaled, other.scaled))
 
     def __neg__(self):
         return self.scale(-1)
@@ -281,12 +273,8 @@ class TruncatedSeries:
         return self + other.scale(-1)
 
     def scale(self, c) -> "TruncatedSeries":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return zero(self.alphabet, self.cap)
-        return TruncatedSeries(
-            self.alphabet, self.cap, tuple({w: cv * c for w, cv in sl.items()} for sl in self.slices)
-        )
+        """c times the series, for an int or a Fraction c; a float raises TypeError."""
+        return TruncatedSeries(self.alphabet, self.cap, scaled_times(self.scaled, rational(c)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -294,8 +282,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compat(other)
-        product = scaled_mul(to_scaled(self), to_scaled(other), self.cap)
-        return from_scaled(self.alphabet, self.cap, product)
+        return TruncatedSeries(self.alphabet, self.cap, scaled_mul(self.scaled, other.scaled, self.cap))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -334,15 +321,15 @@ class TruncatedSeries:
         return self._power_series([(-1) ** k / c for k in range(self.cap + 1)], 1 / c)
 
     def _power_series(self, coefficients, x=ONE) -> "TruncatedSeries":
-        """sum_k coefficients[k] h^k with h = x (self - constant term), in scaled integers."""
+        """sum_k coefficients[k] h^k with h = x (self - constant term)."""
         cap = self.cap
-        h = scaled_times(((1, {}),) + to_scaled(self)[1:], x)
+        h = scaled_times(((1, {}),) + self.scaled[1:], x)
         power = scaled_one(cap)
         total = scaled_times(power, coefficients[0])
         for c in coefficients[1:]:
             power = scaled_mul(power, h, cap)
             total = scaled_add(total, scaled_times(power, c))
-        return from_scaled(self.alphabet, cap, total)
+        return TruncatedSeries(self.alphabet, cap, total)
 
     # -- symmetry -------------------------------------------------------
 
@@ -350,9 +337,7 @@ class TruncatedSeries:
         """Relabel strands: t_ij -> t_(pi i)(pi j), v_ij -> v_(pi i)(pi j)."""
         alphabet = self.alphabet
         gmap = [alphabet.permuted(g, perm) for g in range(alphabet.size)]
-        # gmap is one-to-one, so no two words collide.
-        slices = ({tuple(gmap[g] for g in w): c for w, c in sl.items()} for sl in self.slices)
-        return TruncatedSeries(alphabet, self.cap, tuple(slices))
+        return TruncatedSeries(alphabet, self.cap, relabel(self.scaled, gmap))
 
     # -- text form ------------------------------------------------------
 
@@ -366,21 +351,23 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.cap == other.cap
-            and all(a == b for a, b in zip(self.slices, other.slices))
-        )
+        return self.alphabet == other.alphabet and self.cap == other.cap and self.scaled == other.scaled
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(
-                (self.alphabet, self.cap, tuple(frozenset(sl.items()) for sl in self.slices))
-            )
+            slices = tuple((den, frozenset(sl.items())) for den, sl in self.scaled)
+            self._hash = hash((self.alphabet, self.cap, slices))
         return self._hash
 
     def __repr__(self):
         return f"<series {self.text()} | cap {self.cap} over {self.alphabet!r}>"
+
+
+def rational(c):
+    """c itself when it is an int or a Fraction; a float, a binary fraction, raises TypeError."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise TypeError(f"unsupported coefficient type: {type(c).__name__!r} (use an int or a Fraction)")
 
 
 # -- constructors -------------------------------------------------------
@@ -439,7 +426,7 @@ def substitute_generators(f: TruncatedSeries, images) -> TruncatedSeries:
         target._check_compat(im)
         if im.constant_term:
             raise ConstantTermError("substitution images must have zero constant term")
-        k = next((k for k in range(2, im.cap + 1) if im.slices[k]), None)
+        k = next((k for k in range(2, im.cap + 1) if im.scaled[k][1]), None)
         if k is not None:
             raise SeriesError(
                 f"the image of {alphabet.names[g]} has a term of degree {k}; "
@@ -450,9 +437,8 @@ def substitute_generators(f: TruncatedSeries, images) -> TruncatedSeries:
             f"series known only to degree {f.cap}, cannot substitute at cap {target.cap}"
         )
     cap = target.cap
-    den, forms = linear_forms([im.slices[1] if cap else {} for im in images])
-    scaled = tuple(map(scale_slice, f.slices[: cap + 1]))
-    return from_scaled(target.alphabet, cap, scaled_substitute(scaled, forms, den, cap))
+    den, forms = linear_forms([im.scaled[1] if cap else (1, {}) for im in images])
+    return TruncatedSeries(target.alphabet, cap, scaled_substitute(f.scaled, forms, den, cap))
 
 
 def substitute(f: TruncatedSeries, x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
@@ -492,20 +478,19 @@ def lie_defect(s: TruncatedSeries) -> TruncatedSeries:
     D is the left-normed bracketing of each word, extended linearly.  A
     homogeneous x of degree k is a Lie element iff D x = k x
     (Dynkin-Specht-Wever), so the defect is zero exactly when s is a Lie
-    series.  Each degree is bracketed in integers over the slice's common
-    denominator; one Fraction is built per surviving term.
+    series.  Each degree is bracketed in integers over its denominator.
     """
     if s.constant_term:
         raise ConstantTermError("Lie detection needs a zero constant term")
-    slices = [{}]
+    slices = [(1, {})]
     for k in range(1, s.cap + 1):
-        den, sl = scale_slice(s.slices[k])
+        den, sl = s.scaled[k]
         total = {w: k * c for w, c in sl.items()}
         get = total.get
         for w, c in sl.items():
             for u, cu in _bracket_word(w).items():
                 total[u] = get(u, 0) - c * cu
-        slices.append(unscale_slice(*lowest_terms(den * k, total)))
+        slices.append(lowest_terms(den * k, total))
     return TruncatedSeries(s.alphabet, s.cap, tuple(slices))
 
 
@@ -599,7 +584,10 @@ def parse_series(text: str, alphabet: Alphabet, cap: int | None = None) -> Trunc
 
 
 def scale_slice(sl: dict) -> tuple:
-    """A slice of rationals as ``(den, {word: int})``, den the lcm of its denominators."""
+    """A slice of ints and Fractions as ``(den, {word: int})``, den the lcm of its denominators.
+
+    With no zero value the pair is in lowest terms.
+    """
     if not sl:
         return 1, {}
     den = lcm(*[c.denominator for c in sl.values()])
@@ -630,14 +618,6 @@ def lowest_terms(den: int, sl: dict) -> tuple:
         den //= g
         sl = {w: c // g for w, c in sl.items()}
     return den, sl
-
-
-def to_scaled(series: TruncatedSeries) -> tuple:
-    return tuple(map(scale_slice, series.slices))
-
-
-def from_scaled(alphabet: Alphabet, cap: int, scaled: tuple) -> TruncatedSeries:
-    return TruncatedSeries(alphabet, cap, tuple(starmap(unscale_slice, scaled)))
 
 
 def scaled_one(cap: int) -> tuple:
@@ -694,16 +674,18 @@ def scaled_times(a: tuple, c) -> tuple:
 
 
 def linear_forms(firsts) -> tuple:
-    """Degree-1 slices of Fractions over one denominator D: ``(D, forms)``.
+    """Scaled degree-1 slices over one denominator D: ``(D, forms)``.
 
     ``forms[i]`` is slice i's terms as a tuple of ``(letter, numerator)``
     pairs, the form standing for sum numerator * letter / D.
     """
-    den = lcm(*(c.denominator for first in firsts for c in first.values()))
-    return den, tuple(
-        tuple((w[0], c.numerator * (den // c.denominator)) for w, c in first.items())
-        for first in firsts
-    )
+    den = lcm(*(d for d, _ in firsts))
+    return den, tuple(tuple((w[0], c * (den // d)) for w, c in first.items()) for d, first in firsts)
+
+
+def relabel(a: tuple, gmap) -> tuple:
+    """a with letter g renamed gmap[g]; gmap is one-to-one, so no two words collide."""
+    return tuple((den, {tuple([gmap[g] for g in w]): c for w, c in sl.items()}) for den, sl in a)
 
 
 def scaled_substitute(f: tuple, forms: tuple, den_forms: int, cap: int) -> tuple:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 
 from .perms import Permutation
-from .series import signed_sum_terms, signed_sum_text
+from .series import rational, signed_sum_terms, signed_sum_text
 from .value import OrderedValue, Value
 
 
@@ -374,7 +374,10 @@ _RING_TERM_RE = re.compile(
 
 
 class GroupRingElement:
-    """Rational combination of welded words, each kept in its given spelling."""
+    """Rational combination of welded words, each kept in its given spelling.
+
+    Coefficients are ints or Fractions; a float raises TypeError.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -384,14 +387,14 @@ class GroupRingElement:
         for w, c in terms.items():
             if w.n != n:
                 raise WordError(f"strand mismatch: {w.n} vs {n}")
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            c = c if isinstance(c, Fraction) else Fraction(rational(c))
             if c:
                 clean[w] = c
         self.terms = clean
 
     @staticmethod
     def from_word(w: WeldedWord, coeff=1) -> "GroupRingElement":
-        return GroupRingElement(w.n, {w: Fraction(coeff)})
+        return GroupRingElement(w.n, {w: coeff})
 
     @staticmethod
     def one(n: int) -> "GroupRingElement":
@@ -411,7 +414,7 @@ class GroupRingElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "GroupRingElement":
-        c = Fraction(c)
+        c = rational(c)
         return GroupRingElement(self.n, {w: cv * c for w, cv in self.terms.items()})
 
     def __mul__(self, other):

@@ -29,12 +29,18 @@ from braidalg.series import (
     generator,
     generator_or_zero,
     lowest_terms,
+    scale_slice,
     substitute,
     unscale_slice,
 )
 from braidalg.words import FreeGroupEndo, Token
 
 ZERO = Fraction(0)
+
+
+def reduce_fractions(basis, k, sl):
+    """basis.reduce of a degree-k slice of Fractions, run in integers as normal forms run it."""
+    return unscale_slice(*basis.reduce_slice(k, scale_slice(sl)))
 
 
 # -- mini free-algebra arithmetic (dict word -> Fraction) -----------------------
@@ -250,7 +256,7 @@ def in_lyndon_span(basis, s):
     nf = basis.normal_form(s)
     if nf.constant_term:
         return False
-    return all(not lyndon_slice(basis.preset, k).reduce(nf.slices[k]) for k in range(1, nf.cap + 1))
+    return all(not lyndon_slice(basis.preset, k).reduce(nf.degree_slice(k)) for k in range(1, nf.cap + 1))
 
 
 # -- dense exact Gauss over an explicit column list ------------------------------
@@ -433,7 +439,7 @@ def echelon_table(preset, k, relations):
 
     ech = SparseEchelon(key=word_key)
     # The relations are integral: echelonize in int, not Fraction, arithmetic.
-    rel_slices = [{w: demote(c) for w, c in r.slices[2].items()} for r in relations]
+    rel_slices = [{w: demote(c) for w, c in r.degree_slice(2).items()} for r in relations]
     m = preset.alphabet.size
     for a in range(k - 1):
         for u in product(range(m), repeat=a):
@@ -697,14 +703,14 @@ def chord_columns(perturbations, degree):
     for p in perturbations:
         q = substitute(p, t12, t23)
         a, b = q.act(g312), q.act(g132)
-        if p.slices[degree]:
-            col = {("AS", w): c for w, c in (swap_letters(p) + p).slices[degree].items()}
+        if p.degree_slice(degree):
+            col = {("AS", w): c for w, c in (swap_letters(p) + p).degree_slice(degree).items()}
             h3 = a - b + q
         else:
             col = {}
             t = t13 + t23
             h3 = (a * t - t13 * b - b * t23 + t * q).scale(Fraction(1, 2))
-        h3 = basis3.reduce_slice(degree, h3.slices[degree])
+        h3 = unscale_slice(*basis3.reduce_slice(degree, h3.scaled[degree]))
         col.update((("H3", w), c) for w, c in h3.items())
         columns.append(col)
     return columns
@@ -715,8 +721,8 @@ def chord_residual_labels(candidate, degree):
     from braidalg.quotient import build_graded_basis, infinitesimal_artin
 
     basis3 = build_graded_basis(infinitesimal_artin(3), degree)
-    h3 = chord_hexagon_residual(candidate, degree, "H3").slices[degree]
-    return {("H3", w): c for w, c in basis3.reduce_slice(degree, h3).items()}
+    h3 = chord_hexagon_residual(candidate, degree, "H3").scaled[degree]
+    return {("H3", w): c for w, c in unscale_slice(*basis3.reduce_slice(degree, h3)).items()}
 
 
 # -- reference text formatters ---------------------------------------------------
@@ -838,9 +844,9 @@ def _hexagon_column(p: TruncatedSeries, degree: int, words=None) -> dict:
     b = p(-A-B, B) and q = p added in integers over one denominator.
     """
     A, minus_ab, B = _strands(degree, free=True)
-    top = degree if p.slices[degree] else degree - 1
-    a, b = (substitute(p, minus_ab, x).slices[top] for x in (A, B))
-    q = p.slices[top]
+    top = degree if p.degree_slice(degree) else degree - 1
+    a, b = (substitute(p, minus_ab, x).degree_slice(top) for x in (A, B))
+    q = p.degree_slice(top)
     if top == degree:
         half = 1
 
@@ -877,8 +883,8 @@ def _columns(perturbations: list, degree: int) -> list:
     columns = []
     for p in perturbations:
         col = {}
-        if p.slices[degree]:
-            col = _lyndon_rows("AS", (swap_letters(p) + p).slices[degree], degree)
+        if p.degree_slice(degree):
+            col = _lyndon_rows("AS", (swap_letters(p) + p).degree_slice(degree), degree)
         h3 = _hexagon_column(p, degree, _lyndon_set(degree))
         col.update({("H3", w): c for w, c in h3.items()})
         columns.append(col)

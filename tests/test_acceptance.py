@@ -63,7 +63,7 @@ def test_criterion_2_oriented_dims():
     assert hilbert_row(oriented_artin(2), 5) == [2**k for k in range(6)]
     preset = oriented_artin(3)
     words2 = [(i, j) for i in range(6) for j in range(6)]
-    rank = oracles.dense_rank([dict(r.slices[2]) for r in preset.relations()], words2)
+    rank = oracles.dense_rank([dict(r.degree_slice(2)) for r in preset.relations()], words2)
     assert rank == 9
     basis = build_graded_basis(preset, 2)
     assert basis.dimension(2) == 36 - rank == 27
@@ -223,8 +223,8 @@ def _lowest_term_product(u, v, p, q, basis):
         for y, sv in v.terms.items():
             key = x.compose(y)
             tgt = out.setdefault(key, {})
-            for w1, c1 in su.slices[p].items():
-                for w2, c2 in sv.slices[q].items():
+            for w1, c1 in su.degree_slice(p).items():
+                for w2, c2 in sv.degree_slice(q).items():
                     w2t = tuple(sv.alphabet.permuted(g, x) for g in w2)
                     joined = w1 + w2t
                     c = tgt.get(joined, Fraction(0)) + c1 * c2
@@ -232,7 +232,7 @@ def _lowest_term_product(u, v, p, q, basis):
                         tgt[joined] = c
                     else:
                         del tgt[joined]
-    return {perm: basis.reduce_slice(p + q, slice_) for perm, slice_ in out.items()}
+    return {perm: oracles.reduce_fractions(basis, p + q, slice_) for perm, slice_ in out.items()}
 
 
 def test_criterion_9_oracle_consistency():

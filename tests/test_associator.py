@@ -49,6 +49,7 @@ from braidalg.series import (
     lie_defect,
     parse_series,
     substitute,
+    unscale_slice,
     zero,
 )
 from braidalg.words import WeldedWord, sigma
@@ -122,6 +123,18 @@ class TestExtension:
         assert step.particular == [Fraction(1, 24)]
         psi = step.extended()
         assert psi == psi24(2)
+
+    def test_a_series_known_only_to_degree_zero_is_refused_before_any_solve(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("solved before refusing a degree-0 series")
+
+        monkeypatch.setattr(associator, "affine_solve", fail)
+        message = "known only to degree 0: extend a series known to degree 1, where \\(AE\\) normalizes"
+        with pytest.raises(AssociatorError, match=message):
+            extend_semi_associator(one(AB, 0))
+        with pytest.raises(AssociatorError, match=message):
+            list(extension_steps(one(AB, 0), 3))
+        assert list(extension_steps(one(AB, 0), 0)) == []  # nothing to extend, nothing refused
 
     def test_chain_from_one_through_degree_four(self):
         phi = one(AB, 1)
@@ -202,7 +215,7 @@ class TestExtension:
                 for axiom in ("AS", "H3"):
                     diff = r[axiom] - r0[axiom]
                     assert lie_defect(diff).is_zero()
-                    sl = diff.slices[degree]
+                    sl = diff.degree_slice(degree)
                     col.update(((axiom, w), c) for w, c in sl.items() if w in lyndon)
                 columns.append(col)
             return columns
@@ -422,7 +435,7 @@ def _embedded_and_reduced(sl, degree):
     t12, t23 = generator(alph, degree, "t12"), generator(alph, degree, "t23")
     image = substitute(TruncatedSeries.from_terms(AB, degree, sl), t12, t23)
     basis = build_graded_basis(infinitesimal_artin(3), degree)
-    return basis.reduce_slice(degree, image.slices[degree])
+    return unscale_slice(*basis.reduce_slice(degree, image.scaled[degree]))
 
 
 def _part(col, axiom):
@@ -453,7 +466,7 @@ class TestHexagonInFreeAlgebra:
             lyndon = set(lyndon_words(2, degree))
             assert _part(col, "AS") == {w: c for w, c in _part(want, "AS").items() if w in lyndon}
             assert _part(col, "H3") == {w: c for w, c in h3.items() if w in lyndon}
-            if not p.slices[degree]:
+            if not p.degree_slice(degree):
                 lookback.add(degree)
         # the previous degree's kernel at the revised degrees 4, 6 and 8
         assert lookback == {5, 7, 9}
@@ -467,10 +480,10 @@ class TestHexagonInFreeAlgebra:
             r = _residual("H3", candidate, free=True)
             assert r.min_degree() in (degree, None)
             assert lie_defect(r).is_zero()
-            assert _embedded_and_reduced(r.slices[degree], degree) == _part(want, "H3")
+            assert _embedded_and_reduced(r.degree_slice(degree), degree) == _part(want, "H3")
             lyndon = set(lyndon_words(2, degree))
             assert associator._residual_labels(candidate, degree) == {
-                ("H3", w): c for w, c in r.slices[degree].items() if w in lyndon
+                ("H3", w): c for w, c in r.degree_slice(degree).items() if w in lyndon
             }
             degrees.append(degree)
         # one solve per step, and at each revision the lookback's: the revised
@@ -685,7 +698,7 @@ class TestYangBaxterInFreeAlgebra:
     def test_a_two_letter_alphabet_other_than_ab(self):
         xy = Alphabet.abstract("X", "Y")
         for psi, cap in ((psi24(3), 3), (psi24(4), 4), (one(AB, 2), 2)):
-            renamed = TruncatedSeries(xy, psi.cap, psi.slices)
+            renamed = TruncatedSeries(xy, psi.cap, psi.scaled)
             result = check_yang_baxter(renamed, cap)
             assert result.passed == check_yang_baxter(psi, cap).passed
             want = None if result.passed else oracles.rho3_yang_baxter_defect(renamed, cap)
@@ -840,7 +853,7 @@ class TestSpanningExpansion:
             mu[(j, i)] = series - one(basis.alphabet, cap)
 
         def flatten(series):
-            return {(k, w): c for k in range(cap + 1) for w, c in series.slices[k].items()}
+            return {(k, w): c for k in range(cap + 1) for w, c in series.degree_slice(k).items()}
 
         ech = SparseEchelon(key=lambda col: (col[0], col[1]))
         ech.add(flatten(one(basis.alphabet, cap)))
@@ -894,10 +907,10 @@ class TestOneTranscription:
             if kind == "column":
                 p = _perturbation(arg, degree)
                 assert _columns([arg], degree) == oracles._columns([p], degree)
-                (lookback if not p.slices[degree] else brackets).add(degree)
+                (lookback if not p.degree_slice(degree) else brackets).add(degree)
             else:
                 r = oracles._hexagon_residual(arg, degree, "H3", free=True)
-                want = associator._lyndon_rows("H3", r.slices[degree], degree)
+                want = associator._lyndon_rows("H3", r.degree_slice(degree), degree)
                 assert associator._residual_labels(arg, degree) == want
         assert lookback == {5, 7, 9}
         assert brackets == set(range(2, 10))

@@ -351,6 +351,20 @@ class TestAssociatorCommands:
         assert ".tmp" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "one.txt"]
 
+    def test_extend_refuses_a_degree_zero_file_with_its_reason(self, capsys, tmp_path):
+        src = tmp_path / "phi0.txt"
+        src.write_text("# semi-associator to degree 0\n1\n")
+        out_path = tmp_path / "phi3.txt"
+        argv = ["extend-associator", "--from", str(src), "--to-degree", "3", "--out", str(out_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: candidate known only to degree 0: extend a series known to degree 1, "
+            "where (AE) normalizes it to have no degree-1 part (e.g. 1)\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["phi0.txt"]
+
     def test_extend_file_is_the_bootstrap(self, capsys, tmp_path):
         src = tmp_path / "one.txt"
         src.write_text("1\n")

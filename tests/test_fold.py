@@ -78,12 +78,13 @@ def ref_normal_form(basis, cap, raw):
 
 
 def as_dict(series):
-    return {w: c for sl in series.slices for w, c in sl.items()}
+    return dict(series.terms())
 
 
 def assert_all_fractions(image):
     for series in image.terms.values():
-        for sl in series.slices:
+        for k in range(series.cap + 1):
+            sl = series.degree_slice(k)
             assert all(type(c) is Fraction for c in sl.values()), sl
 
 

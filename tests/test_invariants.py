@@ -120,7 +120,7 @@ class TestVassilievDegree:
             order = (u * v).min_degree()
             assert order >= p + q
             lowest = {
-                perm: basis.reduce_slice(p + q, slice_)
+                perm: oracles.reduce_fractions(basis, p + q, slice_)
                 for perm, slice_ in _lowest_product(u, v, p, q).items()
             }
             if any(lowest.values()):
@@ -138,8 +138,8 @@ def _lowest_product(u, v, p, q):
         for y, sv in v.terms.items():
             key = x.compose(y)
             tgt = out.setdefault(key, {})
-            for w1, c1 in su.slices[p].items():
-                for w2, c2 in sv.slices[q].items():
+            for w1, c1 in su.degree_slice(p).items():
+                for w2, c2 in sv.degree_slice(q).items():
                     w2t = tuple(sv.alphabet.permuted(g, x) for g in w2)
                     w = w1 + w2t
                     c = tgt.get(w, Fraction(0)) + c1 * c2
@@ -365,7 +365,7 @@ class TestDeltaMap:
                 letters = tuple(((chord.gen(i, top), 1),) for i in range(1, top))
                 for w in lyndon_words(top - 1, d):
                     bracket = TruncatedSeries.from_terms(chord, d, bracket_image(w, letters))
-                    columns.append(delta_map(bracket, oriented).slices[d])
+                    columns.append(delta_map(bracket, oriented).degree_slice(d))
             expected.append(columns)
         assert seen == expected
 

@@ -38,7 +38,7 @@ SIZES = ((3, 4), (4, 3))
 def reference_table(preset, k):
     """The degree-k ideal slice spanned by u * r * w, echelonized in Fraction."""
     ech = FractionEchelon(key=word_key)
-    rels = [r.slices[2] for r in preset.relations()]
+    rels = [r.degree_slice(2) for r in preset.relations()]
     m = preset.alphabet.size
     for a in range(k - 1):
         for u in product(range(m), repeat=a):
@@ -166,8 +166,9 @@ def test_normal_form_equals_reference_reduce():
                 s = TruncatedSeries.from_terms(preset.alphabet, cap, terms)
                 nf = basis.normal_form(s)
                 for k in range(cap + 1):
-                    assert nf.slices[k] == refs[k].reduce(s.slices[k]), (preset, k)
-                    assert all(type(c) is Fraction for c in nf.slices[k].values())
+                    assert nf.degree_slice(k) == refs[k].reduce(s.degree_slice(k)), (preset, k)
+                    assert all(type(c) is Fraction for c in nf.degree_slice(k).values())
+                    assert all(type(nf.coefficient(w)) is Fraction for w in nf.degree_slice(k))
                 assert basis.normal_form(nf) == nf
 
 

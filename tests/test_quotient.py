@@ -29,7 +29,7 @@ from braidalg import (
 )
 from braidalg import quotient
 from braidalg.linalg import SparseEchelon
-from braidalg.series import word_key
+from braidalg.series import lowest_terms, word_key
 from braidalg.quotient import (
     GradedQuotientBasis,
     RelationPreset,
@@ -65,7 +65,7 @@ class TestRelationLists:
         for preset in (infinitesimal_artin(4), oriented_artin(4), oriented_upper_triangular(4)):
             for rel in preset.relations():
                 assert rel.min_degree() == 2
-                assert all(not rel.slices[k] for k in (0, 1))
+                assert all(not rel.degree_slice(k) for k in (0, 1))
 
     @pytest.mark.parametrize(
         "preset,digest",
@@ -94,10 +94,11 @@ class TestRelationLists:
         preset = quotient.preset_by_name(kind, n)
         rels, reference = preset.relations(), oracles.reference_relations(preset)
         assert rels == reference  # the same order, caps and slices
-        assert [list(r.slices[2]) for r in rels] == [list(r.slices[2]) for r in reference]
+        assert [list(r.degree_slice(2)) for r in rels] == [list(r.degree_slice(2)) for r in reference]
         assert [r.text() for r in rels] == [r.text() for r in reference]
         assert _relations_digest(rels) == _relations_digest(reference)
-        assert all(type(c) is Fraction for r in rels for sl in r.slices for c in sl.values())
+        assert all(type(c) is Fraction for r in rels for c in r.degree_slice(2).values())
+        assert all(type(r.coefficient(w)) is Fraction for r in rels for w in r.degree_slice(2))
 
     def test_relations_and_cache_rows_take_no_series_arithmetic(self, tmp_path, monkeypatch):
         presets = (infinitesimal_artin(4), oriented_artin(4), oriented_upper_triangular(4))
@@ -145,7 +146,7 @@ class TestDimensions:
         # independent oracle: dense rank of the relation vectors over all 9 words
         preset = infinitesimal_artin(3)
         cols = words_of_degree(preset.alphabet, 2)
-        vectors = [dict(r.slices[2]) for r in preset.relations()]
+        vectors = [dict(r.degree_slice(2)) for r in preset.relations()]
         rank = oracles.dense_rank(vectors, cols)
         assert rank == 2  # the third relation is dependent
         basis = build_graded_basis(preset, 2)
@@ -154,7 +155,7 @@ class TestDimensions:
     def test_oriented_three_strands_degree_two_by_local_echelon(self):
         preset = oriented_artin(3)
         cols = words_of_degree(preset.alphabet, 2)
-        vectors = [dict(r.slices[2]) for r in preset.relations()]
+        vectors = [dict(r.degree_slice(2)) for r in preset.relations()]
         rank = oracles.dense_rank(vectors, cols)
         assert rank == 9
         basis = build_graded_basis(preset, 2)
@@ -294,12 +295,14 @@ class TestChordRewriting:
                 got = basis.reduce(k, vec)
                 assert got == want, k
                 assert all(type(c) is int for c in got.values())
-                assert basis.reduce_slice(k, vec) == want
+                assert basis.reduce_slice(k, (1, vec)) == (1, want)
+                assert basis.reduce_slice(k, (6, vec)) == lowest_terms(6, want)
             for _ in range(5):
                 s = random_series(rng, preset.alphabet, k, nterms=12, denom=12)
                 nf = basis.normal_form(s)
-                assert nf.slices[k] == echelon.reduce(s.slices[k]), k
-                assert all(type(c) is Fraction for c in nf.slices[k].values())
+                assert nf.degree_slice(k) == echelon.reduce(s.degree_slice(k)), k
+                assert all(type(c) is Fraction for c in nf.degree_slice(k).values())
+                assert all(type(nf.coefficient(w)) is Fraction for w in nf.degree_slice(k))
 
     @pytest.mark.parametrize("n,k", [(3, 8), (4, 6)])
     def test_word_order_does_not_change_normal_forms(self, monkeypatch, n, k):

@@ -31,7 +31,7 @@ from braidalg import (
     words_equal_in_bp,
 )
 from braidalg.lyndon import lie_basis
-from braidalg.series import from_scaled, zero
+from braidalg.series import TruncatedSeries, zero
 from braidalg.words import a, s, sigma, word
 
 HALF = Fraction(1, 2)
@@ -324,12 +324,12 @@ class TestInverseLetterImages:
     @staticmethod
     def _inverted(factor, alph, cap):
         ((perm, u),) = factor.terms.items()
-        return perm, from_scaled(alph, cap, u).inverse().act(perm)
+        return perm, TruncatedSeries(alph, cap, u).inverse().act(perm)
 
     @staticmethod
     def _image(factor, alph, cap):
         ((perm, u),) = factor.terms.items()
-        return perm, from_scaled(alph, cap, u)
+        return perm, TruncatedSeries(alph, cap, u)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_drinfeld(self, semi_associator_deg5, n):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,20 +12,27 @@ from braidalg import (
     AlphabetMismatch,
     CapMismatch,
     ConstantTermError,
+    GroupRingElement,
     Permutation,
+    SemidirectSeries,
     SeriesError,
     TruncatedSeries,
+    build_graded_basis,
+    free_preset,
     generator,
+    infinitesimal_artin,
     is_lie_element,
     lie_defect,
     one,
+    oriented_artin,
     parse_series,
+    parse_word,
     substitute,
     substitute_generators,
     zero,
 )
 from braidalg import associator
-from braidalg.series import from_scaled, linear_forms, scaled_exp_linear
+from braidalg.series import linear_forms, scale_slice, scaled_exp_linear
 from braidalg.linalg import affine_solve
 from braidalg.lyndon import (
     bracket_image,
@@ -175,8 +183,8 @@ class TestExpLog:
                         (g,): Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
                         for g in letters
                     }
-                    den, (form,) = linear_forms([x])
-                    got = from_scaled(alphabet, cap, scaled_exp_linear(form, den, s, cap))
+                    den, (form,) = linear_forms([scale_slice(x)])
+                    got = TruncatedSeries(alphabet, cap, scaled_exp_linear(form, den, s, cap))
                     linear = TruncatedSeries.from_terms(alphabet, cap, x if cap else {})
                     assert got == linear.scale(s).exp()
                     assert dict(got.terms()) == oracles.mini_exp(oracles.mini_scale(x, s), cap)
@@ -351,8 +359,8 @@ class TestLieDetection:
         assert is_lie_element(bch)
         assert lie_defect(bch).is_zero()
         for k in range(1, 5):
-            columns = [dict(b.slices[k]) for _, b in lie_basis(AB, 4, k)]
-            rhs = dict(bch.slices[k])
+            columns = [dict(b.degree_slice(k)) for _, b in lie_basis(AB, 4, k)]
+            rhs = dict(bch.degree_slice(k))
             particular, _ = affine_solve(columns, rhs)
             assert particular is not None
 
@@ -419,6 +427,115 @@ class TestEquality:
         assert substitute_generators(s, images) == generator(big, 3, "t12").exp()
 
 
+class TestStoredForm:
+    """Every public operation stores each degree as one (den, {word: int}) pair in lowest terms."""
+
+    ALPHABETS = {"chord3": Alphabet.chord(3), "oriented3": Alphabet.oriented(3), "AB": AB}
+
+    @staticmethod
+    def assert_lowest_terms(s):
+        assert len(s.scaled) == s.cap + 1
+        for k, (den, sl) in enumerate(s.scaled):
+            assert type(den) is int and den > 0, (k, den)
+            assert all(type(c) is int and c for c in sl.values()), (k, sl)
+            assert all(len(w) == k for w in sl), (k, sl)
+            assert gcd(den, *sl.values()) == 1, (k, den, sl)
+
+    @staticmethod
+    def basis(alphabet, cap):
+        preset = {"chord": infinitesimal_artin, "oriented": oriented_artin}.get(alphabet.kind)
+        return build_graded_basis(preset(alphabet.n) if preset else free_preset(alphabet), cap)
+
+    def results(self, rng, alphabet, cap):
+        """(name, series) for every public operation on random arguments."""
+        a, b = random_series(rng, alphabet, cap), random_series(rng, alphabet, cap)
+        x = random_series(rng, alphabet, cap, zero_constant=True) if cap else zero(alphabet, 0)
+        g = one(alphabet, cap) + x
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 6))
+        linear = [
+            sum(
+                (
+                    generator(alphabet, cap, h).scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                    for h in rng.sample(range(alphabet.size), 2)
+                ),
+                zero(alphabet, cap),
+            )
+            if cap
+            else zero(alphabet, 0)
+            for _ in range(alphabet.size)
+        ]
+        if alphabet.kind == "abstract":
+            acted = associator.swap_letters(a)
+        else:
+            acted = a.act(Permutation.from_one_line("".join(map(str, rng.sample(range(1, 4), 3)))))
+        out = [
+            ("+", a + b), ("-", a - b), ("neg", -a), ("scale", a.scale(c)), ("scale by 0", a.scale(0)),
+            ("*", a * b), ("exp", x.exp()), ("log", g.log()), ("inverse", g.scale(c).inverse()),
+            ("act", acted), ("substitute", substitute_generators(a, linear)),
+            ("lie_defect", lie_defect(x)), ("normal_form", self.basis(alphabet, cap).normal_form(a)),
+            ("truncated", a.truncated(cap // 2)), ("lifted", a.lifted(cap + 2)),
+        ]
+        return out, (a, b, x)
+
+    def ideal_routes(self, rng, alphabet, cap):
+        """NF(n + r/2) and NF(n) for an integral n and a relation r: the reduction cancels the 1/2."""
+        basis = self.basis(alphabet, cap)
+        n = random_series(rng, alphabet, cap, denom=1)
+        relation = rng.choice(basis.preset.relations()).lifted(cap)
+        return basis.normal_form(n + relation.scale(Fraction(1, 2))), basis.normal_form(n)
+
+    @pytest.mark.parametrize("cap", range(7))
+    @pytest.mark.parametrize("name", ALPHABETS)
+    def test_every_operation_stores_lowest_terms(self, rng, name, cap):
+        alphabet = self.ALPHABETS[name]
+        for _ in range(3):
+            results, (a, b, x) = self.results(rng, alphabet, cap)
+            for op, s in results:
+                try:
+                    self.assert_lowest_terms(s)
+                except AssertionError:
+                    pytest.fail(f"{op} on {alphabet!r} at cap {cap} left {s.scaled}")
+            # Equal series reached by different routes compare and hash equal.
+            if alphabet.kind != "abstract" and cap >= 2:
+                via_ideal, direct = self.ideal_routes(rng, alphabet, cap)
+                self.assert_lowest_terms(via_ideal)
+                assert via_ideal == direct and hash(via_ideal) == hash(direct)
+            assert x.exp().log() == x and hash(x.exp().log()) == hash(x)
+            terms = oracles.mini_mul(dict(a.terms()), dict(b.terms()), cap)
+            product = TruncatedSeries.from_terms(alphabet, cap, terms)
+            assert a * b == product and hash(a * b) == hash(product)
+
+
+class TestFloatCoefficients:
+    """A float is a binary fraction: every coefficient entry point refuses it, as * does."""
+
+    @staticmethod
+    def entry_points():
+        w = parse_word("s1 a12", 3)
+        unit = SemidirectSeries.unit(build_graded_basis(oriented_artin(3), 2), 2)
+        return {
+            "from_terms": lambda c: TruncatedSeries.from_terms(AB, 1, {(0,): c}),
+            "TruncatedSeries.scale": lambda c: generator(AB, 2, 0).scale(c),
+            "SemidirectSeries.scale": unit.scale,
+            "GroupRingElement": lambda c: GroupRingElement(3, {w: c}),
+            "from_word": lambda c: GroupRingElement.from_word(w, c),
+            "GroupRingElement.scale": GroupRingElement.from_word(w).scale,
+        }
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["from_terms", "TruncatedSeries.scale", "SemidirectSeries.scale", "GroupRingElement",
+         "from_word", "GroupRingElement.scale"],
+    )
+    def test_refused_like_the_product(self, entry):
+        with pytest.raises(TypeError, match="unsupported"):
+            generator(AB, 2, 0) * 0.1
+        take = self.entry_points()[entry]
+        with pytest.raises(TypeError, match="unsupported coefficient type: 'float'"):
+            take(0.1)
+        assert "1/10" in take(Fraction(1, 10)).text()
+
+
 class TestLyndonBrackets:
     @pytest.mark.parametrize("size", [2, 3])
     def test_word_dicts_equal_series_commutators(self, size):
@@ -442,7 +559,7 @@ class TestLyndonBrackets:
             for w in words:
                 terms = bracket_terms(w)
                 assert all(type(c) is int for c in terms.values())
-                assert terms == commutator(w).slices[degree]
+                assert terms == commutator(w).degree_slice(degree)
             assert [b for _, b in lie_basis(alphabet, degree, degree)] == [
                 commutator(w) for w in words
             ]
@@ -474,4 +591,4 @@ class TestLyndonBrackets:
                     image = bracket_image(w, letters)
                     assert all(type(c) is int for c in image.values())
                     x, y = map(linear, letters)
-                    assert image == substitute(bracket, x, y).slices[degree], (w, letters)
+                    assert image == substitute(bracket, x, y).degree_slice(degree), (w, letters)
