@@ -26,8 +26,8 @@ from .quotient import (
     infinitesimal_artin,
     oriented_artin,
 )
-from .reps import welded_images
-from .sdseries import SemidirectSeries, fold
+from .reps import fold_welded
+from .sdseries import SemidirectSeries
 from .series import CapMismatch, TruncatedSeries
 from .words import (
     GroupRingElement,
@@ -41,11 +41,16 @@ from .words import (
 
 
 def eval_group_ring(xi: GroupRingElement, cap: int, cache_dir=None) -> SemidirectSeries:
-    """Linear extension of the welded representation to the group ring, reduced once."""
+    """Linear extension of the welded representation to the group ring, reduced once.
+
+    Every degree-d coefficient of a word's image lies in (1/d!) Z, since
+    1/(k_1! ... k_m!) = multinomial(d; k)/d! for the letters' exponentials,
+    so the element is summed in integers over q d!, q the lcm of its
+    coefficients' denominators, and reduced to normal form once
+    (:func:`braidalg.reps.fold_welded`).
+    """
     basis = build_graded_basis(oriented_artin(xi.n), cap, cache_dir)
-    alph, images = welded_images(xi.n, cap)
-    terms = [(c, [images[t] for t in w.letters]) for w, c in xi.terms.items()]
-    return fold(basis, cap, alph, terms)
+    return fold_welded(basis, cap, xi.terms.items())
 
 
 class FiltrationReport:

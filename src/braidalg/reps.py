@@ -9,16 +9,23 @@ Three families are evaluated on words:
 * the 3-strand family parametrized by a group-like series Psi normalized in
   degree one, defined on sigma_1 and the fundamental element Delta.
 
-Each family's generator images are built once per (n, cap) and parameter
-series, and kept by a ``functools`` cache, in scaled-integer form (see
-:mod:`braidalg.series`); the associator families keep the images of their
-32 most recent parameter series.  No inverse letter's image is a series
-inverted at the full cap: the Drinfeld family's sigma_i^-1 reuses the
-Phi^-1 of sigma_i's image, and the 3-strand family's sigma_2^-1 is folded
-as sigma_1 Delta^-1 sigma_1, where Delta^-1 needs no inverse.  A word is
-the product of its letters' images, folded in integer arithmetic in the
-free algebra and reduced to quotient normal form once at the end
-(:func:`braidalg.sdseries.fold`); the result is identical to reducing
+The welded family's letters are stored once per strand count as
+closed-form data: each image is exp(+-v_g) (x) pi, pi the identity or
+s_i.  A welded word is folded as a product of letter exponentials, degree
+d held in integers over d!: 1/(k_1! ... k_m!) = multinomial(d; k)/d!, so
+multiplying by exp(+-v_g) is a binomial convolution in integers, with no
+series multiplied (:func:`fold_welded`).
+
+The associator families' generator images are built once per (n, cap) and
+parameter series, and their 32 most recent parameter series are kept by a
+``functools`` cache, in scaled-integer form (see :mod:`braidalg.series`).
+No inverse letter's image is a series inverted at the full cap: the
+Drinfeld family's sigma_i^-1 reuses the Phi^-1 of sigma_i's image, and the
+3-strand family's sigma_2^-1 is folded as sigma_1 Delta^-1 sigma_1, where
+Delta^-1 needs no inverse.  Their words are the product of the letters'
+images, folded in integer arithmetic in the free algebra
+(:func:`braidalg.sdseries.fold`).  Every family reduces a word's image to
+quotient normal form once at the end; the result is identical to reducing
 eagerly after every product, at a fraction of the cost.
 """
 
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
+from math import comb, factorial, lcm
 
 from .perms import Permutation
 from .quotient import (
@@ -34,7 +42,7 @@ from .quotient import (
     infinitesimal_artin,
     oriented_artin,
 )
-from .sdseries import Factor, SemidirectSeries, fold, fold_free
+from .sdseries import Factor, SemidirectSeries, _normalized, fold, fold_free
 from .series import (
     CapMismatch,
     ConstantTermError,
@@ -62,34 +70,127 @@ def _require_assoc(family: str, assoc):
 
 
 @cache
-def welded_images(n: int, cap: int):
-    """(alphabet, {token: Factor}): the welded family's letter images on n strands."""
+def welded_images(n: int):
+    """(alphabet, {token: (g, c, relabelling)}): the welded family's letters on n strands.
+
+    Every letter's image is exp(c v_g) (x) pi with c = +-1 and pi the
+    identity or s_i; s(i) has no exponential.  g is the generator index, or
+    None for s(i), and the relabelling is pi's action on generator indices,
+    g -> pi.g, or None for the identity.  No image is a series and none
+    depends on the cap: a word's image is a product of letter exponentials,
+    whose degree-d coefficients all lie in (1/d!) Z, since
+    1/(k_1! ... k_m!) = multinomial(d; k)/d!, so the fold writes each
+    exponential out in integers over d! (:func:`fold_welded`).
+    """
     alph = oriented_artin(n).alphabet
-
-    def exp_v(pair, sign):
-        return generator_or_zero(alph, cap, pair).scale(sign).exp()
-
-    images = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            images[Token("a", i, j, 1)] = {Permutation.identity(n): exp_v((i, j), 1)}
-            images[Token("a", i, j, -1)] = {Permutation.identity(n): exp_v((i, j), -1)}
+    letters = {}
+    for i, j in alph.pairs:
+        letters[Token("a", i, j, 1)] = (alph.gen(i, j), 1, None)
+        letters[Token("a", i, j, -1)] = (alph.gen(i, j), -1, None)
     for i in range(1, n):
         si = Permutation.transposition(n, i)
-        images[Token("s", i)] = {si: one(alph, cap)}
+        relabel = tuple(alph.permuted(g, si) for g in range(alph.size))
+        letters[Token("s", i)] = (None, 0, relabel)
         # sigma_i = a_{i,i+1} s_i, so sigma_i^-1 = s_i a_{i,i+1}^-1.
-        images[Token("sigma", i, 0, 1)] = {si: exp_v((i, i + 1), 1)}
-        images[Token("sigma", i, 0, -1)] = {si: exp_v((i + 1, i), -1)}
-    return alph, {t: Factor(alph, terms) for t, terms in images.items()}
+        letters[Token("sigma", i, 0, 1)] = (alph.gen(i, i + 1), 1, relabel)
+        letters[Token("sigma", i, 0, -1)] = (alph.gen(i + 1, i), -1, relabel)
+    return alph, letters
+
+
+@cache
+def _signed_binomials(cap: int) -> dict:
+    """{c: rows}, rows[d][k] = C(d, k) c^k for c = +-1 and 0 <= k <= d <= cap."""
+    rows = tuple(tuple(comb(d, k) for k in range(d + 1)) for d in range(cap + 1))
+    return {1: rows, -1: tuple(tuple(-b if k & 1 else b for k, b in enumerate(row)) for row in rows)}
+
+
+def _times_exp(slices: list, g: int, binomials: tuple):
+    """slices * exp(c v_g) in place, degree d of both held as numerators over d!.
+
+    1/(i! k!) = C(i + k, k)/(i + k)!, so degree d of the product is
+    sum_k C(d, k) c^k (degree d - k) v_g^k over d!.  Degrees are updated from
+    the top down, so each reads only lower degrees not yet updated.
+    """
+    for d in range(len(slices) - 1, 0, -1):
+        tgt = slices[d]
+        get = tgt.get
+        row = binomials[d]
+        for k in range(1, d + 1):
+            src = slices[d - k]
+            if not src:
+                continue
+            m = row[k]
+            tail = (g,) * k
+            for u, a in src.items():
+                w = u + tail
+                v = get(w, 0) + m * a
+                if v:
+                    tgt[w] = v
+                else:
+                    del tgt[w]
+
+
+def _add_into(acc: list, slices: list):
+    """acc += slices, degree by degree, in place."""
+    for tgt, src in zip(acc, slices):
+        get = tgt.get
+        for w, a in src.items():
+            v = get(w, 0) + a
+            if v:
+                tgt[w] = v
+            else:
+                del tgt[w]
+
+
+def _strand_permutation(alph, relabel: tuple) -> Permutation:
+    """The permutation x of the strands whose action on generator indices is relabel."""
+    n = alph.n
+    return Permutation(alph.pairs[relabel[alph.gen(i, i % n + 1)]][0] for i in range(1, n + 1))
+
+
+def fold_welded(basis, cap: int, combination) -> SemidirectSeries:
+    """sum c * (image of w) over ``[(w, c), ...]`` for welded words w, reduced once.
+
+    A word's image is the product of its letters' exponentials exp(+-v_g),
+    each relabelled by the permutation of the letters before it; that
+    permutation is kept as its relabelling of generator indices.  Each word
+    is folded in integers, degree d over d!, from the constant q c, q the
+    lcm of the coefficients' denominators; the words are summed over q d!,
+    and the sum is reduced to normal form once at the end.
+    """
+    alph, letters = welded_images(basis.alphabet.n)
+    combination = list(combination)
+    q = lcm(*(c.denominator for _, c in combination))
+    binomials = _signed_binomials(cap)
+    identity = tuple(range(alph.size))
+    total: dict = {}
+    for w, c in combination:
+        slices = [{(): c.numerator * (q // c.denominator)}] + [{} for _ in range(cap)]
+        relabelled = identity
+        for t in w.letters:
+            g, sign, relabel = letters[t]
+            if g is not None:
+                _times_exp(slices, relabelled[g], binomials[sign])
+            if relabel is not None:
+                relabelled = tuple([relabelled[h] for h in relabel])
+        acc = total.get(relabelled)
+        if acc is None:
+            total[relabelled] = slices
+        else:
+            _add_into(acc, slices)
+    raw = {
+        _strand_permutation(alph, relabelled): tuple(
+            (q * factorial(d), sl) for d, sl in enumerate(slices)
+        )
+        for relabelled, slices in total.items()
+    }
+    return _normalized(basis, cap, alph, raw)
 
 
 def eval_welded(w: WeldedWord, cap: int, cache_dir=None) -> SemidirectSeries:
     """The representation R_n (x) id evaluated on a welded word."""
     basis = build_graded_basis(oriented_artin(w.n), cap, cache_dir)
-    alph, images = welded_images(w.n, cap)
-    return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
+    return fold_welded(basis, cap, [(w, 1)])
 
 
 def _check_braid_word(w: WeldedWord):

@@ -11,8 +11,11 @@ twisted product skips unit components.  :func:`fold` takes a linear
 combination of products of :class:`Factor` values, folds every product in
 the free algebra, sums the terms in integers and reduces the sum to normal
 form once at the end.  ``SemidirectSeries.__mul__`` is the same product of
-two elements; the representations in :mod:`braidalg.reps` and the
-group-ring evaluation in :mod:`braidalg.invariants` go through :func:`fold`.
+two elements; the associator-driven and 3-strand representations in
+:mod:`braidalg.reps` go through :func:`fold`.  The welded family, whose
+factors are letter exponentials, has its own closed-form fold
+(:func:`braidalg.reps.fold_welded`), which reduces through the same
+:func:`_normalized`.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .perms import Permutation
 from .series import rational, signed_sum_terms, signed_sum_text
@@ -131,33 +131,42 @@ def parse_word(text: str, n: int) -> WeldedWord:
     """Grammar: whitespace-separated ``a12``, ``a12^-1``, ``a12^3``, ``s1``, ``sig1``.
 
     Powers expand at parse time; ``s`` tokens are involutions, so negative
-    powers of them expand to the same letters.
+    powers of them expand to the same letters.  Each token text is parsed
+    once and each letter built once (:func:`_parse_token`), so a word holds
+    one ``Token`` per distinct letter.
     """
     letters = []
     for tok in text.split():
-        m = _TOKEN_RE.match(tok)
-        if not m:
-            raise WordError(f"bad token {tok!r}")
-        kind_txt, i_txt, j_txt, pow_txt = m.groups()
-        power = int(pow_txt) if pow_txt is not None else 1
-        i = int(i_txt)
-        if kind_txt == "a":
-            if j_txt is None:
-                raise WordError(f"token {tok!r} needs two strand labels")
-            base = Token("a", i, int(j_txt), 1)
-        elif kind_txt == "s":
-            if j_txt is not None:
-                raise WordError(f"bad token {tok!r}")
-            base = Token("s", i)
-        else:
-            if j_txt is not None:
-                raise WordError(f"bad token {tok!r}")
-            base = Token("sigma", i, 0, 1)
-        if power == 0:
-            continue
-        letter = base if power > 0 else base.inverse()
-        letters.extend([letter] * abs(power))
+        letter, count = _parse_token(tok)
+        letters.extend([letter] * count)
     return WeldedWord(n, letters)
+
+
+@lru_cache(maxsize=1024)
+def _parse_token(tok: str) -> tuple:
+    """(letter, count): the token text ``tok`` stands for ``count`` copies of ``letter``."""
+    m = _TOKEN_RE.match(tok)
+    if not m:
+        raise WordError(f"bad token {tok!r}")
+    kind_txt, i_txt, j_txt, pow_txt = m.groups()
+    power = int(pow_txt) if pow_txt is not None else 1
+    i = int(i_txt)
+    if kind_txt == "a":
+        if j_txt is None:
+            raise WordError(f"token {tok!r} needs two strand labels")
+        kind, j = "a", int(j_txt)
+    elif j_txt is not None:
+        raise WordError(f"bad token {tok!r}")
+    else:
+        kind, j = ("s" if kind_txt == "s" else "sigma"), 0
+    sign = 1 if power >= 0 or kind == "s" else -1
+    return _letter(kind, i, j, sign), abs(power)
+
+
+@cache
+def _letter(kind: str, i: int, j: int, power: int) -> Token:
+    """One shared Token per letter; the grammar's labels are digits, so few are kept."""
+    return Token(kind, i, j, power)
 
 
 # -- free group automorphisms ------------------------------------------------

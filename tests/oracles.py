@@ -21,14 +21,16 @@ from braidalg.quotient import (
     infinitesimal_artin,
     oriented_artin,
 )
+from braidalg.perms import Permutation
 from braidalg.reps import _require_assoc, _rho3_images, fold
-from braidalg.sdseries import SemidirectSeries
+from braidalg.sdseries import Factor, SemidirectSeries
 from braidalg.series import (
     Alphabet,
     TruncatedSeries,
     generator,
     generator_or_zero,
     lowest_terms,
+    one,
     scale_slice,
     substitute,
     unscale_slice,
@@ -658,7 +660,6 @@ def hexagon_degree2_coefficient():
 
 def chord_hexagon_residual(phi, cap, variant):
     """rhs - lhs of (H1) or (H3) over the 3-strand chords, not reduced."""
-    from braidalg.perms import Permutation
     from braidalg.series import Alphabet, generator_or_zero, substitute
 
     phi = phi.truncated(cap)
@@ -691,7 +692,6 @@ def chord_hexagon_normal_form(phi, cap, variant):
 def chord_columns(perturbations, degree):
     """The extension's columns over all (AS) words and the chord(3) normal words of (H3)."""
     from braidalg.associator import swap_letters
-    from braidalg.perms import Permutation
     from braidalg.quotient import build_graded_basis, infinitesimal_artin
     from braidalg.series import Alphabet, generator, substitute
 
@@ -925,3 +925,44 @@ def rho3_yang_baxter_defect(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
     alph, images = _rho3_images(cap, psi)
     (s1,), (s2,) = images[Token("sigma", 1, 0, 1)], images[Token("sigma", 2, 0, 1)]
     return fold(basis, cap, alph, [(1, [s2, s1, s2]), (-1, list(images["Delta"]))])
+
+
+# -- the welded family through the generic fold ------------------------------------
+#
+# The welded letters' images as generic fold factors, each exp(+-v) built as
+# a series, copied unchanged from braidalg.reps as it was before the welded
+# fold wrote each exponential out in closed form; and the evaluation that
+# folded them.  They share the generic fold and the normal form with the
+# package, not the closed-form fold under test.
+
+
+@cache
+def welded_factor_images(n: int, cap: int):
+    """(alphabet, {token: Factor}): the welded family's letter images on n strands."""
+    alph = oriented_artin(n).alphabet
+
+    def exp_v(pair, sign):
+        return generator_or_zero(alph, cap, pair).scale(sign).exp()
+
+    images = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            images[Token("a", i, j, 1)] = {Permutation.identity(n): exp_v((i, j), 1)}
+            images[Token("a", i, j, -1)] = {Permutation.identity(n): exp_v((i, j), -1)}
+    for i in range(1, n):
+        si = Permutation.transposition(n, i)
+        images[Token("s", i)] = {si: one(alph, cap)}
+        # sigma_i = a_{i,i+1} s_i, so sigma_i^-1 = s_i a_{i,i+1}^-1.
+        images[Token("sigma", i, 0, 1)] = {si: exp_v((i, i + 1), 1)}
+        images[Token("sigma", i, 0, -1)] = {si: exp_v((i + 1, i), -1)}
+    return alph, {t: Factor(alph, terms) for t, terms in images.items()}
+
+
+def factor_group_ring(xi, cap: int) -> SemidirectSeries:
+    """The welded image of a group-ring element, folded over the factor images."""
+    basis = build_graded_basis(oriented_artin(xi.n), cap)
+    alph, images = welded_factor_images(xi.n, cap)
+    terms = [(c, [images[t] for t in w.letters]) for w, c in xi.terms.items()]
+    return fold(basis, cap, alph, terms)

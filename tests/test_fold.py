@@ -1,10 +1,12 @@
-"""The scaled-integer fold against an all-Fraction reference fold.
+"""The scaled-integer folds against an all-Fraction reference fold.
 
 The reference multiplies {permutation: {word: Fraction}} maps with
 ``oracles.mini_mul``, relabels strands with its own generator map, and
 reduces once at the end with ``normal_form``.  Generator images are rebuilt
 here from their defining formulas, so only the series arithmetic they use is
-shared with the code under test.
+shared with the code under test.  The welded family's closed-form fold is
+also compared with the generic fold over its letters' images as series
+factors (``oracles.welded_factor_images``).
 """
 
 from fractions import Fraction
@@ -12,15 +14,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import ab_commutator, make_rng, psi24, random_series
-from oracles import mini_add, mini_exp, mini_inverse, mini_mul
+from oracles import factor_group_ring, mini_add, mini_exp, mini_inverse, mini_mul, mini_scale
 
 from braidalg import (
     AB,
+    GroupRingElement,
     Permutation,
     SemidirectSeries,
     TruncatedSeries,
     build_graded_basis,
     eval_drinfeld,
+    eval_group_ring,
     eval_rho3,
     eval_welded,
     generator,
@@ -91,6 +95,7 @@ def assert_all_fractions(image):
 def assert_matches_reference(image, basis, cap, images, letters):
     want = ref_normal_form(basis, cap, ref_fold(basis.alphabet, cap, [images[t] for t in letters]))
     assert image.terms == want
+    assert image.text() == SemidirectSeries(basis, cap, want).text()
     assert_all_fractions(image)
 
 
@@ -195,15 +200,101 @@ def random_group_like(rng, cap):
 # -- tests ---------------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n, cap", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
+# Every cap 0-6 on 2 and 3 strands; on 4 and 5 strands the caps whose bases
+# build in well under a second (oriented_artin(4) at cap 6 takes seconds).
+WELDED_GRID = (
+    [(n, cap) for n in (2, 3) for cap in range(7)]
+    + [(4, cap) for cap in range(6)]
+    + [(5, cap) for cap in range(5)]
+)
+
+
+def welded_samples(rng, n, count):
+    """The empty word, words holding every letter of the family, then random words."""
+    everything = list(welded_reference_images(n, 0))
+    rng.shuffle(everything)
+    covering = [tuple(everything[i : i + 7]) for i in range(0, len(everything), 7)]
+    random_words = [random_welded_letters(rng, n, rng.randint(1, 9)) for _ in range(count)]
+    return [()] + covering + random_words
+
+
+def group_ring_samples(rng, n):
+    """The zero element, signed and Fraction coefficients, and (c - 1)^k and (c - 1)^k [s].
+
+    The last two are the elements the splitting check folds, for k = 1, 2, 3.
+    """
+    words = [WeldedWord(n, random_welded_letters(rng, n, rng.randint(0, 6))) for _ in range(4)]
+    mixed = GroupRingElement(n, dict(zip(words, (Fraction(-3, 4), 2, Fraction(5, 6), -1))))
+    samples = [GroupRingElement(n, {}), mixed, mixed - mixed.scale(Fraction(1, 3))]
+    unit = GroupRingElement.one(n)
+    for k in (1, 2, 3):
+        c = WeldedWord(n, [a(*rng.sample(range(1, n + 1), 2), rng.choice((1, -1))) for _ in range(k)])
+        perm = WeldedWord(n, [s(rng.randrange(1, n)) for _ in range(rng.randint(0, 3))])
+        power = (GroupRingElement.from_word(c) - unit) ** k
+        samples += [power, power * GroupRingElement.from_word(perm)]
+    return samples
+
+
+def assert_same_element(image, want):
+    assert image == want
+    assert image.text() == want.text()
+
+
+@pytest.mark.parametrize("n, cap", WELDED_GRID)
 def test_welded_fold_matches_reference(n, cap):
     rng = make_rng(1000 * n + cap)
     basis = build_graded_basis(oriented_artin(n), cap)
     images = welded_reference_images(n, cap)
-    samples = [()] + [random_welded_letters(rng, n, rng.randint(1, 9)) for _ in range(20)]
-    for letters in samples:
+    for letters in welded_samples(rng, n, 20):
         image = eval_welded(WeldedWord(n, letters), cap)
         assert_matches_reference(image, basis, cap, images, letters)
+
+
+def test_welded_samples_hold_every_letter():
+    for n in range(2, 6):
+        samples = welded_samples(make_rng(n), n, 0)
+        letters = {t for letters in samples for t in letters}
+        assert letters == set(welded_reference_images(n, 0))
+        assert {(t.kind, t.power) for t in letters} == {
+            ("a", 1), ("a", -1), ("s", 1), ("sigma", 1), ("sigma", -1)
+        }
+
+
+@pytest.mark.parametrize("n, cap", WELDED_GRID)
+def test_welded_fold_matches_factor_fold(n, cap):
+    rng = make_rng(5000 * n + cap)
+    for letters in welded_samples(rng, n, 20):
+        w = WeldedWord(n, letters)
+        xi = GroupRingElement.from_word(w)
+        assert_same_element(eval_welded(w, cap), factor_group_ring(xi, cap))
+
+
+@pytest.mark.parametrize("n, cap", WELDED_GRID)
+def test_group_ring_fold_matches_factor_fold(n, cap):
+    rng = make_rng(6000 * n + cap)
+    for xi in group_ring_samples(rng, n):
+        assert_same_element(eval_group_ring(xi, cap), factor_group_ring(xi, cap))
+
+
+@pytest.mark.parametrize("n, cap", WELDED_GRID)
+def test_group_ring_fold_matches_reference(n, cap):
+    rng = make_rng(7000 * n + cap)
+    basis = build_graded_basis(oriented_artin(n), cap)
+    images = welded_reference_images(n, cap)
+    for xi in group_ring_samples(rng, n):
+        raw = {}
+        for w, c in xi.terms.items():
+            for perm, series in ref_fold(basis.alphabet, cap, [images[t] for t in w.letters]).items():
+                raw[perm] = mini_add(raw.get(perm, {}), mini_scale(series, c))
+        want = SemidirectSeries(basis, cap, ref_normal_form(basis, cap, raw))
+        assert_same_element(eval_group_ring(xi, cap), want)
+
+
+def test_group_ring_samples_cover_the_cases():
+    samples = group_ring_samples(make_rng(1), 3)
+    assert not samples[0].terms and eval_group_ring(samples[0], 3).is_zero()
+    coeffs = {c for xi in samples for c in xi.terms.values()}
+    assert any(c < 0 for c in coeffs) and any(c.denominator > 1 for c in coeffs)
 
 
 @pytest.mark.parametrize("n, cap", [(3, 4), (3, 5), (4, 3)])

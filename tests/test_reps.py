@@ -304,10 +304,15 @@ class TestMemoization:
         first = eval_welded(word(3, a(1, 2), a(2, 1)), 2)
         second = eval_welded(word(3, a(1, 2), a(2, 1)), 2)
         assert first == second
-        # One build for (3, 2); the two later words reuse it.
+        # One build for n = 3; the two later words reuse it.
         info = welded_images.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        # The letters do not depend on the cap: another cap reuses them too,
+        # and only another strand count builds again.
         eval_welded(word(3, a(1, 2)), 3)
+        info = welded_images.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        eval_welded(word(4, a(1, 2)), 2)
         assert welded_images.cache_info().misses == 2
         # The Drinfeld family keeps its own images, one build per series.
         _drinfeld_images.cache_clear()

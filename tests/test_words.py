@@ -160,6 +160,91 @@ class TestWordGrammar:
         w = parse_word("a12 sig1 s1", 3)
         assert as_automorphism(w * w.inverse()) == FreeGroupEndo.identity(3)
 
+    # (text, n, letters or the WordError message); the strand count is 3
+    # unless given.
+    TOKEN_TABLE = [
+        ("a12", 3, [a(1, 2)]),
+        ("a21^1", 3, [a(2, 1)]),
+        ("a13^-1", 3, [a(1, 3, -1)]),
+        ("a12^3", 3, [a(1, 2)] * 3),
+        ("a32^-2", 3, [a(3, 2, -1)] * 2),
+        ("a12^0", 3, []),
+        ("a12^-0", 3, []),
+        ("s1", 3, [s(1)]),
+        ("s2^-1", 3, [s(2)]),
+        ("s1^-3", 3, [s(1)] * 3),
+        ("s1^0", 3, []),
+        ("sig1", 3, [sigma(1)]),
+        ("sig2^-1", 3, [sigma(2, -1)]),
+        ("sig1^2", 3, [sigma(1)] * 2),
+        ("sig2^-2", 3, [sigma(2, -1)] * 2),
+        ("sig1^0", 3, []),
+        ("", 3, []),
+        ("b12", 3, "bad token 'b12'"),
+        ("a12^x", 3, "bad token 'a12^x'"),
+        ("a12^", 3, "bad token 'a12^'"),
+        ("a123", 3, "bad token 'a123'"),
+        ("S1", 3, "bad token 'S1'"),
+        ("a12^+1", 3, "bad token 'a12^+1'"),
+        ("s12", 3, "bad token 's12'"),
+        ("sig12", 3, "bad token 'sig12'"),
+        ("sig12^-1", 3, "bad token 'sig12^-1'"),
+        ("a1", 3, "token 'a1' needs two strand labels"),
+        ("a1^-1", 3, "token 'a1^-1' needs two strand labels"),
+        ("a11", 3, "a(1,1) needs distinct positive labels"),
+        ("a11^-1", 3, "a(1,1) needs distinct positive labels"),
+        ("a11^0", 3, "a(1,1) needs distinct positive labels"),
+        ("a01", 3, "a(0,1) needs distinct positive labels"),
+        ("s0", 3, "s(0) needs a positive index"),
+        ("s0^-1", 3, "s(0) needs a positive index"),
+        ("sig0", 3, "sigma(0) needs a positive index"),
+        ("sig0^-1", 3, "sigma(0) needs a positive index"),
+        ("sig0^0", 3, "sigma(0) needs a positive index"),
+        ("a14", 3, "token a14 out of range for n=3"),
+        ("a14^-1", 3, "token a14^-1 out of range for n=3"),
+        ("a14^0", 3, []),
+        ("s3", 3, "token s3 out of range for n=3"),
+        ("sig3^-1", 3, "token sig3^-1 out of range for n=3"),
+        ("a14 sig3", 4, [a(1, 4), sigma(3)]),
+        ("a12 b12", 3, "bad token 'b12'"),
+        ("a11 b12", 3, "a(1,1) needs distinct positive labels"),
+    ]
+
+    @pytest.mark.parametrize("text, n, want", TOKEN_TABLE)
+    def test_token_table(self, text, n, want):
+        # Twice: a repeated text parses from the memo, and an error repeats.
+        for _ in range(2):
+            if isinstance(want, str):
+                with pytest.raises(WordError) as err:
+                    parse_word(text, n)
+                assert str(err.value) == want
+            else:
+                assert parse_word(text, n) == WeldedWord(n, want)
+
+    def test_one_token_per_distinct_letter(self, monkeypatch):
+        from braidalg import words
+
+        distinct = {a(1, 2), a(2, 1, -1), s(1), sigma(2), sigma(2, -1), sigma(1, -1)}
+        words._parse_token.cache_clear()
+        words._letter.cache_clear()
+        built = []
+        init = Token.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Token, "__init__", counting)
+        spellings = ["a12", "a12^1", "a12^2", "a21^-1", "a21^-3", "s1", "s1^-1", "sig2", "sig2^-2", "sig1^-1"]
+        text = " ".join(spellings * 40)
+        w = parse_word(text, 3)
+        assert len(w.letters) == 40 * 14
+        assert set(w.letters) == distinct
+        assert len(built) == len(distinct)
+        built.clear()
+        assert parse_word(text, 3) == w
+        assert not built
+
 
 class TestAsAutomorphism:
     @pytest.mark.parametrize("n", range(2, 6))
