@@ -183,9 +183,9 @@ from .series import (
     scaled_mul,
     scaled_substitute,
     scaled_times,
-    unscale_slice,
     zero,
 )
+from .value import Record
 from .words import WeldedWord, sigma
 
 AB = Alphabet.abstract("A", "B")
@@ -209,24 +209,13 @@ class NoCorrectionError(AssociatorError):
         self.kernel = kernel
 
 
-class AxiomResult:
-    """One axiom's verdict at a cap; for "YB" the residual is the chord(3) (x) 321 defect, None on a pass."""
+class AxiomResult(Record):
+    """One axiom's verdict at a cap: axiom, cap, passed, first_failure_degree, residual.
+
+    For "YB" the residual is the chord(3) (x) 321 defect, None on a pass.
+    """
 
     __slots__ = ("axiom", "cap", "passed", "first_failure_degree", "residual")
-
-    def __init__(
-        self,
-        axiom: str,
-        cap: int,
-        passed: bool,
-        first_failure_degree: int | None,
-        residual: TruncatedSeries | SemidirectSeries | None,
-    ):
-        self.axiom = axiom
-        self.cap = cap
-        self.passed = passed
-        self.first_failure_degree = first_failure_degree
-        self.residual = residual
 
     def __bool__(self):
         return self.passed
@@ -405,8 +394,8 @@ def is_semi_associator(phi: TruncatedSeries, cap: int) -> bool:
 # -- degree-by-degree extension ---------------------------------------------------
 
 
-class ExtensionStep:
-    """Affine solution set of Lie corrections at one degree.
+class ExtensionStep(Record):
+    """Affine solution set of Lie corrections at one degree: degree, particular, kernel, base, log, candidate.
 
     Solutions are coordinates over the bracketings of ``lyndon_words(2,
     degree)``, in that order; the set is particular + span(kernel).  ``log``
@@ -416,22 +405,6 @@ class ExtensionStep:
     """
 
     __slots__ = ("degree", "particular", "kernel", "base", "log", "candidate")
-
-    def __init__(
-        self,
-        degree: int,
-        particular: list,
-        kernel: list,
-        base: TruncatedSeries,
-        log: TruncatedSeries,
-        candidate: TruncatedSeries,
-    ):
-        self.degree = degree
-        self.particular = particular
-        self.kernel = kernel
-        self.base = base
-        self.log = log
-        self.candidate = candidate
 
     def __eq__(self, other):
         """Field by field: a step read off a lookback's solve equals the one solved afresh."""
@@ -527,8 +500,8 @@ def _solve_top_degree(base: TruncatedSeries, columns: list, degree: int):
     base's own (AS) residual is zero (module docstring), so only its (H3)
     residual enters the right-hand side.
     """
-    rhs = {label: -c for label, c in _residual_labels(base, degree).items()}
-    return affine_solve(columns, rhs)
+    den, residual = _residual_labels(base, degree)
+    return affine_solve(columns, (den, {label: -c for label, c in residual.items()}))
 
 
 @cache
@@ -537,10 +510,11 @@ def _lyndon_set(degree: int) -> dict:
     return dict.fromkeys(lyndon_words(2, degree))
 
 
-def _lyndon_rows(axiom: str, sl: dict, degree: int) -> dict:
-    """A Lie slice's coefficients on the Lyndon words, which determine it; labelled by axiom."""
+def _lyndon_rows(axiom: str, scaled: tuple, degree: int) -> tuple:
+    """A scaled Lie slice's numerators on the Lyndon words, which determine it; labelled by axiom."""
     lyndon = _lyndon_set(degree)
-    return {(axiom, w): c for w, c in sl.items() if w in lyndon}
+    den, sl = scaled
+    return den, {(axiom, w): c for w, c in sl.items() if w in lyndon}
 
 
 @cache
@@ -648,13 +622,13 @@ def _columns(perturbations: list, degree: int) -> list:
                 total[label] = total.get(label, 0) + c * n
         # Rows in the order of the labels, AS then H3, each in Lyndon order:
         # the solver's pivots follow it, and it keeps their fill-in small.
-        columns.append(unscale_slice(*lowest_terms(den * common, dict(sorted(total.items())))))
+        columns.append(lowest_terms(den * common, dict(sorted(total.items()))))
     return columns
 
 
-def _residual_labels(candidate: TruncatedSeries, degree: int) -> dict:
-    """Top-degree (H3) residual in F(A, B) on its Lyndon rows, labelled ("H3", word)."""
-    return _lyndon_rows("H3", _residual("H3", candidate, free=True).degree_slice(degree), degree)
+def _residual_labels(candidate: TruncatedSeries, degree: int) -> tuple:
+    """Top-degree (H3) residual in F(A, B) on its Lyndon rows, labelled ("H3", word), scaled."""
+    return _lyndon_rows("H3", _residual("H3", candidate, free=True).scaled[degree], degree)
 
 
 def _revised_step(prev: ExtensionStep, kernel: list) -> ExtensionStep:
@@ -754,31 +728,14 @@ def check_yang_baxter(psi: TruncatedSeries, cap: int) -> AxiomResult:
     return AxiomResult("YB", cap, False, diff.min_degree(), diff)
 
 
-class EquivalenceReport:
-    """Cross-checks between the Yang-Baxter equation and the axioms, at one cap.
+class EquivalenceReport(Record):
+    """Yang-Baxter against the axioms: cap, yb, h3, h1, as_, delta_squared_central, drinfeld_compatible.
 
-    The tests check ``yb_implies_as``, YB implies AS, at cap 3 only, on degree-3 perturbations.
+    The last two are None when not evaluated.  The tests check ``yb_implies_as``,
+    YB implies AS, at cap 3 only, on degree-3 perturbations.
     """
 
     __slots__ = ("cap", "yb", "h3", "h1", "as_", "delta_squared_central", "drinfeld_compatible")
-
-    def __init__(
-        self,
-        cap: int,
-        yb: AxiomResult,
-        h3: AxiomResult,
-        h1: AxiomResult,
-        as_: AxiomResult,
-        delta_squared_central: bool | None,
-        drinfeld_compatible: bool | None,
-    ):
-        self.cap = cap
-        self.yb = yb
-        self.h3 = h3
-        self.h1 = h1
-        self.as_ = as_
-        self.delta_squared_central = delta_squared_central
-        self.drinfeld_compatible = drinfeld_compatible
 
     @property
     def yb_iff_h3(self) -> bool:

@@ -29,6 +29,7 @@ from .quotient import (
 from .reps import fold_welded
 from .sdseries import SemidirectSeries
 from .series import CapMismatch, TruncatedSeries
+from .value import Record
 from .words import (
     GroupRingElement,
     WeldedWord,
@@ -53,16 +54,10 @@ def eval_group_ring(xi: GroupRingElement, cap: int, cache_dir=None) -> Semidirec
     return fold_welded(basis, cap, xi.terms.items())
 
 
-class FiltrationReport:
-    """An element, its image, and its vanishing order (None = above the cap)."""
+class FiltrationReport(Record):
+    """An element, its cap, its image, and its vanishing order (None = above the cap)."""
 
     __slots__ = ("element", "cap", "image", "order")
-
-    def __init__(self, element: GroupRingElement, cap: int, image: SemidirectSeries, order: int | None):
-        self.element = element
-        self.cap = cap
-        self.image = image
-        self.order = order
 
     @property
     def above_cap(self) -> bool:
@@ -75,13 +70,10 @@ def vassiliev_degree(xi: GroupRingElement, cap: int, cache_dir=None) -> Filtrati
     return FiltrationReport(xi, cap, image, image.min_degree())
 
 
-class DistinguishReport:
-    __slots__ = ("cap", "first_difference_degree", "oracle_equal")
+class DistinguishReport(Record):
+    """The cap, the first degree where the images differ (None = equal to the cap), the oracle's verdict."""
 
-    def __init__(self, cap: int, first_difference_degree: int | None, oracle_equal: bool):
-        self.cap = cap
-        self.first_difference_degree = first_difference_degree  # None = images equal to the cap
-        self.oracle_equal = oracle_equal
+    __slots__ = ("cap", "first_difference_degree", "oracle_equal")
 
     @property
     def images_equal_to_cap(self) -> bool:
@@ -137,14 +129,10 @@ def delta_map(s: TruncatedSeries, target: GradedQuotientBasis) -> TruncatedSerie
     return TruncatedSeries(target.alphabet, s.cap, tuple(slices))
 
 
-class DeltaKernelReport:
-    __slots__ = ("n", "degree", "domain_dimension", "kernel_dimension")
+class DeltaKernelReport(Record):
+    """Strands n, the degree, dim chord(n) in that degree, and the dimension of delta's kernel there."""
 
-    def __init__(self, n: int, degree: int, domain_dimension: int, kernel_dimension: int):
-        self.n = n
-        self.degree = degree
-        self.domain_dimension = domain_dimension
-        self.kernel_dimension = kernel_dimension
+    __slots__ = ("n", "degree", "domain_dimension", "kernel_dimension")
 
     @property
     def injective(self) -> bool:
@@ -169,12 +157,8 @@ def _bracket_image(n: int, top: int, word: tuple) -> tuple:
 
 @cache
 def _image_rank(n: int, d: int) -> int:
-    """dim delta(t_n)_d from the Lyndon basis of t_n = F(t_1n, ..., t_(n-1)n) x| t_(n-1).
-
-    Each image's numerators stand for it: a column scaled by a nonzero
-    number leaves the rank unchanged.
-    """
-    columns = [_bracket_image(n, t, w)[1] for t in range(2, n + 1) for w in lyndon_words(t - 1, d)]
+    """dim delta(t_n)_d from the Lyndon basis of t_n = F(t_1n, ..., t_(n-1)n) x| t_(n-1)."""
+    columns = [_bracket_image(n, t, w) for t in range(2, n + 1) for w in lyndon_words(t - 1, d)]
     return len(columns) - len(affine_solve(columns)[1])
 
 
@@ -203,17 +187,10 @@ def delta_kernel(n: int, k: int, cache_dir=None) -> DeltaKernelReport:
 # -- dimension tables ---------------------------------------------------------------
 
 
-class HilbertTable:
-    """Side-by-side graded dimensions for one strand count."""
+class HilbertTable(Record):
+    """Graded dimensions side by side: n, cap, chord_dims, oriented_dims, weight_factor (n!, dim Q[S_n])."""
 
     __slots__ = ("n", "cap", "chord_dims", "oriented_dims", "weight_factor")
-
-    def __init__(self, n: int, cap: int, chord_dims: list, oriented_dims: list, weight_factor: int):
-        self.n = n
-        self.cap = cap
-        self.chord_dims = chord_dims
-        self.oriented_dims = oriented_dims
-        self.weight_factor = weight_factor  # n!, the group-algebra dimension
 
     def rows(self):
         yield ("degree", list(range(self.cap + 1)))
@@ -236,23 +213,16 @@ def hilbert_table(n: int, cap: int, cache_dir=None) -> HilbertTable:
 # -- the splitting identity ----------------------------------------------------------
 
 
-class SplittingCase:
+class SplittingCase(Record):
+    """A case's description, its orders without and with the permutation factor, and its verdict."""
+
     __slots__ = ("description", "order_plain", "order_twisted", "passed")
 
-    def __init__(self, description: str, order_plain: int | None, order_twisted: int | None, passed: bool):
-        self.description = description
-        self.order_plain = order_plain
-        self.order_twisted = order_twisted
-        self.passed = passed
 
+class SplittingReport(Record):
+    """Strands n, the cap, and the list of SplittingCase."""
 
-class SplittingReport:
     __slots__ = ("n", "cap", "cases")
-
-    def __init__(self, n: int, cap: int, cases: list):
-        self.n = n
-        self.cap = cap
-        self.cases = cases
 
     @property
     def passed(self) -> bool:

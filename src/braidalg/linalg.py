@@ -18,8 +18,9 @@ stay ``Fraction``.
 returns one answer whatever the order of the labels: P, the greedy
 left-to-right independent columns; the solution of the rhs supported on P;
 and for each column i outside P the kernel vector e_i - sum x_j e_j, over the
-j in P before i, that writes column i in those columns.  Each column is
-scaled to integers, and no ``Fraction`` enters until the answer is built:
+j in P before i, that writes column i in those columns.  The columns and
+the rhs arrive scaled to integers, as a series stores a degree, ``(den,
+{label: int})``, and no ``Fraction`` enters until the answer is built:
 
 1. Rank profile.  The columns are eliminated modulo a prime p below 2**30,
    so that every residue and every product of two is a machine-size int.
@@ -45,8 +46,6 @@ from functools import cache
 from itertools import count
 from math import gcd, isqrt, lcm, prod
 from operator import mul
-
-from .series import scale_slice
 
 ZERO = Fraction(0)
 
@@ -314,16 +313,16 @@ def _solve_checked(rows: list, targets: list) -> list:
 def affine_solve(columns, rhs=None):
     """Solve  sum_i x_i * columns[i] = rhs  exactly over the rationals.
 
-    ``columns`` is a list of sparse dicts of rationals over hashable labels.
-    Returns ``(particular, kernel)`` as lists of Fractions: ``particular`` is
-    the solution supported on the greedy independent columns, or None when
-    rhs is unreachable or was not given; ``kernel`` has one vector per other
-    column i, e_i minus the combination of earlier independent columns that
-    equals column i (see the module docstring).
+    ``columns`` and ``rhs`` are scaled sparse vectors over hashable labels,
+    ``(den, {label: int})`` for {label: int / den}, den not necessarily in
+    lowest terms.  Returns ``(particular, kernel)`` as lists of Fractions:
+    ``particular`` is the solution supported on the greedy independent
+    columns, or None when rhs is unreachable or was not given; ``kernel`` has
+    one vector per other column i, e_i minus the combination of earlier
+    independent columns that equals column i (see the module docstring).
     """
-    scaled = [scale_slice(col) for col in columns]
-    ints = [col for _, col in scaled]
-    den_b, b = scale_slice(rhs) if rhs is not None else (1, None)
+    ints = [col for _, col in columns]
+    den_b, b = rhs if rhs is not None else (1, None)
     labels = dict.fromkeys(label for col in ints + [b or {}] for label in col)
     for p in primes():
         pivots, independent, dependent = _rank_profile(ints, p)
@@ -351,11 +350,11 @@ def affine_solve(columns, rhs=None):
         vector = [ZERO] * nvars
         vector[i] = Fraction(1)
         for (j, _), c in zip(independent, y):
-            vector[j] = -c * scaled[j][0] / scaled[i][0]
+            vector[j] = -c * columns[j][0] / columns[i][0]
         kernel.append(vector)
     particular = None
     if reachable and solutions[-1] is not None:
         particular = [ZERO] * nvars
         for (j, _), c in zip(independent, solutions[-1]):
-            particular[j] = c * scaled[j][0] / den_b
+            particular[j] = c * columns[j][0] / den_b
     return particular, kernel

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
 
@@ -535,7 +536,8 @@ def _read_rules(lines: list, preset: RelationPreset, k: int, digest: str, state)
         if any(u >= lead for u in nf.scaled[k][1]):
             raise _Rejected(f"failed body check: a term of {lead_txt!r} is not below it")
         # Integral values as int, as the closure leaves them.
-        rules[lead] = {u: demote(c) for u, c in nf.degree_slice(k).items()}
+        den, sl = nf.scaled[k]
+        rules[lead] = sl if den == 1 else {u: demote(Fraction(c, den)) for u, c in sl.items()}
     below, lengths = state.rules, state.lengths
     for lead, nf in rules.items():
         if any(_holds_leading_word(v, below, lengths) for v in (lead[1:], lead[:-1])):

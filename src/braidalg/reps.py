@@ -54,6 +54,7 @@ from .series import (
     substitute,
     zero,
 )
+from .value import Record
 from .words import Token, WeldedWord, WordError, braid_relations, mccool_relations, sigma as sigma_token
 
 
@@ -329,12 +330,10 @@ def rho3_delta(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
 # -- family axioms ---------------------------------------------------------------
 
 
-class CheckOutcome:
-    __slots__ = ("passed", "details")
+class CheckOutcome(Record):
+    """A check's verdict and its details, "" when there are none."""
 
-    def __init__(self, passed: bool, details: str = ""):
-        self.passed = passed
-        self.details = details
+    __slots__ = ("passed", "details")
 
 
 class FamilyReport:

@@ -1,4 +1,4 @@
-"""Immutable values: equal, hashed, pickled and optionally ordered as their field tuple."""
+"""Slotted bases: values equal, hashed and optionally ordered as their field tuple, and records."""
 
 
 class Value:
@@ -56,3 +56,19 @@ class OrderedValue(Value):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key >= other._key
+
+
+class Record:
+    """A result set from one positional value per field of ``__slots__``, in that order.
+
+    Keyword arguments are refused.  Records compare by identity unless their class defines ``__eq__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        slots = self.__slots__
+        if len(fields) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes the {len(slots)} fields {slots}, got {len(fields)}")
+        for name, value in zip(slots, fields):
+            setattr(self, name, value)

@@ -176,7 +176,7 @@ def reference_delta_kernel(n, k):
     letters = [(gen(i, j), gen(j, i)) for i, j in chord_basis.alphabet.pairs]
     domain_words = normal_words(chord_basis, k)
     columns = [
-        oriented_basis.reduce(k, dict.fromkeys(product(*(letters[g] for g in w)), 1))
+        scale_slice(oriented_basis.reduce(k, dict.fromkeys(product(*(letters[g] for g in w)), 1)))
         for w in domain_words
     ]
     _, kernel = affine_solve(columns)
@@ -884,7 +884,7 @@ def _columns(perturbations: list, degree: int) -> list:
     for p in perturbations:
         col = {}
         if p.degree_slice(degree):
-            col = _lyndon_rows("AS", (swap_letters(p) + p).degree_slice(degree), degree)
+            col = unscale_slice(*_lyndon_rows("AS", (swap_letters(p) + p).scaled[degree], degree))
         h3 = _hexagon_column(p, degree, _lyndon_set(degree))
         col.update({("H3", w): c for w, c in h3.items()})
         columns.append(col)

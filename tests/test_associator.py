@@ -48,6 +48,7 @@ from braidalg.series import (
     generator_or_zero,
     lie_defect,
     parse_series,
+    scale_slice,
     substitute,
     unscale_slice,
     zero,
@@ -225,14 +226,14 @@ class TestExtension:
             d = step.degree
             base = step.base.log().lifted(d).exp()
             full = change(base, [base + p for _, p in lie_basis(AB, d, d)], d)
-            assert _columns([{w: 1} for w in lyndon_words(2, d)], d) == full
+            assert _unscaled(_columns([{w: 1} for w in lyndon_words(2, d)], d)) == full
         prev, (step5, _, revised) = steps[2][0], steps[3]
         assert step5.degree == 5 and revised
         base_log = prev.base.log().lifted(5) + prev.correction().lifted(5)
         kernel = [prev.correction(kvec).lifted(5) for kvec in prev.kernel]
         full = change(base_log.exp(), [(base_log + k).exp() for k in kernel], 5)
         assert len(full) == 1 and full[0]
-        assert _columns([_coordinates(4, kvec) for kvec in prev.kernel], 5) == full
+        assert _unscaled(_columns([_coordinates(4, kvec) for kvec in prev.kernel], 5)) == full
 
     def test_each_degree_evaluates_its_bracket_columns_once(self, monkeypatch):
         # Perturbations per degree: the degree's Lyndon brackets once, plus the
@@ -380,11 +381,17 @@ def _perturbation(coords, degree):
     return out
 
 
+def _unscaled(columns):
+    """Scaled columns ``(den, {label: int})`` as {label: Fraction}."""
+    return [unscale_slice(*col) for col in columns]
+
+
 def _on_series(columns):
-    """A column function of series perturbations, called with coordinates."""
-    return lambda perturbations, degree: columns(
-        [_perturbation(coords, degree) for coords in perturbations], degree
-    )
+    """A column function of series perturbations, called with coordinates, scaled for the solver."""
+    return lambda perturbations, degree: [
+        scale_slice(col)
+        for col in columns([_perturbation(coords, degree) for coords in perturbations], degree)
+    ]
 
 
 def _record_extension(to_degree, columns, residual_labels):
@@ -393,20 +400,21 @@ def _record_extension(to_degree, columns, residual_labels):
     ``columns`` takes the perturbations' coordinates, as
     ``associator._columns`` does.  Returns the steps as (degree, particular,
     kernel, revised) and every call of those functions as (kind, argument,
-    degree, result), a column's argument its coordinates.
+    degree, result), a column's argument its coordinates and each result
+    as {label: Fraction}.
     """
     calls = []
 
     def recording_columns(perturbations, degree):
         result = columns(perturbations, degree)
         calls.extend(
-            ("column", coords, degree, col) for coords, col in zip(perturbations, result)
+            ("column", coords, degree, col) for coords, col in zip(perturbations, _unscaled(result))
         )
         return result
 
     def recording_residual(candidate, degree):
         result = residual_labels(candidate, degree)
-        calls.append(("residual", candidate, degree, result))
+        calls.append(("residual", candidate, degree, unscale_slice(*result)))
         return result
 
     associator._bracket_columns.cache_clear()
@@ -426,7 +434,11 @@ def _record_extension(to_degree, columns, residual_labels):
 @pytest.fixture(scope="module")
 def chord_extension():
     """The extension through degree 9 on the chord(3) rows of the oracles."""
-    return _record_extension(9, _on_series(oracles.chord_columns), oracles.chord_residual_labels)
+    return _record_extension(
+        9,
+        _on_series(oracles.chord_columns),
+        lambda candidate, degree: scale_slice(oracles.chord_residual_labels(candidate, degree)),
+    )
 
 
 def _embedded_and_reduced(sl, degree):
@@ -462,7 +474,7 @@ class TestHexagonInFreeAlgebra:
             h3 = oracles._hexagon_column(p, degree)
             assert lie_defect(TruncatedSeries.from_terms(AB, degree, h3)).is_zero()
             assert _embedded_and_reduced(h3, degree) == _part(want, "H3")
-            (col,) = associator._columns([coords], degree)
+            (col,) = _unscaled(associator._columns([coords], degree))
             lyndon = set(lyndon_words(2, degree))
             assert _part(col, "AS") == {w: c for w, c in _part(want, "AS").items() if w in lyndon}
             assert _part(col, "H3") == {w: c for w, c in h3.items() if w in lyndon}
@@ -482,7 +494,7 @@ class TestHexagonInFreeAlgebra:
             assert lie_defect(r).is_zero()
             assert _embedded_and_reduced(r.degree_slice(degree), degree) == _part(want, "H3")
             lyndon = set(lyndon_words(2, degree))
-            assert associator._residual_labels(candidate, degree) == {
+            assert unscale_slice(*associator._residual_labels(candidate, degree)) == {
                 ("H3", w): c for w, c in r.degree_slice(degree).items() if w in lyndon
             }
             degrees.append(degree)
@@ -552,7 +564,7 @@ class TestKernelIsAnS3Multiplicity:
                     image = associator._lyndon_image(w, associator._forms((x, y), 3, True)[1], lyndon)
                     for word, n in image.items():
                         column[word] = column.get(word, 0) + s * n
-                yb_columns.append({word: Fraction(n) for word, n in column.items() if n})
+                yb_columns.append((1, {word: n for word, n in column.items() if n}))
             _, yb_kernel = affine_solve(yb_columns)
             _, kernel = affine_solve(associator._bracket_columns(d))
             both = [dict(enumerate(v)) for v in yb_kernel + kernel]
@@ -906,11 +918,11 @@ class TestOneTranscription:
         for kind, arg, degree, _ in calls:
             if kind == "column":
                 p = _perturbation(arg, degree)
-                assert _columns([arg], degree) == oracles._columns([p], degree)
+                assert _unscaled(_columns([arg], degree)) == oracles._columns([p], degree)
                 (lookback if not p.degree_slice(degree) else brackets).add(degree)
             else:
                 r = oracles._hexagon_residual(arg, degree, "H3", free=True)
-                want = associator._lyndon_rows("H3", r.degree_slice(degree), degree)
+                want = associator._lyndon_rows("H3", r.scaled[degree], degree)
                 assert associator._residual_labels(arg, degree) == want
         assert lookback == {5, 7, 9}
         assert brackets == set(range(2, 10))

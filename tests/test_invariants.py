@@ -365,7 +365,7 @@ class TestDeltaMap:
                 letters = tuple(((chord.gen(i, top), 1),) for i in range(1, top))
                 for w in lyndon_words(top - 1, d):
                     bracket = TruncatedSeries.from_terms(chord, d, bracket_image(w, letters))
-                    columns.append(delta_map(bracket, oriented).degree_slice(d))
+                    columns.append(delta_map(bracket, oriented).scaled[d])
             expected.append(columns)
         assert seen == expected
 

@@ -13,6 +13,7 @@ as a script on an interpreter without pytest:
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from oracles import FractionEchelon, reference_affine_solve
 
@@ -172,36 +173,43 @@ def test_normal_form_equals_reference_reduce():
                 assert basis.normal_form(nf) == nf
 
 
+def fractions(pair):
+    """A scaled vector ``(den, {label: int})``, the solver's form, as {label: Fraction}."""
+    den, vec = pair
+    return {label: Fraction(c, den) for label, c in vec.items()}
+
+
+def scaled(vec, extra=1):
+    """{label: rational} as ``(den, {label: int})``, den the lcm of its denominators times extra."""
+    den = extra * lcm(*(Fraction(c).denominator for c in vec.values()))
+    return den, {label: int(c * den) for label, c in vec.items()}
+
+
 def test_affine_solve_returns_fractions():
     rng = random.Random(11)
     for integral in (True, False):
-        if integral:
-            def coeff(r):
-                return r.choice((2, 3, -6, 1, -1))
-        else:
-            def coeff(r):
-                return Fraction(r.randint(-6, 6), r.randint(1, 6))
-        columns = [random_vector(rng, 6, 3, coeff) for _ in range(9)]
+        columns = [
+            (1 if integral else rng.randint(2, 6), random_vector(rng, 6, 3, lambda r: r.randint(-6, 6)))
+            for _ in range(9)
+        ]
         x = [rng.randint(-3, 3) for _ in columns]
-        rhs = {}
-        for xi, col in zip(x, columns):
-            for w, c in col.items():
-                rhs[w] = rhs.get(w, 0) + xi * c
-        particular, kernel = affine_solve(columns, rhs)
+        rhs = combination(x, [fractions(col) for col in columns])
+        particular, kernel = affine_solve(columns, scaled(rhs))
         assert kernel
         for vector in [particular, *kernel]:
             assert all(type(c) is Fraction for c in vector)
         for vector, target in [(particular, rhs), *((k, {}) for k in kernel)]:
-            image = {}
-            for xi, col in zip(vector, columns):
-                for w, c in col.items():
-                    image[w] = image.get(w, 0) + xi * c
+            image = combination(vector, [fractions(col) for col in columns])
             assert {w: c for w, c in image.items() if c} == {w: c for w, c in target.items() if c}
 
 
 def assert_solves_like_reference(columns, rhs=None):
+    """Solve scaled columns, and check against the reference on their Fraction form."""
     got = affine_solve(columns, rhs)
-    assert got == reference_affine_solve(columns, rhs)
+    reference = reference_affine_solve(
+        [fractions(col) for col in columns], None if rhs is None else fractions(rhs)
+    )
+    assert got == reference
     particular, kernel = got
     for vector in ([] if particular is None else [particular]) + kernel:
         assert len(vector) == len(columns)
@@ -218,36 +226,43 @@ def combination(coeffs, columns):
 
 
 def test_affine_solve_equals_reference_on_seeded_systems():
-    def integral(r):
-        return r.randint(-9, 9)
-
     def rational(r):
         return Fraction(r.randint(-9, 9), r.randint(1, 12))
 
     for seed in range(12):
         rng = random.Random(300 + seed)
-        coeff = integral if seed % 2 else rational
+        # Odd seeds are integral; even seeds give each column its own den,
+        # not in lowest terms unless its numerators happen to make it so.
         nlabels = rng.randint(3, 12)
         ncols = rng.randint(1, 10)
-        columns = [random_vector(rng, nlabels, rng.randint(1, 5), coeff) for _ in range(ncols)]
+        columns = [
+            (
+                1 if seed % 2 else rng.randint(1, 12),
+                random_vector(rng, nlabels, rng.randint(1, 5), lambda r: r.randint(-9, 9)),
+            )
+            for _ in range(ncols)
+        ]
         # Rank deficiency: combinations of earlier columns, interleaved.
         for _ in range(3):
             at = rng.randrange(1, len(columns) + 1)
             xs = [rational(rng) for _ in columns[:at]]
-            columns.insert(at, combination(xs, columns[:at]))
-        reachable = combination([rational(rng) for _ in columns], columns)
+            columns.insert(at, scaled(combination(xs, map(fractions, columns[:at])), rng.randint(1, 3)))
+        reachable = combination([rational(rng) for _ in columns], map(fractions, columns))
         # A label no column holds makes the rhs unreachable.
         unreachable = {**reachable, nlabels: Fraction(1, 3)}
-        for rhs in (None, reachable, unreachable, {}):
+        for rhs in (None, scaled(reachable), scaled(reachable, 6), scaled(unreachable), (1, {})):
             particular, kernel = assert_solves_like_reference(columns, rhs)
             assert len(kernel) >= 3
-            assert (particular is None) == (rhs is None or rhs is unreachable)
+            assert (particular is None) == (rhs is None or nlabels in rhs[1])
     # Zero columns are their own kernel vectors; no columns leave only the rhs.
-    assert_solves_like_reference([{}, {0: 2}, {1: 0}, {0: 1}], {0: 4})
-    assert affine_solve([{}, {1: 0}], {}) == ([0, 0], [[1, 0], [0, 1]])
-    assert affine_solve([], {}) == ([], [])
-    assert affine_solve([], {0: 1}) == (None, [])
+    assert_solves_like_reference([(1, {}), (3, {0: 2}), (2, {1: 0}), (1, {0: 1})], (2, {0: 4}))
+    assert affine_solve([(1, {}), (5, {1: 0})], (1, {})) == ([0, 0], [[1, 0], [0, 1]])
+    assert affine_solve([], (1, {})) == ([], [])
+    assert affine_solve([], (1, {0: 1})) == (None, [])
     assert affine_solve([]) == (None, [])
+    # The answer is in the scaled columns' values: 2/3 x = 1/2 has x = 3/4.
+    assert assert_solves_like_reference([(3, {0: 2})], (2, {0: 1})) == ([Fraction(3, 4)], [])
+    assert assert_solves_like_reference([(6, {0: 4}), (9, {0: 6})]) == (None, [[-1, 1]])
 
 
 def test_affine_solve_equals_reference_on_extension_systems():
@@ -272,18 +287,18 @@ def test_affine_solve_equals_reference_on_extension_systems():
 def test_affine_solve_survives_an_unlucky_prime():
     p = next(primes())
     # Independent over Q with determinant p: dependent modulo the first prime.
-    columns = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
-    assert assert_solves_like_reference(columns, {0: 2, 1: 2 + p}) == ([1, 1], [])
+    columns = [(1, {0: 1, 1: 1}), (1, {0: 1, 1: 1 + p})]
+    assert assert_solves_like_reference(columns, (1, {0: 2, 1: 2 + p})) == ([1, 1], [])
     assert assert_solves_like_reference(columns) == (None, [])
     # Mod p column 1 vanishes and column 2 looks independent; over Q column 2
     # is column 1 over p.
-    columns = [{0: 1}, {1: p}, {1: 1}]
-    assert assert_solves_like_reference(columns, {0: 1, 1: 1}) == (
+    columns = [(1, {0: 1}), (1, {1: p}), (1, {1: 1})]
+    assert assert_solves_like_reference(columns, (1, {0: 1, 1: 1})) == (
         [1, Fraction(1, p), 0],
         [[0, Fraction(-1, p), 1]],
     )
     # In the span mod p, but not over Q.
-    assert assert_solves_like_reference([{0: 1}], {0: 1, 1: p}) == (None, [])
+    assert assert_solves_like_reference([(1, {0: 1})], (1, {0: 1, 1: p})) == (None, [])
 
 
 if __name__ == "__main__":

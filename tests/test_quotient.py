@@ -666,22 +666,27 @@ class TestDiskCache:
         assert rebuilt.dimension(2) == 27
         assert dict(rebuilt.table(2).rows) == dict(basis.table(2).rows)
 
-    def test_warm_load_runs_no_closure_and_starts_with_empty_memos(self, tmp_path, rng, monkeypatch):
+    @pytest.mark.parametrize("cap", [3, 6])
+    def test_warm_load_runs_no_closure_and_starts_with_empty_memos(self, tmp_path, rng, monkeypatch, cap):
+        # Through degree 6 the cache holds rational rows: a warm rule holds an
+        # int where a value is integral and a Fraction where it is not, as the
+        # closure's rule does.
         preset = oriented_artin(3)
-        series = [random_series(rng, preset.alphabet, 3, nterms=20) for _ in range(5)]
-        self._clear_store(preset, 3)
-        fresh = build_graded_basis(preset, 3, cache_dir=tmp_path)
+        series = [random_series(rng, preset.alphabet, cap, nterms=20) for _ in range(5)]
+        self._clear_store(preset, cap)
+        fresh = build_graded_basis(preset, cap, cache_dir=tmp_path)
         want = [fresh.normal_form(s) for s in series]
         rules = dict(quotient._STATE[preset.key()].rules)
-        self._clear_store(preset, 3)
+        assert any(type(c) is Fraction for nf in rules.values() for c in nf.values()) == (cap == 6)
+        self._clear_store(preset, cap)
         monkeypatch.setattr(GradedQuotientBasis, "_close", lambda *a: pytest.fail("closure on a warm load"))
-        warm = build_graded_basis(preset, 3, cache_dir=tmp_path)
+        warm = build_graded_basis(preset, cap, cache_dir=tmp_path)
         # Loading leaves the state as the closure does: the rules, and an empty memo per degree.
         state = quotient._STATE[preset.key()]
-        assert state.closed == 3
+        assert state.closed == cap
         assert state.rules == rules
         assert _types(state.rules) == _types(rules)
-        assert state.memos == {k: {} for k in range(4)}
+        assert state.memos == {k: {} for k in range(cap + 1)}
         assert [warm.normal_form(s) for s in series] == want
 
     @pytest.mark.parametrize("unreadable", [None, 2], ids=["extend-past-loaded", "lower-degree-missing"])

@@ -359,9 +359,8 @@ class TestLieDetection:
         assert is_lie_element(bch)
         assert lie_defect(bch).is_zero()
         for k in range(1, 5):
-            columns = [dict(b.degree_slice(k)) for _, b in lie_basis(AB, 4, k)]
-            rhs = dict(bch.degree_slice(k))
-            particular, _ = affine_solve(columns, rhs)
+            columns = [b.scaled[k] for _, b in lie_basis(AB, 4, k)]
+            particular, _ = affine_solve(columns, bch.scaled[k])
             assert particular is not None
 
     def test_random_lie_logs(self, rng):

@@ -27,8 +27,18 @@ from braidalg import (
     words_equal_in_bp,
 )
 import braidalg
-from braidalg.invariants import random_welded_word
-from braidalg.value import OrderedValue, Value
+from braidalg.associator import AxiomResult, EquivalenceReport, ExtensionStep
+from braidalg.invariants import (
+    DeltaKernelReport,
+    DistinguishReport,
+    FiltrationReport,
+    HilbertTable,
+    SplittingCase,
+    SplittingReport,
+    random_welded_word,
+)
+from braidalg.reps import CheckOutcome
+from braidalg.value import OrderedValue, Record, Value
 from braidalg.words import a, s, sigma, word
 
 
@@ -270,6 +280,19 @@ def _fields(value) -> tuple:
     return tuple(getattr(value, name) for name in _FIELDS[type(value)])
 
 
+def _subclasses(base) -> set:
+    """Every class in braidalg that derives from base, once each module is imported."""
+    for module in pkgutil.iter_modules(braidalg.__path__):
+        importlib.import_module(f"braidalg.{module.name}")
+    found, todo = set(), [base]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("braidalg.") and cls not in found:
+                found.add(cls)
+                todo.append(cls)
+    return found
+
+
 class TestValueTypes:
     """Permutations, tokens, words, endomorphisms and presets are immutable values."""
 
@@ -297,15 +320,7 @@ class TestValueTypes:
                 assert value._key == _fields(value) and hash(value) == hash(_fields(value))
 
     def test_the_value_types_are_exactly_the_subclasses_of_the_base(self):
-        for module in pkgutil.iter_modules(braidalg.__path__):
-            importlib.import_module(f"braidalg.{module.name}")
-        found, todo = set(), [Value]
-        while todo:
-            for cls in todo.pop().__subclasses__():
-                if cls.__module__.startswith("braidalg.") and cls not in found:
-                    found.add(cls)
-                    todo.append(cls)
-        assert found - {OrderedValue} == set(_FIELDS)
+        assert _subclasses(Value) - {OrderedValue} == set(_FIELDS)
         assert set(OrderedValue.__subclasses__()) == {Permutation, Token}
         for cls, fields in _FIELDS.items():
             assert cls.__slots__ == fields
@@ -373,6 +388,65 @@ class TestValueTypes:
         assert first.checks is not second.checks and second.checks == {}
         given = {}
         assert FamilyReport("welded", 3, 2, given).checks is given
+
+
+_RECORD_FIELDS = {
+    AxiomResult: ("axiom", "cap", "passed", "first_failure_degree", "residual"),
+    ExtensionStep: ("degree", "particular", "kernel", "base", "log", "candidate"),
+    EquivalenceReport: ("cap", "yb", "h3", "h1", "as_", "delta_squared_central", "drinfeld_compatible"),
+    FiltrationReport: ("element", "cap", "image", "order"),
+    DistinguishReport: ("cap", "first_difference_degree", "oracle_equal"),
+    DeltaKernelReport: ("n", "degree", "domain_dimension", "kernel_dimension"),
+    HilbertTable: ("n", "cap", "chord_dims", "oriented_dims", "weight_factor"),
+    SplittingCase: ("description", "order_plain", "order_twisted", "passed"),
+    SplittingReport: ("n", "cap", "cases"),
+    CheckOutcome: ("passed", "details"),
+}
+
+
+class TestRecordTypes:
+    """The result records are set from their fields, by position, and from nothing else."""
+
+    def test_the_records_are_exactly_the_subclasses_of_the_base(self):
+        assert _subclasses(Record) == set(_RECORD_FIELDS)
+        for cls, fields in _RECORD_FIELDS.items():
+            assert cls.__slots__ == fields
+            assert "__init__" not in vars(cls) and cls.__init__ is Record.__init__
+        assert FamilyReport not in _RECORD_FIELDS and "__init__" in vars(FamilyReport)
+
+    def test_positional_fields_are_set_in_slot_order(self):
+        for cls, fields in _RECORD_FIELDS.items():
+            values = [object() for _ in fields]
+            record = cls(*values)
+            assert [getattr(record, name) for name in fields] == values
+
+    def test_a_wrong_field_count_or_a_keyword_is_refused(self):
+        for cls, fields in _RECORD_FIELDS.items():
+            for count in (0, len(fields) - 1, len(fields) + 1):
+                with pytest.raises(TypeError, match=f"^{cls.__name__} takes the {len(fields)} fields"):
+                    cls(*range(count))
+            with pytest.raises(TypeError, match="keyword"):
+                cls(*range(len(fields) - 1), **{fields[-1]: 0})
+            with pytest.raises(TypeError, match="keyword"):
+                cls(**dict(zip(fields, range(len(fields)))))
+
+    def test_an_unknown_attribute_is_refused(self):
+        for cls, fields in _RECORD_FIELDS.items():
+            record = cls(*range(len(fields)))
+            with pytest.raises(AttributeError):
+                record.unknown = 0
+            with pytest.raises(AttributeError):
+                record.unknown
+            assert not hasattr(record, "__dict__")
+
+    def test_only_extension_steps_compare_field_by_field(self):
+        for cls, fields in _RECORD_FIELDS.items():
+            x, y = cls(*range(len(fields))), cls(*range(len(fields)))
+            assert x == x and not x != x
+            if cls is ExtensionStep:
+                assert x == y and x != cls(*range(1, len(fields) + 1))
+            else:
+                assert x != y and len({x, y}) == 2
 
 
 class TestGroupRing:
