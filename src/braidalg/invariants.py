@@ -13,7 +13,7 @@ through the map t_ij -> v_ij + v_ji, and tabulates dimensions.
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import factorial
 
@@ -26,8 +26,8 @@ from .quotient import (
     infinitesimal_artin,
     oriented_artin,
 )
-from .reps import fold_welded
-from .sdseries import SemidirectSeries
+from .reps import fold_welded_scaled
+from .sdseries import SemidirectSeries, _normalized, lowest_degree
 from .series import CapMismatch, TruncatedSeries
 from .value import Record
 from .words import (
@@ -41,23 +41,44 @@ from .words import (
 )
 
 
+def _folded(xi: GroupRingElement, cap: int, cache_dir) -> tuple:
+    """(basis, cap, alphabet, raw): xi's image folded in integers and not yet reduced.
+
+    These are the arguments of :func:`braidalg.sdseries.lowest_degree` and
+    of ``sdseries._normalized``.
+    """
+    basis = build_graded_basis(oriented_artin(xi.n), cap, cache_dir)
+    return (basis, cap, *fold_welded_scaled(xi.n, cap, xi.terms.items()))
+
+
 def eval_group_ring(xi: GroupRingElement, cap: int, cache_dir=None) -> SemidirectSeries:
     """Linear extension of the welded representation to the group ring, reduced once.
 
     Every degree-d coefficient of a word's image lies in (1/d!) Z, since
     1/(k_1! ... k_m!) = multinomial(d; k)/d! for the letters' exponentials,
     so the element is summed in integers over q d!, q the lcm of its
-    coefficients' denominators, and reduced to normal form once
-    (:func:`braidalg.reps.fold_welded`).
+    coefficients' denominators (:func:`braidalg.reps.fold_welded_scaled`),
+    and reduced to normal form once, every degree.
     """
-    basis = build_graded_basis(oriented_artin(xi.n), cap, cache_dir)
-    return fold_welded(basis, cap, xi.terms.items())
+    return _normalized(*_folded(xi, cap, cache_dir))
 
 
 class FiltrationReport(Record):
-    """An element, its cap, its image, and its vanishing order (None = above the cap)."""
+    """An element, its cap, its image, and its vanishing order (None = above the cap).
 
-    __slots__ = ("element", "cap", "image", "order")
+    The third field is the image, or a function of no arguments that
+    computes it.  ``image`` reads it: the image is normalized on first read
+    and kept, so at most once, and never when only ``order`` is read.
+    """
+
+    __slots__ = ("element", "cap", "_image", "order")
+
+    @property
+    def image(self) -> SemidirectSeries:
+        image = self._image
+        if callable(image):
+            image = self._image = image()
+        return image
 
     @property
     def above_cap(self) -> bool:
@@ -65,9 +86,17 @@ class FiltrationReport(Record):
 
 
 def vassiliev_degree(xi: GroupRingElement, cap: int, cache_dir=None) -> FiltrationReport:
-    """Least degree with a nonzero image component across all permutation parts."""
-    image = eval_group_ring(xi, cap, cache_dir)
-    return FiltrationReport(xi, cap, image, image.min_degree())
+    """Least degree with a nonzero image component across all permutation parts.
+
+    xi is folded once in integers; the order is read by reducing the fold
+    from degree 0 upward and stopping at the first nonzero degree
+    (:func:`braidalg.sdseries.lowest_degree`), so no degree above the order
+    is reduced to find it.  The report's image, equal to
+    ``eval_group_ring(xi, cap)``, is normalized from the same fold on its
+    first read.
+    """
+    folded = _folded(xi, cap, cache_dir)
+    return FiltrationReport(xi, cap, partial(_normalized, *folded), lowest_degree(*folded))
 
 
 class DistinguishReport(Record):
@@ -105,9 +134,9 @@ def distinguish(w1: WeldedWord, w2: WeldedWord, cap: int, cache_dir=None) -> Dis
     s = _common_prefix_length(w1.letters[p:][::-1], w2.letters[p:][::-1])
     m1, m2 = (WeldedWord(w.n, w.letters[p : len(w.letters) - s]) for w in (w1, w2))
     xi = GroupRingElement.from_word(m1) - GroupRingElement.from_word(m2)
-    order = eval_group_ring(xi, min(1, cap), cache_dir).min_degree()
+    order = lowest_degree(*_folded(xi, min(1, cap), cache_dir))
     if order is None and cap > 1:
-        order = eval_group_ring(xi, cap, cache_dir).min_degree()
+        order = lowest_degree(*_folded(xi, cap, cache_dir))
     return DistinguishReport(cap, order, words_equal_in_bp(w1, w2))
 
 

@@ -149,17 +149,17 @@ def _strand_permutation(alph, relabel: tuple) -> Permutation:
     return Permutation(alph.pairs[relabel[alph.gen(i, i % n + 1)]][0] for i in range(1, n + 1))
 
 
-def fold_welded(basis, cap: int, combination) -> SemidirectSeries:
-    """sum c * (image of w) over ``[(w, c), ...]`` for welded words w, reduced once.
+def fold_welded_scaled(n: int, cap: int, combination) -> tuple:
+    """(alphabet, {pi: scaled series}): sum c * (image of w) over ``[(w, c), ...]`` in the free algebra.
 
     A word's image is the product of its letters' exponentials exp(+-v_g),
     each relabelled by the permutation of the letters before it; that
     permutation is kept as its relabelling of generator indices.  Each word
     is folded in integers, degree d over d!, from the constant q c, q the
-    lcm of the coefficients' denominators; the words are summed over q d!,
-    and the sum is reduced to normal form once at the end.
+    lcm of the coefficients' denominators; the words are summed over q d!.
+    Nothing is reduced.
     """
-    alph, letters = welded_images(basis.alphabet.n)
+    alph, letters = welded_images(n)
     combination = list(combination)
     q = lcm(*(c.denominator for _, c in combination))
     binomials = _signed_binomials(cap)
@@ -185,7 +185,16 @@ def fold_welded(basis, cap: int, combination) -> SemidirectSeries:
         )
         for relabelled, slices in total.items()
     }
-    return _normalized(basis, cap, alph, raw)
+    return alph, raw
+
+
+def fold_welded(basis, cap: int, combination) -> SemidirectSeries:
+    """sum c * (image of w) over ``[(w, c), ...]`` for welded words w, reduced once.
+
+    The integer fold (:func:`fold_welded_scaled`), then its sum reduced to
+    normal form once.
+    """
+    return _normalized(basis, cap, *fold_welded_scaled(basis.alphabet.n, cap, combination))
 
 
 def eval_welded(w: WeldedWord, cap: int, cache_dir=None) -> SemidirectSeries:

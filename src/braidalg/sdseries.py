@@ -14,8 +14,11 @@ form once at the end.  ``SemidirectSeries.__mul__`` is the same product of
 two elements; the associator-driven and 3-strand representations in
 :mod:`braidalg.reps` go through :func:`fold`.  The welded family, whose
 factors are letter exponentials, has its own closed-form fold
-(:func:`braidalg.reps.fold_welded`), which reduces through the same
-:func:`_normalized`.
+(:func:`braidalg.reps.fold_welded`): its integer fold, then the same
+:func:`_normalized`.  :func:`lowest_degree` reads the lowest nonzero degree
+of the element such a sum reduces to, reducing upward from degree 0 and
+stopping there, with the same checks; the filtration order needs nothing
+above it (:func:`braidalg.invariants.vassiliev_degree`).
 """
 
 from __future__ import annotations
@@ -325,18 +328,42 @@ def fold_free(alphabet, cap: int, factors) -> dict:
     }
 
 
-def _normalized(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict) -> SemidirectSeries:
-    """Reduce {pi: scaled series} over the basis to an element."""
+def _check_raw(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict):
+    """The cap, each permutation's size and the alphabet of {pi: scaled series} against the basis."""
     if cap > basis.cap:
         raise ContextMismatch(f"cap {cap} exceeds basis cap {basis.cap}")
     target = basis.alphabet
-    terms = {}
-    for perm, scaled in raw.items():
+    for perm in raw:
         if perm.n != target.n and target.kind != "abstract":
             raise ContextMismatch(f"permutation size {perm.n} vs n={target.n}")
         if alphabet != target:
             raise AlphabetMismatch(f"{alphabet!r} vs preset alphabet {target!r}")
+
+
+def _normalized(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict) -> SemidirectSeries:
+    """Reduce {pi: scaled series} over the basis to an element."""
+    _check_raw(basis, cap, alphabet, raw)
+    terms = {}
+    for perm, scaled in raw.items():
         slices = tuple(basis.reduce_slice(k, pair) for k, pair in enumerate(scaled))
         if any(sl for _, sl in slices):
             terms[perm] = TruncatedSeries(alphabet, cap, slices)
     return SemidirectSeries(basis, cap, terms, _normalized=True)
+
+
+def lowest_degree(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict):
+    """``_normalized(basis, cap, alphabet, raw).min_degree()``, reducing only the degrees it reads.
+
+    Degrees are reduced from 0 upward, every component at each degree, and
+    the search stops at the first degree where a component is nonzero: no
+    degree above the answer is reduced.  None means the element is zero
+    through the cap.  The filtration order is read this way, and the image
+    itself is normalized on first read
+    (:class:`braidalg.invariants.FiltrationReport`).
+    """
+    _check_raw(basis, cap, alphabet, raw)
+    for k in range(cap + 1):
+        for scaled in raw.values():
+            if basis.reduce_slice(k, scaled[k])[1]:
+                return k
+    return None

@@ -10,9 +10,11 @@ class Value:
     subclass's ``__init__`` validates, then sets each field and ``_key``
     once with ``object.__setattr__``: ``==`` and ``hash`` read the stored
     key, and a loop over the slots would cost every construction more.
+    ``_hash`` is for a subclass whose key is dear to hash: it may keep
+    ``hash(_key)`` there (see ``braidalg.words.WeldedWord``).
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_hash")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

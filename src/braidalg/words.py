@@ -85,7 +85,9 @@ class WeldedWord(Value):
     """A word in the generators of the braid-permutation group on n strands.
 
     Immutable; equal and hashed as its field tuple ``(n, letters)``.  The
-    letters may come as any iterable, and are stored as a tuple.
+    letters may come as any iterable, and are stored as a tuple.  Hashing
+    the key calls every letter's ``__hash__``, so the hash is computed on
+    first use and kept.
     """
 
     __slots__ = ("n", "letters")
@@ -101,6 +103,14 @@ class WeldedWord(Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_key", (n, letters))
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._key)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __mul__(self, other: "WeldedWord") -> "WeldedWord":
         if self.n != other.n:

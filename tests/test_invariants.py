@@ -31,7 +31,8 @@ from braidalg import invariants as invariants_mod
 from braidalg.linalg import affine_solve
 from braidalg.lyndon import bracket_image, lyndon_words
 from braidalg.series import CapMismatch, TruncatedSeries
-from braidalg.words import WeldedWord, a, braid_relations, mccool_relations, word
+from braidalg.quotient import GradedQuotientBasis
+from braidalg.words import WeldedWord, a, braid_relations, mccool_relations, s, word
 
 
 def sd(basis, series, one_line):
@@ -242,13 +243,13 @@ class TestDistinguishMiddles:
 
     def test_folds_only_the_middles_and_the_cap_only_when_needed(self, monkeypatch):
         calls = []
-        fold_all = invariants_mod.eval_group_ring
+        fold_all = invariants_mod._folded
 
-        def spy(xi, cap, cache_dir=None):
+        def spy(xi, cap, cache_dir):
             calls.append((cap, sorted(w.text() for w in xi.terms)))
             return fold_all(xi, cap, cache_dir)
 
-        monkeypatch.setattr(invariants_mod, "eval_group_ring", spy)
+        monkeypatch.setattr(invariants_mod, "_folded", spy)
         report = distinguish(parse_word("s2 a12 a13 s1", 3), parse_word("s2 a21 a13 s1", 3), 4)
         assert report.first_difference_degree == 1
         assert calls == [(1, ["a12", "a21"])]
@@ -287,6 +288,94 @@ class TestGroupRingFold:
             assert eval_group_ring(
                 GroupRingElement.from_word(w1) - GroupRingElement.from_word(spelled), cap
             ).is_zero()
+
+
+def _upward_elements(rng, n):
+    """The zero element, permutation words, Fraction combinations, and (c - 1)^k and (c - 1)^k [s]."""
+    unit = GroupRingElement.one(n)
+
+    def permutation_word():
+        return GroupRingElement.from_word(WeldedWord(n, [s(rng.randint(1, n - 1)) for _ in range(rng.randint(0, 3))]))
+
+    yield GroupRingElement(n, {})
+    yield permutation_word()
+    yield permutation_word() - permutation_word()
+    for _ in range(3):
+        words = [random_welded_word(rng, n, rng.randint(0, 5)) for _ in range(3)]
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in words]
+        yield GroupRingElement(n, dict(zip(words, coeffs)))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for k in (1, 2, 3):
+        c = WeldedWord(n, [a(*rng.choice(pairs), rng.choice((1, -1))) for _ in range(rng.randint(1, 3))])
+        base = (GroupRingElement.from_word(c) - unit) ** k
+        yield base
+        yield base * permutation_word()
+
+
+class TestUpwardOrder:
+    """vassiliev_degree reduces upward to the order; the eager eval_group_ring is the reference."""
+
+    @pytest.mark.parametrize("n,cap", [(n, cap) for n in (2, 3, 4) for cap in range(6)])
+    def test_against_the_eager_image(self, n, cap):
+        rng = random.Random(f"upward-order:{n}:{cap}")
+        for xi in _upward_elements(rng, n):
+            want = eval_group_ring(xi, cap)
+            report = vassiliev_degree(xi, cap)
+            assert report.order == want.min_degree(), xi.text()
+            assert report.image == want and report.image.text() == want.text()
+
+    def test_the_image_is_given_or_computed_once(self):
+        image = eval_group_ring(GroupRingElement.parse("1*[s1]", 3), 2)
+        given = invariants_mod.FiltrationReport(None, 2, image, 0)
+        assert given.image is image and given.image is image
+        calls = []
+        report = invariants_mod.FiltrationReport(None, 2, lambda: calls.append(1) or image, 0)
+        assert calls == []
+        assert report.image is image and report.image is image and calls == [1]
+
+
+@pytest.fixture
+def reduced_degrees(monkeypatch):
+    """The degrees passed to GradedQuotientBasis.reduce_slice, in call order."""
+    degrees = []
+    reduce_slice = GradedQuotientBasis.reduce_slice
+
+    def spy(self, k, pair):
+        degrees.append(k)
+        return reduce_slice(self, k, pair)
+
+    monkeypatch.setattr(GradedQuotientBasis, "reduce_slice", spy)
+    return degrees
+
+
+class TestUpwardOrderWork:
+    """No degree above the order is reduced until the image is read, and then once."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_degree_above_the_order_until_the_image_is_read(self, reduced_degrees, k):
+        build_graded_basis(oriented_artin(3), 5)
+        xi = GroupRingElement.parse("1*[a12] - 1*[]", 3) ** k
+        report = vassiliev_degree(xi, 5)
+        assert report.order == k
+        assert reduced_degrees == list(range(k + 1))
+        reduced_degrees.clear()
+        image = report.image
+        assert image == eval_group_ring(xi, 5)
+        reduced_degrees.clear()
+        assert report.image is image and reduced_degrees == []
+
+    def test_reading_the_image_normalizes_every_degree_once(self, reduced_degrees):
+        report = vassiliev_degree(GroupRingElement.parse("1*[a12 a12 s2] - 2*[a12 s2] + 1*[s2]", 3), 3)
+        reduced_degrees.clear()
+        report.image
+        report.image
+        assert reduced_degrees == [0, 1, 2, 3]
+
+    def test_distinguish_at_degree_zero_reduces_only_degree_zero(self, reduced_degrees):
+        build_graded_basis(oriented_artin(3), 4)
+        report = distinguish(parse_word("a12 s1", 3), parse_word("a12 s2", 3), 4)
+        assert report.first_difference_degree == 0
+        assert set(reduced_degrees) == {0}
 
 
 class TestDeltaMap:

@@ -319,6 +319,18 @@ class TestValueTypes:
             for value in (x, y, other):
                 assert value._key == _fields(value) and hash(value) == hash(_fields(value))
 
+    def test_a_word_hashes_its_letters_once(self, monkeypatch):
+        w = parse_word("a12 sig1^-1 s2 a31", 3)
+        want = hash(_fields(w))
+        assert hash(w) == want
+        calls = []
+        token_hash = Token.__hash__
+        monkeypatch.setattr(Token, "__hash__", lambda t: calls.append(t) or token_hash(t))
+        for fresh in (parse_word(w.text(), 3), copy.copy(w), pickle.loads(pickle.dumps(w))):
+            calls.clear()
+            assert hash(fresh) == hash(fresh) == want
+            assert calls == list(fresh.letters)
+
     def test_the_value_types_are_exactly_the_subclasses_of_the_base(self):
         assert _subclasses(Value) - {OrderedValue} == set(_FIELDS)
         assert set(OrderedValue.__subclasses__()) == {Permutation, Token}
@@ -394,7 +406,7 @@ _RECORD_FIELDS = {
     AxiomResult: ("axiom", "cap", "passed", "first_failure_degree", "residual"),
     ExtensionStep: ("degree", "particular", "kernel", "base", "log", "candidate"),
     EquivalenceReport: ("cap", "yb", "h3", "h1", "as_", "delta_squared_central", "drinfeld_compatible"),
-    FiltrationReport: ("element", "cap", "image", "order"),
+    FiltrationReport: ("element", "cap", "_image", "order"),
     DistinguishReport: ("cap", "first_difference_degree", "oracle_equal"),
     DeltaKernelReport: ("n", "degree", "domain_dimension", "kernel_dimension"),
     HilbertTable: ("n", "cap", "chord_dims", "oriented_dims", "weight_factor"),
