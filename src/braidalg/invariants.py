@@ -26,7 +26,7 @@ from .quotient import (
     infinitesimal_artin,
     oriented_artin,
 )
-from .reps import fold_welded_scaled
+from .reps import fold_welded
 from .sdseries import SemidirectSeries, _normalized, lowest_degree
 from .series import CapMismatch, TruncatedSeries
 from .value import Record
@@ -41,26 +41,16 @@ from .words import (
 )
 
 
-def _folded(xi: GroupRingElement, cap: int, cache_dir) -> tuple:
-    """(basis, cap, alphabet, raw): xi's image folded in integers and not yet reduced.
-
-    These are the arguments of :func:`braidalg.sdseries.lowest_degree` and
-    of ``sdseries._normalized``.
-    """
-    basis = build_graded_basis(oriented_artin(xi.n), cap, cache_dir)
-    return (basis, cap, *fold_welded_scaled(xi.n, cap, xi.terms.items()))
-
-
 def eval_group_ring(xi: GroupRingElement, cap: int, cache_dir=None) -> SemidirectSeries:
     """Linear extension of the welded representation to the group ring, reduced once.
 
     Every degree-d coefficient of a word's image lies in (1/d!) Z, since
     1/(k_1! ... k_m!) = multinomial(d; k)/d! for the letters' exponentials,
     so the element is summed in integers over q d!, q the lcm of its
-    coefficients' denominators (:func:`braidalg.reps.fold_welded_scaled`),
-    and reduced to normal form once, every degree.
+    coefficients' denominators (:func:`braidalg.reps.fold_welded`), and
+    reduced to normal form once, every degree.
     """
-    return _normalized(*_folded(xi, cap, cache_dir))
+    return _normalized(*fold_welded(xi.n, cap, xi.terms.items(), cache_dir))
 
 
 class FiltrationReport(Record):
@@ -88,14 +78,14 @@ class FiltrationReport(Record):
 def vassiliev_degree(xi: GroupRingElement, cap: int, cache_dir=None) -> FiltrationReport:
     """Least degree with a nonzero image component across all permutation parts.
 
-    xi is folded once in integers; the order is read by reducing the fold
-    from degree 0 upward and stopping at the first nonzero degree
-    (:func:`braidalg.sdseries.lowest_degree`), so no degree above the order
-    is reduced to find it.  The report's image, equal to
-    ``eval_group_ring(xi, cap)``, is normalized from the same fold on its
-    first read.
+    xi is folded once in integers (:func:`braidalg.reps.fold_welded`); the
+    order is read by reducing the fold from degree 0 upward and stopping at
+    the first nonzero degree (:func:`braidalg.sdseries.lowest_degree`), so
+    no degree above the order is reduced to find it.  The report's image,
+    equal to ``eval_group_ring(xi, cap)``, is normalized from the same fold
+    on its first read.
     """
-    folded = _folded(xi, cap, cache_dir)
+    folded = fold_welded(xi.n, cap, xi.terms.items(), cache_dir)
     return FiltrationReport(xi, cap, partial(_normalized, *folded), lowest_degree(*folded))
 
 
@@ -126,18 +116,19 @@ def distinguish(w1: WeldedWord, w2: WeldedWord, cap: int, cache_dir=None) -> Dis
     fold commutes with the fold, so the difference through degree
     min(1, cap) (the permutation and linear parts) is evaluated first; if
     it is nonzero its lowest degree is the answer, and only otherwise is
-    the difference evaluated through the cap.  The oracle sees the full words.
+    the difference evaluated through the cap.  The Aut(F_n) oracle sees the
+    middles too: in a group, P m1 S = P m2 S if and only if m1 = m2.
     """
     if w1.n != w2.n:
         raise WordError(f"strand mismatch: {w1.n} vs {w2.n}")
     p = _common_prefix_length(w1.letters, w2.letters)
     s = _common_prefix_length(w1.letters[p:][::-1], w2.letters[p:][::-1])
     m1, m2 = (WeldedWord(w.n, w.letters[p : len(w.letters) - s]) for w in (w1, w2))
-    xi = GroupRingElement.from_word(m1) - GroupRingElement.from_word(m2)
-    order = lowest_degree(*_folded(xi, min(1, cap), cache_dir))
+    difference = [(m1, 1), (m2, -1)]
+    order = lowest_degree(*fold_welded(w1.n, min(1, cap), difference, cache_dir))
     if order is None and cap > 1:
-        order = lowest_degree(*_folded(xi, cap, cache_dir))
-    return DistinguishReport(cap, order, words_equal_in_bp(w1, w2))
+        order = lowest_degree(*fold_welded(w1.n, cap, difference, cache_dir))
+    return DistinguishReport(cap, order, words_equal_in_bp(m1, m2))
 
 
 # -- the chord-to-oriented comparison map ----------------------------------------

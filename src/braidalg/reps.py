@@ -11,10 +11,11 @@ Three families are evaluated on words:
 
 The welded family's letters are stored once per strand count as
 closed-form data: each image is exp(+-v_g) (x) pi, pi the identity or
-s_i.  A welded word is folded as a product of letter exponentials, degree
-d held in integers over d!: 1/(k_1! ... k_m!) = multinomial(d; k)/d!, so
-multiplying by exp(+-v_g) is a binomial convolution in integers, with no
-series multiplied (:func:`fold_welded`).
+s_i.  :func:`fold_welded` folds a linear combination of welded words as
+products of letter exponentials, degree d held in integers over d!:
+1/(k_1! ... k_m!) = multinomial(d; k)/d!, so multiplying by exp(+-v_g) is
+a binomial convolution in integers, with no series multiplied.  It builds
+the oriented basis too, and is the one way into the welded family.
 
 The associator families' generator images are built once per (n, cap) and
 parameter series, and their 32 most recent parameter series are kept by a
@@ -71,8 +72,8 @@ def _require_assoc(family: str, assoc):
 
 
 @cache
-def welded_images(n: int):
-    """(alphabet, {token: (g, c, relabelling)}): the welded family's letters on n strands.
+def welded_images(n: int) -> dict:
+    """{token: (g, c, relabelling)}: the welded family's letters on n strands.
 
     Every letter's image is exp(c v_g) (x) pi with c = +-1 and pi the
     identity or s_i; s(i) has no exponential.  g is the generator index, or
@@ -95,7 +96,7 @@ def welded_images(n: int):
         # sigma_i = a_{i,i+1} s_i, so sigma_i^-1 = s_i a_{i,i+1}^-1.
         letters[Token("sigma", i, 0, 1)] = (alph.gen(i, i + 1), 1, relabel)
         letters[Token("sigma", i, 0, -1)] = (alph.gen(i + 1, i), -1, relabel)
-    return alph, letters
+    return letters
 
 
 @cache
@@ -149,17 +150,20 @@ def _strand_permutation(alph, relabel: tuple) -> Permutation:
     return Permutation(alph.pairs[relabel[alph.gen(i, i % n + 1)]][0] for i in range(1, n + 1))
 
 
-def fold_welded_scaled(n: int, cap: int, combination) -> tuple:
-    """(alphabet, {pi: scaled series}): sum c * (image of w) over ``[(w, c), ...]`` in the free algebra.
+def fold_welded(n: int, cap: int, combination, cache_dir=None) -> tuple:
+    """(basis, cap, raw): sum c * (image of w) over ``[(w, c), ...]``, folded and not yet reduced.
 
+    basis is the oriented basis on n strands through the cap, and raw is
+    {pi: scaled series} in the free algebra: these are the arguments of
+    ``sdseries._normalized`` and :func:`braidalg.sdseries.lowest_degree`.
     A word's image is the product of its letters' exponentials exp(+-v_g),
     each relabelled by the permutation of the letters before it; that
     permutation is kept as its relabelling of generator indices.  Each word
     is folded in integers, degree d over d!, from the constant q c, q the
     lcm of the coefficients' denominators; the words are summed over q d!.
-    Nothing is reduced.
     """
-    alph, letters = welded_images(n)
+    basis = build_graded_basis(oriented_artin(n), cap, cache_dir)
+    alph, letters = basis.alphabet, welded_images(n)
     combination = list(combination)
     q = lcm(*(c.denominator for _, c in combination))
     binomials = _signed_binomials(cap)
@@ -185,22 +189,12 @@ def fold_welded_scaled(n: int, cap: int, combination) -> tuple:
         )
         for relabelled, slices in total.items()
     }
-    return alph, raw
-
-
-def fold_welded(basis, cap: int, combination) -> SemidirectSeries:
-    """sum c * (image of w) over ``[(w, c), ...]`` for welded words w, reduced once.
-
-    The integer fold (:func:`fold_welded_scaled`), then its sum reduced to
-    normal form once.
-    """
-    return _normalized(basis, cap, *fold_welded_scaled(basis.alphabet.n, cap, combination))
+    return basis, cap, raw
 
 
 def eval_welded(w: WeldedWord, cap: int, cache_dir=None) -> SemidirectSeries:
-    """The representation R_n (x) id evaluated on a welded word."""
-    basis = build_graded_basis(oriented_artin(w.n), cap, cache_dir)
-    return fold_welded(basis, cap, [(w, 1)])
+    """The representation R_n (x) id evaluated on a welded word, reduced once."""
+    return _normalized(*fold_welded(w.n, cap, [(w, 1)], cache_dir))
 
 
 def _check_braid_word(w: WeldedWord):
@@ -232,7 +226,7 @@ def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
             u, u_inv = phi_inv * u * phi_si, phi_inv * u_inv * phi_si
         images[Token("sigma", i, 0, 1)] = Factor(alph, {si: u})
         images[Token("sigma", i, 0, -1)] = Factor(alph, {si: u_inv})
-    return alph, images
+    return images
 
 
 def eval_drinfeld(w: WeldedWord, assoc: TruncatedSeries, cap: int) -> SemidirectSeries:
@@ -240,8 +234,8 @@ def eval_drinfeld(w: WeldedWord, assoc: TruncatedSeries, cap: int) -> Semidirect
     _require_assoc("drinfeld", assoc)
     _check_braid_word(w)
     basis = build_graded_basis(infinitesimal_artin(w.n), cap)
-    alph, images = _drinfeld_images(w.n, cap, assoc)
-    return fold(basis, cap, alph, [(1, [images[t] for t in w.letters])])
+    images = _drinfeld_images(w.n, cap, assoc)
+    return fold(basis, cap, [(1, [images[t] for t in w.letters])])
 
 
 def central_element(cap: int) -> TruncatedSeries:
@@ -314,7 +308,7 @@ def _rho3_images(cap: int, psi: TruncatedSeries):
         Token("sigma", 2, 0, -1): sigma2_inv,
         "Delta": (delta,),  # not a letter: the factor rho3_delta folds
     }
-    return alph, images
+    return images
 
 
 def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int) -> SemidirectSeries:
@@ -324,16 +318,15 @@ def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int) -> SemidirectSeries
     if w.n != 3:
         raise WordError("the parametrized family lives on 3 strands")
     basis = build_graded_basis(infinitesimal_artin(3), cap)
-    alph, images = _rho3_images(cap, psi)
-    return fold(basis, cap, alph, [(1, [f for t in w.letters for f in images[t]])])
+    images = _rho3_images(cap, psi)
+    return fold(basis, cap, [(1, [f for t in w.letters for f in images[t]])])
 
 
 def rho3_delta(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
     """Image of the fundamental element Delta = sigma_1 sigma_2 sigma_1."""
     _require_assoc("rho3", psi)
     basis = build_graded_basis(infinitesimal_artin(3), cap)
-    alph, images = _rho3_images(cap, psi)
-    return fold(basis, cap, alph, [(1, list(images["Delta"]))])
+    return fold(basis, cap, [(1, list(_rho3_images(cap, psi)["Delta"]))])
 
 
 # -- family axioms ---------------------------------------------------------------

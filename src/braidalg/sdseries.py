@@ -26,7 +26,6 @@ from __future__ import annotations
 from .perms import Permutation
 from .quotient import GradedQuotientBasis
 from .series import (
-    AlphabetMismatch,
     TruncatedSeries,
     generator_or_zero,
     one,
@@ -139,10 +138,9 @@ class SemidirectSeries:
         if not isinstance(other, SemidirectSeries):
             return NotImplemented
         self._check_context(other)
-        alph = self.basis.alphabet
         acc = {x: a.scaled for x, a in self.terms.items()}
-        raw = _twisted_mul(acc, Factor(alph, other.terms), self.cap)
-        return _normalized(self.basis, self.cap, alph, raw)
+        raw = _twisted_mul(acc, Factor(self.basis.alphabet, other.terms), self.cap)
+        return _normalized(self.basis, self.cap, raw)
 
     def inverse(self) -> "SemidirectSeries":
         """Inverse of a single term g (x) pi with invertible g."""
@@ -262,29 +260,22 @@ class Factor:
     """A semidirect element {pi: series} as scaled series, for repeated products.
 
     ``acted(x)`` lists, for every term y -> b, the product permutation xy and
-    the relabelled series x.b, or None where x.b is the unit; it is computed
-    once per permutation x and kept.
+    the relabelled series x.b, or None where x.b is the unit.
     """
 
-    __slots__ = ("alphabet", "terms", "_acted")
+    __slots__ = ("alphabet", "terms")
 
     def __init__(self, alphabet, terms: dict):
         self.alphabet = alphabet
         self.terms = {perm: series.scaled for perm, series in terms.items()}
-        self._acted: dict = {}
 
     def acted(self, x: Permutation) -> list:
-        out = self._acted.get(x)
-        if out is None:
-            alph = self.alphabet
-            gmap = [alph.permuted(g, x) for g in range(alph.size)]
-            out = []
-            for y, b in self.terms.items():
-                xb = None if b == scaled_one(len(b) - 1) else relabel(b, gmap)
-                out.append((x.compose(y), xb))
-            # Threads racing here compute equal lists; the first one published wins.
-            out = self._acted.setdefault(x, out)
-        return out
+        alph = self.alphabet
+        gmap = [alph.permuted(g, x) for g in range(alph.size)]
+        return [
+            (x.compose(y), None if b == scaled_one(len(b) - 1) else relabel(b, gmap))
+            for y, b in self.terms.items()
+        ]
 
 
 def _twisted_mul(acc: dict, factor: Factor, cap: int) -> dict:
@@ -306,7 +297,7 @@ def _fold_scaled(alphabet, cap: int, factors, c=1) -> dict:
     return acc
 
 
-def fold(basis: GradedQuotientBasis, cap: int, alphabet, combination) -> SemidirectSeries:
+def fold(basis: GradedQuotientBasis, cap: int, combination) -> SemidirectSeries:
     """sum c * (product of factors, left to right) over ``[(c, factors), ...]``, reduced once.
 
     Reducing once at the end equals reducing after every factor and every
@@ -315,9 +306,9 @@ def fold(basis: GradedQuotientBasis, cap: int, alphabet, combination) -> Semidir
     """
     total: dict = {}
     for c, factors in combination:
-        for perm, scaled in _fold_scaled(alphabet, cap, factors, c).items():
+        for perm, scaled in _fold_scaled(basis.alphabet, cap, factors, c).items():
             total[perm] = scaled_add(total[perm], scaled) if perm in total else scaled
-    return _normalized(basis, cap, alphabet, total)
+    return _normalized(basis, cap, total)
 
 
 def fold_free(alphabet, cap: int, factors) -> dict:
@@ -328,31 +319,29 @@ def fold_free(alphabet, cap: int, factors) -> dict:
     }
 
 
-def _check_raw(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict):
-    """The cap, each permutation's size and the alphabet of {pi: scaled series} against the basis."""
+def _check_raw(basis: GradedQuotientBasis, cap: int, raw: dict):
+    """The cap and each permutation's size of {pi: scaled series} against the basis."""
     if cap > basis.cap:
         raise ContextMismatch(f"cap {cap} exceeds basis cap {basis.cap}")
     target = basis.alphabet
     for perm in raw:
         if perm.n != target.n and target.kind != "abstract":
             raise ContextMismatch(f"permutation size {perm.n} vs n={target.n}")
-        if alphabet != target:
-            raise AlphabetMismatch(f"{alphabet!r} vs preset alphabet {target!r}")
 
 
-def _normalized(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict) -> SemidirectSeries:
-    """Reduce {pi: scaled series} over the basis to an element."""
-    _check_raw(basis, cap, alphabet, raw)
+def _normalized(basis: GradedQuotientBasis, cap: int, raw: dict) -> SemidirectSeries:
+    """Reduce {pi: scaled series} over the basis's alphabet to an element."""
+    _check_raw(basis, cap, raw)
     terms = {}
     for perm, scaled in raw.items():
         slices = tuple(basis.reduce_slice(k, pair) for k, pair in enumerate(scaled))
         if any(sl for _, sl in slices):
-            terms[perm] = TruncatedSeries(alphabet, cap, slices)
+            terms[perm] = TruncatedSeries(basis.alphabet, cap, slices)
     return SemidirectSeries(basis, cap, terms, _normalized=True)
 
 
-def lowest_degree(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict):
-    """``_normalized(basis, cap, alphabet, raw).min_degree()``, reducing only the degrees it reads.
+def lowest_degree(basis: GradedQuotientBasis, cap: int, raw: dict):
+    """``_normalized(basis, cap, raw).min_degree()``, reducing only the degrees it reads.
 
     Degrees are reduced from 0 upward, every component at each degree, and
     the search stops at the first degree where a component is nonzero: no
@@ -361,7 +350,7 @@ def lowest_degree(basis: GradedQuotientBasis, cap: int, alphabet, raw: dict):
     itself is normalized on first read
     (:class:`braidalg.invariants.FiltrationReport`).
     """
-    _check_raw(basis, cap, alphabet, raw)
+    _check_raw(basis, cap, raw)
     for k in range(cap + 1):
         for scaled in raw.values():
             if basis.reduce_slice(k, scaled[k])[1]:

@@ -922,9 +922,9 @@ def rho3_yang_baxter_defect(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
     """
     _require_assoc("rho3", psi)
     basis = build_graded_basis(infinitesimal_artin(3), cap)
-    alph, images = _rho3_images(cap, psi)
+    images = _rho3_images(cap, psi)
     (s1,), (s2,) = images[Token("sigma", 1, 0, 1)], images[Token("sigma", 2, 0, 1)]
-    return fold(basis, cap, alph, [(1, [s2, s1, s2]), (-1, list(images["Delta"]))])
+    return fold(basis, cap, [(1, [s2, s1, s2]), (-1, list(images["Delta"]))])
 
 
 # -- the welded family through the generic fold ------------------------------------
@@ -938,7 +938,7 @@ def rho3_yang_baxter_defect(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
 
 @cache
 def welded_factor_images(n: int, cap: int):
-    """(alphabet, {token: Factor}): the welded family's letter images on n strands."""
+    """{token: Factor}: the welded family's letter images on n strands."""
     alph = oriented_artin(n).alphabet
 
     def exp_v(pair, sign):
@@ -957,12 +957,12 @@ def welded_factor_images(n: int, cap: int):
         # sigma_i = a_{i,i+1} s_i, so sigma_i^-1 = s_i a_{i,i+1}^-1.
         images[Token("sigma", i, 0, 1)] = {si: exp_v((i, i + 1), 1)}
         images[Token("sigma", i, 0, -1)] = {si: exp_v((i + 1, i), -1)}
-    return alph, {t: Factor(alph, terms) for t, terms in images.items()}
+    return {t: Factor(alph, terms) for t, terms in images.items()}
 
 
 def factor_group_ring(xi, cap: int) -> SemidirectSeries:
     """The welded image of a group-ring element, folded over the factor images."""
     basis = build_graded_basis(oriented_artin(xi.n), cap)
-    alph, images = welded_factor_images(xi.n, cap)
+    images = welded_factor_images(xi.n, cap)
     terms = [(c, [images[t] for t in w.letters]) for w, c in xi.terms.items()]
-    return fold(basis, cap, alph, terms)
+    return fold(basis, cap, terms)

@@ -145,9 +145,17 @@ class TestEval:
         assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, plain)
         assert list(tmp_path.iterdir()) == []
 
-    def test_welded_cache_dir_writes_oriented_tables(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--family", "welded", "--n", "3", "--cap", "3", "--word", "sig1 a12"],
+            ["vassiliev-degree", "--n", "3", "--cap", "3", "--element", "1*[a12 s2] - 1*[s2]"],
+            ["distinguish", "--n", "3", "--cap", "3", "--w1", "a12 a21", "--w2", "a21 a12"],
+        ],
+        ids=["eval", "vassiliev-degree", "distinguish"],
+    )
+    def test_welded_cache_dir_writes_oriented_tables(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.setattr(quotient, "_STATE", {})
-        argv = ["eval", "--family", "welded", "--n", "3", "--cap", "3", "--word", "sig1 a12"]
         code, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0
         names = {p.name for p in tmp_path.iterdir()}

@@ -243,13 +243,14 @@ class TestDistinguishMiddles:
 
     def test_folds_only_the_middles_and_the_cap_only_when_needed(self, monkeypatch):
         calls = []
-        fold_all = invariants_mod._folded
+        fold_all = invariants_mod.fold_welded
 
-        def spy(xi, cap, cache_dir):
-            calls.append((cap, sorted(w.text() for w in xi.terms)))
-            return fold_all(xi, cap, cache_dir)
+        def spy(n, cap, combination, cache_dir):
+            combination = list(combination)
+            calls.append((cap, sorted(w.text() for w, _ in combination)))
+            return fold_all(n, cap, combination, cache_dir)
 
-        monkeypatch.setattr(invariants_mod, "_folded", spy)
+        monkeypatch.setattr(invariants_mod, "fold_welded", spy)
         report = distinguish(parse_word("s2 a12 a13 s1", 3), parse_word("s2 a21 a13 s1", 3), 4)
         assert report.first_difference_degree == 1
         assert calls == [(1, ["a12", "a21"])]

@@ -18,6 +18,8 @@ from braidalg import (
     oriented_artin,
     perm_from_transposition_word,
 )
+from braidalg.sdseries import _normalized, lowest_degree
+from braidalg.series import scaled_one
 
 HALF = Fraction(1, 2)
 
@@ -218,6 +220,27 @@ class TestProjectionAndOrder:
         assert v.min_degree() == 1
         assert SemidirectSeries.zero(oriented3, cap).is_zero()
         assert SemidirectSeries.zero(oriented3, cap).min_degree() is None
+
+
+class TestRawRefusals:
+    """A fold's unreduced sum is refused before any degree is reduced over the basis."""
+
+    @pytest.mark.parametrize("read", [_normalized, lowest_degree])
+    def test_a_cap_above_the_basis_cap(self, oriented3, read):
+        for raw in ({Permutation.identity(3): scaled_one(4)}, {}):
+            with pytest.raises(ContextMismatch, match=r"^cap 4 exceeds basis cap 3$"):
+                read(oriented3, 4, raw)
+
+    @pytest.mark.parametrize("read", [_normalized, lowest_degree])
+    def test_a_permutation_of_the_wrong_size(self, oriented3, read):
+        raw = {Permutation.identity(3): scaled_one(3), Permutation.identity(4): scaled_one(3)}
+        with pytest.raises(ContextMismatch, match=r"^permutation size 4 vs n=3$"):
+            read(oriented3, 3, raw)
+
+    def test_the_same_sum_in_context_is_read(self, oriented3):
+        raw = {Permutation.identity(3): scaled_one(3)}
+        assert _normalized(oriented3, 3, raw) == SemidirectSeries.unit(oriented3, 3)
+        assert lowest_degree(oriented3, 3, raw) == 0
 
 
 class TestStabilization:
