@@ -1,7 +1,8 @@
 """Command-line surface for the workbench.
 
 ``COMMANDS`` maps each subcommand to its help line, its arguments and its
-handler; a run builds the parser of its own subcommand only.  Output is
+handler; a run that names a command builds that command's parser only, and
+the top-level parser is built for the help and the usage errors.  Output is
 deterministic: fixed word order, rationals in lowest terms.  ``--format
 structured`` emits one JSON object per result with the fields {command,
 inputs, degrees, values}, rationals as strings.
@@ -432,8 +433,8 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _top_level_command(argv: list) -> str:
+    """The command argv names, read by the top-level parser, which owns the help and usage errors."""
     width = max(map(len, COMMANDS))
     top = argparse.ArgumentParser(
         prog="braidalg",
@@ -448,7 +449,13 @@ def main(argv=None) -> int:
     )
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
         top.error(f"the command comes first: braidalg <command> [options]; {argv[0]!r} is an option")
-    name = top.parse_args(argv[:1]).command
+    return top.parse_args(argv[:1]).command
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A known command needs no top-level parser: building one costs every run.
+    name = argv[0] if argv and argv[0] in COMMANDS else _top_level_command(argv)
     args = _command_parser(name).parse_args(argv[1:])
     try:
         COMMANDS[name][2](args)

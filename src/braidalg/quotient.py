@@ -9,7 +9,9 @@ is the one reduction.  The rules (leading word -> its normal form) come from
 a truncated Buchberger closure, one degree at a time; the chord presets gain
 none past degree 2.  Each preset's rules and word memos are shared
 process-wide.  The other presets can keep each degree's rules in a disk
-cache; loading them leaves the process as closing that degree would.
+cache; loading them leaves the process as closing that degree would.  A
+cache file names the relation set it was built from verbatim, and its rows
+are read and written in the integer series grammar of :mod:`braidalg.series`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .series import (
 )
 from .value import Value
 
-CACHE_FORMAT = "braidalg-rules v3"
+CACHE_FORMAT = "braidalg-rules v4"
 
 
 class BasisError(ValueError):
@@ -72,8 +74,8 @@ class RelationPreset(Value):
         straight from its words: the terms a.b with coefficient 1, then the
         terms b.a with coefficient -1, over denominator 1.  The list and each
         relation's text are what the product a * b - b * a would give, so the
-        digest of a preset's relations, which cache files carry, does not
-        depend on how they are built.
+        relation set that cache files name does not depend on how they are
+        built.
         """
         g = self.alphabet.gen
         triples = list(permutations(range(1, self.n + 1), 3))  # distinct strands, lexicographic
@@ -380,16 +382,16 @@ def build_graded_basis(preset: RelationPreset, cap: int, cache_dir=None) -> Grad
     if state.closed >= cap:
         return basis
     with state.lock:
-        # Built at most once per call, and only for a digest or a closure in degree 2.
+        # Built at most once per call, and only for a cache header or a closure in degree 2.
         relations = cache(preset.relations)
         cached = cache_dir is not None and preset.kind != "infinitesimal_artin"
-        digest = _relations_digest(relations()) if cached and state.closed < cap else None
+        relations_text = _relations_text(relations()) if cached and state.closed < cap else None
         for k in range(state.closed + 1, cap + 1):
-            new = _load_rules(cache_dir, preset, k, digest, state) if cached else None
+            new = _load_rules(cache_dir, preset, k, relations_text, state) if cached else None
             if new is None:
                 new = basis._close(k, relations)
                 if cached:
-                    _save_rules(cache_dir, preset, k, new, digest)
+                    _save_rules(cache_dir, preset, k, new, relations_text)
             state.extend(k, new)
     return basis
 
@@ -401,17 +403,16 @@ def _cache_path(cache_dir, preset: RelationPreset, k: int) -> str:
     return os.path.join(str(cache_dir), f"{preset.key()}__deg{k}.basis")
 
 
-def _relations_digest(relations: list) -> str:
-    """sha256 of a preset's relation set, so a cache file never outlives a change to it."""
-    # Imported here: hashlib maps OpenSSL, about 4 MB of resident memory that
-    # only a run reading or writing the cache should pay.
-    import hashlib
+def _relations_text(relations: list) -> str:
+    """A preset's relation set as cache files name it: the sorted relation texts joined by ``"; "``.
 
-    texts = sorted(r.text() for r in relations)
-    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    No relation text holds a ``;``, so two relation sets never share a name
+    and a cache file never outlives a change to the relations.
+    """
+    return "; ".join(sorted(r.text() for r in relations))
 
 
-def _save_rules(cache_dir, preset: RelationPreset, k: int, rules: dict, digest: str):
+def _save_rules(cache_dir, preset: RelationPreset, k: int, rules: dict, relations_text: str):
     os.makedirs(str(cache_dir), exist_ok=True)
     alph = preset.alphabet
     lines = [
@@ -420,14 +421,15 @@ def _save_rules(cache_dir, preset: RelationPreset, k: int, rules: dict, digest: 
         f"#% degree {k}",
         f"#% alphabet {alph.kind}({alph.n if alph.kind != 'abstract' else ','.join(alph.names)})",
         f"#% rows {len(rules)}",
-        f"#% relations {digest}",
+        f"#% relations {relations_text}",
     ]
     # One row per rule, "leading word -> its normal form", the form in deglex
     # order as TruncatedSeries.text() writes it; _read_rules accepts only that.
     name = alph.word_name
     for w in sorted(rules):
         nf = rules[w]
-        lines.append(f"{name(w)} -> {signed_sum_text((nf[u], '*' + name(u)) for u in sorted(nf))}")
+        terms = ((nf[u].numerator, nf[u].denominator, "*" + name(u)) for u in sorted(nf))
+        lines.append(f"{name(w)} -> {signed_sum_text(terms)}")
     atomic_write(_cache_path(cache_dir, preset, k), "\n".join(lines) + "\n")
 
 
@@ -454,7 +456,7 @@ class _Rejected(Exception):
     """A cache file that must be rebuilt; the message says why."""
 
 
-def _load_rules(cache_dir, preset: RelationPreset, k: int, digest: str, state: _PresetState):
+def _load_rules(cache_dir, preset: RelationPreset, k: int, relations_text: str, state: _PresetState):
     """The rules of degree k, given those below it, or None when they must be rebuilt.
 
     The reason -- missing file, stale header or failed body check -- is
@@ -465,7 +467,7 @@ def _load_rules(cache_dir, preset: RelationPreset, k: int, digest: str, state: _
     try:
         with open(path) as handle:
             lines = handle.read().splitlines()
-        return _read_rules(lines, preset, k, digest, state)
+        return _read_rules(lines, preset, k, relations_text, state)
     except FileNotFoundError:
         reason = "missing file"
     except UnicodeDecodeError:
@@ -485,7 +487,7 @@ def _log_debug(message: str, *args):
         logging.getLogger(__name__).debug(message, *args)
 
 
-def _check_header(lines: list, preset: RelationPreset, k: int, digest: str) -> tuple:
+def _check_header(lines: list, preset: RelationPreset, k: int, relations_text: str) -> tuple:
     """Check the format line and the preset, degree and relations fields; raise _Rejected.
 
     Returns the fields of the ``#% `` lines and the index of the first line after them.
@@ -498,21 +500,21 @@ def _check_header(lines: list, preset: RelationPreset, k: int, digest: str) -> t
         field, _, value = lines[start][3:].partition(" ")
         header[field] = value
         start += 1
-    expected = {"preset": preset.key(), "degree": str(k), "relations": digest}
+    expected = {"preset": preset.key(), "degree": str(k), "relations": relations_text}
     for field, value in expected.items():
         if header.get(field) != value:
             raise _Rejected(f"stale header: {field} {header.get(field)!r}, expected {value!r}")
     return header, start
 
 
-def _read_rules(lines: list, preset: RelationPreset, k: int, digest: str, state) -> dict:
+def _read_rules(lines: list, preset: RelationPreset, k: int, relations_text: str, state) -> dict:
     """Check and parse the lines of a cache file; raise _Rejected.
 
     Each row must read back to the text it was written as, and the rules
     must be reduced given those below degree k: no term, and no maximal
     proper subword of a leading word, holds a leading word.
     """
-    header, start = _check_header(lines, preset, k, digest)
+    header, start = _check_header(lines, preset, k, relations_text)
     body = lines[start:]
     if header.get("rows") != str(len(body)):
         raise _Rejected(f"stale header: rows {header.get('rows')!r}, expected {str(len(body))!r}")

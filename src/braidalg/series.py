@@ -11,10 +11,13 @@ That pair is the one stored form.  ``+``, ``scale``, ``*``, ``exp``,
 :func:`lie_defect` all run in the scaled-integer kernel at the end of this
 module, in integer arithmetic, and so do the quotient reduction of
 :mod:`braidalg.quotient`, the semidirect fold of :mod:`braidalg.sdseries`
-and the axiom residuals of :mod:`braidalg.associator`.  A ``Fraction`` is
+and the axiom residuals of :mod:`braidalg.associator`.  The text form is
+read and written in integers too: :func:`parse_series` sums each degree's
+terms over the lcm of their denominators, and ``text`` prints each
+numerator over the degree's denominator in lowest terms.  A ``Fraction`` is
 built only where a value leaves a series: ``constant_term``,
-``coefficient``, ``terms``, ``degree_slice`` and ``text``.  A coefficient
-enters as an int or a Fraction; a float, a binary fraction, is refused.
+``coefficient``, ``terms`` and ``degree_slice``.  A coefficient enters as
+an int or a Fraction; a float, a binary fraction, is refused.
 
 Values are immutable after construction and every operation is pure, so
 series can be shared freely between concurrent workers.
@@ -344,7 +347,9 @@ class TruncatedSeries:
     def text(self) -> str:
         """Render in the series grammar, e.g. ``1 + 1/24*t12.t23 - 1/24*t23.t12``."""
         name = self.alphabet.word_name
-        return signed_sum_text((c, "*" + name(word) if word else "") for word, c in self.terms())
+        return signed_sum_text(
+            (sl[word], den, "*" + name(word) if word else "") for den, sl in self.scaled for word in sorted(sl)
+        )
 
     # -- equality -------------------------------------------------------
 
@@ -502,30 +507,35 @@ def is_lie_element(s: TruncatedSeries) -> bool:
 # -- the signed-sum grammar ------------------------------------------------------
 #
 # Series and group-ring elements are written ``c*x + c*x - c*x``: a rational
-# coefficient per term, each term after the first led by its sign.
+# coefficient per term, each term after the first led by its sign.  Both
+# directions work on a coefficient as its integer numerator and denominator.
 
 
 def signed_sum_text(terms) -> str:
-    """Join ``(coefficient, tail)`` pairs as ``c*x + c*x - c*x``; ``"0"`` when there are none.
+    """Join ``(numerator, denominator, tail)`` triples as ``c*x + c*x - c*x``; ``"0"`` when there are none.
 
-    A term prints as the absolute value of its nonzero coefficient followed by
-    its tail, e.g. ``"*t12.t23"``, or ``""`` for a constant.
+    A term prints as the absolute value of its nonzero coefficient
+    numerator / denominator, in lowest terms, followed by its tail, e.g.
+    ``"*t12.t23"``, or ``""`` for a constant.
     """
     out = ""
-    for c, tail in terms:
-        body = str(abs(c)) + tail
+    for num, den, tail in terms:
+        g = gcd(num, den)
+        body = f"{abs(num) // g}{tail}" if den == g else f"{abs(num) // g}/{den // g}{tail}"
         if out:
-            out += f" {'-' if c < 0 else '+'} {body}"
+            out += f" {'-' if num < 0 else '+'} {body}"
         else:
-            out = "-" + body if c < 0 else body
+            out = "-" + body if num < 0 else body
     return out or "0"
 
 
 def signed_sum_terms(text: str, term_re, error, grammar: str):
-    """Yield ``(coefficient, match)`` per term of ``term (+- term)*``; ``""`` and ``"0"`` have none.
+    """Yield ``(numerator, denominator, match)`` per term of ``term (+- term)*``; ``""`` and ``"0"`` have none.
 
-    term_re matches one term from its optional sign on, with the groups
-    ``sign`` and ``rat``; syntax errors raise ``error`` naming the grammar.
+    The numerator carries the term's sign; the denominator is positive and
+    the pair need not be in lowest terms.  term_re matches one term from its
+    optional sign on, with the groups ``sign`` and ``rat``; syntax errors and
+    a zero denominator raise ``error`` naming the grammar.
     """
     stripped = text.strip()
     if stripped in ("", "0"):
@@ -538,11 +548,12 @@ def signed_sum_terms(text: str, term_re, error, grammar: str):
         if m.group("sign") is None and pos:
             raise error(f"missing +/- before {stripped[pos:pos + 20]!r}")
         rat = m.group("rat")
-        try:
-            coeff = Fraction(rat.replace(" ", ""))
-        except ZeroDivisionError:
-            raise error(f"zero denominator in {rat!r}") from None
-        yield (-coeff if m.group("sign") == "-" else coeff), m
+        # int() skips the whitespace that the grammar admits around "/".
+        num, _, den = rat.partition("/")
+        den = int(den) if den else 1
+        if not den:
+            raise error(f"zero denominator in {rat!r}")
+        yield (-int(num) if m.group("sign") == "-" else int(num)), den, m
         pos = m.end()
 
 
@@ -556,10 +567,11 @@ def parse_series(text: str, alphabet: Alphabet, cap: int | None = None) -> Trunc
     """Parse the series grammar: ``term (+- term)*``, term = rational ["*" word].
 
     Words are generator names joined by ".".  Inverse of :meth:`TruncatedSeries.text`.
-    Without a cap, the cap is the length of the longest word.
+    Without a cap, the cap is the length of the longest word.  Each degree's
+    terms are summed in integers over the lcm of their denominators.
     """
-    terms = []
-    for coeff, m in signed_sum_terms(text, _TERM_RE, SeriesError, "series"):
+    degrees: dict = {}  # degree -> [(word, numerator, denominator)]
+    for num, den, m in signed_sum_terms(text, _TERM_RE, SeriesError, "series"):
         word_txt = m.group("word")
         if word_txt is None:
             word = ()
@@ -570,10 +582,19 @@ def parse_series(text: str, alphabet: Alphabet, cap: int | None = None) -> Trunc
                 raise SeriesError(exc.args[0]) from None
         if cap is not None and len(word) > cap:
             raise SeriesError(f"word {word_txt!r} exceeds cap {cap}")
-        terms.append((word, coeff))
+        degrees.setdefault(len(word), []).append((word, num, den))
     if cap is None:
-        cap = max((len(word) for word, _ in terms), default=0)
-    return TruncatedSeries.from_terms(alphabet, cap, terms)
+        cap = max(degrees, default=0)
+    if cap < 0:
+        raise SeriesError("cap must be >= 0")
+    slices = [(1, {})] * (cap + 1)
+    for k, terms in degrees.items():
+        den = lcm(*[d for _, _, d in terms])
+        sl: dict = {}
+        for word, num, d in terms:
+            sl[word] = sl.get(word, 0) + num * (den // d)
+        slices[k] = lowest_terms(den, sl)
+    return TruncatedSeries(alphabet, cap, tuple(slices))
 
 
 # -- the scaled-integer kernel ---------------------------------------------

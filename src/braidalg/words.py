@@ -465,15 +465,16 @@ class GroupRingElement:
 
     def text(self) -> str:
         order = sorted(self.terms, key=lambda w: (len(w.letters), w.text()))
-        return signed_sum_text((self.terms[w], f"*[{w.text()}]") for w in order)
+        terms = self.terms
+        return signed_sum_text((terms[w].numerator, terms[w].denominator, f"*[{w.text()}]") for w in order)
 
     @staticmethod
     def parse(text: str, n: int) -> "GroupRingElement":
         """Grammar: ``rational * [word] (+- rational * [word])*``, [] = identity."""
         terms: dict = {}
-        for c, m in signed_sum_terms(text, _RING_TERM_RE, WordError, "group-ring"):
+        for num, den, m in signed_sum_terms(text, _RING_TERM_RE, WordError, "group-ring"):
             w = parse_word(m.group("word"), n)
-            terms[w] = terms.get(w, Fraction(0)) + c
+            terms[w] = terms.get(w, Fraction(0)) + Fraction(num, den)
         return GroupRingElement(n, terms)
 
     def __repr__(self):

@@ -25,7 +25,9 @@ from braidalg.perms import Permutation
 from braidalg.reps import _require_assoc, _rho3_images, fold
 from braidalg.sdseries import Factor, SemidirectSeries
 from braidalg.series import (
+    _TERM_RE,
     Alphabet,
+    SeriesError,
     TruncatedSeries,
     generator,
     generator_or_zero,
@@ -35,7 +37,7 @@ from braidalg.series import (
     substitute,
     unscale_slice,
 )
-from braidalg.words import FreeGroupEndo, Token
+from braidalg.words import _RING_TERM_RE, FreeGroupEndo, GroupRingElement, Token, WordError, parse_word
 
 ZERO = Fraction(0)
 
@@ -760,6 +762,96 @@ def reference_group_ring_text(element):
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
+
+# -- the signed-sum grammar in Fractions ---------------------------------------------
+#
+# The series and group-ring text forms as braidalg read and wrote them with one
+# Fraction per term, copied unchanged: the integer reader and writer must give
+# the same series and the same text.  The old reader fails on a tab or a newline
+# next to "/", which the grammar admits, so random inputs keep to spaces there.
+
+
+def fraction_signed_sum_text(terms) -> str:
+    """Join ``(coefficient, tail)`` pairs as ``c*x + c*x - c*x``; ``"0"`` when there are none.
+
+    A term prints as the absolute value of its nonzero coefficient followed by
+    its tail, e.g. ``"*t12.t23"``, or ``""`` for a constant.
+    """
+    out = ""
+    for c, tail in terms:
+        body = str(abs(c)) + tail
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            out = "-" + body if c < 0 else body
+    return out or "0"
+
+
+def fraction_signed_sum_terms(text: str, term_re, error, grammar: str):
+    """Yield ``(coefficient, match)`` per term of ``term (+- term)*``; ``""`` and ``"0"`` have none.
+
+    term_re matches one term from its optional sign on, with the groups
+    ``sign`` and ``rat``; syntax errors raise ``error`` naming the grammar.
+    """
+    stripped = text.strip()
+    if stripped in ("", "0"):
+        return
+    pos = 0
+    while pos < len(stripped):
+        m = term_re.match(stripped, pos)
+        if not m or m.end() == pos:
+            raise error(f"bad {grammar} syntax near {stripped[pos:pos + 20]!r}")
+        if m.group("sign") is None and pos:
+            raise error(f"missing +/- before {stripped[pos:pos + 20]!r}")
+        rat = m.group("rat")
+        try:
+            coeff = Fraction(rat.replace(" ", ""))
+        except ZeroDivisionError:
+            raise error(f"zero denominator in {rat!r}") from None
+        yield (-coeff if m.group("sign") == "-" else coeff), m
+        pos = m.end()
+
+
+def fraction_parse_series(text: str, alphabet: Alphabet, cap: int | None = None) -> TruncatedSeries:
+    """Parse the series grammar: ``term (+- term)*``, term = rational ["*" word].
+
+    Words are generator names joined by ".".  Inverse of :meth:`TruncatedSeries.text`.
+    Without a cap, the cap is the length of the longest word.
+    """
+    terms = []
+    for coeff, m in fraction_signed_sum_terms(text, _TERM_RE, SeriesError, "series"):
+        word_txt = m.group("word")
+        if word_txt is None:
+            word = ()
+        else:
+            try:
+                word = tuple(alphabet.index_of(g.strip()) for g in word_txt.split("."))
+            except KeyError as exc:
+                raise SeriesError(exc.args[0]) from None
+        if cap is not None and len(word) > cap:
+            raise SeriesError(f"word {word_txt!r} exceeds cap {cap}")
+        terms.append((word, coeff))
+    if cap is None:
+        cap = max((len(word) for word, _ in terms), default=0)
+    return TruncatedSeries.from_terms(alphabet, cap, terms)
+
+
+def fraction_series_text(series: TruncatedSeries) -> str:
+    """Render in the series grammar, e.g. ``1 + 1/24*t12.t23 - 1/24*t23.t12``."""
+    name = series.alphabet.word_name
+    return fraction_signed_sum_text((c, "*" + name(word) if word else "") for word, c in series.terms())
+
+
+def fraction_group_ring_text(text: str, n: int) -> str:
+    """``GroupRingElement.parse(text, n).text()`` as the Fraction grammar gave it."""
+    terms: dict = {}
+    for c, m in fraction_signed_sum_terms(text, _RING_TERM_RE, WordError, "group-ring"):
+        w = parse_word(m.group("word"), n)
+        terms[w] = terms.get(w, Fraction(0)) + c
+    element = GroupRingElement(n, terms)
+    order = sorted(element.terms, key=lambda w: (len(w.letters), w.text()))
+    return fraction_signed_sum_text((element.terms[w], f"*[{w.text()}]") for w in order)
+
 
 # -- the axioms as transcribed by hand ----------------------------------------------
 #

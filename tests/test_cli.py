@@ -573,6 +573,13 @@ class TestInfrastructure:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
+    def test_a_tab_around_a_slash_reads_as_a_space(self, capsys):
+        # The series grammar admits any whitespace around "/".
+        spaced = run(capsys, "check-yb", "--series", "1 + 1 /24*A.B - 1/24*B.A")
+        assert spaced == (0, "yang-baxter: pass\n")
+        assert run(capsys, "check-yb", "--series", "1 + 1\t/24*A.B - 1/24*B.A") == spaced
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -706,7 +713,20 @@ class TestParser:
             ["check-splitting", "--samples", "-1"],
         ],
     )
-    def test_a_run_builds_at_most_two_parsers(self, capsys, monkeypatch, argv):
+    def test_a_known_command_builds_one_parser(self, capsys, monkeypatch, argv):
+        built = self._count_parsers(monkeypatch)
+        main(argv)
+        assert built == [f"braidalg {argv[0]}"]
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--help"], ["--n", "3", "dim"]])
+    def test_only_help_and_usage_errors_build_the_top_level_parser(self, capsys, monkeypatch, argv):
+        built = self._count_parsers(monkeypatch)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == ["braidalg"]
+
+    @staticmethod
+    def _count_parsers(monkeypatch) -> list:
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -715,8 +735,7 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        main(argv)
-        assert built == ["braidalg", f"braidalg {argv[0]}"]
+        return built
 
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():
@@ -753,3 +772,35 @@ def test_a_cold_cache_run_does_not_import_logging(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         f"oriented_artin(3)__deg{k}.basis" for k in range(4)
     ]
+
+
+@pytest.mark.parametrize("run_", ["cold", "warm"])
+def test_a_cache_run_does_not_import_hashlib(tmp_path, run_):
+    # The cache header names its relation set verbatim, so no run hashes it;
+    # hashlib maps OpenSSL into the process.
+    src = os.path.dirname(os.path.dirname(braidalg.__file__))
+    script = (
+        "import sys\n"
+        "from braidalg import cli\n"
+        "argv = ['dim', '--preset', 'oriented_artin', '--n', '3', '--cap', '4']\n"
+        "assert cli.main(argv + ['--cache-dir', sys.argv[1]]) == 0\n"
+        "print('hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    inodes = None
+    for _ in range(2 if run_ == "warm" else 1):
+        if any(tmp_path.iterdir()):  # a warm run reads the files and rewrites none
+            inodes = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "oriented_artin(3) dimensions, degrees 0..4: [1, 6, 27, 108, 405]",
+            "False",
+        ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"oriented_artin(3)__deg{k}.basis" for k in range(5)
+    ]
+    if run_ == "warm":
+        assert inodes == {p.name: p.stat().st_ino for p in tmp_path.iterdir()}

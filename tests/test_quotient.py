@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import logging
 import os
@@ -35,9 +36,11 @@ from braidalg.quotient import (
     RelationPreset,
     _cache_path,
     _load_rules,
-    _relations_digest,
+    _relations_text,
     _save_rules,
 )
+
+RELATIONS_LINES = Path(__file__).parent / "fixtures" / "relations-lines.txt"
 
 
 def words_of_degree(alphabet, k):
@@ -78,9 +81,13 @@ class TestRelationLists:
             (oriented_upper_triangular(4), "262b713eef1ca1f93da62fd5bb1037a95fff6211327b7ff7fd50027a9704eb84"),
         ],
     )
-    def test_relation_digest_pinned(self, preset, digest):
-        # Cache files written before carry these digests and must stay valid.
-        assert _relations_digest(preset.relations()) == digest
+    def test_relations_line_pinned(self, preset, digest):
+        # Cache files name their relation set with this line.  It lists the
+        # texts whose sha256 the v3 files carried, so the relation sets are
+        # those of v3.
+        pinned = dict(line.split(" ", 1) for line in RELATIONS_LINES.read_text().splitlines()[1:])
+        assert f"#% relations {_relations_text(preset.relations())}" == pinned[preset.key()]
+        assert _v3_digest(preset) == digest
 
     def test_upper_triangular_is_sublist(self):
         full = {tuple(r.terms()) for r in oriented_artin(4).relations()}
@@ -96,7 +103,7 @@ class TestRelationLists:
         assert rels == reference  # the same order, caps and slices
         assert [list(r.degree_slice(2)) for r in rels] == [list(r.degree_slice(2)) for r in reference]
         assert [r.text() for r in rels] == [r.text() for r in reference]
-        assert _relations_digest(rels) == _relations_digest(reference)
+        assert _relations_text(rels) == _relations_text(reference)
         assert all(type(c) is Fraction for r in rels for c in r.degree_slice(2).values())
         assert all(type(r.coefficient(w)) is Fraction for r in rels for w in r.degree_slice(2))
 
@@ -118,10 +125,10 @@ class TestRelationLists:
 
         monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
         monkeypatch.setattr(TruncatedSeries, "from_terms", staticmethod(counting_from_terms))
-        digests = {p: _relations_digest(p.relations()) for p in presets}
+        texts = {p: _relations_text(p.relations()) for p in presets}
         assert calls == {"mul": 0, "from_terms": 0}
         for k in range(4):
-            _save_rules(tmp_path, preset, k, _degree(rules, k), digests[preset])
+            _save_rules(tmp_path, preset, k, _degree(rules, k), texts[preset])
         assert calls == {"mul": 0, "from_terms": 0}
         assert len(os.listdir(tmp_path)) == 4
         # Both patches are live: the product the relations stand for goes through them.
@@ -722,8 +729,8 @@ class TestDiskCache:
             closures.append(j)
             return close(self, j, relations)
 
-        def recording_load(cache_dir, preset, k, digest, state):
-            new = load(cache_dir, preset, k, digest, state)
+        def recording_load(cache_dir, preset, k, relations_text, state):
+            new = load(cache_dir, preset, k, relations_text, state)
             loads.append((k, new is not None))
             return new
 
@@ -771,8 +778,13 @@ def _types(rules):
 
 def _load_degree_two(tmp_path, preset):
     # No rule lies below degree 2, so the reader is given a fresh state.
-    digest = _relations_digest(preset.relations())
-    return _load_rules(tmp_path, preset, 2, digest, quotient._PresetState())
+    return _load_rules(tmp_path, preset, 2, _relations_text(preset.relations()), quotient._PresetState())
+
+
+def _v3_digest(preset):
+    """The relations field of a v2 or v3 file: the sha256 of the sorted relation texts."""
+    texts = sorted(r.text() for r in preset.relations())
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
 
 
 def _degree(rules, k):
@@ -780,7 +792,7 @@ def _degree(rules, k):
 
 
 class TestCacheLoader:
-    """The v3 cache format: strict row reader, relation digest, rebuild reasons."""
+    """The v4 cache format: strict row reader, relation set named verbatim, rebuild reasons."""
 
     # The first row of oriented_artin(3)'s degree-2 file.
     ROW = "v23.v12 -> 1*v12.v13 + 1*v12.v23 - 1*v13.v12"
@@ -809,7 +821,7 @@ class TestCacheLoader:
         # A degree's rules are the echelon's pivots whose maximal proper
         # subwords are normal, each with its replacement.
         preset = make(n)
-        digest = _relations_digest(preset.relations())
+        relations_text = _relations_text(preset.relations())
         state = quotient._PresetState()
         below = set()  # the pivots of the degree below
         for k in range(cap + 1):
@@ -819,8 +831,8 @@ class TestCacheLoader:
                 for p in fresh.pivots()
                 if p[1:] not in below and p[:-1] not in below
             }
-            _save_rules(tmp_path, preset, k, rules, digest)
-            loaded = _load_rules(tmp_path, preset, k, digest, state)
+            _save_rules(tmp_path, preset, k, rules, relations_text)
+            loaded = _load_rules(tmp_path, preset, k, relations_text, state)
             assert loaded == rules
             assert _types(loaded) == _types(rules)
             state.extend(k, loaded)
@@ -852,17 +864,20 @@ class TestCacheLoader:
         assert rebuilt.dimension(2) == 27
         assert _load_degree_two(tmp_path, preset) is not None
 
-    def test_edited_digest_rebuilt(self, tmp_path, preset):
-        digest = _relations_digest(preset.relations())
+    @pytest.mark.parametrize("named", ["all but the last", "the v3 digest"])
+    def test_edited_relations_rebuilt(self, tmp_path, preset, named):
+        line = f"#% relations {_relations_text(preset.relations())}"
+        texts = line.removeprefix("#% relations ").split("; ")
 
         def edit(lines):
-            index = lines.index(f"#% relations {digest}")
-            lines[index] = "#% relations " + "0" * 64
+            index = lines.index(line)
+            other = "; ".join(texts[:-1]) if named == "all but the last" else _v3_digest(preset)
+            lines[index] = f"#% relations {other}"
 
         path = self._write_and_edit(tmp_path, preset, edit)
         assert _load_degree_two(tmp_path, preset) is None
         assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
-        assert f"#% relations {digest}" in Path(path).read_text().splitlines()
+        assert line in Path(path).read_text().splitlines()
 
     def test_version_one_file_rebuilt_and_overwritten(self, tmp_path, preset):
         def edit(lines):
@@ -872,8 +887,8 @@ class TestCacheLoader:
         path = self._write_and_edit(tmp_path, preset, edit)
         assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
         lines = Path(path).read_text().splitlines()
-        assert lines[0] == "#% braidalg-rules v3"
-        assert f"#% relations {_relations_digest(preset.relations())}" in lines
+        assert lines[0] == "#% braidalg-rules v4"
+        assert f"#% relations {_relations_text(preset.relations())}" in lines
 
     def test_version_two_file_rejected_as_stale_and_overwritten(self, tmp_path, preset, caplog):
         # A v2 file held every pivot of its degree under the same header fields.
@@ -885,7 +900,7 @@ class TestCacheLoader:
             "#% degree 3",
             "#% alphabet oriented(3)",
             f"#% rows {fresh.rank}",
-            f"#% relations {_relations_digest(preset.relations())}",
+            f"#% relations {_v3_digest(preset)}",
         ]
         rows = [
             f"{alph.word_name(p)} -> " + TruncatedSeries.from_terms(alph, 3, fresh.replacement(p)).text()
@@ -898,10 +913,28 @@ class TestCacheLoader:
         messages = [r.getMessage() for r in caplog.records if r.name == "braidalg.quotient"]
         assert f"rebuilding {path}: stale header: format '#% braidalg-basis v2'" in messages
         lines = Path(path).read_text().splitlines()
-        assert lines[0] == "#% braidalg-rules v3"
+        assert lines[0] == "#% braidalg-rules v4"
         # 5 of the 108 pivots are leading words.
         assert (fresh.rank, len(lines) - len(header)) == (108, 5)
         assert "#% rows 5" in lines
+
+    def test_version_three_file_rejected_as_stale_and_overwritten(self, tmp_path, preset, caplog):
+        # A v3 file had the same rows under a sha256 of the relation texts.
+        line = f"#% relations {_relations_text(preset.relations())}"
+
+        def edit(lines):
+            lines[0] = "#% braidalg-rules v3"
+            lines[lines.index(line)] = f"#% relations {_v3_digest(preset)}"
+
+        path = self._write_and_edit(tmp_path, preset, edit)
+        v3_rows = [row for row in Path(path).read_text().splitlines() if not row.startswith("#% ")]
+        with caplog.at_level(logging.DEBUG, logger="braidalg.quotient"):
+            assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
+        messages = [r.getMessage() for r in caplog.records if r.name == "braidalg.quotient"]
+        assert messages == [f"rebuilding {path}: stale header: format '#% braidalg-rules v3'"]
+        lines = Path(path).read_text().splitlines()
+        assert lines[0] == "#% braidalg-rules v4" and line in lines
+        assert [row for row in lines if not row.startswith("#% ")] == v3_rows
 
     @pytest.mark.parametrize("holder", ["term", "leading-word"])
     def test_unreduced_rules_rejected(self, tmp_path, preset, caplog, holder):
@@ -921,7 +954,7 @@ class TestCacheLoader:
             degree_three[u] = basis.reduce(3, {u: 1})
             reason = "is not reduced"
         path = _cache_path(tmp_path, preset, 3)
-        _save_rules(tmp_path, preset, 3, degree_three, _relations_digest(preset.relations()))
+        _save_rules(tmp_path, preset, 3, degree_three, _relations_text(preset.relations()))
         _clear_store(preset, 3)
         with caplog.at_level(logging.DEBUG, logger="braidalg.quotient"):
             assert build_graded_basis(preset, 3, cache_dir=tmp_path).dimension(3) == 108
@@ -942,7 +975,7 @@ class TestCacheLoader:
         calls = []
         original = RelationPreset.relations
         monkeypatch.setattr(RelationPreset, "relations", lambda self: calls.append(self) or original(self))
-        build_graded_basis(preset, 2, cache_dir=tmp_path)  # three tables built, digest for three files
+        build_graded_basis(preset, 2, cache_dir=tmp_path)  # three tables built, one header for three files
         assert len(calls) == 1
         build_graded_basis(preset, 2, cache_dir=tmp_path)  # store hits, files present
         assert len(calls) == 1
@@ -950,9 +983,9 @@ class TestCacheLoader:
         build_graded_basis(preset, 2)  # three tables built again, no files
         assert len(calls) == 2
 
-    def test_digest_computed_once_and_only_for_file_access(self, tmp_path, preset, monkeypatch):
+    def test_relations_text_built_once_and_only_for_file_access(self, tmp_path, preset, monkeypatch):
         calls = []
-        monkeypatch.setattr(quotient, "_relations_digest", lambda p: calls.append(p) or _relations_digest(p))
+        monkeypatch.setattr(quotient, "_relations_text", lambda p: calls.append(p) or _relations_text(p))
         build_graded_basis(preset, 2, cache_dir=tmp_path)  # three files written
         assert len(calls) == 1
         build_graded_basis(preset, 2, cache_dir=tmp_path)  # store hits, files present
@@ -1036,11 +1069,11 @@ class TestChordTablesNotPersisted:
 
     def test_planted_chord_file_never_opened(self, tmp_path, monkeypatch):
         preset = infinitesimal_artin(3)
-        digest = _relations_digest(preset.relations())
+        relations_text = _relations_text(preset.relations())
         fresh = build_graded_basis(preset, 4)
         rules = quotient._STATE[preset.key()].rules
         for k in range(5):
-            _save_rules(tmp_path, preset, k, _degree(rules, k), digest)
+            _save_rules(tmp_path, preset, k, _degree(rules, k), relations_text)
         planted = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         calls = []
         monkeypatch.setattr(quotient, "_STATE", {})
@@ -1054,16 +1087,16 @@ class TestChordTablesNotPersisted:
 
 
 class TestCacheWriter:
-    """Each written row is a leading word and its normal form as TruncatedSeries.text() renders it."""
+    """Each written row is a leading word and its normal form as the Fraction text form renders it."""
 
     @staticmethod
     def _check_rows(tmp_path, preset, k, rules):
         alph = preset.alphabet
-        _save_rules(tmp_path, preset, k, rules, _relations_digest(preset.relations()))
+        _save_rules(tmp_path, preset, k, rules, _relations_text(preset.relations()))
         lines = Path(_cache_path(tmp_path, preset, k)).read_text().splitlines()
         body = [line for line in lines if not line.startswith("#% ")]
         expected = [
-            f"{alph.word_name(w)} -> " + TruncatedSeries.from_terms(alph, k, rules[w]).text()
+            f"{alph.word_name(w)} -> " + oracles.fraction_series_text(TruncatedSeries.from_terms(alph, k, rules[w]))
             for w in sorted(rules)
         ]
         assert body == expected, k
