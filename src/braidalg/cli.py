@@ -1,11 +1,12 @@
 """Command-line surface for the workbench.
 
 ``COMMANDS`` maps each subcommand to its help line, its arguments and its
-handler; a run that names a command builds that command's parser only, and
-the top-level parser is built for the help and the usage errors.  Output is
-deterministic: fixed word order, rationals in lowest terms.  ``--format
-structured`` emits one JSON object per result with the fields {command,
-inputs, degrees, values}, rationals as strings.
+handler.  A well-formed run, ``--flag value`` pairs of the command's own
+flags, is read straight from that table; argparse is imported and a parser
+built only for the help and the usage errors, so argparse alone renders
+them.  Output is deterministic: fixed word order, rationals in lowest
+terms.  ``--format structured`` emits one JSON object per result with the
+fields {command, inputs, degrees, values}, rationals as strings.
 
 ``--cache-dir`` persists each degree's oriented Groebner rules, so the
 subcommands that reach an oriented algebra take it.  check-associator,
@@ -15,10 +16,10 @@ chord algebras, and do not.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import associator as assoc_mod
 from . import invariants as inv_mod
@@ -353,8 +354,9 @@ def _flags(n=True, cap=True, preset=False, series=False, cache_dir=True) -> tupl
     return tuple(flags)
 
 
-# Every subcommand: name -> (help line, arguments, handler).  A run builds the
-# parser of its own command only.
+# Every subcommand: name -> (help line, arguments, handler).  _read_args reads
+# a well-formed run from it, and _command_parser builds argparse's parser from
+# it for everything else.
 COMMANDS = {
     "dim": ("graded dimensions of a quotient preset", _flags(preset=True), cmd_dim),
     "normal-form": (
@@ -419,7 +421,51 @@ COMMANDS = {
 }
 
 
-def _command_parser(name: str) -> argparse.ArgumentParser:
+def _read_args(name: str, argv: list):
+    """The namespace argparse would read from argv, or None where argparse must read it.
+
+    Reads only exact ``--flag value`` pairs of the command's declared flags,
+    each flag at most once and each value not starting with ``-``; converts
+    with the flag's ``type`` and checks its ``choices``, the required flags
+    and the ``_OneOf`` groups.  Help, ``--flag=value``, abbreviations,
+    negative numbers, repeats, unknown flags and bad values return None.
+    """
+    declared = {}  # flag -> (dest, add_argument keywords, id of its _OneOf or None)
+    for argument in COMMANDS[name][1]:
+        group = id(argument) if isinstance(argument, _OneOf) else None
+        for flags, keywords in argument if group is not None else (argument,):
+            dest = keywords.get("dest") or flags[0].lstrip("-").replace("-", "_")
+            declared.update((flag, (dest, keywords, group)) for flag in flags)
+    if len(argv) % 2:
+        return None
+    values = {dest: keywords.get("default") for dest, keywords, _ in declared.values()}
+    given, groups = set(), set()
+    for flag, value in zip(argv[::2], argv[1::2]):
+        if flag not in declared or value.startswith("-"):
+            return None
+        dest, keywords, group = declared[flag]
+        if dest in given or group in groups:
+            return None
+        given.add(dest)
+        if group is not None:
+            groups.add(group)
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    if any(k.get("required") and dest not in given for dest, k, _ in declared.values()):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _command_parser(name: str):
+    """argparse's parser of one command, for what _read_args declines."""
+    import argparse
+
     help_line, arguments, _ = COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"braidalg {name}", description=help_line)
     for argument in arguments:
@@ -435,6 +481,8 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 
 def _top_level_command(argv: list) -> str:
     """The command argv names, read by the top-level parser, which owns the help and usage errors."""
+    import argparse
+
     width = max(map(len, COMMANDS))
     top = argparse.ArgumentParser(
         prog="braidalg",
@@ -456,7 +504,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # A known command needs no top-level parser: building one costs every run.
     name = argv[0] if argv and argv[0] in COMMANDS else _top_level_command(argv)
-    args = _command_parser(name).parse_args(argv[1:])
+    args = _read_args(name, argv[1:])
+    if args is None:
+        args = _command_parser(name).parse_args(argv[1:])
     try:
         COMMANDS[name][2](args)
     except (ValueError, OSError) as exc:

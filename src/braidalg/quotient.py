@@ -20,7 +20,7 @@ import os
 import sys
 import threading
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 
 from .linalg import SparseEchelon, demote
@@ -113,16 +113,21 @@ def _disjoint_pairs(alphabet: Alphabet) -> list:
     return [(p, q) for p, q in combinations(alphabet.pairs, 2) if not set(p) & set(q)]
 
 
+# The presets are immutable values, built once per n: a fresh alphabet checks
+# every generator name.  Typed, so that a float n still fails as it always did.
+@lru_cache(maxsize=None, typed=True)
 def infinitesimal_artin(n: int) -> RelationPreset:
     """Chord generators t_ij with the infinitesimal braid relations."""
     return RelationPreset("infinitesimal_artin", n, Alphabet.chord(n))
 
 
+@lru_cache(maxsize=None, typed=True)
 def oriented_artin(n: int) -> RelationPreset:
     """Ordered generators v_ij with relations (I), (II), (III)."""
     return RelationPreset("oriented_artin", n, Alphabet.oriented(n))
 
 
+@lru_cache(maxsize=None, typed=True)
 def oriented_upper_triangular(n: int) -> RelationPreset:
     """Same alphabet as oriented_artin, restricted relation sublist."""
     return RelationPreset("oriented_upper_triangular", n, Alphabet.oriented(n))
@@ -502,9 +507,23 @@ def _check_header(lines: list, preset: RelationPreset, k: int, relations_text: s
         start += 1
     expected = {"preset": preset.key(), "degree": str(k), "relations": relations_text}
     for field, value in expected.items():
-        if header.get(field) != value:
-            raise _Rejected(f"stale header: {field} {header.get(field)!r}, expected {value!r}")
+        found = header.get(field)
+        if found == value:
+            continue
+        if field == "relations":
+            raise _Rejected(f"stale header: relations, {_relations_difference(found, value)}")
+        raise _Rejected(f"stale header: {field} {found!r}, expected {value!r}")
     return header, start
+
+
+def _relations_difference(found, expected: str) -> str:
+    """How two relations lines differ, in a few words: each names every relation."""
+    have, want = (line.split("; ") if line else [] for line in (found, expected))
+    i = next((i for i, (a, b) in enumerate(zip(have, want)) if a != b), min(len(have), len(want)))
+    first, wanted = (names[i] if i < len(names) else None for names in (have, want))
+    return (
+        f"{len(have)} found, {len(want)} expected; relation {i + 1} is {first!r}, expected {wanted!r}"
+    )
 
 
 def _read_rules(lines: list, preset: RelationPreset, k: int, relations_text: str, state) -> dict:

@@ -1,8 +1,12 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,9 @@ from braidalg import associator as assoc_mod
 from braidalg import cli
 from braidalg.cli import main
 from braidalg.series import TruncatedSeries, parse_series
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PHI7_PATH = Path(__file__).parent.parent / "bench" / "fixtures" / "phi7.txt"
 
 
 def run(capsys, *argv):
@@ -710,13 +717,18 @@ class TestParser:
         [
             ["dim", "--preset", "infinitesimal_artin", "--n", "3", "--cap", "2"],
             ["check-yb", "--cap", "2", "--series", "1"],
-            ["check-splitting", "--samples", "-1"],
         ],
     )
-    def test_a_known_command_builds_one_parser(self, capsys, monkeypatch, argv):
+    def test_a_well_formed_run_builds_no_parser(self, capsys, monkeypatch, argv):
         built = self._count_parsers(monkeypatch)
-        main(argv)
-        assert built == [f"braidalg {argv[0]}"]
+        assert main(argv) == 0
+        assert built == []
+
+    def test_a_run_the_reader_declines_builds_its_command_parser_only(self, capsys, monkeypatch):
+        # "-1" starts with "-": argparse reads it as a negative number.
+        built = self._count_parsers(monkeypatch)
+        assert main(["check-splitting", "--samples", "-1"]) == 1
+        assert built == ["braidalg check-splitting"]
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["--help"], ["--n", "3", "dim"]])
     def test_only_help_and_usage_errors_build_the_top_level_parser(self, capsys, monkeypatch, argv):
@@ -736,6 +748,167 @@ class TestParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         return built
+
+
+def _keywords(name: str) -> dict:
+    """A command's flags and their add_argument keywords."""
+    return {
+        flags[0]: keywords
+        for argument in cli.COMMANDS[name][1]
+        for flags, keywords in (argument if isinstance(argument, cli._OneOf) else (argument,))
+    }
+
+
+# Spellings argparse reads otherwise than as an exact flag or a plain value.
+ODD_TOKENS = [
+    "-h", "--help", "--n=3", "--cap=2", "--ca", "--se", "--fo", "-1", "-0", "--", "-", "--bogus", "=3"
+]
+PLAIN_VALUES = ["1", "", " 2", "+2", "3_0", "x", "a12 a21", "1 + 1/24*A.B", "AE,P", "phi.txt", "text"]
+
+
+def _random_argv(rng, name: str) -> list:
+    """Pairs of the command's own flags, mostly with good values, then perturbed."""
+    keywords = _keywords(name)
+    others = sorted({flag for other in cli.COMMANDS for flag in _keywords(other)} - set(keywords))
+    required = [flag for flag, kw in keywords.items() if kw.get("required")]
+    flags = required if rng.random() < 0.8 else []
+    optional = sorted(set(keywords) - set(required))
+    flags = flags + rng.sample(optional, rng.randint(0, min(3, len(optional))))
+    rng.shuffle(flags)
+    argv = []
+    for flag in flags:
+        kw = keywords[flag]
+        if "choices" in kw and rng.random() < 0.9:
+            value = rng.choice(kw["choices"])
+        elif kw.get("type") is int and rng.random() < 0.8:
+            value = str(rng.randint(0, 5))
+        else:
+            value = rng.choice(PLAIN_VALUES)
+        argv += [flag, value]
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        token = rng.choice(ODD_TOKENS + others + PLAIN_VALUES + sorted(keywords))
+        where = rng.randint(0, len(argv))
+        if rng.random() < 0.5 and where < len(argv):
+            argv[where] = token
+        else:
+            argv.insert(where, token)
+    return argv
+
+
+def _argparse_reads(name: str, argv: list):
+    """What argparse reads from argv, with each value's type, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = cli._command_parser(name).parse_args(argv)
+        except SystemExit:
+            return None
+    return {dest: (type(value), value) for dest, value in vars(args).items()}
+
+
+class TestReader:
+    """cli._read_args against argparse: the same namespace, or None."""
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_the_reader_agrees_with_argparse(self, name):
+        rng = random.Random(f"reader {name}")
+        read_count = declined = 0
+        for _ in range(150):
+            argv = _random_argv(rng, name)
+            args = cli._read_args(name, argv)
+            expected = _argparse_reads(name, argv)
+            if args is None:
+                declined += 1
+            else:
+                read_count += 1
+                assert expected is not None, argv  # argparse exits, so the reader must decline
+                assert {dest: (type(v), v) for dest, v in vars(args).items()} == expected, argv
+        assert read_count >= 30 and declined >= 30, (read_count, declined)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "3", "--n", "4"],
+            ["--series", "1", "--series", "1"],
+            ["--in", "f", "--series", "1"],
+            ["--n=3"],
+            ["--ca", "3"],
+            ["--cap", "-1"],
+            ["--cap", "x"],
+            ["--preset", "free"],
+            ["--series", "-1*v12"],
+            ["--series"],
+            ["--help"],
+            ["3"],
+            ["--w1", "a12"],
+        ],
+    )
+    def test_the_reader_declines(self, argv):
+        assert cli._read_args("normal-form", argv) is None
+
+    def test_the_reader_fills_in_the_defaults(self):
+        args = cli._read_args("normal-form", ["--series", "", "--cap", " 2"])
+        assert vars(args) == {
+            "n": 3, "cap": 2, "preset": "oriented_artin", "series": "", "infile": None,
+            "cache_dir": None, "format_": "text",
+        }
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (["dim", "--preset", "oriented_artin", "--n", "3", "--cap", "4"],
+         "oriented_artin(3) dimensions, degrees 0..4: [1, 6, 27, 108, 405]"),
+        (["check-associator", "--axioms", "P", "--cap", "4", "--in", str(PHI7_PATH)], "P: pass"),
+    ],
+    ids=["dim", "check-associator"],
+)
+def test_a_well_formed_run_imports_neither_argparse_gettext_nor_locale(argv, out):
+    # argparse's first message lookup imports gettext and locale.
+    src = os.path.dirname(os.path.dirname(braidalg.__file__))
+    script = (
+        "import sys\n"
+        "from braidalg import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [out, "[]"]
+
+
+USAGE_ERRORS = json.loads((FIXTURES / "usage-errors.json").read_text())
+
+
+class TestHelpAndUsageErrors:
+    """Help and usage errors byte for byte as argparse rendered them when it read every run.
+
+    The fixtures were written at 80 columns by fresh ``python -m
+    braidalg.cli`` processes before the reader took the well-formed runs.
+    """
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("name", ["braidalg", *PINNED_OPTIONS])
+    def test_help(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"] if name == "braidalg" else [name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == ((FIXTURES / "help" / f"{name}.txt").read_text(), "")
+
+    @pytest.mark.parametrize(
+        "case", USAGE_ERRORS["cases"], ids=lambda case: " ".join(case["argv"]) or "no-argument"
+    )
+    def test_usage_error(self, capsys, case):
+        # Error wording is argparse's own, and other releases word some of it otherwise.
+        if "%d.%d" % sys.version_info[:2] != USAGE_ERRORS["python"]:
+            pytest.skip(f"usage errors pinned as CPython {USAGE_ERRORS['python']} words them")
+        with pytest.raises(SystemExit) as exc:
+            main(case["argv"])
+        assert exc.value.code == case["code"]
+        assert capsys.readouterr() == ("", case["stderr"])
 
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():

@@ -89,6 +89,15 @@ class TestRelationLists:
         assert f"#% relations {_relations_text(preset.relations())}" == pinned[preset.key()]
         assert _v3_digest(preset) == digest
 
+    @pytest.mark.parametrize("make", [infinitesimal_artin, oriented_artin, oriented_upper_triangular])
+    def test_a_preset_is_built_once_per_n_and_a_bad_n_raises_on_every_call(self, make):
+        assert make(3) is make(3)
+        # 3.0 equals the memoized 3, and must still fail as a float n always did.
+        for bad, error in [(1, ValueError), (10, ValueError), (3.0, TypeError)]:
+            for _ in range(3):
+                with pytest.raises(error):
+                    make(bad)
+
     def test_upper_triangular_is_sublist(self):
         full = {tuple(r.terms()) for r in oriented_artin(4).relations()}
         sub = {tuple(r.terms()) for r in oriented_upper_triangular(4).relations()}
@@ -878,6 +887,28 @@ class TestCacheLoader:
         assert _load_degree_two(tmp_path, preset) is None
         assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 27
         assert line in Path(path).read_text().splitlines()
+
+    def test_a_stale_relations_line_is_logged_by_count_and_first_difference(self, tmp_path, caplog):
+        # The line names every relation: 48 of them for oriented_artin(4).
+        preset = oriented_artin(4)
+        _clear_store(preset, 2)
+        line = f"#% relations {_relations_text(preset.relations())}"
+        texts = line.removeprefix("#% relations ").split("; ")
+
+        def edit(lines):
+            lines[lines.index(line)] = f"#% relations {'; '.join(texts[:-1])}"
+
+        path = self._write_and_edit(tmp_path, preset, edit)
+        with caplog.at_level(logging.DEBUG, logger="braidalg.quotient"):
+            assert build_graded_basis(preset, 2, cache_dir=tmp_path).dimension(2) == 96
+        records = [r for r in caplog.records if r.name == "braidalg.quotient"]
+        assert [r.getMessage() for r in records] == [
+            f"rebuilding {path}: stale header: relations, 47 found, 48 expected; "
+            f"relation 48 is None, expected {texts[-1]!r}"
+        ]
+        assert len(records[0].getMessage()) < 300
+        assert line in Path(path).read_text().splitlines()
+        _clear_store(preset, 2)
 
     def test_version_one_file_rebuilt_and_overwritten(self, tmp_path, preset):
         def edit(lines):
