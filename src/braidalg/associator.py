@@ -15,10 +15,11 @@ literature; everything downstream derives from the five lines above.  In
 code they, and (YB) below, are one table, ``_TERMS``: each residual a signed
 sum of products of factors Phi(x, y)^+-1 and exp(x), x and y sums of
 strands.  Every residual and every column of the solve is read off it.
-A residual is evaluated in the scaled-integer kernel of
-:mod:`braidalg.series`, on the stored degrees of Phi and Phi^-1; each
-exp(s x) is the closed form sum_k s^k x^k / k! of a linear x, built once
-per cap.
+A residual's products are evaluated by :func:`braidalg.reps.factor_product`,
+the evaluator that builds the Drinfeld and 3-strand families' letters from
+the same factors, in the scaled-integer kernel of :mod:`braidalg.series`,
+on the stored degrees of Phi and Phi^-1; each exp(s x) is the closed form
+sum_k s^k x^k / k! of a linear x, built once per cap.
 The (AE) residual is the degree-1 part of log Phi plus its Lie defect,
 :func:`braidalg.series.lie_defect`: the one Dynkin test, which also decides
 ``is_lie_element``, the 3-strand family's precondition and
@@ -158,11 +159,13 @@ from .lyndon import bracket_image, bracket_terms, lyndon_words, standard_factori
 from .perms import Permutation
 from .quotient import build_graded_basis, infinitesimal_artin
 from .reps import (
-    central_element,
     eval_drinfeld,
     eval_rho3,
+    exp_factor,
+    factor_product,
     rho3_delta,
     rho3_parameter,
+    strand_form,
 )
 from .sdseries import SemidirectSeries
 from .series import (
@@ -170,18 +173,12 @@ from .series import (
     ConstantTermError,
     SeriesError,
     TruncatedSeries,
-    generator_or_zero,
     lie_defect,
-    linear_forms,
     lowest_terms,
     one,
     relabel,
-    require_two_variables,
     scale_slice,
     scaled_add,
-    scaled_exp_linear,
-    scaled_mul,
-    scaled_substitute,
     scaled_times,
     zero,
 )
@@ -282,83 +279,28 @@ _TERMS = {
 }
 
 
-@cache
-def _strands(n: int, cap: int, free: bool) -> dict:
-    """t_ij by its label "ij": over the n-strand chords, or t12, t13, t23 as A, -A-B, B."""
-    if free:
-        a, b = generator_or_zero(AB, cap, 0), generator_or_zero(AB, cap, 1)
-        return {"12": a, "13": -(a + b), "23": b}
-    alph = Alphabet.chord(n)
-    return {f"{i}{j}": generator_or_zero(alph, cap, (i, j)) for i, j in alph.pairs}
-
-
-def _linear(x: str, strands: dict) -> TruncatedSeries:
-    """The sum of strands written x, e.g. "13+23"."""
-    first, *rest = x.split("+")
-    return sum((strands[label] for label in rest), strands[first])
-
-
-@cache
-def _forms(xs: tuple, n: int, free: bool) -> tuple:
-    """The sums of strands xs as linear forms over one denominator, as :func:`linear_forms` gives.
-
-    Every strand has coefficients +-1, so the denominator is 1, and the forms
-    of (x, y) are the letters of the map A, B -> x, y that
-    :func:`braidalg.lyndon.bracket_image` takes.
-    """
-    strands = _strands(n, 1, free)
-    return linear_forms([_linear(x, strands).scaled[1] for x in xs])
-
-
-@cache
-def _exp_factor(x: str, s: Fraction, n: int, cap: int, free: bool) -> tuple:
-    """exp(s x), a factor that does not involve Phi: in closed form and scaled, built once per cap."""
-    den, (form,) = _forms((x,), n, free)
-    return scaled_exp_linear(form, den, s, cap)
-
-
 def _residual(axiom: str, phi: TruncatedSeries, free=False) -> TruncatedSeries:
     """The axiom's residual at phi's cap: over the chords, not reduced, or in F(A, B).
 
     With ``free`` a 3-strand residual is the one in F(A, B) whose product
     with exp(c/2) is the chord(3) residual; this needs phi to pass (AE)
-    (module docstring).  Each Phi(x, y)^-1 is phi^-1, inverted once, at x, y;
-    in F(A, B) the factor Phi(A, B)^k is that power of phi itself.  Every
-    substitution, product, sign and sum runs in the scaled-integer kernel.
+    (module docstring).  Each signed product is
+    :func:`braidalg.reps.factor_product`'s, sharing phi^-1; signs and sums
+    run in the scaled-integer kernel too.
     """
-    require_two_variables(phi)
-    n, cap = (4 if axiom == "P" else 3), phi.cap
-    powers = {1: phi.scaled}
+    n, powers = (4 if axiom == "P" else 3), {}
     total = None
     for sign, factors in _TERMS[axiom]:
-        product = None
-        for factor in factors:
-            if factor[0] == "exp":
-                value = _exp_factor(*factor[1:], n, cap, free)
-            else:
-                _, x, y, k = factor
-                if k not in powers:
-                    powers[k] = phi.inverse().scaled
-                if free and (x, y) == ("12", "23") and phi.alphabet == AB:
-                    value = powers[k]  # Phi(A, B)^k itself
-                else:
-                    den, forms = _forms((x, y), n, free)
-                    value = scaled_substitute(powers[k], forms, den, cap)
-            product = value if product is None else scaled_mul(product, value, cap)
-        product = scaled_times(product, sign)
+        product = scaled_times(factor_product(factors, phi, n, free, powers), sign)
         total = product if total is None else scaled_add(total, product)
-    return TruncatedSeries(AB if free else Alphabet.chord(n), cap, total)
+    return TruncatedSeries(AB if free else Alphabet.chord(n), phi.cap, total)
 
 
 def _chord3_normal_form(r: TruncatedSeries, cap: int) -> TruncatedSeries:
     """The chord(3) normal form of exp(c/2) r(t12, t23), r in F(A, B); r = 0 reduces nothing."""
     if r.is_zero():
         return zero(Alphabet.chord(3), cap)
-    den, (c,) = _forms(("12+13+23",), 3, False)
-    den_ab, forms = _forms(("12", "23"), 3, False)
-    embedded = scaled_mul(
-        scaled_exp_linear(c, den, HALF, cap), scaled_substitute(r.scaled, forms, den_ab, cap), cap
-    )
+    embedded = factor_product((("exp", "12+13+23", HALF), ("Phi", "12", "23", 1)), r, 3)
     basis = build_graded_basis(infinitesimal_artin(3), cap)
     return basis.normal_form(TruncatedSeries(Alphabet.chord(3), cap, embedded))
 
@@ -525,22 +467,32 @@ def _first_order_terms(axiom: str) -> tuple:
     factors on either side of it in its product, as {(letter,): numerator}
     over the one denominator returned second.
     """
-    strands = _strands(3, 1, True)
     terms = []
     for sign, factors in _TERMS[axiom]:
-        exponents = [
-            _linear(f[1], strands).scale(f[2]) if f[0] == "exp" else zero(AB, 1) for f in factors
-        ]
         for j, factor in enumerate(factors):
             if factor[0] == "Phi":
-                left = sum(exponents[:j], zero(AB, 1)).scaled[1]
-                right = sum(exponents[j + 1:], zero(AB, 1)).scaled[1]
+                left, right = _exponent_sum(factors[:j]), _exponent_sum(factors[j + 1:])
                 terms.append((sign * factor[3], factor[1], factor[2], left, right))
-    den = lcm(*(d for term in terms for d, _ in term[3:]))
+    den = lcm(*(c.denominator for term in terms for side in term[3:] for c in side.values()))
     return tuple(
-        (s, x, y, *({w: n * (den // d) for w, n in side.items()} for d, side in (left, right)))
-        for s, x, y, left, right in terms
+        (s, x, y, *({w: int(c * den) for w, c in side.items()} for side in sides))
+        for s, x, y, *sides in terms
     ), den
+
+
+def _exponent_sum(factors) -> dict:
+    """The sum in F(A, B) of the exponents s x of the exp factors, as {(letter,): Fraction}."""
+    total: dict = {}
+    for factor in factors:
+        if factor[0] == "exp":
+            for g, c in strand_form(factor[1], 3, True):
+                total[(g,)] = total.get((g,), 0) + factor[2] * c
+    return {w: c for w, c in total.items() if c}
+
+
+def _letters(x: str, y: str) -> tuple:
+    """The forms of the sums of strands x, y in F(A, B): the letters of the map A, B -> x, y."""
+    return strand_form(x, 3, True), strand_form(y, 3, True)
 
 
 def _lyndon_image(w: tuple, letters: tuple, lyndon: dict) -> dict:
@@ -578,11 +530,11 @@ def _bracket_column(w: tuple, degree: int) -> tuple:
         for s, x, y, left, right in terms:
             if top == degree:
                 if (x, y) not in images:
-                    images[x, y] = _lyndon_image(w, _forms((x, y), 3, True)[1], lyndon)
+                    images[x, y] = _lyndon_image(w, _letters(x, y), lyndon)
                 for word, n in images[x, y].items():
                     rows[word] += s * n
             elif left or right:  # l p(x, y) + p(x, y) r, read off the first and last letters
-                image = bracket_image(w, _forms((x, y), 3, True)[1])
+                image = bracket_image(w, _letters(x, y))
                 for word in rows:
                     l, r = left.get(word[:1], 0), right.get(word[-1:], 0)
                     rows[word] += s * (l * image.get(word[1:], 0) + r * image.get(word[:-1], 0))
@@ -784,9 +736,8 @@ def check_equivalences(psi: TruncatedSeries, cap: int) -> EquivalenceReport:
     if yb.passed:
         delta = rho3_delta(psi, cap)
         dsq = delta * delta
-        expected = SemidirectSeries.term(
-            delta.basis, cap, central_element(cap).scale(2).exp(), Permutation.identity(3)
-        )
+        exp_c = TruncatedSeries(Alphabet.chord(3), cap, exp_factor("12+13+23", 1, 3, cap))
+        expected = SemidirectSeries.term(delta.basis, cap, exp_c, Permutation.identity(3))
         delta_central = dsq == expected
 
     compatible = None

@@ -17,17 +17,17 @@ products of letter exponentials, degree d held in integers over d!:
 a binomial convolution in integers, with no series multiplied.  It builds
 the oriented basis too, and is the one way into the welded family.
 
-The associator families' generator images are built once per (n, cap) and
-parameter series, and their 32 most recent parameter series are kept by a
-``functools`` cache, in scaled-integer form (see :mod:`braidalg.series`).
-No inverse letter's image is a series inverted at the full cap: the
-Drinfeld family's sigma_i^-1 reuses the Phi^-1 of sigma_i's image, and the
-3-strand family's sigma_2^-1 is folded as sigma_1 Delta^-1 sigma_1, where
-Delta^-1 needs no inverse.  Their words are the product of the letters'
-images, folded in integer arithmetic in the free algebra
-(:func:`braidalg.sdseries.fold`).  Every family reduces a word's image to
-quotient normal form once at the end; the result is identical to reducing
-eagerly after every product, at a fraction of the cost.
+The associator families' letters are products of Phi(x, y)^+-1 and exp(s x)
+over sums of strands, as the axioms' residuals are
+(:mod:`braidalg.associator`); :func:`factor_product` evaluates both from
+factor tuples in scaled integers.  Each family keeps the letters of its 32
+most recent parameter series, as tuples of factors ``{pi: scaled series}``.
+No letter inverts a series at the cap: the 3-strand family's sigma_2^-1 is
+folded as sigma_1 Delta^-1 sigma_1, where Delta^-1 needs no inverse.  Their
+words are the product of the letters' images, folded in integer arithmetic
+in the free algebra (:func:`braidalg.sdseries.fold`).  Every family reduces a word's image to quotient normal form once at the
+end; the result is identical to reducing eagerly after every product, at a
+fraction of the cost.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from .quotient import (
     infinitesimal_artin,
     oriented_artin,
 )
-from .sdseries import Factor, SemidirectSeries, _normalized, fold, fold_free
+from .sdseries import SemidirectSeries, _fold_scaled, _normalized, fold
 from .series import (
+    Alphabet,
     CapMismatch,
     ConstantTermError,
     SeriesError,
@@ -52,7 +53,10 @@ from .series import (
     generator_or_zero,
     lie_defect,
     one,
-    substitute,
+    require_two_variables,
+    scaled_exp_linear,
+    scaled_mul,
+    scaled_substitute,
     zero,
 )
 from .value import Record
@@ -202,30 +206,88 @@ def _check_braid_word(w: WeldedWord):
         raise WordError("this family is defined on sigma-only words")
 
 
+# -- products of Phi and exp factors over strand sums ---------------------------
+
+
+_FREE_STRANDS = {"12": ((0, 1),), "13": ((0, -1), (1, -1)), "23": ((1, 1),)}
+
+
+@cache
+def strand_form(x: str, n: int, free=False) -> tuple:
+    """The strand sum x, e.g. "13+23", as a linear form ((letter, numerator), ...) over 1.
+
+    Over the n-strand chords t_ij is the generator (i, j); with ``free``,
+    t12, t13 and t23 are A, -A-B and B in F(A, B) (:mod:`braidalg.associator`).
+    """
+    alph = None if free else Alphabet.chord(n)
+    total: dict = {}
+    for label in x.split("+"):
+        terms = _FREE_STRANDS[label] if free else ((alph.gen(int(label[0]), int(label[1])), 1),)
+        for g, c in terms:
+            total[g] = total.get(g, 0) + c
+    return tuple((g, c) for g, c in total.items() if c)
+
+
+@cache
+def exp_factor(x: str, s, n: int, cap: int, free=False) -> tuple:
+    """exp(s x) for a sum of strands x, in closed form and scaled, built once per cap."""
+    return scaled_exp_linear(strand_form(x, n, free), 1, s, cap)
+
+
+def factor_product(factors, phi: TruncatedSeries, n: int, free=False, powers=None) -> tuple:
+    """The product of the factors, left to right, scaled, at phi's cap.
+
+    A factor ("Phi", x, y, k) is phi(x, y)^k with k = +-1, and ("exp", x, s)
+    is exp(s x), x and y strand sums (:func:`strand_form`).  ``powers`` keeps
+    phi^k by k across calls, so phi^-1 is inverted once; in F(A, B),
+    phi(A, B)^k is that power itself.  A Phi factor needs phi over two
+    letters, as :func:`braidalg.series.substitute` does.
+    """
+    cap = phi.cap
+    powers = {} if powers is None else powers
+    product = None
+    for factor in factors:
+        if factor[0] == "exp":
+            value = exp_factor(*factor[1:], n, cap, free)
+        else:
+            _, x, y, k = factor
+            require_two_variables(phi)
+            if k not in powers:
+                powers[k] = (phi if k == 1 else phi.inverse()).scaled
+            if free and (x, y) == ("12", "23"):
+                value = powers[k]
+            else:
+                forms = (strand_form(x, n, free), strand_form(y, n, free))
+                value = scaled_substitute(powers[k], forms, 1, cap)
+        product = value if product is None else scaled_mul(product, value, cap)
+    return product
+
+
+# -- the associator families' letters -------------------------------------------
+
+
 @lru_cache(maxsize=32)
 def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
+    """{token: {s_i: scaled series}}: sigma_i^+-1 -> Phi(x, t)^-1 exp(+-t/2) Phi(s_i.x, t) (x) s_i.
+
+    That is Phi(x, t)^-1 (exp(+-t/2) (x) s_i) Phi(x, t), t = t_{i,i+1} and
+    x = sum_{j<i} t_ji; s_i fixes t.
+    """
     if assoc.constant_term != 1:
         raise ConstantTermError("the associator series must have constant term 1")
     if assoc.cap < cap:
         raise CapMismatch(f"associator known to degree {assoc.cap} < cap {cap}")
-    alph = infinitesimal_artin(n).alphabet
+    phi, powers = assoc.truncated(cap), {}
     images = {}
     for i in range(1, n):
         si = Permutation.transposition(n, i)
-        t = generator_or_zero(alph, cap, (i, i + 1))
-        u, u_inv = t.scale(HALF).exp(), t.scale(-HALF).exp()
-        if i > 1:
-            x = zero(alph, cap)
-            for j in range(1, i):
-                x = x + generator_or_zero(alph, cap, (j, i))
-            phi_xy = substitute(assoc.truncated(cap), x, t)
-            # u_i = Phi^-1 exp(t_{i,i+1}/2) (s_i Phi), the series part of
-            # Phi^-1 (exp (x) s_i) Phi; s_i fixes t_{i,i+1}, so sigma_i^-1 is
-            # Phi^-1 (exp(-t_{i,i+1}/2) (x) s_i) Phi.
-            phi_inv, phi_si = phi_xy.inverse(), phi_xy.act(si)
-            u, u_inv = phi_inv * u * phi_si, phi_inv * u_inv * phi_si
-        images[Token("sigma", i, 0, 1)] = Factor(alph, {si: u})
-        images[Token("sigma", i, 0, -1)] = Factor(alph, {si: u_inv})
+        t = f"{i}{i + 1}"
+        x, x_si = ("+".join(f"{j}{h}" for j in range(1, i)) for h in (i, i + 1))
+        for sign in (1, -1):
+            factors = (("exp", t, sign * HALF),)
+            if i > 1:
+                factors = (("Phi", x, t, -1), *factors, ("Phi", x_si, t, 1))
+            images[Token("sigma", i, 0, sign)] = {si: factor_product(factors, phi, n, powers=powers)}
     return images
 
 
@@ -280,35 +342,31 @@ def rho3_parameter(psi: TruncatedSeries, cap: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=32)
 def _rho3_images(cap: int, psi: TruncatedSeries):
-    psi = rho3_parameter(psi, cap)
-    alph = infinitesimal_artin(3).alphabet
-    phi_t = substitute(
-        psi, generator_or_zero(alph, cap, (1, 2)), generator_or_zero(alph, cap, (2, 3))
-    )
+    """{token: (factor, ...)}: each letter's image, the factors folded in its place.
+
+    Delta -> exp(c/2) Psi(t12, t23)^-1 (x) 321, and sigma_2 = sigma_1^-1 Delta
+    sigma_1^-1 is folded once.  sigma_2^-1 = sigma_1 Delta^-1 sigma_1 with
+    Delta^-1 = Psi(t23, t12) exp(-c/2) (x) 321, whose central exp(-c/2) joins
+    the first sigma_1: exp(t12/2) exp(-c/2) = exp(-(t13+t23)/2).
+    """
+    psi, powers = rho3_parameter(psi, cap), {}
     s1, w0 = Permutation.transposition(3, 1), Permutation.from_one_line("321")
-    rho_s1 = Factor(alph, {s1: generator_or_zero(alph, cap, (1, 2)).scale(HALF).exp()})
-    rho_s1_inv = Factor(alph, {s1: generator_or_zero(alph, cap, (1, 2)).scale(-HALF).exp()})
-    delta = Factor(alph, {w0: central_element(cap).exp() * phi_t.inverse()})
-    # sigma_2 = sigma_1^-1 Delta sigma_1^-1 in the two-generator presentation.
-    ((perm2, u2),) = fold_free(alph, cap, [rho_s1_inv, delta, rho_s1_inv]).items()
-    # sigma_2^-1 = sigma_1 Delta^-1 sigma_1, with Delta^-1 = (321.Psi_t) exp(-T) (x) 321
-    # and 321.Psi_t = Psi(t23, t12).  exp(-T) is central, so it joins the first
-    # sigma_1: exp(t12/2) exp(-T) = exp(-(t13+t23)/2).  No factor is inverted.
-    t13_t23 = generator_or_zero(alph, cap, (1, 3)) + generator_or_zero(alph, cap, (2, 3))
-    sigma2_inv = (
-        Factor(alph, {s1: t13_t23.scale(-HALF).exp()}),
-        Factor(alph, {w0: phi_t.act(w0)}),
-        rho_s1,
-    )
-    # Each letter's image is the factors folded in its place.
-    images = {
+
+    def term(perm, *factors):
+        return {perm: factor_product(factors, psi, 3, powers=powers)}
+
+    rho_s1, rho_s1_inv = term(s1, ("exp", "12", HALF)), term(s1, ("exp", "12", -HALF))
+    delta = term(w0, ("exp", "12+13+23", HALF), ("Phi", "12", "23", -1))
+    sigma2 = _fold_scaled(infinitesimal_artin(3).alphabet, cap, [rho_s1_inv, delta, rho_s1_inv])
+    return {
         Token("sigma", 1, 0, 1): (rho_s1,),
         Token("sigma", 1, 0, -1): (rho_s1_inv,),
-        Token("sigma", 2, 0, 1): (Factor(alph, {perm2: u2}),),
-        Token("sigma", 2, 0, -1): sigma2_inv,
+        Token("sigma", 2, 0, 1): (sigma2,),
+        Token("sigma", 2, 0, -1): (
+            term(s1, ("exp", "13+23", -HALF)), term(w0, ("Phi", "23", "12", 1)), rho_s1
+        ),
         "Delta": (delta,),  # not a letter: the factor rho3_delta folds
     }
-    return images
 
 
 def eval_rho3(w: WeldedWord, psi: TruncatedSeries, cap: int) -> SemidirectSeries:

@@ -6,14 +6,15 @@ are kept in quotient normal form eagerly after every product, so equality
 is plain component-wise comparison.
 
 Products run in the scaled-integer kernel of :mod:`braidalg.series` on the
-components' stored ``(den, {word: int})`` pairs, with no conversion.  The
-twisted product skips unit components.  :func:`fold` takes a linear
-combination of products of :class:`Factor` values, folds every product in
-the free algebra, sums the terms in integers and reduces the sum to normal
-form once at the end.  ``SemidirectSeries.__mul__`` is the same product of
-two elements; the associator-driven and 3-strand representations in
-:mod:`braidalg.reps` go through :func:`fold`.  The welded family, whose
-factors are letter exponentials, has its own closed-form fold
+components' stored ``(den, {word: int})`` pairs, with no conversion.  A
+factor is a plain ``{pi: scaled series}`` dict, and the twisted product
+skips unit components.  :func:`fold` takes a linear combination of products
+of factors, folds every product in the free algebra, sums the terms in
+integers and reduces the sum to normal form once at the end.
+``SemidirectSeries.__mul__`` is the same product of two elements; the
+associator-driven and 3-strand representations in :mod:`braidalg.reps` go
+through :func:`fold`.  The welded family, whose factors are letter
+exponentials, has its own closed-form fold
 (:func:`braidalg.reps.fold_welded`): its integer fold, then the same
 :func:`_normalized`.  :func:`lowest_degree` reads the lowest nonzero degree
 of the element such a sum reduces to, reducing upward from degree 0 and
@@ -139,7 +140,8 @@ class SemidirectSeries:
             return NotImplemented
         self._check_context(other)
         acc = {x: a.scaled for x, a in self.terms.items()}
-        raw = _twisted_mul(acc, Factor(self.basis.alphabet, other.terms), self.cap)
+        factor = {y: b.scaled for y, b in other.terms.items()}
+        raw = _twisted_mul(acc, factor, self.basis.alphabet, self.cap)
         return _normalized(self.basis, self.cap, raw)
 
     def inverse(self) -> "SemidirectSeries":
@@ -256,34 +258,15 @@ class SemidirectSeries:
 # -- the twisted product in scaled integers ---------------------------------------
 
 
-class Factor:
-    """A semidirect element {pi: series} as scaled series, for repeated products.
-
-    ``acted(x)`` lists, for every term y -> b, the product permutation xy and
-    the relabelled series x.b, or None where x.b is the unit.
-    """
-
-    __slots__ = ("alphabet", "terms")
-
-    def __init__(self, alphabet, terms: dict):
-        self.alphabet = alphabet
-        self.terms = {perm: series.scaled for perm, series in terms.items()}
-
-    def acted(self, x: Permutation) -> list:
-        alph = self.alphabet
-        gmap = [alph.permuted(g, x) for g in range(alph.size)]
-        return [
-            (x.compose(y), None if b == scaled_one(len(b) - 1) else relabel(b, gmap))
-            for y, b in self.terms.items()
-        ]
-
-
-def _twisted_mul(acc: dict, factor: Factor, cap: int) -> dict:
-    """{x: a} * factor = sum of a * (x.b) (x) xy; unit components are not multiplied."""
+def _twisted_mul(acc: dict, factor: dict, alphabet, cap: int) -> dict:
+    """{x: a} * {y: b} = sum of a * (x.b) (x) xy over scaled series; units are not multiplied."""
+    unit = scaled_one(cap)
     out: dict = {}
     for x, a in acc.items():
-        for key, xb in factor.acted(x):
-            prod = a if xb is None else scaled_mul(a, xb, cap)
+        gmap = [alphabet.permuted(g, x) for g in range(alphabet.size)]
+        for y, b in factor.items():
+            prod = a if b == unit else scaled_mul(a, relabel(b, gmap), cap)
+            key = x.compose(y)
             cur = out.get(key)
             out[key] = prod if cur is None else scaled_add(cur, prod)
     return {perm: s for perm, s in out.items() if any(sl for _, sl in s)}
@@ -293,7 +276,7 @@ def _fold_scaled(alphabet, cap: int, factors, c=1) -> dict:
     """c times the product of the factors in the free algebra, as {pi: scaled series}."""
     acc = {Permutation.identity(alphabet.n): scaled_times(scaled_one(cap), c)}
     for factor in factors:
-        acc = _twisted_mul(acc, factor, cap)
+        acc = _twisted_mul(acc, factor, alphabet, cap)
     return acc
 
 
@@ -309,14 +292,6 @@ def fold(basis: GradedQuotientBasis, cap: int, combination) -> SemidirectSeries:
         for perm, scaled in _fold_scaled(basis.alphabet, cap, factors, c).items():
             total[perm] = scaled_add(total[perm], scaled) if perm in total else scaled
     return _normalized(basis, cap, total)
-
-
-def fold_free(alphabet, cap: int, factors) -> dict:
-    """The product of the factors in the free algebra, as {pi: series}."""
-    return {
-        perm: TruncatedSeries(alphabet, cap, scaled)
-        for perm, scaled in _fold_scaled(alphabet, cap, factors).items()
-    }
 
 
 def _check_raw(basis: GradedQuotientBasis, cap: int, raw: dict):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from braidalg import AB, TruncatedSeries, generator, parse_series
+from braidalg.lyndon import lie_basis
 
 PSI5_PATH = Path(__file__).parent / "fixtures" / "psi5.txt"
 
@@ -28,6 +29,16 @@ def ab_commutator(cap):
     A = generator(AB, cap, "A")
     B = generator(AB, cap, "B")
     return A * B - B * A
+
+
+def exp_lie_series(rng, cap):
+    """exp of a random Lie series with no degree-1 part: it passes (AE)."""
+    ell = TruncatedSeries.from_terms(AB, cap, {})
+    for k in range(2, cap + 1):
+        for _, bracket in lie_basis(AB, cap, k):
+            if rng.random() < 0.6:
+                ell = ell + bracket.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    return ell.exp()
 
 
 def psi24(cap):

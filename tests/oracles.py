@@ -8,7 +8,7 @@ products of generators, and the section of hand-transcribed axioms below.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations, product
 from math import comb, lcm
 
@@ -22,11 +22,13 @@ from braidalg.quotient import (
     oriented_artin,
 )
 from braidalg.perms import Permutation
-from braidalg.reps import _require_assoc, _rho3_images, fold
-from braidalg.sdseries import Factor, SemidirectSeries
+from braidalg.reps import _require_assoc, central_element, fold, rho3_parameter
+from braidalg.sdseries import SemidirectSeries
 from braidalg.series import (
     _TERM_RE,
     Alphabet,
+    CapMismatch,
+    ConstantTermError,
     SeriesError,
     TruncatedSeries,
     generator,
@@ -36,6 +38,7 @@ from braidalg.series import (
     scale_slice,
     substitute,
     unscale_slice,
+    zero,
 )
 from braidalg.words import _RING_TERM_RE, FreeGroupEndo, GroupRingElement, Token, WordError, parse_word
 
@@ -855,13 +858,12 @@ def fraction_group_ring_text(text: str, n: int) -> str:
 
 # -- the axioms as transcribed by hand ----------------------------------------------
 #
-# The residuals and solver columns of braidalg.associator, and the reference
-# Yang-Baxter fold of braidalg.reps, as they were before each axiom was
-# written once as a signed sum of products: copied unchanged, each axiom
-# derived on its own.  The one table's residuals and first-order columns
-# must equal them.  They are differential references for the transcription
-# only: they share substitute, inverse, _prepare, _lyndon_rows, the 3-strand
-# images and fold with the package, so a fault there moves both sides alike.
+# The residuals and solver columns of braidalg.associator as they were
+# before each axiom was written once as a signed sum of products: copied
+# unchanged, each axiom derived on its own.  The one table's residuals and
+# first-order columns must equal them.  They are differential references for
+# the transcription only: they share substitute, inverse, _prepare and
+# _lyndon_rows with the package, so a fault there moves both sides alike.
 # Substitution is checked on its own against reference_substitute
 # (test_series.TestSubstitute).
 
@@ -1005,16 +1007,98 @@ def _yang_baxter_residual(psi: TruncatedSeries, cap: int) -> TruncatedSeries:
     return lhs - at(t12, t23)
 
 
+# -- the associator families' letters, built as series ---------------------------------
+#
+# The Drinfeld and 3-strand families' letter images as they were built
+# before both were read off factor tuples (braidalg.reps.factor_product):
+# copied unchanged, each Phi factor a substituted series inverted at the
+# cap and acted on, each exponential a power series, except that a factor
+# is given as {perm: scaled series}, and sigma_2's three factors are
+# multiplied out here with series products, not folded.  They share
+# substitute, inverse, act, exp and rho3_parameter with the package, not the
+# factor evaluator under test.
+
+
+def _factor(terms: dict) -> dict:
+    """{perm: series} as the fold's factor {perm: scaled series}."""
+    return {perm: series.scaled for perm, series in terms.items()}
+
+
+@lru_cache(maxsize=32)
+def drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
+    if assoc.constant_term != 1:
+        raise ConstantTermError("the associator series must have constant term 1")
+    if assoc.cap < cap:
+        raise CapMismatch(f"associator known to degree {assoc.cap} < cap {cap}")
+    alph = infinitesimal_artin(n).alphabet
+    images = {}
+    for i in range(1, n):
+        si = Permutation.transposition(n, i)
+        t = generator_or_zero(alph, cap, (i, i + 1))
+        u, u_inv = t.scale(HALF).exp(), t.scale(-HALF).exp()
+        if i > 1:
+            x = zero(alph, cap)
+            for j in range(1, i):
+                x = x + generator_or_zero(alph, cap, (j, i))
+            phi_xy = substitute(assoc.truncated(cap), x, t)
+            # u_i = Phi^-1 exp(t_{i,i+1}/2) (s_i Phi), the series part of
+            # Phi^-1 (exp (x) s_i) Phi; s_i fixes t_{i,i+1}, so sigma_i^-1 is
+            # Phi^-1 (exp(-t_{i,i+1}/2) (x) s_i) Phi.
+            phi_inv, phi_si = phi_xy.inverse(), phi_xy.act(si)
+            u, u_inv = phi_inv * u * phi_si, phi_inv * u_inv * phi_si
+        images[Token("sigma", i, 0, 1)] = _factor({si: u})
+        images[Token("sigma", i, 0, -1)] = _factor({si: u_inv})
+    return images
+
+
+@lru_cache(maxsize=32)
+def rho3_images(cap: int, psi: TruncatedSeries):
+    psi = rho3_parameter(psi, cap)
+    alph = infinitesimal_artin(3).alphabet
+    phi_t = substitute(
+        psi, generator_or_zero(alph, cap, (1, 2)), generator_or_zero(alph, cap, (2, 3))
+    )
+    s1, w0 = Permutation.transposition(3, 1), Permutation.from_one_line("321")
+    u1_inv = generator_or_zero(alph, cap, (1, 2)).scale(-HALF).exp()
+    rho_s1 = _factor({s1: generator_or_zero(alph, cap, (1, 2)).scale(HALF).exp()})
+    rho_s1_inv = _factor({s1: u1_inv})
+    u_delta = central_element(cap).exp() * phi_t.inverse()
+    delta = _factor({w0: u_delta})
+    # sigma_2 = sigma_1^-1 Delta sigma_1^-1 in the two-generator presentation:
+    # (u (x) g)(v (x) h) = u (g.v) (x) gh.
+    s1_w0 = s1.compose(w0)
+    sigma2 = _factor({s1_w0.compose(s1): u1_inv * u_delta.act(s1) * u1_inv.act(s1_w0)})
+    # sigma_2^-1 = sigma_1 Delta^-1 sigma_1, with Delta^-1 = (321.Psi_t) exp(-T) (x) 321
+    # and 321.Psi_t = Psi(t23, t12).  exp(-T) is central, so it joins the first
+    # sigma_1: exp(t12/2) exp(-T) = exp(-(t13+t23)/2).  No factor is inverted.
+    t13_t23 = generator_or_zero(alph, cap, (1, 3)) + generator_or_zero(alph, cap, (2, 3))
+    sigma2_inv = (
+        _factor({s1: t13_t23.scale(-HALF).exp()}),
+        _factor({w0: phi_t.act(w0)}),
+        rho_s1,
+    )
+    # Each letter's image is the factors folded in its place.
+    images = {
+        Token("sigma", 1, 0, 1): (rho_s1,),
+        Token("sigma", 1, 0, -1): (rho_s1_inv,),
+        Token("sigma", 2, 0, 1): (sigma2,),
+        Token("sigma", 2, 0, -1): sigma2_inv,
+        "Delta": (delta,),  # not a letter: the factor rho3_delta folds
+    }
+    return images
+
+
 def rho3_yang_baxter_defect(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
     """rho(sigma_2 sigma_1 sigma_2) - rho(Delta), folded as one combination and reduced once.
 
-    The chord(3) reference for the braid relation, once in braidalg.reps:
-    :func:`braidalg.associator.check_yang_baxter` decides it in the free
-    algebra on two letters and must report this defect for a psi that fails.
+    The chord(3) reference for the braid relation, on the letters built as
+    series above: :func:`braidalg.associator.check_yang_baxter` decides it
+    in the free algebra on two letters and must report this defect for a
+    psi that fails.
     """
     _require_assoc("rho3", psi)
     basis = build_graded_basis(infinitesimal_artin(3), cap)
-    images = _rho3_images(cap, psi)
+    images = rho3_images(cap, psi)
     (s1,), (s2,) = images[Token("sigma", 1, 0, 1)], images[Token("sigma", 2, 0, 1)]
     return fold(basis, cap, [(1, [s2, s1, s2]), (-1, list(images["Delta"]))])
 
@@ -1030,7 +1114,7 @@ def rho3_yang_baxter_defect(psi: TruncatedSeries, cap: int) -> SemidirectSeries:
 
 @cache
 def welded_factor_images(n: int, cap: int):
-    """{token: Factor}: the welded family's letter images on n strands."""
+    """{token: {perm: scaled series}}: the welded family's letter images on n strands."""
     alph = oriented_artin(n).alphabet
 
     def exp_v(pair, sign):
@@ -1049,7 +1133,7 @@ def welded_factor_images(n: int, cap: int):
         # sigma_i = a_{i,i+1} s_i, so sigma_i^-1 = s_i a_{i,i+1}^-1.
         images[Token("sigma", i, 0, 1)] = {si: exp_v((i, i + 1), 1)}
         images[Token("sigma", i, 0, -1)] = {si: exp_v((i + 1, i), -1)}
-    return {t: Factor(alph, terms) for t, terms in images.items()}
+    return {t: _factor(terms) for t, terms in images.items()}
 
 
 def factor_group_ring(xi, cap: int) -> SemidirectSeries:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import ab_commutator, psi24, random_series
+from conftest import ab_commutator, exp_lie_series, psi24, random_series
 
 from braidalg import (
     AB,
@@ -281,7 +281,7 @@ class TestExtension:
             return columns(perturbations, degree)
 
         monkeypatch.setattr(series, "scaled_substitute", counting)
-        monkeypatch.setattr(associator, "scaled_substitute", counting)
+        monkeypatch.setattr(reps, "scaled_substitute", counting)
         monkeypatch.setattr(associator, "_bracket_columns", within(bracket_columns))
         monkeypatch.setattr(associator, "_columns", recording)
         try:
@@ -299,7 +299,7 @@ class TestExtension:
         # 375 exp calls before the hexagon's constant exponentials were shared,
         # and 31 before they were built in closed form.
         associator._bracket_columns.cache_clear()
-        associator._exp_factor.cache_clear()
+        reps.exp_factor.cache_clear()
         calls, closed = [], []
         exp, exp_linear = TruncatedSeries.exp, series.scaled_exp_linear
 
@@ -312,13 +312,13 @@ class TestExtension:
             return exp_linear(form, den, s, cap)
 
         monkeypatch.setattr(TruncatedSeries, "exp", counting)
-        monkeypatch.setattr(associator, "scaled_exp_linear", counting_linear)
+        monkeypatch.setattr(reps, "scaled_exp_linear", counting_linear)
         bootstrap_semi_associator(7)
         # Three closed forms per cap for H3 in F(A, B) at caps 1..7.  The
         # general exp lifts: one per step, six, and two per revision at
         # degrees 5 and 7, the greedy lift that finds no correction and the
         # lookback's base.
-        assert associator._exp_factor.cache_info().misses == 3 * 7
+        assert reps.exp_factor.cache_info().misses == 3 * 7
         assert sorted(closed) == [cap for cap in range(1, 8) for _ in range(3)]
         assert len(calls) == 6 + 2 * 2
 
@@ -526,16 +526,6 @@ class TestHexagonInFreeAlgebra:
                 assert step.correction(vec) == want
 
 
-def _exp_lie_series(rng, cap):
-    """exp of a random Lie series with no degree-1 part: it passes (AE)."""
-    ell = TruncatedSeries.from_terms(AB, cap, {})
-    for k in range(2, cap + 1):
-        for _, bracket in lie_basis(AB, cap, k):
-            if rng.random() < 0.6:
-                ell = ell + bracket.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
-    return ell.exp()
-
-
 class TestKernelIsAnS3Multiplicity:
     """The degree-d kernel is the multiplicity of S3's standard representation in L_d."""
 
@@ -561,7 +551,7 @@ class TestKernelIsAnS3Multiplicity:
             for w in lyndon:
                 column = {}
                 for s, x, y, _, _ in terms:
-                    image = associator._lyndon_image(w, associator._forms((x, y), 3, True)[1], lyndon)
+                    image = associator._lyndon_image(w, associator._letters(x, y), lyndon)
                     for word, n in image.items():
                         column[word] = column.get(word, 0) + s * n
                 yb_columns.append((1, {word: n for word, n in column.items() if n}))
@@ -586,7 +576,7 @@ class TestHexagonVerdicts:
     def test_exp_lie_series_match_the_chord_path(self, rng, cap):
         # 1 fails both hexagons at degree 2, psi24 passes them through degree 2
         for _ in range(4):
-            self._assert_as_chord(_exp_lie_series(rng, cap), cap)
+            self._assert_as_chord(exp_lie_series(rng, cap), cap)
         self._assert_as_chord(one(AB, cap), cap)
         self._assert_as_chord(psi24(max(cap, 2)), cap)
 
@@ -693,7 +683,7 @@ class TestYangBaxterInFreeAlgebra:
     @pytest.mark.parametrize("cap", range(8))
     def test_exp_lie_series_and_psi24(self, rng, cap):
         for _ in range(3):
-            self._assert_as_chord(_exp_lie_series(rng, cap), cap)
+            self._assert_as_chord(exp_lie_series(rng, cap), cap)
         # psi24 passes through degree 3 and fails above
         assert self._assert_as_chord(psi24(max(cap, 2)), cap) == (cap <= 3)
 
@@ -720,7 +710,7 @@ class TestYangBaxterInFreeAlgebra:
         def refuse(*args, **kwargs):
             raise AssertionError("chord(3) work on a passing parameter")
 
-        for name in ("fold", "fold_free", "build_graded_basis", "_rho3_images"):
+        for name in ("fold", "_fold_scaled", "build_graded_basis", "_rho3_images"):
             monkeypatch.setattr(reps, name, refuse)
         monkeypatch.setattr(associator, "build_graded_basis", refuse)
         for cap in range(8):
@@ -892,7 +882,7 @@ class TestOneTranscription:
         # exp-Lie series pass (AE); 1 + A.B and 1 + A fail it, so their
         # F(A, B) hexagon residuals are formulas only, compared all the same.
         # Psi5, known to degree 5, passes (AE) and fails (AS), (H1) and (P).
-        series = [_exp_lie_series(rng, cap) for _ in range(2)]
+        series = [exp_lie_series(rng, cap) for _ in range(2)]
         series += [parse_series(text, AB, 7) for text in ("1 + 1*A.B", "1 + 1*A")]
         series.append(semi_associator_deg7)
         if cap <= psi5.cap:

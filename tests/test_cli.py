@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -447,7 +448,7 @@ class TestDegreeHeader:
         argv = ["extend-associator", "--from", phi3, "--to-degree", "3", "--out", str(out_path)]
         code, out = run(capsys, *argv)
         assert code == 0 and out == f"wrote {out_path}\n"
-        assert out_path.read_text() == open(phi3).read()
+        assert out_path.read_text() == Path(phi3).read_text()
 
     def test_check_associator_beyond_header_degree_fails(self, capsys, phi3):
         err = self.fails(capsys, "check-associator", "--cap", "5", "--in", phi3)
@@ -748,6 +749,44 @@ class TestParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         return built
+
+
+README_PATH = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_runs() -> list:
+    """(text, command, flag) for every --flag after a command name in README.md.
+
+    A run is one backtick span outside the fenced blocks, or one line that
+    names ``braidalg``; a flag belongs to the last command name before it.
+    """
+    text = README_PATH.read_text()
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.DOTALL))
+    lines = [line for line in text.splitlines() if re.search(r"\bbraidalg(\.cli)? ", line)]
+    runs = []
+    for run_text in spans + lines:
+        command = None
+        for token in run_text.split():
+            if token in cli.COMMANDS:
+                command = token
+            elif command and token.startswith("--"):
+                runs.append((run_text, command, token.split("=")[0].rstrip(",.;:)")))
+    return runs
+
+
+def test_readme_shows_only_declared_flags():
+    declared = {
+        name: {"--help"} | {
+            flag
+            for argument in arguments
+            for flags, _ in (argument if isinstance(argument, cli._OneOf) else (argument,))
+            for flag in flags
+        }
+        for name, (_, arguments, _) in cli.COMMANDS.items()
+    }
+    runs = _readme_runs()
+    assert len(runs) > 100
+    assert [(text, flag) for text, command, flag in runs if flag not in declared[command]] == []
 
 
 def _keywords(name: str) -> dict:

@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from conftest import ab_commutator, make_rng, psi24
+import oracles
+from conftest import ab_commutator, exp_lie_series, make_rng, psi24
 
 from braidalg import (
     AB,
@@ -23,6 +25,7 @@ from braidalg import (
     infinitesimal_artin,
     one,
     oriented_artin,
+    parse_series,
     parse_word,
     pure_braid_generator,
     random_welded_word,
@@ -31,7 +34,7 @@ from braidalg import (
     words_equal_in_bp,
 )
 from braidalg.lyndon import lie_basis
-from braidalg.series import TruncatedSeries, zero
+from braidalg.series import Alphabet, AlphabetMismatch, CapMismatch, TruncatedSeries, zero
 from braidalg.words import a, s, sigma, word
 
 HALF = Fraction(1, 2)
@@ -255,7 +258,6 @@ class TestFamilyAxioms:
 
     def test_rho3_with_an_altered_sigma1_fails_stabilization(self, monkeypatch):
         from braidalg import reps
-        from braidalg.sdseries import Factor
 
         build = reps._rho3_images
 
@@ -263,7 +265,7 @@ class TestFamilyAxioms:
             images = build(cap, psi)
             alph = infinitesimal_artin(3).alphabet
             twist = generator(alph, cap, (1, 2)).exp()
-            return {**images, sigma(1): (Factor(alph, {Permutation.transposition(3, 1): twist}),)}
+            return {**images, sigma(1): ({Permutation.transposition(3, 1): twist.scaled},)}
 
         monkeypatch.setattr(reps, "_rho3_images", altered)
         report = check_family_axioms("rho3", 3, 3, psi24(3))
@@ -328,12 +330,12 @@ class TestInverseLetterImages:
 
     @staticmethod
     def _inverted(factor, alph, cap):
-        ((perm, u),) = factor.terms.items()
+        ((perm, u),) = factor.items()
         return perm, TruncatedSeries(alph, cap, u).inverse().act(perm)
 
     @staticmethod
     def _image(factor, alph, cap):
-        ((perm, u),) = factor.terms.items()
+        ((perm, u),) = factor.items()
         return perm, TruncatedSeries(alph, cap, u)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -362,3 +364,97 @@ class TestInverseLetterImages:
             perm, u = self._inverted(s2, alph, cap)
             want = SemidirectSeries.term(basis, cap, u, perm)
             assert eval_rho3(word(3, sigma(2, -1)), psi, cap) == want
+
+
+class TestLettersAgainstSeriesReference:
+    """Each letter's factors {perm: scaled series} equal those built as series (oracles)."""
+
+    PHI7 = Path(__file__).parent.parent / "bench" / "fixtures" / "phi7.txt"
+
+    def _phi7(self):
+        return parse_series(self.PHI7.read_text().split("\n", 1)[1], AB)
+
+    def _parameters(self, cap, psi5):
+        psi = [self._phi7(), psi24(max(cap, 2)), exp_lie_series(make_rng(4100 + cap), cap)]
+        # Psi5 is known to degree 5 and meets the 3-strand precondition there
+        return psi + [psi5] if cap <= psi5.cap else psi
+
+    @pytest.mark.parametrize("cap", range(6))
+    def test_drinfeld(self, psi5, cap):
+        from braidalg import reps
+
+        for n, assoc in product((2, 3, 4), self._parameters(cap, psi5)):
+            assert reps._drinfeld_images(n, cap, assoc) == oracles.drinfeld_images(n, cap, assoc)
+
+    @pytest.mark.parametrize("cap", range(6))
+    def test_rho3(self, psi5, cap):
+        from braidalg import reps
+
+        for psi in self._parameters(cap, psi5):
+            assert reps._rho3_images(cap, psi) == oracles.rho3_images(cap, psi)
+
+    def test_the_builders_invert_the_parameter_once_and_multiply_no_series(self, monkeypatch, psi5):
+        # Each letter is read off factor tuples in scaled integers: the one
+        # inversion is the parameter's own, over {A, B}, shared by its Phi^-1
+        # factors.
+        from braidalg import reps
+
+        def refuse(*args):
+            raise AssertionError("series arithmetic in an image builder")
+
+        phi7, inverted, inverse = self._phi7(), [], TruncatedSeries.inverse
+
+        def counting(series):
+            inverted.append(series.alphabet)
+            return inverse(series)
+
+        for name in ("exp", "act", "__mul__"):
+            monkeypatch.setattr(TruncatedSeries, name, refuse)
+        monkeypatch.setattr(TruncatedSeries, "inverse", counting)
+        reps._drinfeld_images.cache_clear()
+        reps._rho3_images.cache_clear()
+        reps._drinfeld_images(4, 5, phi7)
+        reps._rho3_images(5, psi5)
+        assert inverted == [AB, AB]
+
+    @pytest.mark.parametrize(
+        "n, assoc, cap, error",
+        [
+            (3, zero(AB, 2), 2, ConstantTermError),
+            (3, psi24(2), 3, CapMismatch),
+            # n = 2 substitutes no Phi, so any series with constant term 1 will do
+            (2, one(Alphabet.abstract("X", "Y", "Z"), 2), 2, None),
+            (3, one(Alphabet.abstract("X", "Y", "Z"), 2), 2, AlphabetMismatch),
+            (3, one(Alphabet.chord(3), 2), 0, AlphabetMismatch),
+        ],
+    )
+    def test_drinfeld_refusals(self, n, assoc, cap, error):
+        from braidalg import reps
+
+        outcomes = []
+        for build in (reps._drinfeld_images, oracles.drinfeld_images):
+            try:
+                outcomes.append(build(n, cap, assoc))
+            except SeriesError as refusal:
+                outcomes.append((type(refusal), str(refusal)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is error if error else isinstance(outcomes[0], dict)
+
+    @pytest.mark.parametrize(
+        "psi, cap, error",
+        [
+            (psi24(2), 3, CapMismatch),
+            (generator(AB, 2, "A").exp(), 2, ConstantTermError),
+            (one(Alphabet.chord(3), 2), 2, AlphabetMismatch),
+            (one(Alphabet.abstract("A", "B", "C"), 2), 0, AlphabetMismatch),
+        ],
+    )
+    def test_rho3_refusals(self, psi, cap, error):
+        from braidalg import reps
+
+        refusals = []
+        for build in (reps._rho3_images, oracles.rho3_images):
+            with pytest.raises(error) as info:
+                build(cap, psi)
+            refusals.append((type(info.value), str(info.value)))
+        assert refusals[0] == refusals[1]

@@ -575,7 +575,7 @@ class TestLyndonBrackets:
             (minus_ab, ((1, 1),)),
         ]
         used = {
-            associator._forms((x, y), 3, True)[1]
+            associator._letters(x, y)
             for axiom in ("AS", "H3")
             for _, x, y, _, _ in associator._first_order_terms(axiom)[0]
         }
