@@ -121,19 +121,13 @@ depend on the candidate, so they are built once per degree and process; a
 degree revised in the lookback adds only the previous degree's kernel
 columns, and its step is read off that one solve (:func:`_revised_step`).
 
-The columns substitute nothing.  An algebra map sigma sends a bracket to a
-bracket, sigma([u, v]) = [sigma u, sigma v], so the image of the bracketing
-b(w) of a Lyndon word w = uv, split by its standard factorization, is the
-commutator of the images of b(u) and b(v), shorter Lyndon brackets:
-:func:`braidalg.lyndon.bracket_image` builds them in integers and keeps
-them, per map.  A degree-d column reads only the Lyndon rows of its images,
-and the coefficient of a word L of length d in [s, t], with s and t
-homogeneous of degrees |u| and |v|, is s[L[:|u|]] t[L[|u|:]] -
-t[L[:|v|]] s[L[|v|:]]; so those rows are read off the factors' images, and
-no image of degree d is formed.  A lookback perturbation is a kernel vector,
-given by its coordinates over the previous degree's Lyndon brackets; its
-images are the same combination of theirs, and so, the column being linear
-in p, is its column.
+The columns substitute nothing: each image p(x, y) of a Lyndon bracket is
+built by :mod:`braidalg.lyndon`, unreduced and kept per map, and a degree-d
+column reads only its Lyndon rows, off its factors' images
+(:func:`braidalg.lyndon.bracket_rows`).  A lookback perturbation is a kernel
+vector, given by its coordinates over the previous degree's Lyndon brackets;
+its images are the same combination of theirs, and so, the column being
+linear in p, is its column.
 
 The hypotheses (AE), (AS) and (H3) are checked once, on the series
 :func:`extension_steps` starts from (:func:`extend_semi_associator` checks
@@ -155,7 +149,7 @@ from functools import cache, lru_cache
 from math import lcm
 
 from .linalg import affine_solve
-from .lyndon import bracket_image, bracket_terms, lyndon_words, standard_factorization
+from .lyndon import bracket_image, bracket_rows, bracket_terms, lyndon_words
 from .perms import Permutation
 from .quotient import build_graded_basis, infinitesimal_artin
 from .reps import (
@@ -495,25 +489,6 @@ def _letters(x: str, y: str) -> tuple:
     return strand_form(x, 3, True), strand_form(y, 3, True)
 
 
-def _lyndon_image(w: tuple, letters: tuple, lyndon: dict) -> dict:
-    """The image of b(w) under the letters' map on the Lyndon words of its degree.
-
-    It is read off the images of its factors: the coefficient of L in
-    [s, t], s and t the images of b(u) and b(v) for w = uv the standard
-    factorization, is s[L[:|u|]] t[L[|u|:]] - t[L[:|v|]] s[L[|v|:]].  The
-    image itself is not formed.
-    """
-    u, v = standard_factorization(w)
-    bu, bv = bracket_image(u, letters), bracket_image(v, letters)
-    k, j = len(u), len(v)
-    out = {}
-    for word in lyndon:
-        n = bu.get(word[:k], 0) * bv.get(word[k:], 0) - bv.get(word[:j], 0) * bu.get(word[j:], 0)
-        if n:
-            out[word] = n
-    return out
-
-
 def _bracket_column(w: tuple, degree: int) -> tuple:
     """The column of the Lyndon bracket b(w) in integers, as (denominator, {label: numerator}).
 
@@ -530,11 +505,11 @@ def _bracket_column(w: tuple, degree: int) -> tuple:
         for s, x, y, left, right in terms:
             if top == degree:
                 if (x, y) not in images:
-                    images[x, y] = _lyndon_image(w, _letters(x, y), lyndon)
+                    images[x, y] = bracket_rows(w, _letters(x, y), lyndon)
                 for word, n in images[x, y].items():
                     rows[word] += s * n
             elif left or right:  # l p(x, y) + p(x, y) r, read off the first and last letters
-                image = bracket_image(w, _letters(x, y))
+                _, image = bracket_image(w, _letters(x, y))
                 for word in rows:
                     l, r = left.get(word[:1], 0), right.get(word[-1:], 0)
                     rows[word] += s * (l * image.get(word[1:], 0) + r * image.get(word[:-1], 0))

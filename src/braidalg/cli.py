@@ -512,6 +512,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory in {name}", file=sys.stderr)
+        return 1
     return 0
 
 

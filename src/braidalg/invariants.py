@@ -7,18 +7,18 @@ graded oriented algebra, so the filtration order of an element is read off
 as the vanishing order of its image.  This module computes those orders,
 distinguishes welded words by truncated invariants with the automorphism
 oracle as cross-check, compares the chord and oriented graded algebras
-through the map t_ij -> v_ij + v_ji, and tabulates dimensions.
+through the map t_ij -> v_ij + v_ji, written once on the letters and ranked
+on Lyndon brackets' images (:mod:`braidalg.lyndon`), and tabulates dimensions.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cache, partial
-from itertools import product
 from math import factorial
 
 from .linalg import affine_solve
-from .lyndon import commutator, lyndon_words, standard_factorization
+from .lyndon import bracket_image, lyndon_words
 from .quotient import (
     GradedQuotientBasis,
     build_graded_basis,
@@ -28,7 +28,7 @@ from .quotient import (
 )
 from .reps import fold_welded
 from .sdseries import SemidirectSeries, _normalized, lowest_degree
-from .series import CapMismatch, TruncatedSeries
+from .series import TruncatedSeries, scaled_substitute
 from .value import Record
 from .words import (
     GroupRingElement,
@@ -135,18 +135,19 @@ def distinguish(w1: WeldedWord, w2: WeldedWord, cap: int, cache_dir=None) -> Dis
 
 
 def delta_map(s: TruncatedSeries, target: GradedQuotientBasis) -> TruncatedSeries:
-    """t_ij -> v_ij + v_ji: each chord word to its 2^k oriented words, reduced in the quotient."""
+    """t_ij -> v_ij + v_ji on the letters (:func:`_delta_forms`), then the target's normal form."""
     alph = s.alphabet
     if alph.kind != "chord" or target.alphabet.kind != "oriented" or alph.n != target.alphabet.n:
         raise WordError("delta maps a chord series into the oriented quotient of the same n")
-    if s.cap > target.cap:
-        raise CapMismatch(f"series cap {s.cap} exceeds basis cap {target.cap}")
-    letters = [(target.alphabet.gen(i, j), target.alphabet.gen(j, i)) for i, j in alph.pairs]
-    slices = []
-    for k, (den, sl) in enumerate(s.scaled):
-        image = {u: c for w, c in sl.items() for u in product(*(letters[g] for g in w))}
-        slices.append(target.reduce_slice(k, (den, image)))
-    return TruncatedSeries(target.alphabet, s.cap, tuple(slices))
+    image = scaled_substitute(s.scaled, _delta_forms(alph.n), 1, s.cap)
+    return target.normal_form(TruncatedSeries(target.alphabet, s.cap, image))
+
+
+@cache
+def _delta_forms(n: int) -> tuple:
+    """delta on the letters: the form v_ij + v_ji of each t_ij, in the chord alphabet's order."""
+    gen = oriented_artin(n).alphabet.gen
+    return tuple(((gen(i, j), 1), (gen(j, i), 1)) for i, j in infinitesimal_artin(n).alphabet.pairs)
 
 
 class DeltaKernelReport(Record):
@@ -160,25 +161,13 @@ class DeltaKernelReport(Record):
 
 
 @cache
-def _bracket_image(n: int, top: int, word: tuple) -> tuple:
-    """delta of the Lyndon bracket of a word in t_1top, ..., t_(top-1)top (letter g: t_(g+1)top).
-
-    It is the reduced commutator of its standard factors' reduced images, as
-    a scaled slice ``(den, {word: int})``.
-    """
-    oriented = build_graded_basis(oriented_artin(n), len(word))  # delta_kernel built it
-    if len(word) == 1:
-        i = word[0] + 1
-        return 1, {(oriented.alphabet.gen(i, top),): 1, (oriented.alphabet.gen(top, i),): 1}
-    u, v = standard_factorization(word)
-    (den_u, image_u), (den_v, image_v) = _bracket_image(n, top, u), _bracket_image(n, top, v)
-    return oriented.reduce_slice(len(word), (den_u * den_v, commutator(image_u, image_v)))
-
-
-@cache
 def _image_rank(n: int, d: int) -> int:
-    """dim delta(t_n)_d from the Lyndon basis of t_n = F(t_1n, ..., t_(n-1)n) x| t_(n-1)."""
-    columns = [_bracket_image(n, t, w) for t in range(2, n + 1) for w in lyndon_words(t - 1, d)]
+    """dim delta(t_n)_d from the Lyndon basis of t_n = F(t_1n, ..., t_(n-1)n) x| t_(n-1), reduced in o_n."""
+    forms, preset, chord = _delta_forms(n), oriented_artin(n), infinitesimal_artin(n).alphabet
+    columns = []
+    for top in range(2, n + 1):
+        letters = tuple(forms[chord.gen(i, top)] for i in range(1, top))
+        columns += [bracket_image(w, letters, preset) for w in lyndon_words(top - 1, d)]
     return len(columns) - len(affine_solve(columns)[1])
 
 

@@ -143,17 +143,17 @@ def reference_substitute(f, images, cap):
 
 
 def reference_delta_map(s, target):
-    """t_ij -> v_ij + v_ji by substituting two-term images, then the target's normal form.
+    """t_ij -> v_ij + v_ji: each chord word to its 2^k oriented words, reduced in the quotient.
 
     s is a chord TruncatedSeries and target an oriented GradedQuotientBasis.
+    Each word is expanded on its own, with no substitution kernel.
     """
-    from braidalg.series import generator, substitute_generators
-
-    images = [
-        generator(target.alphabet, s.cap, (i, j)) + generator(target.alphabet, s.cap, (j, i))
-        for (i, j) in s.alphabet.pairs
-    ]
-    return target.normal_form(substitute_generators(s, images))
+    letters = [(target.alphabet.gen(i, j), target.alphabet.gen(j, i)) for i, j in s.alphabet.pairs]
+    slices = []
+    for k, (den, sl) in enumerate(s.scaled):
+        image = {u: c for w, c in sl.items() for u in product(*(letters[g] for g in w))}
+        slices.append(target.reduce_slice(k, (den, image)))
+    return TruncatedSeries(target.alphabet, s.cap, tuple(slices))
 
 
 def normal_words(basis, k):

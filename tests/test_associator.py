@@ -38,7 +38,7 @@ from braidalg.associator import (
     ae_residual,
 )
 from braidalg.linalg import SparseEchelon, affine_solve
-from braidalg.lyndon import bracket_image, bracket_terms, lie_basis, lyndon_words
+from braidalg.lyndon import bracket_image, bracket_rows, bracket_terms, lie_basis, lyndon_words
 from braidalg.series import (
     AlphabetMismatch,
     Alphabet,
@@ -551,7 +551,7 @@ class TestKernelIsAnS3Multiplicity:
             for w in lyndon:
                 column = {}
                 for s, x, y, _, _ in terms:
-                    image = associator._lyndon_image(w, associator._letters(x, y), lyndon)
+                    image = bracket_rows(w, associator._letters(x, y), lyndon)
                     for word, n in image.items():
                         column[word] = column.get(word, 0) + s * n
                 yb_columns.append((1, {word: n for word, n in column.items() if n}))

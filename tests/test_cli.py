@@ -1016,3 +1016,26 @@ def test_a_cache_run_does_not_import_hashlib(tmp_path, run_):
     ]
     if run_ == "warm":
         assert inodes == {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc")
+def test_running_out_of_memory_prints_one_line(tmp_path):
+    # The child caps its own address space about 40 MB above its size after
+    # importing the CLI, so the limit follows the host's interpreter.
+    src = os.path.dirname(os.path.dirname(braidalg.__file__))
+    script = (
+        "import resource, sys\n"
+        "from braidalg import cli\n"
+        "with open('/proc/self/status') as status:\n"
+        "    size = next(int(line.split()[1]) for line in status if line.startswith('VmSize:'))\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + 40 * 2**20, hard))\n"
+        "argv = ['dim', '--preset', 'oriented_artin', '--n', '6', '--cap', '5']\n"
+        "sys.exit(cli.main(argv + ['--cache-dir', sys.argv[1]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: out of memory in dim\n")
+    assert not [p.name for p in tmp_path.iterdir() if not p.name.endswith(".basis")]

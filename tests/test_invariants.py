@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ import oracles
 from conftest import random_series
 
 from braidalg import (
+    AB,
     GroupRingElement,
     Permutation,
     SemidirectSeries,
@@ -15,6 +18,7 @@ from braidalg import (
     delta_kernel,
     delta_map,
     distinguish,
+    eval_drinfeld,
     eval_group_ring,
     eval_welded,
     generator,
@@ -22,7 +26,9 @@ from braidalg import (
     infinitesimal_artin,
     one,
     oriented_artin,
+    parse_series,
     parse_word,
+    pure_braid_generator,
     random_welded_word,
     vassiliev_degree,
     words_equal_in_bp,
@@ -454,7 +460,7 @@ class TestDeltaMap:
             for top in range(2, n + 1):
                 letters = tuple(((chord.gen(i, top), 1),) for i in range(1, top))
                 for w in lyndon_words(top - 1, d):
-                    bracket = TruncatedSeries.from_terms(chord, d, bracket_image(w, letters))
+                    bracket = TruncatedSeries.from_terms(chord, d, bracket_image(w, letters)[1])
                     columns.append(delta_map(bracket, oriented).scaled[d])
             expected.append(columns)
         assert seen == expected
@@ -489,6 +495,78 @@ class TestDeltaMap:
         oriented = build_graded_basis(oriented_artin(3), 2)
         with pytest.raises(CapMismatch):
             delta_map(generator(infinitesimal_artin(3).alphabet, 3, "t12"), oriented)
+
+
+PHI7_PATH = Path(__file__).parent.parent / "bench" / "fixtures" / "phi7.txt"
+
+
+def left_normed(words):
+    """The left-normed group commutator [... [w1, w2], ..., wk], [u, v] = u v u^-1 v^-1."""
+    out = words[0]
+    for w in words[1:]:
+        out = out * w * out.inverse() * w.inverse()
+    return out
+
+
+def left_normed_bracket(alphabet, cap, gens):
+    """The left-normed bracket [... [x1, x2], ..., xk] of generators, as a series."""
+    out = generator(alphabet, cap, gens[0])
+    for g in gens[1:]:
+        x = generator(alphabet, cap, g)
+        out = out * x - x * out
+    return out
+
+
+class TestUniversality:
+    """A left-normed commutator of k generators minus 1 vanishes below degree k and leads with its bracket."""
+
+    @pytest.mark.parametrize("n, cap", [(3, 5), (4, 4)])
+    def test_welded_commutators_lead_with_their_brackets(self, n, cap):
+        # Also the filtration order: at least k, and k exactly when the bracket is nonzero.
+        rng = random.Random(5100 + n)
+        basis = build_graded_basis(oriented_artin(n), cap)
+        identity, unit = Permutation.identity(n), GroupRingElement.one(n)
+        vanishing = 0
+        for _ in range(200):
+            k = rng.randint(2, cap)
+            gens = [rng.choice(basis.alphabet.pairs) for _ in range(k)]
+            w = left_normed([word(n, a(i, j)) for i, j in gens])
+            image = eval_welded(w, cap).component(identity) - one(basis.alphabet, cap)
+            bracket = basis.normal_form(left_normed_bracket(basis.alphabet, cap, gens)).scaled[k]
+            assert all(not image.scaled[d][1] for d in range(k)), (gens, image)
+            assert image.scaled[k] == bracket, gens
+            order = vassiliev_degree(GroupRingElement.from_word(w) - unit, cap).order
+            assert order is None or order >= k, (gens, order)
+            assert (order == k) == bool(bracket[1]), (gens, order)
+            vanishing += not bracket[1]
+        assert 0 < vanishing < 200
+
+    @pytest.mark.parametrize("n, samples", [(3, None), (4, 40)])
+    def test_pure_braid_commutators_map_to_the_welded_ones_under_delta(self, n, samples):
+        # At cap 4 every left-normed commutator of k <= 4 pure braid generators
+        # A_ji whose first two differ, 81 at n = 3, or a seeded sample at n = 4.
+        cap = 4
+        phi = parse_series(PHI7_PATH.read_text().split("\n", 1)[1], AB)
+        chord = infinitesimal_artin(n).alphabet
+        oriented = build_graded_basis(oriented_artin(n), cap)
+        gens = [(j, i) for i in range(2, n + 1) for j in range(1, i)]
+        cases = [
+            seq
+            for k in range(1, cap + 1)
+            for seq in product(gens, repeat=k)
+            if k == 1 or seq[0] != seq[1]
+        ]
+        assert len(cases) == {3: 81, 4: 1296}[n]
+        if samples is not None:
+            cases = random.Random(5200 + n).sample(cases, samples)
+        identity = Permutation.identity(n)
+        for seq in cases:
+            k = len(seq)
+            w = left_normed([pure_braid_generator(j, i, n) for j, i in seq])
+            welded = eval_welded(w, cap).component(identity) - one(oriented.alphabet, cap)
+            drinfeld = eval_drinfeld(w, phi, cap).component(identity) - one(chord, cap)
+            assert all(not welded.scaled[d][1] and not drinfeld.scaled[d][1] for d in range(k)), seq
+            assert welded.scaled[k] == delta_map(drinfeld, oriented).scaled[k], seq
 
 
 class TestHilbertTable:

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 import oracles
-from conftest import ab_commutator, random_series
+from conftest import ab_commutator, make_rng, random_series
 
 from braidalg import (
     AB,
@@ -587,7 +587,33 @@ class TestLyndonBrackets:
 
             for w, bracket in lie_basis(AB, degree, degree):
                 for letters in maps:
-                    image = bracket_image(w, letters)
+                    den, image = bracket_image(w, letters)
+                    assert den == 1
                     assert all(type(c) is int for c in image.values())
                     x, y = map(linear, letters)
                     assert image == substitute(bracket, x, y).degree_slice(degree), (w, letters)
+
+    @pytest.mark.parametrize(
+        "preset, cap",
+        [(infinitesimal_artin(4), 5), (oriented_artin(3), 6), (oriented_artin(4), 5)],
+        ids=["infinitesimal_artin(4)", "oriented_artin(3)", "oriented_artin(4)"],
+    )
+    def test_reduced_images_equal_the_reduced_unreduced_image(self, preset, cap):
+        # Reducing after every commutator, against reducing the free image
+        # once, under random integer forms: on 2 letters of 1 to 3 terms
+        # through the cap, and on 3 letters of 1 to 2 terms below it.
+        rng = make_rng(4700 + preset.n)
+        size, reduced = preset.alphabet.size, 0
+        for m, terms, top in ((2, 3, cap), (3, 2, cap - 1)):
+            coefficients = (-3, -2, -1, 1, 2, 3)
+            letters = tuple(
+                tuple((h, rng.choice(coefficients)) for h in rng.sample(range(size), rng.randint(1, terms)))
+                for _ in range(m)
+            )
+            for k in range(1, top + 1):
+                basis = build_graded_basis(preset, k)
+                for w in lyndon_words(m, k):
+                    free = bracket_image(w, letters)
+                    assert bracket_image(w, letters, preset) == basis.reduce_slice(k, free), (w, letters)
+                    reduced += bracket_image(w, letters, preset) != free
+        assert reduced
