@@ -159,6 +159,7 @@ from .reps import (
     factor_product,
     rho3_delta,
     rho3_parameter,
+    shared_log,
     strand_form,
 )
 from .sdseries import SemidirectSeries
@@ -239,9 +240,11 @@ def ae_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
     """Defect of exponential type: degree-1 part of log plus its Lie defect.
 
     Kept for the last series and cap: the (AE) check and each hexagon's
-    verdict on the same series (:func:`check_axiom`) share one log.
+    verdict on the same series (:func:`check_axiom`) share one log, and the
+    3-strand family's precondition on it shares that log too
+    (:func:`braidalg.reps.shared_log`).
     """
-    logphi = _prepare(phi, cap).log()
+    logphi = shared_log(_prepare(phi, cap))
     return logphi.homogeneous_part(1) + lie_defect(logphi)
 
 

@@ -6,9 +6,11 @@ into the oriented braid algebra identifies its associated graded with the
 graded oriented algebra, so the filtration order of an element is read off
 as the vanishing order of its image.  This module computes those orders,
 distinguishes welded words by truncated invariants with the automorphism
-oracle as cross-check, compares the chord and oriented graded algebras
-through the map t_ij -> v_ij + v_ji, written once on the letters and ranked
-on Lyndon brackets' images (:mod:`braidalg.lyndon`), and tabulates dimensions.
+oracle as cross-check (both fold and reduce the image degree by degree and
+stop at the order they return), compares the chord and oriented graded
+algebras through the map t_ij -> v_ij + v_ji, written once on the letters
+and ranked on Lyndon brackets' images (:mod:`braidalg.lyndon`), and
+tabulates dimensions.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ def eval_group_ring(xi: GroupRingElement, cap: int, cache_dir=None) -> Semidirec
     Every degree-d coefficient of a word's image lies in (1/d!) Z, since
     1/(k_1! ... k_m!) = multinomial(d; k)/d! for the letters' exponentials,
     so the element is summed in integers over q d!, q the lcm of its
-    coefficients' denominators (:func:`braidalg.reps.fold_welded`), and
-    reduced to normal form once, every degree.
+    coefficients' denominators (:func:`braidalg.reps.fold_welded`), folded
+    through the cap and reduced to normal form once, every degree.
     """
     return _normalized(*fold_welded(xi.n, cap, xi.terms.items(), cache_dir))
 
@@ -78,12 +80,13 @@ class FiltrationReport(Record):
 def vassiliev_degree(xi: GroupRingElement, cap: int, cache_dir=None) -> FiltrationReport:
     """Least degree with a nonzero image component across all permutation parts.
 
-    xi is folded once in integers (:func:`braidalg.reps.fold_welded`); the
-    order is read by reducing the fold from degree 0 upward and stopping at
-    the first nonzero degree (:func:`braidalg.sdseries.lowest_degree`), so
-    no degree above the order is reduced to find it.  The report's image,
-    equal to ``eval_group_ring(xi, cap)``, is normalized from the same fold
-    on its first read.
+    xi is folded once in integers (:func:`braidalg.reps.fold_welded`),
+    degree by degree as the degrees are read; the order is read by reducing
+    the fold from degree 0 upward and stopping at the first nonzero degree
+    (:func:`braidalg.sdseries.lowest_degree`), so no degree above the order
+    is folded or reduced to find it.  The report's image, equal to
+    ``eval_group_ring(xi, cap)``, continues the same fold through the cap
+    and is normalized on its first read.
     """
     folded = fold_welded(xi.n, cap, xi.terms.items(), cache_dir)
     return FiltrationReport(xi, cap, partial(_normalized, *folded), lowest_degree(*folded))
@@ -113,21 +116,20 @@ def distinguish(w1: WeldedWord, w2: WeldedWord, cap: int, cache_dir=None) -> Dis
     relabelling of strands, is invertible and keeps the lowest nonzero
     degree of the normal form, through any cap: the relation ideal is
     homogeneous, two-sided and stable under relabelling.  Truncating the
-    fold commutes with the fold, so the difference through degree
-    min(1, cap) (the permutation and linear parts) is evaluated first; if
-    it is nonzero its lowest degree is the answer, and only otherwise is
-    the difference evaluated through the cap.  The Aut(F_n) oracle sees the
-    middles too: in a group, P m1 S = P m2 S if and only if m1 = m2.
+    fold commutes with the fold, so degrees 0..d of the difference are
+    those of its fold through degree d: the difference of the middles is
+    folded once, degree by degree from 0, and reduced as it goes
+    (:func:`braidalg.sdseries.lowest_degree`); its first nonzero degree is
+    the answer, and no degree above it is folded or reduced.  The
+    Aut(F_n) oracle sees the middles too: in a group, P m1 S = P m2 S if and
+    only if m1 = m2.
     """
     if w1.n != w2.n:
         raise WordError(f"strand mismatch: {w1.n} vs {w2.n}")
     p = _common_prefix_length(w1.letters, w2.letters)
     s = _common_prefix_length(w1.letters[p:][::-1], w2.letters[p:][::-1])
     m1, m2 = (WeldedWord(w.n, w.letters[p : len(w.letters) - s]) for w in (w1, w2))
-    difference = [(m1, 1), (m2, -1)]
-    order = lowest_degree(*fold_welded(w1.n, min(1, cap), difference, cache_dir))
-    if order is None and cap > 1:
-        order = lowest_degree(*fold_welded(w1.n, cap, difference, cache_dir))
+    order = lowest_degree(*fold_welded(w1.n, cap, [(m1, 1), (m2, -1)], cache_dir))
     return DistinguishReport(cap, order, words_equal_in_bp(m1, m2))
 
 

@@ -14,7 +14,12 @@ closed-form data: each image is exp(+-v_g) (x) pi, pi the identity or
 s_i.  :func:`fold_welded` folds a linear combination of welded words as
 products of letter exponentials, degree d held in integers over d!:
 1/(k_1! ... k_m!) = multinomial(d; k)/d!, so multiplying by exp(+-v_g) is
-a binomial convolution in integers, with no series multiplied.  It builds
+a binomial convolution in integers, with no series multiplied.  The fold
+goes degree by degree: one walk over a word's letters gives its relabelled
+exponentials and its permutation, degree d of every prefix of the word
+comes from the prefixes' lower degrees, and a degree of the sum is
+computed only when it is first read.  So a reader that stops at the
+lowest nonzero degree folds nothing above it.  :func:`fold_welded` builds
 the oriented basis too, and is the one way into the welded family.
 
 The associator families' letters are products of Phi(x, y)^+-1 and exp(s x)
@@ -32,6 +37,7 @@ fraction of the cost.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial, lcm
@@ -110,47 +116,109 @@ def _signed_binomials(cap: int) -> dict:
     return {1: rows, -1: tuple(tuple(-b if k & 1 else b for k, b in enumerate(row)) for row in rows)}
 
 
-def _times_exp(slices: list, g: int, binomials: tuple):
-    """slices * exp(c v_g) in place, degree d of both held as numerators over d!.
+def _word_degree(word: tuple, d: int, binomials: dict, keep: bool) -> dict:
+    """Degree d of a word's image a exp(c_1 v_g1) ... exp(c_m v_gm), its numerators over d!.
 
-    1/(i! k!) = C(i + k, k)/(i + k)!, so degree d of the product is
-    sum_k C(d, k) c^k (degree d - k) v_g^k over d!.  Degrees are updated from
-    the top down, so each reads only lower degrees not yet updated.
+    word is (a, ((g_1, c_1), ...), prefixes), prefixes[j][t] the degree-j
+    numerators of the product of its first t exponentials, for every j < d.
+    1/(i! k!) = C(i + k, k)/(i + k)!, so degree d of a prefix times
+    exp(c v_g) is degree d of the prefix plus sum_{k >= 1} C(d, k) c^k
+    (degree d - k) v_g^k.  With ``keep`` the prefixes' degree-d slices are
+    kept for degree d + 1; a kept slice is copied before it is changed.
     """
-    for d in range(len(slices) - 1, 0, -1):
-        tgt = slices[d]
-        get = tgt.get
-        row = binomials[d]
+    a, exps, prefixes = word
+    if not d:
+        cur = {(): a}
+        if keep:
+            prefixes.append([cur] * len(exps))
+        return cur
+    cur, kept = {}, []
+    for t, (g, c) in enumerate(exps):
+        if keep:
+            kept.append(cur)
+        owned = not keep
+        row = binomials[c][d]
         for k in range(1, d + 1):
-            src = slices[d - k]
+            src = prefixes[d - k][t]
             if not src:
                 continue
+            if not owned:
+                cur, owned = dict(cur), True
+            get = cur.get
             m = row[k]
             tail = (g,) * k
-            for u, a in src.items():
+            for u, x in src.items():
                 w = u + tail
-                v = get(w, 0) + m * a
+                v = get(w, 0) + m * x
                 if v:
-                    tgt[w] = v
+                    cur[w] = v
                 else:
-                    del tgt[w]
+                    del cur[w]
+    if keep:
+        prefixes.append(kept)
+    return cur
 
 
-def _add_into(acc: list, slices: list):
-    """acc += slices, degree by degree, in place."""
-    for tgt, src in zip(acc, slices):
-        get = tgt.get
-        for w, a in src.items():
-            v = get(w, 0) + a
-            if v:
-                tgt[w] = v
-            else:
-                del tgt[w]
+class _WeldedDegrees:
+    """Degree k of one permutation's part of a welded fold, ``(q k!, {word: int})``, on first read.
+
+    The words are the combination's words whose permutation it is, each
+    ``(a, exponentials, prefixes)`` for :func:`_word_degree`, a/q its
+    coefficient.  Reading degree k computes every degree up to k not yet
+    computed, each from the words' prefixes below it, and keeps it; once
+    the cap is computed the prefixes go.  Degrees are computed under a
+    lock, so threads reading one fold compute each degree once.
+    """
+
+    __slots__ = ("cap", "q", "binomials", "words", "sums", "lock")
+
+    def __init__(self, cap: int, q: int, binomials: dict):
+        self.cap, self.q, self.binomials = cap, q, binomials
+        self.words, self.sums, self.lock = [], [], threading.Lock()
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.cap + 1))
+
+    def __getitem__(self, k: int) -> tuple:
+        sums = self.sums
+        if len(sums) <= k:
+            with self.lock:
+                while len(sums) <= k:
+                    sums.append(self._degree(len(sums)))
+        return sums[k]
+
+    def _degree(self, d: int) -> tuple:
+        """Degree d of the sum, every lower degree computed; the words' prefixes go at the cap.
+
+        A word with no exponential is a constant, zero above degree 0.
+        """
+        keep = d < self.cap
+        total, owned = {}, True
+        for word in self.words:
+            if d and not word[1]:
+                continue
+            sl = _word_degree(word, d, self.binomials, keep)
+            if not total:
+                total, owned = sl, False
+                continue
+            if not owned:
+                total, owned = dict(total), True
+            get = total.get
+            for w, x in sl.items():
+                v = get(w, 0) + x
+                if v:
+                    total[w] = v
+                else:
+                    del total[w]
+        if not keep:
+            self.words = ()
+        return self.q * factorial(d), total
 
 
-def _strand_permutation(alph, relabel: tuple) -> Permutation:
-    """The permutation x of the strands whose action on generator indices is relabel."""
-    n = alph.n
+@cache
+def _strand_permutation(n: int, relabel: tuple) -> Permutation:
+    """The permutation x of the n strands whose action on oriented generator indices is relabel."""
+    alph = oriented_artin(n).alphabet
     return Permutation(alph.pairs[relabel[alph.gen(i, i % n + 1)]][0] for i in range(1, n + 1))
 
 
@@ -161,39 +229,39 @@ def fold_welded(n: int, cap: int, combination, cache_dir=None) -> tuple:
     {pi: scaled series} in the free algebra: these are the arguments of
     ``sdseries._normalized`` and :func:`braidalg.sdseries.lowest_degree`.
     A word's image is the product of its letters' exponentials exp(+-v_g),
-    each relabelled by the permutation of the letters before it; that
-    permutation is kept as its relabelling of generator indices.  Each word
-    is folded in integers, degree d over d!, from the constant q c, q the
-    lcm of the coefficients' denominators; the words are summed over q d!.
+    each relabelled by the permutation of the letters before it; one walk
+    over its letters gives those exponentials and its permutation.  Each
+    word is folded in integers, degree d over d!, from the constant q c, q
+    the lcm of the coefficients' denominators, and the words of each
+    permutation are summed over q d!.  The fold goes degree by degree, and a
+    degree is computed when it is first read (:class:`_WeldedDegrees`): a
+    reader that stops at degree k folds nothing above k.
     """
-    basis = build_graded_basis(oriented_artin(n), cap, cache_dir)
-    alph, letters = basis.alphabet, welded_images(n)
+    return build_graded_basis(oriented_artin(n), cap, cache_dir), cap, _welded_raw(n, cap, combination)
+
+
+def _welded_raw(n: int, cap: int, combination) -> dict:
+    """:func:`fold_welded`'s raw, {pi: :class:`_WeldedDegrees`}, with no degree computed yet."""
+    alph, letters = oriented_artin(n).alphabet, welded_images(n)
     combination = list(combination)
     q = lcm(*(c.denominator for _, c in combination))
     binomials = _signed_binomials(cap)
     identity = tuple(range(alph.size))
     total: dict = {}
     for w, c in combination:
-        slices = [{(): c.numerator * (q // c.denominator)}] + [{} for _ in range(cap)]
+        exps = []
         relabelled = identity
         for t in w.letters:
             g, sign, relabel = letters[t]
             if g is not None:
-                _times_exp(slices, relabelled[g], binomials[sign])
+                exps.append((relabelled[g], sign))
             if relabel is not None:
                 relabelled = tuple([relabelled[h] for h in relabel])
-        acc = total.get(relabelled)
-        if acc is None:
-            total[relabelled] = slices
-        else:
-            _add_into(acc, slices)
-    raw = {
-        _strand_permutation(alph, relabelled): tuple(
-            (q * factorial(d), sl) for d, sl in enumerate(slices)
-        )
-        for relabelled, slices in total.items()
-    }
-    return basis, cap, raw
+        degrees = total.get(relabelled)
+        if degrees is None:
+            degrees = total[relabelled] = _WeldedDegrees(cap, q, binomials)
+        degrees.words.append((c.numerator * (q // c.denominator), exps, []))
+    return {_strand_permutation(n, relabelled): degrees for relabelled, degrees in total.items()}
 
 
 def eval_welded(w: WeldedWord, cap: int, cache_dir=None) -> SemidirectSeries:
@@ -309,6 +377,17 @@ def central_element(cap: int) -> TruncatedSeries:
     return out.scale(HALF)
 
 
+@lru_cache(maxsize=1)
+def shared_log(psi: TruncatedSeries) -> TruncatedSeries:
+    """psi.log(), kept for the last series.
+
+    The 3-strand family's precondition and the (AE) residual
+    (:func:`braidalg.associator.ae_residual`) read the same log, so one
+    check of Psi at one cap takes it once.
+    """
+    return psi.log()
+
+
 def require_normalized_group_like(psi: TruncatedSeries):
     """Group-like with trivial degree-1 part: the 3-strand family's precondition.
 
@@ -317,7 +396,7 @@ def require_normalized_group_like(psi: TruncatedSeries):
     """
     if psi.constant_term != 1:
         raise ConstantTermError("need constant term 1")
-    logpsi = psi.log()
+    logpsi = shared_log(psi)
     if psi.cap >= 1 and logpsi.scaled[1][1]:
         raise ConstantTermError("need a trivial degree-1 part (log Psi = 0 mod degree 2)")
     if not lie_defect(logpsi).is_zero():

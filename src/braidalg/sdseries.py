@@ -15,11 +15,14 @@ integers and reduces the sum to normal form once at the end.
 associator-driven and 3-strand representations in :mod:`braidalg.reps` go
 through :func:`fold`.  The welded family, whose factors are letter
 exponentials, has its own closed-form fold
-(:func:`braidalg.reps.fold_welded`): its integer fold, then the same
-:func:`_normalized`.  :func:`lowest_degree` reads the lowest nonzero degree
-of the element such a sum reduces to, reducing upward from degree 0 and
-stopping there, with the same checks; the filtration order needs nothing
-above it (:func:`braidalg.invariants.vassiliev_degree`).
+(:func:`braidalg.reps.fold_welded`), then the same :func:`_normalized`.
+Its sum per permutation is a sequence of degrees computed on first read,
+not a tuple; the two readers below only index and iterate a component, so
+they take either.  :func:`lowest_degree` reads the lowest nonzero degree
+of the element such a sum reduces to, reading and reducing upward from
+degree 0 and stopping there, with the same checks; the filtration order
+needs nothing above it (:func:`braidalg.invariants.vassiliev_degree`), so
+with the welded fold nothing above it is folded either.
 """
 
 from __future__ import annotations
@@ -305,7 +308,11 @@ def _check_raw(basis: GradedQuotientBasis, cap: int, raw: dict):
 
 
 def _normalized(basis: GradedQuotientBasis, cap: int, raw: dict) -> SemidirectSeries:
-    """Reduce {pi: scaled series} over the basis's alphabet to an element."""
+    """Reduce {pi: scaled series} over the basis's alphabet to an element, every degree.
+
+    A component is read degree by degree from 0 through the cap, so a
+    welded fold's degrees that are not computed yet are computed here.
+    """
     _check_raw(basis, cap, raw)
     terms = {}
     for perm, scaled in raw.items():
@@ -318,11 +325,12 @@ def _normalized(basis: GradedQuotientBasis, cap: int, raw: dict) -> SemidirectSe
 def lowest_degree(basis: GradedQuotientBasis, cap: int, raw: dict):
     """``_normalized(basis, cap, raw).min_degree()``, reducing only the degrees it reads.
 
-    Degrees are reduced from 0 upward, every component at each degree, and
-    the search stops at the first degree where a component is nonzero: no
-    degree above the answer is reduced.  None means the element is zero
-    through the cap.  The filtration order is read this way, and the image
-    itself is normalized on first read
+    Degrees are read and reduced from 0 upward, every component at each
+    degree, and the search stops at the first degree where a component is
+    nonzero: no degree above the answer is reduced, and none above it is
+    read, so a welded fold computes none (:func:`braidalg.reps.fold_welded`).
+    None means the element is zero through the cap.  The filtration order is
+    read this way, and the image itself is normalized on first read
     (:class:`braidalg.invariants.FiltrationReport`).
     """
     _check_raw(basis, cap, raw)

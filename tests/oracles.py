@@ -10,7 +10,7 @@ products of generators, and the section of hand-transcribed axioms below.
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import permutations, product
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from braidalg.associator import AB, HALF, _lyndon_rows, _lyndon_set, _prepare, swap_letters
 from braidalg.linalg import affine_solve
@@ -22,7 +22,14 @@ from braidalg.quotient import (
     oriented_artin,
 )
 from braidalg.perms import Permutation
-from braidalg.reps import _require_assoc, central_element, fold, rho3_parameter
+from braidalg.reps import (
+    _require_assoc,
+    _strand_permutation,
+    central_element,
+    fold,
+    rho3_parameter,
+    welded_images,
+)
 from braidalg.sdseries import SemidirectSeries
 from braidalg.series import (
     _TERM_RE,
@@ -475,6 +482,20 @@ def oriented_formula_dims(n, cap):
     Koszulity of H*(P Sigma_n) predicts these dimensions for oriented_artin(n).
     """
     return [comb(k + n - 2, n - 2) * n**k for k in range(cap + 1)]
+
+
+def upper_triangular_formula_dims(n, cap):
+    """1/(prod_{k<n} (1 - k t) - C(n, 2) t) in degrees 0..cap.
+
+    The letters v_ij with i < j appear in no upper-triangular relation, so
+    the algebra is the free product of the free algebra on them with the
+    quotient on the other letters, whose series is 1/prod_{k<n} (1 - k t).
+    """
+    denominator = [1]
+    for k in range(1, n):
+        denominator = [a - k * b for a, b in zip(denominator + [0], [0] + denominator)]
+    denominator[1] -= comb(n, 2)
+    return rational_series_dims([1], denominator, cap)
 
 
 # -- Hilbert series of the chord algebra: product of 1/(1 - j t) ------------------
@@ -1142,3 +1163,69 @@ def factor_group_ring(xi, cap: int) -> SemidirectSeries:
     images = welded_factor_images(xi.n, cap)
     terms = [(c, [images[t] for t in w.letters]) for w, c in xi.terms.items()]
     return fold(basis, cap, terms)
+
+
+# -- the welded fold letter by letter ------------------------------------------------
+#
+# The closed-form welded fold as it was before it went degree by degree: each
+# letter's exponential multiplies every degree of the word's slices at once,
+# in place.  It shares the letters' closed-form data and the strand
+# permutation with braidalg.reps, not the degree-major loop under test.
+
+
+def _times_exp(slices: list, g: int, c: int):
+    """slices * exp(c v_g) in place, degree d of both held as numerators over d!.
+
+    1/(i! k!) = C(i + k, k)/(i + k)!, so degree d of the product is
+    sum_k C(d, k) c^k (degree d - k) v_g^k over d!.  Degrees are updated from
+    the top down, so each reads only lower degrees not yet updated.
+    """
+    for d in range(len(slices) - 1, 0, -1):
+        tgt = slices[d]
+        for k in range(1, d + 1):
+            m, tail = comb(d, k) * c**k, (g,) * k
+            for u, a in slices[d - k].items():
+                w = u + tail
+                v = tgt.get(w, 0) + m * a
+                if v:
+                    tgt[w] = v
+                else:
+                    del tgt[w]
+
+
+def _add_into(acc: list, slices: list):
+    """acc += slices, degree by degree, in place."""
+    for tgt, src in zip(acc, slices):
+        for w, a in src.items():
+            v = tgt.get(w, 0) + a
+            if v:
+                tgt[w] = v
+            else:
+                del tgt[w]
+
+
+def reference_welded_raw(n: int, cap: int, combination) -> dict:
+    """{pi: ((q d!, {word: int}), ...)}: sum c * (image of w) over ``[(w, c), ...]``, letter by letter."""
+    alph, letters = oriented_artin(n).alphabet, welded_images(n)
+    combination = list(combination)
+    q = lcm(*(c.denominator for _, c in combination))
+    identity = tuple(range(alph.size))
+    total: dict = {}
+    for w, c in combination:
+        slices = [{(): c.numerator * (q // c.denominator)}] + [{} for _ in range(cap)]
+        relabelled = identity
+        for t in w.letters:
+            g, sign, relabel = letters[t]
+            if g is not None:
+                _times_exp(slices, relabelled[g], sign)
+            if relabel is not None:
+                relabelled = tuple([relabelled[h] for h in relabel])
+        acc = total.get(relabelled)
+        if acc is None:
+            total[relabelled] = slices
+        else:
+            _add_into(acc, slices)
+    return {
+        _strand_permutation(n, relabelled): tuple((q * factorial(d), sl) for d, sl in enumerate(slices))
+        for relabelled, slices in total.items()
+    }

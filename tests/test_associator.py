@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -805,6 +806,22 @@ class TestPsi5:
         assert report.yb_implies_as is False
         assert report.delta_squared_central is False
         assert report.drinfeld_compatible is None
+
+
+class TestEquivalencesShareOneLog:
+    def test_the_report_takes_log_psi_once(self, monkeypatch):
+        # (YB)'s precondition, the (AE) residual under H3 and H1, and the
+        # 3-strand letters behind Delta all read one log of Psi at the cap
+        path = Path(__file__).parent.parent / "bench" / "fixtures" / "phi7.txt"
+        phi7 = parse_series(path.read_text().split("\n", 1)[1], AB)
+        for cached in (reps.shared_log, associator.ae_residual, reps._rho3_images):
+            cached.cache_clear()
+        logs, log = [], TruncatedSeries.log
+        monkeypatch.setattr(TruncatedSeries, "log", lambda s: logs.append(s) or log(s))
+        report = check_equivalences(phi7, 6)
+        assert report.yb.passed and report.h3.passed and report.h1.passed and report.as_.passed
+        assert report.delta_squared_central and report.drinfeld_compatible
+        assert len(logs) == 1
 
 
 class TestCapZero:

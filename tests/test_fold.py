@@ -6,15 +6,26 @@ reduces once at the end with ``normal_form``.  Generator images are rebuilt
 here from their defining formulas, so only the series arithmetic they use is
 shared with the code under test.  The welded family's closed-form fold is
 also compared with the generic fold over its letters' images as series
-factors (``oracles.welded_factor_images``).
+factors (``oracles.welded_factor_images``), and its degree-by-degree slices
+with the letter-by-letter fold it replaced (``oracles.reference_welded_raw``).
 """
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from conftest import ab_commutator, make_rng, psi24, random_series
-from oracles import factor_group_ring, mini_add, mini_exp, mini_inverse, mini_mul, mini_scale
+from oracles import (
+    factor_group_ring,
+    mini_add,
+    mini_exp,
+    mini_inverse,
+    mini_mul,
+    mini_scale,
+    reference_welded_raw,
+)
 
 from braidalg import (
     AB,
@@ -36,6 +47,7 @@ from braidalg import (
 )
 from braidalg import reps
 from braidalg.lyndon import lie_basis
+from braidalg.sdseries import _normalized, lowest_degree
 from braidalg.words import WeldedWord, a, s, sigma
 
 HALF = Fraction(1, 2)
@@ -295,6 +307,91 @@ def test_group_ring_samples_cover_the_cases():
     assert not samples[0].terms and eval_group_ring(samples[0], 3).is_zero()
     coeffs = {c for xi in samples for c in xi.terms.values()}
     assert any(c < 0 for c in coeffs) and any(c.denominator > 1 for c in coeffs)
+
+
+def welded_combinations(rng, n):
+    """Seeded combinations ``[(w, c), ...]`` of welded words on n strands.
+
+    The empty combination and word, permutation-only words, Fraction
+    coefficients, cancelling pairs (w, 1), (w, -1), and random words.
+    """
+    def word(length):
+        return WeldedWord(n, random_welded_letters(rng, n, length))
+
+    def permutation_word():
+        return WeldedWord(n, [s(rng.randrange(1, n)) for _ in range(rng.randint(1, 3))])
+
+    cancelling = word(rng.randint(1, 6))
+    c = WeldedWord(n, [a(*rng.sample(range(1, n + 1), 2), rng.choice((1, -1))) for _ in range(2)])
+    samples = [
+        [],
+        [(WeldedWord(n, ()), 1)],
+        [(permutation_word(), 1), (permutation_word(), Fraction(-2, 3)), (WeldedWord(n, ()), 5)],
+        [(cancelling, 1), (cancelling, -1)],
+        [(cancelling, Fraction(1, 2)), (word(3), 1), (cancelling, Fraction(-1, 2))],
+        # (c - 1)^2: the empty word first, in the permutation of the others
+        [(WeldedWord(n, ()), 1), (c, -2), (c * c, 1)],
+    ]
+    for _ in range(4):
+        samples.append([
+            (word(rng.randint(0, 7)), Fraction(rng.choice((-5, -2, -1, 1, 3, 4)), rng.randint(1, 6)))
+            for _ in range(rng.randint(1, 4))
+        ])
+    return samples
+
+
+@pytest.mark.parametrize("n, cap", [(n, cap) for n in (2, 3, 4) for cap in range(7)])
+def test_degree_major_fold_matches_letter_major_reference(n, cap):
+    rng = make_rng(8000 * n + cap)
+    for combination in welded_combinations(rng, n):
+        want = reference_welded_raw(n, cap, combination)
+        raw = reps._welded_raw(n, cap, combination)
+        assert list(raw) == list(want)
+        for perm, slices in want.items():
+            assert [raw[perm][k] for k in range(cap + 1)] == list(slices)
+        # Read the top degree first: it and every degree below it come out the same.
+        raw = reps._welded_raw(n, cap, combination)
+        assert [raw[perm][cap] for perm in raw] == [slices[cap] for slices in want.values()]
+        assert {perm: tuple(degrees) for perm, degrees in raw.items()} == want
+        if n < 4 or cap < 6:  # oriented_artin(4) at cap 6 takes seconds to build
+            basis = build_graded_basis(oriented_artin(n), cap)
+            order = _normalized(basis, cap, want).min_degree()
+            assert lowest_degree(*reps.fold_welded(n, cap, combination)) == order
+
+
+def test_threads_reading_one_fold_get_the_reference():
+    # Each thread reads the degrees in its own order; a degree computed twice,
+    # or a prefix kept twice, would shift every degree above it.
+    n, cap = 3, 6
+    rng = make_rng(8999)
+    combination = [
+        (WeldedWord(n, random_welded_letters(rng, n, 12)), Fraction(c, 3)) for c in range(-4, 5) if c
+    ]
+    want = reference_welded_raw(n, cap, combination)
+    orders = [range(cap + 1), range(cap, -1, -1), (3, 0, 6, 1, 5, 2, 4), (cap,)]
+    for _ in range(5):
+        raw = reps._welded_raw(n, cap, combination)
+        assert any(len(degrees.words) > 1 for degrees in raw.values())
+        barrier = threading.Barrier(len(orders))
+        results = [None] * len(orders)
+
+        def work(i):
+            barrier.wait(timeout=30)
+            results[i] = {perm: [degrees[k] for k in orders[i]] for perm, degrees in raw.items()}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for order, result in zip(orders, results):
+            assert result == {perm: [slices[k] for k in order] for perm, slices in want.items()}
 
 
 @pytest.mark.parametrize("n, cap", [(3, 4), (3, 5), (4, 3)])

@@ -231,7 +231,7 @@ def _middle_pairs(rng, n):
 
 
 class TestDistinguishMiddles:
-    """Only the middles are folded, degrees 0-1 first; the full fold is the reference."""
+    """Only the middles are folded, once and up to the answer; the full fold is the reference."""
 
     @pytest.mark.parametrize("n,cap", [(3, c) for c in range(1, 6)] + [(4, c) for c in range(1, 5)])
     def test_against_full_evaluation(self, n, cap):
@@ -247,26 +247,37 @@ class TestDistinguishMiddles:
             if full is not None:
                 assert not report.oracle_equal
 
-    def test_folds_only_the_middles_and_the_cap_only_when_needed(self, monkeypatch):
+    def test_folds_only_the_middles_once_and_no_degree_above_the_answer(self, monkeypatch):
         calls = []
         fold_all = invariants_mod.fold_welded
 
         def spy(n, cap, combination, cache_dir):
             combination = list(combination)
-            calls.append((cap, sorted(w.text() for w, _ in combination)))
-            return fold_all(n, cap, combination, cache_dir)
+            folded = fold_all(n, cap, combination, cache_dir)
+            calls.append((cap, sorted(w.text() for w, _ in combination), folded[2]))
+            return folded
+
+        def folded():
+            """(cap, middles) per fold, and the degrees computed for each permutation."""
+            made = [(cap, words) for cap, words, _ in calls]
+            degrees = [len(part.sums) for _, _, raw in calls for part in raw.values()]
+            calls.clear()
+            return made, degrees
 
         monkeypatch.setattr(invariants_mod, "fold_welded", spy)
         report = distinguish(parse_word("s2 a12 a13 s1", 3), parse_word("s2 a21 a13 s1", 3), 4)
         assert report.first_difference_degree == 1
-        assert calls == [(1, ["a12", "a21"])]
-        calls.clear()
+        assert folded() == ([(4, ["a12", "a21"])], [2])
         report = distinguish(parse_word("s1 a12 a21 sig2", 3), parse_word("s1 a21 a12 sig2", 3), 4)
         assert report.first_difference_degree == 2
-        assert calls == [(1, ["a12 a21", "a21 a12"]), (4, ["a12 a21", "a21 a12"])]
-        calls.clear()
-        distinguish(parse_word("a12 a21", 3), parse_word("a21 a12", 3), 1)
-        assert [cap for cap, _ in calls] == [1]
+        assert folded() == ([(4, ["a12 a21", "a21 a12"])], [3])
+        # different permutations: the first one read settles degree 0
+        report = distinguish(parse_word("a12 s1 a13", 3), parse_word("a12 s2 a31", 3), 4)
+        assert report.first_difference_degree == 0
+        assert folded() == ([(4, ["s1 a13", "s2 a31"])], [1, 0])
+        report = distinguish(parse_word("a12 a21", 3), parse_word("a21 a12", 3), 1)
+        assert report.first_difference_degree is None
+        assert folded() == ([(1, ["a12 a21", "a21 a12"])], [2])
 
 
 class TestGroupRingFold:

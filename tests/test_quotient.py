@@ -493,6 +493,32 @@ class TestGroebnerClosure:
         ]
 
 
+class TestUpperTriangularClosedForm:
+    """The upper-triangular rows against 1/(prod_{k<n} (1 - k t) - C(n, 2) t), through these caps."""
+
+    CASES = [(3, 8), (4, 6), (5, 5)]
+
+    def test_the_closed_form_pins_known_rows(self):
+        for n, denominator in ((3, [1, -6, 2]), (4, [1, -12, 11, -6]), (5, [1, -20, 35, -50, 24])):
+            want = oracles.rational_series_dims([1], denominator, 7)
+            assert oracles.upper_triangular_formula_dims(n, 7) == want
+
+    @pytest.mark.parametrize("n,cap", CASES)
+    def test_rows_equal_the_closed_form(self, n, cap):
+        assert hilbert_row(oriented_upper_triangular(n), cap) == oracles.upper_triangular_formula_dims(n, cap)
+
+    @pytest.mark.parametrize("n,cap", CASES)
+    def test_no_rule_holds_a_letter_v_ij_with_i_below_j(self, n, cap):
+        basis = build_graded_basis(oriented_upper_triangular(n), cap)
+        alph = basis.alphabet
+        free = {alph.gen(i, j) for i, j in alph.pairs if i < j}
+        assert basis._rules
+        for lead, nf in basis._rules.items():
+            assert not free.intersection(lead), alph.word_name(lead)
+            for w in nf:
+                assert not free.intersection(w), alph.word_name(w)
+
+
 class TestNormalForm:
     def test_chord_relation_reduces_to_zero(self):
         basis = build_graded_basis(infinitesimal_artin(3), 2)
