@@ -7,16 +7,16 @@ graded oriented algebra, so the filtration order of an element is read off
 as the vanishing order of its image.  This module computes those orders,
 distinguishes welded words by truncated invariants with the automorphism
 oracle as cross-check (both fold and reduce the image degree by degree and
-stop at the order they return), compares the chord and oriented graded
-algebras through the map t_ij -> v_ij + v_ji, written once on the letters
-and ranked on Lyndon brackets' images (:mod:`braidalg.lyndon`), and
-tabulates dimensions.
+stop at the order they return; distinguish keeps its answers per pair of
+middles), compares the chord and oriented graded algebras through the map
+t_ij -> v_ij + v_ji, written once on the letters and ranked on Lyndon
+brackets' images (:mod:`braidalg.lyndon`), and tabulates dimensions.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from math import factorial
 
 from .linalg import affine_solve
@@ -123,14 +123,28 @@ def distinguish(w1: WeldedWord, w2: WeldedWord, cap: int, cache_dir=None) -> Dis
     the answer, and no degree above it is folded or reduced.  The
     Aut(F_n) oracle sees the middles too: in a group, P m1 S = P m2 S if and
     only if m1 = m2.
+
+    Both answers are kept per process in a memo of at most 1,024 entries,
+    keyed by (cap, m1, m2, cache_dir) (:func:`_middles`).  A hit is exact:
+    both answers are functions of the cap and the middles alone, which are
+    immutable and carry n.  And a hit touches no file that the first call
+    did not: that call already built the basis through the cap from the
+    same cache_dir, and a built basis stays built for the life of the
+    process.
     """
     if w1.n != w2.n:
         raise WordError(f"strand mismatch: {w1.n} vs {w2.n}")
     p = _common_prefix_length(w1.letters, w2.letters)
     s = _common_prefix_length(w1.letters[p:][::-1], w2.letters[p:][::-1])
     m1, m2 = (WeldedWord(w.n, w.letters[p : len(w.letters) - s]) for w in (w1, w2))
-    order = lowest_degree(*fold_welded(w1.n, cap, [(m1, 1), (m2, -1)], cache_dir))
-    return DistinguishReport(cap, order, words_equal_in_bp(m1, m2))
+    return DistinguishReport(cap, *_middles(cap, m1, m2, cache_dir))
+
+
+@lru_cache(maxsize=1024)
+def _middles(cap: int, m1: WeldedWord, m2: WeldedWord, cache_dir) -> tuple:
+    """(first degree where the middles' images differ, oracle verdict on them): :func:`distinguish`'s memo."""
+    order = lowest_degree(*fold_welded(m1.n, cap, [(m1, 1), (m2, -1)], cache_dir))
+    return order, words_equal_in_bp(m1, m2)
 
 
 # -- the chord-to-oriented comparison map ----------------------------------------

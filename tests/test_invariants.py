@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -37,12 +39,24 @@ from braidalg import invariants as invariants_mod
 from braidalg.linalg import affine_solve
 from braidalg.lyndon import bracket_image, lyndon_words
 from braidalg.series import CapMismatch, TruncatedSeries
-from braidalg.quotient import GradedQuotientBasis
+from braidalg.quotient import GradedQuotientBasis, hilbert_row
 from braidalg.words import WeldedWord, a, braid_relations, mccool_relations, s, word
 
 
 def sd(basis, series, one_line):
     return SemidirectSeries.term(basis, series.cap, series, Permutation.from_one_line(one_line))
+
+
+@pytest.fixture(autouse=True)
+def cleared_middles_memo():
+    """Every test starts with distinguish's memo empty, so a spy sees each fold a query needs."""
+    invariants_mod._middles.cache_clear()
+    yield
+    invariants_mod._middles.cache_clear()
+
+
+def _fields(report):
+    return report.cap, report.first_difference_degree, report.oracle_equal
 
 
 class TestVassilievDegree:
@@ -265,8 +279,8 @@ class TestDistinguishMiddles:
             return made, degrees
 
         monkeypatch.setattr(invariants_mod, "fold_welded", spy)
-        report = distinguish(parse_word("s2 a12 a13 s1", 3), parse_word("s2 a21 a13 s1", 3), 4)
-        assert report.first_difference_degree == 1
+        first = distinguish(parse_word("s2 a12 a13 s1", 3), parse_word("s2 a21 a13 s1", 3), 4)
+        assert first.first_difference_degree == 1
         assert folded() == ([(4, ["a12", "a21"])], [2])
         report = distinguish(parse_word("s1 a12 a21 sig2", 3), parse_word("s1 a21 a12 sig2", 3), 4)
         assert report.first_difference_degree == 2
@@ -278,6 +292,78 @@ class TestDistinguishMiddles:
         report = distinguish(parse_word("a12 a21", 3), parse_word("a21 a12", 3), 1)
         assert report.first_difference_degree is None
         assert folded() == ([(1, ["a12 a21", "a21 a12"])], [2])
+        # the memo: a repeated query, and the same middles under another
+        # prefix and suffix, fold nothing; another cap folds again
+        again = distinguish(parse_word("s2 a12 a13 s1", 3), parse_word("s2 a21 a13 s1", 3), 4)
+        assert _fields(again) == _fields(first) == (4, 1, False)
+        assert folded() == ([], [])
+        moved = distinguish(parse_word("sig1 a12 a23^-1", 3), parse_word("sig1 a21 a23^-1", 3), 4)
+        assert _fields(moved) == _fields(first)
+        assert folded() == ([], [])
+        lower = distinguish(parse_word("s2 a12 a13 s1", 3), parse_word("s2 a21 a13 s1", 3), 3)
+        assert _fields(lower) == (3, 1, False)
+        assert folded() == ([(3, ["a12", "a21"])], [2])
+
+
+def _memo_stream(rng, n, cap, length):
+    """Seeded (w1, w2, cap) items: w2 is w1 with one of a few relators or commutators inserted.
+
+    The insertions repeat, so most middles do too; each pair is asked at the
+    cap and at cap 1, where the commutators' differences, of degree 2 and
+    up, are not seen.
+    """
+    relators = [relator for _, relator in mccool_relations(n)[:2] + braid_relations(n)[-1:]]
+    commutators = [left_normed([word(n, a(*p)), word(n, a(*q))]) for p, q in (((1, 2), (2, 1)), ((1, 2), (1, 3)))]
+    for _ in range(length):
+        w1 = random_welded_word(rng, n, rng.randint(0, 5))
+        insert = rng.choice(relators + commutators)
+        at = rng.randint(0, len(w1.letters))
+        w2 = WeldedWord(n, w1.letters[:at] + insert.letters + w1.letters[at:])
+        if rng.random() < 0.5:
+            w1, w2 = w2, w1
+        yield w1, w2, cap
+        yield w1, w2, 1
+
+
+class TestDistinguishMemo:
+    """A stream with repeated middles answers from the memo with the reports of a cleared memo."""
+
+    @pytest.mark.parametrize("n,cap", [(3, 5), (4, 4)])
+    def test_against_a_cleared_memo_and_the_full_evaluation(self, n, cap):
+        stream = list(_memo_stream(random.Random(f"distinguish-memo:{n}:{cap}"), n, cap, 20))
+        reports = [_fields(distinguish(w1, w2, c)) for w1, w2, c in stream]
+        assert invariants_mod._middles.cache_info().hits > 0
+        assert any(order is not None and order >= 2 for _, order, _ in reports)
+        for (w1, w2, c), report in zip(stream, reports):
+            invariants_mod._middles.cache_clear()
+            assert _fields(distinguish(w1, w2, c)) == report, (w1, w2, c)
+            xi = GroupRingElement.from_word(w1) - GroupRingElement.from_word(w2)
+            assert report == (c, eval_group_ring(xi, c).min_degree(), words_equal_in_bp(w1, w2)), (w1, w2, c)
+
+    def test_threads_on_one_stream_get_equal_reports(self):
+        stream = list(_memo_stream(random.Random("distinguish-memo-threads"), 3, 5, 20))
+        build_graded_basis(oriented_artin(3), 5)
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(i):
+            barrier.wait(timeout=30)
+            results[i] = [_fields(distinguish(w1, w2, c)) for w1, w2, c in stream]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        invariants_mod._middles.cache_clear()
+        want = [_fields(distinguish(w1, w2, c)) for w1, w2, c in stream]
+        assert results == [want] * 4
 
 
 class TestGroupRingFold:
@@ -578,6 +664,42 @@ class TestUniversality:
             drinfeld = eval_drinfeld(w, phi, cap).component(identity) - one(chord, cap)
             assert all(not welded.scaled[d][1] and not drinfeld.scaled[d][1] for d in range(k)), seq
             assert welded.scaled[k] == delta_map(drinfeld, oriented).scaled[k], seq
+
+
+def _lyndon_count(m, k):
+    """M(m, k) = (1/k) sum over d | k of mu(d) m^(k/d): Lyndon words of length k on m letters."""
+
+    def mobius(d):
+        out, p = 1, 2
+        while p * p <= d:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if d > 1 else out
+
+    return sum(mobius(d) * m ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+
+
+class TestOrientedLieRanks:
+    """The degree-k brackets of the v_ij in o_n span (n - 1) M(n, k) dimensions, and PBW gives the rows."""
+
+    @pytest.mark.parametrize("n, cap", [(3, 4), (4, 3)])
+    def test_ranks_are_lyndon_counts_and_give_the_rows(self, n, cap):
+        preset = oriented_artin(n)
+        size = preset.alphabet.size
+        letters = tuple(((g, 1),) for g in range(size))
+        ranks = []
+        for k in range(1, cap + 1):
+            assert _lyndon_count(n, k) == len(lyndon_words(n, k))
+            columns = [bracket_image(w, letters, preset) for w in lyndon_words(size, k)]
+            ranks.append(len(columns) - len(affine_solve(columns)[1]))
+        assert ranks == [(n - 1) * _lyndon_count(n, k) for k in range(1, cap + 1)]
+        assert ranks == {3: [6, 6, 16, 36], 4: [12, 18, 60]}[n]
+        pbw = [invariants_mod._pbw_dimension(ranks, k) for k in range(cap + 1)]
+        assert pbw == hilbert_row(preset, cap)
 
 
 class TestHilbertTable:
