@@ -21,8 +21,9 @@ the same factors, in the scaled-integer kernel of :mod:`braidalg.series`,
 on the stored degrees of Phi and Phi^-1; each exp(s x) is the closed form
 sum_k s^k x^k / k! of a linear x, built once per cap.
 The (AE) residual is the degree-1 part of log Phi plus its Lie defect,
-:func:`braidalg.series.lie_defect`: the one Dynkin test, which also decides
-``is_lie_element``, the 3-strand family's precondition and
+:func:`braidalg.reps.ae_defect`, which is also the 3-strand family's
+precondition.  The Lie defect is :func:`braidalg.series.lie_defect`: the
+one Dynkin test, which also decides ``is_lie_element`` and
 ``GradedQuotientBasis.is_primitive``.
 
 Semi-associators are built by :func:`extension_steps`, the one extension
@@ -54,9 +55,11 @@ hexagon residual is exp(c/2) r(t12, t23), with r the residual in F(A, B) of
 :func:`check_axiom` evaluates r: r = 0 settles the verdict with no
 reduction, and otherwise it reports the chord(3) normal form of
 exp(c/2) r(t12, t23), the one the chord product would give.  A series that
-fails (AE) is evaluated over the chords and reduced.  The (AE) residual is
-kept for the last series and cap, so a run that checks (AE) and both
-hexagons on one series takes its log once.
+fails (AE) is evaluated over the chords and reduced.  The (AE) residual and
+Phi^-1 are kept for the last series and cap (:func:`braidalg.reps.ae_defect`
+and the inverse behind :func:`braidalg.reps.factor_product`), so a run that
+checks (AE), (AS) and both hexagons on one series takes its log, its Dynkin
+test and its inverse once.
 
 The braid relation of the 3-strand family reduces the same way.  There
 sigma_1 -> exp(t12/2) (x) s1 and Delta -> exp(c/2) Psi_t^-1 (x) 321, with Psi
@@ -145,7 +148,7 @@ swap(exp(phi)) = exp(-phi) = exp(phi)^-1 exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import lcm
 
 from .linalg import affine_solve
@@ -153,13 +156,13 @@ from .lyndon import bracket_image, bracket_rows, bracket_terms, lyndon_words
 from .perms import Permutation
 from .quotient import build_graded_basis, infinitesimal_artin
 from .reps import (
+    ae_defect,
     eval_drinfeld,
     eval_rho3,
     exp_factor,
     factor_product,
     rho3_delta,
     rho3_parameter,
-    shared_log,
     strand_form,
 )
 from .sdseries import SemidirectSeries
@@ -168,7 +171,6 @@ from .series import (
     ConstantTermError,
     SeriesError,
     TruncatedSeries,
-    lie_defect,
     lowest_terms,
     one,
     relabel,
@@ -235,17 +237,14 @@ def _prepare(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
     return phi.truncated(cap)
 
 
-@lru_cache(maxsize=1)
 def ae_residual(phi: TruncatedSeries, cap: int) -> TruncatedSeries:
     """Defect of exponential type: degree-1 part of log plus its Lie defect.
 
-    Kept for the last series and cap: the (AE) check and each hexagon's
-    verdict on the same series (:func:`check_axiom`) share one log, and the
-    3-strand family's precondition on it shares that log too
-    (:func:`braidalg.reps.shared_log`).
+    This is :func:`braidalg.reps.ae_defect` of phi at the cap, kept for the
+    last series: the (AE) check, each hexagon's verdict on the same series
+    (:func:`check_axiom`) and the 3-strand family's precondition share it.
     """
-    logphi = shared_log(_prepare(phi, cap))
-    return logphi.homogeneous_part(1) + lie_defect(logphi)
+    return ae_defect(_prepare(phi, cap))
 
 
 # Each axiom as a signed sum of products, the one transcription of the five
@@ -282,13 +281,13 @@ def _residual(axiom: str, phi: TruncatedSeries, free=False) -> TruncatedSeries:
     With ``free`` a 3-strand residual is the one in F(A, B) whose product
     with exp(c/2) is the chord(3) residual; this needs phi to pass (AE)
     (module docstring).  Each signed product is
-    :func:`braidalg.reps.factor_product`'s, sharing phi^-1; signs and sums
-    run in the scaled-integer kernel too.
+    :func:`braidalg.reps.factor_product`'s, on phi's one inverse; signs and
+    sums run in the scaled-integer kernel too.
     """
-    n, powers = (4 if axiom == "P" else 3), {}
+    n = 4 if axiom == "P" else 3
     total = None
     for sign, factors in _TERMS[axiom]:
-        product = scaled_times(factor_product(factors, phi, n, free, powers), sign)
+        product = scaled_times(factor_product(factors, phi, n, free), sign)
         total = product if total is None else scaled_add(total, product)
     return TruncatedSeries(AB if free else Alphabet.chord(n), phi.cap, total)
 

@@ -12,7 +12,7 @@ from functools import cache
 from itertools import product
 
 from .quotient import build_graded_basis
-from .series import Alphabet, TruncatedSeries
+from .series import Alphabet, TruncatedSeries, commutator
 
 
 def lyndon_words(m: int, k: int) -> list:
@@ -71,19 +71,6 @@ def bracket_rows(w: tuple, letters: tuple, words) -> dict:
         n = s.get(word[:k], 0) * t.get(word[k:], 0) - t.get(word[:j], 0) * s.get(word[j:], 0)
         if n:
             out[word] = n
-    return out
-
-
-def commutator(a: dict, b: dict) -> dict:
-    """ab - ba for homogeneous a, b given as {word: coefficient}, with no zero terms."""
-    out = {x + y: cx * cy for x, cx in a.items() for y, cy in b.items()}
-    for y, cy in b.items():
-        for x, cx in a.items():
-            c = out.get(y + x, 0) - cx * cy
-            if c:
-                out[y + x] = c
-            else:
-                del out[y + x]
     return out
 
 

@@ -30,6 +30,7 @@ from .series import (
     CapMismatch,
     SeriesError,
     TruncatedSeries,
+    commutator,
     lie_defect,
     lowest_terms,
     parse_series,
@@ -70,9 +71,10 @@ class RelationPreset(Value):
     def relations(self) -> list:
         """The defining degree-2 relations, generated exhaustively, as cap-2 series.
 
-        Each is a commutator [a, b1 + ... + bm] of distinct generators, written
-        straight from its words: the terms a.b with coefficient 1, then the
-        terms b.a with coefficient -1, over denominator 1.  The list and each
+        Each is a commutator [a, b1 + ... + bm] of distinct generators, taken
+        on its words by :func:`braidalg.series.commutator`: the terms a.b with
+        coefficient 1, then the terms b.a with coefficient -1, over
+        denominator 1.  The list and each
         relation's text are what the product a * b - b * a would give, so the
         relation set that cache files name does not depend on how they are
         built.
@@ -100,8 +102,7 @@ class RelationPreset(Value):
 
     def _commutator(self, a: int, bs: tuple) -> TruncatedSeries:
         """[a, b1 + ... + bm] for distinct generators: no two of its words coincide."""
-        sl = {(a, b): 1 for b in bs}
-        sl.update({(b, a): -1 for b in bs})
+        sl = commutator({(a,): 1}, {(b,): 1 for b in bs})
         return TruncatedSeries(self.alphabet, 2, ((1, {}), (1, {}), (1, sl)))
 
     def __repr__(self):
@@ -138,21 +139,18 @@ def free_preset(alphabet: Alphabet) -> RelationPreset:
     return RelationPreset("free", alphabet.n, alphabet)
 
 
-PRESET_KINDS = (
-    "infinitesimal_artin",
-    "oriented_artin",
-    "oriented_upper_triangular",
-)
+_PRESETS = {
+    "infinitesimal_artin": infinitesimal_artin,
+    "oriented_artin": oriented_artin,
+    "oriented_upper_triangular": oriented_upper_triangular,
+}
+PRESET_KINDS = tuple(_PRESETS)
 
 
 def preset_by_name(kind: str, n: int) -> RelationPreset:
     if kind not in PRESET_KINDS:
         raise BasisError(f"unknown preset {kind!r}; choose from {PRESET_KINDS}")
-    return {
-        "infinitesimal_artin": infinitesimal_artin,
-        "oriented_artin": oriented_artin,
-        "oriented_upper_triangular": oriented_upper_triangular,
-    }[kind](n)
+    return _PRESETS[kind](n)
 
 
 class GradedQuotientBasis:

@@ -25,14 +25,17 @@ the oriented basis too, and is the one way into the welded family.
 The associator families' letters are products of Phi(x, y)^+-1 and exp(s x)
 over sums of strands, as the axioms' residuals are
 (:mod:`braidalg.associator`); :func:`factor_product` evaluates both from
-factor tuples in scaled integers.  Each family keeps the letters of its 32
-most recent parameter series, as tuples of factors ``{pi: scaled series}``.
-No letter inverts a series at the cap: the 3-strand family's sigma_2^-1 is
-folded as sigma_1 Delta^-1 sigma_1, where Delta^-1 needs no inverse.  Their
-words are the product of the letters' images, folded in integer arithmetic
-in the free algebra (:func:`braidalg.sdseries.fold`).  Every family reduces a word's image to quotient normal form once at the
-end; the result is identical to reducing eagerly after every product, at a
-fraction of the cost.
+factor tuples in scaled integers.  A parameter's inverse and its (AE)
+defect are each kept for the last series (:func:`_inverse`,
+:func:`ae_defect`), so one series at one cap is inverted and logged once.
+Each family keeps the letters of its 32 most recent parameter series, as
+tuples of factors ``{pi: scaled series}``.  No letter's image is inverted:
+the 3-strand family's sigma_2^-1 is folded as sigma_1 Delta^-1 sigma_1,
+where Delta^-1 needs no inverse.  Their words are the product of the
+letters' images, folded in integer arithmetic in the free algebra
+(:func:`braidalg.sdseries.fold`).  Every family reduces a word's image to
+quotient normal form once at the end; the result is identical to reducing
+eagerly after every product, at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -302,17 +305,22 @@ def exp_factor(x: str, s, n: int, cap: int, free=False) -> tuple:
     return scaled_exp_linear(strand_form(x, n, free), 1, s, cap)
 
 
-def factor_product(factors, phi: TruncatedSeries, n: int, free=False, powers=None) -> tuple:
+@lru_cache(maxsize=1)
+def _inverse(phi: TruncatedSeries) -> tuple:
+    """phi^-1, scaled, kept for the last series: one inversion per parameter and cap."""
+    return phi.inverse().scaled
+
+
+def factor_product(factors, phi: TruncatedSeries, n: int, free=False) -> tuple:
     """The product of the factors, left to right, scaled, at phi's cap.
 
     A factor ("Phi", x, y, k) is phi(x, y)^k with k = +-1, and ("exp", x, s)
-    is exp(s x), x and y strand sums (:func:`strand_form`).  ``powers`` keeps
-    phi^k by k across calls, so phi^-1 is inverted once; in F(A, B),
-    phi(A, B)^k is that power itself.  A Phi factor needs phi over two
-    letters, as :func:`braidalg.series.substitute` does.
+    is exp(s x), x and y strand sums (:func:`strand_form`).  phi^-1 is
+    :func:`_inverse`'s; in F(A, B), phi(A, B)^k is that power itself.  A Phi
+    factor needs phi over two letters, as :func:`braidalg.series.substitute`
+    does.
     """
     cap = phi.cap
-    powers = {} if powers is None else powers
     product = None
     for factor in factors:
         if factor[0] == "exp":
@@ -320,13 +328,12 @@ def factor_product(factors, phi: TruncatedSeries, n: int, free=False, powers=Non
         else:
             _, x, y, k = factor
             require_two_variables(phi)
-            if k not in powers:
-                powers[k] = (phi if k == 1 else phi.inverse()).scaled
+            power = phi.scaled if k == 1 else _inverse(phi)
             if free and (x, y) == ("12", "23"):
-                value = powers[k]
+                value = power
             else:
                 forms = (strand_form(x, n, free), strand_form(y, n, free))
-                value = scaled_substitute(powers[k], forms, 1, cap)
+                value = scaled_substitute(power, forms, 1, cap)
         product = value if product is None else scaled_mul(product, value, cap)
     return product
 
@@ -345,7 +352,7 @@ def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
         raise ConstantTermError("the associator series must have constant term 1")
     if assoc.cap < cap:
         raise CapMismatch(f"associator known to degree {assoc.cap} < cap {cap}")
-    phi, powers = assoc.truncated(cap), {}
+    phi = assoc.truncated(cap)
     images = {}
     for i in range(1, n):
         si = Permutation.transposition(n, i)
@@ -355,7 +362,7 @@ def _drinfeld_images(n: int, cap: int, assoc: TruncatedSeries):
             factors = (("exp", t, sign * HALF),)
             if i > 1:
                 factors = (("Phi", x, t, -1), *factors, ("Phi", x_si, t, 1))
-            images[Token("sigma", i, 0, sign)] = {si: factor_product(factors, phi, n, powers=powers)}
+            images[Token("sigma", i, 0, sign)] = {si: factor_product(factors, phi, n)}
     return images
 
 
@@ -378,36 +385,22 @@ def central_element(cap: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=1)
-def shared_log(psi: TruncatedSeries) -> TruncatedSeries:
-    """psi.log(), kept for the last series.
+def ae_defect(psi: TruncatedSeries) -> TruncatedSeries:
+    """The degree-1 part of log psi plus its Lie defect, kept for the last series.
 
-    The 3-strand family's precondition and the (AE) residual
-    (:func:`braidalg.associator.ae_residual`) read the same log, so one
-    check of Psi at one cap takes it once.
+    Zero exactly when psi is group-like and normalized in degree one: the
+    (AE) residual and the 3-strand family's precondition (:func:`rho3_parameter`).
     """
-    return psi.log()
-
-
-def require_normalized_group_like(psi: TruncatedSeries):
-    """Group-like with trivial degree-1 part: the 3-strand family's precondition.
-
-    These are the two parts of the (AE) residual: the degree-1 part of
-    log Psi and its Lie defect.
-    """
-    if psi.constant_term != 1:
-        raise ConstantTermError("need constant term 1")
-    logpsi = shared_log(psi)
-    if psi.cap >= 1 and logpsi.scaled[1][1]:
-        raise ConstantTermError("need a trivial degree-1 part (log Psi = 0 mod degree 2)")
-    if not lie_defect(logpsi).is_zero():
-        raise ConstantTermError("need a group-like series (primitive logarithm)")
+    logpsi = psi.log()
+    return logpsi.homogeneous_part(1) + lie_defect(logpsi)
 
 
 def rho3_parameter(psi: TruncatedSeries, cap: int) -> TruncatedSeries:
     """psi truncated to the cap, once the 3-strand family accepts it there.
 
     The refusals, in order: no series, a negative cap, a series known below
-    the cap, then :func:`require_normalized_group_like` at the cap.
+    the cap, a constant term other than 1, then a nonzero :func:`ae_defect`
+    at the cap, read first in degree 1 and then in the degrees above.
     """
     _require_assoc("rho3", psi)
     if cap < 0:
@@ -415,7 +408,13 @@ def rho3_parameter(psi: TruncatedSeries, cap: int) -> TruncatedSeries:
     if psi.cap < cap:
         raise CapMismatch(f"parameter known to degree {psi.cap} < cap {cap}")
     psi = psi.truncated(cap)
-    require_normalized_group_like(psi)
+    if psi.constant_term != 1:
+        raise ConstantTermError("need constant term 1")
+    defect = ae_defect(psi)
+    if defect.min_degree() == 1:
+        raise ConstantTermError("need a trivial degree-1 part (log Psi = 0 mod degree 2)")
+    if not defect.is_zero():
+        raise ConstantTermError("need a group-like series (primitive logarithm)")
     return psi
 
 
@@ -428,11 +427,11 @@ def _rho3_images(cap: int, psi: TruncatedSeries):
     Delta^-1 = Psi(t23, t12) exp(-c/2) (x) 321, whose central exp(-c/2) joins
     the first sigma_1: exp(t12/2) exp(-c/2) = exp(-(t13+t23)/2).
     """
-    psi, powers = rho3_parameter(psi, cap), {}
+    psi = rho3_parameter(psi, cap)
     s1, w0 = Permutation.transposition(3, 1), Permutation.from_one_line("321")
 
     def term(perm, *factors):
-        return {perm: factor_product(factors, psi, 3, powers=powers)}
+        return {perm: factor_product(factors, psi, 3)}
 
     rho_s1, rho_s1_inv = term(s1, ("exp", "12", HALF)), term(s1, ("exp", "12", -HALF))
     delta = term(w0, ("exp", "12+13+23", HALF), ("Phi", "12", "23", -1))

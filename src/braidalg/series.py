@@ -667,6 +667,19 @@ def scaled_mul(a: tuple, b: tuple, cap: int) -> tuple:
     return tuple(out)
 
 
+def commutator(a: dict, b: dict) -> dict:
+    """ab - ba for homogeneous a, b given as {word: coefficient}, with no zero terms."""
+    out = {x + y: cx * cy for x, cx in a.items() for y, cy in b.items()}
+    for y, cy in b.items():
+        for x, cx in a.items():
+            c = out.get(y + x, 0) - cx * cy
+            if c:
+                out[y + x] = c
+            else:
+                del out[y + x]
+    return out
+
+
 def scaled_add(a: tuple, b: tuple) -> tuple:
     out = []
     for (da, sa), (db, sb) in zip(a, b):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -809,12 +810,15 @@ class TestPsi5:
 
 
 class TestEquivalencesShareOneLog:
-    def test_the_report_takes_log_psi_once(self, monkeypatch):
+    @pytest.fixture
+    def phi7(self):
+        path = Path(__file__).parent.parent / "bench" / "fixtures" / "phi7.txt"
+        return parse_series(path.read_text().split("\n", 1)[1], AB)
+
+    def test_the_report_takes_log_psi_once(self, monkeypatch, phi7):
         # (YB)'s precondition, the (AE) residual under H3 and H1, and the
         # 3-strand letters behind Delta all read one log of Psi at the cap
-        path = Path(__file__).parent.parent / "bench" / "fixtures" / "phi7.txt"
-        phi7 = parse_series(path.read_text().split("\n", 1)[1], AB)
-        for cached in (reps.shared_log, associator.ae_residual, reps._rho3_images):
+        for cached in (reps.ae_defect, reps._inverse, reps._rho3_images):
             cached.cache_clear()
         logs, log = [], TruncatedSeries.log
         monkeypatch.setattr(TruncatedSeries, "log", lambda s: logs.append(s) or log(s))
@@ -822,6 +826,38 @@ class TestEquivalencesShareOneLog:
         assert report.yb.passed and report.h3.passed and report.h1.passed and report.as_.passed
         assert report.delta_squared_central and report.drinfeld_compatible
         assert len(logs) == 1
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Lists of the inverse and lie_defect calls, lie_defect counted under every module's binding."""
+        inverted, defects = [], []
+        inverse, defect = TruncatedSeries.inverse, series.lie_defect
+        monkeypatch.setattr(TruncatedSeries, "inverse", lambda s: inverted.append(s) or inverse(s))
+        binders = [
+            module for name, module in sorted(sys.modules.items())
+            if name.startswith("braidalg") and getattr(module, "lie_defect", None) is defect
+        ]
+        assert {series, reps} <= set(binders)
+        for module in binders:
+            monkeypatch.setattr(module, "lie_defect", lambda s: defects.append(s) or defect(s))
+        for cached in (reps.ae_defect, reps._inverse, reps._rho3_images, reps._drinfeld_images):
+            cached.cache_clear()
+        return inverted, defects
+
+    def test_the_report_inverts_psi_once_and_runs_one_dynkin_test(self, monkeypatch, phi7):
+        # The (YB) and axiom residuals and both families' letters read one
+        # Psi^-1; (YB)'s precondition and the (AE) residual one Lie defect
+        inverted, defects = self._count_calls(monkeypatch)
+        report = check_equivalences(phi7, 6)
+        assert report.delta_squared_central and report.drinfeld_compatible
+        assert inverted == [phi7.truncated(6)]
+        assert len(defects) == 1
+
+    def test_the_axioms_invert_phi_once(self, monkeypatch, phi7):
+        inverted, defects = self._count_calls(monkeypatch)
+        assert all(check_axiom(phi7, axiom, 6).passed for axiom in ("AE", "AS", "H1", "H3"))
+        assert inverted == [phi7.truncated(6)]
+        assert len(defects) == 1
 
 
 class TestCapZero:

@@ -15,6 +15,7 @@ import braidalg
 
 from braidalg import AB, CapMismatch, bootstrap_semi_associator, eval_drinfeld, parse_word, quotient
 from braidalg import associator as assoc_mod
+from braidalg import reps as reps_mod
 from braidalg import cli
 from braidalg.cli import main
 from braidalg.series import TruncatedSeries, parse_series
@@ -205,13 +206,13 @@ class TestAssociatorCommands:
     def test_the_ae_residual_is_taken_once_per_run(self, capsys, monkeypatch, tmp_path):
         # (AE) and each hexagon's verdict share one log and one Dynkin test
         logs, defects = [], []
-        log, lie_defect = braidalg.TruncatedSeries.log, assoc_mod.lie_defect
+        log, lie_defect = braidalg.TruncatedSeries.log, reps_mod.lie_defect
         monkeypatch.setattr(braidalg.TruncatedSeries, "log", lambda s: logs.append(s) or log(s))
-        monkeypatch.setattr(assoc_mod, "lie_defect", lambda s: defects.append(s) or lie_defect(s))
+        monkeypatch.setattr(reps_mod, "lie_defect", lambda s: defects.append(s) or lie_defect(s))
         phi = tmp_path / "phi.txt"
         phi.write_text(bootstrap_semi_associator(4).text() + "\n")
         for source in (["--in", str(phi)], ["--series", "1 + 1*A.B"]):
-            assoc_mod.ae_residual.cache_clear()
+            reps_mod.ae_defect.cache_clear()
             logs.clear(), defects.clear()
             argv = ["check-associator", "--axioms", "AE,AS,H1,H3", "--cap", "4", *source]
             code, out = run(capsys, *argv)

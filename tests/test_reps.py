@@ -413,6 +413,7 @@ class TestLettersAgainstSeriesReference:
         monkeypatch.setattr(TruncatedSeries, "inverse", counting)
         reps._drinfeld_images.cache_clear()
         reps._rho3_images.cache_clear()
+        reps._inverse.cache_clear()
         reps._drinfeld_images(4, 5, phi7)
         reps._rho3_images(5, psi5)
         assert inverted == [AB, AB]
