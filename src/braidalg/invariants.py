@@ -122,7 +122,12 @@ def distinguish(w1: WeldedWord, w2: WeldedWord, cap: int, cache_dir=None) -> Dis
     (:func:`braidalg.sdseries.lowest_degree`); its first nonzero degree is
     the answer, and no degree above it is folded or reduced.  The
     Aut(F_n) oracle sees the middles too: in a group, P m1 S = P m2 S if and
-    only if m1 = m2.
+    only if m1 = m2.  It compares their strand permutations before their
+    automorphisms (:func:`braidalg.words.words_equal_in_bp`), which is
+    exact because the permutation is a function of the automorphism.  Degree
+    0 of a word's image is 1 (x) its permutation, so the pairs whose
+    difference starts at degree 0 are the pairs the oracle settles without
+    composing automorphisms.
 
     Both answers are kept per process in a memo of at most 1,024 entries,
     keyed by (cap, m1, m2, cache_dir) (:func:`_middles`).  A hit is exact:

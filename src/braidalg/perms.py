@@ -76,8 +76,14 @@ class Permutation(OrderedValue):
 
 
 def perm_from_transposition_word(n: int, indices) -> Permutation:
-    """Product s_{i_1} s_{i_2} ... as a composition; the rightmost factor acts first."""
-    out = Permutation.identity(n)
+    """Product s_{i_1} s_{i_2} ... as a composition; the rightmost factor acts first.
+
+    Composing on the right with s_i swaps the images of i and i + 1, so the
+    product is one walk over a list of images and one Permutation.
+    """
+    images = list(range(1, n + 1))
     for i in indices:
-        out = out.compose(Permutation.transposition(n, i))
-    return out
+        if not 1 <= i < n:
+            raise ValueError(f"s_{i} requires 1 <= i < n = {n}")
+        images[i - 1], images[i] = images[i], images[i - 1]
+    return Permutation(images)

@@ -329,6 +329,8 @@ def lowest_degree(basis: GradedQuotientBasis, cap: int, raw: dict):
     degree, and the search stops at the first degree where a component is
     nonzero: no degree above the answer is reduced, and none above it is
     read, so a welded fold computes none (:func:`braidalg.reps.fold_welded`).
+    A slice is tested for zero on its reduced numerators: the denominator
+    does not change whether it vanishes, so it is not rescaled.
     None means the element is zero through the cap.  The filtration order is
     read this way, and the image itself is normalized on first read
     (:class:`braidalg.invariants.FiltrationReport`).
@@ -336,6 +338,6 @@ def lowest_degree(basis: GradedQuotientBasis, cap: int, raw: dict):
     _check_raw(basis, cap, raw)
     for k in range(cap + 1):
         for scaled in raw.values():
-            if basis.reduce_slice(k, scaled[k])[1]:
+            if basis.reduce(k, scaled[k][1]):
                 return k
     return None

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .perms import Permutation
+from .perms import Permutation, perm_from_transposition_word
 from .series import rational, signed_sum_terms, signed_sum_text
 from .value import OrderedValue, Value
 
@@ -302,10 +302,22 @@ def as_automorphism(w: WeldedWord) -> FreeGroupEndo:
 
 
 def words_equal_in_bp(w1: WeldedWord, w2: WeldedWord) -> bool:
-    """Exact equality in the braid-permutation group via the faithful action."""
+    """Exact equality in the braid-permutation group via the faithful action.
+
+    The strand permutations are compared first, and the automorphisms only
+    when those agree.  A word's strand permutation, the product of its s and
+    sigma indices, equals the ``permutation_part`` of its automorphism:
+    a(i,j) sends each x_k to a conjugate of x_k, and s_i and sigma_i send
+    x_i, x_{i+1} to conjugates of x_{i+1}, x_i.  So the permutation is a
+    function of the automorphism, and unequal permutations prove unequal
+    automorphisms.
+    """
     if w1.n != w2.n:
         raise WordError(f"strand mismatch: {w1.n} vs {w2.n}")
-    return as_automorphism(w1) == as_automorphism(w2)
+    p1, p2 = (
+        perm_from_transposition_word(w.n, [t.i for t in w.letters if t.kind != "a"]) for w in (w1, w2)
+    )
+    return p1 == p2 and as_automorphism(w1) == as_automorphism(w2)
 
 
 def pure_braid_generator(j: int, i: int, n: int) -> WeldedWord:

@@ -440,15 +440,15 @@ class TestUpwardOrder:
 
 @pytest.fixture
 def reduced_degrees(monkeypatch):
-    """The degrees passed to GradedQuotientBasis.reduce_slice, in call order."""
+    """The degrees passed to GradedQuotientBasis.reduce, which reduce_slice calls, in call order."""
     degrees = []
-    reduce_slice = GradedQuotientBasis.reduce_slice
+    reduce = GradedQuotientBasis.reduce
 
-    def spy(self, k, pair):
+    def spy(self, k, vec):
         degrees.append(k)
-        return reduce_slice(self, k, pair)
+        return reduce(self, k, vec)
 
-    monkeypatch.setattr(GradedQuotientBasis, "reduce_slice", spy)
+    monkeypatch.setattr(GradedQuotientBasis, "reduce", spy)
     return degrees
 
 

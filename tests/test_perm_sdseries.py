@@ -40,6 +40,21 @@ class TestPermutations:
         # s_2 s_1 acts with the rightmost factor first: one-line 312
         assert perm_from_transposition_word(3, [2, 1]) == Permutation.from_one_line("312")
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_transposition_word_equals_per_index_composition(self, n, rng):
+        for length in range(13):
+            for _ in range(10):
+                indices = [rng.randint(1, n - 1) for _ in range(length)]
+                want = Permutation.identity(n)
+                for i in indices:
+                    want = want.compose(Permutation.transposition(n, i))
+                assert perm_from_transposition_word(n, indices) == want, indices
+
+    @pytest.mark.parametrize("n,i", [(3, 0), (3, 3), (3, -1), (1, 1)])
+    def test_transposition_word_rejects_an_index_outside_1_to_n_minus_1(self, n, i):
+        with pytest.raises(ValueError, match=rf"^s_{i} requires 1 <= i < n = {n}$"):
+            perm_from_transposition_word(n, [1, i] if n > 2 else [i])
+
     def test_inverse(self):
         pi = Permutation.from_one_line("2431")
         assert pi.compose(pi.inverse()).is_identity()

@@ -496,7 +496,7 @@ class TestGroebnerClosure:
 class TestUpperTriangularClosedForm:
     """The upper-triangular rows against 1/(prod_{k<n} (1 - k t) - C(n, 2) t), through these caps."""
 
-    CASES = [(3, 8), (4, 6), (5, 5)]
+    CASES = [(3, 8), (4, 6), (5, 5), (6, 4)]
 
     def test_the_closed_form_pins_known_rows(self):
         for n, denominator in ((3, [1, -6, 2]), (4, [1, -12, 11, -6]), (5, [1, -20, 35, -50, 24])):

@@ -7,6 +7,7 @@ import pkgutil
 import pytest
 
 import oracles
+from conftest import make_rng
 from braidalg import (
     Alphabet,
     FamilyReport,
@@ -22,6 +23,7 @@ from braidalg import (
     equivariance_relations,
     mccool_relations,
     parse_word,
+    perm_from_transposition_word,
     infinitesimal_artin,
     oriented_artin,
     pure_braid_generator,
@@ -107,6 +109,65 @@ class TestEqualityOracle:
 
     def test_welded_words_usually_move_the_product(self):
         assert not as_automorphism(word(3, a(1, 2))).fixes_product_of_generators()
+
+
+def _strand_permutation(w):
+    return perm_from_transposition_word(w.n, [t.i for t in w.letters if t.kind != "a"])
+
+
+def _oracle_pairs(n, seed):
+    """Seeded word pairs on n strands, lengths 0..12: unrelated, relator insertions, equal permutations."""
+    rng = make_rng(seed)
+    relators = [r for _, r in mccool_relations(n) + braid_relations(n) + equivariance_relations(n)]
+    empty = WeldedWord(n, ())
+    fixed = [("", ""), ("a12", "a21"), ("sig1", "s1"), ("s1", ""), ("a12 a21", "a21 a12"), ("sig1 sig1", "")]
+    pairs = [(parse_word(x, n), parse_word(y, n)) for x, y in fixed]
+    for length in range(13):
+        for _ in range(4):
+            w = random_welded_word(rng, n, length)
+            u = random_welded_word(rng, n, rng.randint(0, 12 - length))
+            t = random_welded_word(rng, n, 1)
+            relator = rng.choice(relators) if relators and rng.random() < 0.5 else t * t.inverse()
+            at = rng.randint(0, length)
+            inserted = WeldedWord(n, w.letters[:at] + relator.letters + w.letters[at:])
+            x, y = rng.choice(pairs[1:len(fixed)])
+            pairs += [(w, u), (w, inserted), (w * x * u, w * y * u), (w, empty), (empty, w)]
+    return pairs
+
+
+class TestPermutationFirstOracle:
+    """The oracle tests strand permutations first and composes automorphisms only when they agree."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_verdict_equals_automorphism_equality(self, n):
+        verdicts = set()
+        for w1, w2 in _oracle_pairs(n, 4500 + n):
+            want = oracles.as_automorphism(w1) == oracles.as_automorphism(w2)
+            assert words_equal_in_bp(w1, w2) == want, (w1, w2)
+            verdicts.add((want, _strand_permutation(w1) == _strand_permutation(w2)))
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_strand_permutation_is_the_automorphisms_permutation_part(self, n):
+        for pair in _oracle_pairs(n, 4600 + n):
+            for w in pair:
+                assert _strand_permutation(w) == oracles.as_automorphism(w).permutation_part(), w
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_automorphisms_are_composed_only_for_equal_permutations(self, n, monkeypatch):
+        calls = []
+        as_automorphism = braidalg.words.as_automorphism
+
+        def spy(w):
+            calls.append(w)
+            return as_automorphism(w)
+
+        monkeypatch.setattr(braidalg.words, "as_automorphism", spy)
+        for w1, w2 in _oracle_pairs(n, 4700 + n):
+            calls.clear()
+            words_equal_in_bp(w1, w2)
+            same = _strand_permutation(w1) == _strand_permutation(w2)
+            assert calls == ([w1, w2] if same else []), (w1, w2)
 
 
 class TestPureBraidGenerators:
